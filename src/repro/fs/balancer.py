@@ -223,7 +223,7 @@ class Balancer:
             # (same reasoning as the master's repair process).
             span = obs.tracer.start_span(
                 "balancer.move",
-                block=f"{block.file_path}#{block.index}",
+                block=block.label,
                 source=move.replica.medium.medium_id,
                 destination=move.target.medium_id,
                 tier=move.target.tier_name,
@@ -251,22 +251,15 @@ class Balancer:
         if obs.ledger.enabled:
             obs.ledger.on_balancer_move(
                 path=block.file_path,
-                block=f"{block.file_path}#{block.index}",
+                block=block.label,
                 source=move.replica.medium.medium_id,
                 destination=move.target.medium_id,
                 tier=move.target.tier_name,
                 nbytes=block.size,
                 span=span,
             )
-        meta.replicas.append(new_replica)
-        master.namespace.charge_tier_space(
-            meta.inode, new_replica.tier_name, block.size
-        )
-        # Drop the donor copy.
+        master.attach_replica(meta, new_replica)
+        # Drop the donor copy, unless the master detached it mid-move.
         if move.replica in meta.replicas:
-            meta.replicas.remove(move.replica)
-        master._delete_replica_from_worker(move.replica)
-        master.namespace.charge_tier_space(
-            meta.inode, move.replica.tier_name, -block.size
-        )
+            master.detach_replica(meta, move.replica)
         return block.size

@@ -41,6 +41,11 @@ class Block:
         self.size = 0  # actual bytes written (== capacity except the tail)
         self.generation = 1
 
+    @property
+    def label(self) -> str:
+        """The block's name in exports (ids are process-global counters)."""
+        return f"{self.file_path}#{self.index}"
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Block {self.block_id} #{self.index} of {self.file_path!r}>"
 

@@ -5,7 +5,8 @@ out of the test suite so scripted fault scenarios, chaos runs, and the
 Hypothesis property tests all assert the same things:
 
 * **accounting** — per-medium ``used``/``reserved`` sanity, and the
-  cluster-wide used-byte total matching the block map;
+  cluster-wide used-byte total and every file's (and the root's)
+  per-tier quota usage matching the replicas in the block map;
 * **uniqueness** — no medium holds two replicas of one block;
 * **replication** — after convergence, every complete file's block set
   satisfies its replication vector exactly
@@ -20,6 +21,7 @@ compared for bit-for-bit equivalence.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from repro.core.replication import analyze_block
@@ -37,7 +39,8 @@ def accounting_violations(
     quiesced system: in-flight writes legitimately hold reservations
     (checked for range instead of zero), and the used-bytes total lags
     the block map while transfers commit (skipped). Everything else —
-    range sanity and replica uniqueness — must hold at every instant.
+    range sanity, replica uniqueness, and tier usage mirroring the block
+    map — must hold at every instant.
     """
     violations: list[str] = []
     # Unreachable (silent) nodes keep their data and stay in the block
@@ -78,6 +81,9 @@ def accounting_violations(
                 f"cluster used bytes {total_used} != block map total "
                 f"{expected}"
             )
+    # Tier usage (what quotas are enforced against) mirrors the block map.
+    attached: dict = {}  # inode -> Counter of attached replica bytes per tier
+    total: Counter = Counter()
     for meta in fs.master.block_map.values():
         media_ids = [r.medium.medium_id for r in meta.replicas]
         if len(media_ids) != len(set(media_ids)):
@@ -85,6 +91,23 @@ def accounting_violations(
                 f"block {meta.block.block_id}: duplicate replicas on "
                 f"{sorted(media_ids)}"
             )
+        usage = attached.setdefault(meta.inode, Counter())
+        for replica in meta.replicas:
+            usage[replica.tier_name] += meta.block.size
+            total[replica.tier_name] += meta.block.size
+    namespace = fs.master.namespace
+    for inode in namespace.iter_files():
+        expected = attached.get(inode, Counter())
+        if Counter(inode.tier_bytes) != expected:
+            violations.append(
+                f"{inode.path()}: tier usage {inode.tier_bytes} != attached "
+                f"replica bytes {dict(expected)}"
+            )
+    if Counter(namespace.root.subtree_tier_bytes) != total:
+        violations.append(
+            f"root tier usage {namespace.root.subtree_tier_bytes} != block "
+            f"map total {dict(total)}"
+        )
     return violations
 
 

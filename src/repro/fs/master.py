@@ -18,7 +18,7 @@ the placement policy treats volatile tiers specially.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator, Sequence
+from typing import TYPE_CHECKING, Generator, Iterable, Sequence
 
 from repro.core.moop import PlacementRequest
 from repro.core.objectives import ObjectiveContext
@@ -151,7 +151,7 @@ class Master:
             # the node-level flag, not only the master's verdict.
             record.silent = False
             record.worker.node.unreachable = False
-            self._mark_node_blocks_dirty(record.worker)
+            self.mark_dirty(record.worker.block_report())
             if obs.enabled:
                 obs.tracer.event("worker.reconciled", worker=report.node_name)
                 obs.metrics.counter("workers_reconciled_total").inc()
@@ -174,7 +174,7 @@ class Master:
                 dropped += 1
                 continue
             if replica not in meta.replicas:
-                meta.replicas.append(replica)
+                self.attach_replica(meta, replica)
                 self._dirty_blocks.add(replica.block.block_id)
         return dropped
 
@@ -197,7 +197,7 @@ class Master:
                     record.dead = True
                     record.silent = False
                     expired.append(record.worker.name)
-                    self._mark_node_blocks_dirty(record.worker)
+                    self.mark_dirty(record.worker.block_report())
                     if obs.enabled:
                         obs.tracer.event("worker.dead", worker=node.name)
                         obs.metrics.counter("workers_declared_dead_total").inc()
@@ -212,7 +212,7 @@ class Master:
                 # receive_heartbeat undoes this when contact resumes.
                 node.unreachable = True
                 expired.append(record.worker.name)
-                self._mark_node_blocks_dirty(record.worker)
+                self.mark_dirty(record.worker.block_report())
                 if obs.enabled:
                     obs.tracer.event("worker.silent", worker=node.name)
                     obs.metrics.counter("workers_declared_silent_total").inc()
@@ -222,10 +222,6 @@ class Master:
                 sum(1 for r in self.workers.values() if r.reachable)
             )
         return expired
-
-    def _mark_node_blocks_dirty(self, worker: Worker) -> None:
-        for replica in worker.block_report():
-            self._dirty_blocks.add(replica.block.block_id)
 
     # ------------------------------------------------------------------
     # Namespace operations (delegate + block bookkeeping)
@@ -393,6 +389,41 @@ class Master:
             record.worker.delete_replica(replica)
 
     # ------------------------------------------------------------------
+    # Replica lifecycle: all that edits ``meta.replicas`` and tier usage
+    # ------------------------------------------------------------------
+    def attach_replica(self, meta: BlockMeta, replica: Replica) -> None:
+        """A finalized replica joins its block; the file's tier usage
+        (and every ancestor directory's) is charged ``block.size``."""
+        meta.replicas.append(replica)
+        self.namespace.charge_tier_space(
+            meta.inode, replica.tier_name, meta.block.size
+        )
+
+    def detach_replica(
+        self, meta: BlockMeta, replica: Replica, cause: str | None = None
+    ) -> None:
+        """A replica leaves its block: the worker drops it, the tier
+        usage is refunded. ``cause`` names a deliberate removal for the
+        ledger; losses pass none — their fault is already on record."""
+        meta.replicas.remove(replica)
+        self._delete_replica_from_worker(replica)
+        self.namespace.charge_tier_space(
+            meta.inode, replica.tier_name, -meta.block.size
+        )
+        if cause is not None and self.obs.ledger.enabled:
+            self.obs.ledger.on_replica_removed(
+                meta.block.file_path,
+                block=meta.block.label,
+                medium=replica.medium.medium_id,
+                tier=replica.tier_name,
+                cause=cause,
+            )
+
+    def mark_dirty(self, replicas: Iterable[Replica]) -> None:
+        """Queue the blocks of ``replicas`` for the next replication pass."""
+        self._dirty_blocks.update(r.block.block_id for r in replicas)
+
+    # ------------------------------------------------------------------
     # Block allocation / commit (the write path, §3.1)
     # ------------------------------------------------------------------
     def allocate_block(
@@ -426,7 +457,7 @@ class Master:
             obs.last_placement = None
             span = obs.tracer.start_span(
                 "master.allocate_block",
-                block=f"{inode.path()}#{len(inode.blocks)}",
+                block=block.label,
                 vector=inode.rep_vector.shorthand(),
             )
             with obs.tracer.use(span):
@@ -458,7 +489,7 @@ class Master:
         if obs.ledger.enabled:
             obs.ledger.on_placement(
                 path=inode.path(),
-                block=f"{block.file_path}#{block.index}",
+                block=block.label,
                 vector=inode.rep_vector.shorthand(),
                 cause="allocate",
                 targets=targets,
@@ -507,10 +538,7 @@ class Master:
         for replica in replicas:
             worker = self.worker_for(replica.node)
             worker.finalize_replica(replica, actual_size)
-            self.namespace.charge_tier_space(
-                meta.inode, replica.tier_name, actual_size
-            )
-            meta.replicas.append(replica)
+            self.attach_replica(meta, replica)
         self.namespace.log_block(meta.inode, block)
 
     def abort_block(self, block: Block, replicas: Sequence[Replica]) -> None:
@@ -701,12 +729,15 @@ class Master:
     def _converge_block(self, meta: BlockMeta) -> list:
         if meta.inode.under_construction:
             return []
+        # Lost replicas (dead nodes/media, flagged corrupt) hold no usable
+        # data yet still occupy their medium; drop them up front so repair
+        # placement can reuse the slot. Those on merely unreachable nodes
+        # stay: the data counts again once the node re-heartbeats.
+        for replica in list(meta.replicas):
+            if replica.state == FINALIZED and replica.lost:
+                self.detach_replica(meta, replica)
         # Replicas on decommissioning nodes are readable but no longer
         # count toward the vector: they are being drained away.
-        # Lost replicas (dead media, corrupt copies) hold no usable data
-        # yet still occupy their medium; drop them up front so repair
-        # placement can reuse the slot.
-        self._prune_dead_replicas(meta)
         live = [
             r for r in meta.live_replicas() if not r.node.decommissioning
         ]
@@ -723,39 +754,20 @@ class Master:
             return processes  # removals wait until additions are done
         # Requirements met without the draining copies: retire them.
         for replica in draining:
-            meta.replicas.remove(replica)
-            self._delete_replica_from_worker(replica)
-            self.namespace.charge_tier_space(
-                meta.inode, replica.tier_name, -meta.block.size
-            )
-            if self.obs.ledger.enabled:
-                self.obs.ledger.on_replica_removed(
-                    meta.block.file_path,
-                    block=f"{meta.block.file_path}#{meta.block.index}",
-                    medium=replica.medium.medium_id,
-                    tier=replica.tier_name,
-                    cause="draining",
-                )
+            self.detach_replica(meta, replica, cause="draining")
         removable = dict(actions.removable_tiers)
         for _ in range(actions.removals):
-            replica = self._remove_one_replica(meta, removable)
-            if replica is None:
+            candidates = meta.live_replicas()
+            eligible = {t: n for t, n in removable.items() if n > 0}
+            if not eligible or len(candidates) <= 1:
                 break
+            ctx = ObjectiveContext.from_cluster(
+                self.cluster, block_size=meta.block.capacity
+            )
+            replica = choose_replica_to_remove(candidates, eligible, ctx)
+            self.detach_replica(meta, replica, cause="over_replication")
             removable[replica.tier_name] -= 1
         return processes
-
-    def _prune_dead_replicas(self, meta: BlockMeta) -> None:
-        """Forget *lost* replicas (dead nodes/media, flagged corrupt).
-
-        Replicas on merely unreachable (network-silent) nodes are kept:
-        the data is intact and counts again once the node re-heartbeats.
-        """
-        for replica in list(meta.replicas):
-            if replica.state != FINALIZED:
-                continue
-            if replica.lost:
-                meta.replicas.remove(replica)
-                self._delete_replica_from_worker(replica)
 
     def _schedule_repair(self, meta: BlockMeta, tier: str | None):
         """Place and launch one re-replication copy; None if impossible."""
@@ -785,7 +797,7 @@ class Master:
             if self.obs.enabled:
                 self.obs.tracer.event(
                     "repair.deferred",
-                    block=f"{meta.block.file_path}#{meta.block.index}",
+                    block=meta.block.label,
                     tier=tier,
                 )
                 self.obs.metrics.counter("repairs_deferred_total").inc()
@@ -828,7 +840,7 @@ class Master:
             # current-span stack cannot carry the parent across resumes.
             span = obs.tracer.start_span(
                 "master.repair",
-                block=f"{meta.block.file_path}#{meta.block.index}",
+                block=meta.block.label,
                 tier=tier,
                 source=source.medium.medium_id,
                 destination=destination.medium_id,
@@ -837,7 +849,7 @@ class Master:
         if obs.ledger.enabled:
             ledger_rec = obs.ledger.on_repair(
                 path=meta.block.file_path,
-                block=f"{meta.block.file_path}#{meta.block.index}",
+                block=meta.block.label,
                 tier=tier,
                 source=source.medium.medium_id,
                 destination=destination.medium_id,
@@ -861,38 +873,9 @@ class Master:
             span.end()
             obs.metrics.counter("repairs_completed_total").inc()
         obs.ledger.on_repair_outcome(ledger_rec, "completed")
-        meta.replicas.append(replica)
-        self.namespace.charge_tier_space(
-            meta.inode, replica.tier_name, meta.block.size
-        )
+        self.attach_replica(meta, replica)
         # Re-examine: more additions may be pending, or now-excess copies.
         self._dirty_blocks.add(meta.block.block_id)
-        return replica
-
-    def _remove_one_replica(
-        self, meta: BlockMeta, removable: dict[str, int]
-    ) -> Replica | None:
-        live = meta.live_replicas()
-        eligible = {t: n for t, n in removable.items() if n > 0}
-        if not eligible or len(live) <= 1:
-            return None
-        ctx = ObjectiveContext.from_cluster(
-            self.cluster, block_size=meta.block.capacity
-        )
-        replica = choose_replica_to_remove(live, eligible, ctx)
-        meta.replicas.remove(replica)
-        self._delete_replica_from_worker(replica)
-        self.namespace.charge_tier_space(
-            meta.inode, replica.tier_name, -meta.block.size
-        )
-        if self.obs.ledger.enabled:
-            self.obs.ledger.on_replica_removed(
-                meta.block.file_path,
-                block=f"{meta.block.file_path}#{meta.block.index}",
-                medium=replica.medium.medium_id,
-                tier=replica.tier_name,
-                cause="over_replication",
-            )
         return replica
 
     @property
@@ -936,7 +919,7 @@ class Master:
                     BlockMeta(block=replica.block, inode=inode),
                 )
                 if replica not in meta.replicas:
-                    meta.replicas.append(replica)
+                    self.attach_replica(meta, replica)
                     adopted += 1
                 self._dirty_blocks.add(replica.block.block_id)
         return adopted

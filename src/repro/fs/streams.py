@@ -165,7 +165,7 @@ class FSDataOutputStream:
             span = obs.tracer.start_span(
                 "client.append_block",
                 path=self._path,
-                block=f"{block.file_path}#{block.index}",
+                block=block.label,
                 size=payload,
             )
         try:
@@ -350,7 +350,7 @@ class FSDataInputStream:
             span = obs.tracer.start_span(
                 "client.read_block",
                 path=self._path,
-                block=f"{block.file_path}#{block.index}",
+                block=block.label,
                 size=block.size,
             )
         last_error: Exception | None = None
@@ -383,7 +383,7 @@ class FSDataInputStream:
             if flow.span is not None:
                 flow.span.annotate(
                     op="read",
-                    block=f"{block.file_path}#{block.index}",
+                    block=block.label,
                     tier=replica.tier_name,
                 )
             try:

@@ -202,8 +202,7 @@ class OctopusFileSystem:
         node = self.cluster.node(name)
         node.decommissioning = True
         drained = len(worker.block_report())
-        for replica in worker.block_report():
-            self.master._dirty_blocks.add(replica.block.block_id)
+        self.master.mark_dirty(worker.block_report())
         self.await_replication(max_rounds=max_rounds)
         if worker.block_report():
             raise WorkerError(
@@ -218,23 +217,24 @@ class OctopusFileSystem:
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------
+    def _cancel_flows_on(self, resources: list, failure: WorkerError) -> None:
+        """Abort every transfer crossing ``resources``, in flow start
+        order: set order follows object addresses and would make the
+        failure cascade differ between runs."""
+        doomed = {flow for resource in resources for flow in resource.flows}
+        for flow in sorted(doomed, key=lambda f: f.seq):
+            self.cluster.flows.cancel_flow(flow, failure)
+
     def fail_worker(self, name: str) -> None:
         """Kill a worker: node marked dead, in-flight transfers aborted,
         volatile (memory) replicas lost with it."""
         if name not in self.workers:
             raise WorkerError(f"unknown worker {name!r}")
         node = self.cluster.fail_node(name)
-        failure = WorkerError(f"worker {name} died")
-        doomed_resources = [node.nic_in, node.nic_out]
+        resources = [node.nic_in, node.nic_out]
         for medium in node.media:
-            doomed_resources.extend([medium.read_channel, medium.write_channel])
-        doomed_flows = {
-            flow for resource in doomed_resources for flow in resource.flows
-        }
-        # Cancel in flow start order: set order follows object addresses
-        # and would make the failure cascade differ between runs.
-        for flow in sorted(doomed_flows, key=lambda f: f.seq):
-            self.cluster.flows.cancel_flow(flow, failure)
+            resources.extend([medium.read_channel, medium.write_channel])
+        self._cancel_flows_on(resources, WorkerError(f"worker {name} died"))
         self.master.check_worker_liveness()
 
     def fail_medium(self, medium_id: str) -> None:
@@ -247,15 +247,14 @@ class OctopusFileSystem:
         if medium is None:
             raise WorkerError(f"unknown medium {medium_id!r}")
         medium.failed = True
-        failure = WorkerError(f"medium {medium_id} failed")
-        doomed = set(medium.read_channel.flows) | set(medium.write_channel.flows)
-        for flow in sorted(doomed, key=lambda f: f.seq):
-            self.cluster.flows.cancel_flow(flow, failure)
-        worker = self.workers.get(medium.node.name)
-        if worker is not None:
-            for replica in worker.block_report():
-                if replica.medium is medium:
-                    self.master._dirty_blocks.add(replica.block.block_id)
+        self._cancel_flows_on(
+            [medium.read_channel, medium.write_channel],
+            WorkerError(f"medium {medium_id} failed"),
+        )
+        worker = self.workers[medium.node.name]
+        self.master.mark_dirty(
+            r for r in worker.block_report() if r.medium is medium
+        )
 
     def recover_worker(self, name: str) -> None:
         """Bring a failed worker back; its volatile replicas are gone."""
@@ -264,23 +263,20 @@ class OctopusFileSystem:
         node = self.cluster.recover_node(name)
         worker = self.workers[name]
         # Memory does not survive a restart: drop volatile replicas.
-        for replica in list(worker.replicas.values()):
-            if replica.medium.volatile:
-                worker.delete_replica(replica)
-                meta = self.master.block_map.get(replica.block.block_id)
-                if meta and replica in meta.replicas:
-                    meta.replicas.remove(replica)
-                # The worker no longer reports this block, so the loop
-                # below would miss it — without this the loss goes
-                # unrepaired when the node was never declared dead.
-                self.master._dirty_blocks.add(replica.block.block_id)
+        volatile = [r for r in worker.block_report() if r.medium.volatile]
+        for replica in volatile:
+            worker.delete_replica(replica)
+            meta = self.master.block_map.get(replica.block.block_id)
+            if meta and replica in meta.replicas:
+                self.master.detach_replica(meta, replica)
         record = self.master.workers[name]
         record.dead = False
         record.silent = False
         record.last_heartbeat = self.engine.now
         self.master.receive_block_report(worker)
-        for replica in worker.block_report():
-            self.master._dirty_blocks.add(replica.block.block_id)
+        # The worker no longer reports its volatile blocks: name them too,
+        # or the loss goes unrepaired when it was never declared dead.
+        self.master.mark_dirty(volatile + worker.block_report())
 
     def silence_worker(self, name: str, cut_flows: bool = True) -> None:
         """Partition a worker off the network without killing it.
@@ -295,10 +291,10 @@ class OctopusFileSystem:
             raise WorkerError(f"unknown worker {name!r}")
         node = self.cluster.silence_node(name)
         if cut_flows:
-            failure = WorkerError(f"worker {name} is unreachable")
-            doomed = set(node.nic_in.flows) | set(node.nic_out.flows)
-            for flow in sorted(doomed, key=lambda f: f.seq):
-                self.cluster.flows.cancel_flow(flow, failure)
+            self._cancel_flows_on(
+                [node.nic_in, node.nic_out],
+                WorkerError(f"worker {name} is unreachable"),
+            )
 
     def unsilence_worker(self, name: str) -> None:
         """Heal a network partition; the worker re-heartbeats at once.
@@ -337,11 +333,10 @@ class OctopusFileSystem:
         medium.failed = False
         medium.degrade(1.0)
         self.cluster.flows.refresh([medium.read_channel, medium.write_channel])
-        worker = self.workers.get(medium.node.name)
-        if worker is not None:
-            for replica in worker.block_report():
-                if replica.medium is medium:
-                    self.master._dirty_blocks.add(replica.block.block_id)
+        worker = self.workers[medium.node.name]
+        self.master.mark_dirty(
+            r for r in worker.block_report() if r.medium is medium
+        )
 
     def slow_worker(self, name: str, factor: float) -> None:
         """Cap a node's NIC to ``factor`` of baseline (slow-node fault)."""

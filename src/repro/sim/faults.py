@@ -279,7 +279,7 @@ class FaultInjector:
         # counters and would break cross-invocation trace comparison.
         self._record(
             "corrupt",
-            f"{meta.block.file_path}#{meta.block.index}",
+            meta.block.label,
             f"medium={medium_id}",
         )
 
@@ -308,7 +308,7 @@ class FaultInjector:
             medium_id = min(r.medium.medium_id for r in live)
         master.report_corrupt_replica(block.block_id, medium_id)
         self._record(
-            "corrupt", f"{block.file_path}#{block.index}", f"medium={medium_id}"
+            "corrupt", block.label, f"medium={medium_id}"
         )
 
     # ------------------------------------------------------------------

@@ -27,8 +27,8 @@ flows/resources — or the whole active set when it is small enough that
 the search would cost more than it saves), reusing cached rates
 everywhere else, while
 :class:`DenseFlowSolver` re-fills every active flow — the original
-O(events × flows × resources) behavior, kept behind a flag as an
-escape hatch and as the oracle for the differential equivalence tests.
+O(events × flows × resources) behavior, kept as the oracle for the
+differential equivalence tests.
 
 Both solvers share every other code path, and per-component filling is
 *bit-identical* to global filling (same subtraction arithmetic, same
@@ -44,9 +44,9 @@ active flow on every event. Completions are tracked in a per-flow heap
 scheduler keeps exactly one cancellable engine timer parked at the
 heap minimum.
 
-Solver selection: ``FlowScheduler(..., solver="dense")`` or the
-``OCTOPUS_FLOW_SOLVER`` environment variable (default
-``"incremental"``).
+The product runs one solver, :data:`DEFAULT_SOLVER`; tests and
+``benchmarks/bench_flows_scale.py`` reach the oracle with
+``FlowScheduler(..., solver="dense")``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.errors import SimulationError
@@ -210,8 +209,8 @@ class Flow:
 class DenseFlowSolver:
     """Re-fill every active flow on every change (the original behavior).
 
-    Kept as the escape hatch (``OCTOPUS_FLOW_SOLVER=dense``) and as the
-    oracle the differential tests compare the incremental solver against.
+    Kept as the oracle the differential tests compare the incremental
+    solver against.
     """
 
     name = "dense"
@@ -288,6 +287,8 @@ SOLVERS = {
     DenseFlowSolver.name: DenseFlowSolver,
     IncrementalFlowSolver.name: IncrementalFlowSolver,
 }
+#: What ``FlowScheduler()`` runs (differential tests patch in the oracle).
+DEFAULT_SOLVER = IncrementalFlowSolver.name
 
 
 def _seq_key(flow: Flow) -> int:
@@ -321,7 +322,7 @@ class FlowScheduler:
         self._completions: list[tuple[float, int, int, Flow]] = []
         self._wake_handle: "TimerHandle | None" = None
         self._wake_time = math.inf
-        name = solver or os.environ.get("OCTOPUS_FLOW_SOLVER", "incremental")
+        name = solver or DEFAULT_SOLVER
         try:
             solver_cls = SOLVERS[name]
         except KeyError:

@@ -4,7 +4,8 @@ import pytest
 
 from repro import OctopusFileSystem, ReplicationVector
 from repro.cluster import small_cluster_spec
-from repro.fs.balancer import Balancer
+from repro.fs.balancer import Balancer, PlannedMove
+from repro.fs.invariants import check_system_invariants
 from repro.util.units import MB
 
 
@@ -104,6 +105,44 @@ class TestExecution:
             for meta in fs.master.block_map.values()
         )
         assert total_used == total_data
+
+    def test_quota_usage_follows_moves(self, fs, assert_usage_exact):
+        skew_cluster(fs, files=1)
+        client = fs.client(on="worker1")
+        for index in range(9):  # the skew that makes /skew/f0 move
+            client.write_file(
+                f"/ballast/f{index}", size=4 * MB,
+                rep_vector=ReplicationVector.of(hdd=1),
+            )
+        assert Balancer(fs, threshold=0.002).run().moves_executed > 0
+        assert_usage_exact(fs, "/skew/f0")
+        check_system_invariants(fs)
+
+    def test_donor_trimmed_mid_move_is_not_refunded_twice(
+        self, fs, assert_usage_exact
+    ):
+        client = fs.client(on="worker1")
+        client.write_file(
+            "/q/f", size=4 * MB, rep_vector=ReplicationVector.of(hdd=2)
+        )
+        inode = fs.master.namespace.get_file("/q/f")
+        meta = fs.master.block_map[inode.blocks[0].block_id]
+        donor = meta.replicas[0]
+        occupied = {r.node for r in meta.replicas}
+        target = next(
+            m for m in fs.cluster.tier("HDD").live_media
+            if m.node not in occupied
+        )
+        move = fs.engine.process(
+            Balancer(fs)._move_proc(PlannedMove(donor, target))
+        )
+        # While the copy is in flight the vector shrinks and the
+        # replication manager trims (and refunds) the donor itself.
+        client.set_replication("/q/f", ReplicationVector.of(hdd=1))
+        fs.master.check_replication()
+        assert donor not in meta.replicas
+        fs.engine.run(move)
+        assert_usage_exact(fs, "/q/f")
 
     def test_idempotent_once_balanced(self, fs):
         skew_cluster(fs)

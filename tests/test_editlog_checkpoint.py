@@ -7,6 +7,7 @@ from repro.cluster import small_cluster_spec
 from repro.fs import checkpoint as ckpt
 from repro.fs.backup import BackupMaster, restore_master_from_checkpoint
 from repro.fs.editlog import EditLog, replay
+from repro.fs.invariants import check_system_invariants
 from repro.fs.namespace import Namespace
 from repro.util.units import MB
 
@@ -191,6 +192,24 @@ class TestBackupMaster:
         restore_master_from_checkpoint(fs, backup.latest_checkpoint, tail)
         assert fs.client(on="worker2").read_file("/early") == b"a" * MB
         assert fs.client(on="worker3").read_file("/late") == b"b" * MB
+
+    @pytest.mark.parametrize("failover", ["promote", "cold_restore"])
+    def test_failover_rebuilds_quota_usage(self, failover, assert_usage_exact):
+        fs = OctopusFileSystem(small_cluster_spec())
+        backup = BackupMaster(fs.master)
+        client = fs.client(on="worker1")
+        client.write_file("/q/blocks", size=12 * MB, rep_vector=2)
+        before = dict(fs.master.namespace.get_file("/q/blocks").tier_bytes)
+        if failover == "promote":
+            backup.promote(fs)
+        else:
+            restore_master_from_checkpoint(
+                fs, backup.create_checkpoint(), fs.master.edit_log.records
+            )
+        assert_usage_exact(fs, "/q/blocks")
+        assert fs.master.namespace.get_file("/q/blocks").tier_bytes == before
+        fs.await_replication()
+        check_system_invariants(fs)
 
     def test_stale_replicas_dropped_on_restore(self):
         fs = OctopusFileSystem(small_cluster_spec())

@@ -18,13 +18,13 @@ from repro.cluster import small_cluster_spec
 from repro.fs.invariants import block_map_fingerprint
 from repro.obs import Observability, metrics_json, to_jsonl
 from repro.sim import (
-    DenseFlowSolver,
     FlowScheduler,
     FlowSet,
     IncrementalFlowSolver,
     Resource,
     SimulationEngine,
 )
+from repro.sim import flows as flows_module
 from repro.util.rng import DeterministicRng
 from repro.util.units import MB
 from repro.workloads.dfsio import Dfsio
@@ -183,7 +183,7 @@ def test_incremental_does_less_filling_work():
 # Chaos seeds through the full file system
 # ----------------------------------------------------------------------
 def _chaos_outcome(monkeypatch, solver, seed):
-    monkeypatch.setenv("OCTOPUS_FLOW_SOLVER", solver)
+    monkeypatch.setattr(flows_module, "DEFAULT_SOLVER", solver)
     fs, chaos = _run_chaos(seed=seed, duration=20.0)
     assert fs.cluster.flows.solver_name == solver
     return (
@@ -204,7 +204,7 @@ def test_chaos_seeds_identical_across_solvers(monkeypatch, chaos_seed):
 # DFSIO with observability: byte-identical exports
 # ----------------------------------------------------------------------
 def _dfsio_exports(monkeypatch, solver):
-    monkeypatch.setenv("OCTOPUS_FLOW_SOLVER", solver)
+    monkeypatch.setattr(flows_module, "DEFAULT_SOLVER", solver)
     fs = OctopusFileSystem(small_cluster_spec(seed=3))
     fs.obs.enable()
     assert fs.cluster.flows.solver_name == solver
@@ -224,20 +224,9 @@ def test_dfsio_exports_byte_identical(monkeypatch):
 # Supporting machinery
 # ----------------------------------------------------------------------
 class TestSolverSelection:
-    def test_env_var_selects_solver(self, monkeypatch):
-        monkeypatch.setenv("OCTOPUS_FLOW_SOLVER", "dense")
-        sched = FlowScheduler(SimulationEngine())
-        assert isinstance(sched.solver, DenseFlowSolver)
-
-    def test_default_is_incremental(self, monkeypatch):
-        monkeypatch.delenv("OCTOPUS_FLOW_SOLVER", raising=False)
+    def test_default_is_incremental(self):
         sched = FlowScheduler(SimulationEngine())
         assert isinstance(sched.solver, IncrementalFlowSolver)
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("OCTOPUS_FLOW_SOLVER", "incremental")
-        sched = FlowScheduler(SimulationEngine(), solver="dense")
-        assert sched.solver_name == "dense"
 
     def test_unknown_solver_rejected(self):
         from repro.errors import SimulationError

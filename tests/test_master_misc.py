@@ -1,7 +1,11 @@
 """Master/worker corner cases not covered by the main integration tests."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import OctopusFileSystem, ReplicationVector
 from repro.cluster import Cluster, small_cluster_spec
 from repro.errors import BlockError, WorkerError
@@ -196,3 +200,33 @@ class TestServiceLoops:
         with pytest.raises(ConfigurationError):
             fs.start_services()
         fs.stop_services()
+
+
+class TestReplicaLifecycleSeam:
+    def test_only_the_master_touches_replica_bookkeeping(self):
+        """``Master.attach_replica`` / ``detach_replica`` / ``mark_dirty``
+        are the only way in: no other module edits ``meta.replicas``,
+        reads the dirty set, deletes a replica behind the block map's
+        back, or charges tier usage."""
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            module = path.relative_to(root).as_posix()
+            if module == "fs/master.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                if node.attr in ("_dirty_blocks", "_delete_replica_from_worker"):
+                    offenders.append(f"{module}:{node.lineno} {node.attr}")
+                elif (
+                    node.attr in ("append", "remove")
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "replicas"
+                ):
+                    offenders.append(f"{module}:{node.lineno} replicas.{node.attr}")
+                elif node.attr == "charge_tier_space" and module not in (
+                    "fs/namespace.py", "fs/inode.py"  # its definitions
+                ):
+                    offenders.append(f"{module}:{node.lineno} {node.attr}")
+        assert not offenders, "\n".join(offenders)

@@ -4,7 +4,9 @@ import pytest
 
 from repro import OctopusFileSystem, ReplicationVector
 from repro.cluster import small_cluster_spec
-from repro.errors import WorkerError
+from repro.errors import QuotaExceededError, WorkerError
+from repro.fs.backup import BackupMaster
+from repro.fs.invariants import check_system_invariants
 from repro.util.units import MB
 
 
@@ -32,6 +34,42 @@ class TestMediumFailure:
         assert len(new_loc.hosts) == 2
         assert loc.media[0] not in new_loc.media
         assert fs.client(on="worker2").read_file("/d") == b"disk" * 100_000
+
+    def test_repair_refunds_the_lost_replica(
+        self, fs, client, assert_usage_exact
+    ):
+        client.write_file(
+            "/q/d", size=8 * MB, rep_vector=ReplicationVector.of(hdd=3)
+        )
+        loc = client.get_file_block_locations("/q/d")[0]
+        fs.fail_medium(loc.media[0])
+        fs.await_replication()
+        assert_usage_exact(fs, "/q/d")
+        assert fs.master.namespace.get_file("/q/d").tier_bytes == {
+            "HDD": 3 * 8 * MB
+        }
+
+    def test_quota_holds_across_repair_rounds_and_failover(self, fs, client):
+        """Repairs must not eat quota, and a failover must not lift it."""
+        backup = BackupMaster(fs.master)
+        client.mkdir("/tenant")
+        client.set_quota("/tenant", tier_space_quota={"HDD": 12 * MB})
+        two_hdd = ReplicationVector.of(hdd=2)
+        client.write_file("/tenant/a", size=4 * MB, rep_vector=two_hdd)
+        for _round in range(5):
+            victim = client.get_file_block_locations("/tenant/a")[0].media[0]
+            fs.fail_medium(victim)
+            fs.await_replication()
+            fs.repair_medium(victim)
+        # 8 MB stored, 4 MB of quota left: this fits exactly.
+        one_hdd = ReplicationVector.of(hdd=1)
+        client.write_file("/tenant/b", size=4 * MB, rep_vector=one_hdd)
+        backup.promote(fs)
+        with pytest.raises(QuotaExceededError):
+            fs.client(on="worker1").write_file(
+                "/tenant/c", size=4 * MB, rep_vector=one_hdd
+            )
+        check_system_invariants(fs)
 
     def test_node_keeps_serving_other_media(self, fs, client):
         node = fs.cluster.node("worker1")

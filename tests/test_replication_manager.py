@@ -185,6 +185,33 @@ class TestFailureRecovery:
         locs = fs.client().get_file_block_locations("/vol")
         assert sorted(locs[0].tiers) == ["HDD", "HDD", "MEMORY"]
 
+    @pytest.mark.parametrize("repair_before_recovery", [True, False])
+    def test_lost_memory_replica_is_refunded(
+        self, fs, client, assert_usage_exact, repair_before_recovery
+    ):
+        vector = ReplicationVector.of(memory=1, hdd=2)
+        client.write_file("/q/vol", size=4 * MB, rep_vector=vector)
+        loc = client.get_file_block_locations("/q/vol")[0]
+        host = loc.hosts[loc.tiers.index("MEMORY")]
+        fs.fail_worker(host)
+        if repair_before_recovery:
+            fs.await_replication()  # the master prunes the dead replicas
+        fs.recover_worker(host)  # else the restart drops the volatile one
+        fs.await_replication()
+        assert_usage_exact(fs, "/q/vol")
+        assert fs.master.namespace.get_file("/q/vol").tier_bytes == {
+            "MEMORY": 4 * MB, "HDD": 8 * MB,
+        }
+
+    def test_corrupt_replica_is_refunded(self, fs, client, assert_usage_exact):
+        client.write_file("/q/cr", size=4 * MB, rep_vector=3)
+        loc = client.get_file_block_locations("/q/cr")[0]
+        fs.master.report_corrupt_replica(loc.block_id, loc.media[0])
+        fs.await_replication()
+        assert_usage_exact(fs, "/q/cr")
+        usage = fs.master.namespace.get_file("/q/cr").tier_bytes
+        assert sum(usage.values()) == 3 * 4 * MB
+
     def test_data_survives_single_failure(self, fs, client):
         payload = b"d" * (2 * MB)
         client.write_file("/safe", data=payload, rep_vector=3)
