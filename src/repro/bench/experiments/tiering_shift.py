@@ -1,7 +1,6 @@
 """Adaptive vs. static tiering on the workload-shift scenario.
 
-The evaluation behind ``docs/TIERING.md`` and ``BENCH_tiering.json``:
-run the rotating-hot-set workload (:mod:`repro.workloads.shift`) twice
+The evaluation behind ``docs/TIERING.md``: run the rotating-hot-set workload (:mod:`repro.workloads.shift`) twice
 on identically-seeded deployments — once under the
 :class:`~repro.tier.StaticVectorPolicy` baseline and once under the
 :class:`~repro.tier.DecayHeatPolicy` — both hosted by the same
@@ -54,28 +53,6 @@ class PolicyOutcome:
     promotions: int
     demotions: int
     conflicts: int
-
-    def data(self) -> dict:
-        return {
-            "policy": self.policy,
-            "post_shift_p50_s": self.result.post_shift_p50,
-            "post_shift_p99_s": self.result.post_shift_p99,
-            "post_shift_hit_rate": self.result.post_shift_hit_rate,
-            "promotions": self.promotions,
-            "demotions": self.demotions,
-            "conflicts": self.conflicts,
-            "phases": [
-                {
-                    "phase": phase.phase,
-                    "reads": phase.reads,
-                    "memory_hits": phase.memory_hits,
-                    "hit_rate": phase.hit_rate,
-                    "p50_s": phase.p50,
-                    "p99_s": phase.p99,
-                }
-                for phase in self.result.phases
-            ],
-        }
 
 
 @dataclass
@@ -143,50 +120,12 @@ class TieringResult:
             )
         return "\n\n".join(parts)
 
-    def data(self) -> dict:
-        return {
-            "benchmark": "tiering",
-            "scale": self.scale,
-            "seed": self.seed,
-            "policies": {
-                name: outcome.data() for name, outcome in self.outcomes.items()
-            },
-            "comparison": self.comparison,
-        }
-
 
 def run_policy(
-    policy_name: str,
-    scale: float = 1.0,
-    seed: int = 0,
-    recorder_out: str | None = None,
-    ledger_out: str | None = None,
+    policy_name: str, scale: float = 1.0, seed: int = 0
 ) -> PolicyOutcome:
-    """One seeded workload-shift run under one policy.
-
-    ``recorder_out`` attaches a flight recorder for the run and dumps
-    any incident bundles into ``<recorder_out>/<policy_name>/``.
-    ``ledger_out`` attaches a provenance ledger and writes its decision
-    records to ``<ledger_out>.<policy_name>.jsonl.gz`` — the input for
-    ``repro explain``.
-    """
+    """One seeded workload-shift run under one policy."""
     fs = build_deployment("octopus", spec=small_cluster_spec(seed=seed), seed=seed)
-    recorder = None
-    if recorder_out is not None:
-        import os
-
-        from repro.obs import FlightRecorder
-
-        fs.obs.enable()
-        recorder = FlightRecorder(
-            fs, out_dir=os.path.join(recorder_out, policy_name)
-        ).attach()
-    ledger = None
-    if ledger_out is not None:
-        from repro.obs import ProvenanceLedger
-
-        fs.obs.enable()
-        ledger = ProvenanceLedger(fs.obs).attach()
     workload = WorkloadShift(
         fs,
         files=8,
@@ -210,11 +149,6 @@ def run_policy(
     engine.stop()
     fs.stop_services()
     fs.await_replication()
-    if recorder is not None:
-        recorder.detach()
-    if ledger is not None:
-        ledger.detach()
-        ledger.export(f"{ledger_out}.{policy_name}.jsonl.gz")
     return PolicyOutcome(
         policy=policy_name,
         result=result,
@@ -225,21 +159,11 @@ def run_policy(
 
 
 def run(
-    scale: float = 1.0,
-    seed: int = 0,
-    policy: str = "both",
-    recorder_out: str | None = None,
-    ledger_out: str | None = None,
+    scale: float = 1.0, seed: int = 0, policy: str = "both"
 ) -> TieringResult:
     """Run the comparison (or a single policy with ``policy=``)."""
     names = POLICIES if policy == "both" else (policy,)
     result = TieringResult(scale=scale, seed=seed)
     for name in names:
-        result.outcomes[name] = run_policy(
-            name,
-            scale=scale,
-            seed=seed,
-            recorder_out=recorder_out,
-            ledger_out=ledger_out,
-        )
+        result.outcomes[name] = run_policy(name, scale=scale, seed=seed)
     return result

@@ -86,10 +86,6 @@ RULESETS: dict[str, tuple[Rule, ...]] = {
         Rule("provenance.overhead_percent", None),
         Rule("*", EXACT),
     ),
-    # bench_tiering: latencies, hit rates, and engine activity are all
-    # sim-deterministic; only the run's wall clock is machine noise
-    # (it sits at the result root, which "*.wall_s" cannot match).
-    "tiering": _NOISY + (Rule("wall_s", None), Rule("*", EXACT)),
 }
 
 #: Fields whose values scale with OCTOPUS_BENCH_SCALE; on a scale

@@ -18,16 +18,33 @@ Commands
 
     python -m repro report --deployment octopus
 
+``experiment``, ``dfsio`` and ``slive`` take ``--obs-out DIR``: switch
+every observer on and write the run's artefact directory (trace,
+metrics, ledger, incident bundles; on ``dfsio`` also the alert timeline
+— the layout is the "Artefacts" table of ``docs/OBSERVABILITY.md``)::
+
+    python -m repro dfsio --size 1GB --obs-out obs-out
+
+``validate`` — schema-check artefact files or a whole ``--obs-out``
+directory, whatever kind each file turns out to hold::
+
+    python -m repro validate obs-out
+
 ``analyze`` — post-process an exported JSONL trace: critical paths,
 flame/self-time aggregates, per-tier latency percentiles, stragglers,
 and Chrome/Perfetto trace export::
 
-    python -m repro analyze trace.jsonl --chrome-out trace.chrome.json
+    python -m repro analyze obs-out/trace.jsonl.gz --chrome-out trace.chrome.json
+
+``postmortem`` — the causal timeline and blast radius of one incident
+bundle::
+
+    python -m repro postmortem obs-out/incidents/incident-001.json.gz
 
 ``explain`` — reconstruct per-replica decision chains ("why is this
-replica here?") from a provenance ledger exported with ``--ledger-out``::
+replica here?") from a provenance ledger::
 
-    python -m repro explain /bench/f0 --ledger ledger.jsonl.gz
+    python -m repro explain /bench/f0 --ledger obs-out/ledger.jsonl.gz
 
 ``list`` — show the available experiments and deployment presets.
 """
@@ -35,8 +52,9 @@ replica here?") from a provenance ledger exported with ``--ledger-out``::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
-import json
+import os
 import sys
 from typing import Sequence
 
@@ -46,11 +64,10 @@ from repro.bench.tables import format_table
 from repro.cluster.spec import paper_cluster_spec
 from repro.core.replication_vector import ReplicationVector
 from repro.obs import (
-    BundleError,
-    FlightRecorder,
+    ArtifactError,
     HealthMonitor,
     ObsCapture,
-    ProvenanceLedger,
+    Observability,
     SloMonitor,
     analysis_json,
     analyze_trace,
@@ -60,18 +77,14 @@ from repro.obs import (
     postmortem_json,
     postmortem_report,
     postmortem_text,
-    read_bundle,
-    read_jsonl_records,
     read_trace_file,
     tier_report_data,
-    validate_ledger_records,
+    validate,
     write_chrome_trace,
-    write_jsonl,
-    write_metrics,
 )
 from repro.fs.balancer import Balancer
 from repro.fs.invariants import collect_violations
-from repro.obs.analyze import TraceParseError
+from repro.obs.export import SCHEMAS, canonical_json, load, read_artifact
 from repro.obs.postmortem import bundle_trace_records
 from repro.util.units import format_bytes, format_rate, parse_bytes
 from repro.workloads.dfsio import Dfsio
@@ -111,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tiering policy selection, for experiments that take one "
         "(e.g. 'tiering'); others reject the flag",
     )
-    _add_observability_flags(exp)
+    _add_obs_out(exp)
 
     dfsio = sub.add_parser("dfsio", help="run the DFSIO I/O benchmark")
     dfsio.add_argument("--size", default="10GB")
@@ -129,17 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the stock SLO burn-rate rules and live invariant "
         "health checks during the benchmark (implies observability)",
     )
-    dfsio.add_argument(
-        "--alerts-out", default=None, metavar="PATH",
-        help="write the alert timeline as JSONL (with --slo; "
-        ".gz compresses)",
-    )
-    _add_observability_flags(dfsio)
+    _add_obs_out(dfsio)
 
     slive = sub.add_parser("slive", help="namespace stress test vs HDFS")
     slive.add_argument("--ops", type=int, default=2000)
     slive.add_argument("--seed", type=int, default=0)
-    _add_observability_flags(slive)
+    _add_obs_out(slive)
 
     report = sub.add_parser("report", help="show a deployment's tier report")
     report.add_argument("--deployment", choices=DEPLOYMENTS, default="octopus")
@@ -200,55 +208,48 @@ def build_parser() -> argparse.ArgumentParser:
     explain_cmd.add_argument("path", metavar="FILE_PATH")
     explain_cmd.add_argument(
         "--ledger", required=True, metavar="LEDGER.jsonl[.gz]",
-        help="ledger export produced by --ledger-out",
+        help="the ledger.jsonl.gz of an --obs-out directory",
     )
     explain_cmd.add_argument(
         "--json", action="store_true",
         help="emit the decision chains as canonical JSON",
     )
 
+    validate_cmd = sub.add_parser(
+        "validate", help="schema-check observability artefacts"
+    )
+    validate_cmd.add_argument(
+        "paths", nargs="+", metavar="PATH",
+        help="artefact files (plain or .gz, any kind) or --obs-out "
+        "directories",
+    )
+
     sub.add_parser("list", help="list experiments and deployments")
     return parser
 
 
-def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
+def _add_obs_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write collected metrics (Prometheus text; JSON if PATH "
-        "ends in .json)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="write the structured trace as JSONL",
-    )
-    parser.add_argument(
-        "--recorder-out",
-        default=None,
-        metavar="DIR",
-        help="attach the flight recorder and dump incident bundles "
-        "(gzip JSON) into DIR when triggers fire (implies observability)",
-    )
-    parser.add_argument(
-        "--ledger-out",
-        default=None,
-        metavar="PATH",
-        help="attach the provenance ledger and write its decision "
-        "records as JSONL (.gz compresses; implies observability); "
-        "query with `repro explain`",
+        "--obs-out", default=None, metavar="DIR",
+        help="switch every observer on (trace, metrics, flight recorder, "
+        "provenance ledger; on dfsio also --slo) and write the run's "
+        "artefacts into DIR; check them with `repro validate DIR`",
     )
 
 
-def _export_observability(obs, args: argparse.Namespace) -> None:
-    if args.metrics_out:
-        write_metrics(obs.metrics, args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
-    if args.trace_out:
-        write_jsonl(obs.tracer.records, args.trace_out)
-        print(f"trace written to {args.trace_out}")
+def _capture(args: argparse.Namespace):
+    """The capture scope ``--obs-out`` asks for; without the flag, a
+    scope that does nothing and yields ``None``."""
+    return ObsCapture() if args.obs_out else contextlib.nullcontext()
+
+
+def _write_capture(capture: ObsCapture | None, args, alerts=None) -> None:
+    if capture is not None:
+        capture.write(args.obs_out, alerts)
+        print(
+            f"observability artefacts of {len(capture.captured)} "
+            f"deployment(s) written to {args.obs_out}"
+        )
 
 
 def _parse_vector(text: str | None) -> ReplicationVector | int:
@@ -263,78 +264,33 @@ def _parse_vector(text: str | None) -> ReplicationVector | int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     module = ALL_EXPERIMENTS[args.name]
     run_kwargs = {"scale": args.scale, "seed": args.seed}
-    parameters = inspect.signature(module.run).parameters
     if args.policy is not None:
-        if "policy" not in parameters:
+        if "policy" not in inspect.signature(module.run).parameters:
             print(
                 f"error: experiment {args.name!r} does not take --policy",
                 file=sys.stderr,
             )
             return 2
         run_kwargs["policy"] = args.policy
-    if args.recorder_out is not None:
-        if "recorder_out" not in parameters:
-            print(
-                f"error: experiment {args.name!r} does not take "
-                "--recorder-out",
-                file=sys.stderr,
-            )
-            return 2
-        run_kwargs["recorder_out"] = args.recorder_out
-    if args.ledger_out is not None:
-        if "ledger_out" not in parameters:
-            print(
-                f"error: experiment {args.name!r} does not take "
-                "--ledger-out",
-                file=sys.stderr,
-            )
-            return 2
-        run_kwargs["ledger_out"] = args.ledger_out
-    if args.metrics_out or args.trace_out:
-        # Experiments build their deployments internally (often several
-        # per run); the capture scope enables observability on each one
-        # and merges the telemetry on export.
-        with ObsCapture() as capture:
-            result = module.run(**run_kwargs)
-        print(result.format())
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(
-                    capture.metrics_text(
-                        as_json=args.metrics_out.endswith(".json")
-                    )
-                )
-            print(f"metrics written to {args.metrics_out} "
-                  f"({len(capture.captured)} deployment(s))")
-        if args.trace_out:
-            write_jsonl(capture.merged_trace_records(), args.trace_out)
-            print(f"trace written to {args.trace_out} "
-                  f"({len(capture.captured)} deployment(s))")
-        return 0
-    result = module.run(**run_kwargs)
+    # Experiments build their deployments internally (often several per
+    # run); the capture scope switches observability on in each one.
+    with _capture(args) as capture:
+        result = module.run(**run_kwargs)
     print(result.format())
+    _write_capture(capture, args)
     return 0
 
 
 def cmd_dfsio(args: argparse.Namespace) -> int:
     spec = paper_cluster_spec(racks=args.racks, seed=args.seed)
-    fs = build_deployment(args.deployment, spec=spec, seed=args.seed)
-    with_slo = args.slo or bool(args.alerts_out)
-    if (args.metrics_out or args.trace_out or with_slo or args.recorder_out
-            or args.ledger_out):
-        fs.obs.enable()
+    with _capture(args) as capture:
+        fs = build_deployment(args.deployment, spec=spec, seed=args.seed)
     monitors: tuple = ()
     slo_monitor = None
-    if with_slo:
+    if args.slo or capture is not None:
+        fs.obs.enable()
         slo_monitor = SloMonitor(fs, rules=default_read_rules())
-        health = HealthMonitor(fs, sink=slo_monitor.sink)
-        monitors = (slo_monitor, health)
-    recorder = None
-    if args.recorder_out:
-        recorder = FlightRecorder(fs, out_dir=args.recorder_out).attach()
-    ledger = None
-    if args.ledger_out:
-        ledger = ProvenanceLedger(fs.obs).attach()
+        monitors = (slo_monitor, HealthMonitor(fs, sink=slo_monitor.sink))
     bench = Dfsio(fs, monitors=monitors)
     vector = _parse_vector(args.vector)
     write = bench.write(
@@ -361,37 +317,9 @@ def cmd_dfsio(args: argparse.Namespace) -> int:
         print(f"node-local read fraction: {read.locality_fraction:.2f}")
     if slo_monitor is not None:
         _print_watch_summary(slo_monitor)
-        if args.alerts_out:
-            write_jsonl(slo_monitor.sink.timeline, args.alerts_out)
-            print(f"alerts written to {args.alerts_out}")
-    if recorder is not None:
-        recorder.detach()
-        _print_recorder_summary(recorder)
-    if ledger is not None:
-        ledger.detach()
-        ledger.export(args.ledger_out)
-        print(f"ledger written to {args.ledger_out} "
-              f"({len(ledger)} decision record(s))")
-    _export_observability(fs.obs, args)
+        # --obs-out implies the monitors, so a capture always has alerts.
+        _write_capture(capture, args, alerts=slo_monitor.sink.timeline)
     return 0
-
-
-def _print_recorder_summary(recorder: FlightRecorder) -> None:
-    if recorder.incidents:
-        for summary in recorder.incidents:
-            where = f" -> {summary['path']}" if summary["path"] else ""
-            print(
-                f"incident #{summary['id']}: {summary['triggers']} "
-                f"trigger(s) at {summary['triggered_at']:.3f}s, "
-                f"{summary['records']} records{where}"
-            )
-    else:
-        print("flight recorder: no incidents")
-    if recorder.dropped_triggers:
-        print(
-            f"flight recorder: {recorder.dropped_triggers} trigger(s) "
-            "dropped (max_incidents reached)"
-        )
 
 
 def _print_watch_summary(monitor: SloMonitor) -> None:
@@ -427,22 +355,12 @@ def _print_watch_summary(monitor: SloMonitor) -> None:
 
 
 def cmd_slive(args: argparse.Namespace) -> int:
-    obs = None
-    if args.metrics_out or args.trace_out or args.recorder_out or args.ledger_out:
-        from repro.obs import Observability
-
-        obs = Observability(enabled=True)
+    capture = ObsCapture() if args.obs_out else None
+    # S-Live is engine-less and builds no cluster, so its bundle is
+    # handed to the capture by hand; with no timer to close incidents,
+    # writing the capture seals any still open.
+    obs = capture.attach(Observability()) if capture else None
     slive = SLive(ops_per_type=args.ops, seed=args.seed, obs=obs)
-    recorder = None
-    if args.recorder_out:
-        # S-Live is engine-less: incidents can't close on a timer, so
-        # detach() below seals any open one at end of run.
-        recorder = FlightRecorder(
-            obs=slive.obs, out_dir=args.recorder_out
-        ).attach()
-    ledger = None
-    if args.ledger_out:
-        ledger = ProvenanceLedger(slive.obs).attach()
     octo = slive.run(OctopusNamespaceAdapter())
     hdfs = slive.run(HdfsNamespaceAdapter())
     rows = [
@@ -462,16 +380,7 @@ def cmd_slive(args: argparse.Namespace) -> int:
             title=f"S-Live ({args.ops} ops per type)",
         )
     )
-    if recorder is not None:
-        recorder.detach()
-        _print_recorder_summary(recorder)
-    if ledger is not None:
-        ledger.detach()
-        ledger.export(args.ledger_out)
-        print(f"ledger written to {args.ledger_out} "
-              f"({len(ledger)} decision record(s))")
-    if obs is not None:
-        _export_observability(slive.obs, args)
+    _write_capture(capture, args)
     return 0
 
 
@@ -506,7 +415,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             },
             "health": monitor.report(),
         }
-        print(json.dumps(data, sort_keys=True, indent=2))
+        sys.stdout.write(canonical_json(data, indent=2))
         return 0
     print(f"deployment: {args.deployment}")
     print(f"placement:  {fs.master.placement_policy!r}")
@@ -687,16 +596,13 @@ def _print_analysis_text(analysis: dict, top: int) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        trace = read_trace_file(
-            args.trace, on_error="raise" if args.strict else "skip"
+    trace = read_trace_file(
+        args.trace, on_error="raise" if args.strict else "skip"
+    )
+    if args.strict and trace.problems:
+        raise ArtifactError(
+            "\n".join(f"{args.trace}: {p}" for p in trace.problems)
         )
-    except TraceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: cannot read {args.trace}: {exc}", file=sys.stderr)
-        return 1
     analysis = analyze_trace(trace, top=args.top)
     if args.json:
         sys.stdout.write(analysis_json(analysis))
@@ -707,19 +613,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if not args.json:
             print(f"chrome trace written to {args.chrome_out} "
                   "(load at ui.perfetto.dev)")
-    if args.strict and trace.problems:
-        for problem in trace.problems:
-            print(f"problem: {problem}", file=sys.stderr)
-        return 1
     return 0
 
 
 def cmd_postmortem(args: argparse.Namespace) -> int:
-    try:
-        bundle = read_bundle(args.bundle)
-    except BundleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    bundle = load(args.bundle, "bundle")
     report = postmortem_report(bundle, top=args.top)
     if args.json:
         sys.stdout.write(postmortem_json(report))
@@ -737,25 +635,55 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    try:
-        records = read_jsonl_records(args.ledger)
-    except OSError as exc:
-        print(f"error: cannot read {args.ledger}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    problems = validate_ledger_records(records)
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
-    result = explain(records, args.path)
+    result = explain(load(args.ledger, "ledger"), args.path)
     if args.json:
-        print(json.dumps(result, sort_keys=True, indent=2))
+        sys.stdout.write(canonical_json(result, indent=2))
     else:
         sys.stdout.write(explain_text(result))
     return 0
+
+
+#: What `repro validate DIR` looks at; metrics.prom is Prometheus text,
+#: not a JSON artefact, and is left to Prometheus tooling.
+_ARTEFACT_SUFFIXES = (".json", ".jsonl", ".json.gz", ".jsonl.gz")
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    files: list[str] = []
+    for path in args.paths:
+        if os.path.isdir(path):
+            files.extend(
+                os.path.join(root, name)
+                for root, _dirs, names in sorted(os.walk(path))
+                for name in sorted(names)
+                if name.endswith(_ARTEFACT_SUFFIXES)
+            )
+        else:
+            files.append(path)
+    if not files:
+        print("error: no artefact files found", file=sys.stderr)
+        return 1
+    failed = False
+    for path in files:
+        try:
+            kind, payload = read_artifact(path)
+            if kind is not None:
+                problems = validate(kind, payload)
+            else:  # an empty stream is fine; anything else is unknown
+                problems = ["not an artefact repro writes"] if payload else []
+            report = [f"{path}: {problem}" for problem in problems]
+        except ArtifactError as exc:  # names the path itself
+            report = [str(exc)]
+        if not report:
+            size = (
+                f"{len(payload)} record(s)" if isinstance(payload, list)
+                else SCHEMAS[kind].what
+            )
+            report = [f"{path}: {kind or 'empty stream'}, {size}, ok"]
+        else:
+            failed = True
+        print("\n".join(report))
+    return 1 if failed else 0
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -772,13 +700,21 @@ _COMMANDS = {
     "analyze": cmd_analyze,
     "postmortem": cmd_postmortem,
     "explain": cmd_explain,
+    "validate": cmd_validate,
     "list": cmd_list,
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ArtifactError as exc:
+        # One exit for every unreadable, mislabelled or invalid input
+        # artefact: a line per problem, status 1.
+        for line in str(exc).splitlines():
+            print(f"error: {line}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

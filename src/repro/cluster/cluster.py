@@ -31,8 +31,8 @@ class Cluster:
         capture = active_capture()
         if capture is not None:
             # An enclosing ObsCapture scope (e.g. the CLI's experiment
-            # --trace-out) collects this cluster's telemetry.
-            capture.attach(self.obs)
+            # --obs-out) collects this cluster's telemetry.
+            capture.attach(self.obs, self)
         self.flows = FlowScheduler(self.engine, obs=self.obs)
         self.rng = DeterministicRng(spec.seed, "cluster")
         self.topology = NetworkTopology()

@@ -30,7 +30,8 @@ See ``docs/OBSERVABILITY.md`` for the metric catalog and span taxonomy.
 
 from __future__ import annotations
 
-from typing import Callable
+import os
+from typing import Callable, Iterable
 
 from repro.obs.analyze import (
     Trace,
@@ -49,12 +50,14 @@ from repro.obs.chrome import (
     write_chrome_trace,
 )
 from repro.obs.export import (
+    ArtifactError,
     metrics_json,
     prometheus_text,
     read_jsonl_records,
     tier_report_data,
     tier_utilization_rows,
     to_jsonl,
+    validate,
     validate_alert_records,
     validate_trace_records,
     write_jsonl,
@@ -86,6 +89,7 @@ from repro.obs.recorder import (
     FlightRecorder,
     NullRecorder,
     RecorderConfig,
+    bundle_path,
     write_bundle,
 )
 from repro.obs.registry import (
@@ -121,6 +125,8 @@ __all__ = [
     "to_jsonl",
     "write_jsonl",
     "read_jsonl_records",
+    "validate",
+    "ArtifactError",
     "validate_trace_records",
     "validate_alert_records",
     "QuantileSketch",
@@ -221,12 +227,10 @@ class Observability:
         self.enabled = False
         self.metrics = NULL_REGISTRY
         self.tracer = NULL_TRACER
-        if self.recorder is not NULL_RECORDER:
-            self.recorder.detach()
-        self.recorder = NULL_RECORDER
-        if self.ledger is not NULL_LEDGER:
-            self.ledger.detach()
-        self.ledger = NULL_LEDGER
+        # Detaching hands the slot back to the null singleton, whose own
+        # detach() is a no-op.
+        self.recorder.detach()
+        self.ledger.detach()
         self.last_placement = None
         return self
 
@@ -250,11 +254,11 @@ class ObsCapture:
     deployments internally — sometimes dozens per run — so the CLI
     cannot reach in and enable each one's observability. A capture scope
     inverts the hookup: :class:`repro.cluster.Cluster` checks
-    :func:`active_capture` at construction and, inside a scope, enables
-    its bundle and registers it here. On exit the capture merges every
-    registered tracer into one valid record stream (span ids are
-    offset per tracer so they stay unique and referentially intact) and
-    every registry into one snapshot.
+    :func:`active_capture` at construction and, inside a scope, hands
+    its bundle to :meth:`attach`, which switches everything on (tracer,
+    metrics, flight recorder, provenance ledger). :meth:`write` then
+    puts every captured deployment's artefacts on disk in the one
+    directory layout ``--obs-out`` documents.
     """
 
     def __init__(self) -> None:
@@ -267,61 +271,47 @@ class ObsCapture:
     def __exit__(self, exc_type, exc, tb) -> None:
         _capture_stack.pop()
 
-    def attach(self, obs: Observability) -> None:
-        """Enable ``obs`` and include it in the merged exports."""
+    def attach(self, obs: Observability, system=None) -> Observability:
+        """Enable ``obs``, attach a recorder and a ledger, and include
+        it in :meth:`write`. ``system`` (anything with ``.obs`` and
+        ``.engine``) lets incidents close on an engine timer; without
+        one (S-Live) they are sealed when the capture is written."""
         obs.enable()
+        FlightRecorder(system, obs=obs).attach()
+        ProvenanceLedger(obs).attach()
         self.captured.append(obs)
+        return obs
 
-    def merged_trace_records(self) -> list[dict]:
-        """All captured records as one stream with disjoint id spaces.
+    def write(
+        self, out_dir: str, alerts: Iterable[dict] | None = None
+    ) -> None:
+        """Detach every captured bundle and write its artefacts.
 
-        Each tracer's span/trace/parent ids are shifted by the total id
-        width of the tracers captured before it, so the merged stream
-        still satisfies :func:`validate_trace_records`.
+        One deployment lands in ``out_dir`` itself, several in
+        ``out_dir/run-NN/`` in construction order, each as::
+
+            trace.jsonl.gz  metrics.json  metrics.prom  ledger.jsonl.gz
+            incidents/incident-NNN.json.gz   (one per sealed incident)
+            alerts.jsonl    (only when the run's monitors' alert
+                             timeline is passed as ``alerts``)
         """
-        merged: list[dict] = []
-        offset = 0
-        for obs in self.captured:
-            tracer = obs.tracer
-            for record in tracer.records:
-                if offset:
-                    record = dict(record)
-                    for key in ("span_id", "trace_id", "parent_id"):
-                        if record.get(key) is not None:
-                            record[key] += offset
-                merged.append(record)
-            offset += tracer.ids_issued
-        return merged
-
-    def merged_metrics_snapshot(self) -> dict:
-        """One snapshot per captured registry, as ``{"runs": [...]}``.
-
-        A single-registry capture returns its snapshot unwrapped, so the
-        common one-deployment case stays shaped like ``write_metrics``
-        output.
-        """
-        if len(self.captured) == 1:
-            return self.captured[0].metrics.snapshot()
-        return {
-            "runs": [
-                {"run": index, **obs.metrics.snapshot()}
-                for index, obs in enumerate(self.captured)
-            ]
-        }
-
-    def metrics_text(self, as_json: bool) -> str:
-        """Merged metrics as canonical JSON or stacked Prometheus text."""
-        import json as _json
-
-        if as_json:
-            from repro.obs.export import SCHEMA_VERSION
-
-            document = {
-                "schema_version": SCHEMA_VERSION,
-                **self.merged_metrics_snapshot(),
-            }
-            return _json.dumps(document, sort_keys=True, indent=2) + "\n"
-        sections = []
         for index, obs in enumerate(self.captured):
-            sections.append(f"# run {index}\n" + prometheus_text(obs.metrics))
-        return "".join(sections)
+            run_dir = (
+                out_dir if len(self.captured) == 1
+                else os.path.join(out_dir, f"run-{index:02d}")
+            )
+            recorder, ledger = obs.recorder, obs.ledger
+            recorder.detach()  # seals an incident still open at the end
+            ledger.detach()
+            os.makedirs(run_dir, exist_ok=True)
+            write_jsonl(
+                obs.tracer.records, os.path.join(run_dir, "trace.jsonl.gz")
+            )
+            write_metrics(obs.metrics, os.path.join(run_dir, "metrics.json"))
+            write_metrics(obs.metrics, os.path.join(run_dir, "metrics.prom"))
+            ledger.export(os.path.join(run_dir, "ledger.jsonl.gz"))
+            incidents = os.path.join(run_dir, "incidents")
+            for bundle in recorder.bundles:
+                write_bundle(bundle, bundle_path(incidents, bundle))
+            if alerts is not None:
+                write_jsonl(alerts, os.path.join(run_dir, "alerts.jsonl"))

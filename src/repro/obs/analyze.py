@@ -26,15 +26,20 @@ byte-identical reports.
 
 from __future__ import annotations
 
-import gzip
-import json
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
-from repro.obs.export import schema_version_problem, validate_trace_records
+from repro.obs.export import (
+    ArtifactError,
+    canonical_json,
+    iter_records,
+    read_artifact,
+    read_records,
+    validate_trace_records,
+)
 
 
-class TraceParseError(ValueError):
+class TraceParseError(ArtifactError):
     """A malformed trace line under ``on_error="raise"``."""
 
 
@@ -54,43 +59,22 @@ def iter_trace_records(
     list is passed) so callers can report without aborting. Blank lines
     are ignored either way.
     """
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"on_error must be 'raise' or 'skip', not {on_error!r}")
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            message = f"line {lineno}: invalid JSON ({exc})"
-            if on_error == "raise":
-                raise TraceParseError(message) from None
-            if problems is not None:
-                problems.append(message)
-            continue
-        if not isinstance(record, dict):
-            message = f"line {lineno}: not a JSON object"
-            if on_error == "raise":
-                raise TraceParseError(message)
-            if problems is not None:
-                problems.append(message)
-            continue
-        yield record
+    return iter_records(lines, on_error, problems, TraceParseError)
 
 
 def read_trace_file(path: str, on_error: str = "raise") -> "Trace":
     """Read a JSONL trace file (optionally ``.gz``) into a :class:`Trace`.
 
-    A path ending in ``.gz`` is transparently gunzipped, so scaled-run
-    artifacts written with ``--trace-out trace.jsonl.gz`` analyze the
-    same as plain files.
+    A path ending in ``.gz`` is transparently gunzipped, so the
+    ``trace.jsonl.gz`` of an ``--obs-out`` directory analyzes the same
+    as a plain file. A file that holds some other artefact (a ledger, a
+    bundle) is one :class:`TraceParseError` naming what was found.
     """
-    if path.endswith(".gz"):
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            return read_trace(handle, on_error=on_error)
-    with open(path, "r", encoding="utf-8") as handle:
-        return read_trace(handle, on_error=on_error)
+    problems: list[str] = []
+    _, records = read_artifact(
+        path, "trace", on_error, problems, TraceParseError
+    )
+    return Trace(records, parse_problems=problems)
 
 
 def read_trace(lines: Iterable[str] | IO, on_error: str = "raise") -> "Trace":
@@ -104,13 +88,7 @@ def read_trace(lines: Iterable[str] | IO, on_error: str = "raise") -> "Trace":
     files) read unchanged.
     """
     problems: list[str] = []
-    records = list(iter_trace_records(lines, on_error=on_error,
-                                      problems=problems))
-    if records and records[0].get("kind") == "header":
-        header = records.pop(0)
-        problem = schema_version_problem(header.get("schema_version"))
-        if problem:
-            raise TraceParseError(problem)
+    records = read_records(lines, on_error, problems, TraceParseError)
     return Trace(records, parse_problems=problems)
 
 
@@ -560,4 +538,4 @@ def analyze_trace(trace: Trace, top: int = 5) -> dict:
 
 def analysis_json(analysis: dict) -> str:
     """Canonical (byte-stable) JSON rendering of an analysis report."""
-    return json.dumps(analysis, sort_keys=True, indent=2) + "\n"
+    return canonical_json(analysis, indent=2)

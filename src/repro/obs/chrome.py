@@ -21,11 +21,9 @@ order, keys sorted by the serializer.
 
 from __future__ import annotations
 
-import gzip
-import json
 from typing import Iterable
 
-from repro.obs.export import _write_text
+from repro.obs.export import canonical_json, read_artifact, validate, write_text
 
 #: pid used for records that belong to no request (orphan events).
 GLOBAL_PID = 0
@@ -143,8 +141,7 @@ def chrome_trace(records: Iterable[dict]) -> dict:
 
 def chrome_trace_json(records: Iterable[dict]) -> str:
     """The document as canonical (byte-stable) JSON."""
-    return json.dumps(chrome_trace(records), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return canonical_json(chrome_trace(records))
 
 
 def write_chrome_trace(records: Iterable[dict], path: str) -> dict:
@@ -155,61 +152,20 @@ def write_chrome_trace(records: Iterable[dict], path: str) -> dict:
     no embedded filename), so compressed artifacts stay byte-stable.
     """
     document = chrome_trace(records)
-    _write_text(
-        json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n",
-        path,
-    )
+    write_text(canonical_json(document), path)
     return document
 
 
 def read_chrome_trace(path: str) -> dict:
     """Read a Chrome trace document back (plain or ``.gz``).
 
-    Raises :class:`ValueError` with the offending path on malformed
-    content, so the structural validator can run on compressed
-    artifacts exactly as on plain ones.
+    Raises :class:`~repro.obs.export.ArtifactError` (a
+    :class:`ValueError`) with the offending path on unreadable or
+    malformed content, or when the file holds some other artefact.
     """
-    if path.endswith(".gz"):
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    try:
-        document = json.loads(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})")
-    if not isinstance(document, dict):
-        raise ValueError(f"{path}: chrome trace is not a JSON object")
-    return document
+    return read_artifact(path, "chrome")[1]
 
 
 def validate_chrome_trace(document: dict) -> list[str]:
     """Structural check against the trace-event schema (empty = ok)."""
-    problems: list[str] = []
-    events = document.get("traceEvents")
-    if not isinstance(events, list):
-        return ["traceEvents missing or not a list"]
-    for index, event in enumerate(events):
-        if not isinstance(event, dict):
-            problems.append(f"event {index}: not an object")
-            continue
-        missing = {"ph", "name", "pid", "tid"} - event.keys()
-        if missing:
-            problems.append(f"event {index}: missing {sorted(missing)}")
-            continue
-        phase = event["ph"]
-        if phase == "X":
-            if "ts" not in event or "dur" not in event:
-                problems.append(f"event {index}: X event needs ts and dur")
-            elif event["dur"] < 0:
-                problems.append(f"event {index}: negative duration")
-        elif phase == "i":
-            if "ts" not in event:
-                problems.append(f"event {index}: instant needs ts")
-        elif phase == "M":
-            if not isinstance(event.get("args"), dict) or not event["args"]:
-                problems.append(f"event {index}: metadata needs args")
-        else:
-            problems.append(f"event {index}: unsupported phase {phase!r}")
-    return problems
+    return validate("chrome", document)

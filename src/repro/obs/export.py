@@ -1,16 +1,29 @@
-"""Exporters: JSONL trace logs, Prometheus text, tier report tables.
+"""The on-disk format of every artefact this package writes.
+
+This is the only module that knows it: canonical JSON text (compact for
+streams and machine documents, indented for reports), the gz-or-plain
+file convention, the ``schema_version`` header, and the schema table
+behind :func:`validate`. The writers and readers of the other modules
+(:func:`~repro.obs.chrome.write_chrome_trace`,
+:func:`~repro.obs.recorder.write_bundle`,
+:func:`~repro.obs.analyze.read_trace_file`,
+:func:`~repro.obs.postmortem.read_bundle`, ...) are thin bindings onto
+the functions here.
 
 All serialization is deterministic: dict keys are sorted, instruments
-are emitted in registry order, and floats pass through ``repr`` via
-``json.dumps`` — so two identically-seeded simulation runs produce
-byte-identical exports.
+are emitted in registry order, floats pass through ``repr`` via
+``json.dumps``, and gzip streams pin ``mtime=0`` with no embedded
+filename — so two identically-seeded simulation runs produce
+byte-identical artefacts, compressed or not.
 """
 
 from __future__ import annotations
 
 import gzip
+import io
 import json
-from typing import IO, TYPE_CHECKING, Iterable
+from contextlib import contextmanager
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.system import OctopusFileSystem
@@ -24,6 +37,10 @@ SCHEMA_VERSION = "1.0"
 
 #: The highest major version the readers in this tree understand.
 SCHEMA_MAJOR = 1
+
+
+class ArtifactError(ValueError):
+    """An unreadable, too-new, mislabelled or structurally invalid artefact."""
 
 
 def header_record(stream: str | None = None) -> dict:
@@ -50,122 +67,490 @@ def schema_version_problem(version: object) -> str | None:
     return None
 
 
-def _write_text(text: str, path: str) -> None:
-    """Write text to ``path``, gzip-compressed when it ends in ``.gz``.
+# ----------------------------------------------------------------------
+# Writing
+# ----------------------------------------------------------------------
+def canonical_json(value: object, indent: int | None = None) -> str:
+    """``value`` as byte-stable JSON text ending in a newline: one
+    compact line by default, an indented report with ``indent``."""
+    return json.dumps(
+        value,
+        sort_keys=True,
+        indent=indent,
+        separators=(",", ":") if indent is None else None,
+    ) + "\n"
+
+
+@contextmanager
+def open_text(path: str, mode: str = "r") -> Iterator[IO[str]]:
+    """A UTF-8 text handle on ``path`` (``"r"`` or ``"w"``), through gzip
+    when the path ends in ``.gz``.
 
     The gzip stream is built with ``mtime=0`` and no embedded filename,
-    so compressed artifacts depend only on their content — as
+    so compressed artefacts depend only on their content — as
     byte-deterministic as the plain-text ones.
     """
-    if path.endswith(".gz"):
-        with open(path, "wb") as raw:
-            with gzip.GzipFile(
-                fileobj=raw, mode="wb", mtime=0, filename=""
-            ) as handle:
-                handle.write(text.encode("utf-8"))
+    if not path.endswith(".gz"):
+        with open(path, mode, encoding="utf-8") as handle:
+            yield handle
+    elif mode == "r":
+        with gzip.open(path, "rt", encoding="utf-8") as handle:
+            yield handle
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        # The BufferedWriter batches per-line writes and keeps the text
+        # layer's closing flush() away from the GzipFile, where it would
+        # append a sync-flush block and change the bytes.
+        with open(path, "wb") as raw, gzip.GzipFile(
+            fileobj=raw, mode="wb", mtime=0, filename=""
+        ) as packed, io.TextIOWrapper(
+            io.BufferedWriter(packed, 1 << 16), encoding="utf-8", newline="\n"
+        ) as handle:
+            yield handle
 
 
-# ----------------------------------------------------------------------
-# JSONL trace export
-# ----------------------------------------------------------------------
 def to_jsonl(records: Iterable[dict]) -> str:
     """Serialize trace records, one canonical JSON object per line."""
-    return "".join(
-        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        for record in records
-    )
+    return "".join(canonical_json(record) for record in records)
 
 
 def write_jsonl(
     records: Iterable[dict], path: str, stream: str | None = None
 ) -> None:
-    """Write records as JSONL behind a ``schema_version`` header line."""
-    _write_text(to_jsonl([header_record(stream), *records]), path)
+    """Write records as JSONL behind a ``schema_version`` header line,
+    one line at a time (the stream is never held as one string)."""
+    with open_text(path, "w") as handle:
+        handle.write(canonical_json(header_record(stream)))
+        for record in records:
+            handle.write(canonical_json(record))
 
 
-def read_jsonl_records(path: str) -> list[dict]:
-    """Read a JSONL export back, checking and stripping its header.
+def write_text(text: str, path: str) -> None:
+    """Write ``text`` to ``path`` (``.gz`` compresses)."""
+    with open_text(path, "w") as handle:
+        handle.write(text)
 
-    A path ending in ``.gz`` is transparently gunzipped. Raises
-    :class:`ValueError` on malformed lines or a header whose major
-    schema version is newer than this tree supports. Headerless files
-    (pre-versioning exports) read fine.
+
+# ----------------------------------------------------------------------
+# Reading
+# ----------------------------------------------------------------------
+def iter_records(
+    lines: Iterable[str],
+    on_error: str = "raise",
+    problems: list[str] | None = None,
+    error: type[ArtifactError] = ArtifactError,
+    where: str = "",
+) -> Iterator[dict]:
+    """Yield one dict per good JSONL line.
+
+    ``on_error`` is ``"raise"`` (default) or ``"skip"``. Raising names
+    ``where`` (the file) and the line number in an ``error``; skipping
+    drops malformed lines — garbage, truncation mid-object, non-object
+    JSON — and describes them in ``problems`` (when a list is passed)
+    so callers can report without aborting. Blank lines are ignored
+    either way.
     """
-    if path.endswith(".gz"):
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    records: list[dict] = []
+    if on_error not in ("raise", "skip"):
+        raise ValueError(f"on_error must be 'raise' or 'skip', not {on_error!r}")
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
         try:
             record = json.loads(line)
+            message = (
+                None if isinstance(record, dict)
+                else f"line {lineno}: not a JSON object"
+            )
         except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})")
-        if not isinstance(record, dict):
-            raise ValueError(f"{path}: line {lineno}: not a JSON object")
-        records.append(record)
+            message = f"line {lineno}: invalid JSON ({exc})"
+        if message is None:
+            yield record
+        elif on_error == "raise":
+            raise error(where + message)
+        elif problems is not None:
+            problems.append(message)
+
+
+def read_records(
+    lines: Iterable[str],
+    on_error: str = "raise",
+    problems: list[str] | None = None,
+    error: type[ArtifactError] = ArtifactError,
+    where: str = "",
+) -> list[dict]:
+    """JSONL lines → records, the leading header checked and stripped.
+
+    A header from a newer major version raises ``error`` with a clear
+    upgrade message rather than surfacing as record-level schema noise.
+    Headerless streams (in-memory records, pre-versioning files) read
+    unchanged.
+    """
+    records = list(iter_records(lines, on_error, problems, error, where))
     if records and records[0].get("kind") == "header":
-        header = records.pop(0)
-        problem = schema_version_problem(header.get("schema_version"))
+        problem = schema_version_problem(records.pop(0).get("schema_version"))
         if problem:
-            raise ValueError(f"{path}: {problem}")
+            raise error(where + problem)
     return records
 
 
-def validate_trace_records(records: Iterable[dict]) -> list[str]:
-    """Schema-check trace records; return a list of problems (empty = ok).
+def read_artifact(
+    path: str,
+    expect: str | None = None,
+    on_error: str = "raise",
+    problems: list[str] | None = None,
+    error: type[ArtifactError] = ArtifactError,
+) -> tuple[str | None, list[dict] | dict]:
+    """Read any artefact this package writes: ``(kind, payload)``.
 
-    Checks per record: required keys for its ``kind``, and that every
-    non-root ``parent_id``/``trace_id`` refers to a span that appears in
-    the stream.
+    The kind (a :data:`SCHEMAS` key) is sniffed from the content — the
+    first record's ``kind``, a bundle's ``kind``, ``traceEvents``,
+    ``counters`` — never from the file name; ``None`` means the content
+    is nothing this package writes. The payload is the header-stripped
+    record list of a JSONL stream, or the dict of a JSON document. With
+    ``expect``, any other kind is one ``error`` naming the kind found
+    (an empty stream passes for every stream kind). An unreadable file,
+    a malformed line (``on_error``/``problems`` as for
+    :func:`iter_records`) or a newer-major ``schema_version`` is an
+    ``error`` naming the path.
     """
-    problems: list[str] = []
-    span_ids: set[int] = set()
-    trace_ids: set[int] = set()
-    materialized = list(records)
-    for index, record in enumerate(materialized):
-        kind = record.get("kind")
-        if kind == "header":
+    where = f"{path}: "
+    try:
+        with open_text(path) as handle:
+            lines = list(handle)
+    except (OSError, EOFError, UnicodeDecodeError) as exc:
+        raise error(
+            f"{where}cannot read {expect or 'artefact'} ({exc})"
+        ) from None
+    streamed = expect is not None and SCHEMAS[expect].records is not None
+    if not streamed:
+        # A document may be indented over many lines; it is then one
+        # value, not a stream, exactly when its first line is not.
+        try:
+            json.loads(next((ln for ln in lines if ln.strip()), "null"))
+        except ValueError:
+            lines = ["".join(lines)]
+    records = read_records(lines, on_error, problems, error, where)
+    first = records[0] if records else {}
+    found = _sniff(first)
+    if expect not in (None, found) and (records or not streamed):
+        seen = _describe(found) if found else f"kind {first.get('kind')!r}"
+        raise error(f"{where}expected {_describe(expect)}, found {seen}")
+    if found is None or SCHEMAS[found].records is not None:
+        return found or expect, records
+    if SCHEMAS[found].versioned:
+        problem = schema_version_problem(first.get("schema_version"))
+        if problem:
+            raise error(where + problem)
+    return found, first
+
+
+def read_jsonl_records(path: str) -> list[dict]:
+    """Read a JSONL export back, checking and stripping its header.
+
+    A path ending in ``.gz`` is transparently gunzipped. Raises
+    :class:`ArtifactError` (a :class:`ValueError`) on an unreadable
+    file, malformed lines or a header whose major schema version is
+    newer than this tree supports.
+    """
+    return read_artifact(path)[1]
+
+
+def load(path: str, kind: str) -> list[dict] | dict:
+    """Read the ``kind`` artefact at ``path`` and validate it: the
+    payload, or one :class:`ArtifactError` listing every problem (one
+    per line)."""
+    payload = read_artifact(path, kind)[1]
+    problems = validate(kind, payload)
+    if problems:
+        raise ArtifactError("\n".join(f"{path}: {p}" for p in problems))
+    return payload
+
+
+# ----------------------------------------------------------------------
+# The schema table
+# ----------------------------------------------------------------------
+#: The sections every incident bundle carries (all lists of records).
+BUNDLE_SECTIONS = (
+    "spans", "events", "metric_deltas", "faults", "health", "alerts"
+)
+
+#: Sections newer recorders add; validated and reported only when
+#: present, so pre-provenance bundles stay fully readable.
+OPTIONAL_SECTIONS = ("decisions",)
+
+
+def bundle_sections(bundle: dict) -> tuple[str, ...]:
+    """The sections ``bundle`` carries: the fixed ones plus the
+    optional ones present."""
+    return BUNDLE_SECTIONS + tuple(
+        s for s in OPTIONAL_SECTIONS if s in bundle
+    )
+
+
+#: Required keys per ledger ``action``, beyond the decision base keys.
+LEDGER_ACTION_KEYS = {
+    "placement": {"block", "vector", "cause", "targets"},
+    "repair": {"block", "destination", "source", "context"},
+    "tiering": {"tiering_kind", "tier", "heat", "outcome", "policy", "round"},
+    "balancer_move": {"block", "source", "destination", "tier", "bytes"},
+    "set_replication": {"old", "new", "outcome"},
+    "replica_removed": {"block", "medium", "tier", "cause"},
+    "delete": {"blocks"},
+}
+
+
+def _trace_checks(records: list[tuple[int, dict]]) -> Iterator[tuple]:
+    """Spans end after they start; every non-root ``parent_id`` and
+    ``trace_id`` refers to a span that appears in the stream."""
+    spans = [record for _, record in records if record["kind"] == "span"]
+    known = {
+        "parent_id": {span["span_id"] for span in spans},
+        "trace_id": {span["trace_id"] for span in spans},
+    }
+    for index, record in records:
+        if record["kind"] == "span" and record["end"] < record["start"]:
+            yield index, "span ends before it starts"
+        for key, ids in known.items():
+            if record[key] is not None and record[key] not in ids:
+                yield index, f"{key} {record[key]} not in stream"
+
+
+def _alert_checks(records: list[tuple[int, dict]]) -> Iterator[tuple]:
+    """Sim timestamps never go backwards, and each alert key's states
+    alternate (a resolve must follow a firing, and vice versa)."""
+    last_time: float | None = None
+    state: dict[tuple, str] = {}
+    for index, record in records:
+        if record["state"] not in ("firing", "resolved"):
+            yield index, f"unknown state {record['state']!r}"
+            continue
+        if last_time is not None and record["time"] < last_time:
+            yield index, "time goes backwards"
+        last_time = record["time"]
+        key = (record["source"], record["name"], record["group"])
+        previous = state.get(key)
+        if previous == record["state"]:
+            yield index, (
+                f"{record['name']!r} repeated state {record['state']!r} "
+                "without a transition"
+            )
+        if previous is None and record["state"] == "resolved":
+            yield index, f"{record['name']!r} resolved before firing"
+        state[key] = record["state"]
+
+
+def _ledger_checks(records: list[tuple[int, dict]]) -> Iterator[tuple]:
+    """Known actions with their per-action keys; sequence numbers
+    strictly increase and timestamps never go backwards."""
+    last_seq: int | None = None
+    last_time: float | None = None
+    for index, record in records:
+        action = record["action"]
+        if action not in LEDGER_ACTION_KEYS:
+            yield index, f"unknown action {action!r}"
+            continue
+        missing = LEDGER_ACTION_KEYS[action] - record.keys()
+        if missing:
+            yield index, f"{action} missing {sorted(missing)}"
+        if last_seq is not None and record["seq"] <= last_seq:
+            yield index, (
+                f"seq {record['seq']} does not increase (after {last_seq})"
+            )
+        last_seq = record["seq"]
+        if last_time is not None and record["time"] < last_time:
+            yield index, "time goes backwards"
+        last_time = record["time"]
+
+
+def _metrics_checks(document: dict) -> Iterator[str]:
+    for section in ("counters", "gauges", "histograms"):
+        if not isinstance(document.get(section), list):
+            yield f"section {section!r} missing or not a list"
+
+
+#: Keys a trace event needs beyond ph/name/pid/tid, per phase: complete
+#: spans, instants, metadata.
+_PHASE_KEYS = {"X": {"ts", "dur"}, "i": {"ts"}, "M": {"args"}}
+
+
+def _chrome_checks(document: dict) -> Iterator[str]:
+    """Structural check against the trace-event schema."""
+    events = document.get("traceEvents")
+    if not isinstance(events, list):
+        yield "traceEvents missing or not a list"
+        return
+    for index, event in enumerate(events):
+        if not isinstance(event, dict):
+            yield f"event {index}: not an object"
+            continue
+        missing = {"ph", "name", "pid", "tid"} - event.keys()
+        if missing:
+            yield f"event {index}: missing {sorted(missing)}"
+            continue
+        phase = event["ph"]
+        if phase not in _PHASE_KEYS:
+            yield f"event {index}: unsupported phase {phase!r}"
+        elif needs := _PHASE_KEYS[phase] - event.keys():
+            yield f"event {index}: {phase} event needs {sorted(needs)}"
+        elif phase == "X" and event["dur"] < 0:
+            yield f"event {index}: negative duration"
+        elif phase == "M" and not (
+            isinstance(event["args"], dict) and event["args"]
+        ):
+            yield f"event {index}: metadata needs non-empty args"
+
+
+def _bundle_checks(bundle: dict) -> Iterator[str]:
+    """An incident with a ``[lo, hi]`` window and at least one trigger;
+    every section a list whose records fall inside the window."""
+    incident = bundle.get("incident")
+    if not isinstance(incident, dict):
+        yield "incident section missing or not an object"
+        return
+    for key in ("id", "triggered_at", "closed_at", "window", "triggers"):
+        if key not in incident:
+            yield f"incident missing {key!r}"
+    window = incident.get("window")
+    if (
+        not isinstance(window, list) or len(window) != 2
+        or not all(isinstance(v, (int, float)) for v in window)
+    ):
+        yield "incident window is not a [lo, hi] pair"
+        window = None
+    elif window[0] > window[1]:
+        yield "incident window lo > hi"
+    if not incident.get("triggers"):
+        yield "incident has no triggers"
+    for section in bundle_sections(bundle):
+        records = bundle.get(section)
+        if not isinstance(records, list):
+            yield f"section {section!r} missing or not a list"
+            continue
+        if window is None:
+            continue
+        lo, hi = window
+        for index, record in enumerate(records):
+            if not isinstance(record, dict):
+                yield f"{section}[{index}]: not an object"
+                continue
+            if section == "spans":
+                inside = (
+                    record.get("end", lo) >= lo
+                    and record.get("start", hi) <= hi
+                )
+            else:
+                time = record.get("time")
+                inside = (
+                    isinstance(time, (int, float)) and lo <= time <= hi
+                )
+            if not inside:
+                yield f"{section}[{index}]: outside the incident window"
+
+
+class Schema(NamedTuple):
+    """How one artefact kind is recognised and checked."""
+
+    #: What the artefact holds, for "expected ..., found ..." errors.
+    what: str
+    #: JSONL streams: required keys per record ``kind``. ``None`` marks
+    #: a single JSON document.
+    records: dict[str, set] | None
+    #: Checks beyond required keys. Streams: the well-formed
+    #: ``(index, record)`` pairs → ``(index, problem)`` pairs;
+    #: documents: the dict → problems.
+    checks: Callable
+    #: Whether a document carries ``schema_version`` (streams carry it
+    #: in their header line; the trace-event format has no place for it).
+    versioned: bool = True
+
+
+#: Every artefact kind this package writes.
+SCHEMAS: dict[str, Schema] = {
+    "trace": Schema(
+        "span/event records",
+        {
+            "span": {"name", "span_id", "trace_id", "parent_id", "start",
+                     "end", "status"},
+            "event": {"name", "time", "trace_id", "parent_id"},
+        },
+        _trace_checks,
+    ),
+    "alerts": Schema(
+        "alert records",
+        {"alert": {"source", "name", "state", "severity", "group", "time",
+                   "details"}},
+        _alert_checks,
+    ),
+    "ledger": Schema(
+        "decision records",
+        {"decision": {"seq", "time", "action", "path"}},
+        _ledger_checks,
+    ),
+    "metrics": Schema("a metrics snapshot", None, _metrics_checks),
+    "chrome": Schema("a traceEvents document", None, _chrome_checks, versioned=False),
+    "bundle": Schema("an incident_bundle document", None, _bundle_checks),
+}
+
+_STREAM_OF = {
+    record_kind: name
+    for name, schema in SCHEMAS.items()
+    for record_kind in schema.records or ()
+}
+
+
+def _sniff(first: dict) -> str | None:
+    """The artefact kind whose first record (or document) is ``first``."""
+    if "traceEvents" in first:
+        return "chrome"
+    if "counters" in first:
+        return "metrics"
+    kind = first.get("kind")
+    return "bundle" if kind == "incident_bundle" else _STREAM_OF.get(kind)
+
+
+def _describe(kind: str) -> str:
+    return f"{kind} ({SCHEMAS[kind].what})"
+
+
+def validate(kind: str, payload: Iterable[dict] | dict) -> list[str]:
+    """Schema-check an artefact of ``kind``; problems (empty = ok).
+
+    Streams: every record's ``kind`` is one the schema lists and
+    carries its required keys (header lines are version-checked), then
+    the schema's stream checks run over the well-formed records;
+    problems come back in record order. Documents: the schema's
+    structural check.
+    """
+    schema = SCHEMAS[kind]
+    if schema.records is None:
+        return list(schema.checks(payload))
+    problems: list[tuple[int, str]] = []
+    good: list[tuple[int, dict]] = []
+    for index, record in enumerate(payload):
+        name = record.get("kind")
+        if name == "header":
             problem = schema_version_problem(record.get("schema_version"))
             if problem:
-                problems.append(f"record {index}: {problem}")
-            continue
-        if kind == "span":
-            missing = {"name", "span_id", "trace_id", "parent_id", "start",
-                       "end", "status"} - record.keys()
-            if missing:
-                problems.append(f"record {index}: span missing {sorted(missing)}")
-                continue
-            span_ids.add(record["span_id"])
-            trace_ids.add(record["trace_id"])
-            if record["end"] < record["start"]:
-                problems.append(f"record {index}: span ends before it starts")
-        elif kind == "event":
-            missing = {"name", "time", "trace_id", "parent_id"} - record.keys()
-            if missing:
-                problems.append(
-                    f"record {index}: event missing {sorted(missing)}"
-                )
+                problems.append((index, problem))
+        elif name not in schema.records:
+            problems.append((index, f"unknown kind {name!r}"))
+        elif missing := schema.records[name] - record.keys():
+            problems.append((index, f"{name} missing {sorted(missing)}"))
         else:
-            problems.append(f"record {index}: unknown kind {kind!r}")
-    for index, record in enumerate(materialized):
-        parent = record.get("parent_id")
-        if parent is not None and parent not in span_ids:
-            problems.append(
-                f"record {index}: parent_id {parent} not in stream"
-            )
-        trace = record.get("trace_id")
-        if trace is not None and trace not in trace_ids:
-            problems.append(f"record {index}: trace_id {trace} not in stream")
-    return problems
+            good.append((index, record))
+    problems.extend(schema.checks(good))
+    problems.sort(key=lambda found: found[0])
+    return [f"record {index}: {problem}" for index, problem in problems]
+
+
+def validate_trace_records(records: Iterable[dict]) -> list[str]:
+    """Schema-check trace records; return a list of problems (empty = ok)."""
+    return validate("trace", records)
+
+
+def validate_alert_records(records: Iterable[dict]) -> list[str]:
+    """Schema-check alert records; return a list of problems (empty = ok)."""
+    return validate("alerts", records)
 
 
 # ----------------------------------------------------------------------
@@ -282,68 +667,18 @@ def tier_utilization_rows(fs: "OctopusFileSystem") -> list[list]:
 
 def metrics_json(registry: "MetricsRegistry") -> str:
     """The metrics snapshot as canonical (byte-stable) JSON."""
-    document = {"schema_version": SCHEMA_VERSION, **registry.snapshot()}
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return canonical_json(
+        {"schema_version": SCHEMA_VERSION, **registry.snapshot()}, indent=2
+    )
 
 
 def write_metrics(registry: "MetricsRegistry", path: str) -> None:
     """Write metrics to ``path`` — JSON if it ends in ``.json`` or
     ``.json.gz``, else Prometheus text exposition; a trailing ``.gz``
     gzip-compresses either format deterministically."""
-    text = (
+    write_text(
         metrics_json(registry)
         if path.endswith((".json", ".json.gz"))
-        else prometheus_text(registry)
+        else prometheus_text(registry),
+        path,
     )
-    _write_text(text, path)
-
-
-# ----------------------------------------------------------------------
-# Alert timelines
-# ----------------------------------------------------------------------
-def validate_alert_records(records: Iterable[dict]) -> list[str]:
-    """Schema-check alert records; return a list of problems (empty = ok).
-
-    Beyond per-record shape, checks stream-level consistency: sim
-    timestamps never go backwards, and each alert key's states
-    alternate (a resolve must follow a firing, and vice versa).
-    """
-    problems: list[str] = []
-    last_time: float | None = None
-    state: dict[tuple, str] = {}
-    for index, record in enumerate(records):
-        if record.get("kind") == "header":
-            problem = schema_version_problem(record.get("schema_version"))
-            if problem:
-                problems.append(f"record {index}: {problem}")
-            continue
-        missing = {"kind", "source", "name", "state", "severity", "group",
-                   "time", "details"} - record.keys()
-        if missing:
-            problems.append(f"record {index}: missing {sorted(missing)}")
-            continue
-        if record["kind"] != "alert":
-            problems.append(
-                f"record {index}: kind {record['kind']!r} != 'alert'"
-            )
-        if record["state"] not in ("firing", "resolved"):
-            problems.append(
-                f"record {index}: unknown state {record['state']!r}"
-            )
-            continue
-        if last_time is not None and record["time"] < last_time:
-            problems.append(f"record {index}: time goes backwards")
-        last_time = record["time"]
-        key = (record["source"], record["name"], record["group"])
-        previous = state.get(key)
-        if previous == record["state"]:
-            problems.append(
-                f"record {index}: {record['name']!r} repeated state "
-                f"{record['state']!r} without a transition"
-            )
-        if previous is None and record["state"] == "resolved":
-            problems.append(
-                f"record {index}: {record['name']!r} resolved before firing"
-            )
-        state[key] = record["state"]
-    return problems

@@ -29,11 +29,14 @@ yield byte-identical postmortems.
 
 from __future__ import annotations
 
-import gzip
-import json
-
 from repro.obs.analyze import Trace, critical_path_report
-from repro.obs.export import schema_version_problem
+from repro.obs.export import (
+    ArtifactError,
+    bundle_sections,
+    canonical_json,
+    read_artifact,
+    validate,
+)
 from repro.obs.provenance import decision_summary
 from repro.obs.recorder import is_heal
 
@@ -49,15 +52,6 @@ __all__ = [
     "postmortem_json",
     "postmortem_text",
 ]
-
-#: The sections every bundle carries (all lists of records).
-BUNDLE_SECTIONS = (
-    "spans", "events", "metric_deltas", "faults", "health", "alerts"
-)
-
-#: Sections newer recorders add; validated and reported only when
-#: present, so pre-provenance bundles stay fully readable.
-OPTIONAL_SECTIONS = ("decisions",)
 
 #: Tie-break rank when several timeline entries share a timestamp: the
 #: causal story reads fault → deviation → alert → exception → action →
@@ -76,87 +70,18 @@ _TYPE_RANK = {
 _WORKER_ATTRS = ("worker", "node", "source", "target_worker")
 
 
-class BundleError(ValueError):
+class BundleError(ArtifactError):
     """An unreadable or structurally invalid incident bundle."""
 
 
 def read_bundle(path: str) -> dict:
     """Read an incident bundle (plain or ``.gz``) and sanity-check it."""
-    try:
-        if path.endswith(".gz"):
-            with gzip.open(path, "rt", encoding="utf-8") as handle:
-                text = handle.read()
-        else:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-    except OSError as exc:
-        raise BundleError(f"{path}: cannot read bundle ({exc})")
-    try:
-        bundle = json.loads(text)
-    except ValueError as exc:
-        raise BundleError(f"{path}: invalid JSON ({exc})")
-    if not isinstance(bundle, dict):
-        raise BundleError(f"{path}: bundle is not a JSON object")
-    if bundle.get("kind") != "incident_bundle":
-        raise BundleError(
-            f"{path}: kind {bundle.get('kind')!r} != 'incident_bundle'"
-        )
-    problem = schema_version_problem(bundle.get("schema_version"))
-    if problem:
-        raise BundleError(f"{path}: {problem}")
-    return bundle
+    return read_artifact(path, "bundle", error=BundleError)[1]
 
 
 def validate_bundle(bundle: dict) -> list[str]:
     """Structural check of a bundle; returns problems (empty = ok)."""
-    problems: list[str] = []
-    incident = bundle.get("incident")
-    if not isinstance(incident, dict):
-        return ["incident section missing or not an object"]
-    for key in ("id", "triggered_at", "closed_at", "window", "triggers"):
-        if key not in incident:
-            problems.append(f"incident missing {key!r}")
-    window = incident.get("window")
-    if (
-        not isinstance(window, list) or len(window) != 2
-        or not all(isinstance(v, (int, float)) for v in window)
-    ):
-        problems.append("incident window is not a [lo, hi] pair")
-        window = None
-    elif window[0] > window[1]:
-        problems.append("incident window lo > hi")
-    if not incident.get("triggers"):
-        problems.append("incident has no triggers")
-    sections = BUNDLE_SECTIONS + tuple(
-        s for s in OPTIONAL_SECTIONS if s in bundle
-    )
-    for section in sections:
-        records = bundle.get(section)
-        if not isinstance(records, list):
-            problems.append(f"section {section!r} missing or not a list")
-            continue
-        if window is None:
-            continue
-        lo, hi = window
-        for index, record in enumerate(records):
-            if not isinstance(record, dict):
-                problems.append(f"{section}[{index}]: not an object")
-                continue
-            if section == "spans":
-                inside = (
-                    record.get("end", lo) >= lo
-                    and record.get("start", hi) <= hi
-                )
-            else:
-                time = record.get("time")
-                inside = (
-                    isinstance(time, (int, float)) and lo <= time <= hi
-                )
-            if not inside:
-                problems.append(
-                    f"{section}[{index}]: outside the incident window"
-                )
-    return problems
+    return validate("bundle", bundle)
 
 
 # ----------------------------------------------------------------------
@@ -499,9 +424,7 @@ def postmortem_report(
         },
         "captured": {
             section: len(bundle.get(section, ()))
-            for section in BUNDLE_SECTIONS + tuple(
-                s for s in OPTIONAL_SECTIONS if s in bundle
-            )
+            for section in bundle_sections(bundle)
         },
         "timeline": timeline,
         "causal_chain": causal_chain(timeline),
@@ -516,7 +439,7 @@ def postmortem_report(
 
 def postmortem_json(report: dict) -> str:
     """Canonical (byte-stable) JSON rendering of a postmortem report."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return canonical_json(report, indent=2)
 
 
 def postmortem_text(report: dict) -> str:

@@ -39,10 +39,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.obs.export import (
-    schema_version_problem,
-    write_jsonl,
-)
+from repro.obs.export import LEDGER_ACTION_KEYS, validate, write_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracing import Span
@@ -60,28 +57,7 @@ __all__ = [
 ]
 
 #: Every decision record's ``action`` is one of these.
-DECISION_ACTIONS = (
-    "placement",
-    "repair",
-    "tiering",
-    "balancer_move",
-    "set_replication",
-    "replica_removed",
-    "delete",
-)
-
-#: Required keys per action, beyond the base record keys.
-_ACTION_KEYS = {
-    "placement": ("block", "vector", "cause", "targets"),
-    "repair": ("block", "destination", "source", "context"),
-    "tiering": ("tiering_kind", "tier", "heat", "outcome", "policy", "round"),
-    "balancer_move": ("block", "source", "destination", "tier", "bytes"),
-    "set_replication": ("old", "new", "outcome"),
-    "replica_removed": ("block", "medium", "tier", "cause"),
-    "delete": ("blocks",),
-}
-
-_BASE_KEYS = ("kind", "seq", "time", "action", "path")
+DECISION_ACTIONS = tuple(LEDGER_ACTION_KEYS)
 
 #: How many recent fault/liveness context entries a repair record
 #: snapshots (the "triggering fault" evidence).
@@ -381,7 +357,7 @@ class ProvenanceLedger:
     def export(self, path: str) -> None:
         """Write the ledger as schema-versioned JSONL (``.gz`` compresses
         byte-deterministically, like every other export)."""
-        write_jsonl(list(self.records), path, stream="ledger")
+        write_jsonl(self.records, path, stream="ledger")
 
     def records_for(self, path: str) -> list[dict]:
         return [r for r in self.records if r.get("path") == path]
@@ -455,44 +431,7 @@ def validate_ledger_records(records: Iterable[dict]) -> list[str]:
     required keys; stream-wide: sequence numbers strictly increase and
     timestamps never go backwards.
     """
-    problems: list[str] = []
-    last_seq: int | None = None
-    last_time: float | None = None
-    for index, record in enumerate(records):
-        kind = record.get("kind")
-        if kind == "header":
-            problem = schema_version_problem(record.get("schema_version"))
-            if problem:
-                problems.append(f"record {index}: {problem}")
-            continue
-        if kind != "decision":
-            problems.append(f"record {index}: kind {kind!r} != 'decision'")
-            continue
-        missing = set(_BASE_KEYS) - record.keys()
-        if missing:
-            problems.append(f"record {index}: missing {sorted(missing)}")
-            continue
-        action = record["action"]
-        if action not in DECISION_ACTIONS:
-            problems.append(f"record {index}: unknown action {action!r}")
-            continue
-        missing = set(_ACTION_KEYS[action]) - record.keys()
-        if missing:
-            problems.append(
-                f"record {index}: {action} missing {sorted(missing)}"
-            )
-        seq = record["seq"]
-        if last_seq is not None and seq <= last_seq:
-            problems.append(
-                f"record {index}: seq {seq} does not increase (after "
-                f"{last_seq})"
-            )
-        last_seq = seq
-        time = record["time"]
-        if last_time is not None and time < last_time:
-            problems.append(f"record {index}: time goes backwards")
-        last_time = time
-    return problems
+    return validate("ledger", records)
 
 
 # ----------------------------------------------------------------------

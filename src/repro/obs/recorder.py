@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
-from repro.obs.export import SCHEMA_VERSION, _write_text, to_jsonl
+from repro.obs.export import SCHEMA_VERSION, canonical_json, to_jsonl, write_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.system import OctopusFileSystem
@@ -54,6 +54,7 @@ __all__ = [
     "is_heal",
     "bundle_json",
     "write_bundle",
+    "bundle_path",
 ]
 
 #: Fault kinds that undo damage rather than cause it; they are recorded
@@ -144,14 +145,20 @@ class RecorderConfig:
 # ----------------------------------------------------------------------
 def bundle_json(bundle: dict) -> str:
     """An incident bundle as canonical (byte-stable) JSON."""
-    import json
-
-    return json.dumps(bundle, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(bundle)
 
 
 def write_bundle(bundle: dict, path: str) -> None:
     """Write a bundle; a ``.gz`` path compresses deterministically."""
-    _write_text(bundle_json(bundle), path)
+    write_text(bundle_json(bundle), path)
+
+
+def bundle_path(out_dir: str, bundle: dict) -> str:
+    """Where ``bundle`` is dumped under ``out_dir`` (created on demand)."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(
+        out_dir, f"incident-{bundle['incident']['id']:03d}.json.gz"
+    )
 
 
 class FlightRecorder:
@@ -440,10 +447,7 @@ class FlightRecorder:
             "path": None,
         }
         if self.out_dir:
-            os.makedirs(self.out_dir, exist_ok=True)
-            path = os.path.join(
-                self.out_dir, f"incident-{incident['id']:03d}.json.gz"
-            )
+            path = bundle_path(self.out_dir, bundle)
             write_bundle(bundle, path)
             summary["path"] = path
             self.bundle_paths.append(path)

@@ -127,15 +127,6 @@ class Tracer:
         return self._clock()
 
     @property
-    def ids_issued(self) -> int:
-        """How many span ids this tracer has handed out so far.
-
-        Trace mergers (:class:`repro.obs.ObsCapture`) use this as the
-        id-space width when offsetting several tracers into one stream.
-        """
-        return self._next_id - 1
-
-    @property
     def current(self) -> Span | None:
         return self._stack[-1] if self._stack else None
 
@@ -217,7 +208,6 @@ class NullTracer:
     __slots__ = ()
 
     records: list[dict] = []
-    ids_issued = 0
     tap = None
 
     def now(self) -> float:

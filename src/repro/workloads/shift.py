@@ -10,7 +10,7 @@ hot set rotates to a disjoint group of files. Per-read latency and
 whether the read was served by a memory replica are recorded per phase,
 so an adaptive policy's reaction to the shift shows up directly in the
 post-shift p99 and memory hit rate — the comparison
-``BENCH_tiering.json`` records.
+``repro experiment tiering`` prints.
 
 The driver composes with whatever management is attached to the file
 system (a :class:`~repro.tier.TieringEngine`, the §6 ``CacheManager``,

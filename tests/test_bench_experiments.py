@@ -18,7 +18,9 @@ from repro.bench.experiments import (
     fig7_pegasus,
     table2_media,
     table3_namespace,
+    tiering_shift,
 )
+from repro.fs.invariants import check_system_invariants
 
 TINY = 0.02
 
@@ -122,11 +124,28 @@ class TestTiering:
         assert "Workload shift" in result.format()
         assert not result.comparison  # one policy: nothing to compare
 
-    def test_both_policies_compared(self):
+    def test_both_policies_compared(self, monkeypatch):
+        # Keep the deployments the experiment builds, to check them after.
+        built = []
+        build = tiering_shift.build_deployment
+        monkeypatch.setattr(
+            tiering_shift, "build_deployment",
+            lambda *args, **kwargs: built.append(build(*args, **kwargs))
+            or built[-1],
+        )
         result = ALL_EXPERIMENTS["tiering"].run(scale=TINY)
         assert set(result.outcomes) == {"static", "adaptive"}
-        data = result.data()
-        assert data["benchmark"] == "tiering"
         assert {"post_shift_p99_speedup", "post_shift_hit_rate_gain",
-                "adaptive_wins"} <= set(data["comparison"])
+                "adaptive_wins"} <= set(result.comparison)
         assert "policy" in result.format()
+        # The engine closed the loop and it paid off: a higher post-shift
+        # memory hit rate or a lower read p99 than the disk-pinned
+        # baseline, which must never see memory.
+        adaptive = result.outcomes["adaptive"]
+        assert adaptive.promotions > 0 and adaptive.conflicts == 0
+        assert result.comparison["adaptive_wins"]
+        assert result.outcomes["static"].result.post_shift_hit_rate == 0.0
+        # All the promotion/demotion churn left both file systems sound.
+        assert len(built) == 2
+        for fs in built:
+            check_system_invariants(fs)  # raises with the violation list
