@@ -10,7 +10,7 @@ Failover: :meth:`BackupMaster.promote` builds a fresh
 *locations* are soft state (as in HDFS): the promoted master rebuilds
 its block map from worker block reports via
 :meth:`Master.rebuild_from_block_reports`, matching replicas to restored
-files by path and block index.
+files by block id.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator
 
-from repro.errors import WorkerError
+from repro.errors import BlockError, WorkerError
 from repro.fs.blocks import Replica
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -215,6 +215,8 @@ class Balancer:
             return 0
         worker = master.worker_for(move.target.node)
         block = move.replica.block
+        # Named now: a file deleted mid-copy has no path left to derive.
+        path, label = meta.path, meta.label
         obs = self.system.obs
         span = None
         if obs.enabled:
@@ -223,7 +225,7 @@ class Balancer:
             # (same reasoning as the master's repair process).
             span = obs.tracer.start_span(
                 "balancer.move",
-                block=block.label,
+                block=label,
                 source=move.replica.medium.medium_id,
                 destination=move.target.medium_id,
                 tier=move.target.tier_name,
@@ -236,7 +238,8 @@ class Balancer:
                 move.replica.bound_tier,
                 parent=span,
             )
-        except WorkerError as exc:
+            master.attach_replica(meta, new_replica)
+        except (WorkerError, BlockError) as exc:
             if span is not None:
                 span.end("error", error=type(exc).__name__)
                 obs.metrics.counter("balancer_moves_failed_total").inc()
@@ -250,15 +253,14 @@ class Balancer:
             ).inc(block.size)
         if obs.ledger.enabled:
             obs.ledger.on_balancer_move(
-                path=block.file_path,
-                block=block.label,
+                path=path,
+                block=label,
                 source=move.replica.medium.medium_id,
                 destination=move.target.medium_id,
                 tier=move.target.tier_name,
                 nbytes=block.size,
                 span=span,
             )
-        master.attach_replica(meta, new_replica)
         # Drop the donor copy, unless the master detached it mid-move.
         if move.replica in meta.replicas:
             master.detach_replica(meta, move.replica)

@@ -25,29 +25,24 @@ WRITING = "writing"
 
 
 class Block:
-    """One block of a file: identity plus the bytes it holds."""
+    """One block of a file: its id plus the bytes it holds.
+
+    A block is known by ``block_id`` alone. Which file owns it — and so
+    what path names it — is the Master's knowledge, kept on its
+    ``BlockMeta`` record: workers and a second master rebuilt over their
+    reports share these objects.
+    """
 
     def __init__(
-        self,
-        file_path: str,
-        index: int,
-        capacity: int,
-        block_id: int | None = None,
+        self, index: int, capacity: int, block_id: int | None = None
     ) -> None:
         self.block_id = next(_block_ids) if block_id is None else block_id
-        self.file_path = file_path
-        self.index = index
+        self.index = index  # position in the owning file's block list
         self.capacity = capacity  # the file's block size
         self.size = 0  # actual bytes written (== capacity except the tail)
-        self.generation = 1
-
-    @property
-    def label(self) -> str:
-        """The block's name in exports (ids are process-global counters)."""
-        return f"{self.file_path}#{self.index}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Block {self.block_id} #{self.index} of {self.file_path!r}>"
+        return f"<Block {self.block_id} #{self.index}>"
 
 
 class Replica:

@@ -122,9 +122,7 @@ def _load_dir(record: dict, directory: INodeDirectory) -> None:
             )
             directory.add_child(inode)
             for index, (block_id, size) in enumerate(child["blocks"]):
-                block = Block(
-                    inode.path(), index, child["block_size"], block_id=block_id
-                )
+                block = Block(index, child["block_size"], block_id=block_id)
                 block.size = size
                 inode.blocks.append(block)
             if not child["under_construction"]:

@@ -77,10 +77,7 @@ def _apply(record: dict, ns: Namespace) -> None:
 
         inode = ns.get_file(record["path"])
         block = Block(
-            record["path"],
-            record["index"],
-            inode.block_size,
-            block_id=record["block_id"],
+            record["index"], inode.block_size, block_id=record["block_id"]
         )
         block.size = record["size"]
         inode.blocks.append(block)
@@ -97,7 +94,6 @@ def _apply(record: dict, ns: Namespace) -> None:
             src = ns.get_file(src_path)
             for block in src.blocks:
                 block.index = len(target.blocks)
-                block.file_path = record["target"]
                 target.blocks.append(block)
             src.blocks = []
         # The source deletes follow as their own journaled records.

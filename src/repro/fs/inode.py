@@ -11,7 +11,6 @@ fair multi-tenant use of scarce tiers.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.replication_vector import ReplicationVector
@@ -19,8 +18,6 @@ from repro.errors import QuotaExceededError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.blocks import Block
-
-_inode_ids = itertools.count(1)
 
 
 class INode:
@@ -36,7 +33,6 @@ class INode:
         mode: int,
         mtime: float = 0.0,
     ) -> None:
-        self.inode_id = next(_inode_ids)
         self.name = name
         self.parent: "INodeDirectory | None" = None
         self.owner = owner

@@ -66,6 +66,16 @@ class BlockMeta:
     def live_replicas(self) -> list[Replica]:
         return [r for r in self.replicas if r.live]
 
+    @property
+    def path(self) -> str:
+        """The owning file's path, derived from the tree when asked."""
+        return self.inode.path()
+
+    @property
+    def label(self) -> str:
+        """The block's name in exports (ids are process-global counters)."""
+        return f"{self.inode.path()}#{self.block.index}"
+
 
 @dataclass
 class WorkerRecord:
@@ -355,7 +365,6 @@ class Master:
             src_path = src.path()
             for block in src.blocks:
                 block.index = len(inode.blocks)
-                block.file_path = inode.path()
                 inode.blocks.append(block)
                 meta = self.block_map.get(block.block_id)
                 if meta is not None:
@@ -369,11 +378,6 @@ class Master:
 
     def rename(self, src: str, dst: str, user: UserContext = SUPERUSER) -> None:
         self.namespace.rename(src, dst, user)
-        # Block records key on block ids, not paths; only the blocks'
-        # display path needs refreshing.
-        for meta in self.block_map.values():
-            if meta.inode.path().startswith(dst):
-                meta.block.file_path = meta.inode.path()
 
     def _drop_block(self, block: Block) -> None:
         meta = self.block_map.pop(block.block_id, None)
@@ -393,7 +397,19 @@ class Master:
     # ------------------------------------------------------------------
     def attach_replica(self, meta: BlockMeta, replica: Replica) -> None:
         """A finalized replica joins its block; the file's tier usage
-        (and every ancestor directory's) is charged ``block.size``."""
+        (and every ancestor directory's) is charged ``block.size``.
+
+        A copy can outlive its file: if ``meta`` is no longer the record
+        mapped under its id (deleted or overwritten while a repair or
+        balancer move was in flight), the worker drops the replica and
+        :class:`BlockError` is raised instead.
+        """
+        if self.block_map.get(meta.block.block_id) is not meta:
+            self._delete_replica_from_worker(replica)
+            raise BlockError(
+                f"block {meta.block.block_id} was deleted while a replica "
+                "of it was being copied"
+            )
         meta.replicas.append(replica)
         self.namespace.charge_tier_space(
             meta.inode, replica.tier_name, meta.block.size
@@ -412,8 +428,8 @@ class Master:
         )
         if cause is not None and self.obs.ledger.enabled:
             self.obs.ledger.on_replica_removed(
-                meta.block.file_path,
-                block=meta.block.label,
+                meta.path,
+                block=meta.label,
                 medium=replica.medium.medium_id,
                 tier=replica.tier_name,
                 cause=cause,
@@ -441,7 +457,8 @@ class Master:
         inode = self.namespace.get_file(path, user)
         if not inode.under_construction:
             raise LeaseError(f"file {path!r} is not open for writing")
-        block = Block(inode.path(), len(inode.blocks), inode.block_size)
+        block = Block(len(inode.blocks), inode.block_size)
+        meta = BlockMeta(block=block, inode=inode)
         request = PlacementRequest(
             rep_vector=inode.rep_vector,
             block_size=inode.block_size,
@@ -457,7 +474,7 @@ class Master:
             obs.last_placement = None
             span = obs.tracer.start_span(
                 "master.allocate_block",
-                block=block.label,
+                block=meta.label,
                 vector=inode.rep_vector.shorthand(),
             )
             with obs.tracer.use(span):
@@ -484,12 +501,11 @@ class Master:
         for medium in targets:
             medium.reserve(inode.block_size)
         inode.blocks.append(block)
-        meta = BlockMeta(block=block, inode=inode)
         self.block_map[block.block_id] = meta
         if obs.ledger.enabled:
             obs.ledger.on_placement(
-                path=inode.path(),
-                block=block.label,
+                path=meta.path,
+                block=meta.label,
                 vector=inode.rep_vector.shorthand(),
                 cause="allocate",
                 targets=targets,
@@ -710,9 +726,7 @@ class Master:
         metas = [self.block_map[b] for b in block_ids if b in self.block_map]
         metas.sort(
             key=lambda meta: (
-                len(meta.live_replicas()),
-                meta.block.file_path,
-                meta.block.index,
+                len(meta.live_replicas()), meta.path, meta.block.index
             )
         )
         for meta in metas:
@@ -797,7 +811,7 @@ class Master:
             if self.obs.enabled:
                 self.obs.tracer.event(
                     "repair.deferred",
-                    block=meta.block.label,
+                    block=meta.label,
                     tier=tier,
                 )
                 self.obs.metrics.counter("repairs_deferred_total").inc()
@@ -813,12 +827,14 @@ class Master:
         worker = self.worker_for(destination.node)
         # Snapshot the placement scores and the recent fault/liveness
         # context *now* — by the time the repair process runs, both may
-        # describe some other decision.
+        # describe some other decision, and the block's name with them:
+        # a file deleted meanwhile has no path left to derive.
         placement = obs.last_placement if obs.ledger.enabled else None
         context = obs.ledger.recent_context()
         return self.cluster.engine.process(
             self._repair_proc(
-                meta, worker, source, destination, tier, placement, context
+                meta, worker, source, destination, tier, placement, context,
+                meta.path, meta.label,
             ),
             name=f"repair:{meta.block.block_id}",
         )
@@ -830,8 +846,10 @@ class Master:
         source: Replica,
         destination: "StorageMedium",
         tier: str | None,
-        placement: dict | None = None,
-        context: list | None = None,
+        placement: dict | None,
+        context: list,
+        path: str,
+        label: str,
     ) -> Generator:
         obs = self.obs
         span = None
@@ -840,7 +858,7 @@ class Master:
             # current-span stack cannot carry the parent across resumes.
             span = obs.tracer.start_span(
                 "master.repair",
-                block=meta.block.label,
+                block=label,
                 tier=tier,
                 source=source.medium.medium_id,
                 destination=destination.medium_id,
@@ -848,20 +866,21 @@ class Master:
         ledger_rec = None
         if obs.ledger.enabled:
             ledger_rec = obs.ledger.on_repair(
-                path=meta.block.file_path,
-                block=meta.block.label,
+                path=path,
+                block=label,
                 tier=tier,
                 source=source.medium.medium_id,
                 destination=destination.medium_id,
                 destination_tier=destination.tier_name,
                 placement=placement,
-                context=context or [],
+                context=context,
                 span=span,
             )
         try:
             replica = yield from worker.copy_replica_proc(
                 meta.block, source, destination, tier, parent=span
             )
+            self.attach_replica(meta, replica)
         except Exception as exc:
             self._dirty_blocks.add(meta.block.block_id)
             if span is not None:
@@ -873,7 +892,6 @@ class Master:
             span.end()
             obs.metrics.counter("repairs_completed_total").inc()
         obs.ledger.on_repair_outcome(ledger_rec, "completed")
-        self.attach_replica(meta, replica)
         # Re-examine: more additions may be pending, or now-excess copies.
         self._dirty_blocks.add(meta.block.block_id)
         return replica
@@ -895,25 +913,33 @@ class Master:
     def rebuild_from_block_reports(self, workers) -> int:
         """Reconstruct the block map from worker inventories.
 
-        Replicas are matched to restored files by path + block index; a
-        restored inode's placeholder Block objects are replaced with the
-        live ones the workers hold, so identities line up again.
-        Replicas whose file no longer exists are deleted (stale data of
-        removed files). Returns the number of replicas adopted.
+        A reported replica is matched by block id — checkpoints and
+        ``add_block`` records persist the ids — to the restored file
+        that lists it; that inode's placeholder Block is replaced with
+        the live one the workers hold, so identities line up again. An
+        id no restored file lists is a stale replica (its file was
+        deleted, or the image predates it) and is deleted, exactly as in
+        :meth:`receive_block_report`. Returns the replicas adopted.
         """
         adopted = 0
-        by_path: dict[str, INodeFile] = {
-            inode.path(): inode for inode in self.namespace.iter_files()
+        owners: dict[int, tuple[INodeFile, int]] = {
+            block.block_id: (inode, index)
+            for inode in self.namespace.iter_files()
+            for index, block in enumerate(inode.blocks)
         }
         for worker in workers:
             if worker.name not in self.workers:
                 self.register_worker(worker)
             for replica in worker.block_report():
-                inode = by_path.get(replica.block.file_path)
-                if inode is None or replica.block.index >= len(inode.blocks):
+                owner = owners.get(replica.block.block_id)
+                if owner is None:
                     worker.delete_replica(replica)
                     continue
-                inode.blocks[replica.block.index] = replica.block
+                inode, index = owner
+                # The restored namespace says where the block sits, which
+                # a concat the image predates may have moved.
+                replica.block.index = index
+                inode.blocks[index] = replica.block
                 meta = self.block_map.setdefault(
                     replica.block.block_id,
                     BlockMeta(block=replica.block, inode=inode),

@@ -94,7 +94,6 @@ class Namespace:
         self.tier_order = tuple(tier_order)
         self.root = INodeDirectory("", "root", "supergroup", DEFAULT_DIR_MODE)
         self._listeners: list[Callable[[dict], None]] = []
-        self.op_counts: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Edit-log plumbing
@@ -104,15 +103,11 @@ class Namespace:
         self._listeners.append(listener)
 
     def _emit(self, op: str, **fields: object) -> None:
-        self.op_counts[op] = self.op_counts.get(op, 0) + 1
         if not self._listeners:
             return
         record = {"op": op, **fields}
         for listener in self._listeners:
             listener(record)
-
-    def _count(self, op: str) -> None:
-        self.op_counts[op] = self.op_counts.get(op, 0) + 1
 
     # ------------------------------------------------------------------
     # Resolution and permission checks
@@ -181,7 +176,6 @@ class Namespace:
     def get_status(
         self, path: str, user: UserContext = SUPERUSER
     ) -> FileStatus:
-        self._count("get_status")
         node = self._resolve(paths.normalize(path), user)
         assert node is not None
         return self._status_of(node)
@@ -190,7 +184,6 @@ class Namespace:
         self, path: str, user: UserContext = SUPERUSER
     ) -> list[FileStatus]:
         """List a directory's children (or the file itself)."""
-        self._count("list_status")
         node = self._resolve(paths.normalize(path), user)
         assert node is not None
         if isinstance(node, INodeFile):

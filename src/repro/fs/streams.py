@@ -37,6 +37,11 @@ if TYPE_CHECKING:  # pragma: no cover
 _PIPELINE_RETRIES = 3
 
 
+def _label(path: str, block: Block) -> str:
+    """A block's export name, from the path its stream was opened on."""
+    return f"{path}#{block.index}"
+
+
 class FSDataOutputStream:
     """A write handle for one file; not reentrant."""
 
@@ -165,7 +170,7 @@ class FSDataOutputStream:
             span = obs.tracer.start_span(
                 "client.append_block",
                 path=self._path,
-                block=block.label,
+                block=_label(self._path, block),
                 size=payload,
             )
         try:
@@ -222,7 +227,7 @@ class FSDataOutputStream:
                     span.end("error", error=type(exc).__name__)
                     raise
                 span.annotate(
-                    block=f"{self._path}#{block.index}",
+                    block=_label(self._path, block),
                     tiers=[m.tier_name for m in targets],
                 )
             else:
@@ -248,7 +253,7 @@ class FSDataOutputStream:
                 # scores of the placement decision that created it.
                 flow.span.annotate(
                     op="write",
-                    block=f"{self._path}#{block.index}",
+                    block=_label(self._path, block),
                     tiers=[m.tier_name for m in targets],
                 )
                 if obs.last_placement is not None:
@@ -350,7 +355,7 @@ class FSDataInputStream:
             span = obs.tracer.start_span(
                 "client.read_block",
                 path=self._path,
-                block=block.label,
+                block=_label(self._path, block),
                 size=block.size,
             )
         last_error: Exception | None = None
@@ -383,7 +388,7 @@ class FSDataInputStream:
             if flow.span is not None:
                 flow.span.annotate(
                     op="read",
-                    block=block.label,
+                    block=_label(self._path, block),
                     tier=replica.tier_name,
                 )
             try:

@@ -277,11 +277,7 @@ class FaultInjector:
         self.system.master.report_corrupt_replica(block_id, medium_id)
         # Trace by path#index, not block id: block ids are process-global
         # counters and would break cross-invocation trace comparison.
-        self._record(
-            "corrupt",
-            meta.block.label,
-            f"medium={medium_id}",
-        )
+        self._record("corrupt", meta.label, f"medium={medium_id}")
 
     def corrupt_block(
         self, path: str, block_index: int = 0, medium_id: str | None = None
@@ -307,9 +303,7 @@ class FaultInjector:
         if medium_id is None:
             medium_id = min(r.medium.medium_id for r in live)
         master.report_corrupt_replica(block.block_id, medium_id)
-        self._record(
-            "corrupt", block.label, f"medium={medium_id}"
-        )
+        self._record("corrupt", meta.label, f"medium={medium_id}")
 
     # ------------------------------------------------------------------
     # Declarative schedules

@@ -16,8 +16,8 @@ where OctopusFS's gains come from:
 CPU costs are supplied per workload (seconds of task CPU per MB); the
 engine is deliberately agnostic of what the job computes. The scheduler
 is slot-based like Hadoop 1.x/YARN-with-static-containers: ``map_slots``
-and ``reduce_slots`` per worker node, reducers starting after the map
-phase completes (slowstart = 1.0).
+per worker node, reducers starting after the map phase completes
+(slowstart = 1.0).
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator
 
 from repro.core.replication_vector import ReplicationVector
-from repro.errors import RetrievalError
-from repro.fs.transfer import read_resources
+from repro.fs.transfer import copy_resources
 from repro.util.rng import DeterministicRng
 from repro.util.units import MB
+from repro.workloads.splits import Split, plan_splits, read_split
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import Node
-    from repro.fs.blocks import Block
     from repro.fs.system import OctopusFileSystem
 
 
@@ -80,12 +79,6 @@ class JobResult:
         return self.local_map_reads / self.map_tasks if self.map_tasks else 0.0
 
 
-@dataclass
-class _MapTask:
-    block: "Block"
-    hosts: set[str]  # nodes holding a live replica
-
-
 class MapReduceEngine:
     """Slot-based scheduler + task execution over one file system."""
 
@@ -93,12 +86,10 @@ class MapReduceEngine:
         self,
         system: "OctopusFileSystem",
         map_slots: int = 4,
-        reduce_slots: int = 2,
         rng: DeterministicRng | None = None,
     ) -> None:
         self.system = system
         self.map_slots = map_slots
-        self.reduce_slots = reduce_slots
         self.rng = rng or DeterministicRng(system.cluster.spec.seed, "mapreduce")
 
     # ------------------------------------------------------------------
@@ -118,7 +109,7 @@ class MapReduceEngine:
     def run_job_proc(self, spec: MapReduceJobSpec) -> Generator:
         engine = self.system.engine
         started_at = engine.now
-        tasks = self._plan_map_tasks(spec)
+        tasks = list(plan_splits(self.system, spec.input_paths))
         input_bytes = sum(t.block.size for t in tasks)
         shuffle_bytes = int(input_bytes * spec.shuffle_ratio)
         output_bytes = int(input_bytes * spec.output_ratio)
@@ -140,30 +131,13 @@ class MapReduceEngine:
             local_map_reads=local_reads[0],
         )
 
-    def _plan_map_tasks(self, spec: MapReduceJobSpec) -> list[_MapTask]:
-        tasks: list[_MapTask] = []
-        for path in spec.input_paths:
-            master = self.system.master_for(path)
-            inode = master.namespace.get_file(path)
-            for block in inode.blocks:
-                meta = master.block_map.get(block.block_id)
-                live = meta.live_replicas() if meta else []
-                if not live:
-                    raise RetrievalError(
-                        f"input block {block.block_id} of {path!r} lost"
-                    )
-                tasks.append(
-                    _MapTask(block=block, hosts={r.node.name for r in live})
-                )
-        return tasks
-
     # ------------------------------------------------------------------
     # Map phase
     # ------------------------------------------------------------------
     def _map_phase(
         self,
         spec: MapReduceJobSpec,
-        tasks: list[_MapTask],
+        tasks: list[Split],
         map_outputs: dict[str, int],
         local_reads: list[int],
     ) -> Generator:
@@ -187,7 +161,7 @@ class MapReduceEngine:
                 )
         yield engine.all_of(procs)
 
-    def _pick_task(self, queue: list[_MapTask], node: "Node") -> _MapTask:
+    def _pick_task(self, queue: list[Split], node: "Node") -> Split:
         """Hadoop-style locality preference: node, then rack, then any."""
         for task in queue:
             if node.name in task.hosts:
@@ -201,12 +175,12 @@ class MapReduceEngine:
     def _run_map_task(
         self,
         spec: MapReduceJobSpec,
-        task: _MapTask,
+        task: Split,
         node: "Node",
         map_outputs: dict[str, int],
     ) -> Generator:
         engine = self.system.engine
-        yield from self._read_block_proc(task.block, node)
+        yield read_split(task, node, label=f"split:{task.block.block_id}")
         size_mb = task.block.size / MB
         if spec.map_cpu_per_mb > 0:
             yield engine.timeout(size_mb * spec.map_cpu_per_mb)
@@ -217,23 +191,6 @@ class MapReduceEngine:
                 spill, [disk.write_channel], label=f"spill:{spec.name}"
             )
             map_outputs[node.name] = map_outputs.get(node.name, 0) + spill
-
-    def _read_block_proc(self, block: "Block", node: "Node") -> Generator:
-        """Read one input split via the DFS retrieval policy."""
-        master = self.system.master_for(block.file_path)
-        meta = master.block_map.get(block.block_id)
-        live = meta.live_replicas() if meta else []
-        if not live:
-            raise RetrievalError(f"block {block.block_id} has no live replica")
-        ordered = master.retrieval_policy.order_replicas(
-            [r.medium for r in live], node, self.system.cluster.topology
-        )
-        resources = read_resources(
-            self.system.cluster.topology, ordered[0], node
-        )
-        yield self.system.cluster.flows.transfer(
-            block.size, resources, label=f"split:{block.block_id}"
-        )
 
     def _local_spill_disk(self, node: "Node"):
         """Least-loaded local HDD (Hadoop spills round-robin over disks)."""
@@ -265,13 +222,11 @@ class MapReduceEngine:
                 if portion <= 0:
                     continue
                 source = self.system.cluster.node(source_name)
-                src_disk = self._local_spill_disk(source)
-                dst_disk = self._local_spill_disk(node)
-                resources = [src_disk.read_channel]
-                resources.extend(
-                    self.system.cluster.topology.path_resources(source, node)
+                resources = copy_resources(
+                    self.system.cluster.topology,
+                    self._local_spill_disk(source),
+                    self._local_spill_disk(node),
                 )
-                resources.append(dst_disk.write_channel)
                 fetches.append(
                     self.system.cluster.flows.transfer(
                         portion, resources, label=f"shuffle:{spec.name}"

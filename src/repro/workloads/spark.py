@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator
 
 from repro.core.replication_vector import ReplicationVector
-from repro.errors import RetrievalError
-from repro.fs.transfer import read_resources
+from repro.fs.transfer import copy_resources
 from repro.util.rng import DeterministicRng
 from repro.util.units import GB, MB
+from repro.workloads.splits import Split, plan_splits, read_split
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import Node
-    from repro.fs.blocks import Block
     from repro.fs.system import OctopusFileSystem
 
 #: Bandwidth of reading a cached partition from executor memory.
@@ -104,8 +103,8 @@ class SparkEngine:
     def run_job_proc(self, spec: SparkJobSpec) -> Generator:
         engine = self.system.engine
         started_at = engine.now
-        partitions = self._plan_partitions(spec)
-        input_bytes = sum(block.size for block, _hosts in partitions)
+        partitions = list(plan_splits(self.system, spec.input_paths))
+        input_bytes = sum(split.block.size for split in partitions)
         cache_used: dict[str, int] = {}
         cached_blocks: dict[int, str] = {}  # block id -> caching node
         stats = {"cached": 0, "dfs": 0}
@@ -126,19 +125,6 @@ class SparkEngine:
             dfs_reads=stats["dfs"],
         )
 
-    def _plan_partitions(self, spec: SparkJobSpec):
-        partitions = []
-        for path in spec.input_paths:
-            master = self.system.master_for(path)
-            inode = master.namespace.get_file(path)
-            for block in inode.blocks:
-                meta = master.block_map.get(block.block_id)
-                live = meta.live_replicas() if meta else []
-                if not live:
-                    raise RetrievalError(f"partition {block.block_id} lost")
-                partitions.append((block, {r.node.name for r in live}))
-        return partitions
-
     def _run_stage(
         self, spec, partitions, cache_used, cached_blocks, stats
     ) -> Generator:
@@ -147,11 +133,10 @@ class SparkEngine:
 
         def core_worker(node: "Node") -> Generator:
             while queue:
-                item = self._pick_partition(queue, node, cached_blocks)
-                queue.remove(item)
-                block, _hosts = item
+                split = self._pick_partition(queue, node, cached_blocks)
+                queue.remove(split)
                 yield from self._run_task(
-                    spec, block, node, cache_used, cached_blocks, stats
+                    spec, split, node, cache_used, cached_blocks, stats
                 )
 
         procs = []
@@ -163,22 +148,24 @@ class SparkEngine:
                 )
         yield engine.all_of(procs)
         # Stage-boundary shuffle (local-disk to local-disk, all-to-all).
-        shuffle = int(sum(b.size for b, _ in partitions) * spec.shuffle_ratio)
+        shuffle = int(
+            sum(split.block.size for split in partitions) * spec.shuffle_ratio
+        )
         if shuffle > 0:
             yield from self._shuffle(spec, shuffle)
 
     def _pick_partition(self, queue, node: "Node", cached_blocks):
         """Prefer partitions cached here, then replica-local, then any."""
-        for item in queue:
-            if cached_blocks.get(item[0].block_id) == node.name:
-                return item
-        for item in queue:
-            if node.name in item[1]:
-                return item
+        for split in queue:
+            if cached_blocks.get(split.block.block_id) == node.name:
+                return split
+        for split in queue:
+            if node.name in split.hosts:
+                return split
         return queue[0]
 
     def _run_task(
-        self, spec, block: "Block", node: "Node", cache_used, cached_blocks,
+        self, spec, split: Split, node: "Node", cache_used, cached_blocks,
         stats,
     ) -> Generator:
         """Run one task: its input I/O overlaps its CPU.
@@ -188,6 +175,7 @@ class SparkEngine:
         speedups help Spark less than they help MapReduce.
         """
         engine = self.system.engine
+        block = split.block
         cached_on = cached_blocks.get(block.block_id)
         if cached_on == node.name:
             stats["cached"] += 1
@@ -202,7 +190,7 @@ class SparkEngine:
             )
         else:
             stats["dfs"] += 1
-            io_event = self._read_block_from_dfs(block, node)
+            io_event = read_split(split, node, label=f"rdd:{block.block_id}")
             if spec.cache_input:
                 used = cache_used.get(node.name, 0)
                 if used + block.size <= self.cache_capacity:
@@ -213,21 +201,6 @@ class SparkEngine:
         if cpu_seconds > 0:
             waits.append(engine.timeout(cpu_seconds))
         yield engine.all_of(waits)
-
-    def _read_block_from_dfs(self, block: "Block", node: "Node"):
-        """Start the DFS read; returns the flow-completion event."""
-        master = self.system.master_for(block.file_path)
-        meta = master.block_map.get(block.block_id)
-        live = meta.live_replicas() if meta else []
-        if not live:
-            raise RetrievalError(f"block {block.block_id} has no live replica")
-        ordered = master.retrieval_policy.order_replicas(
-            [r.medium for r in live], node, self.system.cluster.topology
-        )
-        resources = read_resources(self.system.cluster.topology, ordered[0], node)
-        return self.system.cluster.flows.transfer(
-            block.size, resources, label=f"rdd:{block.block_id}"
-        )
 
     def _shuffle(self, spec, shuffle_bytes: int) -> Generator:
         """All-to-all between executors' local disks."""
@@ -251,11 +224,9 @@ class SparkEngine:
                     dst.medium_for_tier("HDD") or dst.live_media,
                     key=lambda m: m.write_channel.active_count,
                 )
-                resources = [src_disk.read_channel]
-                resources.extend(
-                    self.system.cluster.topology.path_resources(src, dst)
+                resources = copy_resources(
+                    self.system.cluster.topology, src_disk, dst_disk
                 )
-                resources.append(dst_disk.write_channel)
                 flows.append(
                     self.system.cluster.flows.transfer(
                         per_pair, resources, label=f"shuffle:{spec.name}"

@@ -5,7 +5,7 @@ import pytest
 from repro import OctopusFileSystem, ReplicationVector
 from repro.cluster import small_cluster_spec
 from repro.fs.balancer import Balancer, PlannedMove
-from repro.fs.invariants import check_system_invariants
+from repro.fs.invariants import accounting_violations, check_system_invariants
 from repro.util.units import MB
 
 
@@ -143,6 +143,20 @@ class TestExecution:
         assert donor not in meta.replicas
         fs.engine.run(move)
         assert_usage_exact(fs, "/q/f")
+
+    def test_files_deleted_mid_move_leave_nothing_behind(self, fs):
+        client = skew_cluster(fs)
+        balancer = Balancer(fs, threshold=0.002)
+        moves = [
+            fs.engine.process(balancer._move_proc(move))
+            for move in balancer.plan()
+        ]
+        assert len(moves) > 1
+        fs.engine.run(until=fs.engine.now + 1e-4)  # every copy in flight
+        client.delete("/skew", recursive=True)
+        assert fs.engine.run(fs.engine.all_of(moves)) == [0] * len(moves)
+        assert accounting_violations(fs) == []
+        assert not any(w.block_report() for w in fs.workers.values())
 
     def test_idempotent_once_balanced(self, fs):
         skew_cluster(fs)

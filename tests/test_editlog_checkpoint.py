@@ -7,7 +7,12 @@ from repro.cluster import small_cluster_spec
 from repro.fs import checkpoint as ckpt
 from repro.fs.backup import BackupMaster, restore_master_from_checkpoint
 from repro.fs.editlog import EditLog, replay
-from repro.fs.invariants import check_system_invariants
+from repro.errors import RetrievalError
+from repro.fs.invariants import (
+    accounting_violations,
+    check_system_invariants,
+    replication_violations,
+)
 from repro.fs.namespace import Namespace
 from repro.util.units import MB
 
@@ -103,7 +108,7 @@ class TestCheckpoint:
 
         ns = populated_namespace()
         inode = ns.get_file("/a/b/f1")
-        block = Block("/a/b/f1", 0, 4 * MB)
+        block = Block(0, 4 * MB)
         block.size = 3 * MB
         inode.blocks.append(block)
         restored, _ = ckpt.load_checkpoint(ckpt.write_checkpoint(ns))
@@ -224,4 +229,56 @@ class TestBackupMaster:
         assert not fs.master.namespace.exists("/orphan")
         for worker in fs.workers.values():
             for replica in worker.block_report():
-                assert replica.block.file_path != "/orphan"
+                assert replica.block.block_id in fs.master.block_map
+
+    def test_restore_predating_a_rename_keeps_the_data(self):
+        """Replicas are matched by block id, so a stale image that still
+        calls the file ``/old`` finds its blocks again."""
+        fs = OctopusFileSystem(small_cluster_spec())
+        backup = BackupMaster(fs.master)
+        client = fs.client(on="worker1")
+        client.write_file("/old", data=b"x" * (6 * MB), rep_vector=2)
+        snapshot = backup.create_checkpoint()
+        client.rename("/old", "/new")
+        restore_master_from_checkpoint(fs, snapshot, [])
+        assert fs.client(on="worker2").read_file("/old") == b"x" * (6 * MB)
+        assert sum(len(w.block_report()) for w in fs.workers.values()) == 4
+        check_system_invariants(fs)
+
+    def test_restore_predating_a_concat_keeps_both_files(self):
+        fs = OctopusFileSystem(small_cluster_spec())
+        backup = BackupMaster(fs.master)
+        client = fs.client(on="worker1")
+        client.write_file("/t", data=b"t" * (4 * MB), rep_vector=2)
+        client.write_file("/s", data=b"s" * MB, rep_vector=2)
+        snapshot = backup.create_checkpoint()
+        client.concat("/t", ["/s"])
+        restore_master_from_checkpoint(fs, snapshot, [])
+        assert fs.client(on="worker2").read_file("/t") == b"t" * (4 * MB)
+        assert fs.client(on="worker2").read_file("/s") == b"s" * MB
+        (meta,) = [
+            fs.master.block_map[b.block_id]
+            for b in fs.master.namespace.get_file("/s").blocks
+        ]
+        assert meta.label == "/s#0"
+        check_system_invariants(fs)
+
+    def test_restore_predating_an_overwrite_serves_no_newer_bytes(self):
+        """The image lists the *old* ``/keep``'s block ids; the new
+        file's replicas are nobody's and must not be served under the
+        old metadata. The old block is honestly lost."""
+        fs = OctopusFileSystem(small_cluster_spec())
+        backup = BackupMaster(fs.master)
+        client = fs.client(on="worker1")
+        client.write_file("/keep", data=b"a" * (4 * MB))
+        (old_block,) = fs.master.namespace.get_file("/keep").blocks
+        snapshot = backup.create_checkpoint()
+        client.write_file("/keep", data=b"b" * (8 * MB), overwrite=True)
+        restore_master_from_checkpoint(fs, snapshot, [])
+        with pytest.raises(RetrievalError):
+            fs.client(on="worker2").read_file("/keep")
+        assert replication_violations(fs) == [
+            f"/keep: block {old_block.block_id} missing from the block map"
+        ]
+        assert not any(w.block_report() for w in fs.workers.values())
+        assert accounting_violations(fs) == []

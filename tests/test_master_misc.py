@@ -10,6 +10,7 @@ from repro import OctopusFileSystem, ReplicationVector
 from repro.cluster import Cluster, small_cluster_spec
 from repro.errors import BlockError, WorkerError
 from repro.fs.worker import Worker
+from repro.obs import ProvenanceLedger
 from repro.util.units import MB
 
 
@@ -67,13 +68,75 @@ class TestWorkerCornerCases:
                 )
 
 
+def _rename_file(fs, client):
+    client.write_file("/old/name", size=8 * MB, rep_vector=1)
+    client.rename("/old/name", "/old/renamed")
+
+
+def _rename_dir_beside_a_prefix_sibling(fs, client):
+    client.write_file("/a/b/f", size=8 * MB, rep_vector=1)
+    client.write_file("/a/cd/f", size=4 * MB, rep_vector=1)
+    client.rename("/a/b", "/a/c")  # "/a/cd/f".startswith("/a/c")
+
+
+def _concat_then_rename_the_target(fs, client):
+    client.write_file("/t", size=4 * MB, rep_vector=1)
+    client.write_file("/s", size=6 * MB, rep_vector=1)
+    client.concat("/t", ["/s"])
+    client.rename("/t", "/merged")
+
+
+def _rename_then_repair_under_a_ledger(fs, client):
+    fs.obs.enable()
+    ledger = ProvenanceLedger(fs.obs).attach()
+    client.write_file("/old/name", size=4 * MB, rep_vector=1)
+    client.rename("/old/name", "/old/renamed")
+    client.set_replication("/old/renamed", 2)
+    fs.await_replication()
+    (repair,) = [r for r in ledger.records if r["action"] == "repair"]
+    assert (repair["path"], repair["block"]) == ("/old/renamed", "/old/renamed#0")
+    assert repair["outcome"] == "completed"
+
+
 class TestMasterCornerCases:
-    def test_rename_updates_block_paths(self, fs, client):
-        client.write_file("/old/name", size=4 * MB, rep_vector=1)
-        client.rename("/old/name", "/old/renamed")
-        inode = fs.master.namespace.get_file("/old/renamed")
-        meta = fs.master.block_map[inode.blocks[0].block_id]
-        assert meta.block.file_path == "/old/renamed"
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            _rename_file,
+            _rename_dir_beside_a_prefix_sibling,
+            _concat_then_rename_the_target,
+            _rename_then_repair_under_a_ledger,
+        ],
+    )
+    def test_block_names_follow_the_namespace(self, fs, client, scenario):
+        """A block's name is derived from its inode: nothing to refresh."""
+        scenario(fs, client)
+        files = list(fs.master.namespace.iter_files())
+        assert sum(len(inode.blocks) for inode in files) == len(fs.master.block_map)
+        for inode in files:
+            for i, block in enumerate(inode.blocks):
+                meta = fs.master.block_map[block.block_id]
+                assert meta.inode is inode
+                assert meta.label == f"{inode.path()}#{i}"
+
+    def test_namespace_ops_do_not_walk_the_block_map(self, fs, client):
+        class Unwalkable(dict):
+            def _walked(self, *_args):
+                raise AssertionError("a namespace op iterated the block map")
+
+            __iter__ = values = items = keys = _walked
+
+        client.write_file("/d/f", size=4 * MB, rep_vector=1)
+        client.create("/d/open", rep_vector=1)  # left under construction
+        fs.master.block_map = Unwalkable(fs.master.block_map)
+        client.rename("/d", "/e")
+        client.mkdir("/e/sub")
+        assert client.get_status("/e/f").length == 4 * MB
+        assert [s.path for s in client.list_status("/e")] == [
+            "/e/f", "/e/open", "/e/sub",
+        ]
+        fs.master.complete_file("/e/open")
+        assert not client.get_status("/e/open").under_construction
 
     def test_heartbeat_from_unknown_worker_rejected(self, fs):
         from repro.fs.worker import HeartbeatReport
@@ -106,7 +169,7 @@ class TestMasterCornerCases:
     def test_commit_unknown_block_rejected(self, fs):
         from repro.fs.blocks import Block
 
-        ghost = Block("/ghost", 0, MB)
+        ghost = Block(0, MB)
         with pytest.raises(BlockError):
             fs.master.commit_block(ghost, MB, [])
 
@@ -229,4 +292,17 @@ class TestReplicaLifecycleSeam:
                     "fs/namespace.py", "fs/inode.py"  # its definitions
                 ):
                     offenders.append(f"{module}:{node.lineno} {node.attr}")
+        assert not offenders, "\n".join(offenders)
+
+    def test_no_code_names_a_block_by_a_stored_path(self):
+        """A block is its id; its ``path#index`` name is derived from the
+        owning inode by ``BlockMeta.label``, so nothing under ``src/repro``
+        reads or writes a ``file_path`` attribute."""
+        root = Path(repro.__file__).parent
+        offenders = [
+            f"{path.relative_to(root).as_posix()}:{node.lineno}"
+            for path in sorted(root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "file_path"
+        ]
         assert not offenders, "\n".join(offenders)

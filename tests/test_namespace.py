@@ -115,7 +115,7 @@ class TestFiles:
         from repro.fs.blocks import Block
 
         inode = make_file(ns, "/f")
-        inode.blocks.append(Block("/f", 0, BS))
+        inode.blocks.append(Block(0, BS))
         _new, freed = ns.create_file("/f", RV, BS, overwrite=True)
         assert len(freed) == 1
 
@@ -170,7 +170,7 @@ class TestDelete:
         from repro.fs.blocks import Block
 
         inode = make_file(ns, "/f")
-        inode.blocks.append(Block("/f", 0, BS))
+        inode.blocks.append(Block(0, BS))
         blocks = ns.delete("/f")
         assert len(blocks) == 1
         assert not ns.exists("/f")

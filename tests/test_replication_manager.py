@@ -5,6 +5,8 @@ import pytest
 from repro import OctopusFileSystem, ReplicationVector
 from repro.cluster import small_cluster_spec
 from repro.core.replication import analyze_block
+from repro.fs.invariants import accounting_violations, check_system_invariants
+from repro.obs import ProvenanceLedger
 from repro.util.units import MB
 
 
@@ -226,6 +228,33 @@ class TestFailureRecovery:
         # Sole replica gone: the manager must not crash, just defer.
         procs = fs.master.check_replication()
         assert procs == []
+
+
+class TestCopyOutlivesItsFile:
+    @pytest.mark.parametrize("removal", ["delete", "overwrite"])
+    def test_file_removed_during_repair(self, fs, client, removal):
+        """The copy lands on a block record that is no longer mapped: the
+        replica is dropped, not attached to a file that is gone."""
+        fs.obs.enable()
+        ledger = ProvenanceLedger(fs.obs).attach()
+        client.write_file("/d/f", size=8 * MB, rep_vector=2)
+        client.set_replication("/d/f", 3)
+        assert len(fs.master.check_replication()) == 2
+        fs.engine.run(until=fs.engine.now + 1e-4)  # both copies in flight
+        if removal == "delete":
+            client.delete("/d/f")
+        else:
+            client.write_file("/d/f", size=4 * MB, rep_vector=2, overwrite=True)
+        fs.engine.run()
+        assert accounting_violations(fs) == []
+        on_workers = [r for w in fs.workers.values() for r in w.block_report()]
+        assert len(on_workers) == (0 if removal == "delete" else 2)
+        assert all(r.block.block_id in fs.master.block_map for r in on_workers)
+        repairs = [r for r in ledger.records if r["action"] == "repair"]
+        assert [r["outcome"] for r in repairs] == ["failed", "failed"]
+        assert {r["block"] for r in repairs} == {"/d/f#0", "/d/f#1"}
+        fs.await_replication()
+        check_system_invariants(fs)
 
 
 class TestServices:
