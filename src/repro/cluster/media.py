@@ -66,8 +66,11 @@ class StorageMedium:
     def degrade(self, factor: float) -> None:
         """Scale both channels to ``factor`` of baseline throughput.
 
-        ``factor=1.0`` restores full speed. The caller owns re-sharing
-        in-flight flows (:meth:`repro.sim.flows.FlowScheduler.refresh`).
+        ``factor=1.0`` restores full speed. In-flight flows keep their
+        rates until the caller re-shares them
+        (:meth:`repro.sim.flows.FlowScheduler.refresh`); the write itself
+        already stops the scheduler reusing anything computed under the
+        old capacity (``Resource.capacity`` is a property).
         """
         if not 0.0 < factor <= 1.0:
             raise ConfigurationError(

@@ -84,8 +84,10 @@ class Node:
     def set_nic_factor(self, factor: float) -> None:
         """Cap (or restore) NIC bandwidth to ``factor`` of the baseline.
 
-        The caller owns re-sharing in-flight flows: follow up with
-        :meth:`repro.sim.flows.FlowScheduler.refresh`.
+        In-flight flows keep their rates until the caller re-shares
+        them with :meth:`repro.sim.flows.FlowScheduler.refresh`; the
+        write itself already stops the scheduler reusing anything
+        computed under the old capacity.
         """
         if not 0.0 < factor <= 1.0:
             raise ConfigurationError(

@@ -22,17 +22,59 @@ flow starts, finishes, or is cancelled — or a capacity changes — only
 the **connected component** of the graph touched by the change can see
 different max–min rates: progressive filling never moves capacity
 between disconnected components. :class:`IncrementalFlowSolver`
-therefore re-fills just that component (found by BFS from the changed
-flows/resources — or the whole active set when it is small enough that
-the search would cost more than it saves), reusing cached rates
-everywhere else, while
-:class:`DenseFlowSolver` re-fills every active flow — the original
-O(events × flows × resources) behavior, kept as the oracle for the
-differential equivalence tests.
+therefore re-fills just that component, reusing cached rates everywhere
+else, while :class:`DenseFlowSolver` re-fills every active flow from
+round 0 — the original O(events × flows × resources) behavior, kept as
+the oracle for the differential equivalence tests.
 
-Both solvers share every other code path, and per-component filling is
-*bit-identical* to global filling (same subtraction arithmetic, same
-deterministic bottleneck order within a component), so the two produce
+The round journal
+-----------------
+Inside a component the incremental solver does not start over either.
+A fill is a sequence of *rounds*: pop the lowest valid candidate
+``(share, name, rid)``, freeze the open flows on that bottleneck at
+``share``, subtract ``share`` from every other resource they cross.
+Each component's latest fill is kept as a **journal** of its rounds —
+key, frozen flows, and the ``(cap, pending)`` each touched resource had
+when the round began. A later change names a set ``C`` of changed
+resources (a started flow's, the finished or cancelled flows', the one
+``set_capacity`` re-priced). The solver walks the journal: the
+trajectory of every ``C`` resource restarts from a fresh
+``effective_capacity()`` at its new flow count, and round ``j`` is
+**reused** iff its bottleneck is not in ``C`` and no ``C`` resource's
+key on the new trajectory sorts below round ``j``'s key. Then a fill
+from round 0 would pop the very same candidate (every other resource is
+in the state the journal recorded, and none of them beat it then),
+freeze the same flows at the same share and perform the same
+subtractions — a reused round is a round whose selection and arithmetic
+are literally unchanged, so skipping it changes no float anywhere. The
+``C`` resources are advanced through a reused round by replaying its
+subtractions one at a time (``cap -= share`` per crossing flow, never
+``cap - m * share`` and never ``sum()``, which is compensated from
+Python 3.12 on): the order of subtractions is the contract. At the
+first round that is not reusable the solver rewinds every later round
+to its recorded before-state, re-opens those rounds' flows, and runs
+the ordinary round loop from there, recording as it goes. Stopping the
+reuse *early* is always exact — the loop simply recomputes rounds it
+could have kept; stopping late is not, which is why the test is on the
+new trajectory, replayed, rather than on any bound.
+
+A journal lives by three rules. It covers exactly the component(s) it
+was filled with: a start on idle resources opens a journal of its own,
+and an idle resource is absorbed only by the journal of a busy resource
+the same flow crosses. A change whose busy resources belong to two
+journals, or to none that is live, falls back to search-and-fill from
+round 0 — one fill and one new journal per component found. And
+whatever re-rates or re-prices a journal's resources behind its back
+retires it for good: the fallback fill retires every journal whose
+resources it reaches (resources a finish left idle included — their old
+journal still lists the finished flow), and assigning
+``Resource.capacity`` retires the resource's journal, so fault-injection
+code that forgets ``refresh`` gets stale rates under both solvers alike
+but can never make them disagree.
+
+Both solvers share every other code path, and a journaled fill is
+*bit-identical* to a global fill from round 0 (same subtraction
+arithmetic, same deterministic bottleneck order), so the two produce
 identical simulated completion times and byte-identical trace/metrics
 exports — asserted by ``tests/test_flow_solver_equivalence.py``.
 
@@ -54,7 +96,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
@@ -75,40 +117,24 @@ _MIN_DT = 1e-9
 _resource_ids = itertools.count()
 
 
-class FlowSet:
-    """Insertion-ordered set of flows (a dict-backed ordered set).
+class FlowSet(dict):
+    """Insertion-ordered set of flows (a ``dict`` whose values are unused).
 
     Attach order equals ``flow.seq`` order, which gives two properties
     the scheduler leans on: iteration is deterministic across runs
     (``set`` iteration follows object addresses), and per-resource
     demand sums no longer need an O(F log F) sort per sample.
+    Being a ``dict``, ``len``, ``in``, iteration and truthiness run at C
+    speed — ``NrConn`` is read hundreds of thousands of times per run.
     """
 
-    __slots__ = ("_items",)
-
-    def __init__(self) -> None:
-        self._items: dict = {}
+    __slots__ = ()
 
     def add(self, flow) -> None:
-        self._items[flow] = None
+        self[flow] = None
 
     def discard(self, flow) -> None:
-        self._items.pop(flow, None)
-
-    def __contains__(self, flow) -> bool:
-        return flow in self._items
-
-    def __iter__(self) -> Iterator:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FlowSet n={len(self._items)}>"
+        self.pop(flow, None)
 
 
 class Resource:
@@ -125,7 +151,7 @@ class Resource:
         if capacity <= 0:
             raise SimulationError(f"resource {name!r} needs capacity > 0")
         self.name = name
-        self.capacity = float(capacity)
+        self._capacity = float(capacity)
         #: Per-extra-connection efficiency loss. Real networks lose
         #: aggregate goodput under fan-in (TCP incast, switch buffer
         #: pressure); a pure fluid model conserves it. A small positive
@@ -135,6 +161,27 @@ class Resource:
         self.flows: FlowSet = FlowSet()
         self.bytes_served = 0.0
         self._rid = next(_resource_ids)
+        # Fill state (see FlowScheduler._run_rounds): residual capacity
+        # and open-flow count on the current fill's trajectory, the last
+        # stamp that visited the resource, and the journal of the fill
+        # that last rated its flows.
+        self._cap = 0.0
+        self._pending = 0
+        self._mark = 0
+        self._journal: "_Journal | None" = None
+
+    @property
+    def capacity(self) -> float:
+        return self._capacity
+
+    @capacity.setter
+    def capacity(self, value: float) -> None:
+        # A write from outside the scheduler (fault injection): rounds
+        # recorded under the old capacity must never be reused, whether
+        # or not the writer remembers to call ``refresh``.
+        self._capacity = value
+        if self._journal is not None:
+            self._journal.live = False
 
     @property
     def active_count(self) -> int:
@@ -143,7 +190,7 @@ class Resource:
     def effective_capacity(self) -> float:
         """Capacity after congestion losses at the current concurrency."""
         penalty = 1.0 + self.congestion_overhead * max(0, len(self.flows) - 1)
-        return self.capacity / penalty
+        return self._capacity / penalty
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Resource {self.name} cap={self.capacity:.0f}B/s active={self.active_count}>"
@@ -169,10 +216,7 @@ class Flow:
         self.remaining = float(size)
         # A pipeline may legitimately visit one node twice; the same
         # physical resource must only count once toward the flow's rate.
-        seen: dict[int, Resource] = {}
-        for resource in resources:
-            seen.setdefault(id(resource), resource)
-        self.resources: tuple[Resource, ...] = tuple(seen.values())
+        self.resources: tuple[Resource, ...] = tuple(dict.fromkeys(resources))
         self.completed = completed
         self.label = label
         self.rate = 0.0
@@ -191,6 +235,8 @@ class Flow:
         self._wake_token = 0
         #: Trace span covering this transfer, when observability is on.
         self.span: "Span | None" = None
+        #: Stamp of the fill in which the flow is still unfrozen, else 0.
+        self._open = 0
 
     @property
     def duration(self) -> float:
@@ -206,11 +252,48 @@ class Flow:
         )
 
 
+#: Stamps for fills: "visited in this search", "changed in this fill",
+#: "still open in this fill". Never reused, so stale marks are inert.
+_stamps = itertools.count(1)
+
+#: What a solver hands the round loop: the candidate heap, the number of
+#: open flows, the stamp they carry, and where to record rounds.
+Plan = tuple[list, int, int, "list | None"]
+
+
+def _candidate(resource: Resource) -> tuple:
+    """The resource's heap entry: its open flows' equal share, then the
+    deterministic tie-break. ``rid`` is unique, so comparing two entries
+    never reaches the resource itself."""
+    return (
+        resource._cap / resource._pending,
+        resource.name,
+        resource._rid,
+        resource,
+    )
+
+
+def _candidates(resources: Iterable[Resource]) -> list:
+    """A heap of the candidates of every resource with open flows."""
+    heap = [_candidate(r) for r in resources if r._pending]
+    heapq.heapify(heap)
+    return heap
+
+
+def _round_zero(resources: Sequence[Resource], journal: "_Journal | None") -> list:
+    """Start every resource's trajectory afresh; return the candidate heap."""
+    for resource in resources:
+        resource._journal = journal
+        resource._cap = resource.effective_capacity()
+        resource._pending = len(resource.flows)
+    return _candidates(resources)
+
+
 class DenseFlowSolver:
     """Re-fill every active flow on every change (the original behavior).
 
     Kept as the oracle the differential tests compare the incremental
-    solver against.
+    solver against: it never journals and always starts at round 0.
     """
 
     name = "dense"
@@ -218,69 +301,192 @@ class DenseFlowSolver:
     def __init__(self, scheduler: "FlowScheduler") -> None:
         self.scheduler = scheduler
 
-    def select(
-        self, seed_flows: Iterable[Flow], seed_resources: Iterable[Resource]
-    ) -> list[Flow]:
-        return list(self.scheduler.active)
+    def plan(self, started: Flow | None, changed: Iterable[Resource]) -> list[Plan]:
+        stamp = next(_stamps)
+        resources: list[Resource] = []
+        open_count = 0
+        for flow in self.scheduler.active:
+            if flow.resources:  # else a no-cost copy, rated at its start
+                flow._open = stamp
+                open_count += 1
+                for resource in flow.resources:
+                    if resource._mark != stamp:
+                        resource._mark = stamp
+                        resources.append(resource)
+        return [(_round_zero(resources, None), open_count, stamp, None)]
+
+
+class _Journal:
+    """The rounds of one component's latest fill, in the order they ran.
+
+    A round is ``(key, frozen, before)``: the winning heap candidate
+    ``(share, name, rid, bottleneck)``, the flows it froze, and for every
+    other resource those flows cross ``(cap, pending, crossings)`` — what
+    it held when the round began and how many of the frozen flows cross
+    it. ``live`` drops to False the moment anything else re-rates (or
+    re-prices) one of the journal's resources.
+    """
+
+    __slots__ = ("rounds", "live")
+
+    def __init__(self) -> None:
+        self.rounds: list[tuple] = []
+        self.live = True
+
+
+def _lowest_key(resources: Iterable[Resource]) -> tuple:
+    """The candidate a heap over ``resources`` would pop first."""
+    return min(
+        (_candidate(r) for r in resources if r._pending), default=(math.inf,)
+    )
 
 
 class IncrementalFlowSolver:
-    """Re-fill only the connected component touched by a change.
+    """Re-fill only what a change can reach.
 
     Max–min filling never moves capacity between disconnected components
-    of the flow↔resource graph, so flows outside the component provably
-    keep their cached rates.
-
-    Below :attr:`small_cutoff` active flows the BFS bookkeeping costs
-    more than a full fill saves, so the solver falls back to filling
-    everything — still exact, since the full active set is a union of
-    components and filling a union fills each component independently.
+    of the flow↔resource graph, so flows outside the touched component
+    provably keep their cached rates; and inside it, every round that
+    ran before the change could first matter is reused from the
+    component's journal (module docstring, *The round journal*).
     """
 
     name = "incremental"
-
-    #: Hybrid threshold: with at most this many active flows, skip the
-    #: component search and re-fill the whole active set.
-    small_cutoff = 16
 
     def __init__(self, scheduler: "FlowScheduler") -> None:
         self.scheduler = scheduler
 
     def select(
-        self, seed_flows: Iterable[Flow], seed_resources: Iterable[Resource]
-    ) -> list[Flow]:
-        active = self.scheduler.active
-        if len(active) <= self.small_cutoff:
-            return list(active)
-        component: list[Flow] = []
-        seen_flows: set[Flow] = set()
-        seen_resources: set[int] = set()
-        flow_frontier: list[Flow] = []
-        resource_frontier: list[Resource] = []
-        for resource in seed_resources:
-            if resource._rid not in seen_resources:
-                seen_resources.add(resource._rid)
-                resource_frontier.append(resource)
-        for flow in seed_flows:
-            if flow in active and flow not in seen_flows:
-                seen_flows.add(flow)
-                component.append(flow)
-                flow_frontier.append(flow)
-        while flow_frontier or resource_frontier:
-            while flow_frontier:
-                flow = flow_frontier.pop()
-                for resource in flow.resources:
-                    if resource._rid not in seen_resources:
-                        seen_resources.add(resource._rid)
-                        resource_frontier.append(resource)
-            while resource_frontier:
-                resource = resource_frontier.pop()
-                for flow in resource.flows:
-                    if flow not in seen_flows and flow in active:
-                        seen_flows.add(flow)
-                        component.append(flow)
-                        flow_frontier.append(flow)
-        return component
+        self, seed: Resource, stamp: int
+    ) -> tuple[list[Flow], list[Resource]]:
+        """The connected component of ``seed``, found by BFS.
+
+        Returns its flows and every resource they cross (``seed`` itself
+        even when idle), all marked with ``stamp``.
+        """
+        seed._mark = stamp
+        flows: list[Flow] = []
+        resources = [seed]
+        frontier = [seed]
+        while frontier:
+            for flow in frontier.pop().flows:
+                if flow._open != stamp:
+                    flow._open = stamp
+                    flows.append(flow)
+                    for resource in flow.resources:
+                        if resource._mark != stamp:
+                            resource._mark = stamp
+                            resources.append(resource)
+                            frontier.append(resource)
+        return flows, resources
+
+    def plan(self, started: Flow | None, changed: Iterable[Resource]) -> list[Plan]:
+        # Which journal rated the flows on the changed resources? A
+        # resource carrying nothing but the flow being started was rated
+        # by none: whatever it still points at is stale.
+        if started is None:
+            seeds = list(dict.fromkeys(changed))
+            journals = {resource._journal for resource in seeds}
+        else:
+            seeds = started.resources
+            journals = {
+                resource._journal for resource in seeds if len(resource.flows) > 1
+            }
+        stamp = next(_stamps)
+        if len(journals) == 1:
+            (journal,) = journals
+            if journal is not None and journal.live:
+                return [self._resume(journal, seeds, started, stamp)]
+        elif started is not None and not journals:
+            # A start on idle resources is a component of its own.
+            started._open = stamp
+            journal = _Journal()
+            return [(_round_zero(seeds, journal), 1, stamp, journal.rounds)]
+        # The change spans journals, or its journal is retired: search,
+        # and fill each component found from round 0 under a journal of
+        # its own, retiring every journal the fill re-rates.
+        plans = []
+        for seed in seeds:
+            if seed._mark != stamp:
+                flows, resources = self.select(seed, stamp)
+                for resource in resources:
+                    if resource._journal is not None:
+                        resource._journal.live = False
+                journal = _Journal()
+                plans.append(
+                    (_round_zero(resources, journal), len(flows), stamp, journal.rounds)
+                )
+        return plans
+
+    def _resume(
+        self,
+        journal: _Journal,
+        seeds: Sequence[Resource],
+        started: Flow | None,
+        stamp: int,
+    ) -> Plan:
+        """Reuse the journal's rounds up to the first one the change reaches.
+
+        ``seeds`` are the changed resources. Their trajectory starts
+        afresh (new capacity, new flow count) and is advanced through
+        each reused round by replaying that round's subtractions one at a
+        time, exactly as a fill from round 0 would perform them. A round
+        is reused iff its bottleneck is unchanged and no changed
+        resource's key now sorts below the round's: then the round-0
+        fill would pop the same candidate, freeze the same flows at the
+        same share, and do the same arithmetic on every unchanged
+        resource.
+        """
+        for resource in seeds:
+            resource._mark = stamp
+            resource._journal = journal
+            resource._cap = resource.effective_capacity()
+            resource._pending = len(resource.flows)
+        rounds = journal.rounds
+        lowest = _lowest_key(seeds)
+        keep = 0
+        for key, frozen, before in rounds:
+            if key[3]._mark == stamp or lowest < key:
+                break
+            if not before.keys().isdisjoint(seeds):
+                share = key[0]
+                for resource in seeds:
+                    if resource in before:
+                        crossings = before[resource][2]
+                        # Later rewinds must land on the new trajectory.
+                        before[resource] = (
+                            resource._cap, resource._pending, crossings
+                        )
+                        for _ in range(crossings):
+                            resource._cap -= share
+                        resource._pending -= crossings
+                lowest = _lowest_key(seeds)
+            keep += 1
+        # Rewind the rest, first recorded state first: what a resource
+        # held when round ``keep`` began is what its earliest rewound
+        # round saw (a bottleneck untouched since then still holds it).
+        involved = list(seeds)
+        open_count = 0
+        for key, frozen, before in rounds[keep:]:
+            bottleneck = key[3]
+            if bottleneck._mark != stamp:
+                bottleneck._mark = stamp
+                bottleneck._pending = len(frozen)
+                involved.append(bottleneck)
+            for resource, state in before.items():
+                if resource._mark != stamp:
+                    resource._mark = stamp
+                    resource._cap, resource._pending, _ = state
+                    involved.append(resource)
+            for flow in frozen:
+                if flow.finished_at is None:
+                    flow._open = stamp
+                    open_count += 1
+        del rounds[keep:]
+        if started is not None:
+            started._open = stamp
+            open_count += 1
+        return _candidates(involved), open_count, stamp, rounds
 
 
 SOLVERS = {
@@ -379,7 +585,7 @@ class FlowScheduler:
         self.active.add(flow)
         for resource in flow.resources:
             resource.flows.add(flow)
-        self._reallocate(seed_flows=(flow,))
+        self._reallocate(started=flow)
         return flow
 
     def cancel_flow(self, flow: Flow, exception: BaseException) -> None:
@@ -393,7 +599,7 @@ class FlowScheduler:
             flow.span.end("cancelled", transferred=flow.size - flow.remaining)
             self.obs.metrics.counter("flows_cancelled_total").inc()
         flow.completed.fail(exception)
-        self._reallocate(seed_resources=flow.resources)
+        self._reallocate(changed=flow.resources)
 
     def transfer(
         self,
@@ -418,9 +624,8 @@ class FlowScheduler:
         every component is recomputed.
         """
         if resources is None:
-            self._reallocate(seed_flows=self.active)
-        else:
-            self._reallocate(seed_resources=resources)
+            resources = [r for flow in self.active for r in flow.resources]
+        self._reallocate(changed=resources)
 
     def set_capacity(self, resource: Resource, capacity: float) -> None:
         """Change one resource's capacity and re-share immediately."""
@@ -428,8 +633,8 @@ class FlowScheduler:
             raise SimulationError(
                 f"resource {resource.name!r} needs capacity > 0"
             )
-        resource.capacity = float(capacity)
-        self._reallocate(seed_resources=(resource,))
+        resource._capacity = float(capacity)  # not the setter: the journal stays
+        self._reallocate(changed=(resource,))
 
     # ------------------------------------------------------------------
     # Internals
@@ -459,22 +664,18 @@ class FlowScheduler:
             resource.bytes_served += share
 
     def _reallocate(
-        self,
-        seed_flows: Iterable[Flow] = (),
-        seed_resources: Iterable[Resource] = (),
+        self, started: Flow | None = None, changed: Iterable[Resource] = ()
     ) -> None:
-        """Recompute rates for the touched component(s); cascade finishes.
+        """Re-rate after a start or a change to ``changed``; cascade finishes.
 
         Flows whose new rate puts them within :data:`_MIN_DT` of
         completion finish immediately (in ``seq`` order), and their
-        resources seed another round, mirroring the dense solver's
-        finish-then-refill recursion.
+        resources are the next pass's change, mirroring the dense
+        solver's finish-then-refill recursion.
         """
         while True:
-            fill = self.solver.select(seed_flows, seed_resources)
-            changed = self._fill_rates(fill)
             due: list[Flow] = []
-            for flow in changed:
+            for flow in self._fill_rates(started, changed):
                 rate = flow.rate
                 if (
                     flow.remaining <= _EPSILON_BYTES
@@ -500,89 +701,93 @@ class FlowScheduler:
             if not due:
                 break
             due.sort(key=_seq_key)
-            touched: dict[int, Resource] = {}
-            for flow in due:
-                self._finish_flow(flow)
-                for resource in flow.resources:
-                    touched[resource._rid] = resource
-            seed_flows = ()
-            seed_resources = list(touched.values())
+            started = None
+            changed = self._finish_flows(due)
         self._schedule_wakeup()
         if self.obs.enabled:
             self._sample_utilization()
 
-    def _fill_rates(self, fill_flows: Iterable[Flow]) -> list[Flow]:
-        """Progressive filling over ``fill_flows``; returns rate-changed flows.
+    def _fill_rates(
+        self, started: Flow | None, changed: Iterable[Resource]
+    ) -> list[Flow]:
+        """Progressive filling from the solver's plan; returns re-rated flows."""
+        rated: list[Flow] = []
+        if started is not None and not started.resources:
+            # A flow crossing no resources is a local no-cost copy.
+            self.rate_computations += 1
+            started.rate = math.inf
+            rated.append(started)
+            started = None
+        for plan in self.solver.plan(started, changed):
+            self._run_rounds(*plan, rated)
+        return rated
 
-        Bottleneck selection uses a lazily-verified candidate heap keyed
-        ``(share, name, rid)``: a fresh entry is pushed every time a
-        resource's residual capacity or pending count changes, and an
-        entry is trusted on pop only if it still matches the live value.
-        This preserves the exact deterministic min-by-(share, name)
-        choice of the original O(rounds × resources) scan.
+    def _run_rounds(
+        self,
+        heap: list,
+        open_count: int,
+        stamp: int,
+        rounds: list | None,
+        rated: list[Flow],
+    ) -> None:
+        """The round loop: freeze the lowest bottleneck's flows, repeat.
+
+        ``heap`` holds ``(share, name, rid, resource)`` candidates,
+        verified on pop: an entry is trusted only if it still equals the
+        live ``_cap / _pending`` of its resource. A round pushes one
+        fresh entry per resource it changed, after the round, so at the
+        start of every round each resource with open flows has exactly
+        one valid entry — the deterministic min-by-(share, name, rid)
+        choice of the original O(rounds × resources) scan. A resource's
+        open count starts at ``len(resource.flows)``: every flow on a
+        reached resource is in the component being filled.
         """
-        changed: list[Flow] = []
-        unassigned: set[Flow] = set()
-        remaining_cap: dict[int, float] = {}
-        pending_count: dict[int, int] = {}
-        resources: dict[int, Resource] = {}
-        free_flows: list[Flow] = []
-        for flow in fill_flows:
-            if not flow.resources:
-                free_flows.append(flow)
-                continue
-            unassigned.add(flow)
-            for resource in flow.resources:
-                rid = resource._rid
-                if rid in resources:
-                    pending_count[rid] += 1
-                else:
-                    resources[rid] = resource
-                    remaining_cap[rid] = resource.effective_capacity()
-                    pending_count[rid] = 1
-        # Flows crossing no resources are effectively local no-cost copies.
-        for flow in free_flows:
-            self._set_rate(flow, math.inf, changed)
-        candidates = [
-            (remaining_cap[rid] / pending_count[rid], resource.name, rid)
-            for rid, resource in resources.items()
-        ]
-        heapq.heapify(candidates)
-        while unassigned:
-            while candidates:
-                share, _name, rid = heapq.heappop(candidates)
-                count = pending_count[rid]
-                if count > 0 and remaining_cap[rid] / count == share:
+        heappop, heappush = heapq.heappop, heapq.heappush
+        materialize = self._materialize
+        while open_count:
+            while heap:
+                key = heappop(heap)
+                share, _name, _rid, bottleneck = key
+                count = bottleneck._pending
+                if count and bottleneck._cap / count == share:
                     break
             else:
                 raise SimulationError("flow without any capacitated resource")
-            bottleneck = resources[rid]
-            frozen = [flow for flow in bottleneck.flows if flow in unassigned]
+            frozen = [flow for flow in bottleneck.flows if flow._open == stamp]
+            before: dict[Resource, tuple] = {}
             for flow in frozen:
-                self._set_rate(flow, share, changed)
-                unassigned.discard(flow)
+                flow._open = 0
+                if flow.rate != share:
+                    # The rate *value* changes: a materialization point.
+                    materialize(flow)
+                    flow.rate = share
+                    rated.append(flow)
                 for resource in flow.resources:
-                    other = resource._rid
-                    if other == rid:
-                        continue
-                    remaining_cap[other] -= share
-                    count = pending_count[other] - 1
-                    pending_count[other] = count
-                    if count > 0:
-                        heapq.heappush(
-                            candidates,
-                            (remaining_cap[other] / count, resource.name, other),
-                        )
-            pending_count[rid] = 0
-        return changed
+                    if resource is not bottleneck:
+                        if resource not in before:
+                            before[resource] = (resource._cap, resource._pending)
+                        resource._cap -= share
+                        resource._pending -= 1
+            bottleneck._pending = 0
+            open_count -= len(frozen)
+            self.rate_computations += len(frozen)
+            for resource, (cap, pending) in before.items():
+                count = resource._pending
+                if count:  # _candidate(resource), inlined: the hot push
+                    heappush(
+                        heap,
+                        (resource._cap / count, resource.name, resource._rid, resource),
+                    )
+                # ... and how many of the round's flows crossed it.
+                before[resource] = (cap, pending, pending - count)
+            if rounds is not None:
+                rounds.append((key, frozen, before))
 
-    def _set_rate(self, flow: Flow, rate: float, changed: list[Flow]) -> None:
-        self.rate_computations += 1
-        if rate == flow.rate:
-            return  # cached rate still exact; no materialization point
-        self._materialize(flow)
-        flow.rate = rate
-        changed.append(flow)
+    def _finish_flows(self, due: list[Flow]) -> list[Resource]:
+        """Finish ``due`` in order; return the resources that changes."""
+        for flow in due:
+            self._finish_flow(flow)
+        return [r for flow in due for r in flow.resources]
 
     def _finish_flow(self, flow: Flow) -> None:
         self._materialize(flow)
@@ -642,12 +847,7 @@ class FlowScheduler:
         if not due:
             self._schedule_wakeup()
             return
-        touched: dict[int, Resource] = {}
-        for flow in due:
-            self._finish_flow(flow)
-            for resource in flow.resources:
-                touched[resource._rid] = resource
-        self._reallocate(seed_resources=list(touched.values()))
+        self._reallocate(changed=self._finish_flows(due))
 
     def _sample_utilization(self) -> None:
         """Record per-resource utilization after a rate change.
