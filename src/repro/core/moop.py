@@ -35,11 +35,13 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.objectives import (
     ALL_OBJECTIVES,
+    MediumRow,
     ObjectiveContext,
     global_criterion_score,
     ideal_vector,
     objective_vector,
     prefix_scorer,
+    snapshot_cluster,
 )
 from repro.core.replication_vector import ReplicationVector
 from repro.errors import InsufficientStorageError, PlacementError
@@ -122,47 +124,39 @@ def solve_moop(
     ctx: ObjectiveContext,
     objectives: Sequence[str] = ALL_OBJECTIVES,
     capture: list | None = None,
+    rows: dict["StorageMedium", MediumRow] | None = None,
 ) -> "StorageMedium":
     """Algorithm 1: pick the option minimizing ``‖f − z*‖``.
 
     Ties keep the first (deterministic) option. The stock objectives are
-    scored through :func:`~repro.core.objectives.prefix_scorer`, which
-    hoists the chosen-prefix terms out of the per-option loop while
-    producing bit-identical scores; custom registered objectives fall
-    back to the paper's mutate-and-restore evaluation of
-    ``chosen_media``.
+    scored through :func:`~repro.core.objectives.prefix_scorer`, one
+    call for the whole option list; custom registered objectives are
+    scored one ``chosen_media + [option]`` list at a time.
+
+    ``rows`` are those of the snapshot :func:`place_replicas` took for
+    the decision this call belongs to. Without them every medium is read
+    as it is scored, so a ``ctx`` built earlier, or by hand, still meets
+    the media's present state.
 
     ``capture``, when given, receives every ``(option, score)`` pair in
     evaluation order — the provenance ledger uses it to record the
-    rejected candidates, and it stays ``None`` (zero cost) otherwise.
+    rejected candidates.
     """
     if not media_options:
         raise InsufficientStorageError("solve_moop called with no options")
-    best_score = math.inf
-    best_media: "StorageMedium | None" = None
-    scorer = prefix_scorer(chosen_media, ctx, objectives)
+    scorer = prefix_scorer(chosen_media, ctx, objectives, rows)
     if scorer is not None:
-        for option in media_options:
-            score = scorer(option)
-            if capture is not None:
-                capture.append((option, score))
-            if score < best_score:
-                best_score = score
-                best_media = option
+        scores = scorer(media_options)
     else:
         # Custom registered objectives are not separable into prefix +
-        # option terms; keep the paper's mutate-and-restore evaluation.
-        for option in media_options:
-            chosen_media.append(option)
-            score = global_criterion_score(chosen_media, ctx, objectives)
-            chosen_media.pop()
-            if capture is not None:
-                capture.append((option, score))
-            if score < best_score:
-                best_score = score
-                best_media = option
-    assert best_media is not None
-    return best_media
+        # option terms.
+        scores = [
+            global_criterion_score([*chosen_media, option], ctx, objectives)
+            for option in media_options
+        ]
+    if capture is not None:
+        capture.extend(zip(media_options, scores))
+    return media_options[scores.index(min(scores))]
 
 
 def gen_options(
@@ -174,24 +168,24 @@ def gen_options(
 ) -> list["StorageMedium"]:
     """Generate the pruned option list for the next replica (§3.3).
 
-    ``pool`` lets Algorithm 2 compute ``cluster.placeable_media()`` once
-    per placement instead of once per replica entry; nothing placed
-    mid-decision changes the pool (allocation happens after the whole
-    vector is resolved).
+    ``pool`` is the placeable media with room for the block, which
+    Algorithm 2 reads once per placement instead of once per replica
+    entry; nothing placed mid-decision changes it (allocation happens
+    after the whole vector is resolved).
     """
     placed = list(request.existing_replicas) + list(chosen)
     placed_ids = {m.medium_id for m in placed} | set(request.excluded_media)
 
-    # Hard constraints: uniqueness, capacity, liveness (placeable
-    # excludes decommissioning nodes), tier requirement.
+    # Hard constraints: liveness (placeable excludes decommissioning
+    # nodes) and capacity make the pool; uniqueness and the tier
+    # requirement are the entry's.
     if pool is None:
-        pool = cluster.placeable_media()
-    options = [
-        medium
-        for medium in pool
-        if medium.medium_id not in placed_ids
-        and medium.remaining >= request.block_size
-    ]
+        pool = [
+            medium
+            for medium in cluster.placeable_media()
+            if medium.remaining >= request.block_size
+        ]
+    options = [medium for medium in pool if medium.medium_id not in placed_ids]
     if entry.required_tier is not None:
         options = [m for m in options if m.tier_name == entry.required_tier]
         if not options:
@@ -281,6 +275,11 @@ def place_replicas(
     :class:`~repro.errors.InsufficientStorageError` when a replica
     cannot be placed anywhere.
 
+    The cluster is read once, up front
+    (:func:`~repro.core.objectives.snapshot_cluster`): the context, the
+    pool and the media's rows serve every entry, and none of them
+    survives the call.
+
     ``rng`` (a :class:`~repro.util.rng.DeterministicRng`) shuffles each
     entry's option list before scoring. ``solve_moop`` keeps the first
     of equally scored options, so without shuffling a policy whose
@@ -293,17 +292,19 @@ def place_replicas(
     )
     if not entries:
         raise PlacementError("placement requested with an empty vector")
+    snapshot = snapshot_cluster(cluster, request.block_size)
+    pool = snapshot.pool
+    # A caller's own ``ctx`` has its own block size and tier averages,
+    # which the snapshot's rows would not match: it is scored from the
+    # live media instead.
+    rows = None
     if ctx is None:
-        ctx = ObjectiveContext.from_cluster(
-            cluster, block_size=request.block_size
-        )
+        ctx, rows = snapshot.ctx, snapshot.rows
     chosen: list["StorageMedium"] = []
     base = list(request.existing_replicas)
-    pool = cluster.placeable_media()
     # When a provenance ledger is attached, capture every entry's scored
     # candidates so the decision record can carry the top rejected
-    # alternatives (the "why-not" evidence). Detached: both stay None
-    # and solve_moop runs its unmodified hot path.
+    # alternatives (the "why-not" evidence). Detached: both stay None.
     obs = getattr(cluster, "obs", None)
     ledger_on = obs is not None and obs.ledger.enabled
     entries_detail: list[dict] | None = [] if ledger_on else None
@@ -324,7 +325,7 @@ def place_replicas(
         scored_against = base + chosen
         cap: list | None = [] if ledger_on else None
         best = solve_moop(options, scored_against, ctx, objectives,
-                          capture=cap)
+                          capture=cap, rows=rows)
         chosen.append(best)
         if cap is not None:
             # Stable sort: the first minimal-score pair is the chosen
@@ -391,7 +392,7 @@ def _record_decision(
         decision["entries"] = entries_detail
     obs.last_placement = decision
     obs.metrics.counter("placement_decisions_total").inc()
-    for tier in {m.tier_name for m in chosen}:
+    for tier in sorted({m.tier_name for m in chosen}):
         obs.metrics.counter("placement_replicas_total", tier=tier).inc(
             sum(1 for m in chosen if m.tier_name == tier)
         )

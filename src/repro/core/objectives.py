@@ -15,19 +15,26 @@ cluster-wide statistics the formulas reference (block size, tier/node/
 rack totals, maxima over all media). The context is built once per
 placement decision, which mirrors the paper's Master computing against
 its heartbeat-reported statistics.
+
+A placement decision reads the cluster exactly once:
+:func:`snapshot_cluster` turns one pass over the live media into the
+context, the pool of media a replica could go to, and one *row* of
+single-medium terms per medium; :func:`prefix_scorer` scores whole
+option lists from those rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.errors import PlacementError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
     from repro.cluster.media import StorageMedium
+    from repro.cluster.topology import Node, Rack
 
 #: Objective key names, in the paper's presentation order.
 DATA_BALANCING = "db"
@@ -35,6 +42,25 @@ LOAD_BALANCING = "lb"
 FAULT_TOLERANCE = "ft"
 THROUGHPUT_MAX = "tm"
 ALL_OBJECTIVES = (DATA_BALANCING, LOAD_BALANCING, FAULT_TOLERANCE, THROUGHPUT_MAX)
+
+
+class MediaReads(NamedTuple):
+    """The state of some media that changes between decisions, read at
+    one moment, as parallel lists."""
+
+    media: list["StorageMedium"]
+    remaining: list[int]  # Rem[m]
+    connections: list[int]  # NrConn[m]
+
+
+def read_media(media: Iterable["StorageMedium"]) -> MediaReads:
+    """Read each medium's remaining bytes and connection count, once."""
+    media = list(media)
+    return MediaReads(
+        media,
+        [m.remaining for m in media],
+        [m.nr_connections for m in media],
+    )
 
 
 @dataclass
@@ -60,24 +86,53 @@ class ObjectiveContext:
         """Snapshot the statistics the Master would hold from heartbeats.
 
         ``media`` defaults to every live medium in the cluster; passing
-        a subset models a Master with a partial view.
+        a subset models a Master with a partial view (the per-tier
+        throughput averages are the cluster's either way).
         """
-        live = list(media) if media is not None else cluster.live_media()
-        if not live:
+        live = cluster.live_media()
+        return cls._from_reads(
+            cluster,
+            cluster.block_size if block_size is None else block_size,
+            read_media(live if media is None else media),
+            live,
+        )
+
+    @classmethod
+    def _from_reads(
+        cls,
+        cluster: "Cluster",
+        block_size: int,
+        reads: MediaReads,
+        live: Sequence["StorageMedium"],
+    ) -> "ObjectiveContext":
+        """The statistics of ``reads``, with tier averages over ``live``."""
+        media = reads.media
+        if not media:
             raise PlacementError("no live storage media in the cluster")
+        # A tier's live media in cluster order, as StorageTier.live_media
+        # lists them; ``sum`` stays the builtin over the same operands in
+        # the same order (it is compensated from Python 3.12).
+        throughputs: dict[str, list[float]] = {}
+        for medium in live:
+            throughputs.setdefault(medium.tier_name, []).append(
+                medium.write_throughput
+            )
         tier_thru = {
-            tier.name: tier.avg_write_throughput()
-            for tier in cluster.active_tiers()
+            tier.name: sum(throughputs[tier.name]) / len(throughputs[tier.name])
+            for tier in sorted(cluster.tiers.values(), key=lambda t: t.rank)
+            if tier.name in throughputs
         }
-        worker_nodes = {m.node for m in live}
-        racks = {node.rack for node in worker_nodes}
+        worker_nodes = {m.node for m in media}
         return cls(
-            block_size=cluster.block_size if block_size is None else block_size,
-            total_tiers=len({m.tier_name for m in live}),
+            block_size=block_size,
+            total_tiers=len({m.tier_name for m in media}),
             total_nodes=len(worker_nodes),
-            total_racks=len(racks),
-            max_remaining_fraction=max(m.remaining_fraction for m in live),
-            min_connections=min(m.nr_connections for m in live),
+            total_racks=len({node.rack for node in worker_nodes}),
+            max_remaining_fraction=max(
+                remaining / m.capacity
+                for remaining, m in zip(reads.remaining, media)
+            ),
+            min_connections=min(reads.connections),
             max_write_throughput=max(tier_thru.values()),
             tier_write_throughput=tier_thru,
         )
@@ -114,10 +169,19 @@ def fault_tolerance(
     """Eq. 5: distinct-tier, distinct-node, and two-rack terms."""
     if not media:
         return 0.0
-    count = len(media)
-    nr_tiers = len({m.tier_name for m in media})
-    nr_nodes = len({m.node for m in media})
-    nr_racks = len({m.node.rack for m in media})
+    return _fault_tolerance_of(
+        len(media),
+        len({m.tier_name for m in media}),
+        len({m.node for m in media}),
+        len({m.node.rack for m in media}),
+        ctx,
+    )
+
+
+def _fault_tolerance_of(
+    count: int, nr_tiers: int, nr_nodes: int, nr_racks: int, ctx: ObjectiveContext
+) -> float:
+    """Eq. 5 for ``count`` media on that many tiers, nodes and racks."""
     tier_term = nr_tiers / min(count, ctx.total_tiers)
     node_term = nr_nodes / min(count, ctx.total_nodes)
     if ctx.total_racks == 1:
@@ -135,12 +199,20 @@ def throughput_maximization(
     Throughputs are per-tier averages; the logarithm damps the large
     memory-vs-HDD gap as described in §3.2.
     """
-    log_max = math.log(max(ctx.max_write_throughput, math.e))
+    log_max = _log_max_throughput(ctx)
     total = 0.0
     for medium in media:
-        thru = max(ctx.write_throughput_of(medium), 1.0)
-        total += math.log(thru) / log_max
+        total += _throughput_term(ctx.write_throughput_of(medium), log_max)
     return total
+
+
+def _log_max_throughput(ctx: ObjectiveContext) -> float:
+    return math.log(max(ctx.max_write_throughput, math.e))
+
+
+def _throughput_term(write_throughput: float, log_max: float) -> float:
+    """One medium's summand of Eq. 7."""
+    return math.log(max(write_throughput, 1.0)) / log_max
 
 
 # ----------------------------------------------------------------------
@@ -232,20 +304,94 @@ def global_criterion_score(
     )
 
 
+#: One medium's terms, each computed once per decision: its summands of
+#: Eqs. 1, 3 and 7, then the tier, node and rack that Eq. 5 counts.
+MediumRow = tuple[float, float, float, str, "Node", "Rack"]
+
+#: Where a separable objective's summand sits in a :data:`MediumRow`.
+_ROW_COLUMN = {DATA_BALANCING: 0, LOAD_BALANCING: 1, THROUGHPUT_MAX: 2}
+
+
+def medium_rows(reads: MediaReads, ctx: ObjectiveContext) -> list[MediumRow]:
+    """The row of each read: the only place the scorer's terms are formed."""
+    block_size = ctx.block_size
+    log_max = _log_max_throughput(ctx)
+    tier_terms = {
+        tier: _throughput_term(thru, log_max)
+        for tier, thru in ctx.tier_write_throughput.items()
+    }
+    rows = []
+    for medium, remaining, conns in zip(*reads):
+        tier, node = medium.tier_name, medium.node
+        tm_term = tier_terms.get(tier)
+        if tm_term is None:  # a tier the context holds no average for
+            tm_term = _throughput_term(ctx.write_throughput_of(medium), log_max)
+        db_term = (remaining - block_size) / medium.capacity
+        rows.append((db_term, 1.0 / (conns + 1), tm_term, tier, node, node.rack))
+    return rows
+
+
+class DecisionSnapshot(NamedTuple):
+    """Everything one placement decision reads from the cluster.
+
+    Built by one pass over the live media and dropped when the decision
+    returns: nothing placed mid-decision changes a medium (allocation
+    happens after the whole vector is resolved), and nothing outlives
+    the decision, so there is nothing to invalidate.
+    """
+
+    ctx: ObjectiveContext
+    #: Media a new replica of the block could go to (live, not draining,
+    #: with room), in ``cluster.live_media()`` order.
+    pool: list["StorageMedium"]
+    rows: dict["StorageMedium", MediumRow]
+
+
+def snapshot_cluster(cluster: "Cluster", block_size: int) -> DecisionSnapshot:
+    """Read every live medium once, for one decision about one block."""
+    live = cluster.live_media()
+    reads = read_media(live)
+    ctx = ObjectiveContext._from_reads(cluster, block_size, reads, live)
+    pool = [
+        medium
+        for medium, remaining in zip(live, reads.remaining)
+        if remaining >= block_size and not medium.node.decommissioning
+    ]
+    return DecisionSnapshot(ctx, pool, dict(zip(live, medium_rows(reads, ctx))))
+
+
 def prefix_scorer(
     chosen: Sequence["StorageMedium"],
     ctx: ObjectiveContext,
     objectives: Sequence[str] = ALL_OBJECTIVES,
-) -> Callable[["StorageMedium"], float] | None:
-    """Hoisted scorer for ``global_criterion_score(chosen + [option])``.
+    rows: dict["StorageMedium", MediumRow] | None = None,
+) -> Callable[[Sequence["StorageMedium"]], list[float]] | None:
+    """Scorer of ``global_criterion_score(chosen + [option])`` per option.
 
     Algorithm 1 evaluates every candidate option against the same chosen
-    prefix, so the prefix's partial sums (and fault tolerance's
-    tier/node/rack membership sets) can be computed once instead of per
-    option. The returned callable is **bit-identical** to appending the
-    option and calling :func:`global_criterion_score`: the stock
-    objectives accumulate left to right, so the prefix sum plus one more
-    term performs the exact same float operations in the same order.
+    prefix, so the prefix's partial sums and fault tolerance's
+    tier/node/rack sets are formed once, and the returned callable
+    scores a whole option list from the media's rows: per objective, in
+    ``objectives`` order, ``prefix + row term − ideal`` squared and
+    accumulated. Fault tolerance takes one of the eight values its three
+    membership tests can produce.
+
+    ``rows`` are those of the decision's :class:`DecisionSnapshot`; a
+    medium they do not hold (every medium, when ``rows`` is ``None``) is
+    read where it is scored, through the same :func:`medium_rows`.
+
+    The float operations are the generic path's, in its order, wherever
+    that path adds one term at a time. Where it calls the builtin
+    ``sum`` — over a set's media in Eqs. 1 and 3, over the objectives in
+    Eq. 11 — that holds before Python 3.12 only: from 3.12 on ``sum`` is
+    compensated (Neumaier) and exact for at most two summands. So the
+    scores **equal** :func:`global_criterion_score`'s on 3.11 and
+    earlier, and from 3.12 for a prefix of at most one medium under at
+    most two objectives; otherwise they may differ from it in the last
+    few places (4 ulp seen). What is exact on every interpreter is this
+    scorer against the per-option closure it replaced: the prefix sums
+    are the same builtin ``sum`` over the same operands in the same
+    order, the rest the same additions.
 
     Returns ``None`` when any requested objective (or its ideal) has
     been replaced via :func:`register_objective` — custom formulas are
@@ -257,44 +403,60 @@ def prefix_scorer(
             or _IDEALS.get(name) is not _BUILTIN_IDEALS.get(name)
         ):
             return None
+
+    def rows_of(media: Sequence["StorageMedium"]) -> list[MediumRow]:
+        if rows is None:
+            return medium_rows(read_media(media), ctx)
+        return [
+            rows.get(m) or medium_rows(read_media((m,)), ctx)[0] for m in media
+        ]
+
     count = len(chosen) + 1
     ideal = ideal_vector(count, ctx, objectives)
-    block_size = ctx.block_size
-    # Prefix partial sums, accumulated exactly like the generic sums:
-    # sum() starts from int 0, throughput_maximization from float 0.0.
-    db_prefix = sum((m.remaining - block_size) / m.capacity for m in chosen)
-    lb_prefix = sum(1.0 / (m.nr_connections + 1) for m in chosen)
-    log_max = math.log(max(ctx.max_write_throughput, math.e))
+    chosen_rows = rows_of(chosen)
+    # Accumulated exactly like the generic sums: sum() starts from int 0,
+    # throughput_maximization from float 0.0.
     tm_prefix = 0.0
-    for medium in chosen:
-        thru = max(ctx.write_throughput_of(medium), 1.0)
-        tm_prefix += math.log(thru) / log_max
-    tier_set = {m.tier_name for m in chosen}
-    node_set = {m.node for m in chosen}
-    rack_set = {m.node.rack for m in chosen}
+    for row in chosen_rows:
+        tm_prefix += row[2]
+    prefix = (
+        sum(row[0] for row in chosen_rows),
+        sum(row[1] for row in chosen_rows),
+        tm_prefix,
+    )
+    tiers = {row[3] for row in chosen_rows}
+    nodes = {row[4] for row in chosen_rows}
+    racks = {row[5] for row in chosen_rows}
 
-    def score(option: "StorageMedium") -> float:
-        total = 0.0
-        for index, name in enumerate(objectives):
-            if name == DATA_BALANCING:
-                actual = db_prefix + (option.remaining - block_size) / option.capacity
-            elif name == LOAD_BALANCING:
-                actual = lb_prefix + 1.0 / (option.nr_connections + 1)
-            elif name == FAULT_TOLERANCE:
-                nr_tiers = len(tier_set) + (option.tier_name not in tier_set)
-                nr_nodes = len(node_set) + (option.node not in node_set)
-                nr_racks = len(rack_set) + (option.node.rack not in rack_set)
-                tier_term = nr_tiers / min(count, ctx.total_tiers)
-                node_term = nr_nodes / min(count, ctx.total_nodes)
-                if ctx.total_racks == 1:
-                    rack_term = 1.0
-                else:
-                    rack_term = 1.0 / (abs(nr_racks - 2) + 1)
-                actual = tier_term + node_term + rack_term
-            else:  # THROUGHPUT_MAX (guaranteed by the registry check)
-                thru = max(ctx.write_throughput_of(option), 1.0)
-                actual = tm_prefix + math.log(thru) / log_max
-            total += (actual - ideal[index]) ** 2
-        return math.sqrt(total)
+    def score(options: Sequence["StorageMedium"]) -> list[float]:
+        option_rows = rows_of(options)
+        totals = [0.0] * len(option_rows)
+        for name, z in zip(objectives, ideal):
+            if name == FAULT_TOLERANCE:
+                # Indexed by 4·(new tier) + 2·(new node) + (new rack).
+                shapes = [
+                    (len(tiers) + tier, len(nodes) + node, len(racks) + rack)
+                    for tier in (0, 1) for node in (0, 1) for rack in (0, 1)
+                ]
+                squares = [
+                    (_fault_tolerance_of(count, *shape, ctx) - z) ** 2
+                    for shape in shapes
+                ]
+                totals = [
+                    total + squares[
+                        4 * (row[3] not in tiers)
+                        + 2 * (row[4] not in nodes)
+                        + (row[5] not in racks)
+                    ]
+                    for total, row in zip(totals, option_rows)
+                ]
+            else:
+                column = _ROW_COLUMN[name]
+                base = prefix[column]
+                totals = [
+                    total + (base + row[column] - z) ** 2
+                    for total, row in zip(totals, option_rows)
+                ]
+        return list(map(math.sqrt, totals))
 
     return score

@@ -175,9 +175,11 @@ class RuleBasedPolicy(BlockPlacementPolicy):
         chosen: list["StorageMedium"] = []
         excluded = set(request.excluded_media)
         excluded.update(m.medium_id for m in request.existing_replicas)
+        # Nothing placed mid-decision changes who can take a replica.
+        placeable = cluster.placeable_media()
         for entry in entries:
             medium = self._pick_medium(
-                cluster, request, entry.required_tier, tier_names, racks,
+                placeable, request, entry.required_tier, tier_names, racks,
                 chosen, excluded,
             )
             chosen.append(medium)
@@ -195,7 +197,7 @@ class RuleBasedPolicy(BlockPlacementPolicy):
 
     def _pick_medium(
         self,
-        cluster: "Cluster",
+        placeable: list["StorageMedium"],
         request: PlacementRequest,
         required_tier: str | None,
         tier_names: list[str],
@@ -208,7 +210,7 @@ class RuleBasedPolicy(BlockPlacementPolicy):
 
         def eligible(tier: str, relax_racks: bool, relax_nodes: bool):
             media = []
-            for medium in cluster.placeable_media():
+            for medium in placeable:
                 if medium.tier_name != tier:
                     continue
                 if medium.medium_id in chosen_ids:
@@ -297,18 +299,20 @@ class OriginalHdfsPolicy(BlockPlacementPolicy):
         used_nodes = {m.node for m in chosen} | {
             m.node for m in request.existing_replicas
         }
+        taken = excluded | {m.medium_id for m in chosen}
+        volumes: dict["Node", list["StorageMedium"]] = {}
 
         def node_media(node: "Node") -> list["StorageMedium"]:
-            if node.decommissioning:
-                return []
-            return [
-                m
-                for m in node.live_media
-                if m.tier_name in self.allowed_tiers
-                and m.medium_id not in excluded
-                and m.medium_id not in {c.medium_id for c in chosen}
-                and m.remaining >= request.block_size
-            ]
+            """The node's volumes this slot may use, worked out once."""
+            if node not in volumes:
+                volumes[node] = [
+                    m
+                    for m in ([] if node.decommissioning else node.live_media)
+                    if m.tier_name in self.allowed_tiers
+                    and m.medium_id not in taken
+                    and m.remaining >= request.block_size
+                ]
+            return volumes[node]
 
         candidates = self._candidate_nodes(cluster, request, index, chosen)
         preferred = [n for n in candidates if n not in used_nodes and node_media(n)]

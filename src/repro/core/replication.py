@@ -66,7 +66,9 @@ def analyze_block(
 
     additions: list[str | None] = []
     surplus: dict[str, int] = {}
-    for tier in set(have) | set(need):
+    # Sorted: set order follows PYTHONHASHSEED, and the Master schedules
+    # repairs in the order of ``additions``.
+    for tier in sorted(set(have) | set(need)):
         gap = need.get(tier, 0) - have.get(tier, 0)
         if gap > 0:
             additions.extend([tier] * gap)

@@ -306,3 +306,37 @@ class TestReplicaLifecycleSeam:
             if isinstance(node, ast.Attribute) and node.attr == "file_path"
         ]
         assert not offenders, "\n".join(offenders)
+
+
+class TestHashSeedIndependence:
+    def test_no_loop_runs_in_set_order(self):
+        """Set order follows ``PYTHONHASHSEED``, so a loop over a set
+        makes a seed mean different things in different processes
+        (``analyze_block`` once scheduled repairs that way). In the
+        layers that decide anything, no ``for`` or comprehension iterates
+        directly over a set display, set comprehension, ``set(...)`` call
+        or a ``|`` / ``&`` of those; ``sorted(...)`` around it is the
+        accepted spelling."""
+
+        def is_set(node):
+            if isinstance(node, (ast.Set, ast.SetComp)):
+                return True
+            if isinstance(node, ast.Call):
+                return isinstance(node.func, ast.Name) and node.func.id == "set"
+            if isinstance(node, ast.BinOp) and isinstance(
+                node.op, (ast.BitOr, ast.BitAnd)
+            ):
+                return is_set(node.left) or is_set(node.right)
+            return False
+
+        root = Path(repro.__file__).parent
+        offenders = []
+        for layer in ("core", "fs", "sim", "tier", "cluster"):
+            for path in sorted((root / layer).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    loops = (ast.For, ast.AsyncFor, ast.comprehension)
+                    if isinstance(node, loops) and is_set(node.iter):
+                        offenders.append(
+                            f"{path.relative_to(root).as_posix()}:{node.iter.lineno}"
+                        )
+        assert not offenders, "\n".join(offenders)

@@ -1,7 +1,13 @@
 """Tests for replication management: §5 (repair, trims, vector changes)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import OctopusFileSystem, ReplicationVector
 from repro.cluster import small_cluster_spec
 from repro.core.replication import analyze_block
@@ -78,6 +84,58 @@ class TestAnalyzeBlock:
         # until the addition lands (copy-then-delete move semantics).
         assert actions.removals == 1
         assert actions.removable_tiers == {"HDD": 1}
+
+
+    def test_additions_come_in_sorted_tier_order(self):
+        # Not in the order of a set of tier names, which follows the
+        # process's string hash seed.
+        actions = analyze_block(
+            ReplicationVector.of(memory=1, ssd=1, hdd=1, u=1),
+            self.replicas("REMOTE"),
+        )
+        assert actions.additions == ["HDD", "MEMORY", "SSD"]
+
+
+_TWO_TIERS_SHORT = """
+import json
+from repro import ReplicationVector
+from repro.bench.deployments import build_deployment
+from repro.fs.invariants import block_map_fingerprint
+from repro.util.units import MB
+
+fs = build_deployment("octopus", seed=0)
+client = fs.client(on="worker1")
+paths = [f"/f{i}" for i in range(8)]
+for path in paths:
+    client.write_file(path, size=64 * MB, rep_vector=ReplicationVector.of(hdd=3))
+for path in paths:
+    client.set_replication(path, ReplicationVector.of(memory=1, ssd=1, hdd=1))
+fs.await_replication()
+print(json.dumps(block_map_fingerprint(fs), sort_keys=True))
+"""
+
+
+def test_repair_order_does_not_follow_the_hash_seed():
+    """Same seed, same bytes — in every process. Each block is short on
+    two explicit tiers at once, and the shuffling MOOP policy draws from
+    one rng stream, so the order the repairs are scheduled in decides
+    where they land. (Hash seeds 0 and 1 disagreed before ``additions``
+    was sorted.)"""
+    layouts = []
+    for hash_seed in ("0", "1"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=hash_seed,
+            PYTHONPATH=str(Path(repro.__file__).parent.parent),
+        )
+        layouts.append(
+            subprocess.run(
+                [sys.executable, "-c", _TWO_TIERS_SHORT],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+        )
+    assert layouts[0] == layouts[1]
+    assert "memory" in layouts[0]
 
 
 class TestVectorChanges:
