@@ -4,9 +4,8 @@ Drives a sustained flow churn — N concurrent transfers, each completion
 immediately starting a replacement — through both solvers at 10/100/1000
 concurrent flows, measuring real elapsed time, simulator events/second,
 progressive-filling work (rate assignments), and the Python-heap peak
-(tracemalloc). A scaled S-Live round rides along as the metadata-path
-wall-clock reference point. Emits ``BENCH_perf.json`` at the repository
-root so the perf trajectory is measured, not asserted.
+(tracemalloc). Emits ``BENCH_perf.json`` at the repository root so the
+perf trajectory is measured, not asserted.
 
 The churn topology is rack-like: every 10 concurrency slots share one
 uplink, so the flow↔resource graph splits into ~N/10 components. The
@@ -36,7 +35,6 @@ import tracemalloc
 from repro.sim import FlowScheduler, Resource, SimulationEngine
 from repro.util.rng import DeterministicRng
 from repro.util.units import MB
-from repro.workloads.slive import OctopusNamespaceAdapter, SLive
 
 SEED_FILE = pathlib.Path(__file__).parent.parent / "BENCH_perf.json"
 
@@ -175,19 +173,6 @@ def measure_peak_memory(churn, solver: str, concurrency: int, total_flows: int) 
     return peak
 
 
-def run_scaled_slive(scale: float, seed: int = 0) -> dict:
-    """The paper's metadata stress test, scaled; pure wall-clock."""
-    ops_per_type = max(200, int(2000 * scale))
-    slive = SLive(ops_per_type=ops_per_type, seed=seed)
-    result = slive.run(OctopusNamespaceAdapter())
-    return {
-        "ops_per_type": ops_per_type,
-        "ops_per_second": {
-            op: round(rate, 1) for op, rate in result.ops_per_second.items()
-        },
-    }
-
-
 def measure_point(churn, topology: str, concurrency: int, scale: float) -> dict:
     """Both solvers on one churn; asserts they simulate the same thing."""
     total_flows = max(concurrency + SLOTS_PER_GROUP, int(concurrency * 4 * scale))
@@ -252,7 +237,6 @@ def test_flow_scheduler_scaling(bench_scale, record_result):
         "scale": bench_scale,
         "slots_per_group": SLOTS_PER_GROUP,
         "points": points,
-        "slive": run_scaled_slive(bench_scale),
     }
     payload = json.dumps(data, sort_keys=True, indent=2) + "\n"
     SEED_FILE.write_text(payload)

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Day-2 operations: cache manager, balancer, decommissioning, append.
+"""Day-2 operations: memory cache, balancer, decommissioning, append.
 
 A tour of the operational tooling built around the paper's mechanisms:
 
-1. an **internal cache manager** (§6) auto-promotes hot files to the
-   memory tier under an LRU policy and a memory budget;
+1. the **memory tier as a cache** (§6): a tiering engine under
+   ``BudgetedCachePolicy`` promotes hot files to memory within a byte
+   budget and evicts in LRU order;
 2. the **balancer** redistributes replicas within a tier after skewed
    ingestion;
 3. **append** extends an existing log file, filling its tail block;
@@ -16,8 +17,8 @@ Run:  python examples/cluster_operations.py
 
 from repro import OctopusFileSystem, ReplicationVector
 from repro.cluster import small_cluster_spec
-from repro.core.cache import CacheManager, LruPolicy
 from repro.fs.balancer import Balancer
+from repro.tier import BudgetedCachePolicy, TieringEngine
 from repro.util.units import MB
 
 
@@ -31,11 +32,10 @@ def main() -> None:
     fs = OctopusFileSystem(small_cluster_spec())
     client = fs.client(on="worker1")
 
-    # ------------------------------------------------------ cache manager
-    print("1. cache manager (LRU, 32 MB memory budget)")
-    manager = CacheManager(
-        fs, memory_budget=32 * MB, policy=LruPolicy(), promote_after=2
-    ).attach()
+    # ------------------------------------------------------- memory cache
+    print("1. memory tier as a cache (LRU, 32 MB budget)")
+    policy = BudgetedCachePolicy(budget=32 * MB, promote_after=2)
+    engine = TieringEngine(fs, policy).attach()
     for name in ("alpha", "beta", "gamma"):
         client.write_file(f"/tables/{name}", size=12 * MB,
                           rep_vector=ReplicationVector.of(hdd=2))
@@ -43,10 +43,24 @@ def main() -> None:
         client.open("/tables/alpha").read_size()
         client.open("/tables/beta").read_size()
     client.open("/tables/gamma").read_size()
+    engine.run_round()  # engine.start() would run one every `interval`
     fs.await_replication()
-    print(f"  promoted: {sorted(manager.stats.cached_paths)}")
-    print(f"  memory pinned: {manager.stats.cached_bytes // MB} MB "
-          f"of {manager.memory_budget // MB} MB budget")
+    cached = [f for f in engine.observe().files if f.policy_memory_replicas]
+    assert [f.path for f in cached] == ["/tables/alpha", "/tables/beta"]
+    print(f"  promoted: {[f.path for f in cached]}")
+    print(f"  memory pinned: {sum(f.length for f in cached) // MB} MB "
+          f"of {policy.budget // MB} MB budget")
+    client.write_file("/tables/delta", size=12 * MB,
+                      rep_vector=ReplicationVector.of(hdd=2))
+    for _ in range(2):
+        client.open("/tables/beta").read_size()
+        client.open("/tables/delta").read_size()
+    for decision in engine.run_round():  # delta displaces the LRU victim
+        print(f"  {decision.action.kind} {decision.action.path}")
+    fs.await_replication()
+    engine.detach()
+    alpha = client.get_status("/tables/alpha").rep_vector
+    assert alpha == ReplicationVector.of(hdd=2), alpha
 
     # ----------------------------------------------------------- balancer
     print("\n2. balancer (after skewed single-node ingestion)")

@@ -1,9 +1,8 @@
 """Perf-regression gate: diff benchmark results against baselines.
 
 The benchmarks under ``benchmarks/`` emit machine-readable result files
-(``BENCH_perf.json``, ``BENCH_observability.json``). This module turns
-a committed copy of those files into a CI gate: regenerate the result,
-then::
+(``BENCH_perf.json``). This module turns a committed copy of those
+files into a CI gate: regenerate the result, then::
 
     python -m repro.bench.regression baseline.json candidate.json
 
@@ -60,30 +59,9 @@ _NOISY = (
 )
 
 RULESETS: dict[str, tuple[Rule, ...]] = {
-    # bench_flows_scale: sim fields are deterministic; speedups and the
-    # S-Live wall-clock rates are not.
+    # bench_flows_scale: sim fields are deterministic; speedups are not.
     "flows_scale": _NOISY + (
         Rule("*.speedup", None),
-        Rule("slive.ops_per_second.*", None),
-        Rule("*", EXACT),
-    ),
-    # bench_observability: every reported number is simulation-derived
-    # except the S-Live monitoring-overhead wall clocks; their committed
-    # verdict is the boolean overhead_within_bound, gated exactly.
-    "observability": (
-        Rule("monitoring.slive_*_wall_s", None),
-        Rule("monitoring.slive_overhead_*", None),
-        # Flight-recorder walls and tap costs are machine noise; the
-        # committed verdicts are its booleans (overhead_within_bound,
-        # invisible_when_quiet, ...), gated exactly by the catch-all.
-        Rule("recorder.*_wall_s", None),
-        Rule("recorder.tap_overhead_per_record_us", None),
-        Rule("recorder.overhead_percent", None),
-        # Provenance-ledger walls and per-feed costs, same reasoning:
-        # decision counts and byte-stability verdicts gate exactly.
-        Rule("provenance.*_wall_s", None),
-        Rule("provenance.feed_overhead_per_record_us", None),
-        Rule("provenance.overhead_percent", None),
         Rule("*", EXACT),
     ),
 }

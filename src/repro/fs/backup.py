@@ -81,18 +81,7 @@ class BackupMaster:
         block locations from worker reports, and swaps it into the
         system. Returns the new master.
         """
-        new_master = Master(
-            system.cluster,
-            placement_policy=self.primary.placement_policy,
-            retrieval_policy=self.primary.retrieval_policy,
-            name=f"{self.name}-promoted",
-        )
-        new_master.adopt_namespace(self.image)
-        for worker in system.workers.values():
-            new_master.register_worker(worker)
-        new_master.rebuild_from_block_reports(system.workers.values())
-        system.master = new_master
-        return new_master
+        return _take_over(system, self.image, f"{self.name}-promoted")
 
 
 def restore_master_from_checkpoint(
@@ -103,7 +92,26 @@ def restore_master_from_checkpoint(
     """Cold restart: checkpoint + edit-log tail + block reports (§2.1)."""
     namespace, last_txid = ckpt.load_checkpoint(snapshot)
     replay([r for r in edit_tail if r.get("txid", 0) > last_txid], namespace)
-    master = Master(system.cluster, name="restored")
+    return _take_over(system, namespace, "restored")
+
+
+def _take_over(
+    system: "OctopusFileSystem", namespace: Namespace, name: str
+) -> Master:
+    """Swap in a successor of ``system.master`` built around ``namespace``.
+
+    The successor keeps the outgoing master's configuration — both
+    policies and the heartbeat expiry — and rebuilds block locations
+    from the workers' reports.
+    """
+    outgoing = system.master
+    master = Master(
+        system.cluster,
+        placement_policy=outgoing.placement_policy,
+        retrieval_policy=outgoing.retrieval_policy,
+        heartbeat_expiry=outgoing.heartbeat_expiry,
+        name=name,
+    )
     master.adopt_namespace(namespace)
     for worker in system.workers.values():
         master.register_worker(worker)

@@ -24,35 +24,43 @@ class EditLog:
 
     def __init__(self) -> None:
         self.records: list[dict] = []
+        #: Id of the latest record ever appended; truncation keeps it.
+        self.last_txid = 0
 
     def append(self, record: dict) -> None:
-        record = dict(record)
-        record["txid"] = len(self.records) + 1
-        self.records.append(record)
-
-    @property
-    def last_txid(self) -> int:
-        return len(self.records)
+        self.last_txid += 1
+        self.records.append({**record, "txid": self.last_txid})
 
     def since(self, txid: int) -> list[dict]:
         """Records strictly after transaction ``txid``."""
-        return self.records[txid:]
+        return [r for r in self.records if r["txid"] > txid]
 
     def truncate_through(self, txid: int) -> None:
         """Drop records up to and including ``txid`` (post-checkpoint)."""
-        keep = [r for r in self.records if r["txid"] > txid]
-        self.records = keep
+        self.records = self.since(txid)
 
     def __len__(self) -> int:
         return len(self.records)
 
 
 def replay(records: Iterable[dict], namespace: Namespace) -> int:
-    """Apply an edit-record stream to a namespace; returns ops applied."""
+    """Apply an edit-record stream to a namespace; returns ops applied.
+
+    Each record is applied at the ``time`` it was journaled, so mtimes
+    come out as on the primary; a record without one (built by hand)
+    is applied under the namespace's own clock.
+    """
+    clock = namespace._clock
+    stamp = None
+    namespace._clock = lambda: clock() if stamp is None else stamp
     applied = 0
-    for record in records:
-        _apply(record, namespace)
-        applied += 1
+    try:
+        for record in records:
+            stamp = record.get("time")
+            _apply(record, namespace)
+            applied += 1
+    finally:
+        namespace._clock = clock
     return applied
 
 

@@ -105,7 +105,8 @@ class Namespace:
     def _emit(self, op: str, **fields: object) -> None:
         if not self._listeners:
             return
-        record = {"op": op, **fields}
+        # Stamped once, here, so a replayed op sets the mtimes it set live.
+        record = {"op": op, "time": self._clock(), **fields}
         for listener in self._listeners:
             listener(record)
 

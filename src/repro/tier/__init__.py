@@ -24,6 +24,7 @@ from repro.tier.heat import HeatTracker
 from repro.tier.policy import (
     DEMOTE,
     PROMOTE,
+    BudgetedCachePolicy,
     DecayHeatPolicy,
     FileObservation,
     ObservedState,
@@ -34,6 +35,7 @@ from repro.tier.policy import (
 )
 
 __all__ = [
+    "BudgetedCachePolicy",
     "DecayHeatPolicy",
     "Decision",
     "DEMOTE",

@@ -1,10 +1,10 @@
 """The tiering engine: closes the metrics → decision → replication loop.
 
 A :class:`TieringEngine` attaches to a running
-:class:`~repro.fs.system.OctopusFileSystem` the same way the §6
-:class:`~repro.core.cache.CacheManager` does — through the file
-system's access listeners — but generalizes its promote-after-N counter
-into the automation loop of the follow-up paper: per-file
+:class:`~repro.fs.system.OctopusFileSystem` through the file system's
+access listeners and is the one mechanism that watches opens and
+rewrites replication vectors — the paper's §6 multi-level cache and the
+automation loop of the follow-up paper alike: per-file
 exponential-decay heat (:class:`~repro.tier.heat.HeatTracker`), tier
 capacity/latency signals, and a pluggable pure
 :class:`~repro.tier.policy.TieringPolicy` that issues replication-
@@ -181,7 +181,7 @@ class TieringEngine:
         """
         now = self.system.engine.now
         files = []
-        for path, heat in self.heat.snapshot(now).items():
+        for path, (heat, last_access) in self.heat.snapshot(now).items():
             master = self.system.master_for(path)
             try:
                 status = master.get_status(path)
@@ -208,6 +208,7 @@ class TieringEngine:
                     under_construction=status.under_construction,
                     last_promoted=self._promoted.get(path, -math.inf),
                     last_demoted=self._last_demoted.get(path, -math.inf),
+                    last_access=last_access,
                 )
             )
         tiers = tuple(
@@ -303,7 +304,7 @@ class TieringEngine:
                     )
             obs.metrics.gauge("tier_policy_cached_files").set(len(self._promoted))
             span.end()
-        self.heat.prune(state.now)
+        self.heat.prune(state.now, keep=self._promoted)
         return decisions
 
     def run_rounds(self, rounds: int) -> list[Decision]:

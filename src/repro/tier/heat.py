@@ -18,6 +18,8 @@ policy round.
 
 from __future__ import annotations
 
+from collections.abc import Container
+
 from repro.errors import ConfigurationError
 
 #: Heat below this is indistinguishable from cold; ``prune`` drops it.
@@ -58,14 +60,15 @@ class HeatTracker:
             return 0.0
         return self._decayed(entry[0], entry[1], now)
 
-    def snapshot(self, now: float) -> dict[str, float]:
-        """All tracked keys with their heat decayed to ``now``, sorted.
+    def snapshot(self, now: float) -> dict[str, tuple[float, float]]:
+        """All tracked keys, sorted, each with its heat decayed to
+        ``now`` and the time of its latest access.
 
         The dict iterates in key order so consumers that walk it are
         deterministic regardless of access interleaving.
         """
         return {
-            key: self._decayed(heat, last, now)
+            key: (self._decayed(heat, last, now), last)
             for key, (heat, last) in sorted(self._entries.items())
         }
 
@@ -73,17 +76,24 @@ class HeatTracker:
         """Stop tracking ``key`` (deleted file)."""
         self._entries.pop(key, None)
 
-    def prune(self, now: float, floor: float = DEFAULT_PRUNE_FLOOR) -> int:
+    def prune(
+        self,
+        now: float,
+        floor: float = DEFAULT_PRUNE_FLOOR,
+        keep: Container[str] = (),
+    ) -> int:
         """Drop keys whose heat decayed below ``floor``; returns the count.
 
         Bounds tracker memory on long runs: a key untouched for
         ``~20 half-lives`` decays below the default floor and is
-        reclaimed on the next policy round.
+        reclaimed on the next policy round — unless it is in ``keep``
+        (the engine's own promotions: a file it still has to demote
+        must stay observed however cold it gets).
         """
         cold = [
             key
             for key, (heat, last) in self._entries.items()
-            if self._decayed(heat, last, now) < floor
+            if self._decayed(heat, last, now) < floor and key not in keep
         ]
         for key in cold:
             del self._entries[key]

@@ -12,7 +12,7 @@ state must always yield the same actions, and invariants like "the
 movement budget is never exceeded" or "no file is promoted and demoted
 within one half-life" can be checked against the state alone.
 
-Two policies ship:
+Three policies ship:
 
 * :class:`StaticVectorPolicy` — the no-op baseline. Files keep whatever
   vector the application gave them; the differential suite proves that
@@ -24,6 +24,9 @@ Two policies ship:
   ``demote_heat``, with promotion/demotion hysteresis (``min_residency``
   and ``cooldown``, both defaulting to one heat half-life) and a
   per-round ``movement_budget`` so tier bandwidth is never swamped.
+* :class:`BudgetedCachePolicy` — the paper's §6 multi-level cache: the
+  memory tier as a byte-budgeted cache of the files the policy itself
+  promoted, filled after N accesses and evicted in LRU or LFU order.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ class FileObservation:
     #: file; -inf when it never happened (so hysteresis gates pass).
     last_promoted: float = -math.inf
     last_demoted: float = -math.inf
+    #: Simulated time of the file's latest open (what LRU orders by).
+    last_access: float = -math.inf
 
 
 @dataclass(frozen=True)
@@ -233,3 +238,96 @@ class DecayHeatPolicy(TieringPolicy):
             for f in promotions
         ]
         return actions[: self.movement_budget]
+
+
+@dataclass(frozen=True)
+class BudgetedCachePolicy(TieringPolicy):
+    """The memory tier as a byte-budgeted cache (paper §6).
+
+    ``budget`` bounds the bytes of file data the policy keeps in
+    ``memory_tier``, one replica per file, counted over the files it
+    promoted itself: an application's own memory replicas are neither
+    charged nor evicted, and usage is re-derived from every observed
+    state, so a deleted or rewritten file frees its share by no longer
+    being observed. A file larger than the budget is never admitted.
+
+    ``promote_after`` is the access count that marks a file hot, read
+    from heat. Heat is a *decayed* count — two opens a millisecond
+    apart read 1.99998, not 2 — but N-1 accesses can never read more
+    than N-1 however recent they are, so ``heat > promote_after - 1``
+    is exactly "at least N accesses, fewer than one of them decayed
+    away": the N-th access of a burst promotes, the (N-1)-th cannot.
+    ``math.inf`` yields a policy that never acts.
+
+    ``evict`` names the order residents leave in when a hot file needs
+    room: ``"lru"`` — least recent access first; ``"lfu"`` — lowest heat
+    first, then least recent. A file displaces only residents that sort
+    before it in that order, so under LFU a one-hit wonder cannot flush
+    a frequently read resident. Candidates are admitted best first and
+    nothing is evicted for one that still would not fit.
+    """
+
+    budget: int
+    promote_after: float = 2
+    evict: str = "lru"
+    memory_tier: str = "MEMORY"
+    name: str = field(default="budgeted-cache", init=False)
+
+    def __post_init__(self) -> None:
+        if self.budget <= 0:
+            raise ConfigurationError("cache memory budget must be positive")
+        if self.evict not in ("lru", "lfu"):
+            raise ConfigurationError(
+                f"evict must be 'lru' or 'lfu', got {self.evict!r}"
+            )
+
+    def _rank(self, f: FileObservation) -> tuple:
+        """Sort key of the eviction order: first out sorts first."""
+        if self.evict == "lru":
+            return (f.last_access, f.path)
+        return (f.heat, f.last_access, f.path)
+
+    def decide(self, state: ObservedState) -> list[TieringAction]:
+        rank = self._rank
+        resident = sorted(
+            (f for f in state.files if f.policy_memory_replicas > 0), key=rank
+        )
+        free = self.budget - sum(f.length for f in resident)
+        evicted = 0
+        while free < 0:
+            # A resident grew (append) since it was admitted.
+            free += resident[evicted].length
+            evicted += 1
+
+        admitted = []
+        candidates = sorted(
+            (
+                f
+                for f in state.files
+                if f.memory_replicas == 0
+                and not f.under_construction
+                and f.heat > self.promote_after - 1
+            ),
+            key=rank,
+            reverse=True,
+        )
+        for f in candidates:
+            upto, room, worth = evicted, free, rank(f)
+            while (
+                room < f.length
+                and upto < len(resident)
+                and rank(resident[upto]) < worth
+            ):
+                room += resident[upto].length
+                upto += 1
+            if room >= f.length:
+                admitted.append(f)
+                evicted, free = upto, room - f.length
+
+        return [
+            TieringAction(f.path, DEMOTE, self.memory_tier, f.heat)
+            for f in resident[:evicted]
+        ] + [
+            TieringAction(f.path, PROMOTE, self.memory_tier, f.heat)
+            for f in admitted
+        ]

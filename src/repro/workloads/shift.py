@@ -13,8 +13,8 @@ post-shift p99 and memory hit rate — the comparison
 ``repro experiment tiering`` prints.
 
 The driver composes with whatever management is attached to the file
-system (a :class:`~repro.tier.TieringEngine`, the §6 ``CacheManager``,
-or nothing): it only opens files and measures.
+system (a :class:`~repro.tier.TieringEngine` under any policy, or
+nothing): it only opens files and measures.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ def _perf_result() -> dict:
     return {
         "benchmark": "flows_scale",
         "scale": 0.2,
+        "slots_per_group": 10,
         "points": [
             {
                 "flows": 40,
@@ -33,28 +34,26 @@ def _perf_result() -> dict:
                         "wall_s": 0.12,
                         "sim_makespan_s": 8.125,
                         "events_per_sec": 51000.0,
+                        "peak_heap_kb": 310.5,
                     },
                     "incremental": {
                         "wall_s": 0.03,
                         "sim_makespan_s": 8.125,
                         "events_per_sec": 210000.0,
+                        "peak_heap_kb": 402.0,
                     },
                 },
                 "speedup": 4.0,
             }
         ],
-        "slive": {
-            "ops_per_second": {"create": 950.0, "read": 4100.0},
-            "sim_ops_total": 600,
-        },
     }
 
 
-def _obs_result() -> dict:
+def _other_result() -> dict:
+    """A benchmark no ruleset names."""
     return {
-        "benchmark": "observability",
+        "benchmark": "custom",
         "scale": 0.2,
-        "overhead": {"disabled_ratio": 1.002, "enabled_ratio": 1.31},
         "trace": {"records": 868, "spans": 500},
     }
 
@@ -89,29 +88,22 @@ class TestCompareResults:
         candidate["points"][0]["solvers"]["dense"]["wall_s"] *= 50
         candidate["points"][0]["solvers"]["dense"]["events_per_sec"] /= 9
         candidate["points"][0]["speedup"] = 0.5
-        candidate["slive"]["ops_per_second"]["create"] *= 3
+        candidate["points"][0]["solvers"]["dense"]["peak_heap_kb"] *= 3
         report = compare_results(_perf_result(), candidate)
         assert report.ok
         assert report.ignored >= 4
 
-    def test_observability_ruleset_gates_every_number(self):
-        candidate = _obs_result()
-        candidate["overhead"]["enabled_ratio"] += 0.01
-        report = compare_results(_obs_result(), candidate)
-        assert not report.ok
-        assert report.violations[0].path == "overhead.enabled_ratio"
-
     def test_missing_key_is_violation_extra_key_is_note(self):
         candidate = _perf_result()
-        del candidate["slive"]["sim_ops_total"]
-        candidate["slive"]["new_metric"] = 1.0
+        del candidate["slots_per_group"]
+        candidate["new_metric"] = 1.0
         report = compare_results(_perf_result(), candidate)
         assert any(
-            v.path == "slive.sim_ops_total"
+            v.path == "slots_per_group"
             and v.message == "missing in candidate"
             for v in report.violations
         )
-        assert any("slive.new_metric" in note for note in report.notes)
+        assert any("new_metric" in note for note in report.notes)
 
     def test_list_length_change_is_violation(self):
         candidate = _perf_result()
@@ -136,7 +128,7 @@ class TestCompareResults:
         assert not compare_results(_perf_result(), candidate).ok
 
     def test_different_benchmark_name_is_violation(self):
-        report = compare_results(_perf_result(), _obs_result())
+        report = compare_results(_perf_result(), _other_result())
         assert not report.ok
         assert report.violations[0].path == "benchmark"
 
@@ -169,7 +161,7 @@ class TestCompareResults:
     def test_format_mentions_outcome(self):
         ok = compare_results(_perf_result(), _perf_result())
         assert "OK" in ok.format()
-        bad = compare_results(_perf_result(), _obs_result())
+        bad = compare_results(_perf_result(), _other_result())
         assert "FAIL" in bad.format()
 
 
@@ -196,9 +188,9 @@ class TestMain:
         assert "sim_makespan_s" in out
 
     def test_json_report(self, tmp_path, capsys):
-        baseline = self._write(tmp_path, "base.json", _obs_result())
-        candidate = self._write(tmp_path, "cand.json", _obs_result())
+        baseline = self._write(tmp_path, "base.json", _other_result())
+        candidate = self._write(tmp_path, "cand.json", _other_result())
         assert main([baseline, candidate, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True
-        assert data["benchmark"] == "observability"
+        assert data["benchmark"] == "custom"

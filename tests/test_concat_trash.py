@@ -134,5 +134,18 @@ class TestTrash:
         # Entries younger than the cutoff survive.
         assert fs.expunge_trash(older_than=3600.0) == 0
 
+    def test_expunge_respects_age_after_failover(self, fs, client):
+        """The promoted image knows when the entry was trashed."""
+        backup = BackupMaster(fs.master)
+        client.write_file("/young", size=MB)
+        fs.engine.run(until=5000.0)
+        client.move_to_trash("/young")
+        fs.engine.run(until=5010.0)
+        assert fs.expunge_trash(older_than=3600.0) == 0
+        backup.promote(fs)
+        assert fs.expunge_trash(older_than=3600.0) == 0
+        fs.engine.run(until=5000.0 + 3600.0)
+        assert fs.expunge_trash(older_than=3600.0) == 1
+
     def test_expunge_on_empty_trash(self, fs):
         assert fs.expunge_trash() == 0

@@ -3,7 +3,9 @@
 import pytest
 
 from repro import OctopusFileSystem, ReplicationVector
+from repro.bench.deployments import build_deployment
 from repro.cluster import small_cluster_spec
+from repro.core.placement import OriginalHdfsPolicy
 from repro.fs import checkpoint as ckpt
 from repro.fs.backup import BackupMaster, restore_master_from_checkpoint
 from repro.fs.editlog import EditLog, replay
@@ -81,6 +83,11 @@ class TestEditLog:
         assert len(log.since(3)) == 2
         log.truncate_through(3)
         assert [r["txid"] for r in log.records] == [4, 5]
+        # Truncation forgets records, not the count: numbering goes on
+        # and selection is by txid, not by position.
+        log.append({"op": "mkdir", "path": "/d5", "user": "u", "mode": 0o755})
+        assert log.last_txid == 6
+        assert [r["txid"] for r in log.since(4)] == [5, 6]
 
     def test_unknown_op_rejected(self):
         from repro.errors import FileSystemError
@@ -197,6 +204,74 @@ class TestBackupMaster:
         restore_master_from_checkpoint(fs, backup.latest_checkpoint, tail)
         assert fs.client(on="worker2").read_file("/early") == b"a" * MB
         assert fs.client(on="worker3").read_file("/late") == b"b" * MB
+
+    def test_cold_restore_after_truncating_the_covered_log(self):
+        """The sequence ``create_checkpoint`` invites: checkpoint, drop
+        the covered records, keep writing, restore from both."""
+        fs = OctopusFileSystem(small_cluster_spec())
+        backup = BackupMaster(fs.master)
+        client = fs.client(on="worker1")
+        client.write_file("/a", data=b"a" * MB)
+        snapshot = backup.create_checkpoint()
+        log = fs.master.edit_log
+        log.truncate_through(snapshot["last_txid"])
+        client.write_file("/b", data=b"b" * MB)
+        client.write_file("/c", data=b"c" * MB)
+        restore_master_from_checkpoint(
+            fs, snapshot, log.since(snapshot["last_txid"])
+        )
+        for name in "abc":
+            assert fs.client(on="worker2").read_file(f"/{name}") == (
+                name.encode() * MB
+            )
+        check_system_invariants(fs)
+
+    def test_cold_restore_keeps_the_deployments_policies(self):
+        """Both recovery paths build the successor from the outgoing
+        master: same policies, same heartbeat expiry."""
+        for failover in ("promote", "cold_restore"):
+            fs = build_deployment("hdfs", small_cluster_spec())
+            fs.master.heartbeat_expiry = 7.5
+            backup = BackupMaster(fs.master)
+            fs.client(on="worker1").write_file("/f", size=MB)
+            outgoing = fs.master
+            if failover == "promote":
+                backup.promote(fs)
+            else:
+                restore_master_from_checkpoint(
+                    fs, backup.create_checkpoint(), []
+                )
+            assert fs.master is not outgoing
+            assert fs.master.placement_policy is outgoing.placement_policy
+            assert fs.master.retrieval_policy is outgoing.retrieval_policy
+            assert isinstance(fs.master.placement_policy, OriginalHdfsPolicy)
+            assert fs.master.heartbeat_expiry == 7.5
+
+    def test_recovered_namespaces_equal_the_live_one_mtimes_included(self):
+        """Edit records carry the time of the op, so a standby image, a
+        full replay and checkpoint + tail all checkpoint identically to
+        the primary — ``mtime`` of every inode included."""
+        fs = OctopusFileSystem(small_cluster_spec())
+        backup = BackupMaster(fs.master)
+        client = fs.client(on="worker1")
+        client.write_file("/d/early", size=6 * MB)
+        snapshot = backup.create_checkpoint()
+        fs.engine.run(until=fs.engine.now + 100.0)
+        client.mkdir("/d/sub")
+        client.write_file("/d/late", data=b"x" * MB)
+        client.rename("/d/early", "/d/sub/moved")
+        client.set_replication("/d/late", ReplicationVector.of(hdd=2))
+        with client.append("/d/late") as stream:
+            stream.write(b"y" * MB)
+        client.move_to_trash("/d/sub/moved")
+        live = ckpt.write_checkpoint(fs.master.namespace)
+        assert live["root"]["children"][0]["mtime"] > 0.0
+        assert ckpt.write_checkpoint(backup.image) == live
+        replayed = Namespace(tier_order=fs.master.namespace.tier_order)
+        replay(fs.master.edit_log.records, replayed)
+        assert ckpt.write_checkpoint(replayed) == live
+        restore_master_from_checkpoint(fs, snapshot, fs.master.edit_log.records)
+        assert ckpt.write_checkpoint(fs.master.namespace) == live
 
     @pytest.mark.parametrize("failover", ["promote", "cold_restore"])
     def test_failover_rebuilds_quota_usage(self, failover, assert_usage_exact):

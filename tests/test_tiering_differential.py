@@ -4,7 +4,8 @@ The tiering engine's core safety claim (module docstring of
 ``repro.tier.engine``) is that observation is free: a round that applies
 no actions emits no spans or events and mints no metric instruments, so
 running the engine with the static baseline policy — or with a
-``DecayHeatPolicy`` whose thresholds can never trigger — must leave the
+``DecayHeatPolicy`` or ``BudgetedCachePolicy`` whose thresholds can
+never trigger — must leave the
 trace and metrics exports **byte-identical** to a run without the
 engine at all. Same oracle pattern as
 ``test_flow_solver_equivalence.test_dfsio_exports_byte_identical``:
@@ -21,16 +22,25 @@ import pytest
 from repro import OctopusFileSystem
 from repro.cluster import small_cluster_spec
 from repro.obs import Observability, metrics_json, prometheus_text, to_jsonl
-from repro.tier import DecayHeatPolicy, StaticVectorPolicy, TieringEngine
+from repro.tier import (
+    BudgetedCachePolicy,
+    DecayHeatPolicy,
+    StaticVectorPolicy,
+    TieringEngine,
+)
 from repro.util.units import MB
 from repro.workloads.dfsio import Dfsio
 from repro.workloads.slive import OctopusNamespaceAdapter, SLive
 
-#: Policies that must never act: the no-op baseline and an infinite-
-#: hysteresis decay policy (promotion threshold no heat can cross).
+#: Policies that must never act: the no-op baseline, an infinite-
+#: hysteresis decay policy (promotion threshold no heat can cross) and
+#: a cache no access count can fill.
 IDLE_POLICIES = {
     "static": StaticVectorPolicy,
     "infinite-hysteresis": lambda: DecayHeatPolicy(promote_heat=math.inf),
+    "cache-never": lambda: BudgetedCachePolicy(
+        budget=64 * MB, promote_after=math.inf
+    ),
 }
 
 

@@ -1,10 +1,12 @@
 """Property tests for tiering-policy invariants.
 
-Because :class:`DecayHeatPolicy` is a pure function of a frozen
-:class:`ObservedState`, its invariants can be stated over *arbitrary*
-states, not just ones a live file system happens to produce:
+Because :class:`DecayHeatPolicy` and :class:`BudgetedCachePolicy` are
+pure functions of a frozen :class:`ObservedState`, their invariants can
+be stated over *arbitrary* states, not just ones a live file system
+happens to produce:
 
-* the movement budget is never exceeded;
+* the budget — moves per round for the one, cached bytes for the
+  other — is never exceeded;
 * decisions are a pure function of the observed state (same state →
   same actions, and deciding mutates nothing);
 * no action targets a file the policy has no business touching
@@ -30,6 +32,7 @@ from repro.cluster import small_cluster_spec
 from repro.tier import (
     DEMOTE,
     PROMOTE,
+    BudgetedCachePolicy,
     DecayHeatPolicy,
     FileObservation,
     HeatTracker,
@@ -49,16 +52,20 @@ def file_observations():
     stamps = st.one_of(
         st.just(-math.inf), st.floats(min_value=0.0, max_value=200.0)
     )
+    # "Of those": the engine's own replicas are a subset of the total.
     return st.builds(
-        FileObservation,
+        lambda pinned, **fields: FileObservation(
+            memory_replicas=pinned + fields["policy_memory_replicas"], **fields
+        ),
+        pinned=st.integers(min_value=0, max_value=1),
         path=st.from_regex(r"/f[a-d][0-9]", fullmatch=True),
         heat=heats,
         length=st.integers(min_value=0, max_value=64 * MB),
-        memory_replicas=st.integers(min_value=0, max_value=2),
         policy_memory_replicas=st.integers(min_value=0, max_value=1),
         under_construction=st.booleans(),
         last_promoted=stamps,
         last_demoted=stamps,
+        last_access=stamps,
     )
 
 
@@ -81,7 +88,7 @@ def observed_states():
     )
 
 
-def policies():
+def decay_policies():
     return st.builds(
         DecayHeatPolicy,
         promote_heat=st.floats(min_value=0.5, max_value=8.0),
@@ -97,12 +104,35 @@ def policies():
     )
 
 
+def policies():
+    cache = st.builds(
+        BudgetedCachePolicy,
+        budget=st.integers(min_value=1, max_value=128 * MB),
+        promote_after=st.one_of(
+            st.just(math.inf), st.floats(min_value=1.0, max_value=8.0)
+        ),
+        evict=st.sampled_from(["lru", "lfu"]),
+    )
+    return st.one_of(decay_policies(), cache)
+
+
 # ----------------------------------------------------------------------
 # Pure-policy properties
 # ----------------------------------------------------------------------
 @given(policy=policies(), state=observed_states())
 def test_movement_budget_never_exceeded(policy, state):
-    assert len(policy.decide(state)) <= policy.movement_budget
+    actions = policy.decide(state)
+    if isinstance(policy, DecayHeatPolicy):
+        assert len(actions) <= policy.movement_budget
+        return
+    moved = {a.path: a.kind for a in actions}
+    cached = sum(
+        f.length
+        for f in state.files
+        if moved.get(f.path) == PROMOTE
+        or (f.policy_memory_replicas and moved.get(f.path) != DEMOTE)
+    )
+    assert cached <= policy.budget
 
 
 @given(policy=policies(), state=observed_states())
@@ -118,17 +148,21 @@ def test_decide_is_pure(policy, state):
 
 @given(policy=policies(), state=observed_states())
 def test_actions_only_touch_eligible_files(policy, state):
+    decay = isinstance(policy, DecayHeatPolicy)
     by_path = {f.path: f for f in state.files}
     for action in policy.decide(state):
         observed = by_path[action.path]
         if action.kind == PROMOTE:
             assert observed.memory_replicas == 0
             assert not observed.under_construction
-            assert observed.heat > policy.promote_heat
+            assert observed.heat > (
+                policy.promote_heat if decay else policy.promote_after - 1
+            )
         else:
             assert action.kind == DEMOTE
             assert observed.policy_memory_replicas > 0
-            assert observed.heat <= policy.demote_heat
+            if decay:
+                assert observed.heat <= policy.demote_heat
 
 
 @given(policy=policies(), state=observed_states())
@@ -139,7 +173,7 @@ def test_no_file_promoted_and_demoted_in_one_round(policy, state):
     assert not (promoted & demoted)
 
 
-@given(policy=policies(), state=observed_states())
+@given(policy=decay_policies(), state=observed_states())
 def test_hysteresis_gates_hold_per_decision(policy, state):
     """Temporal hysteresis directly from the state's timestamps: a
     demotion requires ``min_residency`` since the promotion the policy
