@@ -22,10 +22,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import NetworkTopology, Node
 
 
-def estimate_transfer_rate(
+def transfer_rates(
     medium: "StorageMedium", client_node: "Node | None"
-) -> float:
-    """Eq. 12: the rate a new reader could expect from this replica.
+) -> tuple[float, float]:
+    """Eq. 12 and its media term: ``(estimate, RThru[m]/NrConn[m])``.
 
     Counts include the prospective new connection (the ``+1``), so an
     idle medium divides by one. A client-local replica skips the network
@@ -33,10 +33,17 @@ def estimate_transfer_rate(
     """
     media_rate = medium.read_throughput / (medium.nr_connections + 1)
     if client_node is not None and medium.node is client_node:
-        return media_rate
+        return media_rate, media_rate
     worker = medium.node
     network_rate = worker.nic_bandwidth / (worker.nr_connections + 1)
-    return min(network_rate, media_rate)
+    return min(network_rate, media_rate), media_rate
+
+
+def estimate_transfer_rate(
+    medium: "StorageMedium", client_node: "Node | None"
+) -> float:
+    """Eq. 12: the rate a new reader could expect from this replica."""
+    return transfer_rates(medium, client_node)[0]
 
 
 class DataRetrievalPolicy(ABC):
@@ -78,12 +85,12 @@ class OctopusRetrievalPolicy(DataRetrievalPolicy):
         topology: "NetworkTopology",
     ) -> list["StorageMedium"]:
         shuffled = self.rng.shuffled(replicas)
-        shuffled.sort(
-            key=lambda medium: (
-                -estimate_transfer_rate(medium, client_node),
-                -(medium.read_throughput / (medium.nr_connections + 1)),
-            )
-        )
+
+        def best_first(medium: "StorageMedium") -> tuple[float, float]:
+            rate, media_rate = transfer_rates(medium, client_node)
+            return -rate, -media_rate
+
+        shuffled.sort(key=best_first)
         return shuffled
 
 

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.cluster.media import TierStatistics
 from repro.core.replication_vector import ReplicationVector
+from repro.fs import paths
 from repro.fs.blocks import BlockLocation
 from repro.fs.namespace import SUPERUSER, FileStatus, UserContext
 from repro.fs.streams import FSDataInputStream, FSDataOutputStream
@@ -127,7 +128,8 @@ class Client:
     def open(self, path: str) -> FSDataInputStream:
         master = self.system.master_for(path)
         master.namespace.get_file(path, self.user)  # existence + perms
-        self.system.notify_access(path)
+        # Heat is keyed by the file, not by the caller's spelling of it.
+        self.system.notify_access(paths.normalize(path))
         return FSDataInputStream(self.system, path, self.node)
 
     def mkdir(self, path: str, mode: int = 0o755) -> None:
@@ -189,11 +191,9 @@ class Client:
         Returns the trash location. ``OctopusFileSystem.expunge_trash``
         reclaims space later; ``restore_from_trash`` undoes the delete.
         """
-        from repro.fs import paths as fspaths
-
         master = self.system.master_for(path)
         master.get_status(path, self.user)  # existence + perms
-        base = fspaths.basename(fspaths.normalize(path)) or "root"
+        base = paths.basename(path) or "root"
         stamp = f"{self.system.engine.now:.6f}"
         trash_path = f"{self.trash_dir()}/{stamp}-{base}"
         suffix = 0

@@ -575,7 +575,15 @@ class Master:
         user: UserContext = SUPERUSER,
     ) -> list[list[Replica]]:
         """Per-block replica lists, each ordered by the retrieval policy."""
-        inode = self.namespace.get_file(path, user)
+        return self.order_block_replicas(
+            self.namespace.get_file(path, user), path, client_node
+        )
+
+    def order_block_replicas(
+        self, inode: INodeFile, path: str, client_node: "Node | None"
+    ) -> list[list[Replica]]:
+        """The read path's one body, for a caller that holds the inode
+        ``path`` resolved (and was permission-checked) to."""
         ordered_blocks: list[list[Replica]] = []
         for block in inode.blocks:
             meta = self.block_map.get(block.block_id)
@@ -608,7 +616,7 @@ class Master:
         end = start + length
         locations: list[BlockLocation] = []
         offset = 0
-        ordered = self.get_block_replicas(path, client_node, user)
+        ordered = self.order_block_replicas(inode, path, client_node)
         for block, replicas in zip(inode.blocks, ordered):
             block_start, block_end = offset, offset + block.size
             offset = block_end

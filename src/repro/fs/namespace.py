@@ -17,8 +17,8 @@ create/delete/rename, and a superuser that bypasses all checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from repro.core.replication_vector import DEFAULT_TIER_ORDER, ReplicationVector
 from repro.errors import (
@@ -64,9 +64,12 @@ class UserContext:
 SUPERUSER = UserContext.root()
 
 
-@dataclass(frozen=True)
-class FileStatus:
-    """The listing record returned to clients (HDFS ``FileStatus``)."""
+class FileStatus(NamedTuple):
+    """The listing record returned to clients (HDFS ``FileStatus``).
+
+    A named tuple: ``ls`` builds one per entry, and a frozen dataclass
+    costs an ``object.__setattr__`` per field.
+    """
 
     path: str
     is_directory: bool
@@ -118,13 +121,15 @@ class Namespace:
     ) -> INode | None:
         """Walk the tree, enforcing traverse (x) permission on ancestors."""
         components = paths.split(path)
+        checked = not user.superuser
         node: INode = self.root
         for index, component in enumerate(components):
-            if not isinstance(node, INodeDirectory):
+            if not node.is_directory:
                 raise NotADirectoryInNamespaceError(
                     f"{node.path()!r} is not a directory"
                 )
-            self._check_access(node, user, EXECUTE)
+            if checked:
+                self._check_access(node, user, EXECUTE)
             child = node.children.get(component)
             if child is None:
                 if need_exists:
@@ -177,48 +182,41 @@ class Namespace:
     def get_status(
         self, path: str, user: UserContext = SUPERUSER
     ) -> FileStatus:
-        node = self._resolve(paths.normalize(path), user)
+        path = paths.normalize(path)
+        node = self._resolve(path, user)
         assert node is not None
-        return self._status_of(node)
+        return self._status_of(node, path)
 
     def list_status(
         self, path: str, user: UserContext = SUPERUSER
     ) -> list[FileStatus]:
         """List a directory's children (or the file itself)."""
-        node = self._resolve(paths.normalize(path), user)
+        path = paths.normalize(path)
+        node = self._resolve(path, user)
         assert node is not None
-        if isinstance(node, INodeFile):
-            return [self._status_of(node)]
+        if not node.is_directory:
+            return [self._status_of(node, path)]
         self._check_access(node, user, READ)
+        prefix = "" if path == paths.ROOT else path
         return [
-            self._status_of(child)
-            for _name, child in sorted(node.children.items())
+            self._status_of(child, f"{prefix}/{name}")
+            for name, child in sorted(node.children.items())
         ]
 
-    def _status_of(self, node: INode) -> FileStatus:
-        if isinstance(node, INodeFile):
+    def _status_of(self, node: INode, path: str) -> FileStatus:
+        """The record of ``node``, which the caller resolved ``path`` to.
+
+        Positional, in field order: ``ls`` pays per keyword per entry.
+        """
+        if node.is_directory:
             return FileStatus(
-                path=node.path(),
-                is_directory=False,
-                length=node.length,
-                rep_vector=node.rep_vector,
-                block_size=node.block_size,
-                owner=node.owner,
-                group=node.group,
-                mode=node.mode,
-                mtime=node.mtime,
-                under_construction=node.under_construction,
+                path, True, 0, _EMPTY_VECTOR, 0,
+                node.owner, node.group, node.mode, node.mtime,
             )
         return FileStatus(
-            path=node.path(),
-            is_directory=True,
-            length=0,
-            rep_vector=_EMPTY_VECTOR,
-            block_size=0,
-            owner=node.owner,
-            group=node.group,
-            mode=node.mode,
-            mtime=node.mtime,
+            path, False, node.length, node.rep_vector, node.block_size,
+            node.owner, node.group, node.mode, node.mtime,
+            node.under_construction,
         )
 
     def iter_files(self, path: str = "/") -> Iterator[INodeFile]:

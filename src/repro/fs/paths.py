@@ -35,13 +35,9 @@ def normalize(path: str) -> str:
     return SEPARATOR + SEPARATOR.join(components)
 
 
-def split(path: str) -> list[str]:
-    """Split into validated components; the root splits to ``[]``."""
-    return list(_split_cached(path))
-
-
 @functools.lru_cache(maxsize=65536)
-def _split_cached(path: str) -> tuple[str, ...]:
+def split(path: str) -> tuple[str, ...]:
+    """Split into validated components; the root splits to ``()``."""
     if not path.startswith(SEPARATOR):
         raise PathError(f"path must be absolute, got {path!r}")
     raw = path.split(SEPARATOR)

@@ -331,10 +331,10 @@ class FSDataInputStream:
         """Process: read every block, best replica first with failover."""
         chunks: list[bytes] = []
         have_all_bytes = True
-        ordered_blocks = self._master.get_block_replicas(
-            self._path, self._client_node
-        )
         inode = self._master.namespace.get_file(self._path)
+        ordered_blocks = self._master.order_block_replicas(
+            inode, self._path, self._client_node
+        )
         for block, replicas in zip(inode.blocks, ordered_blocks):
             replica = yield from self._read_block_proc(block, replicas)
             if replica.data is None:

@@ -173,15 +173,25 @@ class TieringEngine:
     def observe(self) -> ObservedState:
         """Assemble the frozen policy input for this round.
 
+        Only the files a policy can act on are looked up: those hotter
+        than its ``candidate_heat`` and the engine's own promotions.
+        The colder rest of the tracker is neither shown to the policy
+        nor checked against the namespace, so a deleted path that is
+        neither hot nor promoted leaves the tracker through ``prune``
+        rather than here; a candidate or promoted path that vanished is
+        forgotten on the spot.
+
         Reads the namespace and metrics without side effects on either:
-        deleted files are forgotten, and the latency lookup uses the
-        registry's non-creating ``find`` so observation never mints an
-        instrument (that would break the differential byte-identity
-        oracle).
+        the latency lookup uses the registry's non-creating ``find`` so
+        observation never mints an instrument (that would break the
+        differential byte-identity oracle).
         """
         now = self.system.engine.now
+        candidate_heat = self.policy.candidate_heat
         files = []
         for path, (heat, last_access) in self.heat.snapshot(now).items():
+            if heat <= candidate_heat and path not in self._promoted:
+                continue
             master = self.system.master_for(path)
             try:
                 status = master.get_status(path)

@@ -119,6 +119,16 @@ class TieringPolicy(ABC):
 
     name = "abstract"
 
+    @property
+    def candidate_heat(self) -> float:
+        """The heat a file must exceed before ``decide`` may promote it.
+
+        The engine shows a policy only files hotter than this, plus the
+        files the engine itself promoted. The default observes every
+        tracked file.
+        """
+        return -math.inf
+
     @abstractmethod
     def decide(self, state: ObservedState) -> list[TieringAction]:
         """Actions to apply this round. MUST be pure: no mutation of
@@ -186,6 +196,10 @@ class DecayHeatPolicy(TieringPolicy):
         if self.headroom >= 1.0:
             raise ConfigurationError("headroom must be < 1.0")
 
+    @property
+    def candidate_heat(self) -> float:
+        return self.promote_heat
+
     def decide(self, state: ObservedState) -> list[TieringAction]:
         min_residency = (
             state.half_life if self.min_residency is None else self.min_residency
@@ -220,7 +234,7 @@ class DecayHeatPolicy(TieringPolicy):
                 for f in state.files
                 if f.memory_replicas == 0
                 and not f.under_construction
-                and f.heat > self.promote_heat
+                and f.heat > self.candidate_heat
                 and state.now - f.last_demoted >= cooldown
             ),
             key=lambda f: (-f.heat, f.path),
@@ -281,6 +295,10 @@ class BudgetedCachePolicy(TieringPolicy):
                 f"evict must be 'lru' or 'lfu', got {self.evict!r}"
             )
 
+    @property
+    def candidate_heat(self) -> float:
+        return self.promote_after - 1
+
     def _rank(self, f: FileObservation) -> tuple:
         """Sort key of the eviction order: first out sorts first."""
         if self.evict == "lru":
@@ -306,7 +324,7 @@ class BudgetedCachePolicy(TieringPolicy):
                 for f in state.files
                 if f.memory_replicas == 0
                 and not f.under_construction
-                and f.heat > self.promote_after - 1
+                and f.heat > self.candidate_heat
             ),
             key=rank,
             reverse=True,

@@ -93,6 +93,36 @@ class TestDirectories:
         assert names == ["a", "m", "z"]
 
 
+    @pytest.mark.parametrize("spelling", ["/", "/d", "//d//", "/d/sub/"])
+    def test_listing_matches_a_walk_to_the_root(self, ns, spelling):
+        """Child paths are built from the directory's path; they must be
+        the ones ``INode.path()`` reconstructs, entry for entry."""
+        ns.mkdir("/d/sub/inner")
+        make_file(ns, "/d/sub/m")
+        make_file(ns, "/d/k")
+        make_file(ns, "/top")
+        directory = ns._resolve(paths.normalize(spelling), UserContext.root())
+        children = [directory.children[name] for name in sorted(directory.children)]
+        listing = ns.list_status(spelling)
+        assert [s.path for s in listing] == [c.path() for c in children]
+        assert listing == [ns.get_status(c.path()) for c in children]
+
+    def test_status_is_an_immutable_value(self, ns):
+        make_file(ns, "/d/m")
+        status = ns.get_status("/d/m")
+        assert repr(status) == (
+            "FileStatus(path='/d/m', is_directory=False, length=0, "
+            "rep_vector=ReplicationVector(U=3), block_size=4194304, "
+            "owner='root', group='supergroup', mode=420, mtime=0.0, "
+            "under_construction=False)"
+        )
+        assert status == ns.list_status("//d/m/")[0]
+        assert hash(status) == hash(ns.get_status("/d/m"))
+        assert status != ns.get_status("/d")
+        with pytest.raises(AttributeError):
+            status.length = 1
+
+
 class TestFiles:
     def test_create_and_status(self, ns):
         make_file(ns, "/data/file1")
@@ -133,6 +163,23 @@ class TestFiles:
         ns.mkdir("/a")
         with pytest.raises(FileNotFoundInNamespaceError, match="/a/missing"):
             ns.get_status("/a/missing/deep")
+
+    def test_resolve_errors_keep_type_and_message(self, ns):
+        """The three ways a walk fails, message for message."""
+        ns.mkdir("/a/b", mode=0o700)
+        make_file(ns, "/a/b/f")
+        with pytest.raises(FileNotFoundInNamespaceError) as missing:
+            ns.get_status("/a/missing/deep")
+        assert str(missing.value) == "no such path: '/a/missing'"
+        with pytest.raises(NotADirectoryInNamespaceError) as not_dir:
+            ns.get_file("/a/b/f/x")
+        assert str(not_dir.value) == "'/a/b/f' is not a directory"
+        for call in (ns.get_status, ns.get_file, ns.list_status, ns.exists):
+            with pytest.raises(PermissionDeniedError) as denied:
+                call("/a/b/f", UserContext("bob"))
+            assert str(denied.value) == (
+                "user 'bob' lacks 'x'-class permission 1 on '/a' (mode 0o700)"
+            )
 
 
 class TestRename:

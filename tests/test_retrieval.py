@@ -180,6 +180,53 @@ class TestOctopusRetrievalPolicy:
             m.medium_id for m in replicas
         )
 
+    @pytest.mark.parametrize("client", ["worker1", "worker5", None])
+    def test_matches_eq12_transcription_on_loaded_cluster(self, cluster, client):
+        """Same permutation and same RNG draws as Eq. 12 written out per
+        sort key — for a client holding a replica, one holding none and
+        one off the cluster — with media and NICs unevenly loaded."""
+        replicas = [
+            medium(cluster, "worker1", "HDD"),
+            medium(cluster, "worker1", "MEMORY"),
+            medium(cluster, "worker2", "MEMORY"),
+            medium(cluster, "worker2", "SSD"),
+            medium(cluster, "worker3", "SSD"),
+            medium(cluster, "worker3", "HDD"),
+            medium(cluster, "worker4", "HDD"),
+            medium(cluster, "worker4", "HDD", 1),
+        ]
+        for count, target in enumerate(replicas):
+            load(target, count % 4)
+        load(cluster.node("worker2"), 12, channel="out")
+        load(cluster.node("worker3"), 3, channel="out")
+        client_node = None if client is None else cluster.node(client)
+
+        def eq12_key(m):
+            media_rate = m.read_throughput / (m.nr_connections + 1)
+            if client_node is not None and m.node is client_node:
+                rate = media_rate
+            else:
+                network_rate = m.node.nic_bandwidth / (m.node.nr_connections + 1)
+                rate = min(network_rate, media_rate)
+            return (-rate, -(m.read_throughput / (m.nr_connections + 1)))
+
+        policy = OctopusRetrievalPolicy(DeterministicRng(7))
+        reference_rng = DeterministicRng(7)
+        for _ in range(6):
+            expected = reference_rng.shuffled(replicas)
+            expected.sort(key=eq12_key)
+            ordered = policy.order_replicas(
+                replicas, client_node, cluster.topology
+            )
+            assert [m.medium_id for m in ordered] == [
+                m.medium_id for m in expected
+            ]
+            assert (
+                policy.rng._random.getstate()
+                == reference_rng._random.getstate()
+            )
+            load(ordered[0], 1)  # the read that follows shifts the load
+
 
 class TestHdfsRetrievalPolicy:
     def test_locality_order(self, cluster):

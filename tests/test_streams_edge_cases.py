@@ -7,8 +7,10 @@ from repro.cluster import small_cluster_spec
 from repro.errors import (
     FileSystemError,
     InsufficientStorageError,
+    PermissionDeniedError,
     RetrievalError,
 )
+from repro.fs.namespace import UserContext
 from repro.util.units import MB
 
 
@@ -170,6 +172,40 @@ class TestReadEdgeCases:
         finally:
             for stub in stubs:
                 medium.read_channel.flows.discard(stub)
+
+    def test_unreadable_ancestor_denies_locations_and_reads(self, fs, client):
+        client.mkdir("/vault", mode=0o700)
+        client.write_file("/vault/f", data=b"secret")
+        eve = fs.client(on="worker2", user=UserContext("eve"))
+        with pytest.raises(PermissionDeniedError, match="'x'-class.*'/vault'"):
+            eve.get_file_block_locations("/vault/f")
+        with pytest.raises(PermissionDeniedError, match="'x'-class.*'/vault'"):
+            eve.open("/vault/f").read()
+        assert client.open("/vault/f").read() == b"secret"
+
+    def test_locations_and_reads_walk_the_path_once(self, fs, client, monkeypatch):
+        """Both facades of the read path order replicas from the inode
+        one resolve (and one permission check) produced."""
+        tiers = ReplicationVector.of(memory=1, ssd=1, hdd=1)
+        client.write_file("/once", data=b"x" * (9 * MB), rep_vector=tiers)
+        walks = []
+        get_file = fs.master.namespace.get_file
+        monkeypatch.setattr(
+            fs.master.namespace, "get_file",
+            lambda path, *args: walks.append(path) or get_file(path, *args),
+        )
+        locations = client.get_file_block_locations("/once")
+        assert walks == ["/once"]
+        # Distinct tiers, distinct rates: no tie for the RNG to break.
+        assert [list(location.media) for location in locations] == [
+            [replica.medium.medium_id for replica in replicas]
+            for replicas in fs.master.get_block_replicas("/once", client.node)
+        ]
+        del walks[:]
+        stream = client.open("/once")
+        assert walks == ["/once"]  # existence + permission, at open
+        assert stream.read() == b"x" * (9 * MB)
+        assert walks == ["/once", "/once"]
 
 
 class TestOffClusterClient:

@@ -379,6 +379,78 @@ class TestTieringEngine:
         assert all(f.path != "/doomed" for f in state.files)
         assert "/doomed" not in engine.heat
 
+    def test_heat_is_keyed_by_the_file_not_its_spelling(self, fs, client):
+        """Three opens of one file under three spellings are three
+        accesses of one file: one tracker entry, one observation, and
+        the promotion three accesses earn."""
+        engine = TieringEngine(
+            fs, policy=DecayHeatPolicy(promote_heat=1.5), half_life=10.0
+        ).attach()
+        client.write_file("/d/probe", size=MB, rep_vector=ReplicationVector.of(hdd=2))
+        for spelling in ("/d/probe", "/d/probe/", "//d//probe"):
+            client.open(spelling).read_size()
+        assert list(engine.heat.snapshot(fs.engine.now)) == ["/d/probe"]
+        assert [f.path for f in engine.observe().files] == ["/d/probe"]
+        (decision,) = engine.run_round()
+        assert (decision.action.kind, decision.outcome) == (PROMOTE, "applied")
+        assert memory_count(fs, "/d/probe") == 1
+
+    def test_round_looks_up_only_files_it_can_act_on(self, fs, client, monkeypatch):
+        """N cold tracked files cost a round nothing: it asks the
+        namespace about the k hot ones and the p it promoted earlier,
+        then once more per action it applies."""
+        engine = TieringEngine(
+            fs,
+            policy=DecayHeatPolicy(promote_heat=2.0, demote_heat=0.5),
+            half_life=10.0,
+        ).attach()
+        hdd2 = ReplicationVector.of(hdd=2)
+        promoted = ["/p/0", "/p/1"]
+        hot = ["/h/0", "/h/1", "/h/2"]
+        cold = [f"/c/{index:02d}" for index in range(40)]
+        for path in promoted + hot + cold:
+            client.write_file(path, size=MB, rep_vector=hdd2)
+        for path in promoted:
+            heat_up(fs, client, path)
+        assert len(engine.run_round()) == len(promoted)
+        fs.await_replication()
+        for path in cold:
+            client.open(path).read_size()
+        for path in hot:
+            heat_up(fs, client, path)
+        assert len(engine.heat) == len(promoted + hot + cold)
+
+        lookups = []
+        get_status = fs.master.get_status
+        monkeypatch.setattr(
+            fs.master, "get_status",
+            lambda path, *args: lookups.append(path) or get_status(path, *args),
+        )
+        applied = [d for d in engine.run_round() if d.outcome == "applied"]
+        assert {d.action.path for d in applied} == set(hot)
+        assert len(lookups) <= len(hot) + len(promoted) + len(applied)
+        assert not set(lookups) & set(cold)
+
+    def test_vanished_candidate_is_forgotten_cold_tail_is_pruned(self, fs, client):
+        """A deleted path leaves the tracker at once if the round had to
+        look at it (hot, or promoted), and through ``prune`` within ~20
+        half-lives if it was cold; no policy ever sees either."""
+        engine = TieringEngine(
+            fs, policy=DecayHeatPolicy(promote_heat=2.0), half_life=1.0
+        ).attach()
+        for path in ("/hot", "/cold"):
+            client.write_file(path, size=MB, rep_vector=ReplicationVector.of(hdd=2))
+        heat_up(fs, client, "/hot")
+        client.open("/cold").read_size()
+        client.delete("/hot")
+        client.delete("/cold")
+        assert engine.observe().files == ()
+        assert "/hot" not in engine.heat
+        assert "/cold" in engine.heat
+        fs.engine.run(until=fs.engine.now + 25.0)
+        assert engine.run_round() == []
+        assert "/cold" not in engine.heat
+
     def test_never_demotes_application_pin(self, fs, client):
         engine = TieringEngine(
             fs, policy=DecayHeatPolicy(promote_heat=2.0, demote_heat=0.5)

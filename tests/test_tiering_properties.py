@@ -38,6 +38,7 @@ from repro.tier import (
     HeatTracker,
     ObservedState,
     TieringEngine,
+    TieringPolicy,
     TierObservation,
 )
 from repro.util.rng import DeterministicRng
@@ -336,3 +337,80 @@ def test_observed_state_decides_identically_offline(seed):
         promote_heat=1.2, demote_heat=1.0, movement_budget=2
     )
     assert offline.decide(state) == engine.policy.decide(state)
+
+
+# ----------------------------------------------------------------------
+# Differential: observing candidates only decides what a full scan does
+# ----------------------------------------------------------------------
+class _FullScan(TieringPolicy):
+    """The reference: the wrapped policy's ``decide`` behind the base
+    class's ``candidate_heat`` (-inf), so ``observe`` looks up every
+    tracked path every round, as it did before it learned to skip."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+
+    def decide(self, state):
+        return self.inner.decide(state)
+
+
+def _run_churn_workload(seed, policy):
+    """The seeded workload above plus what makes skipping risky: files
+    deleted while tracked (cold, hot and promoted alike), new ones
+    arriving, and an application rewriting vectors under the engine."""
+    fs = OctopusFileSystem(small_cluster_spec(seed=seed))
+    client = fs.client(on="worker1")
+    hdd2 = ReplicationVector.of(hdd=2)
+    live = []
+    for index in range(8):
+        live.append(f"/churn/file-{index}")
+        client.write_file(live[-1], size=2 * MB, rep_vector=hdd2)
+    engine = TieringEngine(fs, policy=policy, half_life=HALF_LIFE).attach()
+    rng = DeterministicRng(seed, "tiering-churn")
+    observed = 0
+    for step in range(60):
+        for _ in range(rng.randint(0, 5)):
+            # Skewed, so some files run hot while a cold tail builds up.
+            client.open(live[min(rng.randint(0, 7), rng.randint(0, 7))]).read_size()
+        event = rng.randint(0, 5)
+        if event == 0:
+            client.delete(live.pop(rng.randint(0, len(live) - 1)))
+            live.append(f"/churn/late-{step}")
+            client.write_file(live[-1], size=2 * MB, rep_vector=hdd2)
+        elif event == 1:
+            path = rng.choice(live)
+            pinned = client.get_replication(path).count("MEMORY") > 0
+            client.set_replication(
+                path, hdd2 if pinned else ReplicationVector.of(memory=1, hdd=2)
+            )
+        fs.engine.run(until=fs.engine.now + rng.uniform(0.5, 6.0))
+        observed += len(engine.observe().files)
+        engine.run_round()
+        fs.await_replication()
+    vectors = {path: client.get_replication(path) for path in sorted(live)}
+    return engine, vectors, observed
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "policy",
+    [
+        DecayHeatPolicy(promote_heat=1.2, demote_heat=1.0, movement_budget=2),
+        BudgetedCachePolicy(budget=4 * MB, promote_after=2, evict="lru"),
+        BudgetedCachePolicy(budget=4 * MB, promote_after=2, evict="lfu"),
+    ],
+    ids=["decay-heat", "cache-lru", "cache-lfu"],
+)
+def test_candidate_observation_decides_like_a_full_scan(policy, seed):
+    engine, vectors, observed = _run_churn_workload(seed, policy)
+    reference, reference_vectors, scanned = _run_churn_workload(
+        seed, _FullScan(policy)
+    )
+    assert engine.decision_log == reference.decision_log
+    assert engine.stats == reference.stats
+    assert engine._promoted == reference._promoted
+    assert vectors == reference_vectors
+    kinds = {d.action.kind for d in engine.decision_log if d.outcome == "applied"}
+    assert kinds == {PROMOTE, DEMOTE}, "workload never exercised both moves"
+    assert observed < scanned, "the cold tail was looked up after all"
