@@ -54,7 +54,12 @@ def _lane(record: dict) -> str:
 
 
 def chrome_trace(records: Iterable[dict]) -> dict:
-    """Build the trace-event JSON document for a record stream."""
+    """Build the trace-event JSON document for a record stream.
+
+    Linear in the records: one pass names the request roots, one builds
+    the payload with O(1) pid/tid bookkeeping, and the metadata is one
+    row per request and lane.
+    """
     materialized = list(records)
     # Root names label the per-request process rows.
     root_names: dict[int, str] = {}
@@ -65,14 +70,13 @@ def chrome_trace(records: Iterable[dict]) -> dict:
         ):
             root_names[record["trace_id"]] = record.get("name", "request")
 
-    pids: list[int] = []
+    pids: dict[int, None] = {}  # insertion-ordered set: O(1) membership
     tids: dict[tuple[int, str], int] = {}
     payload: list[dict] = []
     for record in materialized:
         trace_id = record.get("trace_id")
         pid = GLOBAL_PID if trace_id is None else trace_id
-        if pid not in pids:
-            pids.append(pid)
+        pids[pid] = None
         lane = _lane(record)
         tid = tids.setdefault((pid, lane), len(tids) + 1)
         args = dict(record.get("attrs", {}))

@@ -23,7 +23,10 @@ import gzip
 import io
 import json
 from contextlib import contextmanager
+from itertools import chain
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+
+from repro.obs.registry import Counter, Gauge, Histogram, TimeSeries, snapshot_entry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.system import OctopusFileSystem
@@ -73,12 +76,67 @@ def schema_version_problem(version: object) -> str | None:
 def canonical_json(value: object, indent: int | None = None) -> str:
     """``value`` as byte-stable JSON text ending in a newline: one
     compact line by default, an indented report with ``indent``."""
-    return json.dumps(
-        value,
-        sort_keys=True,
-        indent=indent,
-        separators=(",", ":") if indent is None else None,
-    ) + "\n"
+    if indent is not None:
+        return "".join(_indented(value, " " * indent)) + "\n"
+    return json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _indented(value: object, step: str, pad: str = "\n") -> Iterator[str]:
+    """The text ``json.dumps(value, sort_keys=True, indent=len(step))``
+    returns, in pieces; ``pad`` is the newline and indentation the
+    enclosing level closes on.
+
+    ``json`` itself is not asked: its C encoder does not indent, and
+    the pure-Python one it falls back to resumes a chain of generators
+    per token. So the layout — every member of a non-empty container on
+    its own line, one ``step`` deeper — is spelled here, and the C
+    encoder renders the keys, the scalars and the empty containers. A
+    registry instrument becomes its snapshot entry when the writer
+    reaches it and not before, so one series' samples are copied at a
+    time; an array of ``[float, float]`` pairs — those samples — is one
+    piece, rendered by :func:`_sample_array`.
+    """
+    inner = pad + step
+    if isinstance(value, dict) and value:
+        lead = "{" + inner
+        for key, member in sorted(value.items()):
+            # '{"key": 0}' minus the braces and the 0: json's own key
+            # coercion (int, float, bool, None), its TypeError otherwise.
+            yield lead + json.dumps({key: 0})[1:-2]
+            yield from _indented(member, step, inner)
+            lead = "," + inner
+        yield pad + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        samples = _sample_array(value, inner, inner + step)
+        if samples is not None:
+            yield "[" + inner + samples + pad + "]"
+            return
+        lead = "[" + inner
+        for member in value:
+            yield lead
+            yield from _indented(member, step, inner)
+            lead = "," + inner
+        yield pad + "]"
+    elif isinstance(value, (Counter, Gauge, Histogram, TimeSeries)):
+        yield from _indented(snapshot_entry(value), step, pad)
+    else:
+        yield json.dumps(value)
+
+
+def _sample_array(pairs: list | tuple, inner: str, leaf: str) -> str | None:
+    """The members of a non-empty array of ``[float, float]`` pairs, each
+    number exactly as ``json`` writes it (``float.__repr__``) — or
+    ``None`` for anything else, which the general route then renders:
+    a member that is not a pair, a ``bool`` or ``int`` among the
+    numbers, ``inf`` / ``nan`` (``Infinity`` / ``NaN`` to ``json``)."""
+    if {*map(type, pairs)} <= {list, tuple} and {*map(len, pairs)} == {2}:
+        numbers = tuple(chain.from_iterable(pairs))
+        if {*map(type, numbers)} == {float}:
+            pair = f"[{leaf}%r,{leaf}%r{inner}]"
+            text = f",{inner}".join([pair] * len(pairs)) % numbers
+            # repr spells the non-finite inf and nan; no finite float has an n.
+            return None if "n" in text else text
+    return None
 
 
 @contextmanager
@@ -124,10 +182,11 @@ def write_jsonl(
             handle.write(canonical_json(record))
 
 
-def write_text(text: str, path: str) -> None:
-    """Write ``text`` to ``path`` (``.gz`` compresses)."""
+def write_text(text: str | Iterable[str], path: str) -> None:
+    """Write ``text`` — one string, or the pieces of one — to ``path``
+    (``.gz`` compresses)."""
     with open_text(path, "w") as handle:
-        handle.write(text)
+        handle.writelines((text,) if isinstance(text, str) else text)
 
 
 # ----------------------------------------------------------------------
@@ -665,20 +724,27 @@ def tier_utilization_rows(fs: "OctopusFileSystem") -> list[list]:
     ]
 
 
+def _metrics_pieces(registry: "MetricsRegistry") -> Iterator[str]:
+    """``metrics.json`` in pieces: what :meth:`MetricsRegistry.snapshot`
+    holds under a ``schema_version``, read straight from the
+    instruments, one at a time."""
+    # A disabled registry has no sections, as its snapshot() has none.
+    kinds = ("counter", "gauge", "histogram", "timeseries") if registry.enabled else ()
+    sections: dict[str, list] = {kind + "s": [] for kind in kinds}
+    for instrument in registry.instruments():
+        sections[instrument.kind + "s"].append(instrument)
+    yield from _indented({"schema_version": SCHEMA_VERSION, **sections}, "  ")
+    yield "\n"
+
+
 def metrics_json(registry: "MetricsRegistry") -> str:
     """The metrics snapshot as canonical (byte-stable) JSON."""
-    return canonical_json(
-        {"schema_version": SCHEMA_VERSION, **registry.snapshot()}, indent=2
-    )
+    return "".join(_metrics_pieces(registry))
 
 
 def write_metrics(registry: "MetricsRegistry", path: str) -> None:
     """Write metrics to ``path`` — JSON if it ends in ``.json`` or
     ``.json.gz``, else Prometheus text exposition; a trailing ``.gz``
     gzip-compresses either format deterministically."""
-    write_text(
-        metrics_json(registry)
-        if path.endswith((".json", ".json.gz"))
-        else prometheus_text(registry),
-        path,
-    )
+    as_json = path.endswith((".json", ".json.gz"))
+    write_text(_metrics_pieces(registry) if as_json else prometheus_text(registry), path)

@@ -35,6 +35,7 @@ no-op.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Iterator
 
 #: Default histogram bucket upper bounds (simulated seconds / scores).
@@ -214,32 +215,54 @@ class Histogram:
 
 
 class TimeSeries:
-    """A gauge that remembers every sample with its simulated timestamp."""
+    """A gauge that remembers every sample with its simulated timestamp.
+
+    Times and values live in two flat ``array('d')`` (16 bytes a sample,
+    nothing for the garbage collector to track); :attr:`samples` reads
+    them back as ``(time, value)`` pairs.
+    """
 
     kind = "timeseries"
-    __slots__ = ("name", "labels", "samples", "_clock", "watchers")
+    __slots__ = ("name", "labels", "times", "values", "_clock", "watchers")
 
     def __init__(
         self, name: str, labels: LabelKey, clock: Callable[[], float]
     ) -> None:
         self.name = name
         self.labels = labels
-        self.samples: list[tuple[float, float]] = []
+        self.times = array("d")
+        self.values = array("d")
         self._clock = clock
         self.watchers: list | None = None
 
-    def sample(self, value: float) -> None:
-        self.samples.append((self._clock(), float(value)))
+    def sample(self, value: float, at: float | None = None) -> None:
+        """Record ``value`` now — or at ``at``, for a feed site that read
+        the clock once for a whole pass of samples."""
+        self.times.append(self._clock() if at is None else at)
+        self.values.append(value)  # the array stores float(value)
         if self.watchers:
             for watcher in self.watchers:
-                watcher(self, self.samples[-1][1])
+                watcher(self, self.values[-1])
+
+    @property
+    def samples(self) -> list[tuple[float, float]]:
+        return list(zip(self.times, self.values))
 
     @property
     def last(self) -> float | None:
-        return self.samples[-1][1] if self.samples else None
+        return self.values[-1] if self.values else None
 
     def data(self) -> dict:
-        return {"samples": [[t, v] for t, v in self.samples]}
+        return {"samples": [[t, v] for t, v in zip(self.times, self.values)]}
+
+
+def snapshot_entry(instrument) -> dict:
+    """One instrument as :meth:`MetricsRegistry.snapshot` lists it."""
+    return {
+        "name": instrument.name,
+        "labels": dict(instrument.labels),
+        **instrument.data(),
+    }
 
 
 class MetricsRegistry:
@@ -256,7 +279,8 @@ class MetricsRegistry:
         return self._clock()
 
     def _get(self, kind: str, factory, name: str, labels: dict) -> object:
-        key = (kind, name, _label_key(labels))
+        # Most lookups carry no labels: skip the sort and the generator.
+        key = (kind, name, _label_key(labels) if labels else ())
         instrument = self._instruments.get(key)
         if instrument is None:
             instrument = factory(name, key[2])
@@ -331,13 +355,7 @@ class MetricsRegistry:
             for kind in ("counter", "gauge", "histogram", "timeseries")
         }
         for instrument in self.instruments():
-            out.setdefault(instrument.kind + "s", []).append(
-                {
-                    "name": instrument.name,
-                    "labels": {k: v for k, v in instrument.labels},
-                    **instrument.data(),
-                }
-            )
+            out[instrument.kind + "s"].append(snapshot_entry(instrument))
         return out
 
     def __len__(self) -> int:
@@ -371,7 +389,7 @@ class _NullInstrument:
     def observe(self, value: float) -> None:
         pass
 
-    def sample(self, value: float) -> None:
+    def sample(self, value: float, at: float | None = None) -> None:
         pass
 
     def quantile(self, q: float) -> None:
@@ -404,7 +422,9 @@ class NullRegistry:
     def gauge(self, name: str = "", **labels: str) -> _NullInstrument:
         return NULL_INSTRUMENT
 
-    def histogram(self, name: str = "", **labels: str) -> _NullInstrument:
+    def histogram(
+        self, name: str = "", buckets: tuple = DEFAULT_BUCKETS, **labels: str
+    ) -> _NullInstrument:
         return NULL_INSTRUMENT
 
     def timeseries(self, name: str = "", **labels: str) -> _NullInstrument:

@@ -528,6 +528,10 @@ class FlowScheduler:
         self._completions: list[tuple[float, int, int, Flow]] = []
         self._wake_handle: "TimerHandle | None" = None
         self._wake_time = math.inf
+        #: ``resource name → utilization series`` handles and the registry
+        #: they were bound in (see :meth:`_sample_utilization`).
+        self._util_series: dict = {}
+        self._util_registry: object = None
         name = solver or DEFAULT_SOLVER
         try:
             solver_cls = SOLVERS[name]
@@ -857,8 +861,17 @@ class FlowScheduler:
         with the simulation time. Resources are visited in name order so
         identical runs emit identical series; per-resource demand sums
         in attach (= seq) order because :class:`FlowSet` preserves it.
+
+        This is the hottest metric feed there is, so each resource's
+        series is looked up once and the handle kept; a handle must not
+        outlive its registry (``Observability.enable()`` / ``disable()``
+        swap it), so the map is dropped when the registry is another.
         """
         metrics = self.obs.metrics
+        if self._util_registry is not metrics:
+            self._util_registry, self._util_series = metrics, {}
+        series_of = self._util_series
+        now = metrics.now()
         metrics.gauge("flows_active").set(len(self.active))
         involved: dict[str, Resource] = {}
         for flow in self.active:
@@ -872,6 +885,9 @@ class FlowScheduler:
                 rate = flow.rate
                 if rate != math.inf:
                     demand += rate
-            metrics.timeseries("resource_utilization", resource=name).sample(
-                demand / capacity if capacity > 0 else 0.0
-            )
+            series = series_of.get(name)
+            if series is None:
+                series = series_of[name] = metrics.timeseries(
+                    "resource_utilization", resource=name
+                )
+            series.sample(demand / capacity if capacity > 0 else 0.0, now)

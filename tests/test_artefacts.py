@@ -4,9 +4,12 @@ inside ``repro/obs/export.py``."""
 
 import ast
 import gzip
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import OctopusFileSystem
@@ -23,7 +26,15 @@ from repro.obs import (
     write_metrics,
 )
 from repro.obs.analyze import TraceParseError, read_trace_file
-from repro.obs.export import SCHEMAS, load, open_text, read_artifact
+from repro.obs.export import (
+    SCHEMA_VERSION,
+    SCHEMAS,
+    canonical_json,
+    load,
+    metrics_json,
+    open_text,
+    read_artifact,
+)
 from repro.obs.postmortem import read_bundle
 from repro.util.units import MB
 
@@ -125,6 +136,97 @@ class TestRoundTrip:
         with pytest.raises(ArtifactError) as info:
             read_artifact(str(path), kind)
         assert f"{path}: line {bad}: invalid JSON" in str(info.value)
+
+
+def oracle(value) -> str:
+    """The indented report as ``json`` lays it out: the route the writer
+    in ``export.py`` replaced, kept here as its reference."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), _floats, st.text(max_size=8)
+)
+#: Sample arrays, and arrays that only look like one: a non-finite
+#: number, an ``int`` or a ``bool`` among the floats, a member that is
+#: not a pair — each must come out as ``json`` writes it.
+_pairs = st.lists(st.tuples(_finite, _finite).map(list), min_size=1, max_size=6)
+_near_pairs = st.lists(
+    st.one_of(
+        st.tuples(_finite, _finite),
+        st.lists(st.one_of(_floats, st.integers(), st.booleans()), max_size=3),
+        st.just([1, 2.0]), st.just([True, 0.5]), st.just("ab"),
+        st.just({1.5: 2.5}),
+    ),
+    max_size=5,
+)
+_values = st.recursive(
+    st.one_of(_scalars, _pairs, _near_pairs),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+class TestIndentedWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_matches_json_dumps_on_any_value(self, value):
+        assert canonical_json(value, indent=2) == oracle(value)
+
+    @pytest.mark.parametrize("value", [
+        [[0.0, -0.0], [1e-07, 1e16], [5e-324, 1.7976931348623157e308]],
+        [[1.0, float("inf")]], [[float("nan"), 1.0]], [[-float("inf"), 2.0]],
+        [[1, 2.0]], [[True, 0.5]], [(1.0, 2.0), [3.0, 4.0]], [[1.0, 2.0, 3.0]],
+        [[1.0, 2.0], []], [], {}, [[]], [{}], {"é\u2028": {"": []}},
+        {1: "a", 2: {"b": None}}, {1.5: 0, 2.5: 1}, {True: 1}, {None: 1},
+    ], ids=repr)
+    def test_matches_json_dumps_on_the_edges(self, value):
+        assert canonical_json(value, indent=2) == oracle(value)
+        assert canonical_json(value, indent=4) == json.dumps(
+            value, sort_keys=True, indent=4
+        ) + "\n"
+
+    def test_refuses_what_json_refuses(self):
+        for bad in ({(1, 2): 0}, {"a": {1, 2}}, [object()]):
+            with pytest.raises(TypeError):
+                canonical_json(bad, indent=2)
+
+    def test_metrics_json_of_an_observed_run_is_the_snapshot_as_json_writes_it(
+        self, tmp_path
+    ):
+        """Concurrent writers and readers (the benchmark's ``tiny``
+        ``meta_churn_obs`` shape: one closed-loop client a worker, a
+        dozen small files each), so utilization series of many samples
+        go through the sample-array route; the text is the registry's
+        snapshot under a ``schema_version``, byte for byte."""
+        fs = OctopusFileSystem(small_cluster_spec(seed=0))
+        fs.obs.enable()
+
+        def churn(client, index):
+            for n in range(12):
+                path = f"/c{index}/f{n:02d}"
+                stream = client.create(path)
+                yield from stream.write_size_proc(256 * 1024)
+                yield from stream.close_proc()
+                yield from client.open(path).read_proc(collect=False)
+
+        for index, worker in enumerate(sorted(fs.workers)):
+            fs.engine.process(churn(fs.client(on=worker), index))
+        fs.engine.run()
+        registry = fs.obs.metrics
+        series = [i for i in registry.instruments() if i.kind == "timeseries"]
+        assert sum(len(s.samples) for s in series) > 500
+        expected = oracle({"schema_version": SCHEMA_VERSION, **registry.snapshot()})
+        assert metrics_json(registry) == expected
+        for name in ("metrics.json", "metrics.json.gz"):
+            write_metrics(registry, str(tmp_path / name))
+            with open_text(str(tmp_path / name)) as handle:
+                assert handle.read() == expected
 
 
 class TestSharedErrorType:

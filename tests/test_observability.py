@@ -8,6 +8,7 @@ scores), fault injections land in the same trace stream, and two
 identically-seeded runs export byte-identical JSONL and metrics.
 """
 
+import inspect
 import json
 import os
 import tracemalloc
@@ -25,6 +26,7 @@ from repro.obs import (
     NULL_SPAN,
     NULL_TRACER,
     MetricsRegistry,
+    NullRegistry,
     Observability,
     Tracer,
     metrics_json,
@@ -347,6 +349,31 @@ class TestDisabledPath:
         NULL_INSTRUMENT.observe(1.0)
         NULL_INSTRUMENT.sample(1.0)
         assert NULL_INSTRUMENT.value == 0.0
+
+    def test_null_registry_takes_every_call_the_real_one_takes(self):
+        """Code that runs with observability on must run with it off:
+        each public method the two registries share has the same
+        parameters in the same order, and wherever the real one has a
+        default the null one has the same (the null one may add
+        defaults — ``name=""`` — since that only accepts more)."""
+        shared = [
+            name for name, member in vars(MetricsRegistry).items()
+            if callable(member) and not name.startswith("_")
+            and hasattr(NullRegistry, name)
+        ]
+        assert {"counter", "gauge", "histogram", "timeseries", "find",
+                "watch", "instruments", "snapshot", "now"} <= set(shared)
+        empty = inspect.Parameter.empty
+        for name in shared:
+            real = inspect.signature(getattr(MetricsRegistry, name)).parameters
+            null = inspect.signature(getattr(NullRegistry, name)).parameters
+            assert [(p.name, p.kind) for p in real.values()] == [
+                (p.name, p.kind) for p in null.values()
+            ], name
+            for param in real.values():
+                if param.default is not empty:
+                    assert null[param.name].default == param.default, name
+        assert NULL_REGISTRY.histogram("x", (0.1, 1.0), tier="SSD") is NULL_INSTRUMENT
 
     def test_null_tracer_scope_is_a_noop(self):
         with NULL_TRACER.use(NULL_SPAN) as span:

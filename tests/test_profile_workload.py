@@ -32,3 +32,18 @@ def test_unknown_workload_is_refused_by_name():
     assert done.returncode != 0
     assert "unknown workload 'no_such_workload'" in done.stderr
     assert "tier_shift" in done.stderr
+
+
+def test_callers_names_the_sites_behind_a_function():
+    done = run_tool(
+        "meta_churn_obs", "--scale", "tiny", "--top", "5", "--callers", "registry"
+    )
+    assert done.returncode == 0, done.stderr
+    assert "due to restriction <'registry'>" in done.stdout
+    assert "was called by..." in done.stdout
+    # The hot feed and the site it is called from, on one line.
+    assert any(
+        "(sample)" in line and "(_sample_utilization)" in line
+        for line in done.stdout.splitlines()
+    )
+    assert "sim_makespan_s = " in done.stdout

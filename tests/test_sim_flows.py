@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.obs import Observability
 from repro.sim import FlowScheduler, Resource, SimulationEngine
 
 
@@ -334,3 +335,53 @@ def test_resource_flow_sets_preserve_attach_order():
     assert [f.seq for f in link.flows] == [f.seq for f in flows]
     sched.cancel_flow(flows[1], RuntimeError("x"))
     assert [f.seq for f in link.flows] == [flows[0].seq, flows[2].seq, flows[3].seq]
+
+
+class TestUtilizationHandles:
+    """``_sample_utilization`` keeps each resource's series handle; a
+    handle never outlives the registry it was bound in."""
+
+    @staticmethod
+    def series(obs, name):
+        return obs.metrics.find("timeseries", "resource_utilization", resource=name)
+
+    def test_handles_are_rebound_when_the_registry_is_swapped(self):
+        engine = SimulationEngine()
+        obs = Observability(clock=lambda: engine.now).enable()
+        sched = FlowScheduler(engine, obs=obs)
+        link = Resource("link", capacity=100.0)
+        for _ in range(2):
+            sched.start_flow(1000.0, [link])
+        engine.run()
+        first_registry, first = obs.metrics, self.series(obs, "link")
+        before = first.samples
+        assert before and before[0] == (0.0, 1.0)
+
+        obs.disable()
+        run_transfer(engine, sched, 500.0, [link])  # off: nothing is fed
+        obs.enable()
+        assert obs.metrics is not first_registry
+        started = engine.now
+        run_transfer(engine, sched, 500.0, [link])
+
+        second = self.series(obs, "link")
+        assert second is not first
+        # One sample as the flow starts; an idle link gets none at the end.
+        assert second.samples == [(started, 1.0)]
+        assert first.samples == before
+        assert first_registry.find("gauge", "flows_active").value == 0.0
+
+    def test_two_schedulers_on_one_observability_feed_one_series(self):
+        engine = SimulationEngine()
+        obs = Observability(clock=lambda: engine.now).enable()
+        one, two = FlowScheduler(engine, obs=obs), FlowScheduler(engine, obs=obs)
+        a, b = Resource("shared", capacity=100.0), Resource("shared", capacity=100.0)
+        run_transfer(engine, one, 1000.0, [a])
+        run_transfer(engine, two, 1000.0, [b])
+        run_transfer(engine, one, 1000.0, [a])
+        assert self.series(obs, "shared").samples == [
+            (0.0, 1.0), (10.0, 1.0), (20.0, 1.0)
+        ]
+        assert sum(
+            1 for i in obs.metrics.instruments() if i.kind == "timeseries"
+        ) == 1
