@@ -3,11 +3,16 @@
 from repro.bench.experiments import table3_namespace
 from repro.workloads.slive import OPERATIONS
 
+#: Ops on which both sides do the same work, charged bytes included:
+#: their overhead has to sit inside the run's own noise floor. `rename`
+#: and `delete` carry three per-tier usage entries against one.
+SAME_WORK = ("mkdir", "ls", "open", "create")
+
 
 def test_table3_namespace_operations(benchmark, bench_scale, record_result):
     result = benchmark.pedantic(
         table3_namespace.run,
-        kwargs={"scale": bench_scale, "repeats": 2},
+        kwargs={"scale": bench_scale},
         rounds=1,
         iterations=1,
     )
@@ -16,9 +21,11 @@ def test_table3_namespace_operations(benchmark, bench_scale, record_result):
     rows = {row[0]: row for row in result.rows}
     assert set(rows) == set(OPERATIONS)
     for op, row in rows.items():
-        _op, hdfs, octo, _overhead, *_paper = row
+        _op, hdfs, octo, overhead, noise, *_paper = row
         assert hdfs > 0 and octo > 0
-        # Shape: the tier machinery keeps namespace ops in the same
-        # ballpark as plain HDFS (paper <1%; we tolerate Python-level
-        # differences but fail on anything resembling a slowdown bug).
-        assert octo > hdfs / 2.0, f"{op}: OctopusFS >2x slower than baseline"
+        if op in SAME_WORK:
+            # Shape: one code path, so what is left is noise (paper <1%).
+            assert abs(overhead) <= max(3 * abs(noise), 15.0), (
+                f"{op}: overhead {overhead:.1f} % outside the run's "
+                f"noise floor (A/A {noise:.1f} %)"
+            )

@@ -1,19 +1,28 @@
 """Table 3: namespace operations per second, HDFS vs OctopusFS.
 
-S-Live drives the identical operation mix against the plain-HDFS
-baseline namesystem (replication shorts, aggregate quotas) and the
-OctopusFS namespace (replication vectors, per-tier quotas). Rates are
-real wall-clock measurements of the metadata code paths, reported per
-worker of the 9-worker testbed as in the paper.
+S-Live drives the identical operation stream against two constructions
+of one :class:`~repro.fs.namespace.Namespace` — stock HDFS on a one-tier
+axis (the vector ``U = 3`` is the replication short, one aggregate
+``DISK`` usage entry per file) and OctopusFS on its tier axis (three
+per-tier usage entries per file) — so ``overhead %`` is the cost of the
+tier extras and of nothing else. Rates are real wall-clock measurements
+of the metadata code paths, reported per worker of the 9-worker testbed
+as in the paper.
 
-Paper shape to hold: the two systems are very close — the tier
-machinery must not meaningfully slow namespace operations. (The paper
-reports <1 % on its Java fork; our two Python implementations differ by
-single-digit-to-low-double-digit percents, recorded honestly.)
+A second, identical OctopusFS adapter runs beside the two and its gap to
+the first is printed as ``A/A %``: the noise floor of this run, in the
+units of the column next to it. An overhead inside it is not a finding.
+
+Paper shape to hold: the two systems are very close (< 1 % on the
+paper's Java fork). Ours are inside the noise floor on ``mkdir``,
+``ls``, ``create`` and ``open``; ``rename`` and ``delete`` move a
+file's usage entries between or out of the ancestors' counts, three
+dict entries against one, and pay for it (EXPERIMENTS.md, Table 3).
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 from repro.bench.tables import format_table
@@ -36,6 +45,17 @@ PAPER_TABLE3 = {
 
 WORKERS = 9
 
+#: Operations per type at scale 1.0.
+FULL_SCALE_OPS = 4000
+
+#: What one repeat runs: the pair, and an identical OctopusFS twin whose
+#: gap to the first is the run's noise floor.
+SIDES = {
+    "HDFS": HdfsNamespaceAdapter,
+    "OctopusFS": OctopusNamespaceAdapter,
+    "twin": OctopusNamespaceAdapter,
+}
+
 
 @dataclass
 class Table3Result:
@@ -48,6 +68,7 @@ class Table3Result:
                 "HDFS ops/s/w",
                 "OctopusFS ops/s/w",
                 "overhead %",
+                "A/A %",
                 "paper HDFS",
                 "paper Octo",
             ],
@@ -57,22 +78,34 @@ class Table3Result:
 
 
 def run(scale: float = 1.0, seed: int = 0, repeats: int = 4) -> Table3Result:
-    """Run S-Live ``repeats`` times (as the paper does) and keep the
-    best rate per op, interleaving systems to even out CPU state."""
-    ops = max(200, int(4000 * scale))
-    slive = SLive(ops_per_type=ops, seed=seed)
-    best: dict[str, dict[str, float]] = {"HDFS": {}, "OctopusFS": {}}
+    """Run S-Live ``repeats`` times per side (as the paper does) and
+    keep the best rate per op.
+
+    Three sides a repeat: HDFS, OctopusFS and an identical OctopusFS
+    twin. Each run starts from a collected heap, and the side that goes
+    first rotates, so no side keeps the cold (or the warm) slot.
+    """
+    slive = SLive(
+        ops_per_type=max(200, round(FULL_SCALE_OPS * scale)), seed=seed
+    )
+    order = list(SIDES)
+    best = {side: dict.fromkeys(OPERATIONS, 0.0) for side in SIDES}
     for _ in range(repeats):
-        for adapter in (OctopusNamespaceAdapter(), HdfsNamespaceAdapter()):
-            outcome = slive.run(adapter)
-            store = best[outcome.system]
+        for side in order:
+            gc.collect()
+            outcome = slive.run(SIDES[side]())
             for op, rate in outcome.ops_per_second.items():
-                store[op] = max(store.get(op, 0.0), rate)
+                best[side][op] = max(best[side][op], rate)
+        order.append(order.pop(0))
     result = Table3Result()
     for op in OPERATIONS:
-        hdfs = best["HDFS"][op] / WORKERS
-        octo = best["OctopusFS"][op] / WORKERS
-        paper = PAPER_TABLE3.get(op, (float("nan"), float("nan")))
-        overhead = 100.0 * (hdfs - octo) / hdfs if hdfs else 0.0
-        result.rows.append([op, hdfs, octo, overhead, paper[0], paper[1]])
+        hdfs, octo, twin = (best[side][op] / WORKERS for side in SIDES)
+        result.rows.append(
+            [op, hdfs, octo, _gap(hdfs, octo), _gap(twin, octo), *PAPER_TABLE3[op]]
+        )
     return result
+
+
+def _gap(base: float, octo: float) -> float:
+    """How much slower OctopusFS ran than ``base``, in percent of it."""
+    return 100.0 * (base - octo) / base if base else 0.0

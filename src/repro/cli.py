@@ -10,7 +10,9 @@ Commands
 
     python -m repro dfsio --size 10GB --parallelism 27 --vector 1,0,2
 
-``slive`` — compare namespace operation rates vs the HDFS baseline::
+``slive`` — Table 3 at a chosen size: namespace operation rates of one
+``Namespace`` as stock HDFS (one tier) and as OctopusFS, with the run's
+own noise floor beside the overhead::
 
     python -m repro slive --ops 4000
 
@@ -59,7 +61,7 @@ import sys
 from typing import Sequence
 
 from repro.bench.deployments import DEPLOYMENTS, build_deployment
-from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.bench.experiments import ALL_EXPERIMENTS, table3_namespace
 from repro.bench.tables import format_table
 from repro.cluster.spec import paper_cluster_spec
 from repro.core.replication_vector import ReplicationVector
@@ -67,7 +69,6 @@ from repro.obs import (
     ArtifactError,
     HealthMonitor,
     ObsCapture,
-    Observability,
     SloMonitor,
     analysis_json,
     analyze_trace,
@@ -88,11 +89,6 @@ from repro.obs.export import SCHEMAS, canonical_json, load, read_artifact
 from repro.obs.postmortem import bundle_trace_records
 from repro.util.units import format_bytes, format_rate, parse_bytes
 from repro.workloads.dfsio import Dfsio
-from repro.workloads.slive import (
-    HdfsNamespaceAdapter,
-    OctopusNamespaceAdapter,
-    SLive,
-)
 
 
 def _positive_int(text: str) -> int:
@@ -144,8 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_out(dfsio)
 
-    slive = sub.add_parser("slive", help="namespace stress test vs HDFS")
-    slive.add_argument("--ops", type=int, default=2000)
+    slive = sub.add_parser(
+        "slive",
+        help="namespace stress test: the same namespace as stock HDFS "
+        "(one tier) and as OctopusFS, overhead and A/A noise floor per op",
+    )
+    slive.add_argument(
+        "--ops", type=int, default=2000,
+        help="operations per type (200 at least)",
+    )
     slive.add_argument("--seed", type=int, default=0)
     _add_obs_out(slive)
 
@@ -355,31 +358,14 @@ def _print_watch_summary(monitor: SloMonitor) -> None:
 
 
 def cmd_slive(args: argparse.Namespace) -> int:
-    capture = ObsCapture() if args.obs_out else None
-    # S-Live is engine-less and builds no cluster, so its bundle is
-    # handed to the capture by hand; with no timer to close incidents,
-    # writing the capture seals any still open.
-    obs = capture.attach(Observability()) if capture else None
-    slive = SLive(ops_per_type=args.ops, seed=args.seed, obs=obs)
-    octo = slive.run(OctopusNamespaceAdapter())
-    hdfs = slive.run(HdfsNamespaceAdapter())
-    rows = [
-        [
-            op,
-            hdfs.ops_per_second[op],
-            octo.ops_per_second[op],
-            100.0 * (hdfs.ops_per_second[op] - octo.ops_per_second[op])
-            / hdfs.ops_per_second[op],
-        ]
-        for op in octo.ops_per_second
-    ]
-    print(
-        format_table(
-            ["operation", "HDFS ops/s", "OctopusFS ops/s", "overhead %"],
-            rows,
-            title=f"S-Live ({args.ops} ops per type)",
+    # S-Live hands its own bundle to the capture; it is engine-less, so
+    # with no timer to close incidents, writing the capture seals any
+    # still open.
+    with _capture(args) as capture:
+        result = table3_namespace.run(
+            scale=args.ops / table3_namespace.FULL_SCALE_OPS, seed=args.seed
         )
-    )
+    print(result.format())
     _write_capture(capture, args)
     return 0
 

@@ -39,7 +39,7 @@ _MAX_TIERS = 7  # 7 tiers + U fit in 64 bits
 class ReplicationVector:
     """An immutable mapping of tier name → replica count, plus U."""
 
-    __slots__ = ("_counts", "_unspecified", "_default_encoding")
+    __slots__ = ("_counts", "_unspecified", "_encoded")
 
     def __init__(
         self,
@@ -57,7 +57,8 @@ class ReplicationVector:
         self._check_entry(UNSPECIFIED, unspecified)
         self._counts = dict(sorted(cleaned.items()))
         self._unspecified = int(unspecified)
-        self._default_encoding: int | None = None
+        #: The last ``(tier_order, encoding)`` pair :meth:`encode` produced.
+        self._encoded: tuple[tuple[str, ...], int] | None = None
 
     @staticmethod
     def _check_entry(tier: str, count: int) -> None:
@@ -191,13 +192,16 @@ class ReplicationVector:
         """Pack into 64 bits: 8 bits per tier in ``tier_order``, then U.
 
         The U entry occupies the least-significant byte; tier entries
-        follow in order toward the most-significant end. The default-
-        order encoding is cached (vectors are immutable and the Master
-        encodes on every journaled create).
+        follow in order toward the most-significant end. The last
+        encoding is remembered with its order and returned again for an
+        equal one (vectors are immutable, a namespace has one tier axis,
+        and the Master encodes on every journaled create).
         """
-        if tier_order is DEFAULT_TIER_ORDER and self._default_encoding is not None:
-            return self._default_encoding
-        order = [t.upper() for t in tier_order]
+        cached = self._encoded
+        if cached is not None and cached[0] == tier_order:
+            return cached[1]
+        given = tuple(tier_order)
+        order = [t.upper() for t in given]
         if len(order) > _MAX_TIERS:
             raise ReplicationVectorError(
                 f"at most {_MAX_TIERS} tiers fit in the 64-bit encoding"
@@ -211,8 +215,7 @@ class ReplicationVector:
         for tier in order:
             encoded = (encoded << 8) | self.count(tier)
         encoded = (encoded << 8) | self._unspecified
-        if tier_order is DEFAULT_TIER_ORDER:
-            self._default_encoding = encoded
+        self._encoded = (given, encoded)
         return encoded
 
     @classmethod

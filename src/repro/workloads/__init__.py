@@ -7,11 +7,8 @@
   rotating hot set that measures how fast tiering management adapts
   (per-phase read latency and memory hit rate).
 * :mod:`repro.workloads.slive` — the S-Live namespace stress test
-  (paper §7.4), runnable against the OctopusFS Master and against the
-  plain-HDFS baseline namesystem.
-* :mod:`repro.workloads.hdfs_baseline` — a faithful slim reimplementation
-  of the HDFS namesystem surface (replication shorts, no tiers) used as
-  the Table 3 comparison target.
+  (paper §7.4), run against one :class:`~repro.fs.namespace.Namespace`
+  as OctopusFS and, on a one-tier axis, as stock HDFS (Table 3).
 * :mod:`repro.workloads.mapreduce` / :mod:`repro.workloads.spark` —
   task-level engine simulations standing in for Hadoop MapReduce and
   Spark (paper §7.5).

@@ -2,54 +2,68 @@
 
 S-Live ("Stress Test for Live Data Verification") hammers the Master
 with a mix of typical file-system operations and reports the rate of
-successful operations per second per operation type. Following the
-paper, we run the same generated workload against the OctopusFS Master
-(replication vectors, tier accounting) and the plain HDFS namesystem
-baseline (:mod:`repro.workloads.hdfs_baseline`), measuring real
-wall-clock CPU cost of the metadata paths — Table 3's "despite the
-extra processing related to the tiers, OctopusFS offers very similar
-performance" claim is about exactly this overhead.
+successful operations per second per operation type. The paper runs one
+script against stock HDFS and against OctopusFS, two systems that share
+all but the tier extras; so do we. Both sides are
+:class:`~repro.fs.namespace.Namespace`: OctopusFS on the default tier
+axis, stock HDFS on a one-tier axis, where the vector ``U = r`` *is*
+the replication short (§2.3's compatibility rule) and the single
+``DISK`` entry of the per-tier accounting *is* the aggregate
+disk-space count. What differs between the sides is data, never code,
+so the wall-clock gap is the cost of the tier extras alone — Table 3's
+"despite the extra processing related to the tiers, OctopusFS offers
+very similar performance".
 
-Adapters (:class:`OctopusNamespaceAdapter`, :class:`HdfsNamespaceAdapter`)
-give the two namesystems one surface; :class:`SLive` generates and
-executes the operation mix.
+:class:`NamespaceAdapter` is the one surface S-Live drives;
+:class:`OctopusNamespaceAdapter` and :class:`HdfsNamespaceAdapter` are
+its two constructions. :class:`SLive` generates and executes the
+operation mix.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Protocol
 
-from repro.core.replication_vector import ReplicationVector
+from repro.core.replication_vector import DEFAULT_TIER_ORDER, ReplicationVector
 from repro.fs.master import Master
 from repro.fs.namespace import Namespace
 from repro.util.rng import DeterministicRng
 from repro.util.units import MB
-from repro.workloads.hdfs_baseline import HdfsNamesystem
 
 #: The operation types reported in Table 3.
 OPERATIONS = ("mkdir", "ls", "create", "open", "rename", "delete")
 
-
-class NamespaceAdapter(Protocol):
-    """The minimal surface S-Live drives."""
-
-    def mkdir(self, path: str) -> None: ...
-    def create(self, path: str) -> None: ...
-    def open(self, path: str) -> object: ...
-    def ls(self, path: str) -> object: ...
-    def rename(self, src: str, dst: str) -> None: ...
-    def delete(self, path: str) -> None: ...
+BLOCK_SIZE = 128 * MB
 
 
-class OctopusNamespaceAdapter:
-    """Drives the OctopusFS namespace (vectors + tier accounting)."""
+class NamespaceAdapter:
+    """S-Live's six calls onto a :class:`Namespace`.
 
-    name = "OctopusFS"
+    Real S-Live's ``create`` writes data; ours would leave empty inodes
+    and the per-tier usage walks (``add_child`` / ``remove_child`` up
+    the tree) nothing to carry. An adapter that owns its namespace
+    therefore also plays the Master's part: each created file gets one
+    block whose three replicas finalise on ``replica_tiers``, charged a
+    replica at a time as ``Master.attach_replica`` does.
+    """
+
+    name: str
+    #: The namespace's tier axis.
+    tier_order: tuple[str, ...]
+    #: Where the three replicas of a created file's block land.
+    replica_tiers: tuple[str, ...]
 
     def __init__(self, namespace: Namespace | None = None) -> None:
-        self.namespace = namespace or Namespace()
+        if namespace is None:
+            namespace = Namespace(tier_order=self.tier_order)
+            self._charged_tiers = self.replica_tiers
+        else:
+            # It belongs to a Master that does its own accounting:
+            # charge nothing on its behalf.
+            self._charged_tiers = ()
+        self.namespace = namespace
+        # HDFS's replication short: U = 3, whatever the axis.
         self._vector = ReplicationVector.from_replication_factor(3)
         # Journal like a real Master would: edits go somewhere.
         self.edit_records: list[dict] = []
@@ -59,7 +73,11 @@ class OctopusNamespaceAdapter:
         self.namespace.mkdir(path)
 
     def create(self, path: str) -> None:
-        self.namespace.create_file(path, self._vector, 128 * MB)
+        inode, _freed = self.namespace.create_file(
+            path, self._vector, BLOCK_SIZE
+        )
+        for tier in self._charged_tiers:
+            self.namespace.charge_tier_space(inode, tier, BLOCK_SIZE)
 
     def open(self, path: str) -> object:
         return self.namespace.get_status(path)
@@ -73,38 +91,27 @@ class OctopusNamespaceAdapter:
     def delete(self, path: str) -> None:
         self.namespace.delete(path, recursive=True)
 
+
+class OctopusNamespaceAdapter(NamespaceAdapter):
+    """OctopusFS: MOOP spreads ``U = 3`` over the paper cluster's three
+    tiers, so a file carries three per-tier usage entries."""
+
+    name = "OctopusFS"
+    tier_order = DEFAULT_TIER_ORDER
+    replica_tiers = ("MEMORY", "SSD", "HDD")
+
     @classmethod
     def for_master(cls, master: Master) -> "OctopusNamespaceAdapter":
         return cls(master.namespace)
 
 
-class HdfsNamespaceAdapter:
-    """Drives the plain-HDFS baseline namesystem."""
+class HdfsNamespaceAdapter(NamespaceAdapter):
+    """Stock HDFS: one tier, so the three replicas add up in one
+    aggregate disk-space entry of replication × length."""
 
     name = "HDFS"
-
-    def __init__(self, namesystem: HdfsNamesystem | None = None) -> None:
-        self.namesystem = namesystem or HdfsNamesystem()
-        self.edit_records: list[dict] = []
-        self.namesystem.add_listener(self.edit_records.append)
-
-    def mkdir(self, path: str) -> None:
-        self.namesystem.mkdir(path)
-
-    def create(self, path: str) -> None:
-        self.namesystem.create(path)
-
-    def open(self, path: str) -> object:
-        return self.namesystem.open(path)
-
-    def ls(self, path: str) -> object:
-        return self.namesystem.list(path)
-
-    def rename(self, src: str, dst: str) -> None:
-        self.namesystem.rename(src, dst)
-
-    def delete(self, path: str) -> None:
-        self.namesystem.delete(path, recursive=True)
+    tier_order = ("DISK",)
+    replica_tiers = ("DISK", "DISK", "DISK")
 
 
 @dataclass
@@ -135,9 +142,14 @@ class SLive:
         self.dirs = dirs
         self.seed = seed
         if obs is None:
-            from repro.obs import Observability
+            from repro.obs import Observability, active_capture
 
             obs = Observability()  # disabled no-op bundle
+            capture = active_capture()
+            if capture is not None:
+                # S-Live builds no cluster, so inside a capture scope
+                # (the CLI's --obs-out) it hands its bundle over itself.
+                capture.attach(obs)
         #: Optional :class:`~repro.obs.Observability`; S-Live is a pure
         #: metadata benchmark with no simulation engine, so its metrics
         #: are wall-clock-free counters and per-phase events.
@@ -154,7 +166,7 @@ class SLive:
         rename before delete) with per-phase wall-clock timing, like the
         real S-Live's per-operation reporting.
         """
-        rng = DeterministicRng(self.seed, f"slive/{adapter.name}")
+        rng = DeterministicRng(self.seed, "slive")
         result = SLiveResult(system=adapter.name)
         n = self.ops_per_type
 

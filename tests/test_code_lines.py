@@ -6,10 +6,21 @@ from pathlib import Path
 RULER = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 
 
-def test_only_lines_carrying_code_count(tmp_path):
+def load_ruler():
     spec = importlib.util.spec_from_file_location("code_lines", RULER)
     ruler = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ruler)
+    return ruler
+
+
+def test_only_lines_carrying_code_count(tmp_path):
+    ruler = load_ruler()
     fixture = tmp_path / "fixture.py"
     fixture.write_text('"""A docstring."""\n# a comment\nx = "code"  # counts\n')
     assert ruler.code_lines(fixture) == 1
+
+
+def test_no_path_is_a_usage_error_not_a_zero_total(capsys):
+    assert load_ruler().main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage:")

@@ -132,6 +132,15 @@ class TestFiles:
         assert status.block_size == BS
         assert not status.under_construction
 
+    def test_create_under_a_new_directory_journals_both(self, ns):
+        records = []
+        ns.add_listener(records.append)
+        ns.create_file("/j/f", RV, BS)
+        assert [(r["op"], r["path"]) for r in records] == [
+            ("mkdir", "/j"),
+            ("create_file", "/j/f"),
+        ]
+
     def test_create_requires_replica(self, ns):
         with pytest.raises(PathError):
             ns.create_file("/x", ReplicationVector(), BS)

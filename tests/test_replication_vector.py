@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cluster import Cluster, paper_cluster_spec
 from repro.core.replication_vector import (
     DEFAULT_TIER_ORDER,
     UNSPECIFIED,
@@ -138,6 +139,30 @@ class TestEncoding:
         order = ("NVRAM", "HDD")
         v = ReplicationVector({"NVRAM": 2, "HDD": 1}, unspecified=1)
         assert ReplicationVector.decode(v.encode(order), order) == v
+
+    def test_encoding_cached_under_a_cluster_tier_order(self, monkeypatch):
+        # A Master passes ``tuple(cluster.tier_order)``: a fresh tuple
+        # each time, and not the four-entry default axis.
+        cluster = Cluster(paper_cluster_spec())
+        assert tuple(cluster.tier_order) != DEFAULT_TIER_ORDER
+        v = ReplicationVector.of(memory=1, u=2)
+        first = v.encode(tuple(cluster.tier_order))
+        calls = []
+        real_count = ReplicationVector.count
+        monkeypatch.setattr(
+            ReplicationVector,
+            "count",
+            lambda self, tier: calls.append(tier) or real_count(self, tier),
+        )
+        assert v.encode(tuple(cluster.tier_order)) == first
+        assert calls == []
+
+    def test_cache_follows_the_order_it_was_asked_for(self):
+        a, b = ("MEMORY", "SSD", "HDD"), ("HDD", "MEMORY")
+        v = ReplicationVector.of(memory=1, hdd=2, u=3)
+        in_a = (1 << 24) | (2 << 8) | 3
+        in_b = (2 << 16) | (1 << 8) | 3
+        assert [v.encode(a), v.encode(b), v.encode(a)] == [in_a, in_b, in_a]
 
     @given(
         counts=st.lists(

@@ -37,6 +37,9 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
+    if not argv:
+        print("usage: python tools/code_lines.py PATH...", file=sys.stderr)
+        return 2
     files = sorted(
         file
         for arg in map(Path, argv)
