@@ -9,14 +9,9 @@ from repro.workloads.slive import OPERATIONS
 SAME_WORK = ("mkdir", "ls", "open", "create")
 
 
-def test_table3_namespace_operations(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        table3_namespace.run,
-        kwargs={"scale": bench_scale},
-        rounds=1,
-        iterations=1,
-    )
-    record_result("table3_namespace", result.format())
+def test_table3_namespace_operations(bench_scale):
+    result = table3_namespace.run(scale=bench_scale)
+    print("\n" + result.format())
 
     rows = {row[0]: row for row in result.rows}
     assert set(rows) == set(OPERATIONS)

@@ -1,35 +1,15 @@
-"""Shared configuration for the experiment benchmarks.
+"""Shared configuration for ``bench_flows_scale.py`` and ``bench_table3_namespace.py``.
 
-Every benchmark regenerates one paper table/figure at a reduced scale
-(``BENCH_SCALE``) so the whole suite completes in minutes; set
-``OCTOPUS_BENCH_SCALE=1.0`` in the environment to run at the paper's
-full data sizes. Each bench prints the regenerated table — run pytest
-with ``-s`` to see them inline; they are also written to
-``benchmarks/results/``.
+Both run at a reduced scale so they complete in seconds; set
+``OCTOPUS_BENCH_SCALE=1.0`` in the environment for the full sizes. Each
+prints what it measured — run pytest with ``-s`` to see it inline.
 """
 
 import os
-import pathlib
 
 import pytest
-
-BENCH_SCALE = float(os.environ.get("OCTOPUS_BENCH_SCALE", "0.2"))
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
 def bench_scale() -> float:
-    return BENCH_SCALE
-
-
-@pytest.fixture(scope="session")
-def record_result():
-    """Persist a regenerated table under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-
-    def _record(name: str, formatted: str) -> None:
-        print("\n" + formatted)
-        (RESULTS_DIR / f"{name}.txt").write_text(formatted + "\n")
-
-    return _record
+    return float(os.environ.get("OCTOPUS_BENCH_SCALE", "0.2"))
