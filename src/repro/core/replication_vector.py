@@ -22,6 +22,7 @@ as cheap to store as the old replication short.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Mapping
 
 from repro.errors import ReplicationVectorError
@@ -222,17 +223,13 @@ class ReplicationVector:
     def decode(
         cls, encoded: int, tier_order: Iterable[str] = DEFAULT_TIER_ORDER
     ) -> "ReplicationVector":
-        """Inverse of :meth:`encode`."""
-        if encoded < 0 or encoded >= 1 << 64:
-            raise ReplicationVectorError("encoded vector must fit in 64 bits")
-        order = [t.upper() for t in tier_order]
-        unspecified = encoded & 0xFF
-        encoded >>= 8
-        counts: dict[str, int] = {}
-        for tier in reversed(order):
-            counts[tier] = encoded & 0xFF
-            encoded >>= 8
-        return cls(counts, unspecified)
+        """Inverse of :meth:`encode`.
+
+        Vectors are immutable, so one encoding on one tier axis decodes
+        to one shared vector: an edit-log replay or a checkpoint load
+        decodes the same few encodings thousands of times.
+        """
+        return _decode(encoded, tuple(tier_order))
 
     # ------------------------------------------------------------------
     # Dunder plumbing
@@ -259,3 +256,16 @@ class ReplicationVector:
         entries = [str(self.count(t)) for t in tier_order]
         entries.append(str(self._unspecified))
         return "<" + ",".join(entries) + ">"
+
+
+@functools.lru_cache(maxsize=1024)
+def _decode(encoded: int, tier_order: tuple[str, ...]) -> ReplicationVector:
+    if encoded < 0 or encoded >= 1 << 64:
+        raise ReplicationVectorError("encoded vector must fit in 64 bits")
+    unspecified = encoded & 0xFF
+    encoded >>= 8
+    counts: dict[str, int] = {}
+    for tier in reversed(tier_order):
+        counts[tier.upper()] = encoded & 0xFF
+        encoded >>= 8
+    return ReplicationVector(counts, unspecified)

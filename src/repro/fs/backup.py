@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from repro.fs import checkpoint as ckpt
-from repro.fs.editlog import replay
+from repro.fs.editlog import apply_record, replay
 from repro.fs.master import Master
 from repro.fs.namespace import Namespace
 
@@ -32,22 +32,23 @@ class BackupMaster:
     def __init__(self, primary: Master, name: str = "backup") -> None:
         self.primary = primary
         self.name = name
-        self.image = Namespace(tier_order=primary.namespace.tier_order)
-        self.applied_txid = 0
+        # Start from an image of the primary as it stands — its edit log
+        # may have been truncated — then follow the live stream.
+        self.image, self.applied_txid = ckpt.load_checkpoint(
+            ckpt.write_checkpoint(primary.namespace, primary.edit_log.last_txid)
+        )
         self.checkpoints: list[dict] = []
-        # Catch up on history, then subscribe to the live stream.
-        for record in primary.edit_log.records:
-            self._apply(record)
+        #: Time of the record being applied: the image's clock.
+        self._record_time = 0.0
+        self.image._clock = lambda: self._record_time
         primary.namespace.add_listener(self._on_edit)
 
     def _on_edit(self, record: dict) -> None:
         # The primary's EditLog listener assigns txids; we see the raw
-        # record, so stamp our own counter in lockstep.
-        self._apply({**record, "txid": self.applied_txid + 1})
-
-    def _apply(self, record: dict) -> None:
-        replay([record], self.image)
-        self.applied_txid = record.get("txid", self.applied_txid + 1)
+        # record, so count in lockstep.
+        self._record_time = record["time"]
+        apply_record(record, self.image)
+        self.applied_txid += 1
 
     # ------------------------------------------------------------------
     # Checkpointing

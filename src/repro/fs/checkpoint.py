@@ -87,7 +87,6 @@ def _load_dir(
     directory.group = record["group"]
     directory.mode = record["mode"]
     directory.mtime = record["mtime"]
-    directory.set_quota(record["namespace_quota"], record["tier_space_quota"])
     for child in record["children"]:
         if child["type"] == "dir":
             sub = INodeDirectory(
@@ -113,3 +112,6 @@ def _load_dir(
                 inode.blocks.append(block)
             if not child["under_construction"]:
                 inode.complete()
+    # After the subtree: a quota lowered below usage is legal live (it
+    # only blocks growth), so it must not block loading what it covers.
+    directory.set_quota(record["namespace_quota"], record["tier_space_quota"])

@@ -1,8 +1,8 @@
 """The edit log: a replayable journal of namespace mutations.
 
 The Master appends every successful namespace mutation to its edit log;
-a Backup Master tails the log and replays it against its own namespace
-image, so it can take over (or write a checkpoint) at any time (§2.1).
+a Backup Master applies each record to its own namespace image as it is
+produced, so it can take over (or write a checkpoint) at any time (§2.1).
 
 Records are plain dicts with an ``op`` key — trivially serializable and
 easy to assert on in tests. ``replay`` applies a record stream to a
@@ -16,7 +16,8 @@ from typing import Iterable
 
 from repro.core.replication_vector import ReplicationVector
 from repro.errors import FileSystemError
-from repro.fs.namespace import SUPERUSER, Namespace, UserContext
+from repro.fs.blocks import Block
+from repro.fs.namespace import SUPERUSER, Namespace
 
 
 class EditLog:
@@ -57,14 +58,17 @@ def replay(records: Iterable[dict], namespace: Namespace) -> int:
     try:
         for record in records:
             stamp = record.get("time")
-            _apply(record, namespace)
+            apply_record(record, namespace)
             applied += 1
     finally:
         namespace._clock = clock
     return applied
 
 
-def _apply(record: dict, ns: Namespace) -> None:
+def apply_record(record: dict, ns: Namespace) -> None:
+    """Apply one record through the namespace op that journaled it,
+    under the namespace's clock (:func:`replay` sets it to the record's
+    time; a standby's image reads it from the record it is applying)."""
     op = record.get("op")
     order = ns.tier_order
     if op == "mkdir":
@@ -81,8 +85,6 @@ def _apply(record: dict, ns: Namespace) -> None:
         )
         inode.owner = record["user"]
     elif op == "add_block":
-        from repro.fs.blocks import Block
-
         inode = ns.get_file(record["path"])
         block = Block(
             record["index"], inode.block_size, block_id=record["block_id"]

@@ -11,7 +11,7 @@ fair multi-tenant use of scarce tiers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.core.replication_vector import ReplicationVector
 from repro.errors import QuotaExceededError
@@ -48,13 +48,6 @@ class INode:
             parts.append(node.name)
             node = node.parent
         return "/" + "/".join(reversed(parts))
-
-    def ancestors(self) -> Iterator["INodeDirectory"]:
-        """Enclosing directories, innermost first."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "dir" if self.is_directory else "file"
@@ -128,34 +121,49 @@ class INodeDirectory(INode):
     # ------------------------------------------------------------------
     def add_child(self, child: INode) -> None:
         assert child.name not in self.children, "caller must check existence"
-        self._check_namespace_quota(self._subtree_size_of(child))
+        inodes, tier_bytes = _usage_of(child)
+        chain = self._chain()
+        _check_namespace_quota(chain, inodes)
         self.children[child.name] = child
         child.parent = self
-        self._propagate_inodes(self._subtree_size_of(child))
-        for tier, nbytes in self._subtree_bytes_of(child).items():
-            self._propagate_bytes(tier, nbytes)
+        _charge(chain, 1, inodes, tier_bytes)
 
     def remove_child(self, name: str) -> INode:
         child = self.children.pop(name)
         child.parent = None
-        self._propagate_inodes(-self._subtree_size_of(child))
-        for tier, nbytes in self._subtree_bytes_of(child).items():
-            self._propagate_bytes(tier, -nbytes)
+        inodes, tier_bytes = _usage_of(child)
+        _charge(self._chain(), -1, inodes, tier_bytes)
         return child
 
-    @staticmethod
-    def _subtree_size_of(child: INode) -> int:
-        if isinstance(child, INodeDirectory):
-            return child.subtree_inodes
-        return 1
+    def move_child(self, name: str, target: "INodeDirectory", new_name: str) -> None:
+        """Move child ``name`` into ``target`` as ``new_name``.
 
-    @staticmethod
-    def _subtree_bytes_of(child: INode) -> dict[str, int]:
-        if isinstance(child, INodeDirectory):
-            return dict(child.subtree_tier_bytes)
-        if isinstance(child, INodeFile):
-            return dict(child.tier_bytes)
-        return {}
+        Usage changes only below the deepest directory both sides share,
+        so only the target's side of that is quota-checked — before
+        anything moves, so a refused move leaves the tree as it was.
+        """
+        child = self.children[name]
+        inodes, tier_bytes = _usage_of(child)
+        source, destination = self._chain(), target._chain()
+        while source and destination and source[-1] is destination[-1]:
+            source.pop()
+            destination.pop()
+        _check_namespace_quota(destination, inodes)
+        del self.children[name]
+        child.name = new_name
+        target.children[new_name] = child
+        child.parent = target
+        _charge(source, -1, inodes, tier_bytes)
+        _charge(destination, 1, inodes, tier_bytes)
+
+    def _chain(self) -> list["INodeDirectory"]:
+        """This directory and its ancestors, innermost first."""
+        chain = []
+        node: INodeDirectory | None = self
+        while node is not None:
+            chain.append(node)
+            node = node.parent
+        return chain
 
     # ------------------------------------------------------------------
     # Quotas
@@ -170,20 +178,10 @@ class INodeDirectory(INode):
         self.namespace_quota = namespace_quota
         self.tier_space_quota = dict(tier_space_quota or {})
 
-    def _check_namespace_quota(self, new_inodes: int) -> None:
-        for directory in [self, *self.ancestors()]:
-            quota = directory.namespace_quota
-            if quota is not None and directory.subtree_inodes + new_inodes > quota:
-                raise QuotaExceededError(
-                    f"namespace quota of {directory.path()!r} exceeded: "
-                    f"quota={quota}, would use "
-                    f"{directory.subtree_inodes + new_inodes}"
-                )
-
     def check_tier_space(self, tier: str, nbytes: int) -> None:
         """Raise if charging ``nbytes`` on ``tier`` would break a quota
         anywhere up the tree."""
-        for directory in [self, *self.ancestors()]:
+        for directory in self._chain():
             quota = directory.tier_space_quota.get(tier)
             if quota is None:
                 continue
@@ -197,16 +195,40 @@ class INodeDirectory(INode):
     def charge_tier_space(self, tier: str, nbytes: int) -> None:
         """Record ``nbytes`` (may be negative) of ``tier`` usage here and
         up the tree. Callers check quotas first via :meth:`check_tier_space`."""
-        self._propagate_bytes(tier, nbytes)
+        _charge(self._chain(), 1, 0, {tier: nbytes})
 
-    def _propagate_inodes(self, delta: int) -> None:
-        for directory in [self, *self.ancestors()]:
-            directory.subtree_inodes += delta
 
-    def _propagate_bytes(self, tier: str, delta: int) -> None:
-        for directory in [self, *self.ancestors()]:
-            current = directory.subtree_tier_bytes.get(tier, 0) + delta
-            if current:
-                directory.subtree_tier_bytes[tier] = current
-            else:
-                directory.subtree_tier_bytes.pop(tier, None)
+def _usage_of(child: INode) -> tuple[int, dict[str, int]]:
+    """What a subtree counts against its ancestors: inodes, tier bytes."""
+    if isinstance(child, INodeDirectory):
+        return child.subtree_inodes, child.subtree_tier_bytes
+    if isinstance(child, INodeFile):
+        return 1, child.tier_bytes
+    return 1, {}
+
+
+def _check_namespace_quota(chain: list[INodeDirectory], inodes: int) -> None:
+    for directory in chain:
+        quota = directory.namespace_quota
+        if quota is not None and directory.subtree_inodes + inodes > quota:
+            raise QuotaExceededError(
+                f"namespace quota of {directory.path()!r} exceeded: "
+                f"quota={quota}, would use {directory.subtree_inodes + inodes}"
+            )
+
+
+def _charge(
+    chain: list[INodeDirectory], sign: int, inodes: int, tier_bytes: dict[str, int]
+) -> None:
+    """Add (``sign`` 1) or take away (-1) a subtree's usage on every
+    directory of ``chain``, in one pass."""
+    for directory in chain:
+        directory.subtree_inodes += sign * inodes
+        if tier_bytes:
+            usage = directory.subtree_tier_bytes
+            for tier, nbytes in tier_bytes.items():
+                current = usage.get(tier, 0) + sign * nbytes
+                if current:
+                    usage[tier] = current
+                else:
+                    usage.pop(tier, None)

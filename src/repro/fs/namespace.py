@@ -29,7 +29,6 @@ from repro.errors import (
     NotADirectoryInNamespaceError,
     PathError,
     PermissionDeniedError,
-    QuotaExceededError,
 )
 from repro.fs import paths
 from repro.fs.inode import INode, INodeDirectory, INodeFile
@@ -106,10 +105,20 @@ class Namespace:
         self._listeners.append(listener)
 
     def _emit(self, op: str, **fields: object) -> None:
+        """Hand every listener the record of one mutation.
+
+        The one place a record is built, so a namespace nobody listens to
+        (a standby image, a replay target) builds none: a ``rep_vector``
+        field arrives as the vector and is encoded here, on this
+        namespace's tier axis.
+        """
         if not self._listeners:
             return
         # Stamped once, here, so a replayed op sets the mtimes it set live.
         record = {"op": op, "time": self._clock(), **fields}
+        vector = fields.get("rep_vector")
+        if vector is not None:
+            record["rep_vector"] = vector.encode(self.tier_order)
         for listener in self._listeners:
             listener(record)
 
@@ -138,6 +147,27 @@ class Namespace:
                 return None
             node = child
         return node
+
+    def _walk(
+        self, path: str, user: UserContext
+    ) -> tuple[INodeDirectory | None, INode | None]:
+        """``(parent, node)`` of a normalised ``path`` in one walk, with
+        :meth:`_resolve`'s checks: ``node`` is ``None`` when the path does
+        not exist, ``parent`` when its parent does not either (and for
+        the root)."""
+        if path == paths.ROOT:
+            return None, self.root
+        head, _sep, name = path.rpartition(paths.SEPARATOR)
+        parent = self._resolve(head or paths.ROOT, user, need_exists=False)
+        if parent is None:
+            return None, None
+        if not parent.is_directory:
+            raise NotADirectoryInNamespaceError(
+                f"{parent.path()!r} is not a directory"
+            )
+        if not user.superuser:
+            self._check_access(parent, user, EXECUTE)
+        return parent, parent.children.get(name)
 
     def _resolve_dir(self, path: str, user: UserContext) -> INodeDirectory:
         node = self._resolve(path, user)
@@ -243,23 +273,18 @@ class Namespace:
         path = paths.normalize(path)
         if path == paths.ROOT:
             return self.root
-        existing = self._resolve(path, user, need_exists=False)
+        parent, existing = self._walk(path, user)
         if existing is not None:
             if isinstance(existing, INodeDirectory):
                 return existing
             raise FileAlreadyExistsError(f"file exists at {path!r}")
-        parent_path = paths.parent(path)
-        parent = self._resolve(parent_path, user, need_exists=False)
         if parent is None:
+            parent_path = paths.parent(path)
             if not create_parents:
                 raise FileNotFoundInNamespaceError(
                     f"parent does not exist: {parent_path!r}"
                 )
             parent = self.mkdir(parent_path, user, mode, create_parents=True)
-        if not isinstance(parent, INodeDirectory):
-            raise NotADirectoryInNamespaceError(
-                f"{parent_path!r} is not a directory"
-            )
         self._check_access(parent, user, WRITE)
         directory = INodeDirectory(
             paths.basename(path), user.user, parent.group, mode, self._clock()
@@ -284,14 +309,15 @@ class Namespace:
         """
         path = paths.normalize(path)
         freed: list["Block"] = []
-        existing = self._resolve(path, user, need_exists=False)
+        parent, existing = self._walk(path, user)
         if existing is not None:
             if isinstance(existing, INodeDirectory):
                 raise FileAlreadyExistsError(f"directory exists at {path!r}")
             if not overwrite:
                 raise FileAlreadyExistsError(f"file exists at {path!r}")
             freed = self.delete(path, user=user)
-        parent = self.mkdir(paths.parent(path), user)
+        if parent is None:
+            parent = self.mkdir(paths.parent(path), user)
         self._check_access(parent, user, WRITE)
         if rep_vector.total_replicas < 1:
             raise PathError(
@@ -313,16 +339,17 @@ class Namespace:
             path=path,
             user=user.user,
             mode=mode,
-            rep_vector=rep_vector.encode(self.tier_order),
+            rep_vector=rep_vector,
             block_size=block_size,
         )
         return inode, freed
 
     def complete_file(self, path: str, user: UserContext = SUPERUSER) -> None:
-        inode = self._resolve_file(paths.normalize(path), user)
+        path = paths.normalize(path)
+        inode = self._resolve_file(path, user)
         inode.complete()
         inode.mtime = self._clock()
-        self._emit("complete_file", path=paths.normalize(path))
+        self._emit("complete_file", path=path)
 
     def rename(
         self, src: str, dst: str, user: UserContext = SUPERUSER
@@ -335,25 +362,18 @@ class Namespace:
             raise PathError(f"cannot rename {src!r} under itself ({dst!r})")
         node = self._resolve(src, user)
         assert node is not None
-        if self._resolve(dst, user, need_exists=False) is not None:
+        dst_parent, existing = self._walk(dst, user)
+        if existing is not None:
             raise FileAlreadyExistsError(f"rename target exists: {dst!r}")
         src_parent = node.parent
         assert src_parent is not None
         self._check_access(src_parent, user, WRITE)
-        dst_parent = self._resolve(paths.parent(dst), user, need_exists=False)
-        if dst_parent is None or not isinstance(dst_parent, INodeDirectory):
+        if dst_parent is None:
             raise FileNotFoundInNamespaceError(
                 f"rename target parent missing: {paths.parent(dst)!r}"
             )
         self._check_access(dst_parent, user, WRITE)
-        src_parent.remove_child(node.name)
-        node.name = paths.basename(dst)
-        try:
-            dst_parent.add_child(node)
-        except QuotaExceededError:
-            node.name = paths.basename(src)
-            src_parent.add_child(node)
-            raise
+        src_parent.move_child(node.name, dst_parent, paths.basename(dst))
         node.mtime = self._clock()
         self._emit("rename", src=src, dst=dst)
 
@@ -406,11 +426,7 @@ class Namespace:
         old = inode.rep_vector
         inode.rep_vector = rep_vector
         inode.mtime = self._clock()
-        self._emit(
-            "set_replication",
-            path=path,
-            rep_vector=rep_vector.encode(self.tier_order),
-        )
+        self._emit("set_replication", path=path, rep_vector=rep_vector)
         return inode, old
 
     def set_permission(

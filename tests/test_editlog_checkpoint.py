@@ -142,6 +142,20 @@ class TestCheckpoint:
         snapshot = ckpt.write_checkpoint(populated_namespace())
         assert json.loads(json.dumps(snapshot)) == snapshot
 
+    def test_quota_lowered_below_usage_loads(self):
+        """Lowering a quota below usage is legal live (it only blocks
+        growth), so the image of such a directory must load: quotas are
+        set after the subtree they cover."""
+        ns = Namespace()
+        ns.mkdir("/q/x")
+        ns.mkdir("/q/y")
+        ns.set_quota("/q", namespace_quota=2)  # uses 3
+        ns.set_quota("/", namespace_quota=1)
+        snapshot = ckpt.write_checkpoint(ns)
+        restored, _ = ckpt.load_checkpoint(snapshot)
+        assert ckpt.write_checkpoint(restored) == snapshot
+        assert restored.root.children["q"].subtree_inodes == 3
+
 
 class TestBackupMaster:
     def test_hot_standby_tracks_primary(self):
@@ -161,6 +175,27 @@ class TestBackupMaster:
         client.mkdir("/before")
         backup = BackupMaster(fs.master)  # attached late
         assert backup.image.exists("/before")
+
+    def test_standby_attached_after_truncation_starts_from_the_live_tree(self):
+        """The log a late standby finds may be only the tail: it starts
+        from an image of the primary, not from replaying what is left."""
+        fs = OctopusFileSystem(small_cluster_spec())
+        client = fs.client(on="worker1")
+        client.mkdir("/a")
+        client.write_file("/a/f", size=MB)
+        log = fs.master.edit_log
+        log.truncate_through(log.last_txid)
+        client.mkdir("/b")
+        backup = BackupMaster(fs.master)
+        assert [s.path for s in backup.image.list_status("/")] == ["/a", "/b"]
+        assert backup.applied_txid == log.last_txid
+        client.write_file("/b/g", size=MB)
+        assert ckpt.write_checkpoint(backup.image) == ckpt.write_checkpoint(
+            fs.master.namespace
+        )
+        assert backup.create_checkpoint()["last_txid"] == log.last_txid
+        backup.promote(fs)
+        assert fs.master.namespace.get_file("/a/f").length == MB
 
     def test_periodic_checkpoints(self):
         fs = OctopusFileSystem(small_cluster_spec())
@@ -272,6 +307,19 @@ class TestBackupMaster:
         assert ckpt.write_checkpoint(replayed) == live
         restore_master_from_checkpoint(fs, snapshot, fs.master.edit_log.records)
         assert ckpt.write_checkpoint(fs.master.namespace) == live
+
+    def test_cold_restore_of_a_directory_over_its_quota(self):
+        fs = OctopusFileSystem(small_cluster_spec())
+        client = fs.client(on="worker1")
+        client.write_file("/q/a", size=MB)
+        client.write_file("/q/b", size=MB)
+        client.set_quota("/q", namespace_quota=2)  # uses 3
+        backup = BackupMaster(fs.master)
+        live = ckpt.write_checkpoint(fs.master.namespace)
+        restore_master_from_checkpoint(fs, backup.create_checkpoint(), [])
+        assert ckpt.write_checkpoint(fs.master.namespace) == live
+        assert fs.client(on="worker2").get_status("/q/b").length == MB
+        check_system_invariants(fs)
 
     @pytest.mark.parametrize("failover", ["promote", "cold_restore"])
     def test_failover_rebuilds_quota_usage(self, failover, assert_usage_exact):

@@ -320,6 +320,23 @@ class TestQuotas:
             ns.rename("/big", "/q/big")
         assert ns.exists("/big/x/y")  # rollback left the source intact
 
+    def test_refused_rename_out_of_an_over_quota_directory_keeps_the_source(self, ns):
+        """A quota lowered below usage only blocks growth: a move the
+        target refuses leaves the source where it was (it used to be
+        dropped from the tree by a rollback that the source's own quota
+        refused), and a move inside the over-quota directory is allowed."""
+        ns.mkdir("/q/x")
+        ns.mkdir("/q/y")
+        ns.set_quota("/q", namespace_quota=2)  # uses 3
+        ns.mkdir("/r")
+        ns.set_quota("/r", namespace_quota=1)
+        with pytest.raises(QuotaExceededError, match="quota of '/r' exceeded"):
+            ns.rename("/q/x", "/r/x")
+        assert ns.exists("/q/x") and ns.total_inodes == 5
+        assert list(ns.root.children["q"].children) == ["x", "y"]
+        ns.rename("/q/x", "/q/z")
+        assert ns.exists("/q/z") and ns.root.children["q"].subtree_inodes == 3
+
     def test_tier_space_quota_enforced(self, ns):
         ns.mkdir("/q")
         ns.set_quota("/q", tier_space_quota={"MEMORY": 10 * MB})
