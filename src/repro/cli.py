@@ -65,6 +65,7 @@ from repro.bench.experiments import ALL_EXPERIMENTS, table3_namespace
 from repro.bench.tables import format_table
 from repro.cluster.spec import paper_cluster_spec
 from repro.core.replication_vector import ReplicationVector
+from repro.errors import ReplicationVectorError
 from repro.obs import (
     ArtifactError,
     HealthMonitor,
@@ -123,12 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_out(exp)
 
     dfsio = sub.add_parser("dfsio", help="run the DFSIO I/O benchmark")
-    dfsio.add_argument("--size", default="10GB")
+    dfsio.add_argument("--size", type=parse_bytes, default="10GB")
     dfsio.add_argument("--parallelism", "-d", type=int, default=27)
     dfsio.add_argument("--deployment", choices=DEPLOYMENTS, default="octopus")
     dfsio.add_argument(
         "--vector",
-        default=None,
+        type=_parse_vector,
+        default=3,
         help="replication vector as M,S,H[,R[,U]] (default: U=3)",
     )
     dfsio.add_argument("--seed", type=int, default=0)
@@ -255,13 +257,14 @@ def _write_capture(capture: ObsCapture | None, args, alerts=None) -> None:
         )
 
 
-def _parse_vector(text: str | None) -> ReplicationVector | int:
-    if text is None:
-        return 3
+def _parse_vector(text: str) -> ReplicationVector:
+    """argparse type for ``--vector M,S,H[,R[,U]]``."""
     counts = [int(part) for part in text.split(",")]
-    while len(counts) < 5:
-        counts.append(0)
-    return ReplicationVector.from_counts(counts)
+    counts += [0] * (5 - len(counts))
+    try:
+        return ReplicationVector.from_counts(counts)
+    except ReplicationVectorError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -295,9 +298,8 @@ def cmd_dfsio(args: argparse.Namespace) -> int:
         slo_monitor = SloMonitor(fs, rules=default_read_rules())
         monitors = (slo_monitor, HealthMonitor(fs, sink=slo_monitor.sink))
     bench = Dfsio(fs, monitors=monitors)
-    vector = _parse_vector(args.vector)
     write = bench.write(
-        parse_bytes(args.size), parallelism=args.parallelism, rep_vector=vector
+        args.size, parallelism=args.parallelism, rep_vector=args.vector
     )
     read = bench.read(parallelism=args.parallelism)
     rows = [
@@ -311,7 +313,7 @@ def cmd_dfsio(args: argparse.Namespace) -> int:
             ["phase", "MB/s per worker", "MB/s per task", "elapsed (sim s)"],
             rows,
             title=(
-                f"DFSIO {args.size} d={args.parallelism} "
+                f"DFSIO {format_bytes(args.size)} d={args.parallelism} "
                 f"deployment={args.deployment}"
             ),
         )

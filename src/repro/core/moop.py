@@ -306,7 +306,7 @@ def place_replicas(
     # candidates so the decision record can carry the top rejected
     # alternatives (the "why-not" evidence). Detached: both stay None.
     obs = getattr(cluster, "obs", None)
-    ledger_on = obs is not None and obs.ledger.enabled
+    ledger_on = obs is not None and obs.ledger is not None
     entries_detail: list[dict] | None = [] if ledger_on else None
     for entry in entries:
         try:

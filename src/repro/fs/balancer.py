@@ -240,18 +240,18 @@ class Balancer:
             )
             master.attach_replica(meta, new_replica)
         except (WorkerError, BlockError) as exc:
-            if span is not None:
+            if span is not None and obs.enabled:
                 span.end("error", error=type(exc).__name__)
                 obs.metrics.counter("balancer_moves_failed_total").inc()
             return 0
-        if span is not None:
+        if span is not None and obs.enabled:
             span.end(bytes=block.size)
             tier = move.target.tier_name
             obs.metrics.counter("balancer_moves_total", tier=tier).inc()
             obs.metrics.counter(
                 "balancer_bytes_moved_total", tier=tier
             ).inc(block.size)
-        if obs.ledger.enabled:
+        if obs.ledger is not None:
             obs.ledger.on_balancer_move(
                 path=path,
                 block=label,

@@ -211,6 +211,7 @@ class Master:
                     if obs.enabled:
                         obs.tracer.event("worker.dead", worker=node.name)
                         obs.metrics.counter("workers_declared_dead_total").inc()
+                    if obs.ledger is not None:
                         obs.ledger.on_liveness("dead", node.name)
                 continue
             if record.dead or record.silent:
@@ -226,6 +227,7 @@ class Master:
                 if obs.enabled:
                     obs.tracer.event("worker.silent", worker=node.name)
                     obs.metrics.counter("workers_declared_silent_total").inc()
+                if obs.ledger is not None:
                     obs.ledger.on_liveness("silent", node.name)
         if obs.enabled:
             obs.metrics.gauge("workers_reachable").set(
@@ -308,7 +310,7 @@ class Master:
     ) -> int:
         """Delete a path; replicas are freed immediately. Returns blocks freed."""
         blocks = self.namespace.delete(path, recursive, user)
-        if self.obs.ledger.enabled and blocks:
+        if self.obs.ledger is not None and blocks:
             self.obs.ledger.on_delete(path, blocks=len(blocks))
         for block in blocks:
             self._drop_block(block)
@@ -426,7 +428,7 @@ class Master:
         self.namespace.charge_tier_space(
             meta.inode, replica.tier_name, -meta.block.size
         )
-        if cause is not None and self.obs.ledger.enabled:
+        if cause is not None and self.obs.ledger is not None:
             self.obs.ledger.on_replica_removed(
                 meta.path,
                 block=meta.label,
@@ -502,7 +504,7 @@ class Master:
             medium.reserve(inode.block_size)
         inode.blocks.append(block)
         self.block_map[block.block_id] = meta
-        if obs.ledger.enabled:
+        if obs.ledger is not None:
             obs.ledger.on_placement(
                 path=meta.path,
                 block=meta.label,
@@ -682,7 +684,7 @@ class Master:
                 "under construction"
             )
         if expected is not None and current.rep_vector != expected:
-            if self.obs.ledger.enabled:
+            if self.obs.ledger is not None:
                 self.obs.ledger.on_set_replication(
                     path,
                     old=current.rep_vector.shorthand(),
@@ -695,7 +697,7 @@ class Master:
                 f"not the expected {expected.shorthand()}"
             )
         inode, old = self.namespace.set_replication_vector(path, rep_vector, user)
-        if self.obs.ledger.enabled:
+        if self.obs.ledger is not None:
             self.obs.ledger.on_set_replication(
                 path,
                 old=old.shorthand(),
@@ -808,7 +810,7 @@ class Master:
             memory_enabled=True,
         )
         obs = self.obs
-        if obs.ledger.enabled:
+        if obs.ledger is not None:
             # Clear the side channel so a stale earlier decision cannot
             # masquerade as this repair's placement scores.
             obs.last_placement = None
@@ -837,8 +839,10 @@ class Master:
         # context *now* — by the time the repair process runs, both may
         # describe some other decision, and the block's name with them:
         # a file deleted meanwhile has no path left to derive.
-        placement = obs.last_placement if obs.ledger.enabled else None
-        context = obs.ledger.recent_context()
+        placement, context = None, []
+        if obs.ledger is not None:
+            placement = obs.last_placement
+            context = obs.ledger.recent_context()
         return self.cluster.engine.process(
             self._repair_proc(
                 meta, worker, source, destination, tier, placement, context,
@@ -872,7 +876,7 @@ class Master:
                 destination=destination.medium_id,
             )
         ledger_rec = None
-        if obs.ledger.enabled:
+        if obs.ledger is not None:
             ledger_rec = obs.ledger.on_repair(
                 path=path,
                 block=label,
@@ -891,15 +895,17 @@ class Master:
             self.attach_replica(meta, replica)
         except Exception as exc:
             self._dirty_blocks.add(meta.block.block_id)
-            if span is not None:
+            if span is not None and obs.enabled:
                 span.end("error", error=type(exc).__name__)
                 obs.metrics.counter("repairs_failed_total").inc()
-            obs.ledger.on_repair_outcome(ledger_rec, "failed")
+            if obs.ledger is not None:
+                obs.ledger.on_repair_outcome(ledger_rec, "failed")
             return None
-        if span is not None:
+        if span is not None and obs.enabled:
             span.end()
             obs.metrics.counter("repairs_completed_total").inc()
-        obs.ledger.on_repair_outcome(ledger_rec, "completed")
+        if obs.ledger is not None:
+            obs.ledger.on_repair_outcome(ledger_rec, "completed")
         # Re-examine: more additions may be pending, or now-excess copies.
         self._dirty_blocks.add(meta.block.block_id)
         return replica

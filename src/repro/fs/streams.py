@@ -179,7 +179,7 @@ class FSDataOutputStream:
                 parent=span,
             )
         except Exception as exc:
-            if span is not None:
+            if span is not None and obs.enabled:
                 span.end("error", error=type(exc).__name__)
             raise
         self._master.extend_block(block, payload, replicas)
@@ -189,7 +189,7 @@ class FSDataOutputStream:
             elif data is None:
                 replica.data = None
         self.bytes_written += payload
-        if span is not None:
+        if span is not None and obs.enabled:
             for replica in replicas:
                 obs.metrics.counter(
                     "bytes_written_total", tier=replica.tier_name
@@ -266,7 +266,7 @@ class FSDataOutputStream:
             except Exception as exc:
                 master.abort_block(block, replicas)
                 failures += 1
-                if span is not None:
+                if span is not None and obs.enabled:
                     span.end("error", error=type(exc).__name__)
                     obs.metrics.counter("block_writes_failed_total").inc()
                 if failures > _PIPELINE_RETRIES:
@@ -274,7 +274,7 @@ class FSDataOutputStream:
                 continue
             master.commit_block(block, payload, replicas)
             self.bytes_written += payload
-            if span is not None:
+            if span is not None and obs.enabled:
                 for replica in replicas:
                     obs.metrics.counter(
                         "bytes_written_total", tier=replica.tier_name
@@ -375,7 +375,7 @@ class FSDataInputStream:
                     block.block_id, replica.medium.medium_id
                 )
                 last_error = exc
-                if span is not None:
+                if span is not None and obs.enabled:
                     obs.metrics.counter("read_failovers_total").inc()
                 continue
             resources = read_resources(
@@ -395,10 +395,10 @@ class FSDataInputStream:
                 yield flow.completed
             except Exception as exc:  # worker died mid-read
                 last_error = exc
-                if span is not None:
+                if span is not None and obs.enabled:
                     obs.metrics.counter("read_failovers_total").inc()
                 continue
-            if span is not None:
+            if span is not None and obs.enabled:
                 tier = replica.tier_name
                 obs.metrics.counter("bytes_read_total", tier=tier).inc(
                     block.size
@@ -413,7 +413,7 @@ class FSDataInputStream:
                 ).observe(span.duration)
                 span.end(tier=tier, attempts=attempts)
             return verified
-        if span is not None:
+        if span is not None and obs.enabled:
             span.end("error", attempts=attempts)
             obs.metrics.counter("block_reads_failed_total").inc()
         raise RetrievalError(

@@ -14,16 +14,20 @@ Typical enablement::
     write_jsonl(fs.obs.tracer.records, "trace.jsonl")
     print(prometheus_text(fs.obs.metrics))
 
-Instrumented call sites follow one idiom::
+Observability has one off switch. While it is off, ``obs.tracer`` and
+``obs.metrics`` are ``None``; while nothing is attached, so are
+``obs.recorder`` and ``obs.ledger``. Every instrumented call site
+checks the state it feeds at the moment it feeds::
 
     obs = self.obs
     if obs.enabled:
         obs.metrics.counter("bytes_written_total", tier=tier).inc(n)
+    if obs.ledger is not None:
+        obs.ledger.on_delete(path, blocks=n)
 
-The guard keeps the disabled path free of label-dict allocation; the
-facade swaps in shared null singletons (:data:`NULL_REGISTRY`,
-:data:`NULL_TRACER`) when disabled, so even unguarded calls are safe
-no-ops.
+A span that outlives a ``yield`` is ended under
+``span is not None and obs.enabled``: once :meth:`Observability.disable`
+has run, nothing can read the tracer that span belongs to.
 
 See ``docs/OBSERVABILITY.md`` for the metric catalog and span taxonomy.
 """
@@ -66,8 +70,6 @@ from repro.obs.export import (
 from repro.obs.health import HealthMonitor
 from repro.obs.provenance import (
     DECISION_ACTIONS,
-    NULL_LEDGER,
-    NullLedger,
     ProvenanceLedger,
     decision_summary,
     explain,
@@ -85,19 +87,12 @@ from repro.obs.postmortem import (
     validate_bundle,
 )
 from repro.obs.recorder import (
-    NULL_RECORDER,
     FlightRecorder,
-    NullRecorder,
     RecorderConfig,
     bundle_path,
     write_bundle,
 )
-from repro.obs.registry import (
-    NULL_INSTRUMENT,
-    NULL_REGISTRY,
-    MetricsRegistry,
-    NullRegistry,
-)
+from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import (
     AlertSink,
     AvailabilitySlo,
@@ -106,7 +101,7 @@ from repro.obs.slo import (
     SloMonitor,
     default_read_rules,
 )
-from repro.obs.tracing import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.tracing import Span, Tracer
 from repro.obs.windows import QuantileSketch, WindowedCounts, WindowedSketch
 
 __all__ = [
@@ -114,14 +109,8 @@ __all__ = [
     "ObsCapture",
     "active_capture",
     "MetricsRegistry",
-    "NullRegistry",
     "Tracer",
-    "NullTracer",
     "Span",
-    "NULL_INSTRUMENT",
-    "NULL_REGISTRY",
-    "NULL_SPAN",
-    "NULL_TRACER",
     "to_jsonl",
     "write_jsonl",
     "read_jsonl_records",
@@ -139,12 +128,8 @@ __all__ = [
     "SloMonitor",
     "HealthMonitor",
     "FlightRecorder",
-    "NullRecorder",
     "RecorderConfig",
-    "NULL_RECORDER",
     "ProvenanceLedger",
-    "NullLedger",
-    "NULL_LEDGER",
     "DECISION_ACTIONS",
     "validate_ledger_records",
     "decision_summary",
@@ -193,18 +178,14 @@ class Observability:
     ) -> None:
         self._clock = clock
         self.enabled = False
-        self.metrics: MetricsRegistry | NullRegistry = NULL_REGISTRY
-        self.tracer: Tracer | NullTracer = NULL_TRACER
-        #: The attached :class:`~repro.obs.recorder.FlightRecorder`, or
-        #: the shared no-op singleton — instrumented sites feed it
-        #: unconditionally (``obs.recorder.on_fault(...)``), so the
-        #: detached path costs one attribute load and a no-op call.
-        self.recorder: FlightRecorder | NullRecorder = NULL_RECORDER
-        #: The attached :class:`~repro.obs.provenance.ProvenanceLedger`,
-        #: or the shared no-op singleton — decision sites gate record
-        #: construction on ``obs.ledger.enabled`` (one attribute load
-        #: and a falsy check when detached).
-        self.ledger: ProvenanceLedger | NullLedger = NULL_LEDGER
+        #: Both ``None`` while observability is off.
+        self.metrics: MetricsRegistry | None = None
+        self.tracer: Tracer | None = None
+        #: The attached :class:`~repro.obs.recorder.FlightRecorder` and
+        #: :class:`~repro.obs.provenance.ProvenanceLedger`; each takes
+        #: its empty slot on ``attach()`` and empties it on ``detach()``.
+        self.recorder: FlightRecorder | None = None
+        self.ledger: ProvenanceLedger | None = None
         #: Side channel: the most recent placement decision's objective
         #: scores, written by ``core.moop.place_replicas`` and read by
         #: the client stream that triggered the allocation (the two are
@@ -224,13 +205,15 @@ class Observability:
 
     def disable(self) -> "Observability":
         """Switch off collection and drop all recorded state."""
+        # Observers go first: the recorder unhooks itself from the live
+        # tracer, which is then dropped with everything it recorded.
+        if self.recorder is not None:
+            self.recorder.detach()
+        if self.ledger is not None:
+            self.ledger.detach()
         self.enabled = False
-        self.metrics = NULL_REGISTRY
-        self.tracer = NULL_TRACER
-        # Detaching hands the slot back to the null singleton, whose own
-        # detach() is a no-op.
-        self.recorder.detach()
-        self.ledger.detach()
+        self.metrics = None
+        self.tracer = None
         self.last_placement = None
         return self
 

@@ -728,9 +728,9 @@ def _metrics_pieces(registry: "MetricsRegistry") -> Iterator[str]:
     """``metrics.json`` in pieces: what :meth:`MetricsRegistry.snapshot`
     holds under a ``schema_version``, read straight from the
     instruments, one at a time."""
-    # A disabled registry has no sections, as its snapshot() has none.
-    kinds = ("counter", "gauge", "histogram", "timeseries") if registry.enabled else ()
-    sections: dict[str, list] = {kind + "s": [] for kind in kinds}
+    sections: dict[str, list] = {
+        kind + "s": [] for kind in ("counter", "gauge", "histogram", "timeseries")
+    }
     for instrument in registry.instruments():
         sections[instrument.kind + "s"].append(instrument)
     yield from _indented({"schema_version": SCHEMA_VERSION, **sections}, "  ")

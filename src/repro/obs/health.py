@@ -170,15 +170,16 @@ class HealthMonitor:
                 "streak": self._streak[check],
                 "firing": self._firing[check],
             }
-        obs.recorder.on_health(
-            {
-                "time": sweep_time,
-                "violations": {
-                    check: len(violations[check]) for check in self.checks
-                },
-                "firing": list(self.firing()),
-            }
-        )
+        if obs.recorder is not None:
+            obs.recorder.on_health(
+                {
+                    "time": sweep_time,
+                    "violations": {
+                        check: len(violations[check]) for check in self.checks
+                    },
+                    "firing": list(self.firing()),
+                }
+            )
 
     def firing(self) -> tuple[str, ...]:
         """Invariant categories currently in alert."""

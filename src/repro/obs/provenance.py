@@ -14,11 +14,10 @@ The ledger follows the flight recorder's determinism contract exactly:
 * **Pure observer** — it mints no metric instruments and emits no
   trace records, so trace/metrics/Prometheus exports of a run with an
   attached ledger are byte-identical to a run without one.
-* **NULL-singleton detached path** — instrumented sites feed
-  ``obs.ledger`` unconditionally; detached, that is the shared
-  :data:`NULL_LEDGER` whose methods are no-ops, so every feed costs one
-  attribute load and a falsy ``enabled`` check (expensive record
-  construction is gated on ``obs.ledger.enabled`` at the call site).
+* **An empty slot when detached** — attaching takes the empty
+  ``obs.ledger`` slot and detaching empties it; every decision site
+  checks ``obs.ledger is not None`` before it builds a record, so a
+  detached feed costs one attribute load and one check.
 * **Byte-stable exports** — records carry only simulation-time
   timestamps and seed-stable identifiers (``path#index``, medium ids,
   deterministic span ids — never process-global block ids), and
@@ -47,8 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ProvenanceLedger",
-    "NullLedger",
-    "NULL_LEDGER",
     "DECISION_ACTIONS",
     "validate_ledger_records",
     "decision_summary",
@@ -73,10 +70,8 @@ class ProvenanceLedger:
     oldest records fall off and are counted in :attr:`dropped`.
     """
 
-    enabled = True
-
     def __init__(self, obs, max_records: int = 100_000) -> None:
-        if not getattr(obs, "enabled", False):
+        if not obs.enabled:
             raise ConfigurationError(
                 "ProvenanceLedger needs observability enabled; call "
                 "obs.enable() before constructing the ledger"
@@ -93,35 +88,30 @@ class ProvenanceLedger:
         #: Recent fault/liveness happenings, snapshot into repair
         #: records as their triggering context.
         self._context: deque = deque(maxlen=32)
-        self._attached = False
 
     # ------------------------------------------------------------------
     # Lifecycle (mirrors FlightRecorder.attach/detach)
     # ------------------------------------------------------------------
     @property
     def attached(self) -> bool:
-        return self._attached
+        return self.obs.ledger is self
 
     def attach(self) -> "ProvenanceLedger":
-        """Become ``obs.ledger`` so decision sites start feeding us."""
-        if self._attached:
+        """Take the empty ``obs.ledger`` slot so decision sites feed us."""
+        if self.obs.ledger is self:
             raise ConfigurationError("ledger already attached")
-        if getattr(self.obs.ledger, "enabled", False):
+        if self.obs.ledger is not None:
             raise ConfigurationError(
                 "another ProvenanceLedger is already attached to this "
                 "obs bundle; detach it first"
             )
-        self._attached = True
         self.obs.ledger = self
         return self
 
     def detach(self) -> None:
-        """Stop observing (idempotent); recorded state survives."""
-        if not self._attached:
-            return
-        self._attached = False
+        """Empty the slot (idempotent); recorded state survives."""
         if self.obs.ledger is self:
-            self.obs.ledger = NULL_LEDGER
+            self.obs.ledger = None
 
     # ------------------------------------------------------------------
     # Record plumbing
@@ -130,11 +120,7 @@ class ProvenanceLedger:
         if span is None:
             span = self.obs.tracer.current
         recorder = self.obs.recorder
-        open_incident = (
-            recorder.open_incident
-            if getattr(recorder, "enabled", False)
-            else None
-        )
+        open_incident = recorder.open_incident if recorder is not None else None
         self.seq += 1
         return {
             "kind": "decision",
@@ -152,9 +138,10 @@ class ProvenanceLedger:
             self.dropped += 1
         self.records.append(record)
         # Mirror into the flight recorder's decisions ring so incident
-        # bundles carry the decisions inside their window (no-op when
-        # the recorder is detached).
-        self.obs.recorder.on_decision(record)
+        # bundles carry the decisions inside their window.
+        recorder = self.obs.recorder
+        if recorder is not None:
+            recorder.on_decision(record)
         return record
 
     def recent_context(self) -> list[dict]:
@@ -366,59 +353,11 @@ class ProvenanceLedger:
         return len(self.records)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "attached" if self._attached else "detached"
+        state = "attached" if self.attached else "detached"
         return (
             f"<ProvenanceLedger {state} records={len(self.records)} "
             f"dropped={self.dropped}>"
         )
-
-
-class NullLedger:
-    """The detached path: stateless, allocation-free, shared singleton."""
-
-    enabled = False
-
-    __slots__ = ()
-
-    def on_fault(self, record) -> None:
-        pass
-
-    def on_liveness(self, verdict, worker) -> None:
-        pass
-
-    def on_placement(self, *args, **kwargs) -> None:
-        return None
-
-    def on_repair(self, *args, **kwargs) -> None:
-        return None
-
-    def on_repair_outcome(self, record, outcome) -> None:
-        pass
-
-    def on_tiering(self, *args, **kwargs) -> None:
-        return None
-
-    def on_balancer_move(self, *args, **kwargs) -> None:
-        return None
-
-    def on_set_replication(self, *args, **kwargs) -> None:
-        return None
-
-    def on_replica_removed(self, *args, **kwargs) -> None:
-        return None
-
-    def on_delete(self, *args, **kwargs) -> None:
-        return None
-
-    def recent_context(self) -> list:
-        return []
-
-    def detach(self) -> None:
-        pass
-
-
-#: Process-wide shared singleton for the detached path.
-NULL_LEDGER = NullLedger()
 
 
 # ----------------------------------------------------------------------

@@ -26,9 +26,10 @@ attached recorder only *observes* — it mints no instruments and emits
 no trace records, so trace/metrics/Prometheus exports of a run with a
 quiet recorder are byte-identical to a recorder-less run. All bundle
 timestamps are simulation time and serialization is canonical, so two
-seeded runs dump byte-identical bundles. The detached path is the
-shared :data:`NULL_RECORDER` singleton — every instrumented site costs
-one attribute load and a no-op method call.
+seeded runs dump byte-identical bundles. Attaching takes the empty
+``obs.recorder`` slot and detaching empties it again; while it is
+``None``, every instrumented site costs one attribute load and one
+``is not None`` check.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "RecorderConfig",
     "FlightRecorder",
-    "NullRecorder",
-    "NULL_RECORDER",
     "HEAL_KINDS",
     "is_heal",
     "bundle_json",
@@ -171,8 +170,6 @@ class FlightRecorder:
     :meth:`flush` at end of run) to stop.
     """
 
-    enabled = True
-
     def __init__(
         self,
         system: "OctopusFileSystem | None" = None,
@@ -218,27 +215,24 @@ class FlightRecorder:
         self._trigger_set = frozenset(c.triggers)
         self._open: dict | None = None
         self._timer = None
-        self._attached = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     @property
     def attached(self) -> bool:
-        return self._attached
+        return self.obs.recorder is self
 
     def attach(self) -> "FlightRecorder":
-        """Hook the tracer tap, metric watchers, and ``obs.recorder``."""
-        if self._attached:
+        """Take the empty ``obs.recorder`` slot and hook the tracer tap
+        and the metric watchers."""
+        if self.obs.recorder is self:
             raise ConfigurationError("recorder already attached")
-        if getattr(self.obs.recorder, "enabled", False):
+        if self.obs.recorder is not None:
             raise ConfigurationError(
                 "another FlightRecorder is already attached to this obs "
                 "bundle; detach it first"
             )
-        if self.obs.tracer.tap is not None:
-            raise ConfigurationError("the tracer tap is already taken")
-        self._attached = True
         self.obs.recorder = self
         self.obs.tracer.tap = self._on_trace_record
         for kind, name in self.config.watch_metrics:
@@ -248,23 +242,19 @@ class FlightRecorder:
         return self
 
     def detach(self) -> None:
-        """Seal any open incident and stop observing (idempotent)."""
-        if not self._attached:
+        """Seal any open incident and empty the slot (idempotent)."""
+        if self.obs.recorder is not self:
             return
         self.flush()
-        self._attached = False
-        # Bound-method equality (not identity): each attribute access
-        # mints a fresh method object.
-        if self.obs.tracer.tap == self._on_trace_record:
-            self.obs.tracer.tap = None
-        if self.obs.recorder is self:
-            self.obs.recorder = NULL_RECORDER
+        self.obs.recorder = None
+        # The slot holds at most one recorder, so the tap is ours.
+        self.obs.tracer.tap = None
         if self.system is not None:
             listeners = self.system.engine.crash_listeners
             if self._on_crash in listeners:
                 listeners.remove(self._on_crash)
         # Registry watchers cannot be unregistered; _on_metric checks
-        # _attached and goes inert instead.
+        # the slot and goes inert instead.
 
     def flush(self) -> None:
         """Close any open incident at the current instant (end of run)."""
@@ -285,7 +275,7 @@ class FlightRecorder:
             self.events.append(record)
 
     def _on_metric(self, instrument, value: float) -> None:
-        if not self._attached:
+        if self.obs.recorder is not self:
             return
         self.metric_deltas.append(
             {
@@ -479,44 +469,8 @@ class FlightRecorder:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "attached" if self._attached else "detached"
+        state = "attached" if self.attached else "detached"
         return (
             f"<FlightRecorder {state} incidents={len(self.incidents)} "
             f"open={self._open is not None}>"
         )
-
-
-class NullRecorder:
-    """The detached path: stateless, allocation-free, shared singleton."""
-
-    enabled = False
-
-    __slots__ = ()
-
-    def on_fault(self, record) -> None:
-        pass
-
-    def on_alert(self, record) -> None:
-        pass
-
-    def on_health(self, entry) -> None:
-        pass
-
-    def on_decision(self, record) -> None:
-        pass
-
-    def on_exception(self, component, exc) -> None:
-        pass
-
-    def trigger(self, reason: str = "", detail: str = "") -> None:
-        return None
-
-    def flush(self) -> None:
-        pass
-
-    def detach(self) -> None:
-        pass
-
-
-#: Process-wide shared singleton for the detached path.
-NULL_RECORDER = NullRecorder()

@@ -17,20 +17,16 @@ Instrument kinds:
 * :class:`TimeSeries` — a gauge that remembers every sample as a
   ``(sim_time, value)`` pair (per-resource utilization over a run).
 
-The **disabled** path is a first-class citizen: :data:`NULL_REGISTRY`
-returns one shared no-op instrument from every factory call, holds no
-state, and allocates no per-event objects — instrumented hot paths stay
-near-zero-cost when observability is off. Callers are still expected to
-guard label-building with ``if obs.enabled:`` so the label ``dict``
-itself is never constructed on the disabled path.
+There is no disabled registry: while observability is off,
+``obs.metrics`` is ``None``, and every feed site checks ``obs.enabled``
+before it builds a label set or touches an instrument.
 
 Live consumers (the SLO monitor in :mod:`repro.obs.slo`) subscribe to
 instrument updates through :meth:`MetricsRegistry.watch` rather than
 polling snapshots: each ``(kind, name)`` pair carries one shared
 watcher list that matching instruments hold a reference to, so the
 per-update cost with no watchers registered is a single falsy check on
-the instrument's ``watchers`` slot, and :meth:`NullRegistry.watch` is a
-no-op.
+the instrument's ``watchers`` slot.
 """
 
 from __future__ import annotations
@@ -268,8 +264,6 @@ def snapshot_entry(instrument) -> dict:
 class MetricsRegistry:
     """Create-or-get instrument factory, stamped by the simulation clock."""
 
-    enabled = True
-
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock or (lambda: 0.0)
         self._instruments: dict[tuple[str, str, LabelKey], object] = {}
@@ -360,91 +354,3 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._instruments)
-
-
-class _NullInstrument:
-    """One shared no-op standing in for every instrument kind."""
-
-    kind = "null"
-    name = ""
-    labels: LabelKey = ()
-    value = 0.0
-    count = 0
-    total = 0.0
-    mean = 0.0
-    last = None
-    watchers = None
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def sample(self, value: float, at: float | None = None) -> None:
-        pass
-
-    def quantile(self, q: float) -> None:
-        return None
-
-    def quantiles(self) -> dict:
-        return {}
-
-    def data(self) -> dict:
-        return {}
-
-
-#: The process-wide shared no-op instrument.
-NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """The disabled registry: stateless, allocation-free, shared no-ops."""
-
-    enabled = False
-
-    __slots__ = ()
-
-    def now(self) -> float:
-        return 0.0
-
-    def counter(self, name: str = "", **labels: str) -> _NullInstrument:
-        return NULL_INSTRUMENT
-
-    def gauge(self, name: str = "", **labels: str) -> _NullInstrument:
-        return NULL_INSTRUMENT
-
-    def histogram(
-        self, name: str = "", buckets: tuple = DEFAULT_BUCKETS, **labels: str
-    ) -> _NullInstrument:
-        return NULL_INSTRUMENT
-
-    def timeseries(self, name: str = "", **labels: str) -> _NullInstrument:
-        return NULL_INSTRUMENT
-
-    def find(self, kind: str = "", name: str = "", **labels: str) -> None:
-        return None
-
-    def watch(self, kind: str = "", name: str = "", callback=None) -> None:
-        return None
-
-    def instruments(self) -> Iterator:
-        return iter(())
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: The process-wide shared disabled registry.
-NULL_REGISTRY = NullRegistry()

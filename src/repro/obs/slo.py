@@ -206,10 +206,9 @@ class AlertSink:
         self.timeline.append(record)
         obs = self.obs
         # The flight recorder sees every transition (and may open an
-        # incident); the detached path is a shared no-op singleton.
-        recorder = getattr(obs, "recorder", None)
-        if recorder is not None:
-            recorder.on_alert(record)
+        # incident).
+        if obs.recorder is not None:
+            obs.recorder.on_alert(record)
         if obs.enabled:
             obs.tracer.event(
                 f"{source}.alert",
@@ -432,7 +431,7 @@ class SloMonitor:
                 for group in groups:
                     self._evaluate(rule, group)
         except Exception as exc:
-            recorder = getattr(self.obs, "recorder", None)
+            recorder = self.obs.recorder
             if recorder is not None:
                 recorder.on_exception(f"slo-monitor:{self.name}", exc)
             raise

@@ -18,8 +18,9 @@ creation time.
 
 Finished spans and point events are appended to ``tracer.records`` as
 plain dicts in completion order; :mod:`repro.obs.export` serializes them
-to JSONL. The disabled path (:data:`NULL_TRACER`) hands back shared
-singletons and records nothing.
+to JSONL. There is no disabled tracer: while observability is off,
+``obs.tracer`` is ``None`` and every feed site checks ``obs.enabled``
+first.
 """
 
 from __future__ import annotations
@@ -111,8 +112,6 @@ class _SpanScope:
 class Tracer:
     """Span factory emitting deterministic records in completion order."""
 
-    enabled = True
-
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock or (lambda: 0.0)
         self._next_id = 1
@@ -163,71 +162,3 @@ class Tracer:
         self.records.append(record)
         if self.tap is not None:
             self.tap(record)
-
-
-class _NullScope:
-    """Shared no-op ``with`` target for the disabled tracer."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return NULL_SPAN
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-class _NullSpan:
-    """Shared no-op span; absorbs every call without allocating."""
-
-    __slots__ = ()
-
-    name = ""
-    span_id = 0
-    trace_id = 0
-    parent_id = None
-    start = 0.0
-    duration = 0.0
-    attrs: dict = {}
-
-    def annotate(self, **attrs) -> "_NullSpan":
-        return self
-
-    def event(self, name: str, **attrs) -> None:
-        pass
-
-    def end(self, status: str = "ok", **attrs) -> None:
-        pass
-
-
-class NullTracer:
-    """The disabled tracer: stateless, allocation-free, shared singletons."""
-
-    enabled = False
-
-    __slots__ = ()
-
-    records: list[dict] = []
-    tap = None
-
-    def now(self) -> float:
-        return 0.0
-
-    @property
-    def current(self) -> None:
-        return None
-
-    def start_span(self, name: str = "", parent=None, **attrs) -> "_NullSpan":
-        return NULL_SPAN
-
-    def use(self, span) -> "_NullScope":
-        return NULL_SCOPE
-
-    def event(self, name: str = "", parent=None, **attrs) -> None:
-        pass
-
-
-#: Process-wide shared singletons for the disabled path.
-NULL_SPAN = _NullSpan()
-NULL_SCOPE = _NullScope()
-NULL_TRACER = NullTracer()

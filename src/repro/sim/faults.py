@@ -94,6 +94,10 @@ class FaultEvent:
             )
         if self.at < 0:
             raise FaultInjectionError(f"fault time must be >= 0, got {self.at}")
+        if self.block_index < 0:
+            raise FaultInjectionError(
+                f"block_index must be >= 0, got {self.block_index}"
+            )
         if self.kind in ("degrade_medium", "slow_node") and (
             self.factor is None or not 0.0 < self.factor <= 1.0
         ):
@@ -220,11 +224,13 @@ class FaultInjector:
             )
             obs.metrics.counter("faults_injected_total", kind=kind).inc()
         # The flight recorder sees every applied fault (and opens an
-        # incident on damaging ones); detached = shared no-op singleton.
-        obs.recorder.on_fault(record)
+        # incident on damaging ones).
+        if obs.recorder is not None:
+            obs.recorder.on_fault(record)
         # The provenance ledger keeps it as triggering context for the
         # repair decisions that follow.
-        obs.ledger.on_fault(record)
+        if obs.ledger is not None:
+            obs.ledger.on_fault(record)
 
     def trace_lines(self) -> list[str]:
         """The applied-fault log as canonical strings (seed-stable)."""
@@ -289,7 +295,7 @@ class FaultInjector:
         """
         master = self.system.master_for(path)
         inode = master.namespace.get_file(path)
-        if block_index >= len(inode.blocks):
+        if not 0 <= block_index < len(inode.blocks):
             raise FaultInjectionError(
                 f"{path!r} has no block index {block_index}"
             )

@@ -599,7 +599,7 @@ class FlowScheduler:
         self._materialize(flow)
         self._detach(flow)
         flow.finished_at = self.engine.now
-        if flow.span is not None:
+        if flow.span is not None and self.obs.enabled:
             flow.span.end("cancelled", transferred=flow.size - flow.remaining)
             self.obs.metrics.counter("flows_cancelled_total").inc()
         flow.completed.fail(exception)
@@ -799,7 +799,7 @@ class FlowScheduler:
         flow.remaining = 0.0
         flow.finished_at = self.engine.now
         self.total_bytes_completed += flow.size
-        if flow.span is not None:
+        if flow.span is not None and self.obs.enabled:
             flow.span.end("ok")
             self.obs.metrics.counter("flows_completed_total").inc()
             self.obs.metrics.counter("flow_bytes_total").inc(flow.size)

@@ -234,9 +234,11 @@ class TieringEngine:
             for stats in self.system.master.get_storage_tier_reports()
         )
         read_p99 = None
-        histogram = self.system.obs.metrics.find("histogram", "block_read_seconds")
-        if histogram is not None:
-            read_p99 = histogram.quantile(0.99)
+        obs = self.system.obs
+        if obs.enabled:
+            histogram = obs.metrics.find("histogram", "block_read_seconds")
+            if histogram is not None:
+                read_p99 = histogram.quantile(0.99)
         burn_rates: tuple = ()
         alerts_firing: tuple = ()
         if self.monitor is not None:
@@ -262,7 +264,9 @@ class TieringEngine:
         except Exception as exc:
             # The policy engine is itself an actor that can cause
             # incidents; a crashed round is flight-recorder material.
-            self.system.obs.recorder.on_exception("tiering-engine", exc)
+            recorder = self.system.obs.recorder
+            if recorder is not None:
+                recorder.on_exception("tiering-engine", exc)
             raise
 
     def _run_round(self) -> list[Decision]:
@@ -283,7 +287,7 @@ class TieringEngine:
                 decided=len(decisions),
                 applied=len(applied),
             )
-            ledger_on = obs.ledger.enabled
+            ledger = obs.ledger
             for decision in decisions:
                 span.event(
                     f"tier.{decision.action.kind}",
@@ -300,8 +304,8 @@ class TieringEngine:
                 if decision.outcome == "conflict":
                     # Lost CAS races are attributable, not silent.
                     obs.metrics.counter("tiering_cas_conflicts_total").inc()
-                if ledger_on:
-                    obs.ledger.on_tiering(
+                if ledger is not None:
+                    ledger.on_tiering(
                         path=decision.action.path,
                         kind=decision.action.kind,
                         tier=decision.action.tier,

@@ -218,4 +218,4 @@ class TestObservability:
         skew_cluster(fs)
         report = Balancer(fs, threshold=0.002).run()
         assert report.moves_executed > 0
-        assert fs.obs.tracer.records == []
+        assert fs.obs.tracer is None

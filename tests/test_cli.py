@@ -33,6 +33,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dfsio", "--deployment", "zfs"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--size", "8XB"], ["--vector", "x"], ["--vector", "1,2,3,4,5,6"]],
+    )
+    def test_bad_dfsio_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dfsio", *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro dfsio: error: argument {argv[0]}:" in err
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -37,6 +37,10 @@ class TestFaultEventValidation:
         with pytest.raises(FaultInjectionError):
             FaultEvent(-1.0, "crash", "worker1")
 
+    def test_negative_block_index_rejected(self):
+        with pytest.raises(FaultInjectionError, match="block_index"):
+            FaultEvent(1.0, "corrupt", "/f", block_index=-1)
+
     def test_degrade_requires_factor(self):
         with pytest.raises(FaultInjectionError):
             FaultEvent(1.0, "degrade_medium", "worker1:hdd2")
@@ -91,6 +95,11 @@ class TestScheduledFaults:
         client.write_file("/short", size=MB, rep_vector=1)
         with pytest.raises(FaultInjectionError):
             fs.faults.corrupt_block("/short", block_index=5)
+        # Not the last block counted from the end: no block at all.
+        client.write_file("/two", size=2 * MB, rep_vector=1, block_size=MB)
+        with pytest.raises(FaultInjectionError, match="no block index -1"):
+            fs.faults.corrupt_block("/two", block_index=-1)
+        assert fs.faults.trace == []
         with pytest.raises(FaultInjectionError):
             fs.faults.corrupt_replica(424242, "worker1:hdd2")
 

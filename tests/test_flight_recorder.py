@@ -20,7 +20,6 @@ from repro import OctopusFileSystem
 from repro.cluster import small_cluster_spec
 from repro.errors import ConfigurationError
 from repro.obs import (
-    NULL_RECORDER,
     FlightRecorder,
     Observability,
     RecorderConfig,
@@ -60,17 +59,9 @@ def make_recorder(config=None, out_dir=None):
 # ----------------------------------------------------------------------
 class TestLifecycle:
     def test_default_recorder_is_shared_null_singleton(self):
-        obs = Observability()
-        assert obs.recorder is NULL_RECORDER
-        assert not obs.recorder.enabled
-        # Every feed absorbs calls without allocating or raising.
-        obs.recorder.on_fault(FaultRecord(0.0, "crash", "worker1"))
-        obs.recorder.on_alert({"state": "firing"})
-        obs.recorder.on_health({"time": 0.0})
-        obs.recorder.on_exception("x", ValueError("boom"))
-        assert obs.recorder.trigger("fault") is None
-        obs.recorder.flush()
-        obs.recorder.detach()
+        """Nothing attached is an empty slot, on or off."""
+        assert Observability().recorder is None
+        assert Observability(enabled=True).recorder is None
 
     def test_requires_enabled_observability(self):
         with pytest.raises(ConfigurationError, match="enabled"):
@@ -86,7 +77,7 @@ class TestLifecycle:
         assert obs.tracer.tap is not None
         assert recorder.attached
         recorder.detach()
-        assert obs.recorder is NULL_RECORDER
+        assert obs.recorder is None
         assert obs.tracer.tap is None
         assert not recorder.attached
         recorder.detach()  # idempotent
@@ -105,8 +96,18 @@ class TestLifecycle:
     def test_disable_detaches_recorder(self):
         obs, _, recorder = make_recorder()
         obs.disable()
-        assert obs.recorder is NULL_RECORDER
+        assert obs.recorder is None
         assert not recorder.attached
+
+    def test_span_ended_after_disable_misses_the_detached_recorder(self):
+        """``disable()`` unhooks the recorder from the live tracer before
+        dropping it, so a span that outlives the switch cannot reach the
+        recorder (and, attached again, an incident window)."""
+        obs, _, recorder = make_recorder()
+        span = obs.tracer.start_span("client.read")
+        obs.disable()
+        span.end()
+        assert len(recorder.spans) == 0
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError, match="pre_roll"):

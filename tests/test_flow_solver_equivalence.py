@@ -142,8 +142,8 @@ def _run_script(
             r.name: r.bytes_served for r in resources.values()
         },
         "total_bytes": sched.total_bytes_completed,
-        "trace": to_jsonl(obs.tracer.records),
-        "metrics": metrics_json(obs.metrics),
+        "trace": to_jsonl(obs.tracer.records) if observe else "",
+        "metrics": metrics_json(obs.metrics) if observe else "",
         "rate_computations": sched.rate_computations,
     }
 

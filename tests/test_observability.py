@@ -8,33 +8,35 @@ scores), fault injections land in the same trace stream, and two
 identically-seeded runs export byte-identical JSONL and metrics.
 """
 
-import inspect
+import ast
 import json
 import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.obs
-from repro import OctopusFileSystem
+from repro import OctopusFileSystem, ReplicationVector
 from repro.bench.deployments import build_deployment
 from repro.cluster import small_cluster_spec
 from repro.cluster.spec import paper_cluster_spec
+from repro.fs.balancer import Balancer
+from repro.fs.invariants import check_system_invariants
 from repro.obs import (
-    NULL_INSTRUMENT,
-    NULL_REGISTRY,
-    NULL_SPAN,
-    NULL_TRACER,
+    FlightRecorder,
     MetricsRegistry,
-    NullRegistry,
     Observability,
+    ProvenanceLedger,
     Tracer,
     metrics_json,
     prometheus_text,
     to_jsonl,
     validate_trace_records,
 )
-from repro.sim.faults import FaultInjector
+from repro.sim.faults import FaultInjector, FaultSchedule
+from repro.tier import DecayHeatPolicy, TieringEngine
 from repro.util.units import MB
 from repro.workloads.dfsio import Dfsio
 
@@ -335,53 +337,10 @@ class TestDisabledPath:
     def test_disabled_by_default_with_shared_singletons(self):
         obs = Observability()
         assert not obs.enabled
-        assert obs.metrics is NULL_REGISTRY
-        assert obs.tracer is NULL_TRACER
-        assert obs.metrics.counter("x", tier="SSD") is NULL_INSTRUMENT
-        assert obs.tracer.start_span("op") is NULL_SPAN
-        assert len(obs.metrics) == 0
-        assert obs.tracer.records == []
-
-    def test_null_instrument_absorbs_every_call(self):
-        NULL_INSTRUMENT.inc()
-        NULL_INSTRUMENT.dec()
-        NULL_INSTRUMENT.set(9)
-        NULL_INSTRUMENT.observe(1.0)
-        NULL_INSTRUMENT.sample(1.0)
-        assert NULL_INSTRUMENT.value == 0.0
-
-    def test_null_registry_takes_every_call_the_real_one_takes(self):
-        """Code that runs with observability on must run with it off:
-        each public method the two registries share has the same
-        parameters in the same order, and wherever the real one has a
-        default the null one has the same (the null one may add
-        defaults — ``name=""`` — since that only accepts more)."""
-        shared = [
-            name for name, member in vars(MetricsRegistry).items()
-            if callable(member) and not name.startswith("_")
-            and hasattr(NullRegistry, name)
-        ]
-        assert {"counter", "gauge", "histogram", "timeseries", "find",
-                "watch", "instruments", "snapshot", "now"} <= set(shared)
-        empty = inspect.Parameter.empty
-        for name in shared:
-            real = inspect.signature(getattr(MetricsRegistry, name)).parameters
-            null = inspect.signature(getattr(NullRegistry, name)).parameters
-            assert [(p.name, p.kind) for p in real.values()] == [
-                (p.name, p.kind) for p in null.values()
-            ], name
-            for param in real.values():
-                if param.default is not empty:
-                    assert null[param.name].default == param.default, name
-        assert NULL_REGISTRY.histogram("x", (0.1, 1.0), tier="SSD") is NULL_INSTRUMENT
-
-    def test_null_tracer_scope_is_a_noop(self):
-        with NULL_TRACER.use(NULL_SPAN) as span:
-            assert span is NULL_SPAN
-        NULL_SPAN.annotate(a=1).event("x")
-        NULL_SPAN.end("error")
-        assert NULL_TRACER.records == []
-        assert NULL_TRACER.current is None
+        assert obs.metrics is None
+        assert obs.tracer is None
+        assert obs.recorder is None
+        assert obs.ledger is None
 
     def test_enable_disable_roundtrip(self):
         obs = Observability(clock=FakeClock(2.0))
@@ -391,7 +350,8 @@ class TestDisabledPath:
         live = obs.metrics
         assert obs.enable().metrics is live  # idempotent
         obs.disable()
-        assert obs.metrics is NULL_REGISTRY
+        assert obs.metrics is None
+        assert obs.tracer is None
         assert obs.last_placement is None
 
     def test_disabled_workload_records_nothing(self):
@@ -400,8 +360,8 @@ class TestDisabledPath:
         client.write_file("/plain", size=8 * MB)
         with client.open("/plain") as stream:
             stream.read_size()
-        assert len(fs.obs.metrics) == 0
-        assert fs.obs.tracer.records == []
+        assert fs.obs.metrics is None
+        assert fs.obs.tracer is None
         # Flows never got spans attached.
         assert fs.cluster.flows.total_flows_started > 0
 
@@ -423,6 +383,190 @@ class TestDisabledPath:
             [tracemalloc.Filter(True, obs_glob)]
         ).statistics("filename")
         assert stats == [], [str(s) for s in stats]
+
+
+# ----------------------------------------------------------------------
+# One off switch: obs.enabled for tracer and metrics, an empty slot for
+# the recorder and the ledger
+# ----------------------------------------------------------------------
+_OBSERVERS = ("tracer", "metrics", "recorder", "ledger")
+
+
+def _holder(node) -> str | None:
+    """The name an attribute is read from: ``x`` in ``x.y``, ``y`` in
+    ``x.y.z``."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _skew_hdd(fs, files=6):
+    """Single-replica HDD files written from worker1, which the MOOP
+    policy keeps local: a skew the balancer has to move."""
+    client = fs.client(on="worker1")
+    for index in range(files):
+        client.write_file(
+            f"/skew/f{index}", size=4 * MB,
+            rep_vector=ReplicationVector.of(hdd=1),
+        )
+
+
+class TestOneOffSwitch:
+    def test_no_null_object_and_no_second_switch_under_src(self):
+        """Off is ``obs.enabled`` for the tracer and the metrics and an
+        empty slot for the recorder and the ledger: no ``Null*`` class
+        or ``NULL_*`` singleton stands in for one, nothing probes a slot
+        with ``getattr``, and nothing asks an observer if it is
+        ``enabled``."""
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            module = path.relative_to(root).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                where = f"{module}:{getattr(node, 'lineno', '?')}"
+                names: list = []
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                    if (
+                        node.attr == "enabled"
+                        and isinstance(node.ctx, ast.Load)
+                        and _holder(node.value) in _OBSERVERS
+                    ):
+                        offenders.append(f"{where} {_holder(node.value)}.enabled")
+                elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.alias):
+                    names = [node.name, node.asname]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names = [node.value] if node.value.isidentifier() else []
+                elif (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "getattr"
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                ):
+                    probed = node.args[1].value
+                    if probed in ("recorder", "ledger") or (
+                        probed == "enabled" and _holder(node.args[0]) in _OBSERVERS
+                    ):
+                        offenders.append(f"{where} getattr(..., {probed!r})")
+                offenders.extend(
+                    f"{where} {name}" for name in names
+                    if name and name.startswith(("NULL_", "Null"))
+                )
+        assert not offenders, "\n".join(offenders)
+
+    def test_on_with_nothing_attached_feeds_only_tracer_and_metrics(
+        self, monkeypatch
+    ):
+        """Every decision site runs with observability on and both slots
+        empty: faults, repair, a tiering round that loses its CAS, the
+        balancer, a vector change and a delete."""
+        schedule = (
+            FaultSchedule()
+            .crash(at=20.0, node="worker2")
+            .restart(at=40.0, node="worker2")
+            .corrupt(at=50.0, path="/on/f0")
+        )
+        fs = OctopusFileSystem(small_cluster_spec(seed=4), faults=schedule)
+        obs = fs.obs.enable()
+        client = fs.client(on="worker1")
+        for index in range(3):
+            client.write_file(f"/on/f{index}", size=4 * MB, rep_vector=2)
+        fs.engine.run(until=60.0)
+        fs.await_replication()
+        assert [r.kind for r in fs.faults.trace] == ["crash", "restart", "corrupt"]
+
+        engine = TieringEngine(fs, policy=DecayHeatPolicy(promote_heat=2.0)).attach()
+        client.write_file(
+            "/on/raced", size=4 * MB, rep_vector=ReplicationVector.of(hdd=2)
+        )
+        for _ in range(4):
+            client.open("/on/raced").read_size()
+        stale_status = fs.master.get_status("/on/raced")
+        client.set_replication("/on/raced", ReplicationVector.of(ssd=1, hdd=1))
+        fs.await_replication()
+        real_get_status = fs.master.get_status
+        monkeypatch.setattr(
+            fs.master, "get_status",
+            lambda path, *args, **kwargs: stale_status if path == "/on/raced"
+            else real_get_status(path, *args, **kwargs),
+        )
+        assert [d.outcome for d in engine.run_round()] == ["conflict"]
+        monkeypatch.undo()
+        engine.detach()
+
+        _skew_hdd(fs)
+        assert Balancer(fs, threshold=0.002).run().moves_executed > 0
+        assert client.delete("/on/f1") == 1
+        fs.await_replication()
+        check_system_invariants(fs)
+
+        assert obs.recorder is None and obs.ledger is None
+        names = {r["name"] for r in obs.tracer.records}
+        assert {"fault.crash", "fault.corrupt", "master.repair", "tier.round",
+                "balancer.move"} <= names
+
+    def test_disable_from_a_timer_with_spans_open(self, monkeypatch):
+        """``disable()`` fired by the engine while a write, a read, a
+        repair and balancer moves are mid-transfer: every process still
+        completes, and nothing reaches the recorder once it is
+        detached."""
+        fs = OctopusFileSystem(small_cluster_spec(seed=6))
+        obs = fs.obs.enable()
+        recorder = FlightRecorder(fs).attach()
+        ProvenanceLedger(obs).attach()
+        client = fs.client(on="worker1")
+        client.write_file(
+            "/busy/read", size=16 * MB, rep_vector=ReplicationVector.of(hdd=2)
+        )
+        client.write_file("/busy/repair", size=4 * MB, rep_vector=2)
+        _skew_hdd(fs)
+        started = []
+        start_span = obs.tracer.start_span
+
+        def recording_start_span(*args, **kwargs):
+            started.append(start_span(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(obs.tracer, "start_span", recording_start_span)
+
+        victim = next(
+            r.node.name
+            for r in fs.master.get_block_replicas("/busy/repair")[0]
+            if r.node.name != "worker1"
+        )
+        fs.faults.crash(victim)
+        repairs = fs.master.check_replication()
+        assert repairs
+        stream = client.create("/busy/write", rep_vector=ReplicationVector.of(hdd=2))
+
+        def writer():
+            yield from stream.write_size_proc(16 * MB)
+            yield from stream.close_proc()
+
+        procs = [
+            fs.engine.process(writer()),
+            fs.engine.process(client.open("/busy/read").read_proc(collect=False)),
+        ]
+        open_at_disable: set = set()
+        rings: dict = {}
+
+        def switch_off():
+            open_at_disable.update(s.name for s in started if not s._done)
+            rings.update(recorder.ring_sizes())
+            obs.disable()
+
+        fs.engine.call_at(fs.engine.now + 0.001, switch_off)
+        report = Balancer(fs, threshold=0.002).run()
+        fs.engine.run(fs.engine.all_of(procs + repairs))
+
+        assert {"client.write_block", "client.read_block", "master.repair",
+                "balancer.move"} <= open_at_disable
+        assert report.moves_executed > 0
+        assert all(proc.ok for proc in procs + repairs)
+        assert rings and recorder.ring_sizes() == rings
+        assert obs.tracer is None and obs.recorder is None
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ from repro.obs import (
     HealthMonitor,
     LatencySlo,
     MetricsRegistry,
-    NullRegistry,
     Observability,
     QuantileSketch,
     SloMonitor,
@@ -134,23 +133,17 @@ class TestWatchHooks:
         counter = registry.counter("quiet")
         assert counter.watchers is None
 
-    def test_null_registry_watch_is_a_noop(self):
-        registry = NullRegistry()
-        assert registry.watch("counter", "x", lambda *a: None) is None
-        registry.counter("x").inc()  # still a no-op
-
 
 # ----------------------------------------------------------------------
 # Empty-quantile consistency (regression audit)
 # ----------------------------------------------------------------------
 def test_empty_quantile_contract_is_uniform():
-    """Histogram, the null instrument, and the sketch all agree: empty
-    data answers ``None`` from ``quantile`` and ``{}`` from
-    ``quantiles`` — callers need exactly one None-check idiom."""
+    """Histogram and the sketch agree: empty data answers ``None`` from
+    ``quantile`` and ``{}`` from ``quantiles`` — callers need exactly
+    one None-check idiom."""
     histogram = MetricsRegistry().histogram("h")
     sketch = QuantileSketch()
-    null = NullRegistry().histogram("h")
-    for empty in (histogram, sketch, null):
+    for empty in (histogram, sketch):
         assert empty.quantile(0.5) is None
         assert empty.quantiles() == {}
 
