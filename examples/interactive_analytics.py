@@ -63,7 +63,7 @@ def main() -> None:
         if tier == "MEMORY"
     )
     print(f"  killing {memory_host} (holds the in-memory replica)...")
-    fs.fail_worker(memory_host)
+    fs.faults.crash(memory_host)
     run_queries(fs, client, "degraded")  # falls over to disk replicas
     fs.await_replication()  # the manager re-pins memory elsewhere
     tiers = sorted(client.get_file_block_locations(WORKING_SET)[0].tiers)

@@ -56,7 +56,7 @@ def main() -> None:
         with client.open(f"/data/file_{index}") as stream:
             stream.read_size()
     # One fault, so the trace shows fault events interleaved with repair.
-    fs.fail_worker("worker2")
+    fs.faults.crash("worker2")
     fs.await_replication()
     print(f"   sim time now {fs.engine.now:.1f}s, "
           f"{len(fs.obs.tracer.records)} trace records collected")

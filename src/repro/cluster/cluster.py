@@ -1,4 +1,9 @@
-"""Materialized cluster: engine + topology + media + tiers in one object."""
+"""Materialized cluster: engine + topology + media + tiers in one object.
+
+It holds the state a fault changes (``node.failed``,
+``node.unreachable``, ``medium.failed``, ``medium.degrade``) but applies
+no fault itself: :class:`repro.sim.faults.FaultInjector` does that.
+"""
 
 from __future__ import annotations
 
@@ -121,51 +126,6 @@ class Cluster:
             for tier in sorted(self.tiers.values(), key=lambda t: t.rank)
             if tier.live_media
         ]
-
-    # ------------------------------------------------------------------
-    # Failure injection
-    # ------------------------------------------------------------------
-    def fail_node(self, name: str) -> Node:
-        node = self.node(name)
-        node.failed = True
-        node.unreachable = False  # death supersedes mere silence
-        return node
-
-    def recover_node(self, name: str) -> Node:
-        node = self.node(name)
-        node.failed = False
-        node.unreachable = False
-        return node
-
-    def silence_node(self, name: str) -> Node:
-        """Partition a node off the network without killing its process."""
-        node = self.node(name)
-        node.unreachable = True
-        return node
-
-    def unsilence_node(self, name: str) -> Node:
-        node = self.node(name)
-        node.unreachable = False
-        return node
-
-    def degrade_medium(self, medium_id: str, factor: float) -> StorageMedium:
-        """Throttle one device to ``factor`` of its baseline throughput,
-        re-sharing bandwidth with any in-flight transfers."""
-        if medium_id not in self.media:
-            raise ConfigurationError(f"unknown medium: {medium_id}")
-        medium = self.media[medium_id]
-        medium.degrade(factor)
-        # Hint the changed channels so the incremental solver only
-        # revisits their connected components.
-        self.flows.refresh([medium.read_channel, medium.write_channel])
-        return medium
-
-    def cap_node_rate(self, name: str, factor: float) -> Node:
-        """Cap a node's NIC to ``factor`` of baseline (slow-node fault)."""
-        node = self.node(name)
-        node.set_nic_factor(factor)
-        self.flows.refresh([node.nic_in, node.nic_out])
-        return node
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

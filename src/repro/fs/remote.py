@@ -146,10 +146,10 @@ class StandaloneMount:
         for obj in self.store.list():
             path = self.remote_path(obj.key)
             if not master.namespace.exists(path):
-                inode = master.create_file(
+                master.create_file(
                     path, ReplicationVector.of(u=1), overwrite=False
                 )
-                inode.complete()
+                master.complete_file(path)
                 added.append(path)
         return added
 

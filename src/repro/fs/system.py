@@ -3,7 +3,9 @@
 :class:`OctopusFileSystem` wires a :class:`~repro.cluster.cluster.
 Cluster` to a Master, one Worker per storage-bearing node, and optional
 background services (heartbeats, liveness checks, the replication
-monitor). It is the main entry point of the library:
+monitor). Faults are injected through ``fs.faults``, a
+:class:`~repro.sim.faults.FaultInjector`: the one place a fault is
+applied and recorded. It is the main entry point of the library:
 
 >>> from repro import OctopusFileSystem, ReplicationVector
 >>> from repro.cluster import small_cluster_spec
@@ -31,7 +33,6 @@ from repro.fs.worker import Worker
 from repro.sim.faults import FaultInjector, FaultSchedule
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.media import StorageMedium
     from repro.cluster.topology import Node
 
 DEFAULT_HEARTBEAT_INTERVAL = 3.0
@@ -213,141 +214,6 @@ class OctopusFileSystem:
         node.failed = True
         self.master.workers[name].dead = True
         return drained
-
-    # ------------------------------------------------------------------
-    # Failure injection
-    # ------------------------------------------------------------------
-    def _cancel_flows_on(self, resources: list, failure: WorkerError) -> None:
-        """Abort every transfer crossing ``resources``, in flow start
-        order: set order follows object addresses and would make the
-        failure cascade differ between runs."""
-        doomed = {flow for resource in resources for flow in resource.flows}
-        for flow in sorted(doomed, key=lambda f: f.seq):
-            self.cluster.flows.cancel_flow(flow, failure)
-
-    def fail_worker(self, name: str) -> None:
-        """Kill a worker: node marked dead, in-flight transfers aborted,
-        volatile (memory) replicas lost with it."""
-        if name not in self.workers:
-            raise WorkerError(f"unknown worker {name!r}")
-        node = self.cluster.fail_node(name)
-        resources = [node.nic_in, node.nic_out]
-        for medium in node.media:
-            resources.extend([medium.read_channel, medium.write_channel])
-        self._cancel_flows_on(resources, WorkerError(f"worker {name} died"))
-        self.master.check_worker_liveness()
-
-    def fail_medium(self, medium_id: str) -> None:
-        """Kill a single storage device (disk failure, not node failure).
-
-        In-flight transfers on the medium abort; its replicas are lost
-        and the replication manager re-replicates from surviving copies.
-        """
-        medium = self.cluster.media.get(medium_id)
-        if medium is None:
-            raise WorkerError(f"unknown medium {medium_id!r}")
-        medium.failed = True
-        self._cancel_flows_on(
-            [medium.read_channel, medium.write_channel],
-            WorkerError(f"medium {medium_id} failed"),
-        )
-        worker = self.workers[medium.node.name]
-        self.master.mark_dirty(
-            r for r in worker.block_report() if r.medium is medium
-        )
-
-    def recover_worker(self, name: str) -> None:
-        """Bring a failed worker back; its volatile replicas are gone."""
-        if name not in self.workers:
-            raise WorkerError(f"unknown worker {name!r}")
-        node = self.cluster.recover_node(name)
-        worker = self.workers[name]
-        # Memory does not survive a restart: drop volatile replicas.
-        volatile = [r for r in worker.block_report() if r.medium.volatile]
-        for replica in volatile:
-            worker.delete_replica(replica)
-            meta = self.master.block_map.get(replica.block.block_id)
-            if meta and replica in meta.replicas:
-                self.master.detach_replica(meta, replica)
-        record = self.master.workers[name]
-        record.dead = False
-        record.silent = False
-        record.last_heartbeat = self.engine.now
-        self.master.receive_block_report(worker)
-        # The worker no longer reports its volatile blocks: name them too,
-        # or the loss goes unrepaired when it was never declared dead.
-        self.master.mark_dirty(volatile + worker.block_report())
-
-    def silence_worker(self, name: str, cut_flows: bool = True) -> None:
-        """Partition a worker off the network without killing it.
-
-        Heartbeats stop arriving and (with ``cut_flows``) in-flight
-        transfers crossing the node's NIC abort, but the process and its
-        replicas — volatile ones included — stay intact. The master
-        declares the worker *silent* (not dead) once the heartbeat
-        expiry elapses; see :meth:`Master.check_worker_liveness`.
-        """
-        if name not in self.workers:
-            raise WorkerError(f"unknown worker {name!r}")
-        node = self.cluster.silence_node(name)
-        if cut_flows:
-            self._cancel_flows_on(
-                [node.nic_in, node.nic_out],
-                WorkerError(f"worker {name} is unreachable"),
-            )
-
-    def unsilence_worker(self, name: str) -> None:
-        """Heal a network partition; the worker re-heartbeats at once.
-
-        Unlike :meth:`recover_worker`, nothing was lost — the master
-        reconciles the returning replicas (usually trimming the surplus
-        its outage-time re-replication created).
-        """
-        if name not in self.workers:
-            raise WorkerError(f"unknown worker {name!r}")
-        record = self.master.workers.get(name)
-        if record is not None and not record.dead:
-            # Deliver the heartbeat while the unreachable flag is still
-            # set: receive_heartbeat uses it to tell "returning from a
-            # partition" (reconcile the node's blocks) from a routine
-            # beat, then clears it.
-            self.master.receive_heartbeat(self.workers[name].heartbeat())
-        self.cluster.unsilence_node(name)
-
-    def degrade_medium(self, medium_id: str, factor: float) -> "StorageMedium":
-        """Throttle one device to ``factor`` of baseline throughput."""
-        if medium_id not in self.cluster.media:
-            raise WorkerError(f"unknown medium {medium_id!r}")
-        return self.cluster.degrade_medium(medium_id, factor)
-
-    def repair_medium(self, medium_id: str) -> None:
-        """Bring a failed (or degraded) device back at full speed.
-
-        Replicas the master already pruned are gone — the device returns
-        empty; any it still remembers are marked dirty so the
-        replication manager revalidates them.
-        """
-        medium = self.cluster.media.get(medium_id)
-        if medium is None:
-            raise WorkerError(f"unknown medium {medium_id!r}")
-        medium.failed = False
-        medium.degrade(1.0)
-        self.cluster.flows.refresh([medium.read_channel, medium.write_channel])
-        worker = self.workers[medium.node.name]
-        self.master.mark_dirty(
-            r for r in worker.block_report() if r.medium is medium
-        )
-
-    def slow_worker(self, name: str, factor: float) -> None:
-        """Cap a node's NIC to ``factor`` of baseline (slow-node fault)."""
-        if name not in self.workers:
-            raise WorkerError(f"unknown worker {name!r}")
-        self.cluster.cap_node_rate(name, factor)
-
-    def restore_worker_speed(self, name: str) -> None:
-        if name not in self.workers:
-            raise WorkerError(f"unknown worker {name!r}")
-        self.cluster.cap_node_rate(name, 1.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -13,7 +13,8 @@ paper's physical 10-node cluster:
   (SSD-vs-3×HDD crossover, network congestion decline, etc.).
 * :mod:`repro.sim.faults` — deterministic fault injection: declarative
   :class:`FaultSchedule` scenarios, a seeded :class:`ChaosProcess`, and
-  the :class:`FaultInjector` facade, all running as engine processes.
+  the :class:`FaultInjector` whose primitives apply every fault, all
+  running as engine processes.
 * :mod:`repro.sim.periodic` — a stoppable wait-first periodic callback
   process (the shape shared by heartbeats, the replication monitor, and
   the tiering engine's policy rounds).

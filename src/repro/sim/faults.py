@@ -11,9 +11,11 @@ offers three entry points, all running as first-class processes on
   :class:`~repro.util.rng.DeterministicRng` at a configurable rate and
   heals what it breaks, for randomized robustness runs. The same seed
   produces the same event trace, bit for bit.
-* :class:`FaultInjector` — the imperative facade both of the above
-  drive. Every applied fault is appended to ``injector.trace``, so two
-  runs can be compared event by event.
+* :class:`FaultInjector` — the one place a fault is applied: its
+  primitives (``crash``, ``fail_medium``, ...) change the cluster, tell
+  the master, and record, and both of the above drive them. Every
+  applied fault is appended to ``injector.trace``, so two runs can be
+  compared event by event.
 
 Supported fault classes (the ``kind`` axis of :class:`FaultEvent`):
 
@@ -49,10 +51,13 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Generator, Iterable
 
-from repro.errors import FaultInjectionError
+from repro.errors import FaultInjectionError, WorkerError
 from repro.util.rng import DeterministicRng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cluster.media import StorageMedium
+    from repro.cluster.topology import Node
+    from repro.fs.master import Master
     from repro.sim.engine import Process
     from repro.fs.system import OctopusFileSystem
 
@@ -69,6 +74,7 @@ FAULT_KINDS = (
     "restore_node",
     "corrupt",
 )
+_FACTOR_KINDS = ("degrade_medium", "slow_node")
 
 
 @dataclass(frozen=True)
@@ -98,11 +104,20 @@ class FaultEvent:
             raise FaultInjectionError(
                 f"block_index must be >= 0, got {self.block_index}"
             )
-        if self.kind in ("degrade_medium", "slow_node") and (
-            self.factor is None or not 0.0 < self.factor <= 1.0
+        if self.kind in _FACTOR_KINDS:
+            if self.factor is None or not 0.0 < self.factor <= 1.0:
+                raise FaultInjectionError(
+                    f"{self.kind} needs a factor in (0, 1], got {self.factor}"
+                )
+        elif self.factor is not None:
+            raise FaultInjectionError(
+                f"{self.kind} takes no factor, got {self.factor}"
+            )
+        if self.kind != "corrupt" and (
+            self.block_index != 0 or self.medium_id is not None
         ):
             raise FaultInjectionError(
-                f"{self.kind} needs a factor in (0, 1], got {self.factor}"
+                f"{self.kind} takes no block_index or medium_id"
             )
 
 
@@ -199,7 +214,8 @@ class FaultSchedule:
 
 
 class FaultInjector:
-    """Imperative fault facade over one :class:`OctopusFileSystem`.
+    """Applies faults to one :class:`OctopusFileSystem`: its primitives
+    are the only code that does, for schedules and chaos alike.
 
     Every applied fault lands in :attr:`trace`; compare
     :meth:`trace_lines` across runs to assert reproducibility.
@@ -237,53 +253,164 @@ class FaultInjector:
         return [record.line() for record in self.trace]
 
     # ------------------------------------------------------------------
-    # Primitives (each delegates to the system layer and records)
+    # Primitives: the one place a fault is applied
     # ------------------------------------------------------------------
+    def _node(self, name: str) -> "Node":
+        if name not in self.system.workers:
+            raise WorkerError(f"unknown worker {name!r}")
+        return self.system.cluster.node(name)
+
+    def _medium(self, medium_id: str) -> "StorageMedium":
+        medium = self.system.cluster.media.get(medium_id)
+        if medium is None:
+            raise WorkerError(f"unknown medium {medium_id!r}")
+        return medium
+
+    def _cancel_flows_on(self, resources: list, failure: WorkerError) -> None:
+        """Abort every transfer crossing ``resources``, in flow start
+        order: set order follows object addresses and would make the
+        failure cascade differ between runs."""
+        doomed = {flow for resource in resources for flow in resource.flows}
+        for flow in sorted(doomed, key=lambda f: f.seq):
+            self.system.cluster.flows.cancel_flow(flow, failure)
+
+    def _mark_medium_dirty(self, medium: "StorageMedium") -> None:
+        worker = self.system.workers[medium.node.name]
+        self.system.master.mark_dirty(
+            r for r in worker.block_report() if r.medium is medium
+        )
+
     def crash(self, node: str) -> None:
-        self.system.fail_worker(node)
+        """Kill a worker: node marked dead, in-flight transfers aborted,
+        volatile (memory) replicas lost with it."""
+        host = self._node(node)
+        host.failed = True
+        host.unreachable = False  # death supersedes mere silence
+        resources = [host.nic_in, host.nic_out]
+        for medium in host.media:
+            resources.extend([medium.read_channel, medium.write_channel])
+        self._cancel_flows_on(resources, WorkerError(f"worker {node} died"))
+        self.system.master.check_worker_liveness()
         self._record("crash", node)
 
     def restart(self, node: str) -> None:
-        self.system.recover_worker(node)
+        """Bring a crashed worker back; its volatile replicas are gone."""
+        host = self._node(node)
+        host.failed = False
+        host.unreachable = False
+        master = self.system.master
+        worker = self.system.workers[node]
+        # Memory does not survive a restart: drop volatile replicas.
+        volatile = [r for r in worker.block_report() if r.medium.volatile]
+        for replica in volatile:
+            worker.delete_replica(replica)
+            meta = master.block_map.get(replica.block.block_id)
+            if meta and replica in meta.replicas:
+                master.detach_replica(meta, replica)
+        record = master.workers[node]
+        record.dead = False
+        record.silent = False
+        record.last_heartbeat = self.system.engine.now
+        master.receive_block_report(worker)
+        # The worker no longer reports its volatile blocks: name them too,
+        # or the loss goes unrepaired when it was never declared dead.
+        master.mark_dirty(volatile + worker.block_report())
         self._record("restart", node)
 
     def silence(self, node: str) -> None:
-        self.system.silence_worker(node)
+        """Partition a worker off the network without killing it.
+
+        Heartbeats stop arriving and in-flight transfers crossing the
+        node's NIC abort, but the process and its replicas — volatile
+        ones included — stay intact. The master declares the worker
+        *silent* (not dead) once the heartbeat expiry elapses; see
+        :meth:`Master.check_worker_liveness`.
+        """
+        host = self._node(node)
+        host.unreachable = True
+        self._cancel_flows_on(
+            [host.nic_in, host.nic_out],
+            WorkerError(f"worker {node} is unreachable"),
+        )
         self._record("silence", node)
 
     def unsilence(self, node: str) -> None:
-        self.system.unsilence_worker(node)
+        """Heal a network partition; the worker re-heartbeats at once.
+
+        Unlike :meth:`restart`, nothing was lost — the master reconciles
+        the returning replicas (usually trimming the surplus its
+        outage-time re-replication created).
+        """
+        host = self._node(node)
+        master = self.system.master
+        record = master.workers.get(node)
+        if record is not None and not record.dead:
+            # Deliver the heartbeat while the unreachable flag is still
+            # set: receive_heartbeat uses it to tell "returning from a
+            # partition" (reconcile the node's blocks) from a routine
+            # beat, then clears it.
+            master.receive_heartbeat(self.system.workers[node].heartbeat())
+        host.unreachable = False
         self._record("unsilence", node)
 
     def fail_medium(self, medium_id: str) -> None:
-        self.system.fail_medium(medium_id)
+        """Kill a single storage device (disk failure, not node failure).
+
+        In-flight transfers on the medium abort; its replicas are lost
+        and the replication manager re-replicates from surviving copies.
+        """
+        medium = self._medium(medium_id)
+        medium.failed = True
+        self._cancel_flows_on(
+            [medium.read_channel, medium.write_channel],
+            WorkerError(f"medium {medium_id} failed"),
+        )
+        self._mark_medium_dirty(medium)
         self._record("fail_medium", medium_id)
 
     def repair_medium(self, medium_id: str) -> None:
-        self.system.repair_medium(medium_id)
+        """Bring a failed (or degraded) device back at full speed.
+
+        Replicas the master already pruned are gone — the device returns
+        empty; any it still remembers are marked dirty so the
+        replication manager revalidates them.
+        """
+        medium = self._medium(medium_id)
+        medium.failed = False
+        self._throttle(medium, 1.0)
+        self._mark_medium_dirty(medium)
         self._record("repair_medium", medium_id)
 
+    def _throttle(self, medium: "StorageMedium", factor: float) -> None:
+        medium.degrade(factor)
+        # Hint the changed channels so the incremental solver only
+        # revisits their connected components.
+        channels = [medium.read_channel, medium.write_channel]
+        self.system.cluster.flows.refresh(channels)
+
     def degrade_medium(self, medium_id: str, factor: float) -> None:
-        self.system.degrade_medium(medium_id, factor)
+        """Throttle one device to ``factor`` of baseline throughput,
+        re-sharing bandwidth with any in-flight transfers."""
+        self._throttle(self._medium(medium_id), factor)
         self._record("degrade_medium", medium_id, f"factor={factor:.4f}")
 
+    def _cap_nic(self, node: str, factor: float) -> None:
+        host = self._node(node)
+        host.set_nic_factor(factor)
+        self.system.cluster.flows.refresh([host.nic_in, host.nic_out])
+
     def slow_node(self, node: str, factor: float) -> None:
-        self.system.slow_worker(node, factor)
+        """Cap a node's NIC to ``factor`` of baseline (straggler node)."""
+        self._cap_nic(node, factor)
         self._record("slow_node", node, f"factor={factor:.4f}")
 
     def restore_node(self, node: str) -> None:
-        self.system.restore_worker_speed(node)
+        self._cap_nic(node, 1.0)
         self._record("restore_node", node)
 
     def corrupt_replica(self, block_id: int, medium_id: str) -> None:
         """Checksum-fail one specific replica, as a reader would report."""
-        meta = self.system.master.block_map.get(block_id)
-        if meta is None:
-            raise FaultInjectionError(f"unknown block {block_id}")
-        self.system.master.report_corrupt_replica(block_id, medium_id)
-        # Trace by path#index, not block id: block ids are process-global
-        # counters and would break cross-invocation trace comparison.
-        self._record("corrupt", meta.label, f"medium={medium_id}")
+        self._corrupt(self.system.master, block_id, medium_id)
 
     def corrupt_block(
         self, path: str, block_index: int = 0, medium_id: str | None = None
@@ -294,52 +421,49 @@ class FaultInjector:
         (lowest medium id among live replicas).
         """
         master = self.system.master_for(path)
-        inode = master.namespace.get_file(path)
-        if not 0 <= block_index < len(inode.blocks):
+        blocks = master.namespace.get_file(path).blocks
+        if not 0 <= block_index < len(blocks):
             raise FaultInjectionError(
                 f"{path!r} has no block index {block_index}"
             )
-        block = inode.blocks[block_index]
-        meta = master.block_map.get(block.block_id)
-        live = meta.live_replicas() if meta else []
-        if not live:
+        self._corrupt(master, blocks[block_index].block_id, medium_id)
+
+    def _corrupt(
+        self, master: "Master", block_id: int, medium_id: str | None
+    ) -> None:
+        """The one check and record behind both corruption primitives:
+        the master ignores a report naming a medium without a replica,
+        so such a fault would corrupt nothing."""
+        meta = master.block_map.get(block_id)
+        if meta is None:
+            raise FaultInjectionError(f"unknown block {block_id}")
+        live = sorted(r.medium.medium_id for r in meta.live_replicas())
+        if medium_id is None and live:
+            medium_id = live[0]
+        if medium_id not in live:
             raise FaultInjectionError(
-                f"block {block.block_id} of {path!r} has no live replica"
+                f"{meta.label} has no live replica on {medium_id or 'any medium'}"
             )
-        if medium_id is None:
-            medium_id = min(r.medium.medium_id for r in live)
-        master.report_corrupt_replica(block.block_id, medium_id)
+        master.report_corrupt_replica(block_id, medium_id)
+        # Trace by path#index, not block id: block ids are process-global
+        # counters and would break cross-invocation trace comparison.
         self._record("corrupt", meta.label, f"medium={medium_id}")
 
     # ------------------------------------------------------------------
     # Declarative schedules
     # ------------------------------------------------------------------
     def apply(self, event: FaultEvent) -> None:
-        """Apply one event *now* (its ``at`` is ignored)."""
-        if event.kind == "crash":
-            self.crash(event.target)
-        elif event.kind == "restart":
-            self.restart(event.target)
-        elif event.kind == "silence":
-            self.silence(event.target)
-        elif event.kind == "unsilence":
-            self.unsilence(event.target)
-        elif event.kind == "fail_medium":
-            self.fail_medium(event.target)
-        elif event.kind == "repair_medium":
-            self.repair_medium(event.target)
-        elif event.kind == "degrade_medium":
-            assert event.factor is not None
-            self.degrade_medium(event.target, event.factor)
-        elif event.kind == "slow_node":
-            assert event.factor is not None
-            self.slow_node(event.target, event.factor)
-        elif event.kind == "restore_node":
-            self.restore_node(event.target)
-        elif event.kind == "corrupt":
+        """Apply one event *now* (its ``at`` is ignored).
+
+        A kind names its primitive; :class:`FaultEvent` admits a
+        ``factor`` only for the kinds whose primitive takes one.
+        """
+        if event.kind == "corrupt":
             self.corrupt_block(event.target, event.block_index, event.medium_id)
-        else:  # pragma: no cover - FaultEvent validates kinds
-            raise FaultInjectionError(f"unknown fault kind {event.kind!r}")
+        elif event.factor is None:
+            getattr(self, event.kind)(event.target)
+        else:
+            getattr(self, event.kind)(event.target, event.factor)
 
     def schedule_proc(self, schedule: FaultSchedule) -> Generator:
         """Process: wait for and apply each event of ``schedule``."""

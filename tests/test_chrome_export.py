@@ -27,7 +27,7 @@ def _traced_records():
     client.write_file("/c/one", size=8 * MB)
     with client.open("/c/one") as stream:
         stream.read_size()
-    fs.fail_worker("worker2")
+    fs.faults.crash("worker2")
     fs.await_replication()
     return fs.obs.tracer.records
 

@@ -169,7 +169,7 @@ class TestTiers:
         assert stats.avg_write_throughput == pytest.approx(126.3 * MB)
 
     def test_failed_node_leaves_tier(self, cluster):
-        cluster.fail_node("worker1")
+        cluster.node("worker1").failed = True
         assert len(cluster.tier("MEMORY").live_media) == 8
         assert len(cluster.live_media()) == 40
 

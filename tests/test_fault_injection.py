@@ -8,13 +8,19 @@ yields an identical fault trace and an identical final block layout
 across independent runs.
 """
 
+import ast
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import OctopusFileSystem, ReplicationVector
-from repro.cluster import small_cluster_spec
+from repro.cluster import Cluster, small_cluster_spec
 from repro.errors import FaultInjectionError
 from repro.fs.invariants import block_map_fingerprint, check_system_invariants
-from repro.sim.faults import FaultEvent, FaultSchedule
+from repro.obs import FlightRecorder, ProvenanceLedger
+from repro.sim.faults import FAULT_KINDS, FaultEvent, FaultSchedule
 from repro.util.units import MB
 
 
@@ -46,6 +52,19 @@ class TestFaultEventValidation:
             FaultEvent(1.0, "degrade_medium", "worker1:hdd2")
         with pytest.raises(FaultInjectionError):
             FaultEvent(1.0, "slow_node", "worker1", factor=1.5)
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("crash", {"factor": 0.5}),
+            ("corrupt", {"factor": 0.5}),
+            ("fail_medium", {"block_index": 1}),
+            ("slow_node", {"factor": 0.5, "medium_id": "worker1:hdd2"}),
+        ],
+    )
+    def test_arguments_the_kind_ignores_rejected(self, kind, extra):
+        with pytest.raises(FaultInjectionError, match="takes no"):
+            FaultEvent(1.0, kind, "worker1", **extra)
 
     def test_schedule_orders_by_time_stably(self):
         schedule = (
@@ -102,6 +121,23 @@ class TestScheduledFaults:
         assert fs.faults.trace == []
         with pytest.raises(FaultInjectionError):
             fs.faults.corrupt_replica(424242, "worker1:hdd2")
+
+    def test_corrupting_a_medium_without_the_block_rejected(self, fs, client):
+        """A corruption naming a medium that holds no live replica would
+        corrupt nothing; it is refused, not recorded."""
+        client.write_file("/f", size=MB, rep_vector=ReplicationVector.of(hdd=2))
+        (loc,) = fs.client().get_file_block_locations("/f")
+        elsewhere = next(m for m in sorted(fs.cluster.media) if m not in loc.media)
+        with pytest.raises(FaultInjectionError, match="no live replica"):
+            fs.faults.corrupt_block("/f", 0, medium_id=elsewhere)
+        with pytest.raises(FaultInjectionError, match="no live replica"):
+            fs.faults.corrupt_replica(loc.block_id, elsewhere)
+        with pytest.raises(FaultInjectionError, match="no live replica"):
+            fs.faults.apply(FaultEvent(0.0, "corrupt", "/f", medium_id=elsewhere))
+        assert fs.faults.trace == []
+        assert fs.master.pending_replication == 0
+        meta = fs.master.block_map[loc.block_id]
+        assert not any(r.corrupt for r in meta.replicas)
 
 
 class TestMidFlightFaults:
@@ -357,3 +393,120 @@ class TestDeterminism:
             "unsilence",
             "degrade_medium",
         ]
+
+
+#: One applicable fault of every kind: a schedule event (``at`` counted
+#: from the start of the run) and the same fault through its primitive.
+ONE_OF_EACH = {
+    "crash": (
+        FaultEvent(1.0, "crash", "worker2"),
+        lambda f: f.crash("worker2"),
+    ),
+    "restart": (
+        FaultEvent(1.0, "restart", "worker2"),
+        lambda f: f.restart("worker2"),
+    ),
+    "silence": (
+        FaultEvent(1.0, "silence", "worker2"),
+        lambda f: f.silence("worker2"),
+    ),
+    "unsilence": (
+        FaultEvent(1.0, "unsilence", "worker2"),
+        lambda f: f.unsilence("worker2"),
+    ),
+    "fail_medium": (
+        FaultEvent(1.0, "fail_medium", "worker1:hdd2"),
+        lambda f: f.fail_medium("worker1:hdd2"),
+    ),
+    "repair_medium": (
+        FaultEvent(1.0, "repair_medium", "worker1:hdd2"),
+        lambda f: f.repair_medium("worker1:hdd2"),
+    ),
+    "degrade_medium": (
+        FaultEvent(1.0, "degrade_medium", "worker1:hdd2", factor=0.5),
+        lambda f: f.degrade_medium("worker1:hdd2", 0.5),
+    ),
+    "slow_node": (
+        FaultEvent(1.0, "slow_node", "worker2", factor=0.5),
+        lambda f: f.slow_node("worker2", 0.5),
+    ),
+    "restore_node": (
+        FaultEvent(1.0, "restore_node", "worker2"),
+        lambda f: f.restore_node("worker2"),
+    ),
+    "corrupt": (
+        FaultEvent(1.0, "corrupt", "/f"),
+        lambda f: f.corrupt_block("/f"),
+    ),
+}
+
+
+class TestOneFaultPath:
+    """Every fault goes through the injector's primitives, whichever
+    entry point drives it, and every applied fault is observed."""
+
+    @staticmethod
+    def _observed_run(kind: str, scheduled: bool):
+        fs = OctopusFileSystem(small_cluster_spec())
+        fs.client(on="worker1").write_file(
+            "/f", size=4 * MB, rep_vector=ReplicationVector.of(hdd=2)
+        )
+        fs.obs.enable()
+        recorder = FlightRecorder(fs).attach()
+        ledger = ProvenanceLedger(fs.obs).attach()
+        start = fs.engine.now
+        event, primitive = ONE_OF_EACH[kind]
+        if scheduled:
+            shifted = replace(event, at=start + event.at)
+            fs.faults.run_schedule(FaultSchedule([shifted]))
+            fs.engine.run(until=start + 2.0)
+        else:
+            fs.engine.run(until=start + event.at)
+            primitive(fs.faults)
+        return fs, recorder, ledger
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_schedule_and_primitive_apply_the_same_fault(self, kind):
+        traces = []
+        for scheduled in (True, False):
+            fs, recorder, ledger = self._observed_run(kind, scheduled)
+            traces.append(fs.faults.trace_lines())
+            (line,) = traces[-1]
+            assert line.split()[1] == kind
+            events = [
+                r for r in fs.obs.tracer.records
+                if r["kind"] == "event" and r["name"] == f"fault.{kind}"
+            ]
+            assert len(events) == 1
+            counter = fs.obs.metrics.counter("faults_injected_total", kind=kind)
+            assert counter.value == 1
+            assert [f["kind"] for f in recorder.faults] == [kind]
+            assert f"fault.{kind}" in [c["kind"] for c in ledger.recent_context()]
+        assert traces[0] == traces[1]
+
+
+#: What the system and cluster layers used to define besides the injector.
+MOVED_INTO_THE_INJECTOR = (
+    "fail_worker", "recover_worker", "silence_worker", "unsilence_worker",
+    "fail_medium", "repair_medium", "degrade_medium", "slow_worker",
+    "restore_worker_speed", "_cancel_flows_on",
+    "fail_node", "recover_node", "silence_node", "unsilence_node",
+    "cap_node_rate",
+)
+
+
+def test_faults_are_applied_only_by_the_injector():
+    for owner in (OctopusFileSystem, Cluster):
+        assert not [n for n in MOVED_INTO_THE_INJECTOR if hasattr(owner, n)]
+    package = Path(repro.__file__).parent
+    defined = []
+    for source in sorted(package.rglob("*.py")):
+        if source == package / "sim" / "faults.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text())):
+            if (
+                isinstance(node, ast.FunctionDef)
+                and node.name in MOVED_INTO_THE_INJECTOR
+            ):
+                defined.append(f"{source.relative_to(package)}:{node.name}")
+    assert defined == []

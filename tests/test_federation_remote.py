@@ -5,7 +5,10 @@ import pytest
 from repro import OctopusFileSystem, ReplicationVector
 from repro.cluster import Cluster, small_cluster_spec
 from repro.errors import ConfigurationError, RemoteStorageError
+from repro.fs import checkpoint as ckpt
+from repro.fs.editlog import replay
 from repro.fs.federation import FederatedFileSystem
+from repro.fs.namespace import Namespace
 from repro.fs.remote import (
     RemoteStore,
     StandaloneMount,
@@ -160,3 +163,14 @@ class TestStandaloneRemote:
         store.put("new/obj", size=MB)  # added behind OctopusFS's back
         added = mount.refresh()
         assert "/warehouse/new/obj" in added
+
+    def test_mount_entries_are_journaled_complete(self, fs, store):
+        """A standby, or a checkpoint plus its tail, restores every
+        remote name as a closed file, as the live tree has it."""
+        mount = StandaloneMount(fs, store, "/warehouse")
+        mount.write("sales/2018.csv", size=2 * MB)
+        replayed = Namespace(tier_order=fs.master.namespace.tier_order)
+        replay(fs.master.edit_log.records, replayed)
+        assert ckpt.write_checkpoint(replayed) == ckpt.write_checkpoint(
+            fs.master.namespace
+        )

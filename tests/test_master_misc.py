@@ -213,7 +213,7 @@ class TestMasterCornerCases:
         fs.await_replication()
 
     def test_crashed_node_still_declared_dead(self, fs, client):
-        fs.cluster.fail_node("worker2")
+        fs.cluster.node("worker2").failed = True
         expired = fs.master.check_worker_liveness()
         assert "worker2" in expired
         record = fs.master.workers["worker2"]

@@ -23,12 +23,12 @@ def client(fs):
 class TestMediumFailure:
     def test_unknown_medium_rejected(self, fs):
         with pytest.raises(WorkerError):
-            fs.fail_medium("worker9:floppy0")
+            fs.faults.fail_medium("worker9:floppy0")
 
     def test_replicas_rereplicated_elsewhere(self, fs, client):
         client.write_file("/d", data=b"disk" * 100_000, rep_vector=2)
         loc = client.get_file_block_locations("/d")[0]
-        fs.fail_medium(loc.media[0])
+        fs.faults.fail_medium(loc.media[0])
         fs.await_replication()
         new_loc = fs.client().get_file_block_locations("/d")[0]
         assert len(new_loc.hosts) == 2
@@ -42,7 +42,7 @@ class TestMediumFailure:
             "/q/d", size=8 * MB, rep_vector=ReplicationVector.of(hdd=3)
         )
         loc = client.get_file_block_locations("/q/d")[0]
-        fs.fail_medium(loc.media[0])
+        fs.faults.fail_medium(loc.media[0])
         fs.await_replication()
         assert_usage_exact(fs, "/q/d")
         assert fs.master.namespace.get_file("/q/d").tier_bytes == {
@@ -58,9 +58,9 @@ class TestMediumFailure:
         client.write_file("/tenant/a", size=4 * MB, rep_vector=two_hdd)
         for _round in range(5):
             victim = client.get_file_block_locations("/tenant/a")[0].media[0]
-            fs.fail_medium(victim)
+            fs.faults.fail_medium(victim)
             fs.await_replication()
-            fs.repair_medium(victim)
+            fs.faults.repair_medium(victim)
         # 8 MB stored, 4 MB of quota left: this fits exactly.
         one_hdd = ReplicationVector.of(hdd=1)
         client.write_file("/tenant/b", size=4 * MB, rep_vector=one_hdd)
@@ -74,7 +74,7 @@ class TestMediumFailure:
     def test_node_keeps_serving_other_media(self, fs, client):
         node = fs.cluster.node("worker1")
         hdds = node.medium_for_tier("HDD")
-        fs.fail_medium(hdds[0].medium_id)
+        fs.faults.fail_medium(hdds[0].medium_id)
         assert not node.failed
         # The node's other media still accept writes.
         client.write_file(
@@ -83,7 +83,7 @@ class TestMediumFailure:
 
     def test_failed_medium_excluded_from_placement(self, fs, client):
         victim = fs.cluster.node("worker2").medium_for_tier("SSD")[0]
-        fs.fail_medium(victim.medium_id)
+        fs.faults.fail_medium(victim.medium_id)
         for index in range(8):
             client.write_file(
                 f"/s{index}", size=4 * MB,
@@ -105,7 +105,7 @@ class TestMediumFailure:
             yield fs.engine.timeout(0.01)
             for medium in fs.cluster.live_media():
                 if medium.write_channel.active_count:
-                    fs.fail_medium(medium.medium_id)
+                    fs.faults.fail_medium(medium.medium_id)
                     return
 
         fs.engine.process(killer())
@@ -115,6 +115,6 @@ class TestMediumFailure:
     def test_tier_stats_exclude_failed_media(self, fs):
         before = fs.cluster.tier("HDD").statistics().media_count
         victim = fs.cluster.node("worker3").medium_for_tier("HDD")[0]
-        fs.fail_medium(victim.medium_id)
+        fs.faults.fail_medium(victim.medium_id)
         after = fs.cluster.tier("HDD").statistics().media_count
         assert after == before - 1

@@ -68,12 +68,13 @@ def random_cluster(seed: int, racks: int) -> tuple[Cluster, random.Random]:
         channel = rng.choice((medium.write_channel, medium.read_channel))
         cluster.flows.start_flow(64 * MB, [channel])
     for medium in rng.sample(media, 3):
-        cluster.degrade_medium(medium.medium_id, rng.uniform(0.05, 0.9))
+        medium.degrade(rng.uniform(0.05, 0.9))
+        cluster.flows.refresh([medium.read_channel, medium.write_channel])
     for medium in rng.sample(media, 2):
         medium.failed = True
     dead, silent, draining = rng.sample(cluster.worker_nodes, 3)
-    cluster.fail_node(dead.name)
-    cluster.silence_node(silent.name)
+    dead.failed = True
+    silent.unreachable = True
     draining.decommissioning = True
     return cluster, rng
 
@@ -297,7 +298,8 @@ class TestNothingOutlivesADecision:
         before = scored()
         options[0].reserve(options[0].remaining // 3)
         cluster.flows.start_flow(64 * MB, [options[1].read_channel])
-        cluster.degrade_medium(options[2].medium_id, 0.5)
+        options[2].degrade(0.5)
+        cluster.flows.refresh([options[2].read_channel, options[2].write_channel])
         chosen[0].reserve(cluster.block_size)
         after = scored()
         assert all(a != b for a, b in zip(after, before))
@@ -467,7 +469,7 @@ def test_model_free_policies_pick_what_they_picked_at_the_parent(name):
         for medium in chosen:
             medium.reserve(request.block_size)
         if block == 200:
-            cluster.fail_node(workers[7].name)
+            workers[7].failed = True
         picks.append([m.medium_id for m in chosen])
     assert "full" in picks
     digest = hashlib.md5(json.dumps(picks).encode()).hexdigest()

@@ -204,7 +204,7 @@ class TestFailureRecovery:
     def test_worker_death_triggers_rereplication(self, fs, client):
         client.write_file("/hot", size=4 * MB, rep_vector=3)
         victim = fs.client().get_file_block_locations("/hot")[0].hosts[0]
-        fs.fail_worker(victim)
+        fs.faults.crash(victim)
         fs.await_replication()
         locs = fs.client().get_file_block_locations("/hot")
         assert len(locs[0].hosts) == 3
@@ -239,8 +239,8 @@ class TestFailureRecovery:
             )
             if t == "MEMORY"
         )
-        fs.fail_worker(host)
-        fs.recover_worker(host)
+        fs.faults.crash(host)
+        fs.faults.restart(host)
         fs.await_replication()
         locs = fs.client().get_file_block_locations("/vol")
         assert sorted(locs[0].tiers) == ["HDD", "HDD", "MEMORY"]
@@ -253,10 +253,10 @@ class TestFailureRecovery:
         client.write_file("/q/vol", size=4 * MB, rep_vector=vector)
         loc = client.get_file_block_locations("/q/vol")[0]
         host = loc.hosts[loc.tiers.index("MEMORY")]
-        fs.fail_worker(host)
+        fs.faults.crash(host)
         if repair_before_recovery:
             fs.await_replication()  # the master prunes the dead replicas
-        fs.recover_worker(host)  # else the restart drops the volatile one
+        fs.faults.restart(host)  # else the restart drops the volatile one
         fs.await_replication()
         assert_usage_exact(fs, "/q/vol")
         assert fs.master.namespace.get_file("/q/vol").tier_bytes == {
@@ -276,13 +276,13 @@ class TestFailureRecovery:
         payload = b"d" * (2 * MB)
         client.write_file("/safe", data=payload, rep_vector=3)
         victim = client.get_file_block_locations("/safe")[0].hosts[0]
-        fs.fail_worker(victim)
+        fs.faults.crash(victim)
         assert fs.client(on="worker2" if victim != "worker2" else "worker3").read_file("/safe") == payload
 
     def test_under_replication_with_no_source_is_deferred(self, fs, client):
         client.write_file("/lost", size=4 * MB, rep_vector=ReplicationVector.of(memory=1))
         host = client.get_file_block_locations("/lost")[0].hosts[0]
-        fs.fail_worker(host)
+        fs.faults.crash(host)
         # Sole replica gone: the manager must not crash, just defer.
         procs = fs.master.check_replication()
         assert procs == []
@@ -320,7 +320,7 @@ class TestServices:
         client.write_file("/auto", size=4 * MB, rep_vector=3)
         fs.start_services(heartbeat_interval=1.0, replication_interval=2.0)
         victim = client.get_file_block_locations("/auto")[0].hosts[0]
-        fs.fail_worker(victim)
+        fs.faults.crash(victim)
         fs.engine.run(until=fs.engine.now + 60.0)
         fs.stop_services()
         locs = fs.client().get_file_block_locations("/auto")
@@ -403,7 +403,7 @@ class TestReplicationEdgeCases:
         # The vector drops the SSD requirement (its copy becomes
         # surplus) just as the SSD device dies.
         client.set_replication("/prune", ReplicationVector.of(hdd=1))
-        fs.fail_medium(ssd_medium)
+        fs.faults.fail_medium(ssd_medium)
         fs.await_replication()
         meta = fs.master.block_map[loc.block_id]
         assert [r.tier_name for r in meta.live_replicas()] == ["HDD"]

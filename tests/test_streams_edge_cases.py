@@ -113,7 +113,7 @@ class TestWriteEdgeCases:
                 if node.nic_in.active_count or any(
                     m.write_channel.active_count for m in node.media
                 ):
-                    fs.fail_worker(node.name)
+                    fs.faults.crash(node.name)
                     return
 
         fs.engine.process(killer())
@@ -148,7 +148,7 @@ class TestReadEdgeCases:
     def test_read_fails_when_all_workers_with_replicas_die(self, fs, client):
         client.write_file("/fragile", size=4 * MB, rep_vector=1)
         host = client.get_file_block_locations("/fragile")[0].hosts[0]
-        fs.fail_worker(host)
+        fs.faults.crash(host)
         reader = fs.client(
             on="worker1" if host != "worker1" else "worker2"
         )

@@ -64,12 +64,12 @@ def apply_ops(fs, client, ops):
             elif op[0] == "fail":
                 name = f"worker{op[1]}"
                 if name not in failed and len(failed) < 2:
-                    fs.fail_worker(name)
+                    fs.faults.crash(name)
                     failed.add(name)
             elif op[0] == "recover":
                 name = f"worker{op[1]}"
                 if name in failed:
-                    fs.recover_worker(name)
+                    fs.faults.restart(name)
                     failed.discard(name)
         except OctopusError:
             pass  # illegal op for current state; invariants still hold
@@ -88,7 +88,7 @@ def test_invariants_hold_after_any_sequence(ops):
     failed = apply_ops(fs, client, ops)
     # Bring everything back and let replication converge.
     for name in list(failed):
-        fs.recover_worker(name)
+        fs.faults.restart(name)
     fs.await_replication()
 
     # Accounting, uniqueness, per-tier vector satisfaction (balanced,
