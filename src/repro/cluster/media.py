@@ -142,7 +142,7 @@ class StorageMedium:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TierStatistics:
     """Aggregate information reported by ``getStorageTierReports``."""
 

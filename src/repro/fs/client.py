@@ -122,10 +122,10 @@ class Client:
         return FSDataOutputStream(self.system, path, self.node, append=True)
 
     def open(self, path: str) -> FSDataInputStream:
-        # Existence + permissions.
-        self.system.master.namespace.get_file(path, self.user)
-        # Heat is keyed by the file, not by the caller's spelling of it.
-        self.system.notify_access(paths.normalize(path))
+        # Existence + permissions; listeners learn the file, not the
+        # caller's spelling of its name.
+        inode = self.system.master.namespace.get_file(path, self.user)
+        self.system.notify_access(inode)
         return FSDataInputStream(self.system, path, self.node)
 
     def mkdir(self, path: str, mode: int = 0o755) -> None:

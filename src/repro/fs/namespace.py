@@ -209,6 +209,19 @@ class Namespace:
     def get_file(self, path: str, user: UserContext = SUPERUSER) -> INodeFile:
         return self._resolve_file(paths.normalize(path), user)
 
+    def path_of(self, inode: INode) -> str | None:
+        """The current path of ``inode`` in this tree, by one walk up its
+        parents; ``None`` once it is detached — deleted, overwritten, or
+        an inode of another namespace image."""
+        names: list[str] = []
+        node = inode
+        while node.parent is not None:
+            names.append(node.name)
+            node = node.parent
+        if node is not self.root:
+            return None
+        return paths.ROOT + paths.SEPARATOR.join(reversed(names))
+
     def get_status(
         self, path: str, user: UserContext = SUPERUSER
     ) -> FileStatus:

@@ -34,6 +34,7 @@ from repro.sim.faults import FaultInjector, FaultSchedule
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import Node
+    from repro.fs.inode import INodeFile
 
 DEFAULT_HEARTBEAT_INTERVAL = 3.0
 DEFAULT_REPLICATION_INTERVAL = 5.0
@@ -71,8 +72,9 @@ class OctopusFileSystem:
             self.workers[node.name] = worker
             self.master.register_worker(worker)
         self._services_running = False
-        #: Called with the path on every Client.open (cache managers,
-        #: §6-style schedulers, and monitoring hook in here).
+        #: Called with the opened file's inode on every Client.open
+        #: (cache managers, §6-style schedulers, and monitoring hook in
+        #: here).
         self.access_listeners: list = []
         #: Deterministic fault injection (repro.sim.faults). Passing a
         #: ``faults=FaultSchedule(...)`` argument arms the schedule as an
@@ -82,9 +84,9 @@ class OctopusFileSystem:
         if faults is not None:
             self.faults.run_schedule(faults)
 
-    def notify_access(self, path: str) -> None:
+    def notify_access(self, inode: "INodeFile") -> None:
         for listener in self.access_listeners:
-            listener(path)
+            listener(inode)
 
     # ------------------------------------------------------------------
     # Clients

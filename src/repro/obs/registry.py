@@ -327,8 +327,7 @@ class MetricsRegistry:
         The factory methods mint an instrument on first touch, which is
         right for producers but wrong for passive readers: a consumer
         probing for a histogram it only *might* find would leave an
-        empty instrument behind and change every subsequent export. The
-        tiering engine reads latency signals through this instead.
+        empty instrument behind and change every subsequent export.
         """
         return self._instruments.get((kind, name, _label_key(labels)))
 

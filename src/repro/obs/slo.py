@@ -11,8 +11,8 @@ tick. Alert state transitions become first-class, deterministically
 timestamped records in a shared :class:`AlertSink` — exported to JSONL,
 mirrored as ``slo.alert`` tracer events (so ``repro analyze`` can pair
 them with the ``fault.*`` events that caused them and report detection
-delay), and exposed to the tiering engine through
-:meth:`SloMonitor.burn_snapshot`.
+delay), and read back live through :meth:`SloMonitor.firing` and
+:meth:`SloMonitor.watch_summary`.
 
 Objectives come in two shapes:
 
@@ -490,26 +490,8 @@ class SloMonitor:
                 )
 
     # ------------------------------------------------------------------
-    # Read side: feedback for policies, reports, and the CLI
+    # Read side: reports and the CLI
     # ------------------------------------------------------------------
-    def burn_snapshot(self) -> tuple[tuple[str, float], ...]:
-        """Current long-window burn per rule/group, for ObservedState.
-
-        Keys are ``"<rule name>"`` or ``"<rule name>/<group>"``; values
-        are the long-window burn rate at the current sim instant.
-        Sorted, hashable, and allocation-light — the tiering engine
-        embeds this directly in its frozen ``ObservedState``.
-        """
-        out = []
-        for rule in self.rules:
-            for name, group in sorted(self._series):
-                if name != rule.slo.name:
-                    continue
-                burn_long, _, _ = self._burns(rule, group)
-                key = rule.rule_name + (f"/{group}" if group else "")
-                out.append((key, burn_long))
-        return tuple(out)
-
     def firing(self) -> tuple[str, ...]:
         """Currently firing alert keys (``name`` or ``name/group``)."""
         return tuple(

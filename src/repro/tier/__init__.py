@@ -2,11 +2,15 @@
 
 ``repro.tier`` closes the loop the ROADMAP calls "workload-driven
 automatic up/down-tiering": access signals feed a
-:class:`~repro.tier.heat.HeatTracker`, a periodic
-:class:`~repro.tier.engine.TieringEngine` snapshots heat plus tier
-reports into a frozen :class:`~repro.tier.policy.ObservedState`, and a
-pure :class:`~repro.tier.policy.TieringPolicy` decides which files gain
-or lose memory replicas through the public ``set_replication`` path.
+:class:`~repro.tier.heat.HeatTracker` keyed by each opened file's inode,
+a periodic :class:`~repro.tier.engine.TieringEngine` snapshots heat plus
+the master's tier reports into a frozen
+:class:`~repro.tier.policy.ObservedState`, and a pure
+:class:`~repro.tier.policy.TieringPolicy` decides which files gain or
+lose replicas in the ``MEMORY`` tier through the public
+``set_replication`` path. A file is known by its inode, so a rename
+keeps its heat and its memory replica managed; only observations,
+actions, trace events and ledger records name it by path.
 
 >>> from repro import OctopusFileSystem
 >>> from repro.cluster import small_cluster_spec
@@ -23,13 +27,13 @@ from repro.tier.engine import Decision, TieringEngine, TieringStats
 from repro.tier.heat import HeatTracker
 from repro.tier.policy import (
     DEMOTE,
+    MEMORY,
     PROMOTE,
     BudgetedCachePolicy,
     DecayHeatPolicy,
     FileObservation,
     ObservedState,
     StaticVectorPolicy,
-    TierObservation,
     TieringAction,
     TieringPolicy,
 )
@@ -41,10 +45,10 @@ __all__ = [
     "DEMOTE",
     "FileObservation",
     "HeatTracker",
+    "MEMORY",
     "ObservedState",
     "PROMOTE",
     "StaticVectorPolicy",
-    "TierObservation",
     "TieringAction",
     "TieringEngine",
     "TieringPolicy",

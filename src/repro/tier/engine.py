@@ -23,19 +23,28 @@ Safety properties the engine enforces regardless of policy:
   replicas are never stripped, and a demotion never drops the last
   replica of a file.
 * **Byte-identical when idle**: a round that applies no actions emits
-  no spans, events, or metric instruments, and observation reads
-  existing metrics without creating any — so a disabled policy leaves
+  no spans, events, or metric instruments, and observation reads only
+  the namespace and the tier reports — so a disabled policy leaves
   every export byte-identical to a run without the engine (the
   differential suite's oracle).
+
+The engine knows a file by its :class:`~repro.fs.inode.INodeFile`, not
+its name: heat, ``_promoted`` and ``_last_demoted`` are all keyed by the
+inode the namespace holds, so a renamed file keeps its heat and its
+memory replica stays managed, and a file re-created under a dead one's
+name starts cold. A path is derived — by one walk up the inode's
+parents — only where an observation, action, trace event or ledger
+record names the file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from repro.core.replication_vector import UNSPECIFIED, ReplicationVector
+from repro.core.replication_vector import UNSPECIFIED
 from repro.errors import (
     ConfigurationError,
     FileSystemError,
@@ -46,16 +55,18 @@ from repro.sim.periodic import PeriodicProcess
 from repro.tier.heat import HeatTracker
 from repro.tier.policy import (
     DEMOTE,
+    MEMORY,
     PROMOTE,
     FileObservation,
     ObservedState,
     StaticVectorPolicy,
-    TierObservation,
     TieringAction,
     TieringPolicy,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.fs.inode import INodeFile
+    from repro.fs.namespace import Namespace
     from repro.fs.system import OctopusFileSystem
 
 DEFAULT_INTERVAL = 10.0
@@ -95,30 +106,25 @@ class TieringEngine:
         policy: TieringPolicy | None = None,
         interval: float = DEFAULT_INTERVAL,
         half_life: float = DEFAULT_HALF_LIFE,
-        memory_tier: str = "MEMORY",
         decision_log_limit: int = 1000,
-        monitor=None,
     ) -> None:
         if interval <= 0:
             raise ConfigurationError("tiering interval must be positive")
-        if memory_tier not in system.cluster.tiers:
-            raise ConfigurationError(f"no tier named {memory_tier!r}")
+        if MEMORY not in system.cluster.tiers:
+            raise ConfigurationError(f"no {MEMORY} tier to cache files in")
         self.system = system
         self.policy = policy or StaticVectorPolicy()
-        #: Optional :class:`repro.obs.slo.SloMonitor`; when set, each
-        #: observation carries its live burn rates and firing alerts so
-        #: policies can react to SLO pressure, not just heat.
-        self.monitor = monitor
         self.interval = float(interval)
-        self.memory_tier = memory_tier
         self.heat = HeatTracker(half_life)
         self.stats = TieringStats()
         self.decision_log: list[Decision] = []
         self.decision_log_limit = decision_log_limit
-        #: path -> simulated time the engine added its memory replica.
-        self._promoted: dict[str, float] = {}
-        #: path -> simulated time the engine last removed one.
-        self._last_demoted: dict[str, float] = {}
+        #: The namespace whose inodes key the state below.
+        self._namespace: "Namespace" = system.master.namespace
+        #: file -> simulated time the engine added its memory replica.
+        self._promoted: dict["INodeFile", float] = {}
+        #: file -> simulated time the engine last removed one.
+        self._last_demoted: dict["INodeFile", float] = {}
         self._attached = False
         self._periodic: PeriodicProcess | None = None
 
@@ -164,8 +170,8 @@ class TieringEngine:
     # ------------------------------------------------------------------
     # Signals
     # ------------------------------------------------------------------
-    def on_access(self, path: str) -> None:
-        self.heat.record(path, self.system.engine.now)
+    def on_access(self, inode: "INodeFile") -> None:
+        self.heat.record(inode, self.system.engine.now)
 
     # ------------------------------------------------------------------
     # Observation
@@ -173,86 +179,82 @@ class TieringEngine:
     def observe(self) -> ObservedState:
         """Assemble the frozen policy input for this round.
 
-        Only the files a policy can act on are looked up: those hotter
-        than its ``candidate_heat`` and the engine's own promotions.
-        The colder rest of the tracker is neither shown to the policy
-        nor checked against the namespace, so a deleted path that is
-        neither hot nor promoted leaves the tracker through ``prune``
-        rather than here; a candidate or promoted path that vanished is
-        forgotten on the spot.
-
-        Reads the namespace and metrics without side effects on either:
-        the latency lookup uses the registry's non-creating ``find`` so
-        observation never mints an instrument (that would break the
-        differential byte-identity oracle).
+        Only the files a policy can act on are looked at: those hotter
+        than its ``candidate_heat`` and the engine's own promotions,
+        each read straight off its inode. The colder rest of the tracker
+        is neither shown to the policy nor walked, so a deleted file
+        that is neither hot nor promoted leaves the tracker through
+        ``prune`` rather than here; a candidate or promoted one that is
+        detached is forgotten on the spot. Observations are in path
+        order.
         """
+        namespace = self.system.master.namespace
+        if namespace is not self._namespace:
+            self._follow(namespace)
         now = self.system.engine.now
         candidate_heat = self.policy.candidate_heat
-        master = self.system.master
+        promoted = self._promoted
         files = []
-        for path, (heat, last_access) in self.heat.snapshot(now).items():
-            if heat <= candidate_heat and path not in self._promoted:
+        for inode, (heat, last_access) in self.heat.snapshot(now).items():
+            if heat <= candidate_heat and inode not in promoted:
                 continue
-            try:
-                status = master.get_status(path)
-            except FileSystemError:
-                self.heat.forget(path)
-                self._promoted.pop(path, None)
-                self._last_demoted.pop(path, None)
+            path = namespace.path_of(inode)
+            if path is None:
+                self.heat.forget(inode)
+                promoted.pop(inode, None)
+                self._last_demoted.pop(inode, None)
                 continue
-            if status.is_directory:
-                self.heat.forget(path)
-                continue
-            memory_replicas = status.rep_vector.count(self.memory_tier)
-            if path in self._promoted and memory_replicas == 0:
+            memory_replicas = inode.rep_vector.count(MEMORY)
+            if memory_replicas == 0:
                 # An application rewrote the vector out from under us;
                 # the replica is no longer ours to manage.
-                self._promoted.pop(path)
+                promoted.pop(inode, None)
             files.append(
                 FileObservation(
                     path=path,
                     heat=heat,
-                    length=status.length,
+                    length=inode.length,
                     memory_replicas=memory_replicas,
-                    policy_memory_replicas=1 if path in self._promoted else 0,
-                    under_construction=status.under_construction,
-                    last_promoted=self._promoted.get(path, -math.inf),
-                    last_demoted=self._last_demoted.get(path, -math.inf),
+                    policy_memory_replicas=1 if inode in promoted else 0,
+                    under_construction=inode.under_construction,
+                    last_promoted=promoted.get(inode, -math.inf),
+                    last_demoted=self._last_demoted.get(inode, -math.inf),
                     last_access=last_access,
                 )
             )
-        tiers = tuple(
-            TierObservation(
-                name=stats.tier_name,
-                total_capacity=stats.total_capacity,
-                used=stats.used,
-                remaining=stats.remaining,
-                avg_read_throughput=stats.avg_read_throughput,
-                avg_write_throughput=stats.avg_write_throughput,
-                active_connections=stats.active_connections,
-            )
-            for stats in self.system.master.get_storage_tier_reports()
-        )
-        read_p99 = None
-        obs = self.system.obs
-        if obs.enabled:
-            histogram = obs.metrics.find("histogram", "block_read_seconds")
-            if histogram is not None:
-                read_p99 = histogram.quantile(0.99)
-        burn_rates: tuple = ()
-        alerts_firing: tuple = ()
-        if self.monitor is not None:
-            burn_rates = self.monitor.burn_snapshot()
-            alerts_firing = self.monitor.firing()
+        files.sort(key=attrgetter("path"))
         return ObservedState(
             now=now,
             half_life=self.heat.half_life,
             files=tuple(files),
-            tiers=tiers,
-            read_p99=read_p99,
-            burn_rates=burn_rates,
-            alerts_firing=alerts_firing,
+            tiers=tuple(self.system.master.get_storage_tier_reports()),
         )
+
+    def _follow(self, namespace: "Namespace") -> None:
+        """Move onto the namespace a failover swapped in.
+
+        Its inodes are new objects. The engine's own promotions carry
+        over by path, so their memory replicas stay managed. Heat and
+        cooldown stamps are soft state, like block locations, and
+        restart cold: the old image's inodes are detached from the new
+        one and leave the tracker as a deleted file's do.
+        """
+        carried = {}
+        for inode, stamp in self._promoted.items():
+            path = self._namespace.path_of(inode)
+            if path is None:
+                continue
+            try:
+                successor = namespace.get_file(path)
+            except FileSystemError:
+                continue
+            carried[successor] = stamp
+            if successor not in self.heat:
+                # Observed every round like any promotion: no heat, and
+                # no access since the swap.
+                self.heat.record(successor, -math.inf, weight=0.0)
+        self._promoted = carried
+        self._namespace = namespace
 
     # ------------------------------------------------------------------
     # The policy round
@@ -318,7 +320,10 @@ class TieringEngine:
                     )
             obs.metrics.gauge("tier_policy_cached_files").set(len(self._promoted))
             span.end()
-        self.heat.prune(state.now, keep=self._promoted)
+        for inode in self.heat.prune(state.now, keep=self._promoted):
+            # ~20 half-lives cold: far past the default one-half-life
+            # cooldown the stamp gates.
+            self._last_demoted.pop(inode, None)
         return decisions
 
     def run_rounds(self, rounds: int) -> list[Decision]:
@@ -350,50 +355,54 @@ class TieringEngine:
         return decision
 
     def _apply(self, action: TieringAction, now: float) -> Decision:
-        try:
-            observed = self.system.master.get_status(action.path).rep_vector
-            if action.kind == PROMOTE:
-                return self._record(self._promote(action, observed, now))
-            if action.kind == DEMOTE:
-                return self._record(self._demote(action, observed, now))
+        if action.kind not in (PROMOTE, DEMOTE) or action.tier != MEMORY:
             return self._record(
-                Decision(now, action, "error", f"unknown kind {action.kind!r}")
+                Decision(
+                    now, action, "error",
+                    f"cannot {action.kind} to {action.tier!r}",
+                )
             )
+        move = self._promote if action.kind == PROMOTE else self._demote
+        try:
+            inode = self._namespace.get_file(action.path)
+            return self._record(move(action, inode, now))
         except StaleVectorError as exc:
             return self._record(Decision(now, action, "conflict", str(exc)))
         except (FileSystemError, PlacementError) as exc:
             return self._record(Decision(now, action, "error", str(exc)))
 
     def _promote(
-        self, action: TieringAction, observed: ReplicationVector, now: float
+        self, action: TieringAction, inode: "INodeFile", now: float
     ) -> Decision:
-        if observed.count(action.tier) >= 1:
+        observed = inode.rep_vector
+        if observed.count(MEMORY) >= 1:
             # Already resident (application pin or a racing promotion):
             # nothing to move, and not ours to remove later.
             return Decision(now, action, "skipped", "already resident")
         self.system.client().set_replication(
-            action.path, observed.add(action.tier), expected=observed
+            action.path, observed.add(MEMORY), expected=observed
         )
-        self._promoted[action.path] = now
+        self._promoted[inode] = now
         return Decision(now, action, "applied")
 
     def _demote(
-        self, action: TieringAction, observed: ReplicationVector, now: float
+        self, action: TieringAction, inode: "INodeFile", now: float
     ) -> Decision:
-        if action.path not in self._promoted:
+        if inode not in self._promoted:
             return Decision(now, action, "skipped", "not promoted by policy")
-        if observed.count(action.tier) < 1:
-            self._promoted.pop(action.path)
+        observed = inode.rep_vector
+        if observed.count(MEMORY) < 1:
+            del self._promoted[inode]
             return Decision(now, action, "skipped", "replica already gone")
-        demoted = observed.add(action.tier, -1)
+        demoted = observed.add(MEMORY, -1)
         if demoted.total_replicas == 0:
             # Never leave a file with no replicas at all.
             demoted = demoted.add(UNSPECIFIED)
         self.system.client().set_replication(
             action.path, demoted, expected=observed
         )
-        self._promoted.pop(action.path)
-        self._last_demoted[action.path] = now
+        del self._promoted[inode]
+        self._last_demoted[inode] = now
         return Decision(now, action, "applied")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

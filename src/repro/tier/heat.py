@@ -7,18 +7,21 @@ captures both: an exponentially decayed access count. Every access adds
 ``half_life`` simulated seconds. A file read ten times an hour ago and
 one read ten times just now therefore rank very differently, while two
 files with identical access traces always score identically — heat is a
-pure function of the (path, time) access sequence, which is what lets
+pure function of the (key, time) access sequence, which is what lets
 the policy layer stay deterministic and testable.
 
 The tracker is storage-agnostic: it knows nothing about vectors, tiers,
-or the file system. :class:`~repro.tier.engine.TieringEngine` feeds it
-from the file system's access listeners and snapshots it once per
-policy round.
+or the file system, and needs of a key only that it hashes.
+:class:`~repro.tier.engine.TieringEngine` keys it by the file's inode —
+a rename keeps a file's heat, a file re-created under a dead one's name
+starts cold — feeds it from the file system's access listeners, and
+snapshots it once per policy round. Keys are never sorted: everything
+iterates in insertion order, the order of first access.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container
+from collections.abc import Container, Hashable
 
 from repro.errors import ConfigurationError
 
@@ -36,14 +39,14 @@ class HeatTracker:
             raise ConfigurationError("heat half-life must be positive")
         self.half_life = float(half_life)
         #: key -> (heat at ``last``, last update time)
-        self._entries: dict[str, tuple[float, float]] = {}
+        self._entries: dict[Hashable, tuple[float, float]] = {}
 
     def _decayed(self, heat: float, last: float, now: float) -> float:
         if now <= last:
             return heat
         return heat * 2.0 ** (-(now - last) / self.half_life)
 
-    def record(self, key: str, now: float, weight: float = 1.0) -> float:
+    def record(self, key: Hashable, now: float, weight: float = 1.0) -> float:
         """Note one access at simulated time ``now``; returns the new heat."""
         entry = self._entries.get(key)
         if entry is None:
@@ -53,26 +56,22 @@ class HeatTracker:
         self._entries[key] = (heat, now)
         return heat
 
-    def heat(self, key: str, now: float) -> float:
+    def heat(self, key: Hashable, now: float) -> float:
         """The decayed heat of ``key`` as seen at ``now`` (0.0 if unknown)."""
         entry = self._entries.get(key)
         if entry is None:
             return 0.0
         return self._decayed(entry[0], entry[1], now)
 
-    def snapshot(self, now: float) -> dict[str, tuple[float, float]]:
-        """All tracked keys, sorted, each with its heat decayed to
-        ``now`` and the time of its latest access.
-
-        The dict iterates in key order so consumers that walk it are
-        deterministic regardless of access interleaving.
-        """
+    def snapshot(self, now: float) -> dict[Hashable, tuple[float, float]]:
+        """All tracked keys in insertion order, each with its heat
+        decayed to ``now`` and the time of its latest access."""
         return {
             key: (self._decayed(heat, last, now), last)
-            for key, (heat, last) in sorted(self._entries.items())
+            for key, (heat, last) in self._entries.items()
         }
 
-    def forget(self, key: str) -> None:
+    def forget(self, key: Hashable) -> None:
         """Stop tracking ``key`` (deleted file)."""
         self._entries.pop(key, None)
 
@@ -80,9 +79,9 @@ class HeatTracker:
         self,
         now: float,
         floor: float = DEFAULT_PRUNE_FLOOR,
-        keep: Container[str] = (),
-    ) -> int:
-        """Drop keys whose heat decayed below ``floor``; returns the count.
+        keep: Container[Hashable] = (),
+    ) -> list[Hashable]:
+        """Drop keys whose heat decayed below ``floor``; returns them.
 
         Bounds tracker memory on long runs: a key untouched for
         ``~20 half-lives`` decays below the default floor and is
@@ -97,12 +96,12 @@ class HeatTracker:
         ]
         for key in cold:
             del self._entries[key]
-        return len(cold)
+        return cold
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

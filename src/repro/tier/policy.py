@@ -35,6 +35,9 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
+from repro.cluster.media import TierStatistics
+# The tier every policy caches files in and every action names.
+from repro.cluster.spec import MEMORY
 from repro.errors import ConfigurationError
 
 PROMOTE = "promote"
@@ -70,47 +73,19 @@ class FileObservation:
 
 
 @dataclass(frozen=True)
-class TierObservation:
-    """Capacity and load of one storage tier, from the tier reports."""
-
-    name: str
-    total_capacity: int
-    used: int
-    remaining: int
-    avg_read_throughput: float = 0.0
-    avg_write_throughput: float = 0.0
-    active_connections: int = 0
-
-
-@dataclass(frozen=True)
 class ObservedState:
     """The full, frozen input of one policy round."""
 
     now: float
     half_life: float
     files: tuple[FileObservation, ...] = ()
-    tiers: tuple[TierObservation, ...] = ()
-    #: p99 of ``block_read_seconds`` at observation time (None when the
-    #: metrics registry is disabled or saw no reads yet).
-    read_p99: float | None = None
-    #: Long-window error-budget burn rates from an attached
-    #: :class:`repro.obs.slo.SloMonitor` — ``("rule" or "rule/group",
-    #: burn)`` pairs in deterministic order; empty with no monitor.
-    burn_rates: tuple[tuple[str, float], ...] = ()
-    #: Alert keys currently firing on the attached monitor(s).
-    alerts_firing: tuple[str, ...] = ()
+    #: The master's tier reports (``getStorageTierReports``).
+    tiers: tuple[TierStatistics, ...] = ()
 
-    def tier(self, name: str) -> TierObservation | None:
+    def tier(self, name: str) -> TierStatistics | None:
         for tier in self.tiers:
-            if tier.name == name:
+            if tier.tier_name == name:
                 return tier
-        return None
-
-    def burn_rate(self, rule: str) -> float | None:
-        """The burn for one rule key, or ``None`` if not tracked."""
-        for key, burn in self.burn_rates:
-            if key == rule:
-                return burn
         return None
 
 
@@ -177,7 +152,6 @@ class DecayHeatPolicy(TieringPolicy):
     movement_budget: int = 4
     min_residency: float | None = None
     cooldown: float | None = None
-    memory_tier: str = "MEMORY"
     headroom: float = 0.1
     name: str = field(default="decay-heat", init=False)
 
@@ -219,7 +193,7 @@ class DecayHeatPolicy(TieringPolicy):
             key=lambda f: (f.heat, f.path),
         )
 
-        memory = state.tier(self.memory_tier)
+        memory = state.tier(MEMORY)
         if memory is None:
             budget_bytes = 0.0
         else:
@@ -245,10 +219,10 @@ class DecayHeatPolicy(TieringPolicy):
                 budget_bytes -= f.length
 
         actions = [
-            TieringAction(f.path, DEMOTE, self.memory_tier, f.heat)
+            TieringAction(f.path, DEMOTE, MEMORY, f.heat)
             for f in demotions
         ] + [
-            TieringAction(f.path, PROMOTE, self.memory_tier, f.heat)
+            TieringAction(f.path, PROMOTE, MEMORY, f.heat)
             for f in promotions
         ]
         return actions[: self.movement_budget]
@@ -259,7 +233,7 @@ class BudgetedCachePolicy(TieringPolicy):
     """The memory tier as a byte-budgeted cache (paper §6).
 
     ``budget`` bounds the bytes of file data the policy keeps in
-    ``memory_tier``, one replica per file, counted over the files it
+    the memory tier, one replica per file, counted over the files it
     promoted itself: an application's own memory replicas are neither
     charged nor evicted, and usage is re-derived from every observed
     state, so a deleted or rewritten file frees its share by no longer
@@ -284,7 +258,6 @@ class BudgetedCachePolicy(TieringPolicy):
     budget: int
     promote_after: float = 2
     evict: str = "lru"
-    memory_tier: str = "MEMORY"
     name: str = field(default="budgeted-cache", init=False)
 
     def __post_init__(self) -> None:
@@ -343,9 +316,9 @@ class BudgetedCachePolicy(TieringPolicy):
                 evicted, free = upto, room - f.length
 
         return [
-            TieringAction(f.path, DEMOTE, self.memory_tier, f.heat)
+            TieringAction(f.path, DEMOTE, MEMORY, f.heat)
             for f in resident[:evicted]
         ] + [
-            TieringAction(f.path, PROMOTE, self.memory_tier, f.heat)
+            TieringAction(f.path, PROMOTE, MEMORY, f.heat)
             for f in admitted
         ]

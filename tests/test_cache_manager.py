@@ -165,12 +165,13 @@ class TestCacheManager:
         1.99998, which ``heat > promote_after - 1`` still takes for 2."""
         engine = cache(fs, promote_after=2)
         client.write_file("/burst", size=MB, rep_vector=HDD2)
+        burst = fs.master.namespace.get_file("/burst")
         now = fs.engine.now
-        engine.heat.record("/burst", now)
-        assert engine.heat.heat("/burst", now) == 1.0
+        engine.heat.record(burst, now)
+        assert engine.heat.heat(burst, now) == 1.0
         assert engine.run_round() == []
-        engine.heat.record("/burst", now + 0.001)
-        assert 1.9999 < engine.heat.heat("/burst", now + 0.001) < 2.0
+        engine.heat.record(burst, now + 0.001)
+        assert 1.9999 < engine.heat.heat(burst, now + 0.001) < 2.0
         assert [d.outcome for d in engine.run_round()] == ["applied"]
 
     def test_single_access_files_not_promoted(self, fs, client):
@@ -289,6 +290,22 @@ class TestCacheManager:
         step(fs, engine)
         assert vector(fs, "/b").count("MEMORY") == 1
 
+    def test_renamed_resident_still_counts_against_budget(self, fs, client):
+        engine = cache(fs, budget=10 * MB, promote_after=1)
+        client.write_file("/a", size=8 * MB, rep_vector=HDD2)
+        client.open("/a").read_size()
+        step(fs, engine)
+        client.rename("/a", "/renamed")
+        client.write_file("/b", size=8 * MB, rep_vector=HDD2)
+        client.open("/b").read_size()
+        decisions = step(fs, engine)
+        assert [(d.action.kind, d.action.path) for d in decisions] == [
+            (DEMOTE, "/renamed"), (PROMOTE, "/b"),
+        ]
+        assert vector(fs, "/renamed") == HDD2
+        assert memory_tiers(fs, "/renamed") == []
+        assert vector(fs, "/b").count("MEMORY") == 1
+
     def test_open_during_append_succeeds_then_promotes_after_close(
         self, fs, client
     ):
@@ -311,14 +328,15 @@ class TestAccessCountBookkeeping:
         engine = cache(fs, promote_after=2)
         client.write_file("/gone", size=4 * MB)
         client.open("/gone").read_size()
-        assert "/gone" in engine.heat
+        gone = fs.master.namespace.get_file("/gone")
+        assert gone in engine.heat
         client.delete("/gone")
         # The access notification can outlive the file (listener queues,
         # in-flight opens); the next round must clean up rather than
         # leave a stale counter forever.
-        fs.notify_access("/gone")
+        fs.notify_access(gone)
         assert step(fs, engine) == []
-        assert "/gone" not in engine.heat
+        assert gone not in engine.heat
 
     def test_never_promoted_paths_bounded(self, fs, client):
         engine = cache(fs, promote_after=math.inf, half_life=1.0)
@@ -343,8 +361,9 @@ class TestAccessCountBookkeeping:
         client.open("/cold").read_size()
         fs.engine.run(until=fs.engine.now + 25.0)
         step(fs, engine)
-        assert "/cold" not in engine.heat
-        assert "/hot" in engine.heat
+        namespace = fs.master.namespace
+        assert namespace.get_file("/cold") not in engine.heat
+        assert namespace.get_file("/hot") in engine.heat
         client.write_file("/next", size=MB, rep_vector=HDD2)
         for _ in range(2):
             client.open("/next").read_size()

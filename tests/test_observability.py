@@ -24,6 +24,7 @@ from repro.cluster import small_cluster_spec
 from repro.cluster.spec import paper_cluster_spec
 from repro.errors import ConfigurationError
 from repro.fs.balancer import Balancer
+from repro.fs.client import Client
 from repro.fs.invariants import check_system_invariants
 from repro.obs import (
     FlightRecorder,
@@ -484,17 +485,18 @@ class TestOneOffSwitch:
         )
         for _ in range(4):
             client.open("/on/raced").read_size()
-        stale_status = fs.master.get_status("/on/raced")
-        client.set_replication("/on/raced", ReplicationVector.of(ssd=1, hdd=1))
-        fs.await_replication()
-        real_get_status = fs.master.get_status
-        monkeypatch.setattr(
-            fs.master, "get_status",
-            lambda path, *args, **kwargs: stale_status if path == "/on/raced"
-            else real_get_status(path, *args, **kwargs),
-        )
+        set_replication = Client.set_replication
+
+        def raced(self, path, vector, expected=None):
+            # The application's change lands between the engine's read
+            # and its write.
+            monkeypatch.undo()
+            set_replication(self, path, ReplicationVector.of(ssd=1, hdd=1))
+            return set_replication(self, path, vector, expected=expected)
+
+        monkeypatch.setattr(Client, "set_replication", raced)
         assert [d.outcome for d in engine.run_round()] == ["conflict"]
-        monkeypatch.undo()
+        fs.await_replication()
         engine.detach()
 
         _skew_hdd(fs)

@@ -10,7 +10,7 @@ Three layers:
   fire leaves the trace/metrics/Prometheus exports **byte-identical**
   to the same seeded run without the subsystem;
 * integration — monitors riding along the DFSIO and shift workloads,
-  health checks live on a clean system, and ObservedState exposure.
+  and health checks live on a clean system.
 """
 
 import pytest
@@ -34,7 +34,6 @@ from repro.obs import (
     to_jsonl,
     validate_alert_records,
 )
-from repro.tier import StaticVectorPolicy, TieringEngine
 from repro.util.units import MB
 from repro.workloads.dfsio import Dfsio
 from repro.workloads.shift import WorkloadShift
@@ -218,9 +217,12 @@ class TestStateMachine:
         clock.now = 1.0
         monitor.tick()
         assert monitor.firing() == ("lat:burn:page/HDD",)
-        snapshot = dict(monitor.burn_snapshot())
-        assert snapshot["lat:burn:page/HDD"] == pytest.approx(10.0)
-        assert snapshot["lat:burn:page/MEMORY"] == 0.0
+        burns = {
+            entry["group"]: entry["burn_rates"]["lat:burn:page"]
+            for entry in monitor.watch_summary()["slos"]
+        }
+        assert burns["HDD"] == pytest.approx(10.0)
+        assert burns["MEMORY"] == 0.0
 
     def test_watch_summary_shape(self):
         clock, monitor, obs, rule = self.make()
@@ -419,7 +421,7 @@ class TestDifferential:
 
 
 # ----------------------------------------------------------------------
-# Integration: workloads, health, ObservedState
+# Integration: workloads and health
 # ----------------------------------------------------------------------
 class TestIntegration:
     def test_shift_run_collects_alerts(self):
@@ -461,25 +463,6 @@ class TestIntegration:
         assert monitor.ticks >= 5
         assert monitor.sink.timeline == []
         assert monitor.firing() == ()
-
-    def test_observed_state_carries_burns_and_alerts(self):
-        fs = OctopusFileSystem(small_cluster_spec(seed=0))
-        fs.obs.enable()
-        monitor = SloMonitor(
-            fs, rules=default_read_rules(), interval=0.5
-        )
-        tiering = TieringEngine(
-            fs, policy=StaticVectorPolicy(), interval=0.5, half_life=5.0,
-            monitor=monitor,
-        )
-        fs.client().write_file("/f", size=2 * MB, overwrite=True)
-        state = tiering.observe()
-        assert state.alerts_firing == ()
-        assert isinstance(state.burn_rates, tuple)
-        keys = [k for k, _ in state.burn_rates]
-        assert state.burn_rate("no-such-rule") is None
-        for key in keys:
-            assert isinstance(state.burn_rate(key), float)
 
     def test_grace_ticks_validation(self):
         fs = OctopusFileSystem(small_cluster_spec(seed=0))

@@ -8,13 +8,19 @@ set conflicts, never stripping application replicas, never dropping the
 last replica).
 """
 
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import OctopusFileSystem, ReplicationVector
-from repro.cluster import small_cluster_spec
+from repro.cluster import TierStatistics, small_cluster_spec
 from repro.errors import ConfigurationError, StaleVectorError
+from repro.fs.backup import BackupMaster
+from repro.fs.client import Client
 from repro.sim import PeriodicProcess, SimulationEngine
 from repro.tier import (
     DEMOTE,
@@ -25,7 +31,6 @@ from repro.tier import (
     ObservedState,
     StaticVectorPolicy,
     TieringEngine,
-    TierObservation,
 )
 from repro.util.units import GB, MB
 
@@ -59,11 +64,14 @@ class TestHeatTracker:
         tracker.record("/a", now=100.0)
         assert tracker.heat("/a", now=50.0) == 1.0
 
-    def test_snapshot_is_key_sorted(self):
+    def test_snapshot_keeps_insertion_order(self):
+        """Keys are never sorted (the engine's are inodes): a snapshot
+        lists them in order of first access."""
         tracker = HeatTracker(half_life=10.0)
         tracker.record("/b", now=0.0)
         tracker.record("/a", now=0.0)
-        assert list(tracker.snapshot(0.0)) == ["/a", "/b"]
+        tracker.record("/b", now=1.0)
+        assert list(tracker.snapshot(1.0)) == ["/b", "/a"]
 
     def test_forget_and_contains(self):
         tracker = HeatTracker(half_life=1.0)
@@ -77,7 +85,7 @@ class TestHeatTracker:
         tracker.record("/old", now=0.0)
         tracker.record("/new", now=30.0)
         # 30 half-lives decay /old to ~1e-9, far below the floor.
-        assert tracker.prune(now=30.0) == 1
+        assert tracker.prune(now=30.0) == ["/old"]
         assert "/new" in tracker and "/old" not in tracker
 
     def test_invalid_half_life_rejected(self):
@@ -89,17 +97,23 @@ class TestHeatTracker:
 # ----------------------------------------------------------------------
 # DecayHeatPolicy.decide
 # ----------------------------------------------------------------------
+def tier_report(name, total_capacity, remaining):
+    return TierStatistics(
+        tier_name=name,
+        media_count=1,
+        total_capacity=total_capacity,
+        used=total_capacity - remaining,
+        remaining=remaining,
+        avg_write_throughput=0.0,
+        avg_read_throughput=0.0,
+        active_connections=0,
+    )
+
+
 def make_state(files, now=100.0, half_life=10.0, memory_remaining=64 * MB):
     tiers = (
-        TierObservation(
-            name="MEMORY",
-            total_capacity=128 * MB,
-            used=128 * MB - memory_remaining,
-            remaining=memory_remaining,
-        ),
-        TierObservation(
-            name="HDD", total_capacity=4 * GB, used=0, remaining=4 * GB
-        ),
+        tier_report("MEMORY", 128 * MB, memory_remaining),
+        tier_report("HDD", 4 * GB, 4 * GB),
     )
     return ObservedState(
         now=now, half_life=half_life, files=tuple(files), tiers=tiers
@@ -320,30 +334,27 @@ class TestTieringEngine:
         assert client.read_file("/f") == payload  # intact on HDD
 
     def test_cas_conflict_counted_not_applied(self, fs, client, monkeypatch):
-        """A vector change the engine's observation missed loses the
-        CAS; the file keeps the application's vector.
+        """A vector change that lands between the engine's read and its
+        write loses the engine the CAS; the file keeps the application's
+        vector.
 
-        Within one synchronous round the vector cannot change between
-        the engine's read and its write, so the race is staged by
-        pinning ``get_status`` for this path to a pre-race snapshot —
-        exactly what a batched or cached observation would see."""
+        Within one synchronous round nothing else runs between the two,
+        so the race is staged by letting the application's change land
+        first inside the engine's ``set_replication`` call."""
         engine = TieringEngine(
             fs, policy=DecayHeatPolicy(promote_heat=2.0)
         ).attach()
         client.write_file("/raced", size=4 * MB, rep_vector=ReplicationVector.of(hdd=2))
         heat_up(fs, client, "/raced")
-        stale_status = fs.master.get_status("/raced")
         app_vector = ReplicationVector.of(ssd=1, hdd=1)
-        client.set_replication("/raced", app_vector)
-        fs.await_replication()
-        real_get_status = fs.master.get_status
+        set_replication = Client.set_replication
 
-        def stale_get_status(path, *args, **kwargs):
-            if path == "/raced":
-                return stale_status
-            return real_get_status(path, *args, **kwargs)
+        def raced(self, path, vector, expected=None):
+            monkeypatch.undo()
+            set_replication(self, path, app_vector)
+            return set_replication(self, path, vector, expected=expected)
 
-        monkeypatch.setattr(fs.master, "get_status", stale_get_status)
+        monkeypatch.setattr(Client, "set_replication", raced)
         decisions = engine.run_round()
         assert [d.outcome for d in decisions] == ["conflict"]
         assert engine.stats.conflicts == 1
@@ -373,11 +384,12 @@ class TestTieringEngine:
         engine = TieringEngine(fs).attach()
         client.write_file("/doomed", size=MB)
         client.open("/doomed").read_size()
-        assert "/doomed" in engine.heat
+        doomed = fs.master.namespace.get_file("/doomed")
+        assert doomed in engine.heat
         client.delete("/doomed")
         state = engine.observe()
         assert all(f.path != "/doomed" for f in state.files)
-        assert "/doomed" not in engine.heat
+        assert doomed not in engine.heat
 
     def test_heat_is_keyed_by_the_file_not_its_spelling(self, fs, client):
         """Three opens of one file under three spellings are three
@@ -389,16 +401,17 @@ class TestTieringEngine:
         client.write_file("/d/probe", size=MB, rep_vector=ReplicationVector.of(hdd=2))
         for spelling in ("/d/probe", "/d/probe/", "//d//probe"):
             client.open(spelling).read_size()
-        assert list(engine.heat.snapshot(fs.engine.now)) == ["/d/probe"]
+        assert list(engine.heat.snapshot(fs.engine.now)) == [
+            fs.master.namespace.get_file("/d/probe")
+        ]
         assert [f.path for f in engine.observe().files] == ["/d/probe"]
         (decision,) = engine.run_round()
         assert (decision.action.kind, decision.outcome) == (PROMOTE, "applied")
         assert memory_count(fs, "/d/probe") == 1
 
     def test_round_looks_up_only_files_it_can_act_on(self, fs, client, monkeypatch):
-        """N cold tracked files cost a round nothing: it asks the
-        namespace about the k hot ones and the p it promoted earlier,
-        then once more per action it applies."""
+        """N cold tracked files cost a round nothing: it walks up to the
+        root from the k hot ones and the p it promoted earlier only."""
         engine = TieringEngine(
             fs,
             policy=DecayHeatPolicy(promote_heat=2.0, demote_heat=0.5),
@@ -420,19 +433,19 @@ class TestTieringEngine:
             heat_up(fs, client, path)
         assert len(engine.heat) == len(promoted + hot + cold)
 
-        lookups = []
-        get_status = fs.master.get_status
+        walked = []
+        namespace = fs.master.namespace
+        path_of = namespace.path_of
         monkeypatch.setattr(
-            fs.master, "get_status",
-            lambda path, *args: lookups.append(path) or get_status(path, *args),
+            namespace, "path_of",
+            lambda inode: walked.append(inode.path()) or path_of(inode),
         )
         applied = [d for d in engine.run_round() if d.outcome == "applied"]
         assert {d.action.path for d in applied} == set(hot)
-        assert len(lookups) <= len(hot) + len(promoted) + len(applied)
-        assert not set(lookups) & set(cold)
+        assert sorted(walked) == sorted(hot + promoted)
 
     def test_vanished_candidate_is_forgotten_cold_tail_is_pruned(self, fs, client):
-        """A deleted path leaves the tracker at once if the round had to
+        """A deleted file leaves the tracker at once if the round had to
         look at it (hot, or promoted), and through ``prune`` within ~20
         half-lives if it was cold; no policy ever sees either."""
         engine = TieringEngine(
@@ -442,14 +455,134 @@ class TestTieringEngine:
             client.write_file(path, size=MB, rep_vector=ReplicationVector.of(hdd=2))
         heat_up(fs, client, "/hot")
         client.open("/cold").read_size()
+        hot, cold = (fs.master.namespace.get_file(p) for p in ("/hot", "/cold"))
         client.delete("/hot")
         client.delete("/cold")
         assert engine.observe().files == ()
-        assert "/hot" not in engine.heat
-        assert "/cold" in engine.heat
+        assert hot not in engine.heat
+        assert cold in engine.heat
         fs.engine.run(until=fs.engine.now + 25.0)
         assert engine.run_round() == []
-        assert "/cold" not in engine.heat
+        assert cold not in engine.heat
+
+    def test_renamed_promotion_is_demoted_under_its_new_name(self, fs, client):
+        """A rename keeps a file's heat and its memory replica managed:
+        once cold the file is demoted under the name it has now."""
+        engine = TieringEngine(
+            fs,
+            policy=DecayHeatPolicy(promote_heat=2.0, demote_heat=0.5),
+            half_life=10.0,
+        ).attach()
+        client.write_file("/d/hot", size=4 * MB, rep_vector=ReplicationVector.of(hdd=2))
+        heat_up(fs, client, "/d/hot")
+        engine.run_round()
+        fs.await_replication()
+        client.rename("/d/hot", "/d/moved")
+        assert memory_count(fs, "/d/moved") == 1
+        fs.engine.run(until=fs.engine.now + 70.0)
+        (decision,) = engine.run_round()
+        assert (decision.action.kind, decision.action.path, decision.outcome) == (
+            DEMOTE, "/d/moved", "applied",
+        )
+        fs.await_replication()
+        assert memory_count(fs, "/d/moved") == 0
+        locations = client.get_file_block_locations("/d/moved")
+        assert not any("MEMORY" in loc.tiers for loc in locations)
+
+    def test_recreated_path_starts_cold(self, fs, client):
+        """A file re-created under a dead one's name is a new file: it
+        inherits neither heat nor cooldown stamp, so its own opens
+        promote it at the next round."""
+        engine = TieringEngine(
+            fs,
+            policy=DecayHeatPolicy(promote_heat=2.0, demote_heat=0.5),
+            half_life=10.0,
+        ).attach()
+        hdd2 = ReplicationVector.of(hdd=2)
+        client.write_file("/f", size=MB, rep_vector=hdd2)
+        heat_up(fs, client, "/f")
+        engine.run_round()
+        fs.await_replication()
+        fs.engine.run(until=fs.engine.now + 70.0)
+        (demotion,) = engine.run_round()
+        assert (demotion.action.kind, demotion.outcome) == (DEMOTE, "applied")
+        client.delete("/f")
+        client.write_file("/f", size=MB, rep_vector=hdd2)
+        heat_up(fs, client, "/f", accesses=3)
+        (observed,) = engine.observe().files
+        assert observed.heat <= 3  # three opens, nothing inherited
+        assert observed.last_demoted == -math.inf
+        (promotion,) = engine.run_round()
+        assert (promotion.action.kind, promotion.action.path, promotion.outcome) == (
+            PROMOTE, "/f", "applied",
+        )
+
+    def test_cooldown_stamps_leave_with_their_heat(self, fs, client):
+        """A demoted file's cooldown stamp goes when its heat entry is
+        pruned, so files demoted once and never read again do not grow
+        ``_last_demoted`` without bound."""
+        engine = TieringEngine(
+            fs,
+            policy=DecayHeatPolicy(
+                promote_heat=0.5, demote_heat=0.25, movement_budget=100
+            ),
+            half_life=10.0,
+        ).attach()
+        for index in range(20):
+            path = f"/one-shot-{index:02d}"
+            client.write_file(path, size=MB, rep_vector=ReplicationVector.of(hdd=2))
+            client.open(path).read_size()
+        engine.run_round()
+        assert engine.stats.promotions == 20
+        fs.engine.run(until=fs.engine.now + 30.0)
+        engine.run_round()
+        assert engine.stats.demotions == 20
+        assert len(engine._last_demoted) == 20
+        fs.engine.run(until=fs.engine.now + 250.0)  # 25 half-lives
+        engine.run_round()
+        assert engine._last_demoted == {}
+        assert len(engine.heat) == 0
+
+    def test_promotion_survives_failover(self, fs, client):
+        """A failover swaps in a namespace of new inodes; the engine's
+        promotions carry over by path, so a file promoted before it is
+        still demoted after it once cold."""
+        engine = TieringEngine(
+            fs,
+            policy=DecayHeatPolicy(promote_heat=2.0, demote_heat=0.5),
+            half_life=10.0,
+        ).attach()
+        standby = BackupMaster(fs.master)
+        client.write_file("/p", size=MB, rep_vector=ReplicationVector.of(hdd=2))
+        heat_up(fs, client, "/p")
+        engine.run_round()
+        fs.await_replication()
+        standby.promote(fs)
+        fs.await_replication()
+        assert memory_count(fs, "/p") == 1
+        fs.engine.run(until=fs.engine.now + 70.0)
+        (decision,) = engine.run_round()
+        assert (decision.action.kind, decision.action.path, decision.outcome) == (
+            DEMOTE, "/p", "applied",
+        )
+        fs.await_replication()
+        assert memory_count(fs, "/p") == 0
+
+    def test_heat_restarts_cold_after_failover(self, fs, client):
+        """Heat is soft state, like block locations: what a file accrued
+        before a failover does not follow it onto the new namespace."""
+        engine = TieringEngine(
+            fs, policy=DecayHeatPolicy(promote_heat=2.0), half_life=10.0
+        ).attach()
+        standby = BackupMaster(fs.master)
+        client.write_file("/warm", size=MB, rep_vector=ReplicationVector.of(hdd=2))
+        heat_up(fs, client, "/warm")
+        standby.promote(fs)
+        assert engine.run_round() == []
+        assert fs.master.namespace.get_file("/warm") not in engine.heat
+        heat_up(fs, client, "/warm")
+        (decision,) = engine.run_round()
+        assert (decision.action.path, decision.outcome) == ("/warm", "applied")
 
     def test_never_demotes_application_pin(self, fs, client):
         engine = TieringEngine(
@@ -517,8 +650,20 @@ class TestTieringEngine:
     def test_invalid_configuration_rejected(self, fs):
         with pytest.raises(ConfigurationError):
             TieringEngine(fs, interval=0.0)
+        spec = small_cluster_spec()
+        no_memory = dataclasses.replace(
+            spec,
+            tiers=tuple(t for t in spec.tiers if t.name != "MEMORY"),
+            nodes=tuple(
+                dataclasses.replace(
+                    node,
+                    media=tuple(m for m in node.media if m.tier != "MEMORY"),
+                )
+                for node in spec.nodes
+            ),
+        )
         with pytest.raises(ConfigurationError):
-            TieringEngine(fs, memory_tier="TAPE")
+            TieringEngine(OctopusFileSystem(no_memory))
 
     def test_decision_log_is_bounded(self, fs, client):
         engine = TieringEngine(
@@ -541,3 +686,32 @@ class TestTieringEngine:
         assert engine.run_round() == []
         assert engine.stats.rounds == 1
         assert engine.stats.actions == 0
+
+
+#: Policy inputs no policy read, and the knob that let an engine and its
+#: policy disagree on which tier is the cache.
+REMOVED_NAMES = ("TierObservation", "burn_snapshot", "read_p99", "memory_tier")
+
+
+def _name_of(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias)):
+        return node.name
+    if isinstance(node, (ast.arg, ast.keyword)):
+        return node.arg
+    return None
+
+
+def test_policy_input_carries_only_what_policies_read():
+    root = Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root).as_posix()}:{getattr(node, 'lineno', '?')}"
+        f" {_name_of(node)}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _name_of(node) in REMOVED_NAMES
+    ]
+    assert not offenders, "\n".join(offenders)

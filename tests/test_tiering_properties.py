@@ -14,7 +14,11 @@ happens to produce:
   policy-cached ones);
 * the hysteresis band holds end-to-end: driving a real engine with a
   seeded random workload never promotes and demotes the same file
-  within one half-life.
+  within one half-life;
+* the engine knows a file by its inode: under renames, deletes,
+  overwrites and failovers every piece of its state is keyed by an
+  ``INodeFile``, its promotions stay attached, and no memory replica it
+  added is ever orphaned.
 
 Randomized state generation uses Hypothesis; the end-to-end hysteresis
 checks replay seeded workloads through a real ``TieringEngine``.
@@ -28,9 +32,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import OctopusFileSystem, ReplicationVector
-from repro.cluster import small_cluster_spec
+from repro.cluster import TierStatistics, small_cluster_spec
+from repro.fs.backup import BackupMaster
+from repro.fs.inode import INodeFile
 from repro.tier import (
     DEMOTE,
+    MEMORY,
     PROMOTE,
     BudgetedCachePolicy,
     DecayHeatPolicy,
@@ -39,7 +46,6 @@ from repro.tier import (
     ObservedState,
     TieringEngine,
     TieringPolicy,
-    TierObservation,
 )
 from repro.util.rng import DeterministicRng
 from repro.util.units import GB, MB
@@ -72,11 +78,15 @@ def file_observations():
 
 def observed_states():
     tier = st.builds(
-        TierObservation,
-        name=st.just("MEMORY"),
+        TierStatistics,
+        tier_name=st.just("MEMORY"),
+        media_count=st.just(4),
         total_capacity=st.just(128 * MB),
         used=st.integers(min_value=0, max_value=128 * MB),
         remaining=st.integers(min_value=0, max_value=128 * MB),
+        avg_write_throughput=st.just(0.0),
+        avg_read_throughput=st.just(0.0),
+        active_connections=st.just(0),
     )
     return st.builds(
         ObservedState,
@@ -355,10 +365,41 @@ class _FullScan(TieringPolicy):
         return self.inner.decide(state)
 
 
+#: Steps of the churn workload at which a standby master takes over.
+FAILOVER_STEPS = (20, 40)
+
+
+def _check_engine_state(fs, engine, pinned, detached):
+    """The inode-keyed engine's invariants after one round.
+
+    ``pinned`` holds the paths whose memory replica the application put
+    there; ``detached`` the promotions whose file was gone before it.
+    """
+    namespace = fs.master.namespace
+    keys = (
+        list(engine.heat.snapshot(fs.engine.now))
+        + list(engine._promoted)
+        + list(engine._last_demoted)
+    )
+    assert all(isinstance(key, INodeFile) for key in keys)
+    assert not detached & engine._promoted.keys()
+    for inode in engine._promoted:
+        assert namespace.path_of(inode) and inode in engine.heat
+    # ROADMAP 3(a): a memory replica the engine added is still its own
+    # to demote, or gone from the vector.
+    for inode in namespace.iter_files():
+        if inode.rep_vector.count(MEMORY):
+            assert inode in engine._promoted or inode.path() in pinned, (
+                f"{inode.path()} keeps an orphaned memory replica"
+            )
+
+
 def _run_churn_workload(seed, policy):
-    """The seeded workload above plus what makes skipping risky: files
-    deleted while tracked (cold, hot and promoted alike), new ones
-    arriving, and an application rewriting vectors under the engine."""
+    """The seeded workload above plus what makes skipping risky and
+    names unreliable: files deleted while tracked (cold, hot and
+    promoted alike), renamed and overwritten, new ones arriving, an
+    application rewriting vectors under the engine, and failovers to a
+    standby master. Checks the engine's state after every round."""
     fs = OctopusFileSystem(small_cluster_spec(seed=seed))
     client = fs.client(on="worker1")
     hdd2 = ReplicationVector.of(hdd=2)
@@ -367,29 +408,60 @@ def _run_churn_workload(seed, policy):
         live.append(f"/churn/file-{index}")
         client.write_file(live[-1], size=2 * MB, rep_vector=hdd2)
     engine = TieringEngine(fs, policy=policy, half_life=HALF_LIFE).attach()
+    standby = BackupMaster(fs.master)
     rng = DeterministicRng(seed, "tiering-churn")
+    pinned = set()
     observed = 0
     for step in range(60):
         for _ in range(rng.randint(0, 5)):
             # Skewed, so some files run hot while a cold tail builds up.
             client.open(live[min(rng.randint(0, 7), rng.randint(0, 7))]).read_size()
-        event = rng.randint(0, 5)
+        event = rng.randint(0, 7)
         if event == 0:
-            client.delete(live.pop(rng.randint(0, len(live) - 1)))
+            doomed = live.pop(rng.randint(0, len(live) - 1))
+            pinned.discard(doomed)
+            client.delete(doomed)
             live.append(f"/churn/late-{step}")
             client.write_file(live[-1], size=2 * MB, rep_vector=hdd2)
         elif event == 1:
             path = rng.choice(live)
-            pinned = client.get_replication(path).count("MEMORY") > 0
-            client.set_replication(
-                path, hdd2 if pinned else ReplicationVector.of(memory=1, hdd=2)
-            )
+            if client.get_replication(path).count(MEMORY) > 0:
+                pinned.discard(path)
+                client.set_replication(path, hdd2)
+            else:
+                pinned.add(path)
+                client.set_replication(path, ReplicationVector.of(memory=1, hdd=2))
+        elif event == 2:
+            index = rng.randint(0, len(live) - 1)
+            moved = f"/churn/moved-{step}"
+            client.rename(live[index], moved)
+            if live[index] in pinned:
+                pinned.discard(live[index])
+                pinned.add(moved)
+            live[index] = moved
+        elif event == 3:
+            path = rng.choice(live)
+            pinned.discard(path)
+            client.write_file(path, size=2 * MB, rep_vector=hdd2, overwrite=True)
+        if step in FAILOVER_STEPS:
+            standby.promote(fs)
+            standby = BackupMaster(fs.master)
         fs.engine.run(until=fs.engine.now + rng.uniform(0.5, 6.0))
+        detached = {
+            inode for inode in engine._promoted
+            if fs.master.namespace.path_of(inode) is None
+        }
         observed += len(engine.observe().files)
         engine.run_round()
+        _check_engine_state(fs, engine, pinned, detached)
         fs.await_replication()
     vectors = {path: client.get_replication(path) for path in sorted(live)}
     return engine, vectors, observed
+
+
+def _promoted_paths(engine):
+    namespace = engine.system.master.namespace
+    return {namespace.path_of(inode): t for inode, t in engine._promoted.items()}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -409,7 +481,7 @@ def test_candidate_observation_decides_like_a_full_scan(policy, seed):
     )
     assert engine.decision_log == reference.decision_log
     assert engine.stats == reference.stats
-    assert engine._promoted == reference._promoted
+    assert _promoted_paths(engine) == _promoted_paths(reference)
     assert vectors == reference_vectors
     kinds = {d.action.kind for d in engine.decision_log if d.outcome == "applied"}
     assert kinds == {PROMOTE, DEMOTE}, "workload never exercised both moves"
