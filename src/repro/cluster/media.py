@@ -133,7 +133,8 @@ class StorageMedium:
     @property
     def nr_connections(self) -> int:
         """``NrConn[m]``: active read + write streams on this medium."""
-        return self.write_channel.active_count + self.read_channel.active_count
+        # The channels' flow sets, not ``active_count``: one frame a read.
+        return len(self.write_channel.flows) + len(self.read_channel.flows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -101,7 +101,7 @@ class Node:
     @property
     def nr_connections(self) -> int:
         """``NrConn[W]``: active network streams touching this node."""
-        return self.nic_out.active_count + self.nic_in.active_count
+        return len(self.nic_out.flows) + len(self.nic_in.flows)
 
     @property
     def live_media(self) -> list["StorageMedium"]:

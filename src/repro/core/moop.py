@@ -178,88 +178,84 @@ def gen_options(
 
     # Hard constraints: liveness (placeable excludes decommissioning
     # nodes) and capacity make the pool; uniqueness and the tier
-    # requirement are the entry's.
+    # requirement (for a U entry, the memory rule) are the entry's.
     if pool is None:
         pool = [
             medium
             for medium in cluster.placeable_media()
             if medium.remaining >= request.block_size
         ]
-    options = [medium for medium in pool if medium.medium_id not in placed_ids]
     if entry.required_tier is not None:
-        options = [m for m in options if m.tier_name == entry.required_tier]
-        if not options:
+        tiers = {entry.required_tier}
+    else:
+        tiers = set(cluster.tiers) - _memory_rule(placed, request, cluster)
+    # A soft heuristic narrows the list, and is skipped rather than
+    # allowed to empty it. The filters commute, so narrowing the pool in
+    # the same pass is narrowing the hard-constrained list.
+    near = _near_nodes(cluster, request, placed)
+    if near is not None:
+        options = [
+            m for m in pool
+            if m.node in near and m.tier_name in tiers and m.medium_id not in placed_ids
+        ]
+        if options:
+            return options
+    options = [
+        m for m in pool if m.tier_name in tiers and m.medium_id not in placed_ids
+    ]
+    if not options:
+        if entry.required_tier is not None:
             raise InsufficientStorageError(
                 f"no medium in tier {entry.required_tier!r} can hold "
                 f"{request.block_size} bytes"
             )
-    else:
-        options = _apply_memory_rule(options, placed, request, cluster)
-    if not options:
         raise InsufficientStorageError(
             f"no storage medium can hold a {request.block_size}-byte replica"
         )
-
-    # Soft heuristics, each skipped rather than allowed to empty the list.
-    if request.rack_pruning:
-        options = _apply_rack_pruning(options, placed)
-    if request.client_colocation:
-        options = _apply_client_colocation(options, placed, request)
     return options
 
 
-def _apply_memory_rule(
-    options: list["StorageMedium"],
+def _memory_rule(
     placed: Sequence["StorageMedium"],
     request: PlacementRequest,
     cluster: "Cluster",
-) -> list["StorageMedium"]:
-    """Volatile (memory) tiers are opt-in for U entries and capped at
-    ⌊r/3⌋ of a block's replicas (§3.3, final paragraph)."""
+) -> set[str]:
+    """The tiers a U entry may not use: volatile (memory) tiers are
+    opt-in and capped at ⌊r/3⌋ of a block's replicas (§3.3, final
+    paragraph)."""
     volatile_tiers = {t.name for t in cluster.tiers.values() if t.volatile}
-    if not volatile_tiers:
-        return options
-    if not request.memory_enabled:
-        return [m for m in options if m.tier_name not in volatile_tiers]
+    if not volatile_tiers or not request.memory_enabled:
+        return volatile_tiers
     if not request.memory_cap:
-        return options
-    max_volatile = request.total_replicas // 3
+        return set()
     volatile_used = sum(1 for m in placed if m.tier_name in volatile_tiers)
-    if volatile_used >= max_volatile:
-        return [m for m in options if m.tier_name not in volatile_tiers]
-    return options
+    if volatile_used >= request.total_replicas // 3:
+        return volatile_tiers
+    return set()
 
 
-def _apply_rack_pruning(
-    options: list["StorageMedium"],
-    placed: Sequence["StorageMedium"],
-) -> list["StorageMedium"]:
-    """Steer toward exactly two racks, as Eq. 5's rack term rewards."""
-    racks = []
-    for medium in placed:
-        rack = medium.node.rack
-        if rack not in racks:
-            racks.append(rack)
-    if not racks:
-        return options
-    if len(racks) == 1:
-        pruned = [m for m in options if m.node.rack is not racks[0]]
-    else:
-        allowed = set(racks[:2])
-        pruned = [m for m in options if m.node.rack in allowed]
-    return pruned or options
-
-
-def _apply_client_colocation(
-    options: list["StorageMedium"],
-    placed: Sequence["StorageMedium"],
+def _near_nodes(
+    cluster: "Cluster",
     request: PlacementRequest,
-) -> list["StorageMedium"]:
-    """First replica goes to the client's own worker when possible."""
-    if placed or request.client_node is None:
-        return options
-    local = [m for m in options if m.node is request.client_node]
-    return local or options
+    placed: Sequence["StorageMedium"],
+) -> set["Node"] | None:
+    """Where the soft heuristics steer the next replica, if anywhere:
+    the first to the client's own worker (client colocation), the next
+    toward exactly two racks, as Eq. 5's rack term rewards (rack
+    pruning: off the first replica's rack, then onto the first two)."""
+    if not placed:
+        client = request.client_node
+        if request.client_colocation and client is not None:
+            return {client}
+        return None
+    if not request.rack_pruning:
+        return None
+    racks = list(dict.fromkeys(m.node.rack for m in placed))
+    if len(racks) == 1:
+        racks = [r for r in cluster.topology.racks.values() if r is not racks[0]]
+    else:
+        racks = racks[:2]
+    return {node for rack in racks for node in rack.nodes}
 
 
 def place_replicas(
@@ -415,36 +411,25 @@ def exhaustive_place_replicas(
 
     Exponential (``O(r·sʳ)``); exists only so tests and the ablation
     bench can measure how close the greedy solution gets to the true
-    global-criterion optimum on small instances.
+    global-criterion optimum on small instances. It enumerates what
+    Algorithm 2's hard rules allow and nothing else: the decision's pool
+    (placeable media with room), none already holding the block or
+    excluded, the tier requirements met and the memory rule kept.
     """
     from itertools import combinations
 
     entries = expand_vector(
         request.rep_vector, {t.name: t.rank for t in cluster.tiers.values()}
     )
-    count = len(entries)
-    ctx = ObjectiveContext.from_cluster(cluster, block_size=request.block_size)
-    eligible = [
-        m
-        for m in cluster.live_media()
-        if m.remaining >= request.block_size
-        and m.medium_id not in request.excluded_media
-    ]
-    required = sorted(
-        (e.required_tier for e in entries if e.required_tier), reverse=True
-    )
+    snapshot = snapshot_cluster(cluster, request.block_size)
+    existing = list(request.existing_replicas)
+    taken = {m.medium_id for m in existing} | set(request.excluded_media)
+    eligible = [m for m in snapshot.pool if m.medium_id not in taken]
     best: tuple[float, list["StorageMedium"]] | None = None
-    for combo in combinations(eligible, count):
-        tiers = sorted(
-            (m.tier_name for m in combo if m.tier_name in required), reverse=True
-        )
-        if required and tiers[: len(required)] != required:
+    for combo in combinations(eligible, len(entries)):
+        if not _satisfies_tiers(combo, entries, request, cluster):
             continue
-        if not _satisfies_tiers(combo, entries):
-            continue
-        score = global_criterion_score(
-            list(request.existing_replicas) + list(combo), ctx, objectives
-        )
+        score = global_criterion_score(existing + list(combo), snapshot.ctx, objectives)
         if best is None or score < best[0]:
             best = (score, list(combo))
     if best is None:
@@ -453,14 +438,26 @@ def exhaustive_place_replicas(
 
 
 def _satisfies_tiers(
-    combo: Sequence["StorageMedium"], entries: Sequence[ReplicaEntry]
+    combo: Sequence["StorageMedium"],
+    entries: Sequence[ReplicaEntry],
+    request: PlacementRequest,
+    cluster: "Cluster",
 ) -> bool:
-    """Check that a combination can cover all required-tier entries."""
-    pool = [m.tier_name for m in combo]
+    """Whether Algorithm 2's entries could fill with ``combo``: one medium
+    of each required tier, then the rest as U entries under the memory
+    rule, counted from the existing replicas and the required picks."""
+    rest = list(combo)
+    placed = list(request.existing_replicas)
     for entry in entries:
         if entry.required_tier is None:
             continue
-        if entry.required_tier not in pool:
+        medium = next((m for m in rest if m.tier_name == entry.required_tier), None)
+        if medium is None:
             return False
-        pool.remove(entry.required_tier)
+        rest.remove(medium)
+        placed.append(medium)
+    for medium in rest:
+        if medium.tier_name in _memory_rule(placed, request, cluster):
+            return False
+        placed.append(medium)
     return True

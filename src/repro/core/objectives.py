@@ -44,25 +44,6 @@ THROUGHPUT_MAX = "tm"
 ALL_OBJECTIVES = (DATA_BALANCING, LOAD_BALANCING, FAULT_TOLERANCE, THROUGHPUT_MAX)
 
 
-class MediaReads(NamedTuple):
-    """The state of some media that changes between decisions, read at
-    one moment, as parallel lists."""
-
-    media: list["StorageMedium"]
-    remaining: list[int]  # Rem[m]
-    connections: list[int]  # NrConn[m]
-
-
-def read_media(media: Iterable["StorageMedium"]) -> MediaReads:
-    """Read each medium's remaining bytes and connection count, once."""
-    media = list(media)
-    return MediaReads(
-        media,
-        [m.remaining for m in media],
-        [m.nr_connections for m in media],
-    )
-
-
 @dataclass
 class ObjectiveContext:
     """Cluster-wide statistics referenced by the objective formulas."""
@@ -89,53 +70,14 @@ class ObjectiveContext:
         a subset models a Master with a partial view (the per-tier
         throughput averages are the cluster's either way).
         """
-        live = cluster.live_media()
-        return cls._from_reads(
-            cluster,
-            cluster.block_size if block_size is None else block_size,
-            read_media(live if media is None else media),
-            live,
-        )
-
-    @classmethod
-    def _from_reads(
-        cls,
-        cluster: "Cluster",
-        block_size: int,
-        reads: MediaReads,
-        live: Sequence["StorageMedium"],
-    ) -> "ObjectiveContext":
-        """The statistics of ``reads``, with tier averages over ``live``."""
-        media = reads.media
-        if not media:
-            raise PlacementError("no live storage media in the cluster")
-        # A tier's live media in cluster order, as StorageTier.live_media
-        # lists them; ``sum`` stays the builtin over the same operands in
-        # the same order (it is compensated from Python 3.12).
-        throughputs: dict[str, list[float]] = {}
-        for medium in live:
-            throughputs.setdefault(medium.tier_name, []).append(
-                medium.write_throughput
-            )
-        tier_thru = {
-            tier.name: sum(throughputs[tier.name]) / len(throughputs[tier.name])
-            for tier in sorted(cluster.tiers.values(), key=lambda t: t.rank)
-            if tier.name in throughputs
-        }
-        worker_nodes = {m.node for m in media}
-        return cls(
-            block_size=block_size,
-            total_tiers=len({m.tier_name for m in media}),
-            total_nodes=len(worker_nodes),
-            total_racks=len({node.rack for node in worker_nodes}),
-            max_remaining_fraction=max(
-                remaining / m.capacity
-                for remaining, m in zip(reads.remaining, media)
-            ),
-            min_connections=min(reads.connections),
-            max_write_throughput=max(tier_thru.values()),
-            tier_write_throughput=tier_thru,
-        )
+        block_size = cluster.block_size if block_size is None else block_size
+        ctx = read_media(cluster.live_media(), block_size, cluster=cluster).ctx
+        if media is None:
+            return ctx
+        view = read_media(media, block_size, cluster=cluster).ctx
+        view.tier_write_throughput = ctx.tier_write_throughput
+        view.max_write_throughput = ctx.max_write_throughput
+        return view
 
     def write_throughput_of(self, medium: "StorageMedium") -> float:
         """``WThru[m]``: the per-tier averaged value (paper §3.2)."""
@@ -169,26 +111,28 @@ def fault_tolerance(
     """Eq. 5: distinct-tier, distinct-node, and two-rack terms."""
     if not media:
         return 0.0
-    return _fault_tolerance_of(
+    tier_term, node_term, rack_term = _fault_tolerance_terms(
         len(media),
         len({m.tier_name for m in media}),
         len({m.node for m in media}),
         len({m.node.rack for m in media}),
         ctx,
     )
+    return tier_term + node_term + rack_term
 
 
-def _fault_tolerance_of(
+def _fault_tolerance_terms(
     count: int, nr_tiers: int, nr_nodes: int, nr_racks: int, ctx: ObjectiveContext
-) -> float:
-    """Eq. 5 for ``count`` media on that many tiers, nodes and racks."""
+) -> tuple[float, float, float]:
+    """Eq. 5's three terms for ``count`` media on that many tiers, nodes
+    and racks."""
     tier_term = nr_tiers / min(count, ctx.total_tiers)
     node_term = nr_nodes / min(count, ctx.total_nodes)
     if ctx.total_racks == 1:
         rack_term = 1.0
     else:
         rack_term = 1.0 / (abs(nr_racks - 2) + 1)
-    return tier_term + node_term + rack_term
+    return tier_term, node_term, rack_term
 
 
 def throughput_maximization(
@@ -305,30 +249,12 @@ def global_criterion_score(
 
 
 #: One medium's terms, each computed once per decision: its summands of
-#: Eqs. 1, 3 and 7, then the tier, node and rack that Eq. 5 counts.
+#: Eqs. 1 and 3, its own write throughput, then the tier, node and rack
+#: that Eq. 5 counts (and whose average Eq. 7 takes).
 MediumRow = tuple[float, float, float, str, "Node", "Rack"]
 
 #: Where a separable objective's summand sits in a :data:`MediumRow`.
-_ROW_COLUMN = {DATA_BALANCING: 0, LOAD_BALANCING: 1, THROUGHPUT_MAX: 2}
-
-
-def medium_rows(reads: MediaReads, ctx: ObjectiveContext) -> list[MediumRow]:
-    """The row of each read: the only place the scorer's terms are formed."""
-    block_size = ctx.block_size
-    log_max = _log_max_throughput(ctx)
-    tier_terms = {
-        tier: _throughput_term(thru, log_max)
-        for tier, thru in ctx.tier_write_throughput.items()
-    }
-    rows = []
-    for medium, remaining, conns in zip(*reads):
-        tier, node = medium.tier_name, medium.node
-        tm_term = tier_terms.get(tier)
-        if tm_term is None:  # a tier the context holds no average for
-            tm_term = _throughput_term(ctx.write_throughput_of(medium), log_max)
-        db_term = (remaining - block_size) / medium.capacity
-        rows.append((db_term, 1.0 / (conns + 1), tm_term, tier, node, node.rack))
-    return rows
+_ROW_COLUMN = {DATA_BALANCING: 0, LOAD_BALANCING: 1}
 
 
 class DecisionSnapshot(NamedTuple):
@@ -340,24 +266,60 @@ class DecisionSnapshot(NamedTuple):
     the decision, so there is nothing to invalidate.
     """
 
-    ctx: ObjectiveContext
+    #: ``None`` from a :func:`read_media` that was given no cluster.
+    ctx: ObjectiveContext | None
     #: Media a new replica of the block could go to (live, not draining,
-    #: with room), in ``cluster.live_media()`` order.
+    #: with room), in walk order.
     pool: list["StorageMedium"]
     rows: dict["StorageMedium", MediumRow]
 
 
+def read_media(
+    media: Iterable["StorageMedium"],
+    block_size: int,
+    cluster: "Cluster | None" = None,
+) -> DecisionSnapshot:
+    """One walk over ``media``, reading each one's ``Rem`` and ``NrConn``
+    once: the only place a row is formed.
+
+    Given the ``cluster``, the walk also forms the context: statistics
+    over ``media``, tier averages in the cluster's rank order. Without
+    one, ``ctx`` is ``None``.
+    """
+    fractions, connections, throughputs, pool, rows = [], [], {}, [], {}
+    for medium in media:
+        remaining, conns, node = medium.remaining, medium.nr_connections, medium.node
+        tier, capacity, thru = medium.tier_name, medium.capacity, medium.write_throughput
+        fractions.append(remaining / capacity)
+        connections.append(conns)
+        # A tier's media in walk order, as StorageTier.live_media lists
+        # them: ``sum`` below stays the builtin over the same operands in
+        # the same order (it is compensated from Python 3.12).
+        throughputs.setdefault(tier, []).append(thru)
+        if remaining >= block_size and not node.decommissioning:
+            pool.append(medium)
+        rows[medium] = ((remaining - block_size) / capacity, 1.0 / (conns + 1),
+                        thru, tier, node, node.rack)
+    if cluster is None:
+        return DecisionSnapshot(None, pool, rows)
+    if not rows:
+        raise PlacementError("no live storage media in the cluster")
+    tier_thru = {
+        tier.name: sum(throughputs[tier.name]) / len(throughputs[tier.name])
+        for tier in sorted(cluster.tiers.values(), key=lambda t: t.rank)
+        if tier.name in throughputs
+    }
+    nodes = {row[4] for row in rows.values()}
+    ctx = ObjectiveContext(
+        block_size, len(throughputs), len(nodes), len({node.rack for node in nodes}),
+        max(fractions), min(connections), max(tier_thru.values()), tier_thru,
+    )
+    return DecisionSnapshot(ctx, pool, rows)
+
+
 def snapshot_cluster(cluster: "Cluster", block_size: int) -> DecisionSnapshot:
     """Read every live medium once, for one decision about one block."""
-    live = cluster.live_media()
-    reads = read_media(live)
-    ctx = ObjectiveContext._from_reads(cluster, block_size, reads, live)
-    pool = [
-        medium
-        for medium, remaining in zip(live, reads.remaining)
-        if remaining >= block_size and not medium.node.decommissioning
-    ]
-    return DecisionSnapshot(ctx, pool, dict(zip(live, medium_rows(reads, ctx))))
+    return read_media(cluster.live_media(), block_size, cluster=cluster)
 
 
 def prefix_scorer(
@@ -374,11 +336,12 @@ def prefix_scorer(
     scores a whole option list from the media's rows: per objective, in
     ``objectives`` order, ``prefix + row term − ideal`` squared and
     accumulated. Fault tolerance takes one of the eight values its three
-    membership tests can produce.
+    membership tests can produce, throughput one value per tier.
 
     ``rows`` are those of the decision's :class:`DecisionSnapshot`; a
-    medium they do not hold (every medium, when ``rows`` is ``None``) is
-    read where it is scored, through the same :func:`medium_rows`.
+    list with a medium they do not hold (every list, when ``rows`` is
+    ``None``) is read where it is scored, through the same
+    :func:`read_media`.
 
     The float operations are the generic path's, in its order, wherever
     that path adds one term at a time. Where it calls the builtin
@@ -405,11 +368,23 @@ def prefix_scorer(
             return None
 
     def rows_of(media: Sequence["StorageMedium"]) -> list[MediumRow]:
-        if rows is None:
-            return medium_rows(read_media(media), ctx)
-        return [
-            rows.get(m) or medium_rows(read_media((m,)), ctx)[0] for m in media
-        ]
+        if rows is not None and all(map(rows.__contains__, media)):
+            return list(map(rows.__getitem__, media))
+        read = read_media(media, ctx.block_size).rows
+        return [read[m] for m in media]
+
+    # Eq. 7's summand is the tier's, one log per tier; a tier the context
+    # holds no average for takes the medium's own throughput.
+    log_max = _log_max_throughput(ctx)
+    tier_terms = {
+        tier: _throughput_term(thru, log_max)
+        for tier, thru in ctx.tier_write_throughput.items()
+    }
+
+    def tm_term(row: MediumRow) -> float:
+        if row[3] in tier_terms:
+            return tier_terms[row[3]]
+        return _throughput_term(row[2], log_max)
 
     count = len(chosen) + 1
     ideal = ideal_vector(count, ctx, objectives)
@@ -418,11 +393,10 @@ def prefix_scorer(
     # throughput_maximization from float 0.0.
     tm_prefix = 0.0
     for row in chosen_rows:
-        tm_prefix += row[2]
+        tm_prefix += tm_term(row)
     prefix = (
         sum(row[0] for row in chosen_rows),
         sum(row[1] for row in chosen_rows),
-        tm_prefix,
     )
     tiers = {row[3] for row in chosen_rows}
     nodes = {row[4] for row in chosen_rows}
@@ -434,13 +408,15 @@ def prefix_scorer(
         for name, z in zip(objectives, ideal):
             if name == FAULT_TOLERANCE:
                 # Indexed by 4·(new tier) + 2·(new node) + (new rack).
-                shapes = [
-                    (len(tiers) + tier, len(nodes) + node, len(racks) + rack)
-                    for tier in (0, 1) for node in (0, 1) for rack in (0, 1)
-                ]
+                tier_pair, node_pair, rack_pair = zip(
+                    _fault_tolerance_terms(count, len(tiers), len(nodes), len(racks), ctx),
+                    _fault_tolerance_terms(
+                        count, len(tiers) + 1, len(nodes) + 1, len(racks) + 1, ctx
+                    ),
+                )
                 squares = [
-                    (_fault_tolerance_of(count, *shape, ctx) - z) ** 2
-                    for shape in shapes
+                    (tier + node + rack - z) ** 2
+                    for tier in tier_pair for node in node_pair for rack in rack_pair
                 ]
                 totals = [
                     total + squares[
@@ -450,6 +426,21 @@ def prefix_scorer(
                     ]
                     for total, row in zip(totals, option_rows)
                 ]
+            elif name == THROUGHPUT_MAX:
+                # Squared once per tier, like fault tolerance's shapes.
+                squares = {
+                    tier: (tm_prefix + term - z) ** 2 for tier, term in tier_terms.items()
+                }
+                try:
+                    totals = [
+                        total + squares[row[3]]
+                        for total, row in zip(totals, option_rows)
+                    ]
+                except KeyError:  # some option's tier has no average
+                    totals = [
+                        total + (tm_prefix + tm_term(row) - z) ** 2
+                        for total, row in zip(totals, option_rows)
+                    ]
             else:
                 column = _ROW_COLUMN[name]
                 base = prefix[column]

@@ -52,15 +52,25 @@ class DeterministicRng:
         return self._random.sample(items, count)
 
     def shuffle(self, items: list[T]) -> list[T]:
-        """Shuffle *in place* and return the list for chaining."""
-        self._random.shuffle(items)
+        """Shuffle *in place* and return the list for chaining.
+
+        ``random.Random.shuffle`` with its ``_randbelow`` inlined (the
+        same body on Python 3.11 to 3.13): the same ``getrandbits`` draws,
+        so the same permutation and the same stream afterwards.
+        """
+        getrandbits = self._random.getrandbits
+        for i in range(len(items) - 1, 0, -1):
+            # j uniform in [0, i]: rejection-sample (i + 1).bit_length() bits
+            bits = (i + 1).bit_length()
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            items[i], items[j] = items[j], items[i]
         return items
 
     def shuffled(self, items: Sequence[T]) -> list[T]:
         """Return a shuffled copy, leaving the input untouched."""
-        copied = list(items)
-        self._random.shuffle(copied)
-        return copied
+        return self.shuffle(list(items))
 
     def expovariate(self, rate: float) -> float:
         return self._random.expovariate(rate)

@@ -1,5 +1,7 @@
 """Unit tests for the MOOP solver and Algorithm 2 (paper §3.3)."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,6 +232,60 @@ class TestPlaceReplicas:
         # TM chases fast tiers; DB chases big (HDD) capacity.
         assert any(m.tier_name in ("MEMORY", "SSD") for m in tm)
         assert all(m.tier_name == "HDD" for m in db)
+
+
+class TestExhaustiveEnumeratesWhatGreedyMay:
+    """The reference optimum is taken over the placements Algorithm 2's
+    hard rules allow, so it can never beat greedy by breaking one."""
+
+    def test_no_draining_node_and_no_memory_unless_enabled(self):
+        cluster = Cluster(small_cluster_spec(workers=4, seed=1))
+        cluster.node("worker1").decommissioning = True
+        request = PlacementRequest(ReplicationVector.of(u=3), cluster.block_size)
+        optimal = exhaustive_place_replicas(cluster, request)
+        assert [m.node.name for m in optimal if m.node.name == "worker1"] == []
+        assert [m.tier_name for m in optimal if m.tier_name == "MEMORY"] == []
+
+    def test_a_medium_holding_the_block_is_not_enumerated_again(self):
+        cluster = Cluster(small_cluster_spec(workers=3, seed=2))
+        request = request_of(cluster, ReplicationVector.of(u=1))
+        (emptiest,) = exhaustive_place_replicas(cluster, request, ("db",))
+        again = replace(request, existing_replicas=(emptiest,))
+        assert exhaustive_place_replicas(cluster, again, ("db",)) != [emptiest]
+        excluded = replace(request, excluded_media=frozenset({emptiest.medium_id}))
+        assert exhaustive_place_replicas(cluster, excluded, ("db",)) != [emptiest]
+
+    def test_memory_holds_at_most_a_third_of_the_replicas(self):
+        cluster = Cluster(small_cluster_spec(workers=3, seed=0))
+        request = request_of(cluster, ReplicationVector.of(u=3))
+        optimal = exhaustive_place_replicas(cluster, request, ("tm",))
+        assert sorted(m.tier_name for m in optimal) == ["MEMORY", "SSD", "SSD"]
+
+    def test_a_u_entry_may_share_a_required_tier(self):
+        """``ssd=1, hdd=1, u=1`` may end as SSD, SSD, HDD."""
+        cluster = Cluster(small_cluster_spec(workers=3, seed=0))
+        request = request_of(
+            cluster, ReplicationVector.of(ssd=1, hdd=1, u=1), memory=False
+        )
+        optimal = exhaustive_place_replicas(cluster, request, ("tm",))
+        assert sorted(m.tier_name for m in optimal) == ["HDD", "SSD", "SSD"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_greedy_is_one_of_the_enumerated_placements(self, seed):
+        cluster = Cluster(small_cluster_spec(workers=3, seed=seed))
+        existing = (cluster.live_media()[seed],)
+        ctx = ObjectiveContext.from_cluster(cluster)
+        for vector in (
+            ReplicationVector.of(u=3),
+            ReplicationVector.of(memory=1, u=1),
+            ReplicationVector.of(ssd=1, u=1),
+        ):
+            for memory in (True, False):
+                request = request_of(cluster, vector, memory=memory, existing=existing)
+                greedy = place_replicas(cluster, request)
+                optimal = exhaustive_place_replicas(cluster, request)
+                score = global_criterion_score([*existing, *optimal], ctx)
+                assert score <= global_criterion_score([*existing, *greedy], ctx) + 1e-12
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,8 @@
 """Unit tests for byte/rate parsing and the deterministic RNG."""
 
+import subprocess
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +18,27 @@ from repro.util import (
     parse_bytes,
     parse_rate,
 )
+from tests.test_bench_experiments import OTHER_PYTHONS
+
+#: ``shuffle`` and ``shuffled`` against ``random.Random.shuffle`` from
+#: the same state, for every length 0-300 under 20 seeds, and the next
+#: draw after each. Stdlib only, so any interpreter can run it.
+SHUFFLE_CHECK = """
+import random
+from repro.util.rng import DeterministicRng
+for seed in range(20):
+    ours = DeterministicRng(seed, "shuffle")
+    stdlib = random.Random()
+    stdlib.setstate(ours._random.getstate())
+    for length in range(301):
+        for shuffle in (ours.shuffle, ours.shuffled):
+            items = list(range(length))
+            expected = list(items)
+            stdlib.shuffle(expected)
+            assert shuffle(items) == expected, (seed, length, shuffle)
+            assert ours.random() == stdlib.random(), (seed, length, shuffle)
+print("same draws")
+"""
 
 
 class TestParseBytes:
@@ -108,3 +132,19 @@ class TestDeterministicRng:
         copy = rng.shuffled(original)
         assert original == list(range(20))
         assert sorted(copy) == original
+
+    def test_shuffle_is_the_stdlibs_draw_for_draw(self, capsys):
+        exec(SHUFFLE_CHECK, {})
+        assert capsys.readouterr().out == "same draws\n"
+
+    @pytest.mark.parametrize(
+        "python", OTHER_PYTHONS, ids=[Path(p).parts[-3] for p in OTHER_PYTHONS]
+    )
+    def test_shuffle_is_the_stdlibs_on_other_interpreters(self, python):
+        if not Path(python).exists():
+            pytest.skip(f"{python} is not installed")
+        done = subprocess.run(
+            [python, "-c", SHUFFLE_CHECK], capture_output=True, text=True,
+            cwd=Path(__file__).resolve().parents[1] / "src", timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (0, "same draws\n"), done.stderr
