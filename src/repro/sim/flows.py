@@ -37,26 +37,37 @@ Each component's latest fill is kept as a **journal** of its rounds —
 key, frozen flows, and the ``(cap, pending)`` each touched resource had
 when the round began. A later change names a set ``C`` of changed
 resources (a started flow's, the finished or cancelled flows', the one
-``set_capacity`` re-priced). The solver walks the journal: the
-trajectory of every ``C`` resource restarts from a fresh
-``effective_capacity()`` at its new flow count, and round ``j`` is
-**reused** iff its bottleneck is not in ``C`` and no ``C`` resource's
-key on the new trajectory sorts below round ``j``'s key. Then a fill
-from round 0 would pop the very same candidate (every other resource is
-in the state the journal recorded, and none of them beat it then),
-freeze the same flows at the same share and perform the same
-subtractions — a reused round is a round whose selection and arithmetic
-are literally unchanged, so skipping it changes no float anywhere. The
-``C`` resources are advanced through a reused round by replaying its
-subtractions one at a time (``cap -= share`` per crossing flow, never
-``cap - m * share`` and never ``sum()``, which is compensated from
-Python 3.12 on): the order of subtractions is the contract. At the
-first round that is not reusable the solver rewinds every later round
-to its recorded before-state, re-opens those rounds' flows, and runs
-the ordinary round loop from there, recording as it goes. Stopping the
-reuse *early* is always exact — the loop simply recomputes rounds it
-could have kept; stopping late is not, which is why the test is on the
-new trajectory, replayed, rather than on any bound.
+``set_capacity`` re-priced). The refill is one walk that merges the
+journal into the ordinary round loop. It keeps a **reached** set: ``C``,
+whose trajectories restart from a fresh ``effective_capacity()`` at
+their new flow counts, plus every resource touched by a round the walk
+recomputes or drops. At each step it takes the lower of two candidates:
+the lowest reached candidate on the heap, which it computes as an
+ordinary round and records; or the next journal round whose bottleneck
+is not reached, which it **reuses** — its flows keep their rates, and
+its subtractions are replayed one at a time onto the reached resources
+it crosses (``cap -= share`` per crossing flow, never ``cap - m *
+share`` and never ``sum()``, which is compensated from Python 3.12 on;
+the order of subtractions is the contract), whose before-state it
+records anew. A journal round whose bottleneck is reached is
+**dropped**, and its flows stay open for the rounds computed after.
+
+This is exact for the reason a reused prefix is. A resource that is not
+reached has seen reused rounds only, so it is in the state the journal
+recorded, and when the journal was filled none of those resources sorted
+below the next unreached round's key: that round is still the lowest of
+them. A fill from round 0 would therefore pop it, or a lower reached
+candidate, which the walk sees too; freeze the same flows at the same
+share; and perform the same subtractions. Reusing it changes no float
+anywhere. A resource that **joins** the reached set takes its state from
+the first round still ahead of the walk that records it (its
+before-state there, or ``(cap, frozen count)`` where it is the
+bottleneck), or from its fields when no round does: a fill leaves every
+resource in its final state, and one the walk never reached is still in
+it. Until the walk first computes or drops a round, the journal's flows
+stay frozen; then those of the rounds ahead are opened. Once nothing
+reached is open, the rest of the journal is kept as it stands, less the
+dropped rounds.
 
 A journal lives by three rules. It covers exactly the component(s) it
 was filled with: a start on idle resources opens a journal of its own,
@@ -163,12 +174,13 @@ class Resource:
         self._rid = next(_resource_ids)
         # Fill state (see FlowScheduler._run_rounds): residual capacity
         # and open-flow count on the current fill's trajectory, the last
-        # stamp that visited the resource, and the journal of the fill
-        # that last rated its flows.
+        # stamp that visited the resource, the journal of the fill that
+        # last rated its flows, and the share of its lowest heap entry.
         self._cap = 0.0
         self._pending = 0
         self._mark = 0
         self._journal: "_Journal | None" = None
+        self._queued = math.inf
 
     @property
     def capacity(self) -> float:
@@ -252,25 +264,22 @@ class Flow:
         )
 
 
-#: Stamps for fills: "visited in this search", "changed in this fill",
+#: Stamps for fills: "visited in this search", "reached in this fill",
 #: "still open in this fill". Never reused, so stale marks are inert.
 _stamps = itertools.count(1)
 
 #: What a solver hands the round loop: the candidate heap, the number of
-#: open flows, the stamp they carry, and where to record rounds.
-Plan = tuple[list, int, int, "list | None"]
+#: open flows, the stamp they carry, where to record rounds, and the
+#: rounds of the journal it resumes (none for a fill from round 0).
+Plan = tuple[list, int, int, "list | None", list]
 
 
 def _candidate(resource: Resource) -> tuple:
-    """The resource's heap entry: its open flows' equal share, then the
-    deterministic tie-break. ``rid`` is unique, so comparing two entries
-    never reaches the resource itself."""
-    return (
-        resource._cap / resource._pending,
-        resource.name,
-        resource._rid,
-        resource,
-    )
+    """The resource's heap entry, noted as its lowest: its open flows'
+    equal share, then the deterministic tie-break. ``rid`` is unique, so
+    comparing two entries never reaches the resource itself."""
+    share = resource._queued = resource._cap / resource._pending
+    return (share, resource.name, resource._rid, resource)
 
 
 def _candidates(resources: Iterable[Resource]) -> list:
@@ -313,7 +322,7 @@ class DenseFlowSolver:
                     if resource._mark != stamp:
                         resource._mark = stamp
                         resources.append(resource)
-        return [(_round_zero(resources, None), open_count, stamp, None)]
+        return [(_round_zero(resources, None), open_count, stamp, None, [])]
 
 
 class _Journal:
@@ -334,11 +343,28 @@ class _Journal:
         self.live = True
 
 
-def _lowest_key(resources: Iterable[Resource]) -> tuple:
-    """The candidate a heap over ``resources`` would pop first."""
-    return min(
-        (_candidate(r) for r in resources if r._pending), default=(math.inf,)
-    )
+def _reopen(rounds: list, start: int, stamp: int) -> int:
+    """Open the flows of ``rounds[start:]``; return how many are still
+    active (a finished one is on no resource, so opening it is inert)."""
+    flows = [flow for _key, frozen, _before in rounds[start:] for flow in frozen]
+    for flow in flows:
+        flow._open = stamp
+    return sum(flow.finished_at is None for flow in flows)
+
+
+def _join(resource: Resource, stamp: int, rounds: list, start: int) -> None:
+    """Bring ``resource`` onto the fill's trajectory at journal round
+    ``start``: the state the first round from there records for it, or
+    its fields when none does (a fill leaves each resource in its final
+    state, and an unreached one is still there)."""
+    resource._mark, resource._queued = stamp, math.inf
+    for key, frozen, before in itertools.islice(rounds, start, None):
+        if resource in before:
+            resource._cap, resource._pending, _ = before[resource]
+            return
+        if key[3] is resource:
+            resource._pending = len(frozen)
+            return
 
 
 class IncrementalFlowSolver:
@@ -346,9 +372,9 @@ class IncrementalFlowSolver:
 
     Max–min filling never moves capacity between disconnected components
     of the flow↔resource graph, so flows outside the touched component
-    provably keep their cached rates; and inside it, every round that
-    ran before the change could first matter is reused from the
-    component's journal (module docstring, *The round journal*).
+    provably keep their cached rates; and inside it, every round the
+    change never reaches is reused from the component's journal (module
+    docstring, *The round journal*).
     """
 
     name = "incremental"
@@ -399,9 +425,7 @@ class IncrementalFlowSolver:
                 return [self._resume(journal, seeds, started, stamp)]
         elif started is not None and not journals:
             # A start on idle resources is a component of its own.
-            started._open = stamp
-            journal = _Journal()
-            return [(_round_zero(seeds, journal), 1, stamp, journal.rounds)]
+            return [self._resume(_Journal(), seeds, started, stamp)]
         # The change spans journals, or its journal is retired: search,
         # and fill each component found from round 0 under a journal of
         # its own, retiring every journal the fill re-rates.
@@ -413,9 +437,8 @@ class IncrementalFlowSolver:
                     if resource._journal is not None:
                         resource._journal.live = False
                 journal = _Journal()
-                plans.append(
-                    (_round_zero(resources, journal), len(flows), stamp, journal.rounds)
-                )
+                heap = _round_zero(resources, journal)
+                plans.append((heap, len(flows), stamp, journal.rounds, []))
         return plans
 
     def _resume(
@@ -425,68 +448,21 @@ class IncrementalFlowSolver:
         started: Flow | None,
         stamp: int,
     ) -> Plan:
-        """Reuse the journal's rounds up to the first one the change reaches.
+        """Refill the journal's component, changed at ``seeds``.
 
-        ``seeds`` are the changed resources. Their trajectory starts
-        afresh (new capacity, new flow count) and is advanced through
-        each reused round by replaying that round's subtractions one at a
-        time, exactly as a fill from round 0 would perform them. A round
-        is reused iff its bottleneck is unchanged and no changed
-        resource's key now sorts below the round's: then the round-0
-        fill would pop the same candidate, freeze the same flows at the
-        same share, and do the same arithmetic on every unchanged
-        resource.
+        The seeds start afresh (new capacity, new flow count) as the
+        first reached resources; the round loop merges the journal's
+        rounds in as it goes and records the new fill in their place.
         """
+        old, journal.rounds = journal.rounds, []
         for resource in seeds:
             resource._mark = stamp
             resource._journal = journal
             resource._cap = resource.effective_capacity()
             resource._pending = len(resource.flows)
-        rounds = journal.rounds
-        lowest = _lowest_key(seeds)
-        keep = 0
-        for key, frozen, before in rounds:
-            if key[3]._mark == stamp or lowest < key:
-                break
-            if not before.keys().isdisjoint(seeds):
-                share = key[0]
-                for resource in seeds:
-                    if resource in before:
-                        crossings = before[resource][2]
-                        # Later rewinds must land on the new trajectory.
-                        before[resource] = (
-                            resource._cap, resource._pending, crossings
-                        )
-                        for _ in range(crossings):
-                            resource._cap -= share
-                        resource._pending -= crossings
-                lowest = _lowest_key(seeds)
-            keep += 1
-        # Rewind the rest, first recorded state first: what a resource
-        # held when round ``keep`` began is what its earliest rewound
-        # round saw (a bottleneck untouched since then still holds it).
-        involved = list(seeds)
-        open_count = 0
-        for key, frozen, before in rounds[keep:]:
-            bottleneck = key[3]
-            if bottleneck._mark != stamp:
-                bottleneck._mark = stamp
-                bottleneck._pending = len(frozen)
-                involved.append(bottleneck)
-            for resource, state in before.items():
-                if resource._mark != stamp:
-                    resource._mark = stamp
-                    resource._cap, resource._pending, _ = state
-                    involved.append(resource)
-            for flow in frozen:
-                if flow.finished_at is None:
-                    flow._open = stamp
-                    open_count += 1
-        del rounds[keep:]
         if started is not None:
             started._open = stamp
-            open_count += 1
-        return _candidates(involved), open_count, stamp, rounds
+        return _candidates(seeds), int(started is not None), stamp, journal.rounds, old
 
 
 SOLVERS = {
@@ -677,6 +653,7 @@ class FlowScheduler:
         resources are the next pass's change, mirroring the dense
         solver's finish-then-refill recursion.
         """
+        completions = self._completions
         while True:
             due: list[Flow] = []
             for flow in self._fill_rates(started, changed):
@@ -690,15 +667,9 @@ class FlowScheduler:
                 else:
                     flow._wake_token += 1
                     if rate > 0:
-                        heapq.heappush(
-                            self._completions,
-                            (
-                                self.engine.now + flow.remaining / rate,
-                                flow.seq,
-                                flow._wake_token,
-                                flow,
-                            ),
-                        )
+                        when = self.engine.now + flow.remaining / rate
+                        entry = (when, flow.seq, flow._wake_token, flow)
+                        heapq.heappush(completions, entry)
                     # A zero-rate flow waits with no completion entry; if
                     # nothing else is in flight the wakeup check below
                     # reports the deadlock.
@@ -707,6 +678,11 @@ class FlowScheduler:
             due.sort(key=_seq_key)
             started = None
             changed = self._finish_flows(due)
+        if len(completions) > 2 * len(self.active) + 64:
+            # Mostly entries that re-rated flows left behind: drop them in
+            # one pass, not one pop each. The live ones keep their order.
+            completions[:] = [e for e in completions if e[2] == e[3]._wake_token]
+            heapq.heapify(completions)
         self._schedule_wakeup()
         if self.obs.enabled:
             self._sample_utilization()
@@ -732,31 +708,90 @@ class FlowScheduler:
         open_count: int,
         stamp: int,
         rounds: list | None,
+        old: list,
         rated: list[Flow],
     ) -> None:
         """The round loop: freeze the lowest bottleneck's flows, repeat.
 
-        ``heap`` holds ``(share, name, rid, resource)`` candidates,
-        verified on pop: an entry is trusted only if it still equals the
-        live ``_cap / _pending`` of its resource. A round pushes one
-        fresh entry per resource it changed, after the round, so at the
-        start of every round each resource with open flows has exactly
-        one valid entry — the deterministic min-by-(share, name, rid)
-        choice of the original O(rounds × resources) scan. A resource's
-        open count starts at ``len(resource.flows)``: every flow on a
-        reached resource is in the component being filled.
+        ``heap`` holds ``(share, name, rid, resource)`` candidates. A
+        resource's share only rises during a fill, so an entry may sit
+        below it: the resource's share is checked when the entry reaches
+        the top, and the entry moved up to it if it rose. After a round,
+        a resource it changed gets a fresh entry only if its share fell
+        below its lowest one (float rounding can do that). The top, once
+        it equals its resource's live ``_cap / _pending``, is therefore
+        the deterministic min-by-(share, name, rid) choice of the
+        original O(rounds × resources) scan. A resource's open count
+        starts at ``len(resource.flows)``: every flow on a reached
+        resource is in the component being filled.
+
+        ``old`` holds the rounds of a resumed journal, whose resources
+        join the fill as it reaches them (module docstring, *The round
+        journal*). Each round is the lower of the heap's top and the next
+        journal round whose bottleneck is not reached, which is reused as
+        recorded. Until the first round that is not, the journal's flows
+        stay frozen.
         """
         heappop, heappush = heapq.heappop, heapq.heappush
         materialize = self._materialize
-        while open_count:
+        position, end, diverged = 0, len(old), not old
+        while open_count or not diverged and position < end:
+            # A journal round whose bottleneck the change reached is
+            # dropped: its flows stay open, and what they cross joins.
+            joined = len(heap)
+            while position < end and old[position][0][3]._mark == stamp:
+                if not diverged:
+                    diverged = True
+                    open_count += _reopen(old, position, stamp)
+                for resource, (cap, pending, _) in old[position][2].items():
+                    if resource._mark != stamp:  # _join, at this round
+                        resource._mark = stamp
+                        resource._cap, resource._pending = cap, pending
+                        if pending:
+                            heap.append(_candidate(resource))
+                position += 1
+            if len(heap) != joined:
+                heapq.heapify(heap)
             while heap:
-                key = heappop(heap)
-                share, _name, _rid, bottleneck = key
+                share, _name, _rid, bottleneck = key = heap[0]
                 count = bottleneck._pending
-                if count and bottleneck._cap / count == share:
+                if not count:
+                    heappop(heap)
+                elif bottleneck._cap / count == share:
                     break
+                else:  # its share rose: move the entry up
+                    heapq.heapreplace(heap, _candidate(bottleneck))
             else:
-                raise SimulationError("flow without any capacitated resource")
+                if position == end and open_count:
+                    raise SimulationError("flow without any capacitated resource")
+                # Nothing reached is open: the rest of the journal stands,
+                # less the rounds the change reached.
+                rounds.extend(r for r in old[position:] if r[0][3]._mark != stamp)
+                return
+            if position < end and old[position][0] < key:
+                # Every unreached resource is as the journal recorded it, so
+                # a fill from round 0 would run this round now, verbatim.
+                key, frozen, before = reused = old[position]
+                position += 1
+                rounds.append(reused)
+                if diverged:
+                    for flow in frozen:
+                        flow._open = 0
+                    open_count -= len(frozen)
+                for resource in before:
+                    if resource._mark == stamp:
+                        crossings = before[resource][2]
+                        before[resource] = (resource._cap, resource._pending, crossings)
+                        for _ in range(crossings):
+                            resource._cap -= key[0]
+                        resource._pending = count = resource._pending - crossings
+                        if count and resource._cap / count < resource._queued:
+                            heappush(heap, _candidate(resource))
+                continue
+            if not diverged:
+                diverged = True
+                open_count += _reopen(old, position, stamp)
+            heappop(heap)
             frozen = [flow for flow in bottleneck.flows if flow._open == stamp]
             before: dict[Resource, tuple] = {}
             for flow in frozen:
@@ -769,6 +804,8 @@ class FlowScheduler:
                 for resource in flow.resources:
                     if resource is not bottleneck:
                         if resource not in before:
+                            if resource._mark != stamp:
+                                _join(resource, stamp, old, position)
                             before[resource] = (resource._cap, resource._pending)
                         resource._cap -= share
                         resource._pending -= 1
@@ -777,11 +814,13 @@ class FlowScheduler:
             self.rate_computations += len(frozen)
             for resource, (cap, pending) in before.items():
                 count = resource._pending
-                if count:  # _candidate(resource), inlined: the hot push
-                    heappush(
-                        heap,
-                        (resource._cap / count, resource.name, resource._rid, resource),
-                    )
+                if count:  # the hot push
+                    current = resource._cap / count
+                    if current < resource._queued:
+                        resource._queued = current
+                        heappush(
+                            heap, (current, resource.name, resource._rid, resource)
+                        )
                 # ... and how many of the round's flows crossed it.
                 before[resource] = (cap, pending, pending - count)
             if rounds is not None:

@@ -7,10 +7,11 @@ flow↔resource graph, so re-filling only the touched component is
 round recorded in the journal is reused only when a fill from round 0
 would select the same bottleneck and do the same arithmetic. These
 tests hold it to that: randomized start/cancel/degrade schedules, a
-stress differential over four topologies, the three ways the journal
-broke while it was being sized, the chaos seeds, and a DFSIO run must
-produce exactly equal completion times, ``bytes_served``, and
-byte-identical trace/metrics exports under both solvers.
+stress differential over five topologies, the three ways the journal
+broke while it was being sized, the walk's reuse past a recomputed
+round, the chaos seeds, and a DFSIO run must produce exactly equal
+completion times, ``bytes_served``, and byte-identical trace/metrics
+exports under both solvers.
 """
 
 import math
@@ -174,7 +175,9 @@ def test_incremental_does_less_filling_work():
 # The round journal: stress differential and the ways it broke
 # ----------------------------------------------------------------------
 #: (groups, private channels per group, longest path in hops)
-_TOPOLOGIES = [(3, 2, 2), (5, 3, 3), (8, 4, 4), (10, 2, 4)]
+#: The last is shaped like a repair wave: three racks, one component,
+#: paths of up to nine hops.
+_TOPOLOGIES = [(3, 2, 2), (5, 3, 3), (8, 4, 4), (10, 2, 4), (3, 6, 9)]
 
 
 def _stress_script(seed, topology, ops=300):
@@ -270,10 +273,11 @@ def _fates(*flows):
 
 def test_rewind_through_a_reused_round_lands_on_the_new_trajectory():
     """A flow joins *behind* a reused round that touched one of its
-    resources; a later change rewinds through that round. The round's
-    record of the resource must by then be the new trajectory's (two
-    open flows on ``wide``, not the one it was recorded with) — else the
-    joiner is left with a resource whose open count ran out under it."""
+    resources; a later change reaches that round's bottleneck, so the
+    round is dropped and ``wide`` joins the fill from its record. The
+    record must by then be the new trajectory's (two open flows on
+    ``wide``, not the one it was recorded with) — else the joiner is
+    left with a resource whose open count ran out under it."""
 
     def scenario(engine, sched):
         narrow = Resource("narrow", 10.0)
@@ -281,7 +285,7 @@ def test_rewind_through_a_reused_round_lands_on_the_new_trajectory():
         first = sched.start_flow(1e4, [narrow, wide])  # round 0: narrow, touches wide
         joiner = sched.start_flow(1e4, [wide])  # 90 > 10: round 0 reused
         before = _fates(first, joiner)
-        sched.set_capacity(narrow, 20.0)  # round 0 rewound; wide reopens
+        sched.set_capacity(narrow, 20.0)  # round 0 dropped; wide joins
         after = _fates(first, joiner)
         engine.run()
         return before, after, _fates(first, joiner)
@@ -289,6 +293,105 @@ def test_rewind_through_a_reused_round_lands_on_the_new_trajectory():
     before, after, _done = _under_both_solvers(scenario)
     assert [rate for _seq, rate, _at, _left in before] == [10.0, 90.0]
     assert [rate for _seq, rate, _at, _left in after] == [20.0, 80.0]
+
+
+def test_a_round_after_a_recomputed_one_is_reused():
+    """The change reaches the first round's bottleneck, yet the second
+    round — a bottleneck and a flow the change never touched — is reused
+    after the recomputed one: only the flows the change reached are
+    rated again, where a fill from round 0 rates all three."""
+    work = {}
+
+    def scenario(engine, sched):
+        a, b = Resource("a", 10.0), Resource("b", 30.0)
+        shared = Resource("shared", 100.0)
+        flows = [
+            sched.start_flow(1e4, [a, shared]),  # round 0: a at 10
+            sched.start_flow(1e4, [b, shared]),  # round 1: b at 30
+            sched.start_flow(1e4, [shared]),  # round 2: shared at 60
+        ]
+        before = _fates(*flows)
+        rated = sched.rate_computations
+        sched.set_capacity(a, 20.0)  # a: 20 < b: 30 < shared: 80 / 2
+        work[sched.solver_name] = sched.rate_computations - rated
+        return before, _fates(*flows)
+
+    before, after = _under_both_solvers(scenario)
+    assert [rate for _seq, rate, _at, _left in before] == [10.0, 30.0, 60.0]
+    assert [rate for _seq, rate, _at, _left in after] == [20.0, 30.0, 50.0]
+    assert work == {"dense": 3, "incremental": 2}
+
+
+def test_a_dropped_rounds_resource_joins_at_its_recorded_state():
+    """Round 1's bottleneck is changed, so round 1 is dropped and
+    ``shared`` joins the fill. It must join as round 1 recorded it —
+    after round 0's subtraction, which was reused, not afresh and not as
+    the last fill left it — and round 2, reused later, must then
+    subtract from that state (and record it anew)."""
+    work = {}
+
+    def scenario(engine, sched):
+        x, y, z = Resource("x", 10.0), Resource("y", 20.0), Resource("z", 40.0)
+        shared = Resource("shared", 300.0)
+        flows = [sched.start_flow(1e4, [limit, shared]) for limit in (x, y, z)]
+        flows.append(sched.start_flow(1e4, [shared]))  # last round: 230
+        rated = sched.rate_computations
+        sched.set_capacity(y, 25.0)  # rounds 0 and 2 reused, 1 and 3 dropped
+        work[sched.solver_name] = sched.rate_computations - rated
+        return _fates(*flows)
+
+    after = _under_both_solvers(scenario)
+    assert [rate for _seq, rate, _at, _left in after] == [10.0, 25.0, 40.0, 225.0]
+    assert work == {"dense": 4, "incremental": 2}
+
+
+def test_a_resource_a_recomputed_round_reaches_joins_at_its_next_record():
+    """The changed resource now sorts first, so the fill recomputes a
+    round before any journal round. Its flows cross ``p`` — the next
+    round's bottleneck — and ``r``, recorded only by the round after:
+    each must join as the journal has it at that point, not as the last
+    fill left it (``r`` then still carried ``h3`` alone)."""
+
+    def scenario(engine, sched):
+        p, q, r = Resource("p", 10.0), Resource("q", 50.0), Resource("r", 100.0)
+        flows = [
+            sched.start_flow(1e4, [p, q]),  # round 0: p at 10
+            sched.start_flow(1e4, [q, r]),  # round 1: q at 40
+            sched.start_flow(1e4, [r]),  # round 2: r at 60
+        ]
+        before = _fates(*flows)
+        sched.set_capacity(q, 10.0)  # q: 5 sorts below every round
+        return before, _fates(*flows)
+
+    before, after = _under_both_solvers(scenario)
+    assert [rate for _seq, rate, _at, _left in before] == [10.0, 40.0, 60.0]
+    assert [rate for _seq, rate, _at, _left in after] == [5.0, 5.0, 95.0]
+
+
+def test_a_round_reused_after_a_divergence_is_recorded_anew():
+    """``test_rewind_through_a_reused_round_lands_on_the_new_trajectory``
+    one round deeper: ``mid``'s round is reused *after* a recomputed one,
+    a joiner then starts behind it, and a last change drops it. Each reuse re-recorded ``wide``, so it joins with
+    the two open flows it has on the new trajectory."""
+
+    def scenario(engine, sched):
+        narrow, mid = Resource("narrow", 10.0), Resource("mid", 30.0)
+        wide = Resource("wide", 100.0)
+        first = sched.start_flow(1e4, [narrow, wide])
+        second = sched.start_flow(1e4, [mid, wide])
+        sched.set_capacity(narrow, 20.0)  # narrow recomputed, mid reused
+        diverged = _fates(first, second)
+        joiner = sched.start_flow(1e4, [wide])  # both rounds reused again
+        joined = _fates(first, second, joiner)
+        sched.set_capacity(mid, 35.0)  # mid's round dropped; wide joins
+        after = _fates(first, second, joiner)
+        engine.run()
+        return diverged, joined, after, _fates(first, second, joiner)
+
+    diverged, joined, after, _done = _under_both_solvers(scenario)
+    assert [rate for _seq, rate, _at, _left in diverged] == [20.0, 30.0]
+    assert [rate for _seq, rate, _at, _left in joined] == [20.0, 30.0, 50.0]
+    assert [rate for _seq, rate, _at, _left in after] == [20.0, 35.0, 45.0]
 
 
 def test_a_journal_covers_only_the_components_it_was_filled_with():
