@@ -29,6 +29,7 @@ from repro.obs import (
     analyze_trace,
     critical_path,
     prometheus_text,
+    read_chrome_trace,
     read_trace_file,
     tier_utilization_rows,
     validate_chrome_trace,
@@ -138,9 +139,11 @@ def main() -> None:
     print(f"   slowest span: {slowest['name']} at {slowest['duration']:.3f}s "
           f"({slowest['concurrent_flows']} concurrent flows)")
     chrome_path = os.path.join(OUT_DIR, "trace.chrome.json")
-    document = write_chrome_trace(fs.obs.tracer.records, chrome_path)
+    events = write_chrome_trace(fs.obs.tracer.records, chrome_path)
+    document = read_chrome_trace(chrome_path)
     assert validate_chrome_trace(document) == []
-    print(f"   trace.chrome.json ({len(document['traceEvents'])} events) — "
+    assert len(document["traceEvents"]) == events
+    print(f"   trace.chrome.json ({events} events) — "
           "load it at ui.perfetto.dev")
 
 

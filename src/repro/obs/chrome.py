@@ -17,11 +17,23 @@ Timestamps are simulated **microseconds** (the format's native unit),
 so one simulated second reads as one second in the viewer. Output is
 deterministic: metadata first (sorted), then payload events in record
 order, keys sorted by the serializer.
+
+The document is streamed. Its metadata comes first but names every
+request and lane, so it needs a first pass over the records: that pass
+keeps each request's root name and each record's tid, and nothing else
+outlives it. The second pass builds each payload event only when the
+writer reaches it, and the writer encodes a small batch at a time, so
+no event list and no document-sized string is ever held. Records of
+any kind but ``span`` and ``event`` are dropped before either pass and
+leave no row behind; ``validate_trace_records`` flags them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import json
+from array import array
+from itertools import islice
+from typing import Iterable, Iterator
 
 from repro.obs.export import canonical_json, read_artifact, validate, write_text
 
@@ -29,6 +41,16 @@ from repro.obs.export import canonical_json, read_artifact, validate, write_text
 GLOBAL_PID = 0
 
 _MICROS = 1e6
+_KINDS = ("span", "event")
+_OTHER_DATA = {"exporter": "repro.obs.chrome", "spec": "trace-event"}
+#: The document's text around its event list: ``…"traceEvents":[`` and ``]}\n``.
+_HEAD, _TAIL = canonical_json(
+    {"displayTimeUnit": "ms", "otherData": _OTHER_DATA, "traceEvents": [None]}
+).split("null")
+#: Events per encoder call: few enough that a batch weighs less than the
+#: first pass's state, enough that the per-call cost does not show.
+_BATCH = 32
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _lane(record: dict) -> str:
@@ -53,111 +75,117 @@ def _lane(record: dict) -> str:
     return prefix if prefix else "spans"
 
 
-def chrome_trace(records: Iterable[dict]) -> dict:
-    """Build the trace-event JSON document for a record stream.
+def _pid(record: dict) -> int:
+    """The process row (request) a record renders on."""
+    trace_id = record.get("trace_id")
+    return GLOBAL_PID if trace_id is None else trace_id
 
-    Linear in the records: one pass names the request roots, one builds
-    the payload with O(1) pid/tid bookkeeping, and the metadata is one
-    row per request and lane.
-    """
-    materialized = list(records)
-    # Root names label the per-request process rows.
-    root_names: dict[int, str] = {}
-    for record in materialized:
-        if (
-            record.get("kind") == "span"
-            and record.get("span_id") == record.get("trace_id")
-        ):
-            root_names[record["trace_id"]] = record.get("name", "request")
 
-    pids: dict[int, None] = {}  # insertion-ordered set: O(1) membership
-    tids: dict[tuple[int, str], int] = {}
-    payload: list[dict] = []
-    for record in materialized:
-        trace_id = record.get("trace_id")
-        pid = GLOBAL_PID if trace_id is None else trace_id
-        pids[pid] = None
-        lane = _lane(record)
-        tid = tids.setdefault((pid, lane), len(tids) + 1)
+def _events(records: Iterable[dict]) -> Iterator[dict]:
+    """The document's trace events in order: metadata, then payload."""
+    records = [record for record in records if record.get("kind") in _KINDS]
+    # The first pass keeps each request's root name and each record's
+    # tid, the rank of its (pid, lane) by first appearance; the map that
+    # ranks the pairs is gone before the first event is built.
+    roots: dict[int, str] = {}  # pid -> its root span's name
+    tids = array("L")
+    ranks: dict[str, dict[int, int]] = {}  # lane -> pid -> tid
+    pairs = 0
+    for record in records:
+        pid = _pid(record)
+        tid = ranks.setdefault(_lane(record), {}).setdefault(pid, pairs + 1)
+        pairs = max(pairs, tid)
+        tids.append(tid)
+        if record["kind"] == "span" and record.get("span_id") == record.get("trace_id"):
+            roots[pid] = record.get("name", "request")
+        else:
+            roots.setdefault(pid, "trace")
+    del ranks
+
+    for pid in sorted(roots):
+        label = "(no request)" if pid == GLOBAL_PID else f"request {pid}: {roots[pid]}"
+        yield {
+            "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
+            "args": {"name": label},
+        }
+        yield {
+            "ph": "M", "name": "process_sort_index", "pid": pid, "tid": 0,
+            "args": {"sort_index": pid},
+        }
+    named = 0
+    for record, tid in zip(records, tids):
+        if tid > named:  # the pair's first record
+            named = tid
+            yield {
+                "ph": "M", "name": "thread_name", "pid": _pid(record), "tid": tid,
+                "args": {"name": _lane(record)},
+            }
+
+    for record, tid in zip(records, tids):
+        pid, lane = _pid(record), _lane(record)
         args = dict(record.get("attrs", {}))
-        if record.get("kind") == "span":
+        if record["kind"] == "span":
             args["span_id"] = record["span_id"]
             args["status"] = record["status"]
-            payload.append(
-                {
-                    "ph": "X",
-                    "name": record["name"],
-                    "cat": lane,
-                    "ts": record["start"] * _MICROS,
-                    "dur": (record["end"] - record["start"]) * _MICROS,
-                    "pid": pid,
-                    "tid": tid,
-                    "args": args,
-                }
-            )
-        elif record.get("kind") == "event":
-            payload.append(
-                {
-                    "ph": "i",
-                    "s": "t",  # thread-scoped instant
-                    "name": record["name"],
-                    "cat": lane,
-                    "ts": record["time"] * _MICROS,
-                    "pid": pid,
-                    "tid": tid,
-                    "args": args,
-                }
-            )
-        # Unknown kinds are dropped; validate_trace_records flags them.
+            yield {
+                "ph": "X", "name": record["name"], "cat": lane,
+                "ts": record["start"] * _MICROS,
+                "dur": (record["end"] - record["start"]) * _MICROS,
+                "pid": pid, "tid": tid, "args": args,
+            }
+        else:
+            yield {
+                "ph": "i", "s": "t",  # thread-scoped instant
+                "name": record["name"], "cat": lane,
+                "ts": record["time"] * _MICROS,
+                "pid": pid, "tid": tid, "args": args,
+            }
 
-    metadata: list[dict] = []
-    for pid in sorted(pids):
-        label = (
-            "(no request)"
-            if pid == GLOBAL_PID
-            else f"request {pid}: {root_names.get(pid, 'trace')}"
-        )
-        metadata.append(
-            {
-                "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-                "args": {"name": label},
-            }
-        )
-        metadata.append(
-            {
-                "ph": "M", "name": "process_sort_index", "pid": pid, "tid": 0,
-                "args": {"sort_index": pid},
-            }
-        )
-    for (pid, lane), tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        metadata.append(
-            {
-                "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-                "args": {"name": lane},
-            }
-        )
+
+def _pieces(events: Iterator[dict]) -> Iterator[str]:
+    """The document's canonical text around *events*, a batch at a time.
+
+    An encoded list minus its brackets is its members joined by ``,``.
+    """
+    yield _HEAD
+    separator = ""
+    while batch := list(islice(events, _BATCH)):
+        yield separator + _ENCODER.encode(batch)[1:-1]
+        separator = ","
+    yield _TAIL
+
+
+def chrome_trace(records: Iterable[dict]) -> dict:
+    """Build the trace-event JSON document for a record stream."""
     return {
-        "traceEvents": metadata + payload,
+        "traceEvents": list(_events(records)),
         "displayTimeUnit": "ms",
-        "otherData": {"exporter": "repro.obs.chrome", "spec": "trace-event"},
+        "otherData": dict(_OTHER_DATA),
     }
 
 
 def chrome_trace_json(records: Iterable[dict]) -> str:
     """The document as canonical (byte-stable) JSON."""
-    return canonical_json(chrome_trace(records))
+    return "".join(_pieces(_events(records)))
 
 
-def write_chrome_trace(records: Iterable[dict], path: str) -> dict:
-    """Write the Chrome trace for *records* to *path*; returns the document.
+def write_chrome_trace(records: Iterable[dict], path: str) -> int:
+    """Write the Chrome trace for *records* to *path*, streamed; returns
+    the number of trace events written.
 
     A path ending in ``.gz`` compresses with the same pinned-header
     gzip conventions as :func:`repro.obs.export.write_jsonl` (mtime=0,
     no embedded filename), so compressed artifacts stay byte-stable.
     """
-    document = chrome_trace(records)
-    write_text(canonical_json(document), path)
-    return document
+    written = 0
+
+    def counted() -> Iterator[dict]:
+        nonlocal written
+        for written, event in enumerate(_events(records), 1):
+            yield event
+
+    write_text(_pieces(counted()), path)
+    return written
 
 
 def read_chrome_trace(path: str) -> dict:

@@ -6,7 +6,11 @@ requests, threads map to component lanes, and timestamps convert to
 microseconds. Validated structurally via ``validate_chrome_trace``.
 """
 
+import gzip
 import json
+import tracemalloc
+
+import pytest
 
 from repro import OctopusFileSystem
 from repro.cluster import small_cluster_spec
@@ -17,6 +21,7 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.obs.export import canonical_json
 from repro.util.units import MB
 
 
@@ -30,6 +35,53 @@ def _traced_records():
     fs.faults.crash("worker2")
     fs.await_replication()
     return fs.obs.tracer.records
+
+
+def _synthetic_records(count):
+    """``count`` tracer-shaped records, ten to a request: a root write
+    span, then placement events, allocations and tiered transfers."""
+    records = []
+    for index in range(count):
+        trace_id, step = index // 10 + 1, index % 10
+        at = index * 0.001
+        if step % 3 == 1:
+            records.append({
+                "kind": "event", "name": "placement.decision", "time": at,
+                "trace_id": trace_id, "parent_id": trace_id,
+                "attrs": {"replicas": 3, "score": 0.2 + step / 97,
+                          "chosen": [f"worker{step}:ssd0", "worker9:hdd1"]},
+            })
+            continue
+        name = ("client.write", "master.allocate_block", "flow.transfer")[min(step, 2)]
+        records.append({
+            "kind": "span", "name": name,
+            "span_id": trace_id if step == 0 else 100_000 + index,
+            "trace_id": trace_id, "parent_id": None if step == 0 else trace_id,
+            "start": at, "end": at + step / 7, "status": "ok",
+            "attrs": {"size": 4 * MB, "tiers": ["SSD", "HDD"][: 1 + step % 2],
+                      "moop": {"db": step / 3, "lb": 3.0}},
+        })
+    return records
+
+
+def _exotic_records():
+    """Non-ASCII names and values, nested attrs, an orphan event."""
+    return [
+        {"kind": "span", "name": "client.écrire", "span_id": 7, "trace_id": 7,
+         "start": 0.5, "end": 1.25, "status": "ok",
+         "attrs": {"path": "/données/ß", "nested": {"a": [1, {"b": "→"}], "z": None}}},
+        {"kind": "event", "name": "incident.opened", "time": 0.75,
+         "attrs": {"why": "störung", "tiers": ["MEMORY", "SSD"]}},
+    ]
+
+
+#: The record streams the streamed writer must render exactly.
+_STREAMS = {
+    "traced": _traced_records,
+    "empty": list,
+    "synthetic": lambda: _synthetic_records(1200),
+    "exotic": _exotic_records,
+}
 
 
 class TestChromeTrace:
@@ -147,6 +199,59 @@ class TestChromeTrace:
         }
         problems = validate_chrome_trace(bad)
         assert len(problems) == 4
+
+
+class TestStreamedWrite:
+    """``write_chrome_trace`` streams exactly the document's canonical text."""
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    @pytest.mark.parametrize("as_generator", [False, True])
+    @pytest.mark.parametrize("name", list(_STREAMS))
+    def test_written_text_is_the_canonical_document(
+        self, tmp_path, name, as_generator, suffix
+    ):
+        records = _STREAMS[name]()
+        path = tmp_path / f"trace.chrome.json{suffix}"
+        stream = (record for record in records) if as_generator else records
+        events = write_chrome_trace(stream, str(path))
+        data = path.read_bytes()
+        text = (gzip.decompress(data) if suffix else data).decode("utf-8")
+        document = chrome_trace(records)
+        assert text == canonical_json(document) == chrome_trace_json(records)
+        assert events == len(document["traceEvents"])
+
+    def test_unknown_kinds_leave_no_trace(self, tmp_path):
+        records = [
+            {"kind": "span", "name": "client.write", "span_id": 1, "trace_id": 1,
+             "start": 0.0, "end": 1.0, "status": "ok", "attrs": {}},
+        ] + _synthetic_records(12)
+        expected = chrome_trace(records)
+        expected_text = chrome_trace_json(records)
+        path = tmp_path / "trace.chrome.json"
+        strays = (
+            {"kind": "weird", "trace_id": 5, "name": "x.y"},
+            {"name": "no.kind", "trace_id": 2},
+        )
+        for stray in strays:
+            for at in range(len(records) + 1):
+                stream = records[:at] + [stray] + records[at:]
+                assert chrome_trace(stream) == expected, (stray, at)
+                write_chrome_trace(stream, str(path))
+                assert path.read_text(encoding="utf-8") == expected_text, (stray, at)
+
+    def test_peak_memory_is_a_fraction_of_the_file(self, tmp_path):
+        # The writer holds a batch of events, never the document or its text.
+        records = _synthetic_records(5000)
+        path = tmp_path / "synthetic.chrome.json"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_chrome_trace(records, str(path))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < size / 4, (peak, size)
 
 
 class TestGzipParity:

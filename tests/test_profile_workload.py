@@ -47,3 +47,17 @@ def test_callers_names_the_sites_behind_a_function():
         for line in done.stdout.splitlines()
     )
     assert "sim_makespan_s = " in done.stdout
+
+
+def test_memory_reports_peak_end_and_live_sites():
+    done = run_tool("meta_churn_obs", "--scale", "tiny", "--memory", "--top", "3")
+    assert done.returncode == 0, done.stderr
+    heap = next(line for line in done.stdout.splitlines() if line.startswith("Python heap"))
+    numbers = [float(word) for word in heap.replace(",", " ").split() if word[0].isdigit()]
+    peak, end, transient = numbers
+    assert peak >= end > 0 and abs(transient - (peak - end)) < 0.15
+    sites = done.stdout.split("allocation sites live at the end:\n", 1)[1].splitlines()
+    assert len([line for line in sites if " MB " in line and "blocks" in line]) == 3
+    # Memory replaces the call profile: no cProfile table.
+    assert "Ordered by" not in done.stdout
+    assert "sim_makespan_s = " in done.stdout

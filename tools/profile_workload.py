@@ -9,11 +9,17 @@ under a simulator-only change.
 
     python tools/profile_workload.py NAME [--seed N] [--scale full|tiny]
                                           [--sort tottime|cumulative] [--top K]
-                                          [--callers REGEX]
+                                          [--callers REGEX] [--memory]
 
 ``--callers REGEX`` adds, for every function whose ``file:line(name)``
 matches, who called it and how often — "which site makes 72 k of the
 98 k registry lookups?" is a question the flat table cannot answer.
+
+``--memory`` runs the timed region under ``tracemalloc`` instead and
+prints the Python heap's peak, what is still live at the end, their
+difference — the transient an end-of-run snapshot cannot attribute —
+and the top ``K`` allocation sites live at the end. The heap counts
+only what the region allocated, not what ``setup()`` left behind.
 
 ``cProfile`` taxes every Python call and no native one, so read the
 table for *which* functions to look at and measure the change itself
@@ -26,29 +32,51 @@ import argparse
 import cProfile
 import pstats
 import sys
+import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
+MB = 1 << 20  # MiB, the unit of run.py's peak_rss_mb
 
 
-def profile(name: str, seed: int, scale: str) -> tuple[cProfile.Profile, dict]:
-    """Run workload ``name`` once; its profile and simulated results."""
+def profile(name: str, seed: int, scale: str, timed: Callable[[Callable[[], None]], object]) -> dict:
+    """Run workload ``name`` once, its timed region through ``timed``;
+    its simulated results."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
     from workloads import WORKLOADS
 
     if name not in WORKLOADS:
         raise SystemExit(f"unknown workload {name!r}; one of {', '.join(WORKLOADS)}")
     workload = WORKLOADS[name](seed, scale)
-    profiler = cProfile.Profile()
     try:
         workload.setup()
-        profiler.runcall(workload.run)
+        timed(workload.run)
         workload.verify()
     finally:
         workload.close()
     if workload.failed:
         raise SystemExit(f"{name}: {workload.failed} failed operations: {workload.failures}")
-    return profiler, workload.sim
+    return workload.sim
+
+
+def print_memory(run: Callable[[], None], top: int) -> None:
+    """Run ``run`` under ``tracemalloc`` and print its heap at the peak
+    and at the end, and the ``top`` sites of what is live at the end."""
+    tracemalloc.start()
+    try:
+        run()
+        end, peak = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    print(f"Python heap in the timed region: peak {peak / MB:.1f} MB, live at the end "
+          f"{end / MB:.1f} MB, transient (peak - end) {(peak - end) / MB:.1f} MB")
+    print(f"top {top} allocation sites live at the end:")
+    for stat in snapshot.statistics("lineno")[:top]:
+        frame = stat.traceback[0]
+        where = frame.filename.removeprefix(str(ROOT) + "/")
+        print(f"  {stat.size / MB:8.2f} MB {stat.count:9d} blocks  {where}:{frame.lineno}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -60,13 +88,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--top", type=int, default=25, metavar="K")
     parser.add_argument("--callers", metavar="REGEX",
                         help="also print the callers of every function matching REGEX")
+    parser.add_argument("--memory", action="store_true",
+                        help="trace the heap with tracemalloc instead of profiling calls")
     args = parser.parse_args(argv)
+    if args.memory and args.callers:
+        parser.error("--callers reads the call profile, which --memory replaces")
 
-    profiler, sim = profile(args.name, args.seed, args.scale)
-    stats = pstats.Stats(profiler).strip_dirs().sort_stats(args.sort)
-    stats.print_stats(args.top)
-    if args.callers:
-        stats.print_callers(args.callers)
+    if args.memory:
+        sim = profile(args.name, args.seed, args.scale, lambda run: print_memory(run, args.top))
+    else:
+        profiler = cProfile.Profile()
+        sim = profile(args.name, args.seed, args.scale, profiler.runcall)
+        stats = pstats.Stats(profiler).strip_dirs().sort_stats(args.sort)
+        stats.print_stats(args.top)
+        if args.callers:
+            stats.print_callers(args.callers)
     for metric, value in sorted(sim.items()):
         print(f"{metric} = {value!r}")
     return 0
