@@ -1,8 +1,9 @@
 """Pluggable data retrieval (replica ordering) policies (paper §4).
 
-On a read, the Master returns a block's replica locations *ordered* by a
-retrieval policy; the client tries them in order. The OctopusFS policy
-(§4.2) estimates the transfer rate each location could sustain —
+On a read, the Master has a retrieval policy order the block's live
+:class:`~repro.fs.blocks.Replica` objects; the client tries them in
+order. The OctopusFS policy (§4.2) estimates the transfer rate each
+location could sustain —
 ``min(NetThru[W]/NrConn[W], RThru[m]/NrConn[m])``, Eq. 12 — so a
 memory replica two hops away can beat a local HDD, unless the remote
 node's NIC is already saturated. The HDFS baseline orders only by
@@ -20,6 +21,7 @@ from repro.util.rng import DeterministicRng
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.media import StorageMedium
     from repro.cluster.topology import NetworkTopology, Node
+    from repro.fs.blocks import Replica
 
 
 def transfer_rates(
@@ -29,14 +31,20 @@ def transfer_rates(
 
     Counts include the prospective new connection (the ``+1``), so an
     idle medium divides by one. A client-local replica skips the network
-    term entirely.
+    term entirely. ``NrConn`` is read off the channels' flow sets (what
+    ``nr_connections`` sums) without the two property calls: this runs
+    for every replica of every read.
     """
-    media_rate = medium.read_throughput / (medium.nr_connections + 1)
-    if client_node is not None and medium.node is client_node:
-        return media_rate, media_rate
+    writes, reads = medium.write_channel.flows, medium.read_channel.flows
+    media_rate = medium.read_throughput / (len(writes) + len(reads) + 1)
     worker = medium.node
-    network_rate = worker.nic_bandwidth / (worker.nr_connections + 1)
-    return min(network_rate, media_rate), media_rate
+    if worker is client_node:
+        return media_rate, media_rate
+    sends, receives = worker.nic_out.flows, worker.nic_in.flows
+    network_rate = worker.nic_bandwidth / (len(sends) + len(receives) + 1)
+    if network_rate < media_rate:
+        return network_rate, media_rate
+    return media_rate, media_rate
 
 
 def estimate_transfer_rate(
@@ -54,11 +62,12 @@ class DataRetrievalPolicy(ABC):
     @abstractmethod
     def order_replicas(
         self,
-        replicas: Sequence["StorageMedium"],
+        replicas: Sequence["Replica"],
         client_node: "Node | None",
         topology: "NetworkTopology",
-    ) -> list["StorageMedium"]:
-        """Return the replicas best-first; must be a permutation."""
+    ) -> list["Replica"]:
+        """Return the replicas best-first, as a new list; must be a
+        permutation. Each replica's location is ``replica.medium``."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -80,17 +89,14 @@ class OctopusRetrievalPolicy(DataRetrievalPolicy):
 
     def order_replicas(
         self,
-        replicas: Sequence["StorageMedium"],
+        replicas: Sequence["Replica"],
         client_node: "Node | None",
         topology: "NetworkTopology",
-    ) -> list["StorageMedium"]:
+    ) -> list["Replica"]:
         shuffled = self.rng.shuffled(replicas)
-
-        def best_first(medium: "StorageMedium") -> tuple[float, float]:
-            rate, media_rate = transfer_rates(medium, client_node)
-            return -rate, -media_rate
-
-        shuffled.sort(key=best_first)
+        # Descending on (Eq. 12, media term) and stable: full ties keep
+        # their shuffled order.
+        shuffled.sort(key=lambda r: transfer_rates(r.medium, client_node), reverse=True)
         return shuffled
 
 
@@ -104,12 +110,10 @@ class HdfsLocalityRetrievalPolicy(DataRetrievalPolicy):
 
     def order_replicas(
         self,
-        replicas: Sequence["StorageMedium"],
+        replicas: Sequence["Replica"],
         client_node: "Node | None",
         topology: "NetworkTopology",
-    ) -> list["StorageMedium"]:
+    ) -> list["Replica"]:
         shuffled = self.rng.shuffled(replicas)
-        shuffled.sort(
-            key=lambda medium: topology.distance(client_node, medium.node)
-        )
+        shuffled.sort(key=lambda r: topology.distance(client_node, r.medium.node))
         return shuffled

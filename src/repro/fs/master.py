@@ -604,22 +604,21 @@ class Master:
     ) -> list[list[Replica]]:
         """The read path's one body, for a caller that holds the inode
         ``path`` resolved (and was permission-checked) to."""
-        ordered_blocks: list[list[Replica]] = []
-        for block in inode.blocks:
-            meta = self.block_map.get(block.block_id)
-            live = meta.live_replicas() if meta else []
-            if not live:
-                raise RetrievalError(
-                    f"block {block.block_id} of {path!r} has no live replica"
-                )
-            by_medium = {r.medium.medium_id: r for r in live}
-            ordered_media = self.retrieval_policy.order_replicas(
-                [r.medium for r in live], client_node, self.cluster.topology
+        return [self._order_block(b, path, client_node) for b in inode.blocks]
+
+    def _order_block(
+        self, block: Block, path: str, client_node: "Node | None"
+    ) -> list[Replica]:
+        """One block's live replicas, best-first for ``client_node``."""
+        meta = self.block_map.get(block.block_id)
+        live = meta.live_replicas() if meta else []
+        if not live:
+            raise RetrievalError(
+                f"block {block.block_id} of {path!r} has no live replica"
             )
-            ordered_blocks.append(
-                [by_medium[m.medium_id] for m in ordered_media]
-            )
-        return ordered_blocks
+        return self.retrieval_policy.order_replicas(
+            live, client_node, self.cluster.topology
+        )
 
     def get_file_block_locations(
         self,
@@ -629,28 +628,31 @@ class Master:
         client_node: "Node | None" = None,
         user: UserContext = SUPERUSER,
     ) -> list[BlockLocation]:
-        """Table 1's ``getFileBlockLocations``: ranged, tier-annotated."""
+        """Table 1's ``getFileBlockLocations``: ranged, tier-annotated.
+
+        Only the blocks overlapping ``[start, start + length)`` are
+        ordered, so a block outside the range that has no live replica
+        does not fail the call. A negative ``start`` or ``length`` is
+        rejected, as HDFS ``getBlockLocations`` rejects it.
+        """
+        if start < 0 or (length or 0) < 0:
+            raise ValueError(f"negative range: start={start}, length={length}")
         inode = self.namespace.get_file(path, user)
         if length is None:
             length = max(0, inode.length - start)
         end = start + length
         locations: list[BlockLocation] = []
         offset = 0
-        ordered = self.order_block_replicas(inode, path, client_node)
-        for block, replicas in zip(inode.blocks, ordered):
+        for block in inode.blocks:
             block_start, block_end = offset, offset + block.size
             offset = block_end
             if block_end <= start or block_start >= end:
                 continue
+            media = [r.medium for r in self._order_block(block, path, client_node)]
+            # hosts, tiers, media: parallel tuples, best-first
+            columns = zip(*[(m.node.name, m.tier_name, m.medium_id) for m in media])
             locations.append(
-                BlockLocation(
-                    offset=block_start,
-                    length=block.size,
-                    block_id=block.block_id,
-                    hosts=tuple(r.node.name for r in replicas),
-                    tiers=tuple(r.tier_name for r in replicas),
-                    media=tuple(r.medium.medium_id for r in replicas),
-                )
+                BlockLocation(block_start, block.size, block.block_id, *columns)
             )
         return locations
 
@@ -847,10 +849,9 @@ class Master:
         destination = targets[0]
         # Copy from the most efficient source, judged by the retrieval
         # policy from the destination node's vantage point (§5).
-        ordered = self.retrieval_policy.order_replicas(
-            [r.medium for r in live], destination.node, self.cluster.topology
-        )
-        source = next(r for r in live if r.medium is ordered[0])
+        source = self.retrieval_policy.order_replicas(
+            live, destination.node, self.cluster.topology
+        )[0]
         destination.reserve(meta.block.capacity)
         worker = self.worker_for(destination.node)
         # Snapshot the placement scores and the recent fault/liveness

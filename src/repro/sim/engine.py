@@ -36,7 +36,7 @@ import heapq
 from typing import Any, Callable, Generator
 
 from repro.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import PENDING, SUCCEEDED, AllOf, AnyOf, Event, Timeout
 
 #: Sentinel: the scheduled callback takes no argument.
 _NO_ARG = object()
@@ -51,7 +51,8 @@ class TimerHandle:
 
     Returned by :meth:`SimulationEngine.call_at` / ``call_in``. Calling
     :meth:`cancel` guarantees the callback never runs; the heap entry is
-    dropped lazily (on pop, or during compaction).
+    dropped lazily (on pop, or during compaction). Once the callback has
+    run, :meth:`cancel` does nothing.
     """
 
     __slots__ = ("when", "fn", "arg", "cancelled", "_engine")
@@ -67,13 +68,17 @@ class TimerHandle:
         self.fn = fn
         self.arg = arg
         self.cancelled = False
-        self._engine = engine
+        #: The engine whose heap holds the entry; ``None`` once the
+        #: callback has run or been cancelled.
+        self._engine: "SimulationEngine | None" = engine
 
     def cancel(self) -> None:
-        """Prevent the callback from running; idempotent."""
-        if not self.cancelled:
+        """Prevent the callback from running; idempotent, and a no-op
+        once it has run."""
+        engine, self._engine = self._engine, None
+        if engine is not None:
             self.cancelled = True
-            self._engine._note_cancelled()
+            engine._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -103,13 +108,13 @@ class Process(Event):
         bootstrap.succeed(None)
 
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._state != PENDING:
             return
         try:
-            if event.ok:
+            if event._state == SUCCEEDED:
                 target = self._generator.send(event._value)
             else:
-                target = self._generator.throw(event.exception)
+                target = self._generator.throw(event._exception)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -211,18 +216,13 @@ class SimulationEngine:
         return self._push(self._now + delay, event.succeed, value)
 
     def _schedule_callbacks(self, event: Event) -> None:
-        callbacks = event.callbacks
-        if not callbacks:
-            return
-        event.callbacks = None
-        now = self._now
+        """Queue every waiter of ``event``, which has some, at the current
+        time (``_push`` inlined: this runs once per settled event)."""
+        callbacks, event.callbacks = event.callbacks, None
+        now, heap, push = self._now, self._heap, heapq.heappush
         for callback in callbacks:
-            self._push(now, callback, event)
-
-    def _schedule_single_callback(
-        self, event: Event, callback: Callable[[Event], None]
-    ) -> None:
-        self._push(self._now, callback, event)
+            self._sequence += 1
+            push(heap, (now, self._sequence, TimerHandle(now, callback, event, self)))
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
@@ -237,8 +237,10 @@ class SimulationEngine:
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify (amortized O(n))."""
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
+        # In place: ``run`` holds the list across steps.
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._cancelled = 0
 
     def _next_event_time(self) -> float | None:
@@ -253,17 +255,24 @@ class SimulationEngine:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Advance to the next scheduled callback and run it."""
-        if self._next_event_time() is None:
-            raise SimulationError("step() called on an empty event heap")
-        when, _seq, handle = heapq.heappop(self._heap)
-        self._now = when
-        self.events_processed += 1
-        arg = handle.arg
-        if arg is _NO_ARG:
-            handle.fn()
-        else:
-            handle.fn(arg)
+        """Advance to the next live scheduled callback and run it,
+        dropping the cancelled entries ahead of it."""
+        heap = self._heap
+        while heap:
+            when, _seq, handle = heapq.heappop(heap)
+            if handle.cancelled:
+                self._cancelled -= 1
+                continue
+            handle._engine = None  # it fires: a later cancel() is a no-op
+            self._now = when
+            self.events_processed += 1
+            arg = handle.arg
+            if arg is _NO_ARG:
+                handle.fn()
+            else:
+                handle.fn(arg)
+            return
+        raise SimulationError("step() called on an empty event heap")
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
@@ -273,9 +282,14 @@ class SimulationEngine:
         * ``until=<Event>`` — run until the event triggers, then return
           its value (raising its exception if it failed).
         """
+        heap = self._heap
         if isinstance(until, Event):
-            while not until.triggered:
-                if self._next_event_time() is None:
+            while until._state == PENDING:
+                # ``step`` drops cancelled heads; look past them only
+                # when one is on top.
+                if not heap or (
+                    heap[0][2].cancelled and self._next_event_time() is None
+                ):
                     raise SimulationError(
                         "simulation ran out of events before the awaited "
                         "event triggered (deadlock?)"
@@ -293,7 +307,9 @@ class SimulationEngine:
                 self.step()
             self._now = deadline
             return None
-        while self._next_event_time() is not None:
+        while heap and (
+            not heap[0][2].cancelled or self._next_event_time() is not None
+        ):
             self.step()
         return None
 

@@ -63,34 +63,32 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully; callbacks run at the current time."""
-        self._settle(SUCCEEDED, value=value)
+        # Every flow, timeout and process ends here: no helper frame.
+        if self._state != PENDING:
+            raise SimulationError("event triggered twice")
+        self._state = SUCCEEDED
+        self._value = value
+        if self.callbacks:
+            self.engine._schedule_callbacks(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception; waiters will see it raised."""
         if not isinstance(exception, BaseException):
             raise SimulationError("Event.fail requires an exception instance")
-        self._settle(FAILED, exception=exception)
-        return self
-
-    def _settle(
-        self,
-        state: str,
-        value: Any = None,
-        exception: BaseException | None = None,
-    ) -> None:
         if self._state != PENDING:
             raise SimulationError("event triggered twice")
-        self._state = state
-        self._value = value
+        self._state = FAILED
         self._exception = exception
         if self.callbacks:
             self.engine._schedule_callbacks(self)
+        return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback(event)``; runs immediately if already triggered."""
-        if self.triggered:
-            self.engine._schedule_single_callback(self, callback)
+        if self._state != PENDING:
+            engine = self.engine
+            engine._push(engine._now, callback, self)
         elif self.callbacks is None:
             self.callbacks = [callback]
         else:

@@ -69,6 +69,13 @@ stay frozen; then those of the rounds ahead are opened. Once nothing
 reached is open, the rest of the journal is kept as it stands, less the
 dropped rounds.
 
+A change that leaves every changed resource idle (the last flows on
+them finished or were cancelled) rates nothing and runs no round loop.
+The rounds those resources bottlenecked froze only flows that are gone,
+and no other round records an idle resource, so dropping those rounds
+leaves the journal of the remaining flows exactly as a fill from round
+0 would record it.
+
 A journal lives by three rules. It covers exactly the component(s) it
 was filled with: a start on idle resources opens a journal of its own,
 and an idle resource is absorbed only by the journal of a busy resource
@@ -77,11 +84,11 @@ journals, or to none that is live, falls back to search-and-fill from
 round 0 — one fill and one new journal per component found. And
 whatever re-rates or re-prices a journal's resources behind its back
 retires it for good: the fallback fill retires every journal whose
-resources it reaches (resources a finish left idle included — their old
-journal still lists the finished flow), and assigning
-``Resource.capacity`` retires the resource's journal, so fault-injection
-code that forgets ``refresh`` gets stale rates under both solvers alike
-but can never make them disagree.
+resources it reaches, an all-idle change spanning journals (or under a
+retired one) retires them too, and assigning ``Resource.capacity``
+retires the resource's journal, so fault-injection code that forgets
+``refresh`` gets stale rates under both solvers alike but can never make
+them disagree.
 
 Both solvers share every other code path, and a journaled fill is
 *bit-identical* to a global fill from round 0 (same subtraction
@@ -107,6 +114,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import SimulationError
@@ -346,10 +354,12 @@ class _Journal:
 def _reopen(rounds: list, start: int, stamp: int) -> int:
     """Open the flows of ``rounds[start:]``; return how many are still
     active (a finished one is on no resource, so opening it is inert)."""
-    flows = [flow for _key, frozen, _before in rounds[start:] for flow in frozen]
-    for flow in flows:
-        flow._open = stamp
-    return sum(flow.finished_at is None for flow in flows)
+    active = 0
+    for _key, frozen, _before in itertools.islice(rounds, start, None):
+        for flow in frozen:
+            flow._open = stamp
+            active += flow.finished_at is None
+    return active
 
 
 def _join(resource: Resource, stamp: int, rounds: list, start: int) -> None:
@@ -365,6 +375,27 @@ def _join(resource: Resource, stamp: int, rounds: list, start: int) -> None:
         if key[3] is resource:
             resource._pending = len(frozen)
             return
+
+
+def _leave_idle(seeds: list[Resource], journals: set) -> None:
+    """A change left every one of ``seeds`` idle, so no flow is rated.
+
+    Every flow of the rounds they bottlenecked is gone, and no other
+    round records an idle resource: when one live journal rated them,
+    those rounds are all that leaves it. A change spanning journals, or
+    under a retired one, retires them all, as a search from the seeds
+    would (each seed is a component of nothing).
+    """
+    if len(journals) == 1:
+        (journal,) = journals
+        if journal is not None and journal.live:
+            idle = set(seeds)
+            journal.rounds = [r for r in journal.rounds if r[0][3] not in idle]
+            return
+    for resource in seeds:
+        if resource._journal is not None:
+            resource._journal.live = False
+            resource._journal = None
 
 
 class IncrementalFlowSolver:
@@ -413,6 +444,9 @@ class IncrementalFlowSolver:
         if started is None:
             seeds = list(dict.fromkeys(changed))
             journals = {resource._journal for resource in seeds}
+            if not any(resource.flows for resource in seeds):
+                _leave_idle(seeds, journals)
+                return []
         else:
             seeds = started.resources
             journals = {
@@ -458,8 +492,11 @@ class IncrementalFlowSolver:
         for resource in seeds:
             resource._mark = stamp
             resource._journal = journal
-            resource._cap = resource.effective_capacity()
-            resource._pending = len(resource.flows)
+            # effective_capacity(), inlined
+            resource._pending = count = len(resource.flows)
+            resource._cap = resource._capacity / (
+                1.0 + resource.congestion_overhead * (count - 1 if count else 0)
+            )
         if started is not None:
             started._open = stamp
         return _candidates(seeds), int(started is not None), stamp, journal.rounds, old
@@ -471,10 +508,6 @@ SOLVERS = {
 }
 #: What ``FlowScheduler()`` runs (differential tests patch in the oracle).
 DEFAULT_SOLVER = IncrementalFlowSolver.name
-
-
-def _seq_key(flow: Flow) -> int:
-    return flow.seq
 
 
 class FlowScheduler:
@@ -509,13 +542,11 @@ class FlowScheduler:
         self._util_series: dict = {}
         self._util_registry: object = None
         name = solver or DEFAULT_SOLVER
-        try:
-            solver_cls = SOLVERS[name]
-        except KeyError:
+        if name not in SOLVERS:
             raise SimulationError(
                 f"unknown flow solver {name!r}; options: {sorted(SOLVERS)}"
-            ) from None
-        self.solver = solver_cls(self)
+            )
+        self.solver = SOLVERS[name](self)
         self.solver_name = name
 
     # ------------------------------------------------------------------
@@ -562,9 +593,9 @@ class FlowScheduler:
                 obs.metrics.counter("flows_completed_total").inc()
             flow.completed.succeed(flow)
             return flow
-        self.active.add(flow)
+        self.active[flow] = None
         for resource in flow.resources:
-            resource.flows.add(flow)
+            resource.flows[flow] = None
         self._reallocate(started=flow)
         return flow
 
@@ -620,10 +651,11 @@ class FlowScheduler:
     # Internals
     # ------------------------------------------------------------------
     def _detach(self, flow: Flow) -> None:
-        self.active.discard(flow)
+        """Take an active flow off the scheduler and its resources."""
+        del self.active[flow]
         flow._wake_token += 1
         for resource in flow.resources:
-            resource.flows.discard(flow)
+            del resource.flows[flow]
 
     def _materialize(self, flow: Flow) -> None:
         """Integrate the flow's progress from ``last_advanced`` to now.
@@ -655,8 +687,17 @@ class FlowScheduler:
         """
         completions = self._completions
         while True:
+            rated: list[Flow] = []
+            if started is not None and not started.resources:
+                # A flow crossing no resources is a local no-cost copy.
+                self.rate_computations += 1
+                started.rate = math.inf
+                rated.append(started)
+                started = None
+            for plan in self.solver.plan(started, changed):
+                self._run_rounds(*plan, rated)
             due: list[Flow] = []
-            for flow in self._fill_rates(started, changed):
+            for flow in rated:
                 rate = flow.rate
                 if (
                     flow.remaining <= _EPSILON_BYTES
@@ -675,7 +716,7 @@ class FlowScheduler:
                     # reports the deadlock.
             if not due:
                 break
-            due.sort(key=_seq_key)
+            due.sort(key=attrgetter("seq"))
             started = None
             changed = self._finish_flows(due)
         if len(completions) > 2 * len(self.active) + 64:
@@ -686,21 +727,6 @@ class FlowScheduler:
         self._schedule_wakeup()
         if self.obs.enabled:
             self._sample_utilization()
-
-    def _fill_rates(
-        self, started: Flow | None, changed: Iterable[Resource]
-    ) -> list[Flow]:
-        """Progressive filling from the solver's plan; returns re-rated flows."""
-        rated: list[Flow] = []
-        if started is not None and not started.resources:
-            # A flow crossing no resources is a local no-cost copy.
-            self.rate_computations += 1
-            started.rate = math.inf
-            rated.append(started)
-            started = None
-        for plan in self.solver.plan(started, changed):
-            self._run_rounds(*plan, rated)
-        return rated
 
     def _run_rounds(
         self,
@@ -844,20 +870,14 @@ class FlowScheduler:
             self.obs.metrics.counter("flow_bytes_total").inc(flow.size)
         flow.completed.succeed(flow)
 
-    def _next_completion(self) -> float | None:
-        """Earliest valid completion time; purges stale heap heads."""
-        heap = self._completions
-        while heap:
-            _when, _seq, token, flow = heap[0]
-            if token != flow._wake_token or flow not in self.active:
-                heapq.heappop(heap)
-                continue
-            return heap[0][0]
-        return None
-
     def _schedule_wakeup(self) -> None:
-        when = self._next_completion()
-        if when is None:
+        """Park the engine timer at the earliest valid completion, purging
+        stale heap heads (a flow that left or was re-rated bumped its
+        token)."""
+        heap = self._completions
+        while heap and heap[0][2] != heap[0][3]._wake_token:
+            heapq.heappop(heap)
+        if not heap:
             if self.active:
                 raise SimulationError("active flow has zero rate; deadlock")
             if self._wake_handle is not None:
@@ -865,6 +885,7 @@ class FlowScheduler:
                 self._wake_handle = None
                 self._wake_time = math.inf
             return
+        when = heap[0][0]
         if self._wake_handle is not None:
             if self._wake_time == when:
                 return  # the parked timer is already right
@@ -878,15 +899,10 @@ class FlowScheduler:
         now = self.engine.now
         heap = self._completions
         due: list[Flow] = []
-        while heap:
-            when, _seq, token, flow = heap[0]
-            if token != flow._wake_token or flow not in self.active:
-                heapq.heappop(heap)
-                continue
-            if when > now:
-                break
-            heapq.heappop(heap)
-            due.append(flow)  # heap order is (time, seq): ties resolve by seq
+        while heap and heap[0][0] <= now:
+            _when, _seq, token, flow = heapq.heappop(heap)
+            if token == flow._wake_token:
+                due.append(flow)  # heap order is (time, seq): ties resolve by seq
         if not due:
             self._schedule_wakeup()
             return

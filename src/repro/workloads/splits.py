@@ -52,8 +52,6 @@ def read_split(split: Split, node: "Node", label: str) -> "Event":
     if not live:
         raise RetrievalError(f"block {block.block_id} has no live replica")
     topology = master.cluster.topology
-    ordered = master.retrieval_policy.order_replicas(
-        [r.medium for r in live], node, topology
-    )
-    resources = read_resources(topology, ordered[0], node)
+    best = master.retrieval_policy.order_replicas(live, node, topology)[0]
+    resources = read_resources(topology, best.medium, node)
     return master.cluster.flows.transfer(block.size, resources, label=label)

@@ -7,7 +7,7 @@ flow↔resource graph, so re-filling only the touched component is
 round recorded in the journal is reused only when a fill from round 0
 would select the same bottleneck and do the same arithmetic. These
 tests hold it to that: randomized start/cancel/degrade schedules, a
-stress differential over five topologies, the three ways the journal
+stress differential over six topologies, the three ways the journal
 broke while it was being sized, the walk's reuse past a recomputed
 round, the chaos seeds, and a DFSIO run must produce exactly equal
 completion times, ``bytes_served``, and byte-identical trace/metrics
@@ -174,10 +174,14 @@ def test_incremental_does_less_filling_work():
 # ----------------------------------------------------------------------
 # The round journal: stress differential and the ways it broke
 # ----------------------------------------------------------------------
-#: (groups, private channels per group, longest path in hops)
-#: The last is shaped like a repair wave: three racks, one component,
-#: paths of up to nine hops.
-_TOPOLOGIES = [(3, 2, 2), (5, 3, 3), (8, 4, 4), (10, 2, 4), (3, 6, 9)]
+#: (groups, private channels per group, longest path in hops[, share of
+#: lone starts]). The fifth is shaped like a repair wave: three racks,
+#: one component, paths of up to nine hops. In the last, half the starts
+#: cross one private channel and nothing else: lone flows that start and
+#: finish on idle resources between changes to the shared uplinks.
+_TOPOLOGIES = [
+    (3, 2, 2), (5, 3, 3), (8, 4, 4), (10, 2, 4), (3, 6, 9), (4, 6, 3, 0.5)
+]
 
 
 def _stress_script(seed, topology, ops=300):
@@ -188,7 +192,7 @@ def _stress_script(seed, topology, ops=300):
     other groups' uplinks and private channels, so components merge and
     split; some flows are empty or cross nothing.
     """
-    groups, privates, max_hops = topology
+    groups, privates, max_hops, *lone = topology
     rng = DeterministicRng(seed, "solver-stress")
     script = []
     clock = 0.0
@@ -209,6 +213,8 @@ def _stress_script(seed, topology, ops=300):
                     keys.append(("priv", other, rng.randint(0, privates - 1)))
             if rng.random() < 0.04:
                 keys = []
+            elif lone and rng.random() < lone[0]:
+                keys = [("priv", group, private)]
             script.append((clock, "start", (size, keys)))
         elif roll < 0.78:
             script.append((clock, "cancel", (index,)))
@@ -229,7 +235,7 @@ def test_journal_stress_differential(topology, monkeypatch):
     """20 seeds × 300 ops: the journaled solver equals the oracle flow
     for flow and byte for byte, and assigns strictly fewer rates than
     component fills from round 0 would."""
-    groups, privates, _max_hops = topology
+    groups, privates = topology[:2]
 
     def run(solver, script):
         return _run_script(
@@ -461,6 +467,40 @@ def test_resources_left_idle_by_a_finish_leave_their_journal():
 
     _under_both_solvers(scenario)
     assert seen["incremental"] == (True, True, False, False)
+
+
+def test_a_finish_that_leaves_its_resources_idle_rates_nothing():
+    """``lone`` shares a journal with ``stays`` (the cancelled bridge
+    split their component), and its round comes first. Its finish leaves
+    ``x`` idle: that round is dropped, and ``stays``, whose round came
+    after, is not rated again. The journal stays live, and the next
+    changes reuse what is left of it."""
+    work, seen = {}, {}
+
+    def scenario(engine, sched):
+        x, y = Resource("x", 10.0), Resource("y", 50.0)
+        stays = sched.start_flow(1e6, [y])
+        bridge = sched.start_flow(1e6, [x, y])
+        lone = sched.start_flow(100.0, [x])
+        sched.cancel_flow(bridge, RuntimeError("split"))  # one journal, two components
+        journal = x._journal
+        rated = sched.rate_computations
+        engine.run(until=lone.completed)
+        work[sched.solver_name] = sched.rate_computations - rated
+        seen[sched.solver_name] = journal and (
+            journal.live,
+            journal is y._journal,
+            [key[3] for key, _frozen, _before in journal.rounds] == [y],
+        )
+        sched.set_capacity(y, 80.0)
+        late = sched.start_flow(1e4, [x, y])
+        engine.run()
+        return _fates(stays, bridge, lone, late)
+
+    fates = _under_both_solvers(scenario)
+    assert fates[2][1:3] == (10.0, 10.0)
+    assert work == {"dense": 1, "incremental": 0}
+    assert seen["incremental"] == (True, True, True)
 
 
 def test_capacity_written_behind_the_schedulers_back():

@@ -105,6 +105,26 @@ class TestLocations:
         assert len(middle) == 1
         assert middle[0].offset == 4 * MB
 
+    def test_ranged_query_orders_only_the_blocks_in_range(self, fs, client):
+        """A block outside the range is neither ordered nor checked: its
+        having no live replica fails only the queries that cover it."""
+        client.write_file("/r", size=10 * MB)
+        last = fs.master.namespace.get_file("/r").blocks[2]
+        for replica in fs.master.block_map[last.block_id].replicas:
+            fs.master.report_corrupt_replica(last.block_id, replica.medium.medium_id)
+        head = client.get_file_block_locations("/r", start=0, length=MB)
+        assert [l.offset for l in head] == [0]
+        with pytest.raises(RetrievalError):
+            client.get_file_block_locations("/r", start=8 * MB, length=MB)
+        with pytest.raises(RetrievalError):
+            client.get_file_block_locations("/r")
+
+    @pytest.mark.parametrize("start, length", [(-100, None), (0, -1), (-1, MB)])
+    def test_negative_range_rejected(self, client, start, length):
+        client.write_file("/r", size=10 * MB)
+        with pytest.raises(ValueError, match="negative range"):
+            client.get_file_block_locations("/r", start=start, length=length)
+
     def test_locations_report_tiers_and_hosts(self, client):
         client.write_file("/t", size=MB, rep_vector=ReplicationVector.of(ssd=1))
         loc = client.get_file_block_locations("/t")[0]

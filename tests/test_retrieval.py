@@ -8,6 +8,7 @@ from repro.core.retrieval import (
     OctopusRetrievalPolicy,
     estimate_transfer_rate,
 )
+from repro.fs.blocks import Block, Replica
 from repro.util.rng import DeterministicRng
 from repro.util.units import MB
 
@@ -19,6 +20,16 @@ def cluster():
 
 def medium(cluster, node, tier, index=0):
     return cluster.node(node).medium_for_tier(tier)[index]
+
+
+def order(policy, media, client_node, topology):
+    """Have ``policy`` order one block's :class:`Replica` objects on
+    ``media`` (the Master's call); return the media of the order."""
+    block = Block(0, 4 * MB)
+    replicas = [Replica(block, m, m.tier_name) for m in media]
+    ordered = policy.order_replicas(replicas, client_node, topology)
+    assert sorted(map(id, ordered)) == sorted(map(id, replicas))
+    return [replica.medium for replica in ordered]
 
 
 def load(medium_or_node, connections, channel="read"):
@@ -70,8 +81,8 @@ class TestOctopusRetrievalPolicy:
         local_hdd = medium(cluster, "worker1", "HDD")
         remote_mem = medium(cluster, "worker2", "MEMORY")
         policy = OctopusRetrievalPolicy(DeterministicRng(0))
-        ordered = policy.order_replicas(
-            [local_hdd, remote_mem], cluster.node("worker1"), cluster.topology
+        ordered = order(
+            policy, [local_hdd, remote_mem], cluster.node("worker1"), cluster.topology
         )
         assert ordered[0] is remote_mem
 
@@ -81,8 +92,8 @@ class TestOctopusRetrievalPolicy:
         remote_mem = medium(cluster, "worker2", "MEMORY")
         load(remote_mem.node, 20, channel="out")
         policy = OctopusRetrievalPolicy(DeterministicRng(0))
-        ordered = policy.order_replicas(
-            [local_hdd, remote_mem], cluster.node("worker1"), cluster.topology
+        ordered = order(
+            policy, [local_hdd, remote_mem], cluster.node("worker1"), cluster.topology
         )
         assert ordered[0] is local_hdd
 
@@ -93,8 +104,8 @@ class TestOctopusRetrievalPolicy:
             medium(cluster, "worker4", "MEMORY"),
         ]
         policy = OctopusRetrievalPolicy(DeterministicRng(0))
-        ordered = policy.order_replicas(
-            replicas, cluster.node("worker1"), cluster.topology
+        ordered = order(
+            policy, replicas, cluster.node("worker1"), cluster.topology
         )
         # Memory and SSD both cap at the NIC (1250); the tie-break on raw
         # media throughput puts memory first; HDD (177) is last.
@@ -109,8 +120,8 @@ class TestOctopusRetrievalPolicy:
         firsts = set()
         for seed in range(10):
             policy = OctopusRetrievalPolicy(DeterministicRng(seed))
-            ordered = policy.order_replicas(
-                replicas, cluster.node("worker1"), cluster.topology
+            ordered = order(
+                policy, replicas, cluster.node("worker1"), cluster.topology
             )
             firsts.add(ordered[0].medium_id)
         assert len(firsts) > 1  # not always the same head
@@ -133,11 +144,11 @@ class TestOctopusRetrievalPolicy:
         policy_b = OctopusRetrievalPolicy(DeterministicRng(42))
         # The rng advances per call, so compare call-by-call sequences.
         for _ in range(5):
-            ordered_a = policy_a.order_replicas(
-                replicas, client_node, cluster.topology
+            ordered_a = order(
+                policy_a, replicas, client_node, cluster.topology
             )
-            ordered_b = policy_b.order_replicas(
-                replicas, client_node, cluster.topology
+            ordered_b = order(
+                policy_b, replicas, client_node, cluster.topology
             )
             assert [m.medium_id for m in ordered_a] == [
                 m.medium_id for m in ordered_b
@@ -159,10 +170,11 @@ class TestOctopusRetrievalPolicy:
         orders = {
             tuple(
                 m.node.name
-                for m in OctopusRetrievalPolicy(
-                    DeterministicRng(seed)
-                ).order_replicas(
-                    [busy_mem, idle_mem], client_node, cluster.topology
+                for m in order(
+                    OctopusRetrievalPolicy(DeterministicRng(seed)),
+                    [busy_mem, idle_mem],
+                    client_node,
+                    cluster.topology,
                 )
             )
             for seed in range(8)
@@ -175,7 +187,7 @@ class TestOctopusRetrievalPolicy:
             medium(cluster, "worker3", "SSD"),
         ]
         policy = OctopusRetrievalPolicy(DeterministicRng(1))
-        ordered = policy.order_replicas(replicas, None, cluster.topology)
+        ordered = order(policy, replicas, None, cluster.topology)
         assert sorted(m.medium_id for m in ordered) == sorted(
             m.medium_id for m in replicas
         )
@@ -215,8 +227,8 @@ class TestOctopusRetrievalPolicy:
         for _ in range(6):
             expected = reference_rng.shuffled(replicas)
             expected.sort(key=eq12_key)
-            ordered = policy.order_replicas(
-                replicas, client_node, cluster.topology
+            ordered = order(
+                policy, replicas, client_node, cluster.topology
             )
             assert [m.medium_id for m in ordered] == [
                 m.medium_id for m in expected
@@ -234,8 +246,11 @@ class TestHdfsRetrievalPolicy:
         same_rack = medium(cluster, "worker3", "HDD")  # rack0
         off_rack = medium(cluster, "worker2", "HDD")  # rack1
         policy = HdfsLocalityRetrievalPolicy(DeterministicRng(0))
-        ordered = policy.order_replicas(
-            [off_rack, same_rack, local], cluster.node("worker1"), cluster.topology
+        ordered = order(
+            policy,
+            [off_rack, same_rack, local],
+            cluster.node("worker1"),
+            cluster.topology,
         )
         assert [m.node.name for m in ordered] == ["worker1", "worker3", "worker2"]
 
@@ -245,8 +260,8 @@ class TestHdfsRetrievalPolicy:
         local_hdd = medium(cluster, "worker1", "HDD")
         remote_mem = medium(cluster, "worker2", "MEMORY")
         policy = HdfsLocalityRetrievalPolicy(DeterministicRng(0))
-        ordered = policy.order_replicas(
-            [remote_mem, local_hdd], cluster.node("worker1"), cluster.topology
+        ordered = order(
+            policy, [remote_mem, local_hdd], cluster.node("worker1"), cluster.topology
         )
         assert ordered[0] is local_hdd
 
@@ -256,5 +271,85 @@ class TestHdfsRetrievalPolicy:
             medium(cluster, "worker2", "HDD"),
         ]
         policy = HdfsLocalityRetrievalPolicy(DeterministicRng(0))
-        ordered = policy.order_replicas(replicas, None, cluster.topology)
+        ordered = order(policy, replicas, None, cluster.topology)
         assert len(ordered) == 2
+
+
+#: Orders the media path gave (policies ordering ``StorageMedium`` lists,
+#: before they ordered a block's replicas) for the calls of
+#: ``test_seeded_orders_match_the_media_path``.
+_MEDIA_PATH_ORDERS = {
+    OctopusRetrievalPolicy: [
+        ("worker3:ssd1", "worker1:hdd2", "worker2:memory0"),
+        ("worker1:memory0", "worker3:hdd2", "worker2:ssd1"),
+        ("worker3:ssd1", "worker4:hdd2", "worker2:memory0"),
+        ("worker3:hdd2", "worker4:hdd3", "worker2:ssd1"),
+        ("worker4:hdd2", "worker5:hdd2", "worker3:ssd1"),
+        ("worker1:hdd2", "worker4:hdd3", "worker3:hdd2"),
+        ("worker1:memory0", "worker5:hdd2", "worker4:hdd2"),
+        ("worker4:hdd3", "worker2:memory0", "worker1:hdd2"),
+        ("worker1:memory0", "worker5:hdd2", "worker2:ssd1"),
+        ("worker3:ssd1", "worker2:memory0", "worker1:hdd2"),
+        ("worker1:memory0", "worker2:ssd1", "worker3:hdd2"),
+        ("worker3:ssd1", "worker2:memory0", "worker4:hdd2"),
+        ("worker2:ssd1", "worker4:hdd3", "worker3:hdd2"),
+        ("worker5:hdd2", "worker4:hdd2", "worker3:ssd1"),
+        ("worker4:hdd3", "worker1:hdd2", "worker3:hdd2"),
+        ("worker1:memory0", "worker4:hdd2", "worker5:hdd2"),
+        ("worker2:memory0", "worker1:hdd2", "worker4:hdd3"),
+        ("worker1:memory0", "worker2:ssd1", "worker5:hdd2"),
+    ],
+    HdfsLocalityRetrievalPolicy: [
+        ("worker1:hdd2", "worker3:ssd1", "worker2:memory0"),
+        ("worker1:memory0", "worker3:hdd2", "worker2:ssd1"),
+        ("worker3:ssd1", "worker4:hdd2", "worker2:memory0"),
+        ("worker3:hdd2", "worker2:ssd1", "worker4:hdd3"),
+        ("worker5:hdd2", "worker3:ssd1", "worker4:hdd2"),
+        ("worker1:hdd2", "worker4:hdd3", "worker3:hdd2"),
+        ("worker1:memory0", "worker5:hdd2", "worker4:hdd2"),
+        ("worker1:hdd2", "worker4:hdd3", "worker2:memory0"),
+        ("worker5:hdd2", "worker1:memory0", "worker2:ssd1"),
+        ("worker1:hdd2", "worker3:ssd1", "worker2:memory0"),
+        ("worker1:memory0", "worker3:hdd2", "worker2:ssd1"),
+        ("worker4:hdd2", "worker3:ssd1", "worker2:memory0"),
+        ("worker3:hdd2", "worker4:hdd3", "worker2:ssd1"),
+        ("worker5:hdd2", "worker3:ssd1", "worker4:hdd2"),
+        ("worker4:hdd3", "worker1:hdd2", "worker3:hdd2"),
+        ("worker1:memory0", "worker5:hdd2", "worker4:hdd2"),
+        ("worker1:hdd2", "worker2:memory0", "worker4:hdd3"),
+        ("worker1:memory0", "worker2:ssd1", "worker5:hdd2"),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "policy_class", [OctopusRetrievalPolicy, HdfsLocalityRetrievalPolicy]
+)
+def test_seeded_orders_match_the_media_path(cluster, policy_class):
+    """Golden orders: a seeded policy ordering replicas puts them where
+    the same policy ordering their media did — same shuffle draws over a
+    list of the same length, same stable sort — call after call, with
+    NICs loaded, ties, a local, a remote and an off-cluster client, and
+    each read's load landing on the medium ranked first."""
+    pool = [
+        medium(cluster, "worker1", "HDD"),
+        medium(cluster, "worker1", "MEMORY"),
+        medium(cluster, "worker2", "MEMORY"),
+        medium(cluster, "worker2", "SSD"),
+        medium(cluster, "worker3", "SSD"),
+        medium(cluster, "worker3", "HDD"),
+        medium(cluster, "worker4", "HDD"),
+        medium(cluster, "worker4", "HDD", 1),
+        medium(cluster, "worker5", "HDD"),
+    ]
+    load(cluster.node("worker2"), 12, channel="out")
+    load(cluster.node("worker3"), 3, channel="in")
+    policy = policy_class(DeterministicRng(5))
+    clients = [cluster.node("worker1"), cluster.node("worker5"), None]
+    got = []
+    for call in range(18):
+        media = [pool[(call + step * 2) % len(pool)] for step in range(3)]
+        ordered = order(policy, media, clients[call % 3], cluster.topology)
+        got.append(tuple(m.medium_id for m in ordered))
+        load(ordered[0], 1)
+    assert got == _MEDIA_PATH_ORDERS[policy_class]

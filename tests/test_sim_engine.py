@@ -231,6 +231,21 @@ class TestTimerHandles:
         engine.run()
         assert handle.cancelled
 
+    def test_cancel_after_the_callback_ran_is_a_no_op(self):
+        """A fired handle's entry has left the heap: cancelling it counts
+        no cancellation, so it can never trigger a compaction that drops
+        nothing."""
+        engine = SimulationEngine()
+        fired = []
+        handles = [engine.call_in(1.0, fired.append, index) for index in range(3)]
+        engine.run()
+        for handle in handles:
+            handle.cancel()
+        assert fired == [0, 1, 2]
+        assert engine._heap == []
+        assert engine._cancelled == 0
+        assert not any(handle.cancelled for handle in handles)
+
     def test_callback_arg_slot_avoids_closures(self):
         engine = SimulationEngine()
         got = []
