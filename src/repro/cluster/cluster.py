@@ -124,7 +124,7 @@ class Cluster:
         return [
             tier
             for tier in sorted(self.tiers.values(), key=lambda t: t.rank)
-            if tier.live_media
+            if tier.has_live_medium
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -193,6 +193,14 @@ class StorageTier:
             if not m.failed and not m.node.failed and not m.node.unreachable
         ]
 
+    @property
+    def has_live_medium(self) -> bool:
+        """``bool(live_media)``, stopping at the first live medium."""
+        return any(
+            not m.failed and not m.node.failed and not m.node.unreachable
+            for m in self.media
+        )
+
     def avg_write_throughput(self) -> float:
         """Per-tier average used by the throughput objective (Eq. 7)."""
         live = self.live_media

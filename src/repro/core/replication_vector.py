@@ -148,11 +148,6 @@ class ReplicationVector:
         """Tiers with at least one explicitly requested replica."""
         return [tier for tier, count in self._counts.items() if count > 0]
 
-    def is_satisfiable_with(self, available_tiers: Iterable[str]) -> bool:
-        """True if every explicitly requested tier exists in the cluster."""
-        available = {t.upper() for t in available_tiers}
-        return all(tier in available for tier in self._counts)
-
     # ------------------------------------------------------------------
     # Derivation
     # ------------------------------------------------------------------

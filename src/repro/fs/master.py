@@ -256,6 +256,17 @@ class Master:
     # ------------------------------------------------------------------
     # Namespace operations (delegate + block bookkeeping)
     # ------------------------------------------------------------------
+    def _admit_vector(self, rep_vector: ReplicationVector) -> None:
+        """Refuse a vector that names a tier with no live medium."""
+        tiers = self.cluster.tiers
+        for name in rep_vector.explicit_tiers:
+            if name not in tiers or not tiers[name].has_live_medium:
+                active = [t.name for t in self.cluster.active_tiers()]
+                raise InsufficientStorageError(
+                    f"vector {rep_vector.shorthand()} requests tiers absent "
+                    f"from the cluster (active: {sorted(active)})"
+                )
+
     def mkdir(self, path: str, user: UserContext = SUPERUSER, mode: int = 0o755) -> None:
         self.namespace.mkdir(path, user, mode)
 
@@ -267,12 +278,7 @@ class Master:
         user: UserContext = SUPERUSER,
         overwrite: bool = False,
     ) -> INodeFile:
-        available = {t.name for t in self.cluster.active_tiers()}
-        if not rep_vector.is_satisfiable_with(available):
-            raise InsufficientStorageError(
-                f"vector {rep_vector.shorthand()} requests tiers absent from "
-                f"the cluster (active: {sorted(available)})"
-            )
+        self._admit_vector(rep_vector)
         inode, freed = self.namespace.create_file(
             path,
             rep_vector,
@@ -691,12 +697,7 @@ class Master:
         — their blocks are still being placed against the create-time
         vector.
         """
-        available = {t.name for t in self.cluster.active_tiers()}
-        if not rep_vector.is_satisfiable_with(available):
-            raise InsufficientStorageError(
-                f"vector {rep_vector.shorthand()} requests tiers absent from "
-                f"the cluster (active: {sorted(available)})"
-            )
+        self._admit_vector(rep_vector)
         current = self.namespace.get_file(path, user)
         if current.under_construction:
             raise LeaseError(

@@ -23,6 +23,7 @@ Every stream offers two calling styles:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Generator
 
 from repro.errors import BlockError, FileSystemError, RetrievalError
@@ -56,8 +57,11 @@ class FSDataOutputStream:
         self._master = system.master
         self._path = path
         self._client_node = client_node
-        self._buffer = bytearray()
-        self._pending_size = 0  # simulated (size-only) bytes not yet flushed
+        # Bytes written but not yet flushed. Real ones are also kept as
+        # the pieces they were written in: ``bytes`` objects and
+        # zero-copy windows over them; size-only data has no pieces.
+        self._pending = 0
+        self._pieces: deque[bytes | memoryview] = deque()
         self._closed = False
         inode = self._master.namespace.get_file(path)
         self._block_size = inode.block_size
@@ -93,57 +97,72 @@ class FSDataOutputStream:
     # Process API
     # ------------------------------------------------------------------
     def write_proc(self, data: bytes) -> Generator:
-        """Process: append real bytes, flushing full blocks as they fill."""
+        """Process: append real bytes, flushing full blocks as they fill.
+
+        ``bytes`` are held, not copied: a block whose content is exactly
+        one written ``bytes`` object stores that object. Any other
+        buffer is copied once here, since its owner may reuse it.
+        """
         self._check_open()
-        self._buffer.extend(data)
-        if self._tail_block is not None and self._buffer:
-            room = self._tail_block.capacity - self._tail_block.size
-            chunk = bytes(self._buffer[:room])
-            if len(self._buffer) >= room:
-                del self._buffer[:room]
-                yield from self._extend_tail_proc(len(chunk), chunk)
-        while len(self._buffer) >= self._block_size:
-            chunk = bytes(self._buffer[: self._block_size])
-            del self._buffer[: self._block_size]
-            yield from self._flush_block_proc(len(chunk), chunk)
+        if type(data) is not bytes:
+            data = memoryview(data).tobytes()
+        if not data:
+            return
+        if self._pending and not self._pieces:
+            raise FileSystemError("cannot mix byte and size-only writes")
+        self._pieces.append(data)
+        self._pending += len(data)
+        yield from self._drain_proc()
 
     def write_size_proc(self, nbytes: int) -> Generator:
         """Process: append simulated data without materializing bytes."""
         self._check_open()
-        if self._buffer:
+        if self._pieces:
             raise FileSystemError("cannot mix byte and size-only writes")
-        self._pending_size += int(nbytes)
-        if self._tail_block is not None and self._pending_size:
-            room = self._tail_block.capacity - self._tail_block.size
-            if self._pending_size >= room:
-                self._pending_size -= room
-                yield from self._extend_tail_proc(room, None)
-        while self._pending_size >= self._block_size:
-            self._pending_size -= self._block_size
-            yield from self._flush_block_proc(self._block_size, None)
+        self._pending += int(nbytes)
+        yield from self._drain_proc()
 
     def close_proc(self) -> Generator:
         """Process: flush the tail block and seal the file."""
         if self._closed:
             return
-        if self._tail_block is not None and (self._buffer or self._pending_size):
-            # A short final append that still fits the old tail block.
-            if self._buffer:
-                chunk = bytes(self._buffer)
-                self._buffer.clear()
-                yield from self._extend_tail_proc(len(chunk), chunk)
-            else:
-                tail, self._pending_size = self._pending_size, 0
-                yield from self._extend_tail_proc(tail, None)
-        if self._buffer:
-            chunk = bytes(self._buffer)
-            self._buffer.clear()
-            yield from self._flush_block_proc(len(chunk), chunk)
-        if self._pending_size:
-            tail, self._pending_size = self._pending_size, 0
-            yield from self._flush_block_proc(tail, None)
+        if self._pending:
+            # Less than a block is left: it fits the reopened tail's room
+            # or goes to one new block.
+            grow = self._extend_tail_proc if self._tail_block else self._flush_block_proc
+            size = self._pending
+            yield from grow(size, self._take(size))
         self._closed = True
         self._master.complete_file(self._path)
+
+    def _drain_proc(self) -> Generator:
+        """Flush what the pending data fills: the reopened file's
+        partial tail block first, then whole blocks."""
+        if self._tail_block is not None and self._pending:
+            room = self._tail_block.capacity - self._tail_block.size
+            if self._pending >= room:
+                yield from self._extend_tail_proc(room, self._take(room))
+        while self._pending >= self._block_size:
+            size = self._block_size
+            yield from self._flush_block_proc(size, self._take(size))
+
+    def _take(self, size: int) -> bytes | None:
+        """Cut the first ``size`` pending bytes (``None`` if size-only):
+        one whole ``bytes`` piece by reference, anything else by one
+        copy."""
+        self._pending -= size
+        pieces, parts = self._pieces, []
+        if not pieces:
+            return None
+        while size:
+            piece = pieces.popleft()
+            if len(piece) > size:
+                view = memoryview(piece)
+                pieces.appendleft(view[size:])
+                piece = view[:size]
+            parts.append(piece)
+            size -= len(piece)
+        return b"".join(parts)  # a lone ``bytes`` part comes back as itself
 
     def _extend_tail_proc(self, payload: int, data: bytes | None) -> Generator:
         """Grow the reopened file's partial tail block in place."""
@@ -168,10 +187,8 @@ class FSDataOutputStream:
         span = None
         if obs.enabled:
             span = obs.tracer.start_span(
-                "client.append_block",
-                path=self._path,
-                block=_label(self._path, block),
-                size=payload,
+                "client.append_block", path=self._path,
+                block=_label(self._path, block), size=payload,
             )
         try:
             yield self._system.cluster.flows.transfer(
@@ -183,19 +200,34 @@ class FSDataOutputStream:
                 span.end("error", error=type(exc).__name__)
             raise
         self._master.extend_block(block, payload, replicas)
+        # Replicas that shared the old bytes share the extended ones.
+        grown: dict[int, tuple[bytes, bytes]] = {}
         for replica in replicas:
-            if data is not None and replica.data is not None:
-                replica.data = replica.data + data
-            elif data is None:
+            if data is None or replica.data is None:
                 replica.data = None
+            else:
+                old = replica.data
+                if id(old) not in grown:
+                    grown[id(old)] = (old, old + data)
+                replica.data = grown[id(old)][1]
+        self._written(span, payload, replicas, new_block=False)
+
+    def _written(
+        self, span, payload: int, replicas: list[Replica], new_block: bool
+    ) -> None:
+        """Count ``payload`` bytes landed on ``replicas``; end ``span``."""
         self.bytes_written += payload
-        if span is not None and obs.enabled:
-            for replica in replicas:
-                obs.metrics.counter(
-                    "bytes_written_total", tier=replica.tier_name
-                ).inc(payload)
-            obs.metrics.histogram("block_write_seconds").observe(span.duration)
-            span.end()
+        obs = self._system.obs
+        if span is None or not obs.enabled:
+            return
+        for replica in replicas:
+            obs.metrics.counter(
+                "bytes_written_total", tier=replica.tier_name
+            ).inc(payload)
+        if new_block:
+            obs.metrics.counter("blocks_written_total").inc()
+        obs.metrics.histogram("block_write_seconds").observe(span.duration)
+        span.end()
 
     # ------------------------------------------------------------------
     # Pipeline internals (§3.1)
@@ -213,9 +245,7 @@ class FSDataOutputStream:
                 # span — and the placement decision under it — become
                 # its children.
                 span = obs.tracer.start_span(
-                    "client.write_block",
-                    path=self._path,
-                    size=payload,
+                    "client.write_block", path=self._path, size=payload,
                     attempt=failures,
                 )
                 try:
@@ -273,17 +303,7 @@ class FSDataOutputStream:
                     raise
                 continue
             master.commit_block(block, payload, replicas)
-            self.bytes_written += payload
-            if span is not None and obs.enabled:
-                for replica in replicas:
-                    obs.metrics.counter(
-                        "bytes_written_total", tier=replica.tier_name
-                    ).inc(payload)
-                obs.metrics.counter("blocks_written_total").inc()
-                obs.metrics.histogram("block_write_seconds").observe(
-                    span.duration
-                )
-                span.end()
+            self._written(span, payload, replicas, new_block=True)
             return
 
     def _check_open(self) -> None:
@@ -329,20 +349,16 @@ class FSDataInputStream:
     # ------------------------------------------------------------------
     def read_proc(self, collect: bool = True) -> Generator:
         """Process: read every block, best replica first with failover."""
-        chunks: list[bytes] = []
-        have_all_bytes = True
+        chunks: list[bytes | None] = []
         inode = self._master.namespace.get_file(self._path)
         ordered_blocks = self._master.order_block_replicas(
             inode, self._path, self._client_node
         )
         for block, replicas in zip(inode.blocks, ordered_blocks):
             replica = yield from self._read_block_proc(block, replicas)
-            if replica.data is None:
-                have_all_bytes = False
-            elif collect:
-                chunks.append(replica.data)
+            chunks.append(replica.data)
             self.bytes_read += block.size
-        if collect and have_all_bytes:
+        if collect and None not in chunks:
             return b"".join(chunks)
         return None
 

@@ -61,6 +61,22 @@ class TestAppendSemantics:
         used = sum(m.used for m in fs.cluster.live_media())
         assert used == 2 * (2 * MB)  # 2 replicas x 2 MB
 
+    def test_append_leaves_the_tail_replicas_sharing_one_object(self, fs, client):
+        """Replicas that shared the tail's bytes share the grown bytes:
+        one object per block, as a fresh write leaves it."""
+        a = bytes(range(256)) * (6 * MB // 256)  # 1.5 blocks
+        b = bytes(reversed(range(256))) * (4 * MB // 256)  # one block
+        client.write_file("/shared", data=a, rep_vector=3)
+        with client.append("/shared") as stream:
+            stream.write(b)
+        inode = fs.master.namespace.get_file("/shared")
+        assert [block.size for block in inode.blocks] == [4 * MB, 4 * MB, 2 * MB]
+        for block in inode.blocks:
+            meta = fs.master.block_map[block.block_id]
+            assert len(meta.replicas) == 3
+            assert len({id(r.data) for r in meta.replicas}) == 1
+        assert client.read_file("/shared") == a + b
+
     def test_append_while_open_rejected(self, client):
         stream = client.create("/busy")
         with pytest.raises(LeaseError):

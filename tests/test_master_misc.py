@@ -8,7 +8,8 @@ import pytest
 import repro
 from repro import OctopusFileSystem, ReplicationVector
 from repro.cluster import Cluster, small_cluster_spec
-from repro.errors import BlockError, WorkerError
+from repro.cluster.media import StorageTier
+from repro.errors import BlockError, InsufficientStorageError, WorkerError
 from repro.fs.worker import Worker
 from repro.obs import ProvenanceLedger
 from repro.util.units import MB
@@ -137,6 +138,45 @@ class TestMasterCornerCases:
         ]
         fs.master.complete_file("/e/open")
         assert not client.get_status("/e/open").under_construction
+
+    @pytest.mark.parametrize(
+        "vector, shorthand",
+        [
+            (ReplicationVector.of(ssd=1, hdd=1), "<0,1,1,0,0>"),
+            (ReplicationVector.of(remote=1, u=1), "<0,0,0,1,1>"),
+        ],
+        ids=["dead-tier", "absent-tier"],
+    )
+    def test_vector_admission_message_at_both_call_sites(
+        self, fs, client, vector, shorthand
+    ):
+        client.write_file("/f", size=MB, rep_vector=ReplicationVector.of(hdd=1))
+        for medium in fs.cluster.tier("SSD").media:
+            fs.faults.fail_medium(medium.medium_id)
+        message = (
+            f"vector {shorthand} requests tiers absent from the cluster "
+            "(active: ['HDD', 'MEMORY'])"
+        )
+        with pytest.raises(InsufficientStorageError) as created:
+            client.create("/g", rep_vector=vector)
+        with pytest.raises(InsufficientStorageError) as changed:
+            client.set_replication("/f", vector)
+        assert str(created.value) == str(changed.value) == message
+        assert not client.exists("/g")
+
+    def test_vector_admission_builds_no_media_list(self, fs, client, monkeypatch):
+        """Admission tests only the tiers a vector names, each up to its
+        first live medium; a U-only vector names none."""
+        def built(*_args):
+            raise AssertionError("vector admission built a live-media list")
+
+        monkeypatch.setattr(fs.cluster, "active_tiers", built)
+        monkeypatch.setattr(StorageTier, "live_media", property(built))
+        client.create("/u", rep_vector=3).close()
+        mixed = ReplicationVector.of(memory=1, ssd=1, u=1)
+        client.create("/m", rep_vector=mixed).close()
+        client.set_replication("/u", ReplicationVector.of(hdd=2))
+        assert client.get_status("/m").rep_vector == mixed
 
     def test_heartbeat_from_unknown_worker_rejected(self, fs):
         from repro.fs.worker import HeartbeatReport

@@ -56,6 +56,12 @@ def test_memory_reports_peak_end_and_live_sites():
     numbers = [float(word) for word in heap.replace(",", " ").split() if word[0].isdigit()]
     peak, end, transient = numbers
     assert peak >= end > 0 and abs(transient - (peak - end)) < 0.15
+    rss = {
+        line.split(":")[0]: float(line.split(":")[1].split()[0])
+        for line in done.stdout.splitlines() if line.startswith("ru_maxrss")
+    }
+    assert 0 < rss["ru_maxrss before set-up"] <= rss["ru_maxrss after the region"]
+    assert "(includes tracemalloc's own overhead)" in done.stdout
     sites = done.stdout.split("allocation sites live at the end:\n", 1)[1].splitlines()
     assert len([line for line in sites if " MB " in line and "blocks" in line]) == 3
     # Memory replaces the call profile: no cProfile table.

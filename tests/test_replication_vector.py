@@ -67,11 +67,6 @@ class TestSemantics:
         v = ReplicationVector.of(memory=1, hdd=2, u=1)
         assert v.explicit_tiers == ["HDD", "MEMORY"]
 
-    def test_satisfiable_check(self):
-        v = ReplicationVector.of(remote=1)
-        assert not v.is_satisfiable_with(["MEMORY", "SSD", "HDD"])
-        assert v.is_satisfiable_with(["REMOTE"])
-
     def test_equality_and_hash(self):
         a = ReplicationVector.of(ssd=1, u=2)
         b = ReplicationVector.of(u=2, ssd=1)

@@ -1,5 +1,8 @@
 """Edge cases for the write pipeline and read path."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro import OctopusFileSystem, ReplicationVector
@@ -124,6 +127,77 @@ class TestWriteEdgeCases:
         for block in inode.blocks:
             meta = fs.master.block_map[block.block_id]
             assert len(meta.live_replicas()) >= 1
+
+
+class TestBytePath:
+    """A written ``bytes`` object is held, not copied; a mutable buffer
+    is copied once, when written."""
+
+    @pytest.mark.parametrize("size", [4 * MB, 1000], ids=["block", "tail"])
+    def test_one_block_bytes_write_is_held_by_reference(self, fs, client, size):
+        data = random.Random(size).randbytes(size)
+        with client.create("/held", rep_vector=3) as stream:
+            stream.write(data)
+        (block,) = fs.master.namespace.get_file("/held").blocks
+        replicas = fs.master.block_map[block.block_id].replicas
+        assert len(replicas) == 3
+        assert all(replica.data is data for replica in replicas)
+
+    @pytest.mark.parametrize(
+        "wrap", [bytearray, lambda b: memoryview(bytearray(b))],
+        ids=["bytearray", "memoryview"],
+    )
+    def test_mutable_buffer_reused_before_close(self, client, wrap):
+        original = random.Random(3).randbytes(5 * MB)
+        buffer = wrap(original)
+        stream = client.create("/reused")
+        stream.write(buffer)
+        buffer[:] = bytes(len(original))
+        stream.close()
+        assert client.read_file("/reused") == original
+
+    def test_scripted_writes_keep_block_sizes_and_content(self, fs, client):
+        """Golden: block sizes and a sha256 per block, recorded from the
+        stream that buffered into a ``bytearray``."""
+        rng = random.Random(35)
+        block_size = 64 * 1024
+        stream = client.create("/golden", rep_vector=2, block_size=block_size)
+        for size in (1000, 30000, 50000, 7):
+            stream.write(rng.randbytes(size))
+        stream.write(rng.randbytes(2 * block_size + 12345))
+        stream.write(bytearray(rng.randbytes(40000)))
+        stream.write(memoryview(rng.randbytes(3000)))
+        stream.close()
+        with client.append("/golden") as stream:  # spills past the tail
+            stream.write(rng.randbytes(5000))
+            stream.write(rng.randbytes(block_size + 100))
+        blocks = []
+        for block in fs.master.namespace.get_file("/golden").blocks:
+            (data,) = {r.data for r in fs.master.block_map[block.block_id].replicas}
+            blocks.append((block.size, hashlib.sha256(data).hexdigest()[:16]))
+        assert blocks == [
+            (65536, "fc7e3412e144f0ed"),
+            (65536, "fb30bc18e6f3fd5d"),
+            (65536, "310a97ce10eabae8"),
+            (65536, "c025e32a3f91b2c0"),
+            (65536, "18f6a56a04da7389"),
+            (10380, "eaf8b00fc693e5c1"),
+        ]
+
+    def test_size_only_write_after_a_held_piece_rejected(self, client):
+        stream = client.create("/mix-held")
+        stream.write(bytes(1000))  # one whole piece, held as written
+        with pytest.raises(FileSystemError, match="cannot mix"):
+            stream.write_size(10)
+
+    def test_bytes_after_pending_size_only_data_rejected(self, client):
+        """The reverse order is refused too: the bytes would otherwise
+        land in a block ahead of the simulated data written before them."""
+        stream = client.create("/mix-size")
+        stream.write_size(10)
+        stream.write(b"")  # an empty write is a no-op either way
+        with pytest.raises(FileSystemError, match="cannot mix"):
+            stream.write(b"abc")
 
 
 class TestReadEdgeCases:

@@ -19,7 +19,10 @@ matches, who called it and how often — "which site makes 72 k of the
 prints the Python heap's peak, what is still live at the end, their
 difference — the transient an end-of-run snapshot cannot attribute —
 and the top ``K`` allocation sites live at the end. The heap counts
-only what the region allocated, not what ``setup()`` left behind.
+only what the region allocated, not what ``setup()`` left behind. It
+also prints the process's ``ru_maxrss`` (what ``run.py`` reports as
+``peak_rss_mb``) before set-up and after the region; the second
+includes tracemalloc's own overhead, so it reads above ``run.py``'s.
 
 ``cProfile`` taxes every Python call and no native one, so read the
 table for *which* functions to look at and measure the change itself
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import resource
 import sys
 import tracemalloc
 from pathlib import Path
@@ -60,6 +64,11 @@ def profile(name: str, seed: int, scale: str, timed: Callable[[Callable[[], None
     return workload.sim
 
 
+def maxrss_mb() -> float:
+    """The process's peak resident set so far, in run.py's unit."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def print_memory(run: Callable[[], None], top: int) -> None:
     """Run ``run`` under ``tracemalloc`` and print its heap at the peak
     and at the end, and the ``top`` sites of what is live at the end."""
@@ -72,6 +81,8 @@ def print_memory(run: Callable[[], None], top: int) -> None:
         tracemalloc.stop()
     print(f"Python heap in the timed region: peak {peak / MB:.1f} MB, live at the end "
           f"{end / MB:.1f} MB, transient (peak - end) {(peak - end) / MB:.1f} MB")
+    print(f"ru_maxrss after the region: {maxrss_mb():.1f} MB "
+          "(includes tracemalloc's own overhead)")
     print(f"top {top} allocation sites live at the end:")
     for stat in snapshot.statistics("lineno")[:top]:
         frame = stat.traceback[0]
@@ -95,6 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--callers reads the call profile, which --memory replaces")
 
     if args.memory:
+        print(f"ru_maxrss before set-up: {maxrss_mb():.1f} MB")
         sim = profile(args.name, args.seed, args.scale, lambda run: print_memory(run, args.top))
     else:
         profiler = cProfile.Profile()
