@@ -24,6 +24,11 @@ that shows it is asserted: at most half the dense rate assignments.
 Both solvers must also agree bit-for-bit on the simulated makespan;
 the bench asserts that too, so the speedup can never come from
 computing a different (cheaper) answer.
+
+Everything but the wall-clock fields is fixed by the seed and the scale,
+so at the scale of ``baselines/BENCH_perf_scale02.json`` the result must
+equal that file exactly: every key present on both sides, every count
+and makespan the same.
 """
 
 import json
@@ -37,6 +42,9 @@ from repro.util.rng import DeterministicRng
 from repro.util.units import MB
 
 SEED_FILE = pathlib.Path(__file__).parent.parent / "BENCH_perf.json"
+BASELINE = pathlib.Path(__file__).parent / "baselines" / "BENCH_perf_scale02.json"
+#: Machine-dependent fields: timings and what is derived from them.
+WALL_CLOCK = {"wall_s", "events_per_sec", "peak_heap_kb", "speedup"}
 
 CONCURRENCIES = (10, 100, 1000)
 #: Concurrency slots sharing one uplink (one graph component per group).
@@ -221,6 +229,18 @@ def measure_point(churn, topology: str, concurrency: int, scale: float) -> dict:
     }
 
 
+def simulated_fields(value, path: str = "") -> dict:
+    """Every leaf of a result but the wall-clock ones, by dotted path."""
+    if not isinstance(value, (dict, list)) or not value:
+        return {path: value}
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    fields = {}
+    for key, item in items:
+        if key not in WALL_CLOCK:
+            fields.update(simulated_fields(item, f"{path}.{key}" if path else str(key)))
+    return fields
+
+
 def test_flow_scheduler_scaling(bench_scale):
     min_speedup = float(os.environ.get("OCTOPUS_PERF_MIN_SPEEDUP", "1.0"))
     points = [
@@ -255,3 +275,7 @@ def test_flow_scheduler_scaling(bench_scale):
     # One component: the dense work is a component fill from round 0, so
     # this ratio is the round journal's saving and nothing else's.
     assert cluster["fill_work_ratio"] >= 2.0
+    # The simulated results are the committed ones, to the last bit.
+    baseline = json.loads(BASELINE.read_text())
+    if baseline["scale"] == bench_scale:
+        assert simulated_fields(data) == simulated_fields(baseline)

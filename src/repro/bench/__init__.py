@@ -8,10 +8,6 @@ checks that record against the code.
 
 from repro.bench.deployments import build_deployment, DEPLOYMENTS
 
-# The perf-regression gate lives in repro.bench.regression; it is not
-# re-exported here so `python -m repro.bench.regression` stays free of
-# the double-import RuntimeWarning.
-
 __all__ = [
     "build_deployment",
     "DEPLOYMENTS",

@@ -84,7 +84,6 @@ from repro.obs import (
     validate,
     write_chrome_trace,
 )
-from repro.fs.balancer import Balancer
 from repro.fs.invariants import collect_violations
 from repro.obs.export import SCHEMAS, canonical_json, load, read_artifact
 from repro.obs.postmortem import bundle_trace_records
@@ -384,15 +383,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         # inspectable without a live monitor attached to the run.
         monitor = HealthMonitor(fs)
         monitor.tick()
-        balancer = Balancer(fs)
         data = {
             "deployment": args.deployment,
             **tier_report_data(fs),
-            "balancer": {
-                "threshold": balancer.threshold,
-                "spread": balancer.spread(),
-                "planned_moves": len(balancer.plan()),
-            },
             "engine": {"events_processed": fs.engine.events_processed},
             "metrics": fs.obs.metrics.snapshot(),
             "watch": {

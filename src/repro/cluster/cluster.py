@@ -114,11 +114,6 @@ class Cluster:
             if not medium.failed and not node.failed and not node.unreachable
         ]
 
-    def placeable_media(self) -> list[StorageMedium]:
-        """Live media that may accept *new* replicas (excludes media on
-        decommissioning nodes, which only serve reads while draining)."""
-        return [m for m in self.live_media() if not m.node.decommissioning]
-
     def active_tiers(self) -> list[StorageTier]:
         """Tiers that currently have at least one live medium."""
         return [

@@ -77,9 +77,6 @@ class Node:
         self.unreachable = False
         #: NIC rate-cap factor in (0, 1]; < 1 models a slow node.
         self.nic_factor = 1.0
-        #: Decommissioning nodes still serve reads but accept no new
-        #: replicas; the master drains them before retirement.
-        self.decommissioning = False
 
     def set_nic_factor(self, factor: float) -> None:
         """Cap (or restore) NIC bandwidth to ``factor`` of the baseline.

@@ -168,7 +168,7 @@ def gen_options(
 ) -> list["StorageMedium"]:
     """Generate the pruned option list for the next replica (§3.3).
 
-    ``pool`` is the placeable media with room for the block, which
+    ``pool`` is the live media with room for the block, which
     Algorithm 2 reads once per placement instead of once per replica
     entry; nothing placed mid-decision changes it (allocation happens
     after the whole vector is resolved).
@@ -176,13 +176,13 @@ def gen_options(
     placed = list(request.existing_replicas) + list(chosen)
     placed_ids = {m.medium_id for m in placed} | set(request.excluded_media)
 
-    # Hard constraints: liveness (placeable excludes decommissioning
-    # nodes) and capacity make the pool; uniqueness and the tier
-    # requirement (for a U entry, the memory rule) are the entry's.
+    # Hard constraints: liveness and capacity make the pool; uniqueness
+    # and the tier requirement (for a U entry, the memory rule) are the
+    # entry's.
     if pool is None:
         pool = [
             medium
-            for medium in cluster.placeable_media()
+            for medium in cluster.live_media()
             if medium.remaining >= request.block_size
         ]
     if entry.required_tier is not None:
@@ -413,7 +413,7 @@ def exhaustive_place_replicas(
     bench can measure how close the greedy solution gets to the true
     global-criterion optimum on small instances. It enumerates what
     Algorithm 2's hard rules allow and nothing else: the decision's pool
-    (placeable media with room), none already holding the block or
+    (live media with room), none already holding the block or
     excluded, the tier requirements met and the memory rule kept.
     """
     from itertools import combinations

@@ -268,8 +268,8 @@ class DecisionSnapshot(NamedTuple):
 
     #: ``None`` from a :func:`read_media` that was given no cluster.
     ctx: ObjectiveContext | None
-    #: Media a new replica of the block could go to (live, not draining,
-    #: with room), in walk order.
+    #: Media a new replica of the block could go to (live, with room), in
+    #: walk order.
     pool: list["StorageMedium"]
     rows: dict["StorageMedium", MediumRow]
 
@@ -296,7 +296,7 @@ def read_media(
         # them: ``sum`` below stays the builtin over the same operands in
         # the same order (it is compensated from Python 3.12).
         throughputs.setdefault(tier, []).append(thru)
-        if remaining >= block_size and not node.decommissioning:
+        if remaining >= block_size:
             pool.append(medium)
         rows[medium] = ((remaining - block_size) / capacity, 1.0 / (conns + 1),
                         thru, tier, node, node.rack)

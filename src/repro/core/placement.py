@@ -176,10 +176,10 @@ class RuleBasedPolicy(BlockPlacementPolicy):
         excluded = set(request.excluded_media)
         excluded.update(m.medium_id for m in request.existing_replicas)
         # Nothing placed mid-decision changes who can take a replica.
-        placeable = cluster.placeable_media()
+        live = cluster.live_media()
         for entry in entries:
             medium = self._pick_medium(
-                placeable, request, entry.required_tier, tier_names, racks,
+                live, request, entry.required_tier, tier_names, racks,
                 chosen, excluded,
             )
             chosen.append(medium)
@@ -197,7 +197,7 @@ class RuleBasedPolicy(BlockPlacementPolicy):
 
     def _pick_medium(
         self,
-        placeable: list["StorageMedium"],
+        live: list["StorageMedium"],
         request: PlacementRequest,
         required_tier: str | None,
         tier_names: list[str],
@@ -210,7 +210,7 @@ class RuleBasedPolicy(BlockPlacementPolicy):
 
         def eligible(tier: str, relax_racks: bool, relax_nodes: bool):
             media = []
-            for medium in placeable:
+            for medium in live:
                 if medium.tier_name != tier:
                     continue
                 if medium.medium_id in chosen_ids:
@@ -307,7 +307,7 @@ class OriginalHdfsPolicy(BlockPlacementPolicy):
             if node not in volumes:
                 volumes[node] = [
                     m
-                    for m in ([] if node.decommissioning else node.live_media)
+                    for m in node.live_media
                     if m.tier_name in self.allowed_tiers
                     and m.medium_id not in taken
                     and m.remaining >= request.block_size

@@ -14,7 +14,6 @@ tiers); ``getFileBlockLocations`` exposes worker *and tier* per replica;
 """
 
 from repro.fs.backup import BackupMaster
-from repro.fs.balancer import Balancer
 from repro.fs.blocks import Block, BlockLocation, Replica
 from repro.fs.client import Client
 from repro.fs.master import Master
@@ -25,7 +24,6 @@ from repro.fs.worker import Worker
 
 __all__ = [
     "BackupMaster",
-    "Balancer",
     "Block",
     "BlockLocation",
     "Replica",

@@ -19,11 +19,11 @@ replication factor, which becomes ``U = r`` exactly as §2.3 prescribes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.cluster.media import TierStatistics
 from repro.core.replication_vector import ReplicationVector
-from repro.fs import paths
+from repro.errors import FileSystemError
 from repro.fs.blocks import BlockLocation
 from repro.fs.namespace import SUPERUSER, FileStatus, UserContext
 from repro.fs.streams import FSDataInputStream, FSDataOutputStream
@@ -112,15 +112,6 @@ class Client:
     # ------------------------------------------------------------------
     # Standard FileSystem operations
     # ------------------------------------------------------------------
-    def append(self, path: str) -> FSDataOutputStream:
-        """Reopen a completed file for appending.
-
-        The partial tail block (if any) fills in place on its existing
-        replicas before new blocks are allocated, as in HDFS.
-        """
-        self.system.master.append_file(path, user=self.user)
-        return FSDataOutputStream(self.system, path, self.node, append=True)
-
     def open(self, path: str) -> FSDataInputStream:
         # Existence + permissions; listeners learn the file, not the
         # caller's spelling of its name.
@@ -167,39 +158,6 @@ class Client:
             path, namespace_quota, tier_space_quota, self.user
         )
 
-    def concat(self, target: str, sources: list[str]) -> None:
-        """Merge ``sources`` onto ``target`` (metadata-only, HDFS concat)."""
-        self.system.master.concat(target, sources, user=self.user)
-
-    # ------------------------------------------------------------------
-    # Trash (recoverable deletes, HDFS-style)
-    # ------------------------------------------------------------------
-    def trash_dir(self) -> str:
-        return f"/.Trash/{self.user.user}"
-
-    def move_to_trash(self, path: str) -> str:
-        """Recoverable delete: move the path into the user's trash.
-
-        Returns the trash location. ``OctopusFileSystem.expunge_trash``
-        reclaims space later; ``restore_from_trash`` undoes the delete.
-        """
-        master = self.system.master
-        master.get_status(path, self.user)  # existence + perms
-        base = paths.basename(path) or "root"
-        stamp = f"{self.system.engine.now:.6f}"
-        trash_path = f"{self.trash_dir()}/{stamp}-{base}"
-        suffix = 0
-        while master.namespace.exists(trash_path):
-            suffix += 1
-            trash_path = f"{self.trash_dir()}/{stamp}-{base}.{suffix}"
-        master.mkdir(self.trash_dir())
-        master.rename(path, trash_path, user=self.user)
-        return trash_path
-
-    def restore_from_trash(self, trash_path: str, to: str) -> None:
-        """Move a trashed path back to ``to``."""
-        self.rename(trash_path, to)
-
     # ------------------------------------------------------------------
     # Convenience helpers
     # ------------------------------------------------------------------
@@ -213,6 +171,8 @@ class Client:
         overwrite: bool = False,
     ) -> None:
         """Create, write, and close in one call (bytes or size-only)."""
+        if data is not None and size is not None:
+            raise FileSystemError("cannot mix byte and size-only writes")
         stream = self.create(path, rep_vector, block_size, overwrite)
         if data is not None:
             stream.write(data)

@@ -91,22 +91,8 @@ def apply_record(record: dict, ns: Namespace) -> None:
         )
         block.size = record["size"]
         inode.blocks.append(block)
-    elif op == "update_block":
-        inode = ns.get_file(record["path"])
-        inode.blocks[record["index"]].size = record["size"]
-    elif op == "append":
-        ns.get_file(record["path"]).under_construction = True
     elif op == "complete_file":
         ns.complete_file(record["path"])
-    elif op == "concat":
-        target = ns.get_file(record["target"])
-        for src_path in record["sources"]:
-            src = ns.get_file(src_path)
-            for block in src.blocks:
-                block.index = len(target.blocks)
-                target.blocks.append(block)
-            src.blocks = []
-        # The source deletes follow as their own journaled records.
     elif op == "rename":
         ns.rename(record["src"], record["dst"])
     elif op == "delete":

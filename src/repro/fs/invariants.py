@@ -114,9 +114,7 @@ def accounting_violations(
 def replication_violations(fs: "OctopusFileSystem") -> list[str]:
     """Blocks whose live replicas do not balance their file's vector.
 
-    Only complete (not under-construction) files are checked; replicas
-    on decommissioning nodes do not count, mirroring the replication
-    manager's own view.
+    Only complete (not under-construction) files are checked.
     """
     violations: list[str] = []
     for inode in fs.master.namespace.iter_files():
@@ -130,11 +128,7 @@ def replication_violations(fs: "OctopusFileSystem") -> list[str]:
                     "the block map"
                 )
                 continue
-            live = [
-                r
-                for r in meta.live_replicas()
-                if not r.node.decommissioning
-            ]
+            live = meta.live_replicas()
             actions = analyze_block(inode.rep_vector, live)
             if not actions.balanced:
                 violations.append(

@@ -278,11 +278,15 @@ class Master:
         user: UserContext = SUPERUSER,
         overwrite: bool = False,
     ) -> INodeFile:
+        if block_size is None:
+            block_size = self.cluster.block_size
+        elif block_size <= 0:
+            raise FileSystemError(f"block size must be positive, not {block_size}")
         self._admit_vector(rep_vector)
         inode, freed = self.namespace.create_file(
             path,
             rep_vector,
-            block_size or self.cluster.block_size,
+            block_size,
             user,
             overwrite=overwrite,
         )
@@ -292,42 +296,6 @@ class Master:
 
     def complete_file(self, path: str, user: UserContext = SUPERUSER) -> None:
         self.namespace.complete_file(path, user)
-
-    def append_file(self, path: str, user: UserContext = SUPERUSER) -> INodeFile:
-        """Reopen a completed file for appending (HDFS append semantics:
-        the partial tail block fills first, then new blocks follow)."""
-        inode = self.namespace.get_file(path, user)
-        if inode.under_construction:
-            raise LeaseError(f"file {path!r} is already open for writing")
-        self.namespace._check_access(inode, user, 2)  # WRITE
-        inode.under_construction = True
-        self.namespace._emit("append", path=inode.path())
-        return inode
-
-    def extend_block(
-        self, block: Block, delta: int, replicas: Sequence[Replica]
-    ) -> None:
-        """Grow a partial tail block in place on its existing replicas."""
-        meta = self.block_map.get(block.block_id)
-        if meta is None:
-            raise BlockError(f"extend for unknown block {block.block_id}")
-        if block.size + delta > block.capacity:
-            raise BlockError(
-                f"block {block.block_id} cannot grow past its capacity"
-            )
-        for replica in replicas:
-            self.namespace.check_tier_space(meta.inode, replica.tier_name, delta)
-        block.size += delta
-        for replica in replicas:
-            replica.medium.commit(0, delta)
-            self.namespace.charge_tier_space(meta.inode, replica.tier_name, delta)
-        self.namespace._emit(
-            "update_block",
-            path=meta.inode.path(),
-            block_id=block.block_id,
-            index=block.index,
-            size=block.size,
-        )
 
     def delete(
         self, path: str, recursive: bool = False, user: UserContext = SUPERUSER
@@ -339,68 +307,6 @@ class Master:
         for block in blocks:
             self._drop_block(block)
         return len(blocks)
-
-    def concat(
-        self, target: str, sources: Sequence[str], user: UserContext = SUPERUSER
-    ) -> None:
-        """Merge ``sources`` onto the end of ``target`` (HDFS concat).
-
-        A pure metadata operation: the source files' blocks are moved
-        onto the target inode and the sources disappear; no data moves.
-        All files must be complete and share the target's block size,
-        and every block except the target's last must be full — the
-        HDFS preconditions that keep offsets computable.
-        """
-        if not sources:
-            raise FileSystemError("concat needs at least one source")
-        inode = self.namespace.get_file(target, user)
-        if inode.under_construction:
-            raise LeaseError(f"concat target {target!r} is open for writing")
-        self.namespace._check_access(inode, user, 2)  # WRITE
-        source_inodes = []
-        for path in sources:
-            src = self.namespace.get_file(path, user)
-            if src is inode:
-                raise FileSystemError("cannot concat a file onto itself")
-            if src.under_construction:
-                raise LeaseError(f"concat source {path!r} is open for writing")
-            if src.block_size != inode.block_size:
-                raise FileSystemError(
-                    f"concat source {path!r} has a different block size"
-                )
-            source_inodes.append(src)
-        # Every non-final block must be full so offsets stay block-aligned.
-        pieces = [inode, *source_inodes]
-        for index, piece in enumerate(pieces):
-            tail_allowed = index == len(pieces) - 1
-            for b_index, block in enumerate(piece.blocks):
-                is_tail = b_index == len(piece.blocks) - 1
-                if block.size != piece.block_size and not (tail_allowed and is_tail):
-                    raise FileSystemError(
-                        f"concat piece {piece.path()!r} has a partial "
-                        "non-final block"
-                    )
-        # Journal the concat *before* the source deletes so a replaying
-        # standby moves the blocks first and then drops empty sources.
-        self.namespace._emit(
-            "concat",
-            target=inode.path(),
-            sources=[src.path() for src in source_inodes],
-        )
-        for src in source_inodes:
-            src_path = src.path()
-            for block in src.blocks:
-                block.index = len(inode.blocks)
-                inode.blocks.append(block)
-                meta = self.block_map.get(block.block_id)
-                if meta is not None:
-                    meta.inode = inode
-            # Move quota charges from the source inode to the target.
-            for tier, nbytes in list(src.tier_bytes.items()):
-                self.namespace.charge_tier_space(src, tier, -nbytes)
-                self.namespace.charge_tier_space(inode, tier, nbytes)
-            src.blocks = []
-            self.namespace.delete(src_path, user=user)
 
     def rename(self, src: str, dst: str, user: UserContext = SUPERUSER) -> None:
         self.namespace.rename(src, dst, user)
@@ -426,9 +332,9 @@ class Master:
         (and every ancestor directory's) is charged ``block.size``.
 
         A copy can outlive its file: if ``meta`` is no longer the record
-        mapped under its id (deleted or overwritten while a repair or
-        balancer move was in flight), the worker drops the replica and
-        :class:`BlockError` is raised instead.
+        mapped under its id (deleted or overwritten while a repair was in
+        flight), the worker drops the replica and :class:`BlockError` is
+        raised instead.
         """
         if self.block_map.get(meta.block.block_id) is not meta:
             self._delete_replica_from_worker(replica)
@@ -781,15 +687,7 @@ class Master:
         for replica in list(meta.replicas):
             if replica.state == FINALIZED and replica.lost:
                 self.detach_replica(meta, replica)
-        # Replicas on decommissioning nodes are readable but no longer
-        # count toward the vector: they are being drained away.
-        live = [
-            r for r in meta.live_replicas() if not r.node.decommissioning
-        ]
-        draining = [
-            r for r in meta.live_replicas() if r.node.decommissioning
-        ]
-        actions = analyze_block(meta.inode.rep_vector, live)
+        actions = analyze_block(meta.inode.rep_vector, meta.live_replicas())
         processes = []
         if actions.additions:
             for tier in actions.additions:
@@ -797,9 +695,6 @@ class Master:
                 if proc is not None:
                     processes.append(proc)
             return processes  # removals wait until additions are done
-        # Requirements met without the draining copies: retire them.
-        for replica in draining:
-            self.detach_replica(meta, replica, cause="draining")
         removable = dict(actions.removable_tiers)
         for _ in range(actions.removals):
             candidates = meta.live_replicas()
@@ -970,9 +865,6 @@ class Master:
                     worker.delete_replica(replica)
                     continue
                 inode, index = owner
-                # The restored namespace says where the block sits, which
-                # a concat the image predates may have moved.
-                replica.block.index = index
                 inode.blocks[index] = replica.block
                 meta = self.block_map.setdefault(
                     replica.block.block_id,

@@ -51,7 +51,6 @@ class FSDataOutputStream:
         system: "OctopusFileSystem",
         path: str,
         client_node: "Node | None",
-        append: bool = False,
     ) -> None:
         self._system = system
         self._master = system.master
@@ -63,14 +62,8 @@ class FSDataOutputStream:
         self._pending = 0
         self._pieces: deque[bytes | memoryview] = deque()
         self._closed = False
-        inode = self._master.namespace.get_file(path)
-        self._block_size = inode.block_size
+        self._block_size = self._master.namespace.get_file(path).block_size
         self.bytes_written = 0
-        # Appends fill the partial tail block (if any) before allocating
-        # new blocks, matching HDFS append semantics.
-        self._tail_block = None
-        if append and inode.blocks and inode.blocks[-1].size < inode.block_size:
-            self._tail_block = inode.blocks[-1]
 
     # ------------------------------------------------------------------
     # Synchronous API
@@ -117,6 +110,8 @@ class FSDataOutputStream:
     def write_size_proc(self, nbytes: int) -> Generator:
         """Process: append simulated data without materializing bytes."""
         self._check_open()
+        if nbytes < 0:
+            raise FileSystemError(f"cannot write {nbytes} bytes")
         if self._pieces:
             raise FileSystemError("cannot mix byte and size-only writes")
         self._pending += int(nbytes)
@@ -127,21 +122,14 @@ class FSDataOutputStream:
         if self._closed:
             return
         if self._pending:
-            # Less than a block is left: it fits the reopened tail's room
-            # or goes to one new block.
-            grow = self._extend_tail_proc if self._tail_block else self._flush_block_proc
+            # Less than a block is left: it goes to one new block.
             size = self._pending
-            yield from grow(size, self._take(size))
+            yield from self._flush_block_proc(size, self._take(size))
         self._closed = True
         self._master.complete_file(self._path)
 
     def _drain_proc(self) -> Generator:
-        """Flush what the pending data fills: the reopened file's
-        partial tail block first, then whole blocks."""
-        if self._tail_block is not None and self._pending:
-            room = self._tail_block.capacity - self._tail_block.size
-            if self._pending >= room:
-                yield from self._extend_tail_proc(room, self._take(room))
+        """Flush every whole block the pending data fills."""
         while self._pending >= self._block_size:
             size = self._block_size
             yield from self._flush_block_proc(size, self._take(size))
@@ -163,71 +151,6 @@ class FSDataOutputStream:
             parts.append(piece)
             size -= len(piece)
         return b"".join(parts)  # a lone ``bytes`` part comes back as itself
-
-    def _extend_tail_proc(self, payload: int, data: bytes | None) -> Generator:
-        """Grow the reopened file's partial tail block in place."""
-        block = self._tail_block
-        assert block is not None
-        if payload >= block.capacity - block.size:
-            self._tail_block = None  # tail is full after this write
-        if payload <= 0:
-            return
-        meta = self._master.block_map.get(block.block_id)
-        replicas = meta.live_replicas() if meta else []
-        if not replicas:
-            raise BlockError(
-                f"cannot append: tail block {block.block_id} has no live replica"
-            )
-        resources = pipeline_resources(
-            self._system.cluster.topology,
-            self._client_node,
-            [r.medium for r in replicas],
-        )
-        obs = self._system.obs
-        span = None
-        if obs.enabled:
-            span = obs.tracer.start_span(
-                "client.append_block", path=self._path,
-                block=_label(self._path, block), size=payload,
-            )
-        try:
-            yield self._system.cluster.flows.transfer(
-                payload, resources, label=f"append:{block.block_id}",
-                parent=span,
-            )
-        except Exception as exc:
-            if span is not None and obs.enabled:
-                span.end("error", error=type(exc).__name__)
-            raise
-        self._master.extend_block(block, payload, replicas)
-        # Replicas that shared the old bytes share the extended ones.
-        grown: dict[int, tuple[bytes, bytes]] = {}
-        for replica in replicas:
-            if data is None or replica.data is None:
-                replica.data = None
-            else:
-                old = replica.data
-                if id(old) not in grown:
-                    grown[id(old)] = (old, old + data)
-                replica.data = grown[id(old)][1]
-        self._written(span, payload, replicas, new_block=False)
-
-    def _written(
-        self, span, payload: int, replicas: list[Replica], new_block: bool
-    ) -> None:
-        """Count ``payload`` bytes landed on ``replicas``; end ``span``."""
-        self.bytes_written += payload
-        obs = self._system.obs
-        if span is None or not obs.enabled:
-            return
-        for replica in replicas:
-            obs.metrics.counter(
-                "bytes_written_total", tier=replica.tier_name
-            ).inc(payload)
-        if new_block:
-            obs.metrics.counter("blocks_written_total").inc()
-        obs.metrics.histogram("block_write_seconds").observe(span.duration)
-        span.end()
 
     # ------------------------------------------------------------------
     # Pipeline internals (§3.1)
@@ -303,7 +226,15 @@ class FSDataOutputStream:
                     raise
                 continue
             master.commit_block(block, payload, replicas)
-            self._written(span, payload, replicas, new_block=True)
+            self.bytes_written += payload
+            if span is not None and obs.enabled:
+                for replica in replicas:
+                    obs.metrics.counter(
+                        "bytes_written_total", tier=replica.tier_name
+                    ).inc(payload)
+                obs.metrics.counter("blocks_written_total").inc()
+                obs.metrics.histogram("block_write_seconds").observe(span.duration)
+                span.end()
             return
 
     def _check_open(self) -> None:

@@ -167,52 +167,6 @@ class OctopusFileSystem:
             self.master.check_replication()
             yield self.engine.timeout(interval)
 
-    # ------------------------------------------------------------------
-    # Trash maintenance
-    # ------------------------------------------------------------------
-    def expunge_trash(self, older_than: float = 0.0) -> int:
-        """Permanently delete trashed entries older than ``older_than``
-        simulated seconds. Returns the number of entries removed."""
-        removed = 0
-        now = self.engine.now
-        master = self.master
-        if not master.namespace.exists("/.Trash"):
-            return 0
-        for user_dir in master.list_status("/.Trash"):
-            for entry in master.list_status(user_dir.path):
-                if now - entry.mtime >= older_than:
-                    master.delete(entry.path, recursive=True)
-                    removed += 1
-        return removed
-
-    # ------------------------------------------------------------------
-    # Decommissioning (graceful node removal)
-    # ------------------------------------------------------------------
-    def decommission_worker(self, name: str, max_rounds: int = 1000) -> int:
-        """Gracefully retire a worker: drain its replicas, then remove it.
-
-        The node keeps serving reads while the replication manager
-        copies every replica it holds onto other nodes; once empty, the
-        worker is retired. Returns the number of replicas drained.
-        """
-        if name not in self.workers:
-            raise WorkerError(f"unknown worker {name!r}")
-        worker = self.workers[name]
-        node = self.cluster.node(name)
-        node.decommissioning = True
-        drained = len(worker.block_report())
-        self.master.mark_dirty(worker.block_report())
-        self.await_replication(max_rounds=max_rounds)
-        if worker.block_report():
-            raise WorkerError(
-                f"decommission of {name} stalled with "
-                f"{len(worker.block_report())} replicas left"
-            )
-        # Retired: no longer a member of the cluster.
-        node.failed = True
-        self.master.workers[name].dead = True
-        return drained
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<OctopusFileSystem workers={len(self.workers)} "

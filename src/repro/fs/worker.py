@@ -175,7 +175,7 @@ class Worker:
         process owns that reservation and releases it on any failure.
         Yields until the transfer flow completes; returns the new
         replica. ``parent`` links the transfer's trace span to the
-        repair (or rebalance) operation that requested the copy.
+        repair that requested the copy.
         """
         try:
             replica = self.create_replica(

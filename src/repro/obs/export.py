@@ -351,7 +351,6 @@ LEDGER_ACTION_KEYS = {
     "placement": {"block", "vector", "cause", "targets"},
     "repair": {"block", "destination", "source", "context"},
     "tiering": {"tiering_kind", "tier", "heat", "outcome", "policy", "round"},
-    "balancer_move": {"block", "source", "destination", "tier", "bytes"},
     "set_replication": {"old", "new", "outcome"},
     "replica_removed": {"block", "medium", "tier", "cause"},
     "delete": {"blocks"},

@@ -3,11 +3,11 @@
 Every replica in the system exists because some decision put it there —
 the MOOP placement solver scored it above its rivals, the replication
 manager re-created it after a fault, the tiering policy promoted its
-file, the balancer shuffled it to an emptier medium. The rest of the
-observability stack records *what happened and how slow it was*; the
-:class:`ProvenanceLedger` records *why*: one compact, append-only
-decision record per replica-affecting action, causally linked to the
-span that made it and the incident (if any) that was open at the time.
+file. The rest of the observability stack records *what happened and
+how slow it was*; the :class:`ProvenanceLedger` records *why*: one
+compact, append-only decision record per replica-affecting action,
+causally linked to the span that made it and the incident (if any)
+that was open at the time.
 
 The ledger follows the flight recorder's determinism contract exactly:
 
@@ -293,26 +293,6 @@ class ProvenanceLedger:
             record["thresholds"] = thresholds
         return self._append(record)
 
-    def on_balancer_move(
-        self,
-        path: str,
-        block: str,
-        source: str,
-        destination: str,
-        tier: str,
-        nbytes: int,
-        span: "Span | None" = None,
-    ) -> dict:
-        record = self._base("balancer_move", path, span)
-        record.update(
-            block=block,
-            source=source,
-            destination=destination,
-            tier=tier,
-            bytes=nbytes,
-        )
-        return self._append(record)
-
     def on_set_replication(
         self,
         path: str,
@@ -442,12 +422,6 @@ def decision_summary(record: dict) -> str:
             f"policy={record.get('policy', '?')}{bands} "
             f"[{record.get('outcome', '?')}]"
         )
-    if action == "balancer_move":
-        return (
-            f"balance {record.get('block', '')} "
-            f"{record.get('source', '?')} -> {record.get('destination', '?')} "
-            f"({record.get('bytes', 0)} bytes)"
-        )
     if action == "set_replication":
         cas = " (CAS)" if record.get("cas") else ""
         return (
@@ -539,12 +513,6 @@ def explain(records: Iterable[dict], path: str) -> dict:
         elif action == "set_replication":
             if record.get("outcome") == "applied":
                 last_vector_change = record
-        elif action == "balancer_move":
-            removed(record["source"], record, "balancer_move")
-            born(
-                record["destination"], record.get("tier", "?"), record,
-                [record],
-            )
         elif action == "replica_removed":
             removed(record["medium"], record, record.get("cause", "removed"))
         elif action == "delete":

@@ -618,7 +618,7 @@ class ChaosProcess:
         up = []
         for name in sorted(self.system.workers):
             node = self.system.cluster.node(name)
-            if node.failed or node.unreachable or node.decommissioning:
+            if node.failed or node.unreachable:
                 continue
             up.append(name)
         return up

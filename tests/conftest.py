@@ -4,8 +4,8 @@
 (:mod:`tests.test_chaos_convergence`) run with. The default keeps the
 tier-1 suite fast; CI's chaos smoke job raises it.
 
-``assert_usage_exact`` is the replica-lifecycle check the repair,
-balancer and failover tests share: quota usage mirrors the block map.
+``assert_usage_exact`` is the replica-lifecycle check the repair and
+failover tests share: quota usage mirrors the block map.
 """
 
 from collections import Counter

@@ -306,20 +306,6 @@ class TestCacheManager:
         assert memory_tiers(fs, "/renamed") == []
         assert vector(fs, "/b").count("MEMORY") == 1
 
-    def test_open_during_append_succeeds_then_promotes_after_close(
-        self, fs, client
-    ):
-        engine = cache(fs, promote_after=1)
-        client.write_file("/log", data=b"x" * MB, rep_vector=HDD2)
-        writer = client.append("/log")
-        assert client.open("/log").read() == b"x" * MB
-        assert step(fs, engine) == []  # under construction: not a candidate
-        writer.write(b"y" * MB)
-        writer.close()
-        step(fs, engine)
-        assert vector(fs, "/log").count("MEMORY") == 1
-        assert client.read_file("/log") == b"x" * MB + b"y" * MB
-
 
 class TestAccessCountBookkeeping:
     """Tracking is bounded by decay, with no table size to configure."""

@@ -466,12 +466,3 @@ class TestReportHealth:
             assert health["checks"][check]["firing"] is False
         assert health["grace_ticks"]["replication"] >= 1
 
-
-class TestReportBalancer:
-    def test_report_json_includes_balancer_section(self, capsys):
-        assert main(["report", "--workers", "4", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert set(data["balancer"]) == {
-            "threshold", "spread", "planned_moves",
-        }
-        assert data["balancer"]["threshold"] == 0.10

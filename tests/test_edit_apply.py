@@ -52,20 +52,12 @@ VECTORS = (RV, ReplicationVector.of(u=2), ReplicationVector.of(hdd=1),
 # ----------------------------------------------------------------------
 # The differential oracle
 # ----------------------------------------------------------------------
-def _append(client, path, size):
-    stream = client.append(path)
-    stream.write_size(size)
-    stream.close()
-
-
-#: op -> how a client makes the call (4 MB blocks: 6 MB leaves a tail).
+#: op -> how a client makes the call (4 MB blocks: 6 MB ends in a partial one).
 CALLS = {
     "mkdir": Client.mkdir,
     "write": lambda c, path, size, overwrite: c.write_file(path, size=size, overwrite=overwrite),
     "create": lambda c, path, overwrite: c.create(path, overwrite=overwrite),
     "complete": lambda c, path: c.system.master.complete_file(path, c.user),
-    "append": _append,
-    "concat": lambda c, target, source: c.concat(target, [source]),
     "rename": Client.rename,
     "delete": Client.delete,
     "set_replication": Client.set_replication,
@@ -88,8 +80,6 @@ step_st = st.tuples(st.sampled_from(("root", "alice")), st.one_of(
     st.tuples(st.just("write"), path_st, size_st, st.booleans()),
     st.tuples(st.just("create"), path_st, st.booleans()),
     st.tuples(st.just("complete"), path_st),
-    st.tuples(st.just("append"), path_st, size_st),
-    st.tuples(st.just("concat"), st.sampled_from(("/a/f", "/home/f")), path_st),
     st.tuples(st.just("rename"), node_st, path_st),
     st.tuples(st.just("delete"), node_st, st.booleans()),
     st.tuples(st.just("set_replication"), path_st, st.sampled_from(VECTORS)),

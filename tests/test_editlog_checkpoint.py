@@ -296,9 +296,8 @@ class TestBackupMaster:
         client.write_file("/d/late", data=b"x" * MB)
         client.rename("/d/early", "/d/sub/moved")
         client.set_replication("/d/late", ReplicationVector.of(hdd=2))
-        with client.append("/d/late") as stream:
-            stream.write(b"y" * MB)
-        client.move_to_trash("/d/sub/moved")
+        client.write_file("/d/late", data=b"y" * (2 * MB), overwrite=True)
+        client.rename("/d/sub/moved", "/archive")
         live = ckpt.write_checkpoint(fs.master.namespace)
         assert live["root"]["children"][0]["mtime"] > 0.0
         assert ckpt.write_checkpoint(backup.image) == live
@@ -366,24 +365,6 @@ class TestBackupMaster:
         restore_master_from_checkpoint(fs, snapshot, [])
         assert fs.client(on="worker2").read_file("/old") == b"x" * (6 * MB)
         assert sum(len(w.block_report()) for w in fs.workers.values()) == 4
-        check_system_invariants(fs)
-
-    def test_restore_predating_a_concat_keeps_both_files(self):
-        fs = OctopusFileSystem(small_cluster_spec())
-        backup = BackupMaster(fs.master)
-        client = fs.client(on="worker1")
-        client.write_file("/t", data=b"t" * (4 * MB), rep_vector=2)
-        client.write_file("/s", data=b"s" * MB, rep_vector=2)
-        snapshot = backup.create_checkpoint()
-        client.concat("/t", ["/s"])
-        restore_master_from_checkpoint(fs, snapshot, [])
-        assert fs.client(on="worker2").read_file("/t") == b"t" * (4 * MB)
-        assert fs.client(on="worker2").read_file("/s") == b"s" * MB
-        (meta,) = [
-            fs.master.block_map[b.block_id]
-            for b in fs.master.namespace.get_file("/s").blocks
-        ]
-        assert meta.label == "/s#0"
         check_system_invariants(fs)
 
     def test_restore_predating_an_overwrite_serves_no_newer_bytes(self):

@@ -238,12 +238,10 @@ class TestExhaustiveEnumeratesWhatGreedyMay:
     """The reference optimum is taken over the placements Algorithm 2's
     hard rules allow, so it can never beat greedy by breaking one."""
 
-    def test_no_draining_node_and_no_memory_unless_enabled(self):
+    def test_no_memory_unless_enabled(self):
         cluster = Cluster(small_cluster_spec(workers=4, seed=1))
-        cluster.node("worker1").decommissioning = True
         request = PlacementRequest(ReplicationVector.of(u=3), cluster.block_size)
         optimal = exhaustive_place_replicas(cluster, request)
-        assert [m.node.name for m in optimal if m.node.name == "worker1"] == []
         assert [m.tier_name for m in optimal if m.tier_name == "MEMORY"] == []
 
     def test_a_medium_holding_the_block_is_not_enumerated_again(self):

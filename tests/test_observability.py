@@ -23,7 +23,6 @@ from repro.bench.deployments import build_deployment
 from repro.cluster import small_cluster_spec
 from repro.cluster.spec import paper_cluster_spec
 from repro.errors import ConfigurationError
-from repro.fs.balancer import Balancer
 from repro.fs.client import Client
 from repro.fs.invariants import check_system_invariants
 from repro.obs import (
@@ -400,17 +399,6 @@ def _holder(node) -> str | None:
     return getattr(node, "attr", getattr(node, "id", None))
 
 
-def _skew_hdd(fs, files=6):
-    """Single-replica HDD files written from worker1, which the MOOP
-    policy keeps local: a skew the balancer has to move."""
-    client = fs.client(on="worker1")
-    for index in range(files):
-        client.write_file(
-            f"/skew/f{index}", size=4 * MB,
-            rep_vector=ReplicationVector.of(hdd=1),
-        )
-
-
 class TestOneOffSwitch:
     def test_no_null_object_and_no_second_switch_under_src(self):
         """Off is ``obs.enabled`` for the tracer and the metrics and an
@@ -462,8 +450,8 @@ class TestOneOffSwitch:
         self, monkeypatch
     ):
         """Every decision site runs with observability on and both slots
-        empty: faults, repair, a tiering round that loses its CAS, the
-        balancer, a vector change and a delete."""
+        empty: faults, repair, a tiering round that loses its CAS, a
+        vector change and a delete."""
         schedule = (
             FaultSchedule()
             .crash(at=20.0, node="worker2")
@@ -499,20 +487,17 @@ class TestOneOffSwitch:
         fs.await_replication()
         engine.detach()
 
-        _skew_hdd(fs)
-        assert Balancer(fs, threshold=0.002).run().moves_executed > 0
         assert client.delete("/on/f1") == 1
         fs.await_replication()
         check_system_invariants(fs)
 
         assert obs.recorder is None and obs.ledger is None
         names = {r["name"] for r in obs.tracer.records}
-        assert {"fault.crash", "fault.corrupt", "master.repair", "tier.round",
-                "balancer.move"} <= names
+        assert {"fault.crash", "fault.corrupt", "master.repair", "tier.round"} <= names
 
     def test_disable_from_a_timer_with_spans_open(self, monkeypatch):
-        """``disable()`` fired by the engine while a write, a read, a
-        repair and balancer moves are mid-transfer: every process still
+        """``disable()`` fired by the engine while a write, a read and a
+        repair are mid-transfer: every process still
         completes, and nothing reaches the recorder once it is
         detached."""
         fs = OctopusFileSystem(small_cluster_spec(seed=6))
@@ -524,7 +509,6 @@ class TestOneOffSwitch:
             "/busy/read", size=16 * MB, rep_vector=ReplicationVector.of(hdd=2)
         )
         client.write_file("/busy/repair", size=4 * MB, rep_vector=2)
-        _skew_hdd(fs)
         started = []
         start_span = obs.tracer.start_span
 
@@ -561,12 +545,11 @@ class TestOneOffSwitch:
             obs.disable()
 
         fs.engine.call_at(fs.engine.now + 0.001, switch_off)
-        report = Balancer(fs, threshold=0.002).run()
         fs.engine.run(fs.engine.all_of(procs + repairs))
 
-        assert {"client.write_block", "client.read_block", "master.repair",
-                "balancer.move"} <= open_at_disable
-        assert report.moves_executed > 0
+        assert {
+            "client.write_block", "client.read_block", "master.repair",
+        } <= open_at_disable
         assert all(proc.ok for proc in procs + repairs)
         assert rings and recorder.ring_sizes() == rings
         assert obs.tracer is None and obs.recorder is None

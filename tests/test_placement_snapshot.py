@@ -72,10 +72,9 @@ def random_cluster(seed: int, racks: int) -> tuple[Cluster, random.Random]:
         cluster.flows.refresh([medium.read_channel, medium.write_channel])
     for medium in rng.sample(media, 2):
         medium.failed = True
-    dead, silent, draining = rng.sample(cluster.worker_nodes, 3)
+    dead, silent = rng.sample(cluster.worker_nodes, 2)
     dead.failed = True
     silent.unreachable = True
-    draining.decommissioning = True
     return cluster, rng
 
 
@@ -140,7 +139,7 @@ class TestScorerDifferential:
         assert ctx.total_racks == len({m.node.rack for m in live})
         assert (ctx.total_racks == 1) == (racks == 1)
         assert snapshot.pool == [
-            m for m in cluster.placeable_media() if m.remaining >= block_size
+            m for m in live if m.remaining >= block_size
         ]
         assert list(snapshot.rows) == live
 
@@ -271,8 +270,6 @@ class TestNothingOutlivesADecision:
         first.failed = True
         second = one_replica(cluster, "tm")
         assert second is not first
-        second.node.decommissioning = True
-        assert one_replica(cluster, "tm").node is not second.node
 
     def test_an_old_context_meets_the_media_as_they_are(self, cluster):
         """``solve_moop`` without a snapshot, as ``check_replication``-style
@@ -432,14 +429,14 @@ def test_shuffled_policies_pick_what_they_picked_at_the_parent(name):
 
 
 #: The model-free policies over 400 blocks that fill a 12-worker cluster
-#: until placements fail, one node draining and one dying on the way:
+#: until placements fail, one node silent and one dying on the way:
 #: (md5 of the picks, the policy's next random number), recorded at the
 #: parent. Every ``rng.choice`` / ``rng.sample`` got the same argument at
 #: the same position of the stream.
 PINNED_MODEL_FREE = {
-    "rule": ("af3865ebb7be7044ef709162175de94e", 0.5772422435748481),
-    "hdfs": ("5d3639563c3cc9be506fae83953a632b", 0.6471342293443434),
-    "hdfs+ssd": ("5dbf00f3f3d17d068cc03855c1868b54", 0.7637136967838266),
+    "rule": ("36f243f69bb1e875377563501381f2e3", 0.19671125090565955),
+    "hdfs": ("ec0138a25e66838ce7f582bc74916379", 0.8283227148054814),
+    "hdfs+ssd": ("89558222935ed5bfaf4e6857ee73ac69", 0.12169568201285141),
 }
 
 
@@ -448,7 +445,7 @@ def test_model_free_policies_pick_what_they_picked_at_the_parent(name):
     policy = make_policy(name, DeterministicRng(3, name))
     cluster = Cluster(paper_cluster_spec(workers=12, racks=3))
     workers = cluster.worker_nodes
-    workers[4].decommissioning = True
+    workers[4].unreachable = True
     picks = []
     for block in range(400):
         vector = (VECTORS + (ReplicationVector.of(u=5),))[block % 5]

@@ -169,10 +169,6 @@ class TestRecords:
             "/f", kind="promote", tier="MEMORY", heat=2.5,
             outcome="applied", detail="", policy=Policy(), round_number=1,
         )
-        ledger.on_balancer_move(
-            "/f", block="/f#0", source="w1:hdd0", destination="w2:hdd0",
-            tier="HDD", nbytes=4,
-        )
         ledger.on_set_replication("/f", old="a", new="b", cas=False)
         ledger.on_replica_removed(
             "/f", block="/f#0", medium="w1:hdd0", tier="HDD", cause="x"

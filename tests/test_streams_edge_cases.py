@@ -59,6 +59,29 @@ class TestWriteEdgeCases:
         with pytest.raises(FileSystemError):
             stream.write_size(10)
 
+    def test_write_file_with_bytes_and_a_size_creates_nothing(self, client):
+        """Refused before the file exists, so none is left open for
+        writing forever."""
+        with pytest.raises(FileSystemError, match="cannot mix"):
+            client.write_file("/x", data=b"abc", size=5)
+        assert not client.exists("/x")
+
+    def test_negative_size_only_write_rejected(self, fs, client):
+        stream = client.create("/neg")
+        with pytest.raises(FileSystemError):
+            stream.write_size(-5)
+        stream.write_size(5)
+        stream.close()
+        assert [b.size for b in fs.master.namespace.get_file("/neg").blocks] == [5]
+
+    @pytest.mark.parametrize("block_size", [0, -1])
+    def test_non_positive_block_size_rejected(self, fs, client, block_size):
+        with pytest.raises(FileSystemError, match="block size"):
+            client.create("/bs", block_size=block_size)
+        assert not client.exists("/bs")
+        client.write_file("/default", size=MB, block_size=None)
+        assert fs.master.namespace.get_file("/default").block_size == 4 * MB
+
     def test_write_after_close_rejected(self, client):
         stream = client.create("/closed")
         stream.close()
@@ -167,10 +190,9 @@ class TestBytePath:
         stream.write(rng.randbytes(2 * block_size + 12345))
         stream.write(bytearray(rng.randbytes(40000)))
         stream.write(memoryview(rng.randbytes(3000)))
+        stream.write(rng.randbytes(5000))
+        stream.write(rng.randbytes(block_size + 100))
         stream.close()
-        with client.append("/golden") as stream:  # spills past the tail
-            stream.write(rng.randbytes(5000))
-            stream.write(rng.randbytes(block_size + 100))
         blocks = []
         for block in fs.master.namespace.get_file("/golden").blocks:
             (data,) = {r.data for r in fs.master.block_map[block.block_id].replicas}
