@@ -10,6 +10,7 @@ from __future__ import annotations
 from repro.cluster.media import StorageMedium, StorageTier
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.topology import NetworkTopology, Node
+from repro.core.objectives import PlacementView
 from repro.errors import ConfigurationError
 from repro.obs import Observability, active_capture
 from repro.sim.engine import SimulationEngine
@@ -47,6 +48,9 @@ class Cluster:
         }
         self.media: dict[str, StorageMedium] = {}
         self._build_nodes()
+        #: What placement decisions read between them (the Master's
+        #: heartbeat statistics, §3.2).
+        self.placement_view = PlacementView(self)
 
     def _build_nodes(self) -> None:
         rack_names = {node.rack for node in self.spec.nodes}
@@ -109,9 +113,10 @@ class Cluster:
         """Every readable medium on a live, reachable node."""
         return [
             medium
-            for node in self.nodes
+            for node in self.topology.nodes.values()
+            if not node.failed and not node.unreachable
             for medium in node.media
-            if not medium.failed and not node.failed and not node.unreachable
+            if not medium.failed
         ]
 
     def active_tiers(self) -> list[StorageTier]:

@@ -113,19 +113,26 @@ class StorageMedium:
         """Convert a reservation into stored data (block finalized)."""
         self.reserved -= reserved_bytes
         self.used += actual_bytes
-        if self.reserved < 0 or self.used > self.capacity:
+        self._check_accounting()
+
+    def release_reservation(self, nbytes: int) -> None:
+        """Drop a reservation for an aborted write."""
+        self.reserved -= nbytes
+        self._check_accounting()
+
+    def free(self, nbytes: int) -> None:
+        """Return space when a replica is deleted."""
+        self.used -= nbytes
+        self._check_accounting()
+
+    def _check_accounting(self) -> None:
+        """Raise on a reservation or a store that went below zero, or past
+        the capacity: a double free or release is a bug, never clamped."""
+        if self.reserved < 0 or self.used < 0 or self.used > self.capacity:
             raise InsufficientStorageError(
                 f"medium {self.medium_id}: accounting violated "
                 f"(used={self.used}, reserved={self.reserved})"
             )
-
-    def release_reservation(self, nbytes: int) -> None:
-        """Drop a reservation for an aborted write."""
-        self.reserved = max(0, self.reserved - nbytes)
-
-    def free(self, nbytes: int) -> None:
-        """Return space when a replica is deleted."""
-        self.used = max(0, self.used - nbytes)
 
     # ------------------------------------------------------------------
     # Load statistics

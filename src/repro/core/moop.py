@@ -219,26 +219,26 @@ def _memory_rule(
     placed: Sequence["StorageMedium"],
     request: PlacementRequest,
     cluster: "Cluster",
-) -> set[str]:
+) -> frozenset[str]:
     """The tiers a U entry may not use: volatile (memory) tiers are
     opt-in and capped at ⌊r/3⌋ of a block's replicas (§3.3, final
     paragraph)."""
-    volatile_tiers = {t.name for t in cluster.tiers.values() if t.volatile}
+    volatile_tiers = cluster.placement_view.volatile_tiers
     if not volatile_tiers or not request.memory_enabled:
         return volatile_tiers
     if not request.memory_cap:
-        return set()
+        return frozenset()
     volatile_used = sum(1 for m in placed if m.tier_name in volatile_tiers)
     if volatile_used >= request.total_replicas // 3:
         return volatile_tiers
-    return set()
+    return frozenset()
 
 
 def _near_nodes(
     cluster: "Cluster",
     request: PlacementRequest,
     placed: Sequence["StorageMedium"],
-) -> set["Node"] | None:
+) -> "frozenset[Node] | None":
     """Where the soft heuristics steer the next replica, if anywhere:
     the first to the client's own worker (client colocation), the next
     toward exactly two racks, as Eq. 5's rack term rewards (rack
@@ -246,16 +246,15 @@ def _near_nodes(
     if not placed:
         client = request.client_node
         if request.client_colocation and client is not None:
-            return {client}
+            return frozenset((client,))
         return None
     if not request.rack_pruning:
         return None
+    view = cluster.placement_view
     racks = list(dict.fromkeys(m.node.rack for m in placed))
     if len(racks) == 1:
-        racks = [r for r in cluster.topology.racks.values() if r is not racks[0]]
-    else:
-        racks = racks[:2]
-    return {node for rack in racks for node in rack.nodes}
+        return view.nodes - view.rack_nodes[racks[0]]
+    return view.rack_nodes[racks[0]] | view.rack_nodes[racks[1]]
 
 
 def place_replicas(
@@ -272,9 +271,9 @@ def place_replicas(
     cannot be placed anywhere.
 
     The cluster is read once, up front
-    (:func:`~repro.core.objectives.snapshot_cluster`): the context, the
-    pool and the media's rows serve every entry, and none of them
-    survives the call.
+    (:func:`~repro.core.objectives.snapshot_cluster`, through the
+    cluster's placement view): the context, the pool and the media's
+    rows serve every entry, and none of them survives the call.
 
     ``rng`` (a :class:`~repro.util.rng.DeterministicRng`) shuffles each
     entry's option list before scoring. ``solve_moop`` keeps the first

@@ -17,23 +17,28 @@ placement decision, which mirrors the paper's Master computing against
 its heartbeat-reported statistics.
 
 A placement decision reads the cluster exactly once:
-:func:`snapshot_cluster` turns one pass over the live media into the
-context, the pool of media a replica could go to, and one *row* of
+:func:`snapshot_cluster` asks the cluster's :class:`PlacementView` for
+the context, the pool of media a replica could go to, and one *row* of
 single-medium terms per medium; :func:`prefix_scorer` scores whole
-option lists from those rows.
+option lists from those rows. The view re-reads every live medium's
+``Rem`` and ``NrConn`` for each decision and re-forms the rows of the
+media whose pair moved since the last one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import compress, repeat
+from operator import attrgetter, ge, truediv
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
+from repro.cluster.media import StorageMedium
 from repro.errors import PlacementError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
-    from repro.cluster.media import StorageMedium
     from repro.cluster.topology import Node, Rack
 
 #: Objective key names, in the paper's presentation order.
@@ -71,7 +76,7 @@ class ObjectiveContext:
         throughput averages are the cluster's either way).
         """
         block_size = cluster.block_size if block_size is None else block_size
-        ctx = read_media(cluster.live_media(), block_size, cluster=cluster).ctx
+        ctx = cluster.placement_view.context(block_size)
         if media is None:
             return ctx
         view = read_media(media, block_size, cluster=cluster).ctx
@@ -143,20 +148,29 @@ def throughput_maximization(
     Throughputs are per-tier averages; the logarithm damps the large
     memory-vs-HDD gap as described in §3.2.
     """
-    log_max = _log_max_throughput(ctx)
+    log_max = _log_max_throughput(ctx.max_write_throughput)
     total = 0.0
     for medium in media:
         total += _throughput_term(ctx.write_throughput_of(medium), log_max)
     return total
 
 
-def _log_max_throughput(ctx: ObjectiveContext) -> float:
-    return math.log(max(ctx.max_write_throughput, math.e))
+def _log_max_throughput(max_write_throughput: float) -> float:
+    return math.log(max(max_write_throughput, math.e))
 
 
 def _throughput_term(write_throughput: float, log_max: float) -> float:
     """One medium's summand of Eq. 7."""
     return math.log(max(write_throughput, 1.0)) / log_max
+
+
+@lru_cache(maxsize=16)
+def _tier_terms(max_write_throughput: float, tier_write_throughput: tuple) -> tuple:
+    """Eq. 7's log of the maximum and each tier's summand, once per set
+    of tier averages (they move only with liveness and ``degrade()``).
+    Every caller shares the dict: read it, never write it."""
+    log_max = _log_max_throughput(max_write_throughput)
+    return log_max, {tier: _throughput_term(thru, log_max) for tier, thru in tier_write_throughput}
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +214,9 @@ _IDEALS: dict[str, Callable[[int, ObjectiveContext], float]] = {
 #: when the live entries still point at these exact functions.
 _BUILTIN_OBJECTIVES = dict(_OBJECTIVES)
 _BUILTIN_IDEALS = dict(_IDEALS)
+#: The names whose live entries do not: checked at registration, so a
+#: scorer's check is one set operation.
+_REPLACED: set[str] = set()
 
 
 def register_objective(
@@ -215,6 +232,10 @@ def register_objective(
     """
     _OBJECTIVES[name] = objective
     _IDEALS[name] = ideal
+    if objective is _BUILTIN_OBJECTIVES.get(name) and ideal is _BUILTIN_IDEALS.get(name):
+        _REPLACED.discard(name)
+    else:
+        _REPLACED.add(name)
 
 
 def objective_vector(
@@ -260,10 +281,10 @@ _ROW_COLUMN = {DATA_BALANCING: 0, LOAD_BALANCING: 1}
 class DecisionSnapshot(NamedTuple):
     """Everything one placement decision reads from the cluster.
 
-    Built by one pass over the live media and dropped when the decision
-    returns: nothing placed mid-decision changes a medium (allocation
-    happens after the whole vector is resolved), and nothing outlives
-    the decision, so there is nothing to invalidate.
+    Read once per decision and dropped when it returns: nothing placed
+    mid-decision changes a medium (allocation happens after the whole
+    vector is resolved). The next decision reads again, through the
+    :class:`PlacementView`, which re-reads what can have moved.
     """
 
     #: ``None`` from a :func:`read_media` that was given no cluster.
@@ -317,9 +338,90 @@ def read_media(
     return DecisionSnapshot(ctx, pool, rows)
 
 
+# The properties' own getters: one definition of each, called without
+# the attribute lookup.
+_REMAINING = StorageMedium.remaining.fget
+_CONNECTIONS = StorageMedium.nr_connections.fget
+_WRITE_THROUGHPUT = attrgetter("write_throughput")
+#: Block sizes a view keeps rows for at once, the least recently read
+#: dropped first: a file may set its own, and a repair uses its block's.
+_ROW_SETS = 4
+
+
+class PlacementView:
+    """The cluster as its placement decisions read it, kept between them.
+
+    Its key is the live media, by identity and in walk order, and their
+    write throughputs, by value: only liveness and ``degrade()`` move it.
+    Every read checks the key, and a moved key re-forms what hangs off it
+    (the tier averages; the tier, node and rack counts) through
+    :func:`read_media`. ``Rem`` and ``NrConn`` are re-read every time, as
+    two columns; a block size's rows are re-formed, through
+    :func:`read_media` again, only for the media whose pair moved since
+    that block size was last read. Nobody invalidates anything, and a
+    read sees what a fresh walk would.
+    """
+
+    def __init__(self, cluster: "Cluster") -> None:
+        self.cluster = cluster
+        #: Fixed for the cluster's life: the tiers the memory rule guards,
+        #: and the nodes, all and by rack, where rack pruning steers (§3.3).
+        self.volatile_tiers = frozenset(t.name for t in cluster.tiers.values() if t.volatile)
+        self.nodes = frozenset(cluster.topology.nodes.values())
+        self.rack_nodes = {rack: frozenset(rack.nodes) for rack in cluster.topology.racks.values()}
+        #: The key and what hangs off it: the context's fixed fields, and
+        #: the capacities ``Rem`` is a fraction of.
+        self._key, self._stats, self._capacities = (), None, []
+        #: Block size -> the ``Rem`` and ``NrConn`` columns its rows were
+        #: formed at, and the rows.
+        self._rows: dict[int, tuple[list[int], list[int], dict]] = {}
+
+    def _read(self, block_size: int) -> tuple[list, list[int], list[int], ObjectiveContext]:
+        """Check the key and re-read the two columns; the live media, the
+        columns and the context."""
+        live = self.cluster.live_media()
+        key = (live, list(map(_WRITE_THROUGHPUT, live)))
+        remaining, connections = list(map(_REMAINING, live)), list(map(_CONNECTIONS, live))
+        if key != self._key:
+            snapshot = read_media(live, block_size, self.cluster)  # raises on no media
+            self._key, self._stats = key, snapshot.ctx
+            self._capacities = [medium.capacity for medium in live]
+            self._rows = {block_size: (remaining, connections, snapshot.rows)}
+        stats = self._stats
+        ctx = ObjectiveContext(
+            block_size, stats.total_tiers, stats.total_nodes, stats.total_racks,
+            max(map(truediv, remaining, self._capacities)), min(connections),
+            stats.max_write_throughput, dict(stats.tier_write_throughput),
+        )
+        return live, remaining, connections, ctx
+
+    def context(self, block_size: int) -> ObjectiveContext:
+        """The statistics of every live medium, as read now."""
+        return self._read(block_size)[3]
+
+    def snapshot(self, block_size: int) -> DecisionSnapshot:
+        """What one decision about one ``block_size`` block reads."""
+        live, remaining, connections, ctx = self._read(block_size)
+        kept = self._rows.pop(block_size, None)
+        if kept is None:
+            rows = read_media(live, block_size).rows
+        else:
+            rows, pairs = kept[2], zip(live, remaining, connections, kept[0], kept[1])
+            changed = [medium for medium, rem, conns, rem0, conns0 in pairs
+                       if rem != rem0 or conns != conns0]
+            if changed:
+                rows.update(read_media(changed, block_size).rows)
+        self._rows[block_size] = (remaining, connections, rows)
+        if len(self._rows) > _ROW_SETS:
+            del self._rows[next(iter(self._rows))]
+        pool = list(compress(live, map(ge, remaining, repeat(block_size))))
+        return DecisionSnapshot(ctx, pool, dict(rows))
+
+
 def snapshot_cluster(cluster: "Cluster", block_size: int) -> DecisionSnapshot:
-    """Read every live medium once, for one decision about one block."""
-    return read_media(cluster.live_media(), block_size, cluster=cluster)
+    """What one decision about one block reads, through the cluster's
+    :class:`PlacementView`."""
+    return cluster.placement_view.snapshot(block_size)
 
 
 def prefix_scorer(
@@ -360,26 +462,23 @@ def prefix_scorer(
     been replaced via :func:`register_objective` — custom formulas are
     not separable, and the caller must fall back to the generic path.
     """
-    for name in objectives:
-        if (
-            _OBJECTIVES.get(name) is not _BUILTIN_OBJECTIVES.get(name)
-            or _IDEALS.get(name) is not _BUILTIN_IDEALS.get(name)
-        ):
-            return None
+    if not _REPLACED.isdisjoint(objectives):
+        return None
+
+    known = rows or {}
 
     def rows_of(media: Sequence["StorageMedium"]) -> list[MediumRow]:
-        if rows is not None and all(map(rows.__contains__, media)):
-            return list(map(rows.__getitem__, media))
-        read = read_media(media, ctx.block_size).rows
-        return [read[m] for m in media]
+        try:
+            return list(map(known.__getitem__, media))
+        except KeyError:  # a medium the decision's rows do not hold
+            read = read_media(media, ctx.block_size).rows
+            return [read[m] for m in media]
 
-    # Eq. 7's summand is the tier's, one log per tier; a tier the context
-    # holds no average for takes the medium's own throughput.
-    log_max = _log_max_throughput(ctx)
-    tier_terms = {
-        tier: _throughput_term(thru, log_max)
-        for tier, thru in ctx.tier_write_throughput.items()
-    }
+    # Eq. 7's summand is the tier's; a tier the context holds no average
+    # for takes the medium's own throughput.
+    log_max, tier_terms = _tier_terms(
+        ctx.max_write_throughput, tuple(ctx.tier_write_throughput.items())
+    )
 
     def tm_term(row: MediumRow) -> float:
         if row[3] in tier_terms:

@@ -189,7 +189,7 @@ class RuleBasedPolicy(BlockPlacementPolicy):
         racks = [
             rack
             for rack in cluster.topology.racks.values()
-            if any(node.media and not node.failed for node in rack.nodes)
+            if any(node.live_media for node in rack.nodes)
         ]
         if len(racks) <= 2:
             return racks

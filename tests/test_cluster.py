@@ -148,6 +148,21 @@ class TestMediumAccounting:
         medium.free(MB)
         assert medium.used == 0
 
+    def test_a_double_free_or_release_raises(self, cluster):
+        """Like ``commit``: an accounting violation is an error, never
+        clamped to zero, where it would leave ``Rem`` silently too high."""
+        medium = cluster.node("worker1").medium_for_tier("HDD")[0]
+        medium.reserve(2 * MB)
+        medium.release_reservation(MB)
+        with pytest.raises(InsufficientStorageError, match="accounting violated"):
+            medium.release_reservation(2 * MB)
+        medium = cluster.node("worker2").medium_for_tier("HDD")[0]
+        medium.reserve(MB)
+        medium.commit(MB, MB)
+        medium.free(MB)
+        with pytest.raises(InsufficientStorageError, match="accounting violated"):
+            medium.free(MB)
+
     def test_remaining_fraction(self, cluster):
         medium = cluster.node("worker1").medium_for_tier("MEMORY")[0]
         assert medium.remaining_fraction == 1.0

@@ -113,6 +113,26 @@ class TestRuleBasedPolicy:
         assert len({m.node for m in chosen}) == 3
         assert len({m.node.rack for m in chosen}) <= 2
 
+    def test_a_rack_with_no_live_medium_is_not_picked(self):
+        """Every node of rack1 unreachable: the two racks a block is spread
+        over are drawn from the two racks that can still take it, so no
+        block lands wholly on one rack because its second rack was dead."""
+        cluster = Cluster(paper_cluster_spec(workers=9, racks=3))
+        silent = cluster.topology.racks["rack1"]
+        for node in silent.nodes:
+            node.unreachable = True
+        policy = RuleBasedPolicy(DeterministicRng(5))
+        one_rack = 0
+        for _ in range(300):
+            assert silent not in policy._pick_racks(cluster)
+            chosen = policy.choose_targets(cluster, u3_request(cluster))
+            for medium in chosen:
+                medium.reserve(cluster.block_size)
+            assert silent not in {m.node.rack for m in chosen}
+            one_rack += len({m.node.rack for m in chosen}) == 1
+        # A healthy cluster puts about a tenth of its blocks on one rack.
+        assert one_rack < 60
+
     def test_skips_full_tier(self, cluster):
         for node in cluster.worker_nodes:
             for medium in node.medium_for_tier("MEMORY"):

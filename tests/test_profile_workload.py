@@ -67,3 +67,30 @@ def test_memory_reports_peak_end_and_live_sites():
     # Memory replaces the call profile: no cProfile table.
     assert "Ordered by" not in done.stdout
     assert "sim_makespan_s = " in done.stdout
+
+
+def test_setup_profiles_the_set_up_and_still_runs_the_region():
+    done = run_tool(
+        "fault_repair", "--scale", "tiny", "--setup", "--sort", "cumulative",
+        "--top", "5", "--callers", "objectives|moop",
+    )
+    assert done.returncode == 0, done.stderr
+    # The table is set-up's: populate's placements, not the timed region.
+    assert "workloads.py:" in done.stdout and "(setup)" in done.stdout
+    assert not any(
+        "workloads.py:" in line and "(run)" in line for line in done.stdout.splitlines()
+    )
+    assert any(
+        "(place_replicas)" in line and "(snapshot_cluster)" in line
+        for line in done.stdout.splitlines()
+    )
+    # run() still ran, unprofiled: its simulated results print.
+    assert "sim_repair_s = " in done.stdout
+
+
+def test_setup_with_memory_traces_the_set_up():
+    done = run_tool("fault_repair", "--scale", "tiny", "--setup", "--memory", "--top", "2")
+    assert done.returncode == 0, done.stderr
+    assert any(line.startswith("Python heap in set-up: peak") for line in done.stdout.splitlines())
+    assert "Ordered by" not in done.stdout
+    assert "sim_repair_s = " in done.stdout

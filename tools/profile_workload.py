@@ -9,7 +9,12 @@ under a simulator-only change.
 
     python tools/profile_workload.py NAME [--seed N] [--scale full|tiny]
                                           [--sort tottime|cumulative] [--top K]
-                                          [--callers REGEX] [--memory]
+                                          [--callers REGEX] [--memory] [--setup]
+
+``--setup`` profiles (or, with ``--memory``, traces) ``setup()`` instead
+— what ``run.py`` reports as ``setup_s`` — and runs ``run()`` unprofiled
+after it, so the simulated results still print; "the region" below is
+then ``setup()``.
 
 ``--callers REGEX`` adds, for every function whose ``file:line(name)``
 matches, who called it and how often — "which site makes 72 k of the
@@ -44,9 +49,10 @@ ROOT = Path(__file__).resolve().parents[1]
 MB = 1 << 20  # MiB, the unit of run.py's peak_rss_mb
 
 
-def profile(name: str, seed: int, scale: str, timed: Callable[[Callable[[], None]], object]) -> dict:
-    """Run workload ``name`` once, its timed region through ``timed``;
-    its simulated results."""
+def profile(name: str, seed: int, scale: str, timed: Callable[[Callable[[], None]], object],
+            setup: bool = False) -> dict:
+    """Run workload ``name`` once, its timed region (or, with ``setup``,
+    its set-up) through ``timed``; its simulated results."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
     from workloads import WORKLOADS
 
@@ -54,8 +60,12 @@ def profile(name: str, seed: int, scale: str, timed: Callable[[Callable[[], None
         raise SystemExit(f"unknown workload {name!r}; one of {', '.join(WORKLOADS)}")
     workload = WORKLOADS[name](seed, scale)
     try:
-        workload.setup()
-        timed(workload.run)
+        if setup:
+            timed(workload.setup)
+            workload.run()
+        else:
+            workload.setup()
+            timed(workload.run)
         workload.verify()
     finally:
         workload.close()
@@ -69,7 +79,7 @@ def maxrss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def print_memory(run: Callable[[], None], top: int) -> None:
+def print_memory(run: Callable[[], None], top: int, region: str) -> None:
     """Run ``run`` under ``tracemalloc`` and print its heap at the peak
     and at the end, and the ``top`` sites of what is live at the end."""
     tracemalloc.start()
@@ -79,7 +89,7 @@ def print_memory(run: Callable[[], None], top: int) -> None:
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    print(f"Python heap in the timed region: peak {peak / MB:.1f} MB, live at the end "
+    print(f"Python heap in {region}: peak {peak / MB:.1f} MB, live at the end "
           f"{end / MB:.1f} MB, transient (peak - end) {(peak - end) / MB:.1f} MB")
     print(f"ru_maxrss after the region: {maxrss_mb():.1f} MB "
           "(includes tracemalloc's own overhead)")
@@ -101,16 +111,20 @@ def main(argv: list[str] | None = None) -> int:
                         help="also print the callers of every function matching REGEX")
     parser.add_argument("--memory", action="store_true",
                         help="trace the heap with tracemalloc instead of profiling calls")
+    parser.add_argument("--setup", action="store_true",
+                        help="profile (or trace) setup() instead of the timed region")
     args = parser.parse_args(argv)
     if args.memory and args.callers:
         parser.error("--callers reads the call profile, which --memory replaces")
 
     if args.memory:
         print(f"ru_maxrss before set-up: {maxrss_mb():.1f} MB")
-        sim = profile(args.name, args.seed, args.scale, lambda run: print_memory(run, args.top))
+        region = "set-up" if args.setup else "the timed region"
+        sim = profile(args.name, args.seed, args.scale,
+                      lambda run: print_memory(run, args.top, region), args.setup)
     else:
         profiler = cProfile.Profile()
-        sim = profile(args.name, args.seed, args.scale, profiler.runcall)
+        sim = profile(args.name, args.seed, args.scale, profiler.runcall, args.setup)
         stats = pstats.Stats(profiler).strip_dirs().sort_stats(args.sort)
         stats.print_stats(args.top)
         if args.callers:
