@@ -54,6 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Heartbeats older than this many seconds mark a worker dead.
 DEFAULT_HEARTBEAT_EXPIRY = 30.0
 
+#: HDFS's ``dfs.namenode.replication.work.multiplier.per.iteration``
+#: at its default: one replication pass schedules copies for at most
+#: this many blocks per reachable worker, and leaves the rest queued.
+REPLICATION_WORK_MULTIPLIER_PER_ITERATION = 2
+
 
 @dataclass
 class BlockMeta:
@@ -127,6 +132,9 @@ class Master:
         self.block_map: dict[int, BlockMeta] = {}
         self.workers: dict[str, WorkerRecord] = {}
         self._dirty_blocks: set[int] = set()
+        #: Blocks a pass skipped because their file was open; they are
+        #: queued when the file completes (HDFS checks on completeFile).
+        self._skipped_open: set[int] = set()
 
     # ------------------------------------------------------------------
     # Worker membership
@@ -295,7 +303,11 @@ class Master:
         return inode
 
     def complete_file(self, path: str, user: UserContext = SUPERUSER) -> None:
-        self.namespace.complete_file(path, user)
+        inode = self.namespace.complete_file(path, user)
+        for block in inode.blocks:
+            if block.block_id in self._skipped_open:
+                self._skipped_open.remove(block.block_id)
+                self._dirty_blocks.add(block.block_id)
 
     def delete(
         self, path: str, recursive: bool = False, user: UserContext = SUPERUSER
@@ -314,6 +326,7 @@ class Master:
     def _drop_block(self, block: Block) -> None:
         meta = self.block_map.pop(block.block_id, None)
         self._dirty_blocks.discard(block.block_id)
+        self._skipped_open.discard(block.block_id)
         if meta is None:
             return
         for replica in list(meta.replicas):
@@ -492,6 +505,7 @@ class Master:
     def abort_block(self, block: Block, replicas: Sequence[Replica]) -> None:
         """Roll back a failed pipeline write."""
         meta = self.block_map.pop(block.block_id, None)
+        self._skipped_open.discard(block.block_id)
         for replica in replicas:
             record = self.workers.get(replica.node.name)
             if record is not None:
@@ -647,6 +661,12 @@ class Master:
         always handled before surpluses so a tier *move* copies first
         and deletes only once the new replica exists.
 
+        As in HDFS's ReplicationMonitor, a pass schedules copies for at
+        most :data:`REPLICATION_WORK_MULTIPLIER_PER_ITERATION` blocks
+        per reachable worker; the blocks it does not reach stay queued
+        for the next pass. Blocks that are balanced, only trimmed, or
+        whose placement failed do not count.
+
         Returns the list of spawned repair processes; run the engine to
         completion (or await them) to let the copies finish.
         """
@@ -666,8 +686,19 @@ class Master:
                 len(meta.live_replicas()), meta.path, meta.block.index
             )
         )
-        for meta in metas:
-            processes.extend(self._converge_block(meta))
+        budget = REPLICATION_WORK_MULTIPLIER_PER_ITERATION * sum(
+            1 for record in self.workers.values() if record.reachable
+        )
+        for position, meta in enumerate(metas):
+            if budget == 0:
+                self._dirty_blocks.update(
+                    m.block.block_id for m in metas[position:]
+                )
+                break
+            spawned = self._converge_block(meta)
+            if spawned:
+                processes.extend(spawned)
+                budget -= 1
         obs = self.obs
         if obs.enabled:
             obs.metrics.counter("replication_passes_total").inc()
@@ -679,6 +710,7 @@ class Master:
 
     def _converge_block(self, meta: BlockMeta) -> list:
         if meta.inode.under_construction:
+            self._skipped_open.add(meta.block.block_id)
             return []
         # Lost replicas (dead nodes/media, flagged corrupt) hold no usable
         # data yet still occupy their medium; drop them up front so repair

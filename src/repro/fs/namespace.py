@@ -357,12 +357,15 @@ class Namespace:
         )
         return inode, freed
 
-    def complete_file(self, path: str, user: UserContext = SUPERUSER) -> None:
+    def complete_file(
+        self, path: str, user: UserContext = SUPERUSER
+    ) -> INodeFile:
         path = paths.normalize(path)
         inode = self._resolve_file(path, user)
         inode.complete()
         inode.mtime = self._clock()
         self._emit("complete_file", path=path)
+        return inode
 
     def rename(
         self, src: str, dst: str, user: UserContext = SUPERUSER

@@ -111,18 +111,26 @@ class OctopusFileSystem:
         """Drive the replication manager until every block converges.
 
         Returns the number of passes taken. Useful in tests and scripts
-        that do not run the background services.
+        that do not run the background services. A pass bounded by the
+        replication budget still makes progress, so ``max_rounds``
+        counts only the passes that schedule nothing while work is
+        pending.
         """
-        for round_number in range(1, max_rounds + 1):
+        passes = stalled = 0
+        while True:
+            passes += 1
             processes = self.master.check_replication()
             if processes:
                 self.engine.run(self.engine.all_of(processes))
                 continue
             if self.master.pending_replication == 0:
-                return round_number
-        raise WorkerError(
-            f"replication did not converge in {max_rounds} passes"
-        )
+                return passes
+            stalled += 1
+            if stalled >= max_rounds:
+                raise WorkerError(
+                    f"replication did not converge: {max_rounds} passes "
+                    "scheduled nothing while work was pending"
+                )
 
     # ------------------------------------------------------------------
     # Background services (heartbeats, liveness, replication monitor)

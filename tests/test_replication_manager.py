@@ -11,6 +11,7 @@ import repro
 from repro import OctopusFileSystem, ReplicationVector
 from repro.cluster import small_cluster_spec
 from repro.core.replication import analyze_block
+from repro.errors import WorkerError
 from repro.fs.invariants import accounting_violations, check_system_invariants
 from repro.obs import ProvenanceLedger
 from repro.util.units import MB
@@ -286,6 +287,136 @@ class TestFailureRecovery:
         # Sole replica gone: the manager must not crash, just defer.
         procs = fs.master.check_replication()
         assert procs == []
+
+
+class TestOpenFileRepair:
+    def test_a_replica_lost_while_the_file_is_open_is_repaired_on_close(self):
+        """A pass skips the blocks of an open file; closing the file
+        queues them again, so the lost replica is replaced."""
+        fs = OctopusFileSystem(small_cluster_spec(workers=6))
+        stream = fs.client(on="worker1").create("/f", rep_vector=3)
+        stream.write_size(4 * MB)  # block 0 is written, the file still open
+        loc = fs.client().get_file_block_locations("/f")[0]
+        fs.faults.crash(next(h for h in loc.hosts if h != "worker1"))
+        assert fs.master.check_replication() == []
+        stream.close()
+        fs.await_replication()
+        assert len(fs.master.block_map[loc.block_id].live_replicas()) == 3
+
+    def test_a_deleted_open_file_leaves_nothing_queued(self):
+        fs = OctopusFileSystem(small_cluster_spec(workers=6))
+        stream = fs.client(on="worker1").create("/f", rep_vector=3)
+        stream.write_size(4 * MB)
+        loc = fs.client().get_file_block_locations("/f")[0]
+        fs.faults.crash(next(h for h in loc.hosts if h != "worker1"))
+        fs.master.check_replication()
+        assert fs.master._skipped_open == {loc.block_id}
+        fs.client().delete("/f")
+        assert fs.master._skipped_open == set()
+        assert fs.master.pending_replication == 0
+
+
+def repaired_paths(fs, processes) -> list[str]:
+    """The files whose blocks a pass's repair processes copy, in order,
+    each once."""
+    ids = dict.fromkeys(int(p.name.split(":")[1]) for p in processes)
+    return [fs.master.block_map[i].path for i in ids]
+
+
+class TestReplicationBudget:
+    """A pass schedules copies for at most 2 blocks per reachable worker
+    (HDFS's default per-iteration replication work)."""
+
+    def test_a_pass_copies_the_most_endangered_blocks_up_to_the_budget(
+        self, fs, client
+    ):
+        # 4 reachable workers: 8 blocks a pass. Six blocks hold one
+        # replica, six hold two; all twelve now ask for three.
+        for i in range(6):
+            client.write_file(f"/one/{i}", size=MB, rep_vector=1)
+            client.write_file(f"/two/{i}", size=MB, rep_vector=2)
+        for i in range(6):
+            client.set_replication(f"/one/{i}", 3)
+            client.set_replication(f"/two/{i}", 3)
+        first = fs.master.check_replication()
+        assert repaired_paths(fs, first) == (
+            [f"/one/{i}" for i in range(6)] + ["/two/0", "/two/1"]
+        )
+        assert len(first) == 6 * 2 + 2  # two copies per /one, one per /two
+        assert fs.master.pending_replication == 4
+        fs.engine.run(fs.engine.all_of(first))
+        second = fs.master.check_replication()
+        assert repaired_paths(fs, second) == [f"/two/{i}" for i in range(2, 6)]
+        fs.engine.run(fs.engine.all_of(second))
+        assert fs.master.check_replication() == []
+        assert fs.master.pending_replication == 0
+        for i in range(6):
+            for path in (f"/one/{i}", f"/two/{i}"):
+                assert len(fs.client().get_file_block_locations(path)[0].hosts) == 3
+
+    def test_a_full_scan_takes_the_same_budget(self, fs, client):
+        for i in range(10):
+            client.write_file(f"/s/{i}", size=MB, rep_vector=1)
+            client.set_replication(f"/s/{i}", 2)
+        fs.master._dirty_blocks.clear()
+        procs = fs.master.check_replication(full_scan=True)
+        assert repaired_paths(fs, procs) == [f"/s/{i}" for i in range(8)]
+        assert fs.master.pending_replication == 2
+
+    def test_silencing_a_worker_lowers_the_budget(self):
+        fs = OctopusFileSystem(small_cluster_spec(workers=6))
+        client = fs.client(on="worker1")
+        for i in range(20):
+            client.write_file(f"/s/{i:02d}", size=MB, rep_vector=2)
+        fs.faults.silence("worker6")
+        fs.engine.run(until=fs.engine.now + fs.master.heartbeat_expiry + 1)
+        for name, worker in fs.workers.items():
+            if name != "worker6":
+                fs.master.receive_heartbeat(worker.heartbeat())
+        assert fs.master.check_worker_liveness() == ["worker6"]
+        for i in range(20):
+            client.set_replication(f"/s/{i:02d}", 3)
+        procs = fs.master.check_replication()
+        assert len(repaired_paths(fs, procs)) == 2 * 5
+        assert fs.master.pending_replication == 20 - 2 * 5
+
+    def test_balanced_and_trim_only_blocks_do_not_consume_it(self, fs, client):
+        # Ten balanced and ten trim-only blocks sort ahead of the ten
+        # that need a copy; the pass still copies eight of those.
+        for i in range(10):
+            client.write_file(f"/a-balanced/{i}", size=MB, rep_vector=1)
+            client.write_file(f"/b-trim/{i}", size=MB, rep_vector=2)
+            client.write_file(f"/c-grow/{i}", size=MB, rep_vector=2)
+        for i in range(10):
+            client.set_replication(f"/a-balanced/{i}", 1)
+            client.set_replication(f"/b-trim/{i}", 1)
+            client.set_replication(f"/c-grow/{i}", 3)
+        procs = fs.master.check_replication()
+        assert repaired_paths(fs, procs) == [f"/c-grow/{i}" for i in range(8)]
+        assert fs.master.pending_replication == 2
+        assert all(
+            len(fs.client().get_file_block_locations(f"/b-trim/{i}")[0].hosts) == 1
+            for i in range(10)
+        )
+
+    def test_await_replication_counts_only_passes_that_stall(self, fs, client):
+        # 20 blocks at 8 a pass: three passes copy, a fourth finds the
+        # queue empty. None of them stalls, so max_rounds=2 holds.
+        for i in range(20):
+            client.write_file(f"/w/{i:02d}", size=MB, rep_vector=1)
+            client.set_replication(f"/w/{i:02d}", 2)
+        assert fs.await_replication(max_rounds=2) == 4
+
+    def test_await_replication_still_gives_up_on_a_stalled_queue(
+        self, fs, client
+    ):
+        # Five SSD copies on a cluster with four SSDs: the fifth never
+        # finds a target, and every pass after the first schedules
+        # nothing while the block stays queued.
+        client.write_file("/ssd", size=MB, rep_vector=1)
+        client.set_replication("/ssd", ReplicationVector.of(ssd=5))
+        with pytest.raises(WorkerError, match="3 passes scheduled nothing"):
+            fs.await_replication(max_rounds=3)
 
 
 class TestCopyOutlivesItsFile:
