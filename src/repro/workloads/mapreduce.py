@@ -192,10 +192,11 @@ class MapReduceEngine:
             )
             map_outputs[node.name] = map_outputs.get(node.name, 0) + spill
 
-    def _local_spill_disk(self, node: "Node"):
-        """Least-loaded local HDD (Hadoop spills round-robin over disks)."""
+    def _local_spill_disk(self, node: "Node", channel: str = "write_channel"):
+        """Local HDD least loaded on ``channel`` (Hadoop spills
+        round-robin over disks; a shuffle fetch reads its source)."""
         disks = node.medium_for_tier("HDD") or node.live_media
-        return min(disks, key=lambda m: m.write_channel.active_count)
+        return min(disks, key=lambda m: getattr(m, channel).active_count)
 
     # ------------------------------------------------------------------
     # Reduce phase
@@ -224,7 +225,7 @@ class MapReduceEngine:
                 source = self.system.cluster.node(source_name)
                 resources = copy_resources(
                     self.system.cluster.topology,
-                    self._local_spill_disk(source),
+                    self._local_spill_disk(source, "read_channel"),
                     self._local_spill_disk(node),
                 )
                 fetches.append(
