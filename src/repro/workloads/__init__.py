@@ -12,6 +12,9 @@
 * :mod:`repro.workloads.mapreduce` / :mod:`repro.workloads.spark` —
   task-level engine simulations standing in for Hadoop MapReduce and
   Spark (paper §7.5).
+* :mod:`repro.workloads.tasks` — the substrate both engines share:
+  input splits, slot waves with locality levels, the disk-to-disk
+  shuffle and the part-file writers.
 * :mod:`repro.workloads.hibench` — the nine HiBench workloads.
 * :mod:`repro.workloads.pegasus` — the four Pegasus graph-mining
   workloads with the §7.6 prefetch / intermediate-data optimizations.

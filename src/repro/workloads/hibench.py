@@ -11,23 +11,28 @@ ratios, iteration count):
 
 Profiles are calibrated to the workloads' published characters (sort
 and terasort shuffle their whole input; wordcount and bayes are
-CPU-bound; the ML workloads iterate), scaled to simulation-friendly
-input sizes. Each workload runs on either engine simulation —
-:class:`~repro.workloads.mapreduce.MapReduceEngine` or
-:class:`~repro.workloads.spark.SparkEngine` — against whatever file
-system it is given; Fig. 6 compares the same workload over an
-HDFS-configured deployment vs. an OctopusFS-configured one.
+CPU-bound; pagerank and kmeans iterate three times, join reads a side
+input), scaled to simulation-friendly input sizes. The prepare phase
+writes one part file per worker, in parallel, through
+:func:`~repro.workloads.tasks.write_parts`. Each workload then runs on
+either engine simulation —
+:class:`~repro.workloads.mapreduce.MapReduceEngine` (iterations chain
+jobs: pagerank reads the previous output, kmeans re-reads its input) or
+:class:`~repro.workloads.spark.SparkEngine` (iterations hit the executor
+cache) — against whatever file system it is given; Fig. 6 compares the
+same workload over an HDFS-configured deployment vs. an
+OctopusFS-configured one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING
 
-from repro.core.replication_vector import ReplicationVector
 from repro.util.units import GB, MB
 from repro.workloads.mapreduce import JobResult, MapReduceEngine, MapReduceJobSpec
 from repro.workloads.spark import SparkEngine, SparkJobResult, SparkJobSpec
+from repro.workloads.tasks import list_files, write_parts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.system import OctopusFileSystem
@@ -113,27 +118,22 @@ class HiBenchDriver:
         return inputs
 
     def _write_dataset(self, directory: str, total_bytes: int) -> str:
-        names = sorted(self.system.workers)
-        per_file = total_bytes // len(names)
-        engine = self.system.engine
-        procs = []
-        for index, node_name in enumerate(names):
-            client = self.system.client(on=node_name)
-
-            def writer(client=client, index=index) -> Generator:
-                stream = client.create(
-                    f"{directory}/part-{index:05d}", overwrite=True
-                )
-                yield from stream.write_size_proc(per_file)
-                yield from stream.close_proc()
-
-            procs.append(engine.process(writer()))
-        engine.run(engine.all_of(procs))
+        per_file = total_bytes // len(self.system.workers)
+        self.system.engine.run(
+            write_parts(self.system, f"{directory}/part", per_file, None)
+        )
         return directory
 
     def input_files(self, directory: str) -> list[str]:
-        master = self.system.master
-        return [s.path for s in master.list_status(directory) if not s.is_directory]
+        return list_files(self.system, directory)
+
+    def _prepared_files(self, workload: HiBenchWorkload, base: str) -> list[str]:
+        """Prepare ``workload``'s input; the paths of its files."""
+        return [
+            path
+            for directory in self.prepare_input(workload, base)
+            for path in self.input_files(directory)
+        ]
 
     # ------------------------------------------------------------------
     # Engine runners
@@ -142,14 +142,9 @@ class HiBenchDriver:
         self, workload: HiBenchWorkload, base: str = "/hibench"
     ) -> list[JobResult]:
         """Run on the MapReduce engine; iterative workloads chain jobs."""
-        inputs = [
-            path
-            for directory in self.prepare_input(workload, base)
-            for path in self.input_files(directory)
-        ]
+        current_inputs = self._prepared_files(workload, base)
         engine = MapReduceEngine(self.system)
         results = []
-        current_inputs = inputs
         for iteration in range(workload.iterations):
             out = f"{base}/{workload.name}/out-{iteration}"
             spec = MapReduceJobSpec(
@@ -172,11 +167,7 @@ class HiBenchDriver:
         self, workload: HiBenchWorkload, base: str = "/hibench"
     ) -> SparkJobResult:
         """Run on the Spark engine; iterations hit the executor cache."""
-        inputs = [
-            path
-            for directory in self.prepare_input(workload, base)
-            for path in self.input_files(directory)
-        ]
+        inputs = self._prepared_files(workload, base)
         engine = SparkEngine(self.system)
         spec = SparkJobSpec(
             name=workload.name,

@@ -22,14 +22,23 @@ per worker node, reducers starting after the map phase completes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Generator
 
 from repro.core.replication_vector import ReplicationVector
-from repro.fs.transfer import copy_resources
 from repro.util.rng import DeterministicRng
 from repro.util.units import MB
-from repro.workloads.splits import Split, plan_splits, read_split
+from repro.workloads.tasks import (
+    Split,
+    local_disk,
+    pick_local,
+    plan_splits,
+    read_split,
+    run_wave,
+    shuffle,
+    write_part,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import Node
@@ -82,30 +91,15 @@ class JobResult:
 class MapReduceEngine:
     """Slot-based scheduler + task execution over one file system."""
 
-    def __init__(
-        self,
-        system: "OctopusFileSystem",
-        map_slots: int = 4,
-        rng: DeterministicRng | None = None,
-    ) -> None:
+    def __init__(self, system: "OctopusFileSystem", map_slots: int = 4) -> None:
         self.system = system
         self.map_slots = map_slots
-        self.rng = rng or DeterministicRng(system.cluster.spec.seed, "mapreduce")
+        self.rng = DeterministicRng(system.cluster.spec.seed, "mapreduce")
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def run_job(self, spec: MapReduceJobSpec) -> JobResult:
         """Run one job to completion (synchronous wrapper)."""
         return self.system.run_to_completion(self.run_job_proc(spec))
 
-    def run_workflow(self, specs: list[MapReduceJobSpec]) -> list[JobResult]:
-        """Run a job DAG expressed as a sequential chain."""
-        return [self.run_job(spec) for spec in specs]
-
-    # ------------------------------------------------------------------
-    # Job execution
-    # ------------------------------------------------------------------
     def run_job_proc(self, spec: MapReduceJobSpec) -> Generator:
         engine = self.system.engine
         started_at = engine.now
@@ -116,7 +110,11 @@ class MapReduceEngine:
 
         local_reads = [0]
         map_outputs: dict[str, int] = {}  # node -> map-output bytes held
-        yield from self._map_phase(spec, tasks, map_outputs, local_reads)
+        map_task = partial(self._map_task, spec, map_outputs, local_reads)
+        yield from run_wave(
+            self.system, self.map_slots, list(tasks), pick_local, map_task,
+            "map-slot",
+        )
         yield from self._reduce_phase(spec, map_outputs, shuffle_bytes, output_bytes)
 
         return JobResult(
@@ -131,76 +129,29 @@ class MapReduceEngine:
             local_map_reads=local_reads[0],
         )
 
-    # ------------------------------------------------------------------
-    # Map phase
-    # ------------------------------------------------------------------
-    def _map_phase(
+    def _map_task(
         self,
         spec: MapReduceJobSpec,
-        tasks: list[Split],
         map_outputs: dict[str, int],
         local_reads: list[int],
-    ) -> Generator:
-        queue = list(tasks)
-        engine = self.system.engine
-
-        def slot_worker(node: "Node") -> Generator:
-            while queue:
-                task = self._pick_task(queue, node)
-                queue.remove(task)
-                if node.name in task.hosts:
-                    local_reads[0] += 1
-                yield from self._run_map_task(spec, task, node, map_outputs)
-
-        procs = []
-        for node_name in sorted(self.system.workers):
-            node = self.system.cluster.node(node_name)
-            for _slot in range(self.map_slots):
-                procs.append(
-                    engine.process(slot_worker(node), name=f"map-slot:{node_name}")
-                )
-        yield engine.all_of(procs)
-
-    def _pick_task(self, queue: list[Split], node: "Node") -> Split:
-        """Hadoop-style locality preference: node, then rack, then any."""
-        for task in queue:
-            if node.name in task.hosts:
-                return task
-        rack_nodes = {n.name for n in node.rack.nodes}
-        for task in queue:
-            if task.hosts & rack_nodes:
-                return task
-        return queue[0]
-
-    def _run_map_task(
-        self,
-        spec: MapReduceJobSpec,
         task: Split,
         node: "Node",
-        map_outputs: dict[str, int],
     ) -> Generator:
-        engine = self.system.engine
+        """Read the split, run the map CPU, spill the output locally."""
+        if node.name in task.hosts:
+            local_reads[0] += 1
         yield read_split(task, node, label=f"split:{task.block.block_id}")
-        size_mb = task.block.size / MB
         if spec.map_cpu_per_mb > 0:
-            yield engine.timeout(size_mb * spec.map_cpu_per_mb)
+            cpu_seconds = task.block.size / MB * spec.map_cpu_per_mb
+            yield self.system.engine.timeout(cpu_seconds)
         spill = int(task.block.size * spec.shuffle_ratio)
         if spill > 0:
-            disk = self._local_spill_disk(node)
+            disk = local_disk(node, "write_channel")
             yield self.system.cluster.flows.transfer(
                 spill, [disk.write_channel], label=f"spill:{spec.name}"
             )
             map_outputs[node.name] = map_outputs.get(node.name, 0) + spill
 
-    def _local_spill_disk(self, node: "Node", channel: str = "write_channel"):
-        """Local HDD least loaded on ``channel`` (Hadoop spills
-        round-robin over disks; a shuffle fetch reads its source)."""
-        disks = node.medium_for_tier("HDD") or node.live_media
-        return min(disks, key=lambda m: getattr(m, channel).active_count)
-
-    # ------------------------------------------------------------------
-    # Reduce phase
-    # ------------------------------------------------------------------
     def _reduce_phase(
         self,
         spec: MapReduceJobSpec,
@@ -211,42 +162,32 @@ class MapReduceEngine:
         if spec.num_reducers <= 0:
             return
         engine = self.system.engine
-        reducer_nodes = self._reducer_nodes(spec.num_reducers)
+        # Reducers go round the sorted workers from a seeded start.
+        names = sorted(self.system.workers)
+        start = self.rng.randint(0, len(names) - 1)
         out_per_reducer = output_bytes // spec.num_reducers
 
         def reducer(index: int) -> Generator:
-            node = reducer_nodes[index]
+            node = self.system.cluster.node(names[(start + index) % len(names)])
             # Shuffle: fetch this reducer's share from every map node.
-            fetches = []
-            for source_name, held in map_outputs.items():
-                portion = held // spec.num_reducers
-                if portion <= 0:
-                    continue
-                source = self.system.cluster.node(source_name)
-                resources = copy_resources(
-                    self.system.cluster.topology,
-                    self._local_spill_disk(source, "read_channel"),
-                    self._local_spill_disk(node),
-                )
-                fetches.append(
-                    self.system.cluster.flows.transfer(
-                        portion, resources, label=f"shuffle:{spec.name}"
-                    )
-                )
-            if fetches:
-                yield engine.all_of(fetches)
+            yield from shuffle(
+                self.system,
+                (
+                    (self.system.cluster.node(source), node, held // spec.num_reducers)
+                    for source, held in map_outputs.items()
+                ),
+                label=f"shuffle:{spec.name}",
+            )
             share_mb = (shuffle_bytes / spec.num_reducers) / MB
             if spec.reduce_cpu_per_mb > 0:
                 yield engine.timeout(share_mb * spec.reduce_cpu_per_mb)
             if out_per_reducer > 0:
-                client = self.system.client(on=node)
-                stream = client.create(
+                yield from write_part(
+                    self.system.client(on=node),
                     f"{spec.output_path}/part-{index:05d}",
-                    rep_vector=spec.output_vector,
-                    overwrite=True,
+                    out_per_reducer,
+                    spec.output_vector,
                 )
-                yield from stream.write_size_proc(out_per_reducer)
-                yield from stream.close_proc()
 
         self.system.client().mkdir(spec.output_path)
         procs = [
@@ -254,11 +195,3 @@ class MapReduceEngine:
             for i in range(spec.num_reducers)
         ]
         yield engine.all_of(procs)
-
-    def _reducer_nodes(self, count: int) -> list["Node"]:
-        names = sorted(self.system.workers)
-        start = self.rng.randint(0, len(names) - 1)
-        return [
-            self.system.cluster.node(names[(start + i) % len(names)])
-            for i in range(count)
-        ]

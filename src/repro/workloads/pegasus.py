@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.replication_vector import ReplicationVector
-from repro.util.units import GB, MB
+from repro.util.units import GB
 from repro.workloads.mapreduce import JobResult, MapReduceEngine, MapReduceJobSpec
+from repro.workloads.tasks import list_files, write_parts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.system import OctopusFileSystem
@@ -100,29 +101,11 @@ class PegasusDriver:
     def prepare_graph(self, graph_bytes: int = GRAPH_BYTES) -> str:
         """Write the adjacency-list file with parallel generators."""
         directory = f"{self.base}/graph"
-        names = sorted(self.system.workers)
-        per_file = graph_bytes // len(names)
-        engine = self.system.engine
-        procs = []
-        for index, node_name in enumerate(names):
-            client = self.system.client(on=node_name)
-
-            def writer(client=client, index=index):
-                stream = client.create(
-                    f"{directory}/edges-{index:05d}", overwrite=True
-                )
-                yield from stream.write_size_proc(per_file)
-                yield from stream.close_proc()
-
-            procs.append(engine.process(writer()))
-        engine.run(engine.all_of(procs))
+        per_file = graph_bytes // len(self.system.workers)
+        self.system.engine.run(
+            write_parts(self.system, f"{directory}/edges", per_file, None)
+        )
         return directory
-
-    def _files(self, directory: str) -> list[str]:
-        master = self.system.master
-        return [
-            s.path for s in master.list_status(directory) if not s.is_directory
-        ]
 
     # ------------------------------------------------------------------
     # Workload execution
@@ -131,7 +114,7 @@ class PegasusDriver:
         self, workload: PegasusWorkload, graph_bytes: int = GRAPH_BYTES
     ) -> PegasusResult:
         graph_dir = self.prepare_graph(graph_bytes)
-        graph_files = self._files(graph_dir)
+        graph_files = list_files(self.system, graph_dir)
         client = self.system.client()
         engine = MapReduceEngine(self.system)
 
@@ -174,7 +157,7 @@ class PegasusDriver:
             # drops the previous one (Pegasus deletes consumed temps).
             for stale in prev_outputs:
                 client.delete(stale)
-            prev_outputs = self._files(out)
+            prev_outputs = list_files(self.system, out)
             # Drive any pending replication work (prefetch move cleanup)
             # at the iteration boundary, still overlapped with the run.
             self.system.master.check_replication()

@@ -1,5 +1,7 @@
 """Tests for the MapReduce and Spark engine simulations."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import OctopusFileSystem, ReplicationVector
@@ -215,3 +217,70 @@ class TestSparkRemoteCache:
             return SparkEngine(fs2).run_job(spec).duration
 
         assert run(1.0) > run(0.0)
+
+
+class TestTaskSubstrate:
+    def test_spark_core_takes_rack_local_before_queue_head(self, fs, monkeypatch):
+        """Spark's locality levels: cached here, node, rack, any. worker1
+        (rack0) picks first and holds no partition; it takes the one on
+        worker3 (rack0) before the head of the queue, on worker2 (rack1)."""
+        from repro.workloads import spark
+
+        paths = write_input(fs, files=2, size=4 * MB)  # one block each
+        hosts = iter([{"worker2"}, {"worker3"}])
+        plan = spark.plan_splits
+        monkeypatch.setattr(
+            spark,
+            "plan_splits",
+            lambda system, input_paths: [
+                split._replace(hosts=next(hosts)) for split in plan(system, input_paths)
+            ],
+        )
+        readers = {}
+        read = spark.read_split
+
+        def recording_read(split, node, label):
+            readers[split.block.block_id] = node.name
+            return read(split, node, label)
+
+        monkeypatch.setattr(spark, "read_split", recording_read)
+        spec = SparkJobSpec(
+            name="rack", input_paths=paths, output_path="/rack",
+            cpu_per_mb=0.0, shuffle_ratio=0.0, output_ratio=0.0,
+        )
+        SparkEngine(fs, cores_per_executor=1).run_job(spec)
+        head, rack_local = (
+            fs.master.namespace.get_file(path).blocks[0].block_id for path in paths
+        )
+        assert readers == {rack_local: "worker1", head: "worker2"}
+
+    def test_shuffle_reads_and_writes_the_idle_disk(self):
+        """Of a node's two HDDs, one busy reading and one busy writing, a
+        shuffle out of the node reads the second and a shuffle into it
+        writes the first."""
+        from repro.workloads.tasks import shuffle
+
+        spec = small_cluster_spec()
+        two_hdds = tuple(
+            replace(node, media=node.media[:4]) for node in spec.nodes
+        )  # MEMORY, SSD, HDD, HDD
+        fs = OctopusFileSystem(replace(spec, nodes=two_hdds))
+        busy, other = fs.cluster.node("worker1"), fs.cluster.node("worker2")
+        reading, writing = busy.medium_for_tier("HDD")
+        flows = fs.cluster.flows
+        flows.transfer(64 * MB, [reading.read_channel], label="busy-read")
+        flows.transfer(64 * MB, [writing.write_channel], label="busy-write")
+        started = []
+        transfer = flows.transfer
+
+        def recording_transfer(size, resources, label=""):
+            started.append(resources)
+            return transfer(size, resources, label=label)
+
+        flows.transfer = recording_transfer
+        moves = [(busy, other, MB), (other, busy, MB), (busy, other, 0)]
+        fs.run_to_completion(shuffle(fs, moves, label="shuffle:test"))
+        assert len(started) == 2  # no flow for an empty move
+        out_of_busy, into_busy = started
+        assert out_of_busy[0] is writing.read_channel
+        assert into_busy[-1] is reading.write_channel

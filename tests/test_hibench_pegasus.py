@@ -27,6 +27,7 @@ from repro.workloads.pegasus import (
     PegasusDriver,
     PegasusWorkload,
 )
+from repro.workloads.tasks import list_files
 
 
 def small_workload(**overrides):
@@ -169,7 +170,7 @@ class TestPegasus:
         driver = PegasusDriver(fs, prefetch=True)
         driver.run(mini, graph_bytes=32 * MB)
         fs.await_replication()
-        graph_files = driver._files("/pegasus/graph")
+        graph_files = list_files(fs, "/pegasus/graph")
         client = fs.client()
         for path in graph_files:
             tiers = client.get_file_block_locations(path)[0].tiers

@@ -355,11 +355,10 @@ UNREPRODUCED_NAMES = (
 )
 
 
-def test_one_master_and_no_federation_seam():
-    root = Path(repro.__file__).parent
-    for module in ("fs/federation.py", "fs/balancer.py", "bench/regression.py"):
-        assert not (root / module).exists()
-    offenders = []
+def _mentions(root, needles):
+    """``(module, line, name)`` for each mention of a name in ``needles``
+    under ``root``: as a name, attribute, definition or import, or inside
+    a string constant."""
     for path in sorted(root.rglob("*.py")):
         module = path.relative_to(root).as_posix()
         for node in ast.walk(ast.parse(path.read_text())):
@@ -374,14 +373,45 @@ def test_one_master_and_no_federation_seam():
             elif isinstance(node, ast.Import):
                 found = [a.name for a in node.names]
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                found = [n for n in UNREPRODUCED_NAMES if n in node.value]
+                found = [n for n in needles if n in node.value]
             else:
                 continue
-            offenders.extend(
-                f"{module}:{node.lineno} {name}"
-                for name in found
-                if name in UNREPRODUCED_NAMES
-            )
+            for name in found:
+                if name in needles:
+                    yield module, node.lineno, name
+
+
+def test_one_master_and_no_federation_seam():
+    root = Path(repro.__file__).parent
+    for module in ("fs/federation.py", "fs/balancer.py", "bench/regression.py"):
+        assert not (root / module).exists()
+    offenders = [
+        f"{module}:{line} {name}"
+        for module, line, name in _mentions(root, UNREPRODUCED_NAMES)
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+#: The engines' private copies of the task substrate, and the workflow
+#: runner no caller used.
+ENGINE_COPIES = ("_local_spill_disk", "_pick_task", "_pick_partition", "run_workflow")
+#: What only the task substrate (and DFSIO, which streams its own files)
+#: calls under ``repro/workloads``.
+SUBSTRATE_CALLS = ("copy_resources", "write_size_proc")
+
+
+def test_one_task_substrate_for_both_engines():
+    """Hadoop and Spark share ``workloads/tasks.py``'s slot wave,
+    locality pick, shuffle and part writer; a second copy stays out."""
+    root = Path(repro.__file__).parent
+    assert not (root / "workloads/splits.py").exists()
+    owners = ("workloads/tasks.py", "workloads/dfsio.py")
+    offenders = [
+        f"{module}:{line} {name}"
+        for module, line, name in _mentions(root, ENGINE_COPIES + SUBSTRATE_CALLS)
+        if name in ENGINE_COPIES
+        or (module.startswith("workloads/") and module not in owners)
+    ]
     assert not offenders, "\n".join(offenders)
 
 
