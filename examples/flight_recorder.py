@@ -5,8 +5,9 @@ Demonstrates the incident-forensics layer (see docs/OBSERVABILITY.md,
 "Incident forensics"):
 
 1. **record** — attach the always-on flight recorder to a running
-   cluster; it keeps bounded rings of recent spans, events, watched
-   metric deltas, faults, health sweeps, and alerts;
+   cluster; it marks where its window starts in the trace and keeps
+   bounded rings of what the trace does not hold: watched metric
+   deltas, health sweeps, and alerts;
 2. **chaos** — degrade the memory medium under a hot file mid-run; the
    fault trigger opens an incident, and the engine timer seals it
    ``post_roll`` seconds later into a self-contained gzip bundle in
@@ -52,7 +53,7 @@ def main() -> None:
     fs.obs.enable()
 
     # ------------------------------------------------------------- record
-    print("1. attaching the flight recorder (bounded rings, gzip bundles)")
+    print("1. attaching the flight recorder (trace windows, gzip bundles)")
     recorder = FlightRecorder(
         fs,
         config=RecorderConfig(pre_roll=30.0, post_roll=6.0),

@@ -84,7 +84,6 @@ from repro.obs import (
     validate,
     write_chrome_trace,
 )
-from repro.fs.invariants import collect_violations
 from repro.obs.export import SCHEMAS, canonical_json, load, read_artifact
 from repro.obs.postmortem import bundle_trace_records
 from repro.util.units import format_bytes, format_rate, parse_bytes
@@ -378,20 +377,20 @@ def cmd_report(args: argparse.Namespace) -> int:
         # covers anything instrumented during cluster/FS bring-up.
         fs = build_deployment(args.deployment, spec=spec)
     if args.json:
-        health = collect_violations(fs)
         # One manual sweep of a throwaway monitor, so health state is
         # inspectable without a live monitor attached to the run.
         monitor = HealthMonitor(fs)
         monitor.tick()
+        sweep = monitor.last_sweep
         data = {
             "deployment": args.deployment,
             **tier_report_data(fs),
             "engine": {"events_processed": fs.engine.events_processed},
             "metrics": fs.obs.metrics.snapshot(),
             "watch": {
-                "healthy": not any(health.values()),
+                "healthy": not any(s["violations"] for s in sweep.values()),
                 "invariants": {
-                    check: len(found) for check, found in health.items()
+                    check: s["violations"] for check, s in sweep.items()
                 },
             },
             "health": monitor.report(),

@@ -135,6 +135,11 @@ class Master:
         #: Blocks a pass skipped because their file was open; they are
         #: queued when the file completes (HDFS checks on completeFile).
         self._skipped_open: set[int] = set()
+        #: Ids of the blocks the last pass that examined them found with
+        #: no live replica (HDFS's ``getMissingBlocksCount``). A block
+        #: leaves once a pass finds a live replica again (a returning
+        #: holder marks its blocks dirty) or when it is deleted.
+        self.missing_blocks: set[int] = set()
 
     # ------------------------------------------------------------------
     # Worker membership
@@ -327,6 +332,7 @@ class Master:
         meta = self.block_map.pop(block.block_id, None)
         self._dirty_blocks.discard(block.block_id)
         self._skipped_open.discard(block.block_id)
+        self.missing_blocks.discard(block.block_id)
         if meta is None:
             return
         for replica in list(meta.replicas):
@@ -719,7 +725,19 @@ class Master:
         for replica in list(meta.replicas):
             if replica.state == FINALIZED and replica.lost:
                 self.detach_replica(meta, replica)
-        actions = analyze_block(meta.inode.rep_vector, meta.live_replicas())
+        live = meta.live_replicas()
+        block_id = meta.block.block_id
+        if not live:
+            # Data loss, or every holder unreachable: nothing to copy
+            # from until a holder returns and marks the block dirty.
+            if block_id not in self.missing_blocks:
+                self.missing_blocks.add(block_id)
+                if self.obs.enabled:
+                    self.obs.tracer.event("repair.missing", block=meta.label)
+                    self.obs.metrics.counter("blocks_missing_total").inc()
+            return []
+        self.missing_blocks.discard(block_id)
+        actions = analyze_block(meta.inode.rep_vector, live)
         processes = []
         if actions.additions:
             for tier in actions.additions:
@@ -743,9 +761,6 @@ class Master:
 
     def _schedule_repair(self, meta: BlockMeta, tier: str | None):
         """Place and launch one re-replication copy; None if impossible."""
-        live = meta.live_replicas()
-        if not live:
-            return None  # data loss; nothing to copy from
         vector = (
             ReplicationVector({tier: 1})
             if tier is not None
@@ -778,7 +793,7 @@ class Master:
         # Copy from the most efficient source, judged by the retrieval
         # policy from the destination node's vantage point (§5).
         source = self.retrieval_policy.order_replicas(
-            live, destination.node, self.cluster.topology
+            meta.live_replicas(), destination.node, self.cluster.topology
         )[0]
         destination.reserve(meta.block.capacity)
         worker = self.worker_for(destination.node)

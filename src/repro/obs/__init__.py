@@ -205,8 +205,9 @@ class Observability:
 
     def disable(self) -> "Observability":
         """Switch off collection and drop all recorded state."""
-        # Observers go first: the recorder unhooks itself from the live
-        # tracer, which is then dropped with everything it recorded.
+        # Observers go first: the recorder seals an open incident while
+        # the trace it cuts from still exists; the tracer is then dropped
+        # with everything it recorded.
         if self.recorder is not None:
             self.recorder.detach()
         if self.ledger is not None:

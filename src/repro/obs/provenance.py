@@ -144,11 +144,6 @@ class ProvenanceLedger:
         if len(self.records) == self.max_records:
             self.dropped += 1
         self.records.append(record)
-        # Mirror into the flight recorder's decisions ring so incident
-        # bundles carry the decisions inside their window.
-        recorder = self.obs.recorder
-        if recorder is not None:
-            recorder.on_decision(record)
         return record
 
     def recent_context(self) -> list[dict]:

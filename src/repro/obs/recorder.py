@@ -1,25 +1,35 @@
-"""The always-on flight recorder: bounded capture, triggered forensics.
+"""The always-on flight recorder: triggered forensics over the trace.
 
-A full-run trace of a busy simulation is millions of records; when a
-fault fires an alert mid-run, the forensics question is "what happened
-in the last thirty seconds", not "replay everything". The
-:class:`FlightRecorder` answers it the way aircraft recorders do —
-bounded, sim-clock ring buffers of the most recent telemetry:
+When a fault fires an alert mid-run, the forensics question is "what
+happened in the thirty seconds around it", not "replay everything".
+The :class:`FlightRecorder` answers it with an *incident bundle*: a
+self-contained, sim-clock window of the run's telemetry.
 
-* finished **trace spans** and point **events** (fed by the tracer's
-  single :attr:`~repro.obs.tracing.Tracer.tap` subscriber);
-* **metric watch-deltas** for a configurable set of instruments
-  (via :meth:`~repro.obs.registry.MetricsRegistry.watch`);
-* applied **fault records**, **health sweeps**, and **alerts** (fed by
-  the fault injector, the health monitor, and every
-  :class:`~repro.obs.slo.AlertSink`).
+Most of that telemetry is already kept elsewhere, so the recorder keeps
+no copy of it. At close it cuts the window from the sources:
+
+* finished **trace spans** and point **events** from the tracer's
+  :attr:`~repro.obs.tracing.Tracer.records`;
+* applied **faults** from the window's ``fault.<kind>`` trace events,
+  which the fault injector emits for every fault it applies;
+* replica-affecting **decisions** from the attached
+  :class:`~repro.obs.provenance.ProvenanceLedger`.
+
+Only records produced while the recorder is attached count, in their
+recorded order. What nothing else keeps lands in three bounded rings:
+**metric watch-deltas** of the stock read-path instruments (via
+:meth:`~repro.obs.registry.MetricsRegistry.watch`), **health sweeps**
+and **alerts** (fed by the health monitor and every
+:class:`~repro.obs.slo.AlertSink`). The recorder's own
+``recorder.exception`` events are kept beside the trace and merged into
+the window at the position they were raised.
 
 When a trigger fires — a fault activation, an SLO alert, a health
 invariant violation, or an unhandled engine exception — the recorder
 opens an *incident*: it keeps collecting for ``post_roll`` simulated
-seconds (an engine timer closes it deterministically), then snapshots
-the ``pre_roll``-to-close window of every ring into a self-contained
-**incident bundle**, dumped as byte-stable gzip JSON.
+seconds (an engine timer closes it deterministically), then cuts the
+``pre_roll``-to-close window into an incident bundle, dumped as
+byte-stable gzip JSON.
 
 Determinism contract, mirroring the tracer and the SLO monitor: an
 attached recorder only *observes* — it mints no instruments and emits
@@ -36,11 +46,11 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
-from repro.obs.export import SCHEMA_VERSION, canonical_json, to_jsonl, write_text
+from repro.obs.export import SCHEMA_VERSION, canonical_json, write_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.system import OctopusFileSystem
@@ -63,17 +73,27 @@ HEAL_KINDS = frozenset(
     {"restart", "unsilence", "repair_medium", "restore_node"}
 )
 
-#: The trigger sources a config may enable.
+#: The trigger sources that open incidents.
 TRIGGER_KINDS = ("fault", "alert", "health", "exception")
 
-#: Metric streams the recorder snapshots deltas of by default — the
-#: read-path signals the stock SLO rules watch, so a bundle can show
-#: the deviation that preceded the alert.
-DEFAULT_WATCH_METRICS = (
+#: Metric streams the recorder snapshots deltas of — the read-path
+#: signals the stock SLO rules watch, so a bundle can show the
+#: deviation that preceded the alert.
+WATCH_METRICS = (
     ("histogram", "tier_read_seconds"),
     ("counter", "blocks_read_total"),
     ("counter", "block_reads_failed_total"),
 )
+
+#: Bounds of the rings holding what no other component keeps.
+RING_LIMITS = {"metric_deltas": 8192, "health": 512, "alerts": 256}
+
+#: Incidents per run; later triggers are counted as dropped instead of
+#: dumping unbounded bundles.
+MAX_INCIDENTS = 16
+
+#: The trace event name prefix the fault injector emits per fault.
+_FAULT_EVENT = "fault."
 
 
 def is_heal(kind: str, detail: str = "") -> bool:
@@ -96,47 +116,17 @@ def is_heal(kind: str, detail: str = "") -> bool:
 
 @dataclass(frozen=True)
 class RecorderConfig:
-    """Ring bounds, capture window, and trigger selection."""
+    """The capture window around a trigger."""
 
     #: Simulated seconds of history kept before the trigger instant.
     pre_roll: float = 30.0
     #: Simulated seconds captured after the trigger before the bundle
     #: is sealed (an engine timer closes the incident).
     post_roll: float = 10.0
-    max_spans: int = 4096
-    max_events: int = 2048
-    max_metric_deltas: int = 8192
-    max_faults: int = 512
-    max_health: int = 512
-    max_alerts: int = 256
-    #: Provenance decision records mirrored from an attached
-    #: :class:`~repro.obs.provenance.ProvenanceLedger`.
-    max_decisions: int = 1024
-    #: ``(kind, name)`` metric streams whose updates land in the
-    #: watch-delta ring.
-    watch_metrics: tuple = DEFAULT_WATCH_METRICS
-    #: Which trigger sources open incidents.
-    triggers: tuple = TRIGGER_KINDS
-    #: Hard cap on incidents per run; later triggers are counted as
-    #: dropped instead of dumping unbounded bundles.
-    max_incidents: int = 16
 
     def __post_init__(self) -> None:
         if self.pre_roll < 0 or self.post_roll < 0:
             raise ConfigurationError("pre_roll/post_roll must be >= 0")
-        for name in ("max_spans", "max_events", "max_metric_deltas",
-                     "max_faults", "max_health", "max_alerts",
-                     "max_decisions"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
-        if self.max_incidents < 1:
-            raise ConfigurationError("max_incidents must be >= 1")
-        unknown = set(self.triggers) - set(TRIGGER_KINDS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown trigger kinds {sorted(unknown)}; "
-                f"choose from {TRIGGER_KINDS}"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -161,8 +151,8 @@ def bundle_path(out_dir: str, bundle: dict) -> str:
 
 
 def _require_enabled(obs) -> None:
-    # The recorder hooks the live tracer and registry, which exist only
-    # while the bundle is enabled.
+    # The recorder windows the live tracer and hooks the registry, which
+    # exist only while the bundle is enabled.
     if not obs.enabled:
         raise ConfigurationError(
             "FlightRecorder needs observability enabled; call "
@@ -170,13 +160,24 @@ def _require_enabled(obs) -> None:
         )
 
 
+def _fault(event: dict) -> dict:
+    """A ``fault.<kind>`` trace event as a bundle's fault record."""
+    attrs = event["attrs"]
+    return {
+        "time": event["time"],
+        "kind": event["name"][len(_FAULT_EVENT):],
+        "target": attrs["target"],
+        "detail": attrs["detail"],
+    }
+
+
 class FlightRecorder:
-    """Bounded always-on capture with triggered incident bundles.
+    """Always-on capture with triggered incident bundles.
 
     Construct with a ``system`` (engine-driven runs; incidents close on
     an engine timer) or with ``obs=``/``clock=`` for engine-less
-    harnesses like S-Live, where :meth:`flush` seals any open incident.
-    Call :meth:`attach` to start observing and :meth:`detach` (or
+    harnesses, where :meth:`flush` seals any open incident. Call
+    :meth:`attach` to start observing and :meth:`detach` (or
     :meth:`flush` at end of run) to stop.
     """
 
@@ -203,14 +204,11 @@ class FlightRecorder:
         self.clock = clock if clock is not None else obs.now
         self.config = config if config is not None else RecorderConfig()
         self.out_dir = out_dir
-        c = self.config
-        self.spans: deque = deque(maxlen=c.max_spans)
-        self.events: deque = deque(maxlen=c.max_events)
-        self.metric_deltas: deque = deque(maxlen=c.max_metric_deltas)
-        self.faults: deque = deque(maxlen=c.max_faults)
-        self.health: deque = deque(maxlen=c.max_health)
-        self.alerts: deque = deque(maxlen=c.max_alerts)
-        self.decisions: deque = deque(maxlen=c.max_decisions)
+        self.metric_deltas: deque = deque(
+            maxlen=RING_LIMITS["metric_deltas"]
+        )
+        self.health: deque = deque(maxlen=RING_LIMITS["health"])
+        self.alerts: deque = deque(maxlen=RING_LIMITS["alerts"])
         #: Closed incident summaries, in close order.
         self.incidents: list[dict] = []
         #: Closed bundles (always kept in memory; also written under
@@ -218,9 +216,16 @@ class FlightRecorder:
         self.bundles: list[dict] = []
         self.bundle_paths: list[str] = []
         self.dropped_triggers = 0
-        self._trigger_set = frozenset(c.triggers)
         self._open: dict | None = None
         self._timer = None
+        # Where this attachment's window starts: the tracer's record
+        # list and its length at attach, the attached ledger and its
+        # sequence number then (a ledger attached later counts whole).
+        self._trace: list = []
+        self._trace_start = 0
+        self._ledger_mark: tuple = (None, 0)
+        #: ``(trace position, event)`` per ``recorder.exception``.
+        self._exceptions: list[tuple[int, dict]] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -230,8 +235,9 @@ class FlightRecorder:
         return self.obs.recorder is self
 
     def attach(self) -> "FlightRecorder":
-        """Take the empty ``obs.recorder`` slot and hook the tracer tap
-        and the metric watchers."""
+        """Take the empty ``obs.recorder`` slot, mark where the window
+        starts in the trace and the ledger, and hook the metric
+        watchers."""
         _require_enabled(self.obs)
         if self.obs.recorder is self:
             raise ConfigurationError("recorder already attached")
@@ -241,8 +247,12 @@ class FlightRecorder:
                 "bundle; detach it first"
             )
         self.obs.recorder = self
-        self.obs.tracer.tap = self._on_trace_record
-        for kind, name in self.config.watch_metrics:
+        self._trace = self.obs.tracer.records
+        self._trace_start = len(self._trace)
+        ledger = self.obs.ledger
+        self._ledger_mark = (ledger, ledger.seq if ledger is not None else 0)
+        self._exceptions = []
+        for kind, name in WATCH_METRICS:
             self.obs.metrics.watch(kind, name, self._on_metric)
         if self.system is not None:
             self.system.engine.crash_listeners.append(self._on_crash)
@@ -254,8 +264,6 @@ class FlightRecorder:
             return
         self.flush()
         self.obs.recorder = None
-        # The slot holds at most one recorder, so the tap is ours.
-        self.obs.tracer.tap = None
         if self.system is not None:
             listeners = self.system.engine.crash_listeners
             if self._on_crash in listeners:
@@ -272,14 +280,14 @@ class FlightRecorder:
             self._close_open()
 
     # ------------------------------------------------------------------
-    # Ring-buffer feeds (hot paths: append only, no allocation beyond
-    # the entry itself)
+    # Feeds
     # ------------------------------------------------------------------
     def _on_trace_record(self, record: dict) -> None:
-        if record["kind"] == "span":
-            self.spans.append(record)
-        else:
-            self.events.append(record)
+        """Nothing to do: bundles cut spans and events from the trace.
+
+        Kept because the end-to-end benchmark's layer tracer looks this
+        name up on the class.
+        """
 
     def _on_metric(self, instrument, value: float) -> None:
         if self.obs.recorder is not self:
@@ -295,18 +303,10 @@ class FlightRecorder:
         )
 
     def on_fault(self, record: "FaultRecord") -> None:
-        """Fed by :meth:`repro.sim.faults.FaultInjector._record`."""
-        self.faults.append(
-            {
-                "time": record.time,
-                "kind": record.kind,
-                "target": record.target,
-                "detail": record.detail,
-            }
-        )
-        if "fault" in self._trigger_set and not is_heal(
-            record.kind, record.detail
-        ):
+        """Fed by :meth:`repro.sim.faults.FaultInjector._record`: a
+        damaging fault opens an incident. The fault itself reaches the
+        bundle through its ``fault.<kind>`` trace event."""
+        if not is_heal(record.kind, record.detail):
             self.trigger("fault", f"{record.kind} {record.target}")
 
     def on_alert(self, record: dict) -> None:
@@ -315,17 +315,18 @@ class FlightRecorder:
         if record.get("state") != "firing":
             return
         reason = "health" if record.get("source") == "health" else "alert"
-        if reason in self._trigger_set:
-            self.trigger(reason, str(record.get("name", "")))
+        self.trigger(reason, str(record.get("name", "")))
 
     def on_health(self, entry: dict) -> None:
         """Fed by :meth:`repro.obs.health.HealthMonitor.tick` sweeps."""
         self.health.append(entry)
 
     def on_decision(self, record: dict) -> None:
-        """Fed by an attached provenance ledger, so incident bundles
-        carry the replica-affecting decisions inside their window."""
-        self.decisions.append(record)
+        """Nothing to do: bundles cut decisions from the attached ledger.
+
+        Kept because the end-to-end benchmark's layer tracer looks this
+        name up on the class.
+        """
 
     def _on_crash(self, process, exc: BaseException) -> None:
         name = getattr(process, "name", "") or "anonymous"
@@ -333,21 +334,23 @@ class FlightRecorder:
 
     def on_exception(self, component: str, exc: BaseException) -> None:
         """Fed by engine crash listeners and subsystem guard rails."""
-        self.events.append(
-            {
-                "kind": "event",
-                "name": "recorder.exception",
-                "time": self.clock(),
-                "trace_id": None,
-                "parent_id": None,
-                "attrs": {
-                    "component": component,
-                    "error": type(exc).__name__,
+        self._exceptions.append(
+            (
+                len(self._trace),
+                {
+                    "kind": "event",
+                    "name": "recorder.exception",
+                    "time": self.clock(),
+                    "trace_id": None,
+                    "parent_id": None,
+                    "attrs": {
+                        "component": component,
+                        "error": type(exc).__name__,
+                    },
                 },
-            }
+            )
         )
-        if "exception" in self._trigger_set:
-            self.trigger("exception", f"{component}: {type(exc).__name__}")
+        self.trigger("exception", f"{component}: {type(exc).__name__}")
 
     # ------------------------------------------------------------------
     # Incidents
@@ -360,7 +363,7 @@ class FlightRecorder:
                 {"time": now, "reason": reason, "detail": detail}
             )
             return self._open
-        if len(self.incidents) >= self.config.max_incidents:
+        if len(self.incidents) >= MAX_INCIDENTS:
             self.dropped_triggers += 1
             return None
         incident = {
@@ -382,8 +385,45 @@ class FlightRecorder:
     def open_incident(self) -> dict | None:
         return self._open
 
-    def _window(self, ring, lo: float, hi: float) -> list[dict]:
-        return [r for r in ring if lo <= r["time"] <= hi]
+    def _cut_trace(self, lo: float, hi: float) -> tuple[list, list, list]:
+        """The window's spans, events and faults, in recorded order,
+        with ``recorder.exception`` events merged in where they were
+        raised."""
+        spans, events, faults = [], [], []
+        exceptions = [
+            (at, event) for at, event in self._exceptions
+            if lo <= event["time"] <= hi
+        ]
+        pending = 0
+        trace = self._trace
+        for position in range(self._trace_start, len(trace)):
+            while (
+                pending < len(exceptions)
+                and exceptions[pending][0] <= position
+            ):
+                events.append(exceptions[pending][1])
+                pending += 1
+            record = trace[position]
+            if record["kind"] == "span":
+                if record["end"] >= lo and record["start"] <= hi:
+                    spans.append(record)
+            elif lo <= record["time"] <= hi:
+                events.append(record)
+                if record["name"].startswith(_FAULT_EVENT):
+                    faults.append(_fault(record))
+        events.extend(event for _, event in exceptions[pending:])
+        return spans, events, faults
+
+    def _cut_decisions(self, lo: float, hi: float) -> list[dict]:
+        ledger = self.obs.ledger
+        if ledger is None:
+            return []
+        marked, seq = self._ledger_mark
+        after = seq if ledger is marked else 0
+        return [
+            r for r in ledger.records
+            if r["seq"] > after and lo <= r["time"] <= hi
+        ]
 
     def _close_open(self) -> None:
         incident = self._open
@@ -394,7 +434,7 @@ class FlightRecorder:
         closed_at = self.clock()
         lo = max(0.0, incident["triggered_at"] - self.config.pre_roll)
         hi = closed_at
-        c = self.config
+        spans, events, faults = self._cut_trace(lo, hi)
         bundle = {
             "kind": "incident_bundle",
             "schema_version": SCHEMA_VERSION,
@@ -403,32 +443,23 @@ class FlightRecorder:
                 "triggered_at": incident["triggered_at"],
                 "closed_at": closed_at,
                 "window": [lo, hi],
-                "pre_roll": c.pre_roll,
-                "post_roll": c.post_roll,
+                "pre_roll": self.config.pre_roll,
+                "post_roll": self.config.post_roll,
                 "triggers": incident["triggers"],
             },
-            "spans": [
-                r for r in self.spans
-                if r["end"] >= lo and r["start"] <= hi
+            "spans": spans,
+            "events": events,
+            "metric_deltas": [
+                r for r in self.metric_deltas if lo <= r["time"] <= hi
             ],
-            "events": self._window(self.events, lo, hi),
-            "metric_deltas": self._window(self.metric_deltas, lo, hi),
-            "faults": self._window(self.faults, lo, hi),
-            "health": self._window(self.health, lo, hi),
-            "alerts": self._window(self.alerts, lo, hi),
-            "decisions": self._window(self.decisions, lo, hi),
+            "faults": faults,
+            "health": [r for r in self.health if lo <= r["time"] <= hi],
+            "alerts": [r for r in self.alerts if lo <= r["time"] <= hi],
+            "decisions": self._cut_decisions(lo, hi),
             "context": {
-                "watch_metrics": [list(pair) for pair in c.watch_metrics],
-                "triggers_enabled": list(c.triggers),
-                "ring_limits": {
-                    "spans": c.max_spans,
-                    "events": c.max_events,
-                    "metric_deltas": c.max_metric_deltas,
-                    "faults": c.max_faults,
-                    "health": c.max_health,
-                    "alerts": c.max_alerts,
-                    "decisions": c.max_decisions,
-                },
+                "watch_metrics": [list(pair) for pair in WATCH_METRICS],
+                "triggers_enabled": list(TRIGGER_KINDS),
+                "ring_limits": dict(RING_LIMITS),
             },
         }
         summary = {
@@ -450,30 +481,6 @@ class FlightRecorder:
             self.bundle_paths.append(path)
         self.bundles.append(bundle)
         self.incidents.append(summary)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def ring_sizes(self) -> dict:
-        """Current ring occupancy, for bound assertions and reports."""
-        return {
-            "spans": len(self.spans),
-            "events": len(self.events),
-            "metric_deltas": len(self.metric_deltas),
-            "faults": len(self.faults),
-            "health": len(self.health),
-            "alerts": len(self.alerts),
-            "decisions": len(self.decisions),
-        }
-
-    def dump(self) -> str:
-        """The current ring contents as canonical JSONL (debug aid)."""
-        return to_jsonl(
-            [
-                *self.spans, *self.events, *self.metric_deltas,
-                *self.faults, *self.health, *self.alerts,
-            ]
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "attached" if self.attached else "detached"

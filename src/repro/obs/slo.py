@@ -276,9 +276,8 @@ class SloMonitor:
             )
         self.system = system
         self.obs = obs
-        #: Engine-less benchmarks (S-Live is wall-clock driven) pass
-        #: ``obs``+``clock`` and call :meth:`tick` by hand instead of
-        #: :meth:`start`.
+        #: An engine-less monitor gets ``obs``+``clock`` and is driven
+        #: by explicit :meth:`tick` calls instead of :meth:`start`.
         self.clock = clock if clock is not None else obs.now
         self.rules = tuple(rules)
         if self.rules and not obs.enabled:

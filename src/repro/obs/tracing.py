@@ -79,10 +79,7 @@ class Span:
         }
         if self.attrs:
             record["attrs"] = self.attrs
-        tracer = self.tracer
-        tracer.records.append(record)
-        if tracer.tap is not None:
-            tracer.tap(record)
+        self.tracer.records.append(record)
 
     @property
     def duration(self) -> float:
@@ -117,10 +114,6 @@ class Tracer:
         self._next_id = 1
         self._stack: list[Span] = []
         self.records: list[dict] = []
-        #: Optional single subscriber called with every finished record
-        #: (the flight recorder's ring-buffer feed). ``None`` keeps the
-        #: hot path at one attribute load and one falsy check.
-        self.tap: Callable[[dict], None] | None = None
 
     def now(self) -> float:
         return self._clock()
@@ -160,5 +153,3 @@ class Tracer:
         if attrs:
             record["attrs"] = attrs
         self.records.append(record)
-        if self.tap is not None:
-            self.tap(record)

@@ -136,7 +136,6 @@ class SLive:
         dirs: int = 50,
         seed: int = 0,
         obs=None,
-        monitor=None,
     ) -> None:
         self.ops_per_type = ops_per_type
         self.dirs = dirs
@@ -154,10 +153,6 @@ class SLive:
         #: metadata benchmark with no simulation engine, so its metrics
         #: are wall-clock-free counters and per-phase events.
         self.obs = obs
-        #: Optional engine-less :class:`~repro.obs.SloMonitor`
-        #: (constructed with ``obs=``, not a system); with no engine to
-        #: schedule periodic ticks, S-Live ticks it once per phase.
-        self.monitor = monitor
 
     def run(self, adapter) -> SLiveResult:
         """Execute the full mix against one namesystem adapter.
@@ -210,5 +205,3 @@ class SLive:
                 "workload.phase", workload="slive", system=result.system,
                 phase=op, ops=len(items),
             )
-        if self.monitor is not None:
-            self.monitor.tick()

@@ -466,3 +466,29 @@ class TestReportHealth:
             assert health["checks"][check]["firing"] is False
         assert health["grace_ticks"]["replication"] >= 1
 
+
+    @pytest.mark.parametrize("deployment", ["octopus", "hdfs"])
+    def test_report_json_sweeps_the_invariants_once(
+        self, capsys, monkeypatch, deployment
+    ):
+        """``watch`` is read off the health monitor's one sweep."""
+        from repro.fs import invariants
+
+        sweeps = []
+        replication_violations = invariants.replication_violations
+
+        def counted(fs):
+            sweeps.append(fs)
+            return replication_violations(fs)
+
+        monkeypatch.setattr(invariants, "replication_violations", counted)
+        assert main(["report", "--deployment", deployment, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(sweeps) == 1
+        assert data["watch"] == {
+            "healthy": True,
+            "invariants": {
+                check: found["violations"]
+                for check, found in data["health"]["checks"].items()
+            },
+        }

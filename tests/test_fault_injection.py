@@ -500,7 +500,9 @@ class TestOneFaultPath:
             assert len(events) == 1
             counter = fs.obs.metrics.counter("faults_injected_total", kind=kind)
             assert counter.value == 1
-            assert [f["kind"] for f in recorder.faults] == [kind]
+            recorder.trigger("alert", "probe")
+            recorder.flush()
+            assert [f["kind"] for f in recorder.bundles[-1]["faults"]] == [kind]
             assert f"fault.{kind}" in [c["kind"] for c in ledger.recent_context()]
         assert traces[0] == traces[1]
 

@@ -1,20 +1,30 @@
-"""Flight recorder: bounded capture, invisibility, and bundle dumps.
+"""Flight recorder: windows, invisibility, and bundle dumps.
 
-The recorder's contract has three legs, each pinned here:
+The recorder's contract has four legs, each pinned here:
 
 * **invisibility** — attached but untriggered, it leaves the DFSIO and
   S-Live trace/metrics/Prometheus exports byte-identical to a
   recorder-less run (it only observes; it mints nothing);
-* **boundedness** — every ring respects its configured maximum no
-  matter how much telemetry flows through (len + tracemalloc checks);
+* **windows, not copies** — a bundle's spans, events, faults and
+  decisions are cut from the trace and the ledger, whole, in recorded
+  order, and only from what was produced while the recorder was
+  attached;
+* **boundedness** — the rings of what nothing else keeps (metric
+  deltas, health sweeps, alerts) respect their bounds no matter how
+  much telemetry flows through (len + tracemalloc checks);
 * **determinism** — a triggered dump is a pure function of the
   captured telemetry: identical feeds produce byte-identical gzip
   bundles.
 """
 
+import ast
 import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro import OctopusFileSystem
 from repro.cluster import small_cluster_spec
@@ -22,6 +32,7 @@ from repro.errors import ConfigurationError
 from repro.obs import (
     FlightRecorder,
     Observability,
+    ProvenanceLedger,
     RecorderConfig,
     metrics_json,
     prometheus_text,
@@ -29,7 +40,7 @@ from repro.obs import (
     to_jsonl,
     write_bundle,
 )
-from repro.obs.recorder import is_heal
+from repro.obs.recorder import MAX_INCIDENTS, RING_LIMITS, is_heal
 from repro.obs.slo import AlertSink
 from repro.sim.faults import FaultRecord
 from repro.util.units import MB
@@ -74,11 +85,10 @@ class TestLifecycle:
     def test_attach_hooks_and_detach_restores(self):
         obs, _, recorder = make_recorder()
         assert obs.recorder is recorder
-        assert obs.tracer.tap is not None
         assert recorder.attached
+        assert obs.metrics._watchers  # the watched read-path metrics
         recorder.detach()
         assert obs.recorder is None
-        assert obs.tracer.tap is None
         assert not recorder.attached
         recorder.detach()  # idempotent
 
@@ -107,17 +117,20 @@ class TestLifecycle:
         span = obs.tracer.start_span("client.read")
         obs.disable()
         span.end()
-        assert len(recorder.spans) == 0
+        obs.enable()
+        recorder.attach()
+        recorder.trigger("alert", "probe")
+        recorder.flush()
+        assert recorder.bundles[0]["spans"] == []
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError, match="pre_roll"):
             RecorderConfig(pre_roll=-1.0)
-        with pytest.raises(ConfigurationError, match="max_spans"):
+        with pytest.raises(ConfigurationError, match="post_roll"):
+            RecorderConfig(post_roll=-1.0)
+        # The window is the only setting: bounds and triggers are fixed.
+        with pytest.raises(TypeError):
             RecorderConfig(max_spans=0)
-        with pytest.raises(ConfigurationError, match="max_incidents"):
-            RecorderConfig(max_incidents=0)
-        with pytest.raises(ConfigurationError, match="trigger kinds"):
-            RecorderConfig(triggers=("fault", "meteor"))
 
     def test_is_heal_classification(self):
         assert is_heal("restart")
@@ -130,8 +143,17 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Ingestion and ring bounds
+# Ingestion: windows of the trace and the ledger, rings of the rest
 # ----------------------------------------------------------------------
+def cut(recorder, clock, at=None):
+    """Trigger, seal and return one bundle."""
+    if at is not None:
+        clock.now = at
+    recorder.trigger("alert", "probe")
+    recorder.flush()
+    return recorder.bundles[-1]
+
+
 class TestRings:
     def test_trace_records_routed_by_kind(self):
         obs, clock, recorder = make_recorder()
@@ -139,9 +161,12 @@ class TestRings:
         clock.now = 0.5
         span.end()
         obs.tracer.event("placement.decision")
-        assert len(recorder.spans) == 1
-        assert len(recorder.events) == 1
-        assert recorder.spans[0]["name"] == "client.read"
+        bundle = cut(recorder, clock)
+        assert [s["name"] for s in bundle["spans"]] == ["client.read"]
+        assert [e["name"] for e in bundle["events"]] == [
+            "placement.decision"
+        ]
+        assert bundle["spans"][0] is obs.tracer.records[0]  # no copy
 
     def test_metric_watch_deltas_captured(self):
         obs, clock, recorder = make_recorder()
@@ -170,58 +195,101 @@ class TestRings:
         assert len(recorder.metric_deltas) == 0
 
     def test_rings_stay_within_bounds(self):
-        config = RecorderConfig(
-            max_spans=16, max_events=8, max_metric_deltas=32,
-            max_faults=4, max_health=4, max_alerts=4,
-            triggers=(),  # pure capture: no incidents in this test
-        )
-        obs, clock, recorder = make_recorder(config)
+        obs, clock, recorder = make_recorder()
         histogram = obs.metrics.histogram("tier_read_seconds", tier="hdd")
         sink = AlertSink(obs)
+        feeds = RING_LIMITS["metric_deltas"]
+
+        def feed(first):
+            for i in range(first, first + feeds):
+                clock.now = i * 0.01
+                histogram.observe(0.001)
+                recorder.on_health({"time": clock.now, "violations": {}})
+                # Resolved only: a firing transition opens an incident.
+                sink.emit("slo", "r", "resolved", "page")
+                # The trace and the sink's timeline grow unboundedly by
+                # design; drop them so the measurement sees only what
+                # the *recorder* retains.
+                obs.tracer.records.clear()
+                sink.timeline.clear()
+
         tracemalloc.start()
+        feed(0)  # fills every ring
         before, _ = tracemalloc.get_traced_memory()
-        for i in range(5000):
-            clock.now = i * 0.01
-            span = obs.tracer.start_span("client.read")
-            span.end()
-            obs.tracer.event("cache.hit")
-            histogram.observe(0.001)
-            recorder.on_fault(
-                FaultRecord(clock.now, "degrade_medium", "w1:m0", "factor=0.5")
-            )
-            recorder.on_health({"time": clock.now, "violations": {}})
-            sink.emit("slo", "r", "firing" if i % 2 else "resolved", "page")
-            # The tracer's record list and the sink's timeline grow
-            # unboundedly by design; drop them so the measurement sees
-            # only what the *recorder* retains.
-            obs.tracer.records.clear()
-            sink.timeline.clear()
+        feed(feeds)
         after, _ = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        sizes = recorder.ring_sizes()
-        assert sizes == {
-            "spans": 16, "events": 8, "metric_deltas": 32,
-            "faults": 4, "health": 4, "alerts": 4, "decisions": 0,
-        }
-        # 5000 iterations × 6 feeds must not accumulate: allow the ring
-        # contents plus interpreter noise, far below unbounded growth.
-        assert after - before < 2 * MB
+        assert {
+            "metric_deltas": len(recorder.metric_deltas),
+            "health": len(recorder.health),
+            "alerts": len(recorder.alerts),
+        } == RING_LIMITS
+        # Full rings must not grow under as many feeds again: allow
+        # interpreter noise, far below what the feeds themselves hold.
+        assert after - before < 1 * MB
         assert recorder.open_incident is None
         assert recorder.incidents == []
 
-    def test_dump_is_canonical_jsonl(self):
+    def test_window_keeps_every_span_and_decision_it_covers(self):
+        """A busy window is cut whole from the trace and the ledger: the
+        bundle starts with the window's first span and decision, however
+        many followed."""
+        obs, clock, recorder = make_recorder(RecorderConfig(pre_roll=60.0))
+        ledger = ProvenanceLedger(obs).attach()
+        spans, decisions = 5000, 1500
+        for i in range(spans):
+            clock.now = i * 0.001
+            obs.tracer.start_span("client.read", n=i).end()
+        for i in range(decisions):
+            ledger.on_delete(f"/d/{i}", blocks=1)
+        bundle = cut(recorder, clock, at=10.0)
+        assert len(bundle["spans"]) == spans
+        assert bundle["spans"][0]["attrs"] == {"n": 0}
+        assert len(bundle["decisions"]) == decisions
+        assert bundle["decisions"][0]["path"] == "/d/0"
+
+    def test_window_skips_what_preceded_the_attach(self):
+        clock = FakeClock()
+        obs = Observability(clock=clock).enable()
+        ledger = ProvenanceLedger(obs).attach()
+        obs.tracer.start_span("before").end()
+        obs.tracer.event("fault.crash", target="w1", detail="")
+        ledger.on_delete("/before", blocks=1)
+        recorder = FlightRecorder(obs=obs, clock=clock).attach()
+        obs.tracer.start_span("after").end()
+        ledger.on_delete("/after", blocks=1)
+        bundle = cut(recorder, clock)
+        assert [s["name"] for s in bundle["spans"]] == ["after"]
+        assert bundle["events"] == bundle["faults"] == []
+        assert [d["path"] for d in bundle["decisions"]] == ["/after"]
+
+    def test_faults_are_the_windows_fault_events(self):
         obs, clock, recorder = make_recorder()
-        span = obs.tracer.start_span("client.read")
-        clock.now = 0.25
-        span.end()
-        dump = recorder.dump()
-        assert dump.startswith('{"end":0.25')
-        assert dump == recorder.dump()
+        clock.now = 1.0
+        obs.tracer.event("fault.slow_node", target="w1", detail="factor=0.5")
+        obs.tracer.event("cache.hit")
+        bundle = cut(recorder, clock)
+        assert bundle["faults"] == [
+            {"time": 1.0, "kind": "slow_node", "target": "w1",
+             "detail": "factor=0.5"}
+        ]
+        assert [e["name"] for e in bundle["events"]] == [
+            "fault.slow_node", "cache.hit"
+        ]
 
 
 # ----------------------------------------------------------------------
 # Triggers and bundles
 # ----------------------------------------------------------------------
+def apply_fault(recorder, obs, record):
+    """What the fault injector does per fault: a trace event, then the
+    recorder's trigger feed."""
+    obs.tracer.event(
+        "fault." + record.kind, target=record.target, detail=record.detail
+    )
+    recorder.on_fault(record)
+
+
 def feed_incident(recorder, obs, clock):
     """A canonical fault → alert → repair → resolve feed."""
     for i in range(6):
@@ -233,8 +301,9 @@ def feed_incident(recorder, obs, clock):
             0.003
         )
     clock.now = 4.0
-    recorder.on_fault(
-        FaultRecord(4.0, "degrade_medium", "worker1:memory0", "factor=0.02")
+    apply_fault(
+        recorder, obs,
+        FaultRecord(4.0, "degrade_medium", "worker1:memory0", "factor=0.02"),
     )
     clock.now = 4.2
     obs.metrics.histogram("tier_read_seconds", tier="memory").observe(0.4)
@@ -242,7 +311,9 @@ def feed_incident(recorder, obs, clock):
     clock.now = 4.5
     sink.emit("slo", "read-latency:burn:page", "firing", "page")
     clock.now = 5.0
-    recorder.on_fault(FaultRecord(5.0, "repair_medium", "worker1:memory0"))
+    apply_fault(
+        recorder, obs, FaultRecord(5.0, "repair_medium", "worker1:memory0")
+    )
     clock.now = 5.5
     sink.emit("slo", "read-latency:burn:page", "resolved", "page")
 
@@ -273,25 +344,25 @@ class TestTriggers:
         assert recorder.open_incident["triggers"][0]["reason"] == "health"
 
     def test_exception_records_synthetic_event_and_triggers(self):
-        _, clock, recorder = make_recorder()
+        obs, clock, recorder = make_recorder()
         clock.now = 2.0
+        obs.tracer.event("tier.round")
         recorder.on_exception("tiering-engine", ValueError("boom"))
-        (event,) = recorder.events
-        assert event["name"] == "recorder.exception"
-        assert event["attrs"] == {
+        assert recorder.open_incident["triggers"][0]["reason"] == "exception"
+        obs.tracer.event("tier.round")
+        recorder.flush()
+        events = recorder.bundles[0]["events"]
+        # Merged into the trace's events where it was raised.
+        assert [e["name"] for e in events] == [
+            "tier.round", "recorder.exception", "tier.round"
+        ]
+        assert events[1]["attrs"] == {
             "component": "tiering-engine", "error": "ValueError"
         }
-        assert recorder.open_incident["triggers"][0]["reason"] == "exception"
-
-    def test_disabled_trigger_kinds_are_ignored(self):
-        _, clock, recorder = make_recorder(
-            RecorderConfig(triggers=("alert",))
-        )
-        recorder.on_fault(FaultRecord(0.0, "crash", "worker1"))
-        recorder.on_exception("x", ValueError())
-        assert recorder.open_incident is None
-        # The fault is still *captured* — just not a trigger.
-        assert len(recorder.faults) == 1
+        # The recorder emits no trace record of its own.
+        assert [r["name"] for r in obs.tracer.records] == [
+            "tier.round", "tier.round"
+        ]
 
     def test_extra_triggers_append_to_open_incident(self):
         obs, clock, recorder = make_recorder()
@@ -309,14 +380,13 @@ class TestTriggers:
         assert len(recorder.bundles[0]["incident"]["triggers"]) == 2
 
     def test_max_incidents_drops_later_triggers(self):
-        _, clock, recorder = make_recorder(
-            RecorderConfig(max_incidents=1, post_roll=0.5)
-        )
-        recorder.on_fault(FaultRecord(0.0, "crash", "worker1"))
-        clock.now = 1.0
-        recorder.flush()
-        assert len(recorder.bundles) == 1
-        recorder.on_fault(FaultRecord(1.0, "crash", "worker2"))
+        _, clock, recorder = make_recorder(RecorderConfig(post_roll=0.5))
+        for i in range(MAX_INCIDENTS):
+            clock.now = float(i)
+            recorder.on_fault(FaultRecord(clock.now, "crash", "worker1"))
+            recorder.flush()
+        assert len(recorder.bundles) == MAX_INCIDENTS
+        recorder.on_fault(FaultRecord(clock.now, "crash", "worker2"))
         assert recorder.open_incident is None
         assert recorder.dropped_triggers == 1
 
@@ -349,7 +419,7 @@ class TestBundles:
         assert all(
             2.0 <= d["time"] <= 5.6 for d in bundle["metric_deltas"]
         )
-        assert bundle["context"]["ring_limits"]["spans"] == config.max_spans
+        assert bundle["context"]["ring_limits"] == RING_LIMITS
 
     def test_bundle_bytes_stable_across_identical_feeds(self, tmp_path):
         paths = []
@@ -439,9 +509,11 @@ def _dfsio_exports(with_recorder):
     bench.write(24 * MB, parallelism=3)
     bench.read(parallelism=3)
     if recorder is not None:
-        recorder.detach()
         assert recorder.bundles == []
-        assert len(recorder.spans) > 0  # it really was listening
+        # It really was listening: a probe trigger cuts a full window.
+        recorder.trigger("alert", "probe")
+        recorder.detach()
+        assert recorder.bundles[0]["spans"]
     return (
         to_jsonl(fs.obs.tracer.records),
         metrics_json(fs.obs.metrics),
@@ -474,3 +546,45 @@ class TestDifferential:
 
     def test_untriggered_recorder_is_byte_invisible_on_slive(self):
         assert _slive_exports(True) == _slive_exports(False)
+
+
+# ----------------------------------------------------------------------
+# The copies stay deleted
+# ----------------------------------------------------------------------
+#: ``RecorderConfig`` fields that became module constants (ring bounds,
+#: watched metrics, trigger selection, the incident cap).
+DELETED_SETTINGS = (
+    "max_spans", "max_events", "max_metric_deltas", "max_faults",
+    "max_health", "max_alerts", "max_decisions", "watch_metrics",
+    "triggers", "max_incidents",
+)
+
+
+def test_no_tracer_tap_and_no_deleted_recorder_settings():
+    """Nothing under ``repro`` subscribes to the tracer, reads a deleted
+    ``RecorderConfig`` field, or passes one."""
+    assert {f.name for f in fields(RecorderConfig)} == {"pre_roll", "post_roll"}
+    assert not hasattr(FlightRecorder, "ring_sizes")
+    assert not hasattr(FlightRecorder, "dump")
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and (
+                node.attr == "tap"
+                or node.attr in DELETED_SETTINGS
+                and isinstance(node.value, (ast.Attribute, ast.Name))
+                and getattr(node.value, "attr", getattr(node.value, "id", ""))
+                == "config"
+            ):
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", ""))
+                if name == "RecorderConfig":
+                    offenders += [
+                        f"{path.name}:{node.lineno} {k.arg}="
+                        for k in node.keywords
+                        if k.arg not in ("pre_roll", "post_roll")
+                    ]
+    assert not offenders, "\n".join(offenders)

@@ -537,11 +537,9 @@ class TestOneOffSwitch:
             fs.engine.process(client.open("/busy/read").read_proc(collect=False)),
         ]
         open_at_disable: set = set()
-        rings: dict = {}
 
         def switch_off():
             open_at_disable.update(s.name for s in started if not s._done)
-            rings.update(recorder.ring_sizes())
             obs.disable()
 
         fs.engine.call_at(fs.engine.now + 0.001, switch_off)
@@ -551,8 +549,14 @@ class TestOneOffSwitch:
             "client.write_block", "client.read_block", "master.repair",
         } <= open_at_disable
         assert all(proc.ok for proc in procs + repairs)
-        assert rings and recorder.ring_sizes() == rings
         assert obs.tracer is None and obs.recorder is None
+        # Attached again, the recorder's window holds none of the spans
+        # that ended after the switch.
+        obs.enable()
+        recorder.attach()
+        recorder.trigger("alert", "probe")
+        recorder.detach()
+        assert recorder.bundles[-1]["spans"] == []
 
     def test_attach_after_disable_rejected_before_taking_the_slot(self):
         """An observer built while observability was on cannot attach

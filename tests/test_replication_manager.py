@@ -316,6 +316,66 @@ class TestOpenFileRepair:
         assert fs.master.pending_replication == 0
 
 
+class TestMissingBlocks:
+    """A block with no live replica is counted, as HDFS's
+    ``getMissingBlocksCount`` does, without holding up convergence."""
+
+    def test_a_lost_block_is_counted_until_deleted(self, fs, client):
+        client.write_file(
+            "/lost", size=4 * MB, rep_vector=ReplicationVector.of(memory=1)
+        )
+        loc = client.get_file_block_locations("/lost")[0]
+        fs.faults.crash(loc.hosts[0])
+        assert fs.master.check_replication() == []
+        assert fs.master.missing_blocks == {loc.block_id}
+        # Nothing to copy from: the queue is empty and the pass converges.
+        assert fs.master.pending_replication == 0
+        assert fs.await_replication() == 1
+        assert fs.master.missing_blocks == {loc.block_id}
+        client.delete("/lost")
+        assert fs.master.missing_blocks == set()
+
+    def test_a_returning_holder_restores_a_missing_block(self, fs, client):
+        client.write_file(
+            "/one", size=4 * MB, rep_vector=ReplicationVector.of(hdd=1)
+        )
+        holder = client.get_file_block_locations("/one")[0].hosts[0]
+        fs.faults.silence(holder)
+        fs.master.check_replication(full_scan=True)
+        assert len(fs.master.missing_blocks) == 1
+        fs.faults.unsilence(holder)  # re-heartbeats: its blocks are dirty
+        fs.await_replication()
+        assert fs.master.missing_blocks == set()
+        check_system_invariants(fs)
+
+    def test_entering_the_set_is_traced_and_counted_once(self, fs, client):
+        fs.obs.enable()
+        client.write_file(
+            "/lost", size=4 * MB, rep_vector=ReplicationVector.of(memory=1)
+        )
+        loc = client.get_file_block_locations("/lost")[0]
+        fs.faults.crash(loc.hosts[0])
+        fs.master.check_replication()
+        fs.master.check_replication(full_scan=True)  # still missing
+        events = [
+            r for r in fs.obs.tracer.records if r["name"] == "repair.missing"
+        ]
+        assert [e["attrs"] for e in events] == [{"block": "/lost#0"}]
+        assert fs.obs.metrics.counter("blocks_missing_total").value == 1
+
+    def test_a_run_that_loses_nothing_mints_no_missing_counter(
+        self, fs, client
+    ):
+        fs.obs.enable()
+        client.write_file("/hot", size=4 * MB, rep_vector=3)
+        fs.faults.crash(client.get_file_block_locations("/hot")[0].hosts[0])
+        fs.await_replication()
+        assert fs.master.missing_blocks == set()
+        assert "blocks_missing_total" not in {
+            instrument.name for instrument in fs.obs.metrics.instruments()
+        }
+
+
 def repaired_paths(fs, processes) -> list[str]:
     """The files whose blocks a pass's repair processes copy, in order,
     each once."""
