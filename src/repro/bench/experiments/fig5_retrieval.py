@@ -3,8 +3,12 @@
 DFSIO generates 10 GB under the MOOP placement policy, then reads it
 back at five degrees of parallelism — once ordering replicas with the
 tier-aware OctopusFS policy (Eq. 12) and once with the stock HDFS
-locality-only ordering. Placement is identical in both runs; the gap is
-purely the retrieval decision.
+locality-only ordering. Placement is *not* shared between the two
+runs: both use the same MOOP policy, but each deployment draws its
+placement tie-breaks from its own stream
+(``DeterministicRng(seed, f"deployment/{name}").fork("placement")``), so
+at seed 0 every one of the 81 blocks lands on different media. The gap
+is the retrieval decision plus that difference in placement.
 
 Paper shape to hold: OctopusFS retrieval wins everywhere; the advantage
 shrinks from ~4× at d=3 to ~2× at d=27 as network congestion grows, but

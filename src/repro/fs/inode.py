@@ -11,7 +11,8 @@ fair multi-tenant use of scarce tiers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.replication_vector import ReplicationVector
 from repro.errors import QuotaExceededError
@@ -19,9 +20,22 @@ from repro.errors import QuotaExceededError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.blocks import Block
 
+#: The per-tier usage or quota of an inode that has none, and the
+#: children of an empty directory: one shared, read-only mapping. Most
+#: inodes never store a byte on a tier or carry a quota, and many
+#: directories stay empty, so none of them owns an empty dict; the
+#: writers (:func:`_add`, :meth:`INodeDirectory.set_quota`,
+#: :meth:`INodeDirectory._link` and ``_unlink``) swap in a dict of the
+#: inode's own at the first entry and back to this at the last.
+EMPTY: Mapping[str, Any] = MappingProxyType({})
+
 
 class INode:
     """Common metadata for files and directories."""
+
+    # No per-instance dict: the master holds one inode per namespace
+    # entry, and the namespace's size is bounded by their bytes.
+    __slots__ = ("name", "parent", "owner", "group", "mode", "mtime")
 
     is_directory = False
 
@@ -57,6 +71,8 @@ class INode:
 class INodeFile(INode):
     """A file: a replication vector, a block size, and a block list."""
 
+    __slots__ = ("rep_vector", "block_size", "blocks", "under_construction", "tier_bytes")
+
     def __init__(
         self,
         name: str,
@@ -73,7 +89,7 @@ class INodeFile(INode):
         self.blocks: list["Block"] = []
         self.under_construction = True
         # Finalized bytes per tier (for per-tier space quotas).
-        self.tier_bytes: dict[str, int] = {}
+        self.tier_bytes: Mapping[str, int] = EMPTY
 
     @property
     def length(self) -> int:
@@ -84,11 +100,7 @@ class INodeFile(INode):
 
     def charge_tier(self, tier: str, delta: int) -> None:
         """Record finalized replica bytes on a tier (negative to release)."""
-        current = self.tier_bytes.get(tier, 0) + delta
-        if current:
-            self.tier_bytes[tier] = current
-        else:
-            self.tier_bytes.pop(tier, None)
+        self.tier_bytes = _add(self.tier_bytes, tier, delta)
 
 
 class INodeDirectory(INode):
@@ -97,6 +109,11 @@ class INodeDirectory(INode):
     Subtree usage counters (inode count and per-tier stored bytes) are
     maintained eagerly on every mutation so quota checks are O(depth).
     """
+
+    __slots__ = (
+        "children", "namespace_quota", "tier_space_quota", "subtree_inodes",
+        "subtree_tier_bytes",
+    )
 
     is_directory = True
 
@@ -109,12 +126,12 @@ class INodeDirectory(INode):
         mtime: float = 0.0,
     ) -> None:
         super().__init__(name, owner, group, mode, mtime)
-        self.children: dict[str, INode] = {}
+        self.children: Mapping[str, INode] = EMPTY
         self.namespace_quota: int | None = None
-        self.tier_space_quota: dict[str, int] = {}
+        self.tier_space_quota: Mapping[str, int] = EMPTY
         # Subtree usage, this directory included in inode_count.
         self.subtree_inodes = 1
-        self.subtree_tier_bytes: dict[str, int] = {}
+        self.subtree_tier_bytes: Mapping[str, int] = EMPTY
 
     # ------------------------------------------------------------------
     # Child management (quota-aware)
@@ -124,12 +141,11 @@ class INodeDirectory(INode):
         inodes, tier_bytes = _usage_of(child)
         chain = self._chain()
         _check_namespace_quota(chain, inodes)
-        self.children[child.name] = child
-        child.parent = self
+        self._link(child)
         _charge(chain, 1, inodes, tier_bytes)
 
     def remove_child(self, name: str) -> INode:
-        child = self.children.pop(name)
+        child = self._unlink(name)
         child.parent = None
         inodes, tier_bytes = _usage_of(child)
         _charge(self._chain(), -1, inodes, tier_bytes)
@@ -149,12 +165,25 @@ class INodeDirectory(INode):
             source.pop()
             destination.pop()
         _check_namespace_quota(destination, inodes)
-        del self.children[name]
+        self._unlink(name)
         child.name = new_name
-        target.children[new_name] = child
-        child.parent = target
+        target._link(child)
         _charge(source, -1, inodes, tier_bytes)
         _charge(destination, 1, inodes, tier_bytes)
+
+    def _link(self, child: INode) -> None:
+        if self.children is EMPTY:
+            self.children = {}
+        self.children[child.name] = child
+        child.parent = self
+
+    def _unlink(self, name: str) -> INode:
+        children = self.children
+        child = children[name]
+        del children[name]
+        if not children:
+            self.children = EMPTY
+        return child
 
     def _chain(self) -> list["INodeDirectory"]:
         """This directory and its ancestors, innermost first."""
@@ -176,7 +205,7 @@ class INodeDirectory(INode):
         """Set or clear quotas; existing usage above a new quota is kept
         (HDFS semantics: the quota only blocks further growth)."""
         self.namespace_quota = namespace_quota
-        self.tier_space_quota = dict(tier_space_quota or {})
+        self.tier_space_quota = dict(tier_space_quota) if tier_space_quota else EMPTY
 
     def check_tier_space(self, tier: str, nbytes: int) -> None:
         """Raise if charging ``nbytes`` on ``tier`` would break a quota
@@ -198,13 +227,13 @@ class INodeDirectory(INode):
         _charge(self._chain(), 1, 0, {tier: nbytes})
 
 
-def _usage_of(child: INode) -> tuple[int, dict[str, int]]:
+def _usage_of(child: INode) -> tuple[int, Mapping[str, int]]:
     """What a subtree counts against its ancestors: inodes, tier bytes."""
     if isinstance(child, INodeDirectory):
         return child.subtree_inodes, child.subtree_tier_bytes
     if isinstance(child, INodeFile):
         return 1, child.tier_bytes
-    return 1, {}
+    return 1, EMPTY
 
 
 def _check_namespace_quota(chain: list[INodeDirectory], inodes: int) -> None:
@@ -218,7 +247,7 @@ def _check_namespace_quota(chain: list[INodeDirectory], inodes: int) -> None:
 
 
 def _charge(
-    chain: list[INodeDirectory], sign: int, inodes: int, tier_bytes: dict[str, int]
+    chain: list[INodeDirectory], sign: int, inodes: int, tier_bytes: Mapping[str, int]
 ) -> None:
     """Add (``sign`` 1) or take away (-1) a subtree's usage on every
     directory of ``chain``, in one pass."""
@@ -227,8 +256,20 @@ def _charge(
         if tier_bytes:
             usage = directory.subtree_tier_bytes
             for tier, nbytes in tier_bytes.items():
-                current = usage.get(tier, 0) + sign * nbytes
-                if current:
-                    usage[tier] = current
-                else:
-                    usage.pop(tier, None)
+                usage = _add(usage, tier, sign * nbytes)
+            directory.subtree_tier_bytes = usage
+
+
+def _add(usage: Mapping[str, int], tier: str, delta: int) -> Mapping[str, int]:
+    """``usage`` with ``delta`` added on ``tier``, a tier at zero dropped:
+    updated in place when it is a dict of its own, a new dict when it was
+    :data:`EMPTY`, and :data:`EMPTY` again once nothing is left."""
+    current = usage.get(tier, 0) + delta
+    if current:
+        if usage is EMPTY:
+            return {tier: current}
+        usage[tier] = current
+        return usage
+    if tier in usage:
+        del usage[tier]
+    return usage or EMPTY

@@ -100,12 +100,12 @@ def accounting_violations(
         expected = attached.get(inode, Counter())
         if Counter(inode.tier_bytes) != expected:
             violations.append(
-                f"{inode.path()}: tier usage {inode.tier_bytes} != attached "
+                f"{inode.path()}: tier usage {dict(inode.tier_bytes)} != attached "
                 f"replica bytes {dict(expected)}"
             )
     if Counter(namespace.root.subtree_tier_bytes) != total:
         violations.append(
-            f"root tier usage {namespace.root.subtree_tier_bytes} != block "
+            f"root tier usage {dict(namespace.root.subtree_tier_bytes)} != block "
             f"map total {dict(total)}"
         )
     return violations

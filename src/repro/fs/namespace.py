@@ -129,7 +129,7 @@ class Namespace:
         self, path: str, user: UserContext, need_exists: bool = True
     ) -> INode | None:
         """Walk the tree, enforcing traverse (x) permission on ancestors."""
-        components = paths.split(path)
+        components = paths.components(path)
         checked = not user.superuser
         node: INode = self.root
         for index, component in enumerate(components):
@@ -157,8 +157,8 @@ class Namespace:
         the root)."""
         if path == paths.ROOT:
             return None, self.root
-        head, _sep, name = path.rpartition(paths.SEPARATOR)
-        parent = self._resolve(head or paths.ROOT, user, need_exists=False)
+        head, name = paths.split_last(path)
+        parent = self._resolve(head, user, need_exists=False)
         if parent is None:
             return None, None
         if not parent.is_directory:
@@ -291,17 +291,15 @@ class Namespace:
             if isinstance(existing, INodeDirectory):
                 return existing
             raise FileAlreadyExistsError(f"file exists at {path!r}")
+        parent_path, name = paths.split_last(path)
         if parent is None:
-            parent_path = paths.parent(path)
             if not create_parents:
                 raise FileNotFoundInNamespaceError(
                     f"parent does not exist: {parent_path!r}"
                 )
             parent = self.mkdir(parent_path, user, mode, create_parents=True)
         self._check_access(parent, user, WRITE)
-        directory = INodeDirectory(
-            paths.basename(path), user.user, parent.group, mode, self._clock()
-        )
+        directory = INodeDirectory(name, user.user, parent.group, mode, self._clock())
         parent.add_child(directory)
         self._emit("mkdir", path=path, user=user.user, mode=mode)
         return directory
@@ -329,8 +327,9 @@ class Namespace:
             if not overwrite:
                 raise FileAlreadyExistsError(f"file exists at {path!r}")
             freed = self.delete(path, user=user)
+        parent_path, name = paths.split_last(path)
         if parent is None:
-            parent = self.mkdir(paths.parent(path), user)
+            parent = self.mkdir(parent_path, user)
         self._check_access(parent, user, WRITE)
         if rep_vector.total_replicas < 1:
             raise PathError(
@@ -338,7 +337,7 @@ class Namespace:
                 f"{rep_vector.shorthand()}"
             )
         inode = INodeFile(
-            paths.basename(path),
+            name,
             user.user,
             parent.group,
             mode,
@@ -374,7 +373,7 @@ class Namespace:
         dst = paths.normalize(dst)
         if src == paths.ROOT:
             raise PathError("cannot rename the root")
-        if paths.is_ancestor(src, dst):
+        if paths.contains(src, dst):
             raise PathError(f"cannot rename {src!r} under itself ({dst!r})")
         node = self._resolve(src, user)
         assert node is not None
@@ -384,12 +383,13 @@ class Namespace:
         src_parent = node.parent
         assert src_parent is not None
         self._check_access(src_parent, user, WRITE)
+        dst_parent_path, dst_name = paths.split_last(dst)
         if dst_parent is None:
             raise FileNotFoundInNamespaceError(
-                f"rename target parent missing: {paths.parent(dst)!r}"
+                f"rename target parent missing: {dst_parent_path!r}"
             )
         self._check_access(dst_parent, user, WRITE)
-        src_parent.move_child(node.name, dst_parent, paths.basename(dst))
+        src_parent.move_child(node.name, dst_parent, dst_name)
         node.mtime = self._clock()
         self._emit("rename", src=src, dst=dst)
 

@@ -1,14 +1,17 @@
 """Path handling for the directory namespace.
 
 Paths are absolute, ``/``-separated, with no ``.``/``..`` components —
-the same restrictions HDFS imposes. All namespace entry points call
-:func:`normalize` first so the rest of the code only ever sees clean
-paths.
+the same restrictions HDFS imposes. Every namespace entry point calls
+:func:`normalize` once; what it returns is clean, so the namespace takes
+the parent, the basename and the components from it with
+:func:`split_last` and :func:`components`, which validate nothing again.
+
+There is no memo: a path already in canonical form — every path the
+namespace itself builds, and nearly every one a client sends — is
+recognised by four substring scans and returned as it is.
 """
 
 from __future__ import annotations
-
-import functools
 
 from repro.errors import PathError
 
@@ -18,7 +21,6 @@ ROOT = "/"
 _FORBIDDEN_COMPONENTS = {"", ".", ".."}
 
 
-@functools.lru_cache(maxsize=65536)
 def normalize(path: str) -> str:
     """Validate and canonicalize an absolute path.
 
@@ -27,15 +29,24 @@ def normalize(path: str) -> str:
     >>> normalize("/")
     '/'
     """
+    # Canonical already: no empty component (``//``, a trailing ``/``),
+    # no ``.``/``..`` component (each starts with ``/.``), no NUL.
+    if (
+        type(path) is str
+        and path[:1] == SEPARATOR
+        and path[-1:] != SEPARATOR
+        and "//" not in path
+        and "/." not in path
+        and "\x00" not in path
+    ):
+        return path
     if not isinstance(path, str) or not path.startswith(SEPARATOR):
         raise PathError(f"path must be absolute, got {path!r}")
     if path == ROOT:
         return ROOT
-    components = split(path)
-    return SEPARATOR + SEPARATOR.join(components)
+    return SEPARATOR + SEPARATOR.join(split(path))
 
 
-@functools.lru_cache(maxsize=65536)
 def split(path: str) -> tuple[str, ...]:
     """Split into validated components; the root splits to ``()``."""
     if not path.startswith(SEPARATOR):
@@ -50,20 +61,27 @@ def split(path: str) -> tuple[str, ...]:
     return tuple(components)
 
 
+def components(path: str) -> list[str]:
+    """The components of a path :func:`normalize` returned, not validated
+    again; the root has none."""
+    return path[1:].split(SEPARATOR) if path != ROOT else []
+
+
+def split_last(path: str) -> tuple[str, str]:
+    """``(parent, basename)`` of a path :func:`normalize` returned, not
+    validated again; the root is its own parent and its basename is ''."""
+    head, _sep, name = path.rpartition(SEPARATOR)
+    return head or ROOT, name
+
+
 def parent(path: str) -> str:
     """Parent directory of a normalized path; the root is its own parent."""
-    path = normalize(path)
-    if path == ROOT:
-        return ROOT
-    head, _sep, _tail = path.rpartition(SEPARATOR)
-    return head or ROOT
+    return split_last(normalize(path))[0]
+
 
 def basename(path: str) -> str:
     """Final component of a normalized path ('' for the root)."""
-    path = normalize(path)
-    if path == ROOT:
-        return ""
-    return path.rpartition(SEPARATOR)[2]
+    return split_last(normalize(path))[1]
 
 
 def join(base: str, *parts: str) -> str:
@@ -75,8 +93,12 @@ def join(base: str, *parts: str) -> str:
 
 def is_ancestor(ancestor: str, descendant: str) -> bool:
     """True if ``ancestor`` is a (non-strict) prefix directory."""
-    ancestor = normalize(ancestor)
-    descendant = normalize(descendant)
+    return contains(normalize(ancestor), normalize(descendant))
+
+
+def contains(ancestor: str, descendant: str) -> bool:
+    """:func:`is_ancestor` of two paths :func:`normalize` returned, not
+    validated again."""
     if ancestor == ROOT:
         return True
     return descendant == ancestor or descendant.startswith(ancestor + SEPARATOR)

@@ -237,7 +237,7 @@ class FlightRecorder:
     def attach(self) -> "FlightRecorder":
         """Take the empty ``obs.recorder`` slot, mark where the window
         starts in the trace and the ledger, and hook the metric
-        watchers."""
+        watchers (:meth:`detach` unhooks them)."""
         _require_enabled(self.obs)
         if self.obs.recorder is self:
             raise ConfigurationError("recorder already attached")
@@ -268,8 +268,8 @@ class FlightRecorder:
             listeners = self.system.engine.crash_listeners
             if self._on_crash in listeners:
                 listeners.remove(self._on_crash)
-        # Registry watchers cannot be unregistered; _on_metric checks
-        # the slot and goes inert instead.
+        for kind, name in WATCH_METRICS:
+            self.obs.metrics.unwatch(kind, name, self._on_metric)
 
     def flush(self) -> None:
         """Close any open incident at the current instant (end of run)."""
@@ -290,8 +290,6 @@ class FlightRecorder:
         """
 
     def _on_metric(self, instrument, value: float) -> None:
-        if self.obs.recorder is not self:
-            return
         self.metric_deltas.append(
             {
                 "time": self.clock(),

@@ -302,6 +302,14 @@ class MetricsRegistry:
             if k == kind and n == name:
                 instrument.watchers = watchers
 
+    def unwatch(self, kind: str, name: str, callback: Callable) -> None:
+        """Drop one subscription :meth:`watch` made (a no-op if there is
+        none). The shared list stays attached; an empty one is falsy, so
+        an update costs again only the check."""
+        watchers = self._watchers.get((kind, name))
+        if watchers is not None and callback in watchers:
+            watchers.remove(callback)
+
     def counter(self, name: str, **labels: str) -> Counter:
         return self._get("counter", Counter, name, labels)  # type: ignore[return-value]
 

@@ -190,9 +190,16 @@ class TestRings:
     def test_detached_recorder_ignores_watched_metrics(self):
         obs, _, recorder = make_recorder()
         recorder.detach()
-        # The registry keeps the watcher, but it must go inert.
+        # Detach drops the recorder's watchers from the registry.
         obs.metrics.histogram("tier_read_seconds", tier="hdd").observe(0.02)
         assert len(recorder.metric_deltas) == 0
+
+    def test_reattached_recorder_records_each_update_once(self):
+        obs, _, recorder = make_recorder()
+        recorder.detach()
+        recorder.attach()
+        obs.metrics.histogram("tier_read_seconds", tier="hdd").observe(0.02)
+        assert [d["metric"] for d in recorder.metric_deltas] == ["tier_read_seconds"]
 
     def test_rings_stay_within_bounds(self):
         obs, clock, recorder = make_recorder()

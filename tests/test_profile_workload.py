@@ -94,3 +94,21 @@ def test_setup_with_memory_traces_the_set_up():
     assert any(line.startswith("Python heap in set-up: peak") for line in done.stdout.splitlines())
     assert "Ordered by" not in done.stdout
     assert "sim_repair_s = " in done.stdout
+
+
+def test_memory_reports_what_outlives_the_workload():
+    done = run_tool("meta_churn", "--scale", "tiny", "--memory", "--top", "3")
+    assert done.returncode == 0, done.stderr
+    header = next(
+        line for line in done.stdout.splitlines() if line.startswith("outlives the workload")
+    )
+    # Only process-wide state survives close(): a few bounded placement
+    # memos in repro.core (about 2 kB). A path memo in repro.fs held
+    # about 600 kB here.
+    assert float(header.split(": ")[1].split()[0]) < 64
+    listed = [
+        line for line in done.stdout.split(header + "\n", 1)[1].splitlines()
+        if " blocks  repro/" in line
+    ]
+    assert 1 <= len(listed) <= 3
+    assert "sim_makespan_s = " in done.stdout

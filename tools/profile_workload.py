@@ -28,6 +28,10 @@ only what the region allocated, not what ``setup()`` left behind. It
 also prints the process's ``ru_maxrss`` (what ``run.py`` reports as
 ``peak_rss_mb``) before set-up and after the region; the second
 includes tracemalloc's own overhead, so it reads above ``run.py``'s.
+Tracing goes on through ``verify()`` and ``close()``; after those and a
+``gc.collect()`` it prints what outlives the workload: the bytes still
+attributed to each ``repro`` module, which only process-wide state (a
+module-level memo, a registry, a lazily imported module) can hold.
 
 ``cProfile`` taxes every Python call and no native one, so read the
 table for *which* functions to look at and measure the change itself
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import resource
 import sys
@@ -47,6 +52,7 @@ from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 MB = 1 << 20  # MiB, the unit of run.py's peak_rss_mb
+KB = 1 << 10
 
 
 def profile(name: str, seed: int, scale: str, timed: Callable[[Callable[[], None]], object],
@@ -80,15 +86,13 @@ def maxrss_mb() -> float:
 
 
 def print_memory(run: Callable[[], None], top: int, region: str) -> None:
-    """Run ``run`` under ``tracemalloc`` and print its heap at the peak
-    and at the end, and the ``top`` sites of what is live at the end."""
+    """Start ``tracemalloc``, run ``run`` and print its heap at the peak
+    and at the end, and the ``top`` sites of what is live at the end.
+    Tracing stays on for :func:`print_survivors`."""
     tracemalloc.start()
-    try:
-        run()
-        end, peak = tracemalloc.get_traced_memory()
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
+    run()
+    end, peak = tracemalloc.get_traced_memory()
+    snapshot = tracemalloc.take_snapshot()
     print(f"Python heap in {region}: peak {peak / MB:.1f} MB, live at the end "
           f"{end / MB:.1f} MB, transient (peak - end) {(peak - end) / MB:.1f} MB")
     print(f"ru_maxrss after the region: {maxrss_mb():.1f} MB "
@@ -98,6 +102,24 @@ def print_memory(run: Callable[[], None], top: int, region: str) -> None:
         frame = stat.traceback[0]
         where = frame.filename.removeprefix(str(ROOT) + "/")
         print(f"  {stat.size / MB:8.2f} MB {stat.count:9d} blocks  {where}:{frame.lineno}")
+
+
+def print_survivors(top: int) -> None:
+    """After the workload's ``close()``: collect and print the ``top``
+    ``repro`` modules that traced bytes are still attributed to."""
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot()
+    source = str(ROOT / "src") + "/"
+    modules = [
+        stat for stat in snapshot.statistics("filename")
+        if stat.traceback[0].filename.startswith(source)
+    ]
+    total = sum(stat.size for stat in modules)
+    print(f"outlives the workload (after close() and gc.collect()): {total / KB:.1f} kB "
+          f"in {len(modules)} repro modules; top {top}:")
+    for stat in modules[:top]:
+        where = stat.traceback[0].filename.removeprefix(source)
+        print(f"  {stat.size / KB:10.1f} kB {stat.count:9d} blocks  {where}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -120,8 +142,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.memory:
         print(f"ru_maxrss before set-up: {maxrss_mb():.1f} MB")
         region = "set-up" if args.setup else "the timed region"
-        sim = profile(args.name, args.seed, args.scale,
-                      lambda run: print_memory(run, args.top, region), args.setup)
+        try:
+            sim = profile(args.name, args.seed, args.scale,
+                          lambda run: print_memory(run, args.top, region), args.setup)
+            print_survivors(args.top)
+        finally:
+            tracemalloc.stop()
     else:
         profiler = cProfile.Profile()
         sim = profile(args.name, args.seed, args.scale, profiler.runcall, args.setup)
