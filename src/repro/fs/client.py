@@ -170,15 +170,23 @@ class Client:
         block_size: int | None = None,
         overwrite: bool = False,
     ) -> None:
-        """Create, write, and close in one call (bytes or size-only)."""
+        """Create, write, and close in one call (bytes or size-only).
+
+        A write that raises (a tier quota refused a block, say) leaves
+        no file behind, so the same call can be retried.
+        """
         if data is not None and size is not None:
             raise FileSystemError("cannot mix byte and size-only writes")
         stream = self.create(path, rep_vector, block_size, overwrite)
-        if data is not None:
-            stream.write(data)
-        if size is not None:
-            stream.write_size(size)
-        stream.close()
+        try:
+            if data is not None:
+                stream.write(data)
+            if size is not None:
+                stream.write_size(size)
+            stream.close()
+        except Exception:
+            self.delete(path)
+            raise
 
     def read_file(self, path: str) -> bytes | None:
         """Open, read fully, and return content (None for size-only data)."""

@@ -155,8 +155,10 @@ class INodeDirectory(INode):
         """Move child ``name`` into ``target`` as ``new_name``.
 
         Usage changes only below the deepest directory both sides share,
-        so only the target's side of that is quota-checked — before
-        anything moves, so a refused move leaves the tree as it was.
+        so only the target's side of that is quota-checked, for inodes
+        and for every tier the subtree stores bytes on (HDFS's
+        ``verifyQuotaForRename``) — before anything moves, so a refused
+        move leaves the tree as it was.
         """
         child = self.children[name]
         inodes, tier_bytes = _usage_of(child)
@@ -165,6 +167,8 @@ class INodeDirectory(INode):
             source.pop()
             destination.pop()
         _check_namespace_quota(destination, inodes)
+        for tier, nbytes in tier_bytes.items():
+            _check_tier_space_quota(destination, tier, nbytes)
         self._unlink(name)
         child.name = new_name
         target._link(child)
@@ -210,16 +214,7 @@ class INodeDirectory(INode):
     def check_tier_space(self, tier: str, nbytes: int) -> None:
         """Raise if charging ``nbytes`` on ``tier`` would break a quota
         anywhere up the tree."""
-        for directory in self._chain():
-            quota = directory.tier_space_quota.get(tier)
-            if quota is None:
-                continue
-            used = directory.subtree_tier_bytes.get(tier, 0)
-            if used + nbytes > quota:
-                raise QuotaExceededError(
-                    f"{tier} space quota of {directory.path()!r} exceeded: "
-                    f"quota={quota}, used={used}, requested={nbytes}"
-                )
+        _check_tier_space_quota(self._chain(), tier, nbytes)
 
     def charge_tier_space(self, tier: str, nbytes: int) -> None:
         """Record ``nbytes`` (may be negative) of ``tier`` usage here and
@@ -243,6 +238,21 @@ def _check_namespace_quota(chain: list[INodeDirectory], inodes: int) -> None:
             raise QuotaExceededError(
                 f"namespace quota of {directory.path()!r} exceeded: "
                 f"quota={quota}, would use {directory.subtree_inodes + inodes}"
+            )
+
+
+def _check_tier_space_quota(
+    chain: list[INodeDirectory], tier: str, nbytes: int
+) -> None:
+    for directory in chain:
+        quota = directory.tier_space_quota.get(tier)
+        if quota is None:
+            continue
+        used = directory.subtree_tier_bytes.get(tier, 0)
+        if used + nbytes > quota:
+            raise QuotaExceededError(
+                f"{tier} space quota of {directory.path()!r} exceeded: "
+                f"quota={quota}, used={used}, requested={nbytes}"
             )
 
 

@@ -164,6 +164,9 @@ class Resource:
     load statistics (``NrConn`` in the paper) read this directly.
     """
 
+    __slots__ = ("name", "_capacity", "congestion_overhead", "flows", "_rid",
+                 "_cap", "_pending", "_mark", "_journal", "_queued")
+
     def __init__(
         self, name: str, capacity: float, congestion_overhead: float = 0.0
     ) -> None:
@@ -178,7 +181,6 @@ class Resource:
         #: throughput decline at high degrees of parallelism.
         self.congestion_overhead = float(congestion_overhead)
         self.flows: FlowSet = FlowSet()
-        self.bytes_served = 0.0
         self._rid = next(_resource_ids)
         # Fill state (see FlowScheduler._run_rounds): residual capacity
         # and open-flow count on the current fill's trajectory, the last
@@ -222,6 +224,10 @@ class Flow:
     ``completed`` is an :class:`~repro.sim.events.Event` that succeeds
     with the flow when the last byte arrives (or fails if cancelled).
     """
+
+    __slots__ = ("size", "remaining", "resources", "completed", "label", "rate",
+                 "started_at", "finished_at", "seq", "last_advanced",
+                 "_wake_token", "span", "_open")
 
     def __init__(
         self,
@@ -285,7 +291,8 @@ Plan = tuple[list, int, int, "list | None", list]
 def _candidate(resource: Resource) -> tuple:
     """The resource's heap entry, noted as its lowest: its open flows'
     equal share, then the deterministic tie-break. ``rid`` is unique, so
-    comparing two entries never reaches the resource itself."""
+    comparing two entries never reaches the resource itself. The round
+    loop builds its two hot entries, a join and a move-up, inline."""
     share = resource._queued = resource._cap / resource._pending
     return (share, resource.name, resource._rid, resource)
 
@@ -295,6 +302,20 @@ def _candidates(resources: Iterable[Resource]) -> list:
     heap = [_candidate(r) for r in resources if r._pending]
     heapq.heapify(heap)
     return heap
+
+
+def _materialize(flow: Flow, now: float) -> None:
+    """Integrate the flow's progress from ``last_advanced`` to ``now``.
+
+    Called exactly when the flow's rate value changes (or it is
+    cancelled), so both solvers accumulate the same float chunks at the
+    same simulation times — the key to bit-identical results. The round
+    loop inlines it. A flow on a resource has a finite rate, so with no
+    time elapsed it subtracts an exact zero.
+    """
+    remaining = flow.remaining - flow.rate * (now - flow.last_advanced)
+    flow.remaining = remaining if remaining > 0.0 else 0.0
+    flow.last_advanced = now
 
 
 def _round_zero(resources: Sequence[Resource], journal: "_Journal | None") -> list:
@@ -569,8 +590,7 @@ class FlowScheduler:
         """
         flow = Flow(size, list(resources), self.engine.event(), label=label)
         now = self.engine.now
-        flow.started_at = now
-        flow.last_advanced = now
+        flow.started_at = flow.last_advanced = now
         self.total_flows_started += 1
         flow.seq = self.total_flows_started
         obs = self.obs
@@ -603,9 +623,10 @@ class FlowScheduler:
         """Abort an in-flight flow; its waiter sees ``exception``."""
         if flow not in self.active:
             return
-        self._materialize(flow)
+        now = self.engine.now
+        _materialize(flow, now)
         self._detach(flow)
-        flow.finished_at = self.engine.now
+        flow.finished_at = now
         if flow.span is not None and self.obs.enabled:
             flow.span.end("cancelled", transferred=flow.size - flow.remaining)
             self.obs.metrics.counter("flows_cancelled_total").inc()
@@ -657,24 +678,6 @@ class FlowScheduler:
         for resource in flow.resources:
             del resource.flows[flow]
 
-    def _materialize(self, flow: Flow) -> None:
-        """Integrate the flow's progress from ``last_advanced`` to now.
-
-        Called exactly when the flow's rate value changes (or it leaves
-        the system), so both solvers accumulate the same float chunks at
-        the same simulation times — the key to bit-identical results.
-        """
-        now = self.engine.now
-        elapsed = now - flow.last_advanced
-        flow.last_advanced = now
-        if elapsed <= 0:
-            return
-        moved = flow.rate * elapsed
-        flow.remaining = max(0.0, flow.remaining - moved)
-        share = moved / max(1, len(flow.resources))
-        for resource in flow.resources:
-            resource.bytes_served += share
-
     def _reallocate(
         self, started: Flow | None = None, changed: Iterable[Resource] = ()
     ) -> None:
@@ -683,8 +686,10 @@ class FlowScheduler:
         Flows whose new rate puts them within :data:`_MIN_DT` of
         completion finish immediately (in ``seq`` order), and their
         resources are the next pass's change, mirroring the dense
-        solver's finish-then-refill recursion.
+        solver's finish-then-refill recursion. The clock does not move
+        meanwhile, so it is read once.
         """
+        now = self.engine.now
         completions = self._completions
         while True:
             rated: list[Flow] = []
@@ -695,7 +700,7 @@ class FlowScheduler:
                 rated.append(started)
                 started = None
             for plan in self.solver.plan(started, changed):
-                self._run_rounds(*plan, rated)
+                self._run_rounds(*plan, now, rated)
             due: list[Flow] = []
             for flow in rated:
                 rate = flow.rate
@@ -708,7 +713,7 @@ class FlowScheduler:
                 else:
                     flow._wake_token += 1
                     if rate > 0:
-                        when = self.engine.now + flow.remaining / rate
+                        when = now + flow.remaining / rate
                         entry = (when, flow.seq, flow._wake_token, flow)
                         heapq.heappush(completions, entry)
                     # A zero-rate flow waits with no completion entry; if
@@ -718,7 +723,7 @@ class FlowScheduler:
                 break
             due.sort(key=attrgetter("seq"))
             started = None
-            changed = self._finish_flows(due)
+            changed = self._finish_flows(due, now)
         if len(completions) > 2 * len(self.active) + 64:
             # Mostly entries that re-rated flows left behind: drop them in
             # one pass, not one pop each. The live ones keep their order.
@@ -735,6 +740,7 @@ class FlowScheduler:
         stamp: int,
         rounds: list | None,
         old: list,
+        now: float,
         rated: list[Flow],
     ) -> None:
         """The round loop: freeze the lowest bottleneck's flows, repeat.
@@ -758,8 +764,7 @@ class FlowScheduler:
         recorded. Until the first round that is not, the journal's flows
         stay frozen.
         """
-        heappop, heappush = heapq.heappop, heapq.heappush
-        materialize = self._materialize
+        heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
         position, end, diverged = 0, len(old), not old
         while open_count or not diverged and position < end:
             # A journal round whose bottleneck the change reached is
@@ -774,19 +779,21 @@ class FlowScheduler:
                         resource._mark = stamp
                         resource._cap, resource._pending = cap, pending
                         if pending:
-                            heap.append(_candidate(resource))
+                            share = resource._queued = cap / pending
+                            heap.append((share, resource.name, resource._rid, resource))
                 position += 1
             if len(heap) != joined:
                 heapq.heapify(heap)
             while heap:
-                share, _name, _rid, bottleneck = key = heap[0]
+                share, name, rid, bottleneck = key = heap[0]
                 count = bottleneck._pending
                 if not count:
                     heappop(heap)
-                elif bottleneck._cap / count == share:
+                elif (current := bottleneck._cap / count) == share:
                     break
                 else:  # its share rose: move the entry up
-                    heapq.heapreplace(heap, _candidate(bottleneck))
+                    bottleneck._queued = current
+                    heapreplace(heap, (current, name, rid, bottleneck))
             else:
                 if position == end and open_count:
                     raise SimulationError("flow without any capacitated resource")
@@ -823,8 +830,11 @@ class FlowScheduler:
             for flow in frozen:
                 flow._open = 0
                 if flow.rate != share:
-                    # The rate *value* changes: a materialization point.
-                    materialize(flow)
+                    # The rate *value* changes: a materialization point
+                    # (_materialize, inlined).
+                    remaining = flow.remaining - flow.rate * (now - flow.last_advanced)
+                    flow.remaining = remaining if remaining > 0.0 else 0.0
+                    flow.last_advanced = now
                     flow.rate = share
                     rated.append(flow)
                 for resource in flow.resources:
@@ -852,23 +862,20 @@ class FlowScheduler:
             if rounds is not None:
                 rounds.append((key, frozen, before))
 
-    def _finish_flows(self, due: list[Flow]) -> list[Resource]:
-        """Finish ``due`` in order; return the resources that changes."""
+    def _finish_flows(self, due: list[Flow], now: float) -> list[Resource]:
+        """Finish ``due`` in order at ``now``; return the resources that
+        changed. A finished flow has no bytes left to integrate."""
         for flow in due:
-            self._finish_flow(flow)
+            self._detach(flow)
+            flow.remaining = 0.0
+            flow.last_advanced = flow.finished_at = now
+            self.total_bytes_completed += flow.size
+            if flow.span is not None and self.obs.enabled:
+                flow.span.end("ok")
+                self.obs.metrics.counter("flows_completed_total").inc()
+                self.obs.metrics.counter("flow_bytes_total").inc(flow.size)
+            flow.completed.succeed(flow)
         return [r for flow in due for r in flow.resources]
-
-    def _finish_flow(self, flow: Flow) -> None:
-        self._materialize(flow)
-        self._detach(flow)
-        flow.remaining = 0.0
-        flow.finished_at = self.engine.now
-        self.total_bytes_completed += flow.size
-        if flow.span is not None and self.obs.enabled:
-            flow.span.end("ok")
-            self.obs.metrics.counter("flows_completed_total").inc()
-            self.obs.metrics.counter("flow_bytes_total").inc(flow.size)
-        flow.completed.succeed(flow)
 
     def _schedule_wakeup(self) -> None:
         """Park the engine timer at the earliest valid completion, purging
@@ -906,7 +913,7 @@ class FlowScheduler:
         if not due:
             self._schedule_wakeup()
             return
-        self._reallocate(changed=self._finish_flows(due))
+        self._reallocate(changed=self._finish_flows(due, now))
 
     def _sample_utilization(self) -> None:
         """Record per-resource utilization after a rate change.

@@ -198,6 +198,10 @@ def _tree():
     ns.create_file("/home/h", RV, MB)
     ns.mkdir("/q")
     ns.set_quota("/q", namespace_quota=1)
+    ns.mkdir("/c")
+    ns.set_quota("/c", tier_space_quota={"MEMORY": 4 * MB})
+    for path in ("/c/full", "/hot"):
+        ns.charge_tier_space(ns.create_file(path, RV, MB)[0], "MEMORY", 4 * MB)
     return ns
 
 
@@ -247,6 +251,8 @@ ERRORS = [
     ("rename", ("/d", "/q/x"), {}, False, QuotaExceededError, QUOTA_Q),
     ("delete", ("/m/x",), {}, False, FileNotFoundInNamespaceError, "no such path: '/m'"),
     ("delete", ("/f/x",), {}, False, NotADirectoryInNamespaceError, "'/f' is not a directory"),
+    ("rename", ("/hot", "/c/hot"), {}, False, QuotaExceededError,
+     "MEMORY space quota of '/c' exceeded: quota=4194304, used=4194304, requested=4194304"),
 ]
 
 

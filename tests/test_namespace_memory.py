@@ -150,9 +150,11 @@ class TestUsageStaysExact:
         client.write_file("/a/one", size=4 * MB, rep_vector=memory)
         assert accounting_violations(fs) == []
         assert self.usage(fs, "/a") == {"MEMORY": 4 * MB}
-        # The quota is full to the byte: one more is refused...
+        # The quota is full to the byte: one more is refused, and the
+        # refused write leaves no file behind...
         with pytest.raises(QuotaExceededError):
             client.write_file("/a/two", size=MB, rep_vector=memory)
+        assert not client.exists("/a/two")
         # ...and so is one byte more on a second full quota.
         client.write_file("/b/one", size=4 * MB, rep_vector=memory)
         namespace = fs.master.namespace
@@ -173,7 +175,7 @@ class TestUsageStaysExact:
         assert self.usage(fs, "/a") == {"HDD": 4 * MB}
         assert accounting_violations(fs) == []
         # Deletes refund everything, up to the root.
-        for path in ("/a/two", "/a/three", "/b/one", "/c/one"):
+        for path in ("/a/three", "/b/one", "/c/one"):
             client.delete(path)
         fs.await_replication()
         assert accounting_violations(fs) == []
@@ -183,3 +185,43 @@ class TestUsageStaysExact:
             directory.subtree_tier_bytes is EMPTY and directory.children is EMPTY
             for directory in root.children.values()
         )
+
+    def test_a_rename_into_a_full_tier_quota_is_refused(self, fs):
+        """Only the namespace quota used to be checked on the target side
+        of a rename, so a file's tier bytes could be moved into a quota
+        that was already full."""
+        client = fs.client(on="worker1")
+        memory = ReplicationVector.of(memory=1)
+        client.mkdir("/a")
+        client.mkdir("/c")
+        client.set_quota("/c", tier_space_quota={"MEMORY": 4 * MB})
+        client.write_file("/c/one", size=4 * MB, rep_vector=memory)
+        client.write_file("/a/two", size=4 * MB, rep_vector=memory)
+        records = len(fs.master.edit_log.records)
+        with pytest.raises(QuotaExceededError, match="MEMORY space quota of '/c'"):
+            client.rename("/a/two", "/c/two")
+        assert client.exists("/a/two") and not client.exists("/c/two")
+        assert len(fs.master.edit_log.records) == records  # nothing journaled
+        assert self.usage(fs, "/c") == {"MEMORY": 4 * MB}
+        assert accounting_violations(fs) == []
+        # Bytes on another tier still move in.
+        client.write_file("/a/cold", size=4 * MB, rep_vector=ReplicationVector.of(hdd=1))
+        client.rename("/a/cold", "/c/cold")
+        assert self.usage(fs, "/c") == {"MEMORY": 4 * MB, "HDD": 4 * MB}
+
+    def test_a_write_refused_by_a_tier_quota_can_be_retried(self, fs):
+        """The refused write used to leave its empty file under
+        construction, so the retry raised ``FileAlreadyExistsError``."""
+        client = fs.client(on="worker1")
+        memory = ReplicationVector.of(memory=1)
+        client.mkdir("/q")
+        client.set_quota("/q", tier_space_quota={"MEMORY": 4 * MB})
+        client.write_file("/q/one", size=4 * MB, rep_vector=memory)
+        with pytest.raises(QuotaExceededError):
+            client.write_file("/q/two", size=4 * MB, rep_vector=memory)
+        assert not client.exists("/q/two")
+        client.set_quota("/q", tier_space_quota={"MEMORY": 8 * MB})
+        client.write_file("/q/two", size=4 * MB, rep_vector=memory)
+        assert client.get_status("/q/two").length == 4 * MB
+        assert self.usage(fs, "/q") == {"MEMORY": 8 * MB}
+        assert accounting_violations(fs) == []

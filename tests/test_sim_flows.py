@@ -144,13 +144,6 @@ def test_resourceless_flow_is_instant():
     assert flow.finished_at == 0.0
 
 
-def test_bytes_served_accounting():
-    engine, sched = make_sched()
-    link = Resource("link", capacity=100.0)
-    run_transfer(engine, sched, 1000.0, [link])
-    assert link.bytes_served == pytest.approx(1000.0)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     sizes=st.lists(

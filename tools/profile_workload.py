@@ -9,7 +9,8 @@ under a simulator-only change.
 
     python tools/profile_workload.py NAME [--seed N] [--scale full|tiny]
                                           [--sort tottime|cumulative] [--top K]
-                                          [--callers REGEX] [--memory] [--setup]
+                                          [--callers REGEX] [--memory] [--fills]
+                                          [--setup]
 
 ``--setup`` profiles (or, with ``--memory``, traces) ``setup()`` instead
 — what ``run.py`` reports as ``setup_s`` — and runs ``run()`` unprofiled
@@ -33,6 +34,15 @@ Tracing goes on through ``verify()`` and ``close()``; after those and a
 attributed to each ``repro`` module, which only process-wide state (a
 module-level memo, a registry, a lazily imported module) can hold.
 
+``--fills`` runs the region unprofiled and counts the flow layer's
+plans instead (``repro.sim.flows``): how many refills resumed a live
+journal, how many starts on idle resources opened a journal of their
+own, how many components were filled from round 0 because a change
+spanned journals or met a retired one, and how many changes left their
+resources idle and rated nothing; with the rates each kind of plan
+assigned and the host time spent in its round loops. It is the measure
+of ROADMAP item 8(b).
+
 ``cProfile`` taxes every Python call and no native one, so read the
 table for *which* functions to look at and measure the change itself
 with ``benchmarks/e2e/run.py``.
@@ -46,6 +56,7 @@ import gc
 import pstats
 import resource
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from typing import Callable
@@ -122,6 +133,65 @@ def print_survivors(top: int) -> None:
         print(f"  {stat.size / KB:10.1f} kB {stat.count:9d} blocks  {where}")
 
 
+def print_fills(run: Callable[[], None], region: str) -> None:
+    """Run ``run`` with the incremental flow solver's plans counted by
+    kind, and print the counts, the rates each kind assigned and the
+    host time of its round loops."""
+    from repro.sim import flows
+
+    solver, scheduler = flows.IncrementalFlowSolver, flows.FlowScheduler
+    resume, round_zero = solver._resume, flows._round_zero
+    leave_idle, run_rounds = flows._leave_idle, scheduler._run_rounds
+    kinds: dict[int, str] = {}  # id(candidate heap) -> the plan's kind
+    rows = {kind: [0, 0, 0.0] for kind in ("resume", "new journal", "round-0 fill", "idle leave")}
+
+    def counted_resume(self, journal, *args):
+        kind = "resume" if journal.rounds else "new journal"
+        plan = resume(self, journal, *args)
+        kinds[id(plan[0])] = kind
+        return plan
+
+    def counted_round_zero(*args):
+        heap = round_zero(*args)
+        kinds[id(heap)] = "round-0 fill"
+        return heap
+
+    def counted_leave_idle(*args):
+        rows["idle leave"][0] += 1
+        return leave_idle(*args)
+
+    def timed_run_rounds(self, heap, *args):
+        row = rows[kinds.pop(id(heap))]
+        rated, began = self.rate_computations, time.perf_counter()
+        run_rounds(self, heap, *args)
+        row[0] += 1
+        row[1] += self.rate_computations - rated
+        row[2] += time.perf_counter() - began
+
+    patches = [(solver, "_resume", counted_resume), (flows, "_round_zero", counted_round_zero),
+               (flows, "_leave_idle", counted_leave_idle),
+               (scheduler, "_run_rounds", timed_run_rounds)]
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    for owner, name, patch in patches:
+        setattr(owner, name, patch)
+    try:
+        began = time.perf_counter()
+        run()
+        elapsed = time.perf_counter() - began
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+    print(f"flow-layer plans in {region} ({elapsed:.3f} s host, counting included):")
+    print(f"  {'plan':<14} {'plans':>8} {'rates assigned':>15} {'round loops (ms)':>17}")
+    for kind, (plans, rates, seconds) in rows.items():
+        if kind == "idle leave":
+            print(f"  {kind:<14} {plans:>8} {'-':>15} {'-':>17}")
+        else:
+            print(f"  {kind:<14} {plans:>8} {rates:>15} {seconds * 1e3:>17.1f}")
+    plans, rates, seconds = (sum(row[i] for row in rows.values()) for i in range(3))
+    print(f"  {'all':<14} {plans:>8} {rates:>15} {seconds * 1e3:>17.1f}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("name", help="a workload of BENCHMARK.json (dfsio_wide, meta_churn, tier_shift, ...)")
@@ -133,15 +203,22 @@ def main(argv: list[str] | None = None) -> int:
                         help="also print the callers of every function matching REGEX")
     parser.add_argument("--memory", action="store_true",
                         help="trace the heap with tracemalloc instead of profiling calls")
+    parser.add_argument("--fills", action="store_true",
+                        help="count the flow layer's plans by kind instead of profiling calls")
     parser.add_argument("--setup", action="store_true",
                         help="profile (or trace) setup() instead of the timed region")
     args = parser.parse_args(argv)
-    if args.memory and args.callers:
-        parser.error("--callers reads the call profile, which --memory replaces")
+    if args.callers and (args.memory or args.fills):
+        parser.error("--callers reads the call profile, which --memory and --fills replace")
+    if args.memory and args.fills:
+        parser.error("--memory and --fills are two ways to run the region; pick one")
 
-    if args.memory:
+    region = "set-up" if args.setup else "the timed region"
+    if args.fills:
+        sim = profile(args.name, args.seed, args.scale,
+                      lambda run: print_fills(run, region), args.setup)
+    elif args.memory:
         print(f"ru_maxrss before set-up: {maxrss_mb():.1f} MB")
-        region = "set-up" if args.setup else "the timed region"
         try:
             sim = profile(args.name, args.seed, args.scale,
                           lambda run: print_memory(run, args.top, region), args.setup)
