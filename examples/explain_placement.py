@@ -35,9 +35,8 @@ from repro.obs import (
     ProvenanceLedger,
     explain,
     explain_text,
-    read_jsonl_records,
-    validate_ledger_records,
 )
+from repro.obs.export import load
 from repro.tier import DecayHeatPolicy, TieringEngine
 from repro.util.units import MB
 
@@ -113,9 +112,7 @@ def main() -> None:
     os.makedirs(OUT_DIR, exist_ok=True)
     out = os.path.join(OUT_DIR, "ledger.jsonl.gz")
     ledger.export(out)
-    records = read_jsonl_records(out)
-    problems = validate_ledger_records(records)
-    assert not problems, problems
+    records = load(out, "ledger")
     print(f"3. ledger exported to {out} ({len(records)} records, schema-valid)")
 
     # ------------------------------------------------------------ explain

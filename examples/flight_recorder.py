@@ -38,9 +38,8 @@ from repro.obs import (
     SloMonitor,
     postmortem_report,
     postmortem_text,
-    read_bundle,
-    validate_bundle,
 )
+from repro.obs.export import load
 from repro.util.units import MB
 
 OUT_DIR = "recorder-out"
@@ -113,8 +112,7 @@ def main() -> None:
 
     # --------------------------------------------------------- postmortem
     print("3. rebuilding the incident from the bundle alone")
-    bundle = read_bundle(summary["path"])
-    assert validate_bundle(bundle) == []
+    bundle = load(summary["path"], "bundle")
     report = postmortem_report(bundle)
     chain = report["causal_chain"]
     assert chain["complete"], "the causal arc must close"

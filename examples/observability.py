@@ -29,15 +29,14 @@ from repro.obs import (
     analyze_trace,
     critical_path,
     prometheus_text,
-    read_chrome_trace,
     read_trace_file,
     tier_utilization_rows,
-    validate_chrome_trace,
-    validate_trace_records,
+    validate,
     write_chrome_trace,
     write_jsonl,
     write_metrics,
 )
+from repro.obs.export import load
 from repro.util.units import MB
 
 OUT_DIR = "observability-out"
@@ -112,7 +111,7 @@ def main() -> None:
     write_jsonl(fs.obs.tracer.records, trace_path)
     write_metrics(fs.obs.metrics, os.path.join(OUT_DIR, "metrics.prom"))
     write_metrics(fs.obs.metrics, os.path.join(OUT_DIR, "metrics.json"))
-    problems = validate_trace_records(fs.obs.tracer.records)
+    problems = validate("trace", fs.obs.tracer.records)
     assert not problems, problems
     assert len(fs.obs.tracer.records) > 0
     print(f"   trace.jsonl ({len(fs.obs.tracer.records)} records, "
@@ -140,8 +139,7 @@ def main() -> None:
           f"({slowest['concurrent_flows']} concurrent flows)")
     chrome_path = os.path.join(OUT_DIR, "trace.chrome.json")
     events = write_chrome_trace(fs.obs.tracer.records, chrome_path)
-    document = read_chrome_trace(chrome_path)
-    assert validate_chrome_trace(document) == []
+    document = load(chrome_path, "chrome")
     assert len(document["traceEvents"]) == events
     print(f"   trace.chrome.json ({events} events) — "
           "load it at ui.perfetto.dev")

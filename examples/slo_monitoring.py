@@ -31,7 +31,7 @@ from repro.obs import (
     SloMonitor,
     alert_report,
     read_trace_file,
-    validate_alert_records,
+    validate,
     write_jsonl,
     write_metrics,
 )
@@ -98,7 +98,7 @@ def main() -> None:
 
     # ------------------------------------------------------------- alerts
     print("3. the alert timeline")
-    assert validate_alert_records(monitor.sink.timeline) == []
+    assert validate("alerts", monitor.sink.timeline) == []
     for record in monitor.sink.timeline:
         print(f"   t={record['time']:7.3f}s  {record['name']:<28} "
               f"{record['state']:<9} severity={record['severity']}")

@@ -71,12 +71,10 @@ from repro.obs import (
     HealthMonitor,
     ObsCapture,
     SloMonitor,
-    analysis_json,
     analyze_trace,
     default_read_rules,
     explain,
     explain_text,
-    postmortem_json,
     postmortem_report,
     postmortem_text,
     read_trace_file,
@@ -585,7 +583,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     analysis = analyze_trace(trace, top=args.top)
     if args.json:
-        sys.stdout.write(analysis_json(analysis))
+        sys.stdout.write(canonical_json(analysis, indent=2))
     else:
         _print_analysis_text(analysis, args.top)
     if args.chrome_out:
@@ -600,7 +598,7 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
     bundle = load(args.bundle, "bundle")
     report = postmortem_report(bundle, top=args.top)
     if args.json:
-        sys.stdout.write(postmortem_json(report))
+        sys.stdout.write(canonical_json(report, indent=2))
     else:
         sys.stdout.write(postmortem_text(report))
     if args.chrome_out:

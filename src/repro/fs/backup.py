@@ -15,7 +15,7 @@ files by block id.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING
 
 from repro.fs import checkpoint as ckpt
 from repro.fs.editlog import apply_record, replay
@@ -63,14 +63,6 @@ class BackupMaster:
     @property
     def latest_checkpoint(self) -> dict | None:
         return self.checkpoints[-1] if self.checkpoints else None
-
-    def checkpoint_loop(
-        self, system: "OctopusFileSystem", interval: float
-    ) -> Generator:
-        """Process: periodically checkpoint while services run."""
-        while system._services_running:
-            yield system.engine.timeout(interval)
-            self.create_checkpoint()
 
     # ------------------------------------------------------------------
     # Failover

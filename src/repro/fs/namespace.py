@@ -25,6 +25,7 @@ from repro.errors import (
     DirectoryNotEmptyError,
     FileAlreadyExistsError,
     FileNotFoundInNamespaceError,
+    FileSystemError,
     IsADirectoryInNamespaceError,
     NotADirectoryInNamespaceError,
     PathError,
@@ -487,6 +488,15 @@ class Namespace:
         if not user.superuser:
             raise PermissionDeniedError("only the superuser may set quotas")
         directory = self._resolve_dir(path, user)
+        # HDFS's setQuota refuses a negative quota and a storage type it
+        # cannot parse; a zero tier quota is legal (it forbids the tier).
+        if namespace_quota is not None and namespace_quota < 0:
+            raise FileSystemError(f"negative namespace quota {namespace_quota}")
+        for tier, quota in (tier_space_quota or {}).items():
+            if tier not in self.tier_order:
+                raise FileSystemError(f"unknown tier {tier!r} in a space quota")
+            if quota < 0:
+                raise FileSystemError(f"negative {tier} space quota {quota}")
         directory.set_quota(namespace_quota, tier_space_quota)
         self._emit(
             "set_quota",

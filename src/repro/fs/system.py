@@ -18,6 +18,7 @@ b'hi'
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.cluster.cluster import Cluster
@@ -31,6 +32,7 @@ from repro.fs.master import Master
 from repro.fs.namespace import SUPERUSER, UserContext
 from repro.fs.worker import Worker
 from repro.sim.faults import FaultInjector, FaultSchedule
+from repro.sim.periodic import PeriodicProcess
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import Node
@@ -71,7 +73,8 @@ class OctopusFileSystem:
             worker = Worker(self.cluster, node)
             self.workers[node.name] = worker
             self.master.register_worker(worker)
-        self._services_running = False
+        #: The running background daemons; empty while stopped.
+        self.services: list[PeriodicProcess] = []
         #: Called with the opened file's inode on every Client.open
         #: (cache managers, §6-style schedulers, and monitoring hook in
         #: here).
@@ -142,38 +145,39 @@ class OctopusFileSystem:
     ) -> None:
         """Launch the periodic daemons on the simulation engine.
 
-        They reschedule themselves while running; call
+        One :class:`~repro.sim.periodic.PeriodicProcess` per worker
+        heartbeat and one for the replication monitor, each firing in
+        the step that starts it and then every interval. Call
         :meth:`stop_services` before draining the engine with a bare
         ``engine.run()``, or always run with ``run(until=...)``.
         """
-        if self._services_running:
+        if self.services:
             raise ConfigurationError("services already running")
-        self._services_running = True
-        for worker in self.workers.values():
-            self.engine.process(
-                self._heartbeat_loop(worker, heartbeat_interval),
-                name=f"heartbeat:{worker.name}",
-            )
-        self.engine.process(
-            self._replication_loop(replication_interval), name="replication"
-        )
+        daemons = [
+            (partial(self._heartbeat, worker), heartbeat_interval,
+             f"heartbeat:{worker.name}")
+            for worker in self.workers.values()
+        ]
+        daemons.append((self._replication_pass, replication_interval, "replication"))
+        self.services = [
+            PeriodicProcess(self.engine, *daemon, initial_delay=0).start()
+            for daemon in daemons
+        ]
 
     def stop_services(self) -> None:
-        self._services_running = False
+        for service in self.services:
+            service.stop()
+        self.services = []
 
-    def _heartbeat_loop(self, worker: Worker, interval: float) -> Generator:
-        while self._services_running:
-            # A dead worker sends nothing; an unreachable one sends
-            # heartbeats that never arrive — same observable silence.
-            if worker.alive and not worker.node.unreachable:
-                self.master.receive_heartbeat(worker.heartbeat())
-            yield self.engine.timeout(interval)
+    def _heartbeat(self, worker: Worker) -> None:
+        # A dead worker sends nothing; an unreachable one sends
+        # heartbeats that never arrive — same observable silence.
+        if worker.alive and not worker.node.unreachable:
+            self.master.receive_heartbeat(worker.heartbeat())
 
-    def _replication_loop(self, interval: float) -> Generator:
-        while self._services_running:
-            self.master.check_worker_liveness()
-            self.master.check_replication()
-            yield self.engine.timeout(interval)
+    def _replication_pass(self) -> None:
+        self.master.check_worker_liveness()
+        self.master.check_replication()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -40,30 +40,19 @@ from typing import Callable, Iterable
 from repro.obs.analyze import (
     Trace,
     alert_report,
-    analysis_json,
     analyze_trace,
     critical_path,
-    read_trace,
     read_trace_file,
 )
-from repro.obs.chrome import (
-    chrome_trace,
-    chrome_trace_json,
-    read_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
+from repro.obs.chrome import chrome_trace, chrome_trace_json, write_chrome_trace
 from repro.obs.export import (
     ArtifactError,
     metrics_json,
     prometheus_text,
-    read_jsonl_records,
     tier_report_data,
     tier_utilization_rows,
     to_jsonl,
     validate,
-    validate_alert_records,
-    validate_trace_records,
     write_jsonl,
     write_metrics,
 )
@@ -74,17 +63,12 @@ from repro.obs.provenance import (
     decision_summary,
     explain,
     explain_text,
-    validate_ledger_records,
 )
 from repro.obs.postmortem import (
-    BundleError,
     blast_radius_decisions,
     build_timeline,
-    postmortem_json,
     postmortem_report,
     postmortem_text,
-    read_bundle,
-    validate_bundle,
 )
 from repro.obs.recorder import (
     FlightRecorder,
@@ -113,11 +97,8 @@ __all__ = [
     "Span",
     "to_jsonl",
     "write_jsonl",
-    "read_jsonl_records",
     "validate",
     "ArtifactError",
-    "validate_trace_records",
-    "validate_alert_records",
     "QuantileSketch",
     "WindowedSketch",
     "WindowedCounts",
@@ -131,19 +112,14 @@ __all__ = [
     "RecorderConfig",
     "ProvenanceLedger",
     "DECISION_ACTIONS",
-    "validate_ledger_records",
     "decision_summary",
     "explain",
     "explain_text",
     "write_bundle",
-    "read_bundle",
-    "validate_bundle",
     "build_timeline",
     "blast_radius_decisions",
     "postmortem_report",
-    "postmortem_json",
     "postmortem_text",
-    "BundleError",
     "default_read_rules",
     "alert_report",
     "prometheus_text",
@@ -152,16 +128,12 @@ __all__ = [
     "tier_report_data",
     "tier_utilization_rows",
     "Trace",
-    "read_trace",
     "read_trace_file",
     "analyze_trace",
-    "analysis_json",
     "critical_path",
     "chrome_trace",
     "chrome_trace_json",
-    "read_chrome_trace",
     "write_chrome_trace",
-    "validate_chrome_trace",
 ]
 
 

@@ -3,9 +3,10 @@
 The tracing layer (:mod:`repro.obs.tracing`) emits a flat stream of
 span/event records; this module turns that firehose into answers:
 
-* :func:`read_trace_file` / :func:`iter_trace_records` — a validating,
-  streaming-friendly JSONL reader that tolerates truncated or garbage
-  lines (``on_error="skip"``) without losing the rest of the trace;
+* :func:`read_trace_file` — a validating JSONL reader that tolerates
+  truncated or garbage lines (``on_error="skip"``) without losing the
+  rest of the trace (lines in memory:
+  ``Trace(read_records(lines, on_error, problems), problems)``);
 * :class:`Trace` — the reconstructed span DAG: spans indexed by id,
   children linked, request roots identified;
 * :func:`critical_path` — for one request, the contiguous chain of
@@ -27,68 +28,25 @@ byte-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import Iterable
 
-from repro.obs.export import (
-    ArtifactError,
-    canonical_json,
-    iter_records,
-    read_artifact,
-    read_records,
-    validate_trace_records,
-)
-
-
-class TraceParseError(ArtifactError):
-    """A malformed trace line under ``on_error="raise"``."""
+from repro.obs.export import read_artifact, validate
 
 
 # ----------------------------------------------------------------------
 # Reading
 # ----------------------------------------------------------------------
-def iter_trace_records(
-    lines: Iterable[str],
-    on_error: str = "raise",
-    problems: list[str] | None = None,
-) -> Iterator[dict]:
-    """Yield trace records from JSONL lines, one dict per good line.
-
-    ``on_error`` is ``"raise"`` (default) or ``"skip"``; with
-    ``"skip"``, malformed lines — garbage, truncation mid-object,
-    non-object JSON — are dropped and described in ``problems`` (when a
-    list is passed) so callers can report without aborting. Blank lines
-    are ignored either way.
-    """
-    return iter_records(lines, on_error, problems, TraceParseError)
-
-
 def read_trace_file(path: str, on_error: str = "raise") -> "Trace":
     """Read a JSONL trace file (optionally ``.gz``) into a :class:`Trace`.
 
     A path ending in ``.gz`` is transparently gunzipped, so the
     ``trace.jsonl.gz`` of an ``--obs-out`` directory analyzes the same
     as a plain file. A file that holds some other artefact (a ledger, a
-    bundle) is one :class:`TraceParseError` naming what was found.
+    bundle) is one :class:`~repro.obs.export.ArtifactError` naming what
+    was found.
     """
     problems: list[str] = []
-    _, records = read_artifact(
-        path, "trace", on_error, problems, TraceParseError
-    )
-    return Trace(records, parse_problems=problems)
-
-
-def read_trace(lines: Iterable[str] | IO, on_error: str = "raise") -> "Trace":
-    """Build a :class:`Trace` from JSONL lines (any string iterable).
-
-    A leading ``schema_version`` header line (written by
-    :func:`repro.obs.export.write_jsonl`) is checked and stripped; a
-    header from a newer major version raises :class:`TraceParseError`
-    with a clear upgrade message rather than surfacing as record-level
-    schema noise. Headerless streams (in-memory records, pre-versioning
-    files) read unchanged.
-    """
-    problems: list[str] = []
-    records = read_records(lines, on_error, problems, TraceParseError)
+    _, records = read_artifact(path, "trace", on_error, problems)
     return Trace(records, parse_problems=problems)
 
 
@@ -158,7 +116,7 @@ class Trace:
         self.records = list(records)
         #: Reader-level problems (bad lines) + schema-level problems.
         self.problems = list(parse_problems or [])
-        self.problems.extend(validate_trace_records(self.records))
+        self.problems.extend(validate("trace", self.records))
         self.spans: dict[int, SpanNode] = {}
         self.events: list[dict] = []
         for record in self.records:
@@ -534,8 +492,3 @@ def analyze_trace(trace: Trace, top: int = 5) -> dict:
         "stragglers": stragglers(trace, top=top),
         "alerts": alert_report(trace),
     }
-
-
-def analysis_json(analysis: dict) -> str:
-    """Canonical (byte-stable) JSON rendering of an analysis report."""
-    return canonical_json(analysis, indent=2)

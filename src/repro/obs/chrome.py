@@ -25,7 +25,7 @@ outlives it. The second pass builds each payload event only when the
 writer reaches it, and the writer encodes a small batch at a time, so
 no event list and no document-sized string is ever held. Records of
 any kind but ``span`` and ``event`` are dropped before either pass and
-leave no row behind; ``validate_trace_records`` flags them.
+leave no row behind; ``validate("trace", records)`` flags them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from array import array
 from itertools import islice
 from typing import Iterable, Iterator
 
-from repro.obs.export import canonical_json, read_artifact, validate, write_text
+from repro.obs.export import canonical_json, write_text
 
 #: pid used for records that belong to no request (orphan events).
 GLOBAL_PID = 0
@@ -186,18 +186,3 @@ def write_chrome_trace(records: Iterable[dict], path: str) -> int:
 
     write_text(_pieces(counted()), path)
     return written
-
-
-def read_chrome_trace(path: str) -> dict:
-    """Read a Chrome trace document back (plain or ``.gz``).
-
-    Raises :class:`~repro.obs.export.ArtifactError` (a
-    :class:`ValueError`) with the offending path on unreadable or
-    malformed content, or when the file holds some other artefact.
-    """
-    return read_artifact(path, "chrome")[1]
-
-
-def validate_chrome_trace(document: dict) -> list[str]:
-    """Structural check against the trace-event schema (empty = ok)."""
-    return validate("chrome", document)

@@ -3,12 +3,29 @@
 This is the only module that knows it: canonical JSON text (compact for
 streams and machine documents, indented for reports), the gz-or-plain
 file convention, the ``schema_version`` header, and the schema table
-behind :func:`validate`. The writers and readers of the other modules
-(:func:`~repro.obs.chrome.write_chrome_trace`,
-:func:`~repro.obs.recorder.write_bundle`,
-:func:`~repro.obs.analyze.read_trace_file`,
-:func:`~repro.obs.postmortem.read_bundle`, ...) are thin bindings onto
-the functions here.
+behind :func:`validate`. An artefact is read one way —
+:func:`read_artifact` (the kind is sniffed from the content, or checked
+against ``expect``), or :func:`load` when the caller validates next —
+and checked one way, ``validate(kind, payload)``; every unreadable or
+invalid artefact is one :class:`ArtifactError`, whichever its kind. A
+report is rendered with ``canonical_json(value, indent=2)``.
+
+The few per-kind names left on top of that each hide more than a kind
+name, or are read by code that cannot change:
+
+* :func:`to_jsonl` and :func:`metrics_json` are the in-memory forms the
+  byte-identity tests compare against;
+* :func:`~repro.obs.chrome.chrome_trace` and
+  :func:`~repro.obs.chrome.chrome_trace_json` are the one-document
+  reference the streamed Chrome writer is checked against;
+* :func:`write_jsonl`, :func:`write_metrics`, :func:`prometheus_text`,
+  :func:`~repro.obs.chrome.write_chrome_trace` and
+  :meth:`~repro.obs.provenance.ProvenanceLedger.export` are what the
+  frozen benchmark (``benchmarks/e2e/workloads.py``) calls;
+* :func:`~repro.obs.recorder.write_bundle` names the bundle writer the
+  recorder and ``ObsCapture`` share, and
+  :func:`~repro.obs.analyze.read_trace_file` builds a
+  :class:`~repro.obs.analyze.Trace`, not just a record list.
 
 All serialization is deterministic: dict keys are sorted, instruments
 are emitted in registry order, floats pass through ``repr`` via
@@ -192,24 +209,29 @@ def write_text(text: str | Iterable[str], path: str) -> None:
 # ----------------------------------------------------------------------
 # Reading
 # ----------------------------------------------------------------------
-def iter_records(
+def read_records(
     lines: Iterable[str],
     on_error: str = "raise",
     problems: list[str] | None = None,
-    error: type[ArtifactError] = ArtifactError,
     where: str = "",
-) -> Iterator[dict]:
-    """Yield one dict per good JSONL line.
+) -> list[dict]:
+    """JSONL lines → records, the leading header checked and stripped.
 
     ``on_error`` is ``"raise"`` (default) or ``"skip"``. Raising names
-    ``where`` (the file) and the line number in an ``error``; skipping
-    drops malformed lines — garbage, truncation mid-object, non-object
-    JSON — and describes them in ``problems`` (when a list is passed)
-    so callers can report without aborting. Blank lines are ignored
-    either way.
+    ``where`` (the file) and the line number in an
+    :class:`ArtifactError`; skipping drops malformed lines — garbage,
+    truncation mid-object, non-object JSON — and describes them in
+    ``problems`` (when a list is passed) so callers can report without
+    aborting. Blank lines are ignored either way.
+
+    A header from a newer major version raises :class:`ArtifactError`
+    with a clear upgrade message rather than surfacing as record-level
+    schema noise. Headerless streams (in-memory records, pre-versioning
+    files) read unchanged.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', not {on_error!r}")
+    records = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
@@ -223,32 +245,15 @@ def iter_records(
         except ValueError as exc:
             message = f"line {lineno}: invalid JSON ({exc})"
         if message is None:
-            yield record
+            records.append(record)
         elif on_error == "raise":
-            raise error(where + message)
+            raise ArtifactError(where + message)
         elif problems is not None:
             problems.append(message)
-
-
-def read_records(
-    lines: Iterable[str],
-    on_error: str = "raise",
-    problems: list[str] | None = None,
-    error: type[ArtifactError] = ArtifactError,
-    where: str = "",
-) -> list[dict]:
-    """JSONL lines → records, the leading header checked and stripped.
-
-    A header from a newer major version raises ``error`` with a clear
-    upgrade message rather than surfacing as record-level schema noise.
-    Headerless streams (in-memory records, pre-versioning files) read
-    unchanged.
-    """
-    records = list(iter_records(lines, on_error, problems, error, where))
     if records and records[0].get("kind") == "header":
         problem = schema_version_problem(records.pop(0).get("schema_version"))
         if problem:
-            raise error(where + problem)
+            raise ArtifactError(where + problem)
     return records
 
 
@@ -257,7 +262,6 @@ def read_artifact(
     expect: str | None = None,
     on_error: str = "raise",
     problems: list[str] | None = None,
-    error: type[ArtifactError] = ArtifactError,
 ) -> tuple[str | None, list[dict] | dict]:
     """Read any artefact this package writes: ``(kind, payload)``.
 
@@ -266,18 +270,18 @@ def read_artifact(
     ``counters`` — never from the file name; ``None`` means the content
     is nothing this package writes. The payload is the header-stripped
     record list of a JSONL stream, or the dict of a JSON document. With
-    ``expect``, any other kind is one ``error`` naming the kind found
-    (an empty stream passes for every stream kind). An unreadable file,
-    a malformed line (``on_error``/``problems`` as for
-    :func:`iter_records`) or a newer-major ``schema_version`` is an
-    ``error`` naming the path.
+    ``expect``, any other kind is one :class:`ArtifactError` naming the
+    kind found (an empty stream passes for every stream kind). An
+    unreadable file, a malformed line (``on_error``/``problems`` as for
+    :func:`read_records`) or a newer-major ``schema_version`` is an
+    :class:`ArtifactError` naming the path.
     """
     where = f"{path}: "
     try:
         with open_text(path) as handle:
             lines = list(handle)
     except (OSError, EOFError, UnicodeDecodeError) as exc:
-        raise error(
+        raise ArtifactError(
             f"{where}cannot read {expect or 'artefact'} ({exc})"
         ) from None
     streamed = expect is not None and SCHEMAS[expect].records is not None
@@ -288,30 +292,19 @@ def read_artifact(
             json.loads(next((ln for ln in lines if ln.strip()), "null"))
         except ValueError:
             lines = ["".join(lines)]
-    records = read_records(lines, on_error, problems, error, where)
+    records = read_records(lines, on_error, problems, where)
     first = records[0] if records else {}
     found = _sniff(first)
     if expect not in (None, found) and (records or not streamed):
         seen = _describe(found) if found else f"kind {first.get('kind')!r}"
-        raise error(f"{where}expected {_describe(expect)}, found {seen}")
+        raise ArtifactError(f"{where}expected {_describe(expect)}, found {seen}")
     if found is None or SCHEMAS[found].records is not None:
         return found or expect, records
     if SCHEMAS[found].versioned:
         problem = schema_version_problem(first.get("schema_version"))
         if problem:
-            raise error(where + problem)
+            raise ArtifactError(where + problem)
     return found, first
-
-
-def read_jsonl_records(path: str) -> list[dict]:
-    """Read a JSONL export back, checking and stripping its header.
-
-    A path ending in ``.gz`` is transparently gunzipped. Raises
-    :class:`ArtifactError` (a :class:`ValueError`) on an unreadable
-    file, malformed lines or a header whose major schema version is
-    newer than this tree supports.
-    """
-    return read_artifact(path)[1]
 
 
 def load(path: str, kind: str) -> list[dict] | dict:
@@ -599,16 +592,6 @@ def validate(kind: str, payload: Iterable[dict] | dict) -> list[str]:
     problems.extend(schema.checks(good))
     problems.sort(key=lambda found: found[0])
     return [f"record {index}: {problem}" for index, problem in problems]
-
-
-def validate_trace_records(records: Iterable[dict]) -> list[str]:
-    """Schema-check trace records; return a list of problems (empty = ok)."""
-    return validate("trace", records)
-
-
-def validate_alert_records(records: Iterable[dict]) -> list[str]:
-    """Schema-check alert records; return a list of problems (empty = ok)."""
-    return validate("alerts", records)
 
 
 # ----------------------------------------------------------------------

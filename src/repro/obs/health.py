@@ -104,7 +104,7 @@ class HealthMonitor:
     def running(self) -> bool:
         return self._periodic is not None and self._periodic.running
 
-    def start(self, initial_delay: float | None = None) -> "HealthMonitor":
+    def start(self) -> "HealthMonitor":
         if self.running:
             raise ConfigurationError(f"monitor {self.name!r} already running")
         self._periodic = PeriodicProcess(
@@ -112,7 +112,6 @@ class HealthMonitor:
             self.tick,
             self.interval,
             name=self.name,
-            initial_delay=initial_delay,
         ).start()
         return self
 

@@ -18,9 +18,9 @@ write by hand:
   applied only to the request roots that overlap the degraded
   interval, so the report shows where the slow requests actually
   spent their time;
-* :func:`postmortem_report` / :func:`postmortem_json` — all of the
-  above as one canonical JSON-serializable document (what
-  ``repro postmortem --json`` prints), plus :func:`postmortem_text`
+* :func:`postmortem_report` — all of the above as one
+  JSON-serializable document (``repro postmortem --json`` prints it as
+  ``canonical_json(report, indent=2)``), plus :func:`postmortem_text`
   for the human rendering.
 
 Everything is a pure function of the bundle, so byte-identical bundles
@@ -30,26 +30,16 @@ yield byte-identical postmortems.
 from __future__ import annotations
 
 from repro.obs.analyze import Trace, critical_path_report
-from repro.obs.export import (
-    ArtifactError,
-    bundle_sections,
-    canonical_json,
-    read_artifact,
-    validate,
-)
+from repro.obs.export import bundle_sections, validate
 from repro.obs.provenance import decision_summary
 from repro.obs.recorder import is_heal
 
 __all__ = [
-    "BundleError",
-    "read_bundle",
-    "validate_bundle",
     "build_timeline",
     "blast_radius",
     "blast_radius_decisions",
     "bundle_trace_records",
     "postmortem_report",
-    "postmortem_json",
     "postmortem_text",
 ]
 
@@ -68,20 +58,6 @@ _TYPE_RANK = {
 
 #: Span attr keys that name a worker/node (for blast radius).
 _WORKER_ATTRS = ("worker", "node", "source", "target_worker")
-
-
-class BundleError(ArtifactError):
-    """An unreadable or structurally invalid incident bundle."""
-
-
-def read_bundle(path: str) -> dict:
-    """Read an incident bundle (plain or ``.gz``) and sanity-check it."""
-    return read_artifact(path, "bundle", error=BundleError)[1]
-
-
-def validate_bundle(bundle: dict) -> list[str]:
-    """Structural check of a bundle; returns problems (empty = ok)."""
-    return validate("bundle", bundle)
 
 
 # ----------------------------------------------------------------------
@@ -433,13 +409,8 @@ def postmortem_report(
         "critical_paths": degraded_critical_paths(
             bundle, timeline, trace, top=top
         ),
-        "problems": validate_bundle(bundle),
+        "problems": validate("bundle", bundle),
     }
-
-
-def postmortem_json(report: dict) -> str:
-    """Canonical (byte-stable) JSON rendering of a postmortem report."""
-    return canonical_json(report, indent=2)
 
 
 def postmortem_text(report: dict) -> str:

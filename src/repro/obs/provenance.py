@@ -38,7 +38,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.obs.export import LEDGER_ACTION_KEYS, validate, write_jsonl
+from repro.obs.export import LEDGER_ACTION_KEYS, write_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracing import Span
@@ -47,7 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ProvenanceLedger",
     "DECISION_ACTIONS",
-    "validate_ledger_records",
     "decision_summary",
     "explain",
     "explain_text",
@@ -329,9 +328,6 @@ class ProvenanceLedger:
         byte-deterministically, like every other export)."""
         write_jsonl(self.records, path, stream="ledger")
 
-    def records_for(self, path: str) -> list[dict]:
-        return [r for r in self.records if r.get("path") == path]
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -341,19 +337,6 @@ class ProvenanceLedger:
             f"<ProvenanceLedger {state} records={len(self.records)} "
             f"dropped={self.dropped}>"
         )
-
-
-# ----------------------------------------------------------------------
-# Validation
-# ----------------------------------------------------------------------
-def validate_ledger_records(records: Iterable[dict]) -> list[str]:
-    """Schema-check ledger records; return a list of problems (empty = ok).
-
-    Checks per record: kind/action, the base keys, the per-action
-    required keys; stream-wide: sequence numbers strictly increase and
-    timestamps never go backwards.
-    """
-    return validate("ledger", records)
 
 
 # ----------------------------------------------------------------------

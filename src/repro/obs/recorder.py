@@ -61,7 +61,6 @@ __all__ = [
     "FlightRecorder",
     "HEAL_KINDS",
     "is_heal",
-    "bundle_json",
     "write_bundle",
     "bundle_path",
 ]
@@ -130,16 +129,12 @@ class RecorderConfig:
 
 
 # ----------------------------------------------------------------------
-# Bundle serialization (the read side lives in repro.obs.postmortem)
+# Bundle serialization (read one back with load(path, "bundle"))
 # ----------------------------------------------------------------------
-def bundle_json(bundle: dict) -> str:
-    """An incident bundle as canonical (byte-stable) JSON."""
-    return canonical_json(bundle)
-
-
 def write_bundle(bundle: dict, path: str) -> None:
-    """Write a bundle; a ``.gz`` path compresses deterministically."""
-    write_text(bundle_json(bundle), path)
+    """Write a bundle as canonical (byte-stable) JSON; a ``.gz`` path
+    compresses deterministically."""
+    write_text(canonical_json(bundle), path)
 
 
 def bundle_path(out_dir: str, bundle: dict) -> str:

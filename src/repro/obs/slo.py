@@ -325,7 +325,7 @@ class SloMonitor:
     def running(self) -> bool:
         return self._periodic is not None and self._periodic.running
 
-    def start(self, initial_delay: float | None = None) -> "SloMonitor":
+    def start(self) -> "SloMonitor":
         if self.system is None:
             raise ConfigurationError(
                 "an engine-less SloMonitor cannot start a periodic "
@@ -338,7 +338,6 @@ class SloMonitor:
             self.tick,
             self.interval,
             name=self.name,
-            initial_delay=initial_delay,
         ).start()
         return self
 

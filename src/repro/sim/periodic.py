@@ -1,20 +1,22 @@
 """A stoppable periodic callback process for the simulation engine.
 
-The background daemons in :class:`~repro.fs.system.OctopusFileSystem`
-(heartbeats, the replication monitor) all share one shape: wait an
-interval, do work, repeat while a flag is set. The tiering engine needs
-the same shape, so the pattern is factored here once.
+The background daemons — :class:`~repro.fs.system.OctopusFileSystem`'s
+heartbeats and replication monitor, the tiering engine's rounds, the
+SLO and health monitors — all share one shape: do work every interval
+while running. The pattern is factored here once.
 
-The loop *waits first* (``initial_delay``, defaulting to the interval,
-lets the first firing land off the shared interval grid so co-scheduled
-daemons don't all tick at the same instants): starting a periodic
-process never fires the callback at the current instant, so attaching
-one to an otherwise idle
-engine and draining it with a bare ``engine.run()`` is safe as long as
-:meth:`PeriodicProcess.stop` is called first (same contract as
-``stop_services``). The running flag is re-checked after every wait, so
-a ``stop()`` issued while the process sleeps cancels the next firing
-rather than squeezing in one last callback.
+By default the loop *waits first* (``initial_delay``, defaulting to the
+interval, lets the first firing land off the shared interval grid so
+co-scheduled daemons don't all tick at the same instants), so starting
+a periodic process never fires the callback at the current instant.
+``initial_delay=0`` fires first instead: in the engine step that starts
+the process, with no zero-length timeout before it — the file system's
+daemons run that way. Either way, a process attached to an otherwise
+idle engine can be drained with a bare ``engine.run()`` once
+:meth:`PeriodicProcess.stop` has been called. The running flag is
+re-checked after every wait, so a ``stop()`` issued while the process
+sleeps cancels the next firing rather than squeezing in one last
+callback.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ class PeriodicProcess:
     ) -> None:
         if interval <= 0:
             raise ConfigurationError("periodic interval must be positive")
-        if initial_delay is not None and initial_delay <= 0:
-            raise ConfigurationError("initial_delay must be positive")
+        if initial_delay is not None and initial_delay < 0:
+            raise ConfigurationError("initial_delay must not be negative")
         self.engine = engine
         self.callback = callback
         self.interval = float(interval)
@@ -71,10 +73,11 @@ class PeriodicProcess:
     def _loop(self) -> Generator:
         wait = self.initial_delay
         while self._running:
-            yield self.engine.timeout(wait)
+            if wait:
+                yield self.engine.timeout(wait)
+                if not self._running:
+                    return
             wait = self.interval
-            if not self._running:
-                return
             self.callback()
             self.ticks += 1
 

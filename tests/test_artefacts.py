@@ -1,10 +1,12 @@
 """The artefact codec: one round-trip over every kind ``repro.obs``
-writes, plain and gzip, plus the guard that keeps the on-disk format
-inside ``repro/obs/export.py``."""
+writes, plain and gzip, plus the guards that keep the on-disk format
+inside ``repro/obs/export.py`` and the per-kind reader, validator and
+renderer bindings out of ``repro.obs``."""
 
 import ast
 import gzip
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,6 @@ from repro.cluster import small_cluster_spec
 from repro.obs import (
     AlertSink,
     ArtifactError,
-    BundleError,
     ObsCapture,
     validate,
     write_bundle,
@@ -25,7 +26,7 @@ from repro.obs import (
     write_jsonl,
     write_metrics,
 )
-from repro.obs.analyze import TraceParseError, read_trace_file
+from repro.obs.analyze import read_trace_file
 from repro.obs.export import (
     SCHEMA_VERSION,
     SCHEMAS,
@@ -35,7 +36,6 @@ from repro.obs.export import (
     open_text,
     read_artifact,
 )
-from repro.obs.postmortem import read_bundle
 from repro.util.units import MB
 
 
@@ -232,13 +232,13 @@ class TestIndentedWriter:
 class TestSharedErrorType:
     def test_reader_errors_are_artifact_errors(self, tmp_path):
         missing = str(tmp_path / "nope.json.gz")
-        assert issubclass(TraceParseError, ArtifactError)
-        assert issubclass(BundleError, ArtifactError)
         assert issubclass(ArtifactError, ValueError)
-        with pytest.raises(TraceParseError, match="cannot read trace"):
+        with pytest.raises(ArtifactError, match="cannot read trace") as info:
             read_trace_file(missing)
-        with pytest.raises(BundleError, match="cannot read bundle"):
-            read_bundle(missing)
+        assert type(info.value) is ArtifactError
+        with pytest.raises(ArtifactError, match="cannot read bundle") as info:
+            read_artifact(missing, "bundle")
+        assert type(info.value) is ArtifactError
         not_gzip = tmp_path / "plain.jsonl.gz"
         not_gzip.write_text('{"kind": "header", "schema_version": "1.0"}\n')
         with pytest.raises(ArtifactError, match="cannot read"):
@@ -278,4 +278,63 @@ class TestArtefactFormatSeam:
                     offenders.append(
                         f"{module}:{node.lineno} schema_version_problem()"
                     )
+        assert not offenders, "\n".join(offenders)
+
+
+#: The per-kind bindings the generic path replaced: readers
+#: (``read_artifact`` / ``load``), validators (``validate(kind, ...)``),
+#: error subclasses (``ArtifactError``), report renderers
+#: (``canonical_json``), and a ledger query no caller used.
+DELETED_BINDINGS = (
+    "read_jsonl_records", "read_bundle", "read_chrome_trace", "read_trace",
+    "iter_trace_records", "validate_trace_records", "validate_alert_records",
+    "validate_ledger_records", "validate_bundle", "validate_chrome_trace",
+    "TraceParseError", "BundleError", "analysis_json", "postmortem_json",
+    "bundle_json", "records_for",
+)
+
+
+class TestOneArtefactPath:
+    def test_deleted_bindings_stay_out(self):
+        """No module of ``repro.obs`` defines, imports, names or exports
+        a deleted binding, and no function there takes ``error=``."""
+        import repro.obs
+
+        root = Path(repro.__file__).parent
+        offenders = sorted(set(repro.obs.__all__) & set(DELETED_BINDINGS))
+        for path in sorted((root / "obs").glob("*.py")):
+            module = path.relative_to(root).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names = [node.value]
+                elif isinstance(node, ast.arg) and node.arg == "error":
+                    offenders.append(f"{module}:{node.lineno} error=")
+                    continue
+                else:
+                    continue
+                offenders += [
+                    f"{module}:{node.lineno} {name}"
+                    for name in names if name in DELETED_BINDINGS
+                ]
+        assert not offenders, "\n".join(offenders)
+
+    def test_docs_name_no_deleted_binding(self):
+        root = Path(__file__).resolve().parents[1]
+        docs = ["README.md", "DESIGN.md", *sorted(
+            p.relative_to(root).as_posix() for p in (root / "docs").glob("*.md")
+        )]
+        offenders = [
+            f"{doc}: {name}"
+            for doc in docs
+            for name in DELETED_BINDINGS
+            if re.search(rf"\b{name}\b", (root / doc).read_text())
+        ]
         assert not offenders, "\n".join(offenders)

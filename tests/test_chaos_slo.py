@@ -27,7 +27,7 @@ from repro.obs import (
     alert_report,
     read_trace_file,
     to_jsonl,
-    validate_alert_records,
+    validate,
     write_jsonl,
 )
 from repro.util.units import MB
@@ -109,7 +109,7 @@ def test_burn_alert_fires_and_resolves(scenario):
         ("read-latency:burn:page", "resolved"),
     ]
     assert monitor.firing() == ()
-    assert validate_alert_records(monitor.sink.timeline) == []
+    assert validate("alerts", monitor.sink.timeline) == []
 
 
 def test_detection_delay_is_bounded(scenario):

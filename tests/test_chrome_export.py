@@ -3,7 +3,7 @@
 The emitted document must load under the trace-event schema: every
 record becomes an event with the right phase, processes map to
 requests, threads map to component lanes, and timestamps convert to
-microseconds. Validated structurally via ``validate_chrome_trace``.
+microseconds. Validated structurally via ``validate("chrome", ...)``.
 """
 
 import gzip
@@ -14,14 +14,8 @@ import pytest
 
 from repro import OctopusFileSystem
 from repro.cluster import small_cluster_spec
-from repro.obs import (
-    chrome_trace,
-    chrome_trace_json,
-    read_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.export import canonical_json
+from repro.obs import chrome_trace, chrome_trace_json, validate, write_chrome_trace
+from repro.obs.export import canonical_json, read_artifact
 from repro.util.units import MB
 
 
@@ -87,7 +81,7 @@ _STREAMS = {
 class TestChromeTrace:
     def test_document_is_schema_valid(self):
         document = chrome_trace(_traced_records())
-        assert validate_chrome_trace(document) == []
+        assert validate("chrome", document) == []
         assert document["traceEvents"]
 
     def test_every_record_becomes_an_event(self):
@@ -168,7 +162,7 @@ class TestChromeTrace:
 
     def test_empty_stream_is_valid(self):
         document = chrome_trace([])
-        assert validate_chrome_trace(document) == []
+        assert validate("chrome", document) == []
         assert document["traceEvents"] == []
 
     def test_write_round_trips_through_json(self, tmp_path):
@@ -176,7 +170,7 @@ class TestChromeTrace:
         path = tmp_path / "trace.chrome.json"
         write_chrome_trace(records, str(path))
         loaded = json.loads(path.read_text())
-        assert validate_chrome_trace(loaded) == []
+        assert validate("chrome", loaded) == []
         assert loaded == chrome_trace(records)
 
     def test_export_is_deterministic(self):
@@ -185,7 +179,7 @@ class TestChromeTrace:
         assert a == b
 
     def test_validator_flags_malformed_documents(self):
-        assert validate_chrome_trace({}) == [
+        assert validate("chrome", {}) == [
             "traceEvents missing or not a list"
         ]
         bad = {
@@ -197,7 +191,7 @@ class TestChromeTrace:
                 "not an event",
             ]
         }
-        problems = validate_chrome_trace(bad)
+        problems = validate("chrome", bad)
         assert len(problems) == 4
 
 
@@ -271,20 +265,20 @@ class TestGzipParity:
         gz = tmp_path / "trace.chrome.json.gz"
         write_chrome_trace(records, str(plain))
         write_chrome_trace(records, str(gz))
-        assert read_chrome_trace(str(gz)) == json.loads(plain.read_text())
+        assert read_artifact(str(gz), "chrome")[1] == json.loads(plain.read_text())
 
     def test_validator_reads_gzipped_document(self, tmp_path):
         gz = tmp_path / "trace.chrome.json.gz"
         write_chrome_trace(_traced_records(), str(gz))
-        document = read_chrome_trace(str(gz))
-        assert validate_chrome_trace(document) == []
+        document = read_artifact(str(gz), "chrome")[1]
+        assert validate("chrome", document) == []
         assert document["traceEvents"]
 
     def test_read_rejects_non_object(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("[1, 2, 3]\n")
         try:
-            read_chrome_trace(str(path))
+            read_artifact(str(path), "chrome")
         except ValueError as exc:
             assert str(path) in str(exc)
         else:

@@ -2,20 +2,19 @@
 
 import contextlib
 import gzip
+import hashlib
 import io
 import json
+import sys
 
 import pytest
 
+from repro import OctopusFileSystem
 from repro.cli import build_parser, main
-from repro.obs import (
-    read_jsonl_records,
-    read_trace_file,
-    validate_alert_records,
-    validate_chrome_trace,
-    validate_ledger_records,
-    validate_trace_records,
-)
+from repro.cluster import small_cluster_spec
+from repro.obs import ObsCapture, read_trace_file, validate
+from repro.obs.export import read_artifact
+from repro.util.units import MB
 
 GZIP_MAGIC = b"\x1f\x8b"
 
@@ -135,8 +134,8 @@ class TestObsOut:
     def test_obs_out_implies_slo(self, dfsio_out):
         out, stdout = dfsio_out
         assert "slo watch:" in stdout
-        alerts = read_jsonl_records(str(out / "alerts.jsonl"))
-        assert validate_alert_records(alerts) == []
+        alerts = read_artifact(str(out / "alerts.jsonl"))[1]
+        assert validate("alerts", alerts) == []
 
     def test_dfsio_metrics_both_formats(self, dfsio_out):
         out, _ = dfsio_out
@@ -158,7 +157,7 @@ class TestObsOut:
     def test_dfsio_ledger_and_explain(self, dfsio_out, capsys):
         out, _ = dfsio_out
         ledger = out / "ledger.jsonl.gz"
-        assert validate_ledger_records(read_jsonl_records(str(ledger))) == []
+        assert validate("ledger", read_artifact(str(ledger))[1]) == []
         code = main(
             ["explain", "/benchmarks/DFSIO/io_file_0", "--ledger", str(ledger)]
         )
@@ -244,8 +243,8 @@ class TestObsOut:
         assert any(r.get("name") == "tier.round" for r in records), (
             "no tier.round spans — the policy never acted"
         )
-        ledger = read_jsonl_records(str(out / "ledger.jsonl.gz"))
-        assert validate_ledger_records(ledger) == []
+        ledger = read_artifact(str(out / "ledger.jsonl.gz"))[1]
+        assert validate("ledger", ledger) == []
         assert "tiering" in {r["action"] for r in ledger}
 
     @pytest.mark.parametrize(
@@ -274,7 +273,7 @@ class TestValidate:
 
     def test_problems_are_listed_and_exit_1(self, dfsio_out, tmp_path, capsys):
         out, _ = dfsio_out
-        records = read_jsonl_records(str(out / "ledger.jsonl.gz"))
+        records = read_artifact(str(out / "ledger.jsonl.gz"))[1]
         del records[0]["path"]
         bad = tmp_path / "bad.jsonl"
         bad.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -390,7 +389,7 @@ class TestAnalyze:
         assert code == 0
         assert f"chrome trace written to {chrome}" in capsys.readouterr().out
         document = json.loads(chrome.read_text())
-        assert validate_chrome_trace(document) == []
+        assert validate("chrome", document) == []
         assert any(e["ph"] == "X" for e in document["traceEvents"])
 
     def test_corrupt_line_tolerated_by_default(self, trace_path, capsys):
@@ -492,3 +491,54 @@ class TestReportHealth:
                 for check, found in data["health"]["checks"].items()
             },
         }
+
+
+#: sha256 of what each reading verb prints over the artefact directory
+#: ``seeded_obs_out`` builds. ``analyze``'s flame totals are builtin
+#: ``sum``s of floats, which CPython compensates from 3.12 on, so its
+#: report has one pin per side of that change.
+PINNED_STDOUT = {
+    "analyze": (
+        "672315c17d87083f90f30f9924866aba872a0071827a5999ce58042739c1b7e9"
+        if sys.version_info < (3, 12) else
+        "c6353763a3dbdb2ad74777d7bf595489a0e29865d457bb7004ab5da0d00526a4"
+    ),
+    "postmortem": "e330f13d5a6715a378cddb131cec1242c559bee1bf89e214ef3f25f4b89309a5",
+    "validate": "4652a0fdfbd0e983fe39574579b48e98ee8af5b71663981e018d95b231c921e6",
+}
+
+
+@pytest.fixture
+def seeded_obs_out(tmp_path, monkeypatch):
+    """An ``--obs-out`` directory of a seeded run with one crash, so it
+    holds a trace, a ledger, metrics and one incident bundle; the cwd is
+    its parent, so the verbs print the same relative paths every run."""
+    monkeypatch.chdir(tmp_path)
+    capture = ObsCapture()
+    with capture:
+        fs = OctopusFileSystem(small_cluster_spec(seed=0))
+    client = fs.client(on="worker1")
+    for index in range(3):
+        client.write_file(f"/d/f{index}", size=8 * MB)
+    fs.faults.crash("worker2")
+    fs.await_replication()
+    for index in range(3):
+        with client.open(f"/d/f{index}") as stream:
+            stream.read_size()
+    capture.write("obs-out")
+    return "obs-out"
+
+
+def test_reading_verbs_print_pinned_bytes(seeded_obs_out, capsys):
+    """``analyze --json``, ``postmortem --json`` and ``validate DIR``
+    print, byte for byte, what they printed before the per-kind readers
+    and renderers were folded into the one artefact path."""
+    out = seeded_obs_out
+    for verb, argv in [
+        ("analyze", ["analyze", f"{out}/trace.jsonl.gz", "--json"]),
+        ("postmortem", ["postmortem", f"{out}/incidents/incident-001.json.gz", "--json"]),
+        ("validate", ["validate", out]),
+    ]:
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_STDOUT[verb], verb

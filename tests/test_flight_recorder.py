@@ -36,10 +36,10 @@ from repro.obs import (
     RecorderConfig,
     metrics_json,
     prometheus_text,
-    read_bundle,
     to_jsonl,
     write_bundle,
 )
+from repro.obs.export import read_artifact
 from repro.obs.recorder import MAX_INCIDENTS, RING_LIMITS, is_heal
 from repro.obs.slo import AlertSink
 from repro.sim.faults import FaultRecord
@@ -446,7 +446,7 @@ class TestBundles:
         feed_incident(recorder2, obs2, clock2)
         clock2.now = 6.0
         recorder2.flush()
-        assert read_bundle(paths[0]) == recorder2.bundles[0]
+        assert read_artifact(paths[0], "bundle")[1] == recorder2.bundles[0]
 
     def test_write_bundle_plain_and_gzip_agree(self, tmp_path):
         obs, clock, recorder = make_recorder()
@@ -458,7 +458,8 @@ class TestBundles:
         gzipped = tmp_path / "b.json.gz"
         write_bundle(bundle, str(plain))
         write_bundle(bundle, str(gzipped))
-        assert read_bundle(str(plain)) == read_bundle(str(gzipped)) == bundle
+        read_back = [read_artifact(str(p), "bundle")[1] for p in (plain, gzipped)]
+        assert read_back == [bundle, bundle]
 
     def test_engine_timer_closes_incident_mid_run(self):
         fs = OctopusFileSystem(small_cluster_spec(seed=0))

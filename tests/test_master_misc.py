@@ -270,18 +270,78 @@ class TestMasterCornerCases:
 class TestServiceLoops:
     def test_backup_checkpoint_loop(self, fs, client):
         from repro.fs.backup import BackupMaster
+        from repro.sim.periodic import PeriodicProcess
 
         backup = BackupMaster(fs.master)
         fs.start_services(heartbeat_interval=1.0, replication_interval=2.0)
-        fs.engine.process(backup.checkpoint_loop(fs, interval=3.0))
+        checkpoints = PeriodicProcess(fs.engine, backup.create_checkpoint, 3.0).start()
         client.write_file("/periodic", size=MB)
         fs.engine.run(until=fs.engine.now + 10.0)
         fs.stop_services()
+        checkpoints.stop()
         assert backup.checkpoints  # at least one periodic checkpoint
         restored, _ = __import__(
             "repro.fs.checkpoint", fromlist=["load_checkpoint"]
         ).load_checkpoint(backup.latest_checkpoint)
         assert restored.exists("/periodic")
+
+    def test_services_step_as_the_hand_rolled_loops_did(self):
+        """The daemons fire first and then every interval, one engine
+        step per firing, as the generator loops they replaced: the same
+        run under those loops fires at the same instants and steps,
+        processes the same events and leaves the same heartbeats and
+        block map."""
+
+        def hand_rolled(fs, heartbeat_interval, replication_interval):
+            running = [True]
+
+            def heartbeat(worker):
+                while running[0]:
+                    if worker.alive and not worker.node.unreachable:
+                        fs.master.receive_heartbeat(worker.heartbeat())
+                    yield fs.engine.timeout(heartbeat_interval)
+
+            def replication():
+                while running[0]:
+                    fs.master.check_worker_liveness()
+                    fs.master.check_replication()
+                    yield fs.engine.timeout(replication_interval)
+
+            for worker in fs.workers.values():
+                fs.engine.process(heartbeat(worker), name=f"heartbeat:{worker.name}")
+            fs.engine.process(replication(), name="replication")
+            return lambda: running.__setitem__(0, False)
+
+        def run(start):
+            fs = OctopusFileSystem(small_cluster_spec(seed=3))
+            fs.master.heartbeat_expiry = 4.0
+            fs.client(on="worker1").write_file("/s", size=4 * MB, rep_vector=3)
+            master, engine, firings = fs.master, fs.engine, []
+            for name in ("receive_heartbeat", "check_worker_liveness"):
+                def logged(*args, _call=getattr(master, name), _name=name):
+                    firings.append((engine.now, engine.events_processed, _name))
+                    return _call(*args)
+                setattr(master, name, logged)
+            stop = start(fs, 1.0, 2.0)
+            fs.faults.crash("worker2")
+            fs.engine.run(until=fs.engine.now + 15.0)
+            stop()
+            fs.engine.run()
+            return (
+                firings,
+                fs.engine.events_processed,
+                sorted((n, r.last_heartbeat) for n, r in fs.master.workers.items()),
+                sorted(
+                    (m.path, m.block.index, sorted(r.medium.medium_id for r in m.replicas))
+                    for m in fs.master.block_map.values()
+                ),
+            )
+
+        def services(fs, heartbeat_interval, replication_interval):
+            fs.start_services(heartbeat_interval, replication_interval)
+            return fs.stop_services
+
+        assert run(services) == run(hand_rolled)
 
     def test_services_stop_cleanly(self, fs):
         fs.start_services()

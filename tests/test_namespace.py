@@ -9,6 +9,7 @@ from repro.errors import (
     DirectoryNotEmptyError,
     FileAlreadyExistsError,
     FileNotFoundInNamespaceError,
+    FileSystemError,
     IsADirectoryInNamespaceError,
     NotADirectoryInNamespaceError,
     PathError,
@@ -364,6 +365,25 @@ class TestQuotas:
         ns.delete("/q/f")
         inode2 = make_file(ns, "/q/g")
         ns.check_tier_space(inode2, "SSD", 10 * MB)
+
+
+    @pytest.mark.parametrize("quota", [
+        {"namespace_quota": -5},
+        {"tier_space_quota": {"MEMORY": -1}},
+        {"tier_space_quota": {"SDD": 10}},
+    ], ids=["negative-namespace", "negative-tier", "unknown-tier"])
+    def test_set_quota_refuses_what_hdfs_refuses(self, ns, quota):
+        """A negative quota and an unknown tier are refused before the
+        edit is journaled, and the directory keeps its quotas."""
+        ns.mkdir("/q")
+        edits = []
+        ns.add_listener(edits.append)
+        with pytest.raises(FileSystemError):
+            ns.set_quota("/q", **quota)
+        assert edits == []
+        ns.mkdir("/q/a")  # no quota was set
+        ns.set_quota("/q", tier_space_quota={"MEMORY": 0})  # forbids a tier
+        assert [edit["op"] for edit in edits] == ["mkdir", "set_quota"]
 
 
 class TestVectorUpdate:

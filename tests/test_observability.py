@@ -26,6 +26,7 @@ from repro.errors import ConfigurationError
 from repro.fs.client import Client
 from repro.fs.invariants import check_system_invariants
 from repro.obs import (
+    ArtifactError,
     FlightRecorder,
     MetricsRegistry,
     Observability,
@@ -34,7 +35,7 @@ from repro.obs import (
     metrics_json,
     prometheus_text,
     to_jsonl,
-    validate_trace_records,
+    validate,
 )
 from repro.sim.faults import FaultInjector, FaultSchedule
 from repro.tier import DecayHeatPolicy, TieringEngine
@@ -304,10 +305,10 @@ class TestExporters:
         child.event("tick")
         child.end()
         root.end()
-        assert validate_trace_records(tracer.records) == []
+        assert validate("trace", tracer.records) == []
 
     def test_validate_flags_missing_keys(self):
-        problems = validate_trace_records([{"kind": "span", "name": "x"}])
+        problems = validate("trace", [{"kind": "span", "name": "x"}])
         assert len(problems) == 1
         assert "missing" in problems[0]
 
@@ -316,7 +317,7 @@ class TestExporters:
             "kind": "span", "name": "x", "span_id": 2, "trace_id": 2,
             "parent_id": 99, "start": 0.0, "end": 1.0, "status": "ok",
         }
-        problems = validate_trace_records([record])
+        problems = validate("trace", [record])
         assert any("parent_id 99" in p for p in problems)
 
     def test_validate_flags_negative_duration(self):
@@ -324,11 +325,11 @@ class TestExporters:
             "kind": "span", "name": "x", "span_id": 1, "trace_id": 1,
             "parent_id": None, "start": 5.0, "end": 1.0, "status": "ok",
         }
-        problems = validate_trace_records([record])
+        problems = validate("trace", [record])
         assert any("ends before" in p for p in problems)
 
     def test_validate_flags_unknown_kind(self):
-        assert validate_trace_records([{"kind": "blob"}])
+        assert validate("trace", [{"kind": "blob"}])
 
 
 # ----------------------------------------------------------------------
@@ -703,7 +704,7 @@ class TestInstrumentedRun:
             stream.read_size()
         FaultInjector(fs).crash("worker2")
         fs.await_replication()
-        assert validate_trace_records(fs.obs.tracer.records) == []
+        assert validate("trace", fs.obs.tracer.records) == []
 
 
 # ----------------------------------------------------------------------
@@ -735,7 +736,7 @@ class TestDeterminism:
         import json
 
         records = [json.loads(line) for line in trace.splitlines()]
-        assert validate_trace_records(records) == []
+        assert validate("trace", records) == []
 
 
 class TestSchemaVersioning:
@@ -759,31 +760,31 @@ class TestSchemaVersioning:
         }
 
     def test_read_jsonl_strips_header(self, tmp_path):
-        from repro.obs.export import read_jsonl_records, write_jsonl
+        from repro.obs.export import read_artifact, write_jsonl
 
         records = self._trace()
         path = tmp_path / "trace.jsonl"
         write_jsonl(records, str(path))
-        assert read_jsonl_records(str(path)) == records
+        assert read_artifact(str(path))[1] == records
 
     def test_gz_write_read_round_trip(self, tmp_path):
-        from repro.obs.export import read_jsonl_records, write_jsonl
+        from repro.obs.export import read_artifact, write_jsonl
 
         records = self._trace()
         path = tmp_path / "trace.jsonl.gz"
         write_jsonl(records, str(path))
-        assert read_jsonl_records(str(path)) == records
+        assert read_artifact(str(path))[1] == records
 
     def test_headerless_stream_reads_unchanged(self, tmp_path):
-        from repro.obs.export import read_jsonl_records, to_jsonl
+        from repro.obs.export import read_artifact, to_jsonl
 
         records = self._trace()
         path = tmp_path / "legacy.jsonl"
         path.write_text(to_jsonl(records))
-        assert read_jsonl_records(str(path)) == records
+        assert read_artifact(str(path))[1] == records
 
     def test_newer_major_rejected_with_clear_error(self, tmp_path):
-        from repro.obs.export import read_jsonl_records
+        from repro.obs.export import read_artifact
 
         path = tmp_path / "future.jsonl"
         path.write_text(
@@ -792,43 +793,40 @@ class TestSchemaVersioning:
             ' "trace_id": null, "parent_id": null}\n'
         )
         with pytest.raises(ValueError, match="newer than the supported"):
-            read_jsonl_records(str(path))
+            read_artifact(str(path))
 
     def test_same_major_newer_minor_accepted(self, tmp_path):
-        from repro.obs.export import read_jsonl_records
+        from repro.obs.export import read_artifact
 
         path = tmp_path / "minor.jsonl"
         path.write_text('{"kind": "header", "schema_version": "1.9"}\n')
-        assert read_jsonl_records(str(path)) == []
+        assert read_artifact(str(path))[1] == []
 
     def test_unparseable_version_rejected(self, tmp_path):
-        from repro.obs.export import read_jsonl_records
+        from repro.obs.export import read_artifact
 
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "header", "schema_version": "abc"}\n')
         with pytest.raises(ValueError, match="unparseable schema_version"):
-            read_jsonl_records(str(path))
+            read_artifact(str(path))
 
     def test_read_trace_rejects_newer_major(self, tmp_path):
-        from repro.obs.analyze import TraceParseError, read_trace_file
+        from repro.obs.analyze import read_trace_file
 
         path = tmp_path / "future.jsonl"
         path.write_text('{"kind": "header", "schema_version": "7.0"}\n')
-        with pytest.raises(TraceParseError, match="upgrade this tool"):
+        with pytest.raises(ArtifactError, match="upgrade this tool"):
             read_trace_file(str(path))
 
     def test_validators_accept_their_own_headers(self):
-        from repro.obs import validate_alert_records
         from repro.obs.export import header_record
 
-        assert validate_trace_records(
-            [header_record("trace"), *self._trace()]
-        ) == []
-        assert validate_alert_records([header_record("alerts")]) == []
+        assert validate("trace", [header_record("trace"), *self._trace()]) == []
+        assert validate("alerts", [header_record("alerts")]) == []
 
     def test_validators_flag_future_headers(self):
         header = {"kind": "header", "schema_version": "3.0"}
-        problems = validate_trace_records([header])
+        problems = validate("trace", [header])
         assert any("newer than the supported" in p for p in problems)
 
     def test_metrics_json_is_stamped(self):

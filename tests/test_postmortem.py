@@ -17,7 +17,7 @@ from repro import OctopusFileSystem, ReplicationVector
 from repro.cli import main
 from repro.cluster import small_cluster_spec
 from repro.obs import (
-    BundleError,
+    ArtifactError,
     BurnRateRule,
     FlightRecorder,
     LatencySlo,
@@ -25,14 +25,11 @@ from repro.obs import (
     SloMonitor,
     build_timeline,
     postmortem_report,
-    read_bundle,
-    read_chrome_trace,
-    validate_bundle,
-    validate_chrome_trace,
+    validate,
     write_bundle,
 )
+from repro.obs.export import canonical_json, read_artifact
 from repro.obs.postmortem import bundle_trace_records, causal_chain
-from repro.obs.recorder import bundle_json
 from repro.util.units import MB
 
 FAULT_AT = 3.0
@@ -127,9 +124,9 @@ def test_degrade_auto_dumps_exactly_one_bundle(scenario):
 
 def test_bundle_validates_and_round_trips(scenario):
     _, _, recorder, times, _ = scenario
-    bundle = read_bundle(recorder.incidents[0]["path"])
+    bundle = read_artifact(recorder.incidents[0]["path"], "bundle")[1]
     assert bundle == recorder.bundles[0]
-    assert validate_bundle(bundle) == []
+    assert validate("bundle", bundle) == []
 
 
 def test_timeline_pairs_fault_alert_and_repair_in_order(scenario):
@@ -196,7 +193,7 @@ def test_bundle_and_postmortem_bytes_identical_across_runs(scenario, tmp_path):
     with open(second.incidents[0]["path"], "rb") as handle:
         second_bytes = handle.read()
     assert first_bytes == second_bytes
-    assert bundle_json(first.bundles[0]) == bundle_json(second.bundles[0])
+    assert canonical_json(first.bundles[0]) == canonical_json(second.bundles[0])
 
 
 class TestCli:
@@ -217,9 +214,9 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["causal_chain"]["complete"] is True
         assert report["incident"]["id"] == 1
-        assert report == postmortem_report(read_bundle(
-            recorder.incidents[0]["path"]
-        ))
+        assert report == postmortem_report(
+            read_artifact(recorder.incidents[0]["path"], "bundle")[1]
+        )
 
     def test_chrome_rendering_has_incidents_lane(
         self, scenario, tmp_path, capsys
@@ -229,8 +226,8 @@ class TestCli:
         assert main(["postmortem", recorder.incidents[0]["path"],
                      "--chrome-out", str(chrome)]) == 0
         capsys.readouterr()
-        document = read_chrome_trace(str(chrome))
-        assert validate_chrome_trace(document) == []
+        document = read_artifact(str(chrome), "chrome")[1]
+        assert validate("chrome", document) == []
         lanes = {
             e["args"]["name"]
             for e in document["traceEvents"]
@@ -265,16 +262,16 @@ class TestBundleReaders:
         bundle["schema_version"] = "2.0"
         path = tmp_path / "future.json.gz"
         write_bundle(bundle, str(path))
-        with pytest.raises(BundleError, match="newer than the supported"):
-            read_bundle(str(path))
+        with pytest.raises(ArtifactError, match="newer than the supported"):
+            read_artifact(str(path), "bundle")
 
     def test_validate_flags_out_of_window_records(self, scenario):
         _, _, recorder, times, _ = scenario
-        bundle = json.loads(bundle_json(recorder.bundles[0]))
+        bundle = json.loads(canonical_json(recorder.bundles[0]))
         bundle["faults"].append(
             {"time": 1e9, "kind": "crash", "target": "w9", "detail": ""}
         )
-        problems = validate_bundle(bundle)
+        problems = validate("bundle", bundle)
         assert any("outside the incident window" in p for p in problems)
 
     def test_chrome_records_include_captured_spans(self, scenario):
@@ -338,7 +335,7 @@ def crash_bundle():
 
 def test_bundle_carries_decisions_section(crash_bundle):
     assert "decisions" in crash_bundle
-    assert validate_bundle(crash_bundle) == []
+    assert validate("bundle", crash_bundle) == []
     actions = {r["action"] for r in crash_bundle["decisions"]}
     assert "repair" in actions
 
@@ -365,6 +362,6 @@ def test_pre_provenance_bundle_still_validates(scenario):
     _, _, recorder, _, _ = scenario
     bundle = recorder.bundles[0]
     assert "decisions" not in bundle or bundle["decisions"] == []
-    assert validate_bundle(bundle) == []
+    assert validate("bundle", bundle) == []
     report = postmortem_report(bundle)
     assert report["decisions"] == []

@@ -30,10 +30,10 @@ from repro.obs import (
     explain_text,
     metrics_json,
     prometheus_text,
-    read_jsonl_records,
     to_jsonl,
-    validate_ledger_records,
+    validate,
 )
+from repro.obs.export import read_artifact
 from repro.tier import DecayHeatPolicy, TieringEngine
 from repro.util.units import MB
 from repro.workloads.dfsio import Dfsio
@@ -103,7 +103,7 @@ class TestRecords:
         assert record["seq"] == 1
         assert record["path"] == "/f"
         assert record["outcome"] == "applied"
-        assert validate_ledger_records([record]) == []
+        assert validate("ledger", [record]) == []
 
     def test_context_snapshot_is_bounded_and_copied(self):
         obs, ledger = make_ledger()
@@ -125,18 +125,16 @@ class TestRecords:
         assert [r["seq"] for r in ledger.records] == [3, 4, 5]
 
     def test_validator_flags_malformed_streams(self):
-        assert validate_ledger_records([{"kind": "mystery"}]) != []
-        assert validate_ledger_records(
-            [{"kind": "decision", "seq": 1}]
-        ) != []
+        assert validate("ledger", [{"kind": "mystery"}]) != []
+        assert validate("ledger", [{"kind": "decision", "seq": 1}]) != []
         base = {
             "kind": "decision", "seq": 1, "time": 0.0,
             "action": "teleport", "path": "/f",
         }
-        assert "unknown action" in validate_ledger_records([base])[0]
+        assert "unknown action" in validate("ledger", [base])[0]
         good = dict(base, action="delete", blocks=1)
         stale = dict(good, seq=1)
-        problems = validate_ledger_records([good, stale])
+        problems = validate("ledger", [good, stale])
         assert any("does not increase" in p for p in problems)
 
     def test_every_action_has_required_keys_defined(self):
@@ -177,7 +175,7 @@ class TestRecords:
         assert sorted({r["action"] for r in ledger.records}) == sorted(
             DECISION_ACTIONS
         )
-        assert validate_ledger_records(list(ledger.records)) == []
+        assert validate("ledger", list(ledger.records)) == []
 
     def test_tiering_record_carries_policy_thresholds(self):
         obs, ledger = make_ledger()
@@ -209,10 +207,10 @@ class TestExport:
         ledger.on_delete("/f", blocks=2)
         out = tmp_path / "ledger.jsonl.gz"
         ledger.export(str(out))
-        records = read_jsonl_records(str(out))
+        records = read_artifact(str(out))[1]
         assert len(records) == 1  # header stripped
         assert records[0]["action"] == "delete"
-        assert validate_ledger_records(records) == []
+        assert validate("ledger", records) == []
 
     def test_identical_seeds_export_identical_bytes(self, tmp_path):
         paths = []
@@ -341,7 +339,7 @@ def chaos_ledger():
 
 class TestExplain:
     def test_chaos_ledger_validates(self, chaos_ledger):
-        assert validate_ledger_records(chaos_ledger) == []
+        assert validate("ledger", chaos_ledger) == []
 
     def test_repairs_carry_triggering_context(self, chaos_ledger):
         repairs = [r for r in chaos_ledger if r["action"] == "repair"]

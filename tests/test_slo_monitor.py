@@ -32,7 +32,7 @@ from repro.obs import (
     metrics_json,
     prometheus_text,
     to_jsonl,
-    validate_alert_records,
+    validate,
 )
 from repro.util.units import MB
 from repro.workloads.dfsio import Dfsio
@@ -181,7 +181,7 @@ class TestStateMachine:
         assert monitor.firing() == ()
         states = [r["state"] for r in monitor.sink.timeline]
         assert states == ["firing", "resolved"]
-        assert validate_alert_records(monitor.sink.timeline) == []
+        assert validate("alerts", monitor.sink.timeline) == []
 
     def test_min_samples_gates_firing(self):
         clock, monitor, obs, rule = self.make(min_samples=50)
@@ -333,11 +333,11 @@ class TestAlertSink:
     def test_validate_alert_records_catches_disorder(self):
         sink = AlertSink(Observability())
         sink.emit("slo", "r1", "firing", "page")
-        good = validate_alert_records(sink.timeline)
+        good = validate("alerts", sink.timeline)
         assert good == []
         # A resolve with no prior fire is flagged.
         bad = [dict(sink.timeline[0], state="resolved")]
-        assert validate_alert_records(bad)
+        assert validate("alerts", bad)
 
 
 # ----------------------------------------------------------------------
@@ -413,7 +413,7 @@ class TestDifferential:
         second = run()
         timeline = first[3][0].sink.timeline
         assert timeline, "aggressive rules must fire on a busy run"
-        assert validate_alert_records(timeline) == []
+        assert validate("alerts", timeline) == []
         assert to_jsonl(timeline) == to_jsonl(second[3][0].sink.timeline)
         # The alert transitions also land in the trace export.
         assert '"slo.alert"' in first[0]

@@ -279,6 +279,21 @@ class TestPeriodicProcess:
         engine.run()  # drains the pending timeout without a callback
         assert fired == []
 
+    def test_zero_initial_delay_fires_in_the_starting_step(self):
+        engine = SimulationEngine()
+        fired = []
+        periodic = PeriodicProcess(
+            engine, lambda: fired.append(engine.now), 2.0, initial_delay=0
+        ).start()
+        engine.step()  # the bootstrap step fires, with no zero timeout
+        assert fired == [0.0]
+        engine.run(until=7.0)
+        periodic.stop()
+        engine.run()
+        assert fired == [0.0, 2.0, 4.0, 6.0]
+        with pytest.raises(ConfigurationError):
+            PeriodicProcess(engine, lambda: None, 1.0, initial_delay=-1.0)
+
     def test_double_start_rejected(self):
         periodic = PeriodicProcess(SimulationEngine(), lambda: None, 1.0).start()
         with pytest.raises(ConfigurationError):

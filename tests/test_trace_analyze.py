@@ -15,19 +15,17 @@ import pytest
 from repro.bench.deployments import build_deployment
 from repro.cli import main
 from repro.cluster.spec import paper_cluster_spec
-from repro.obs import Tracer, read_trace, read_trace_file, write_jsonl
+from repro.obs import ArtifactError, Tracer, read_trace_file, write_jsonl
 from repro.obs.analyze import (
     Trace,
-    TraceParseError,
     aggregate_spans,
-    analysis_json,
     analyze_trace,
     critical_path,
     critical_path_report,
-    iter_trace_records,
     percentile,
     stragglers,
 )
+from repro.obs.export import canonical_json, read_records
 from repro.util.units import MB
 from repro.workloads.dfsio import Dfsio
 
@@ -67,14 +65,16 @@ class TestReader:
         )
 
     def test_blank_lines_ignored(self):
-        trace = read_trace(["", "  ", '{"kind":"event","name":"x",'
-                            '"time":0.0,"trace_id":null,"parent_id":null}'])
+        problems: list[str] = []
+        lines = ["", "  ", '{"kind":"event","name":"x",'
+                 '"time":0.0,"trace_id":null,"parent_id":null}']
+        trace = Trace(read_records(lines, "raise", problems), problems)
         assert len(trace.records) == 1
         assert trace.problems == []
 
     def test_garbage_line_raises_by_default(self):
-        with pytest.raises(TraceParseError, match="line 2"):
-            list(iter_trace_records(['{"kind":"event"}', "not json"]))
+        with pytest.raises(ArtifactError, match="line 2"):
+            read_records(['{"kind":"event"}', "not json"])
 
     def test_truncated_line_skipped_and_reported(self, tmp_path):
         records = _traced_dfsio()
@@ -94,17 +94,14 @@ class TestReader:
 
     def test_non_object_line_skipped(self):
         problems: list[str] = []
-        out = list(
-            iter_trace_records(["[1,2]", "3"], on_error="skip",
-                               problems=problems)
-        )
+        out = read_records(["[1,2]", "3"], on_error="skip", problems=problems)
         assert out == []
         assert len(problems) == 2
         assert all("not a JSON object" in p for p in problems)
 
     def test_invalid_on_error_mode_rejected(self):
         with pytest.raises(ValueError):
-            list(iter_trace_records([], on_error="ignore"))
+            read_records([], on_error="ignore")
 
 
 # ----------------------------------------------------------------------
@@ -278,5 +275,5 @@ class TestAnalyzeDeterminism:
 
     def test_analysis_json_is_canonical(self):
         analysis = analyze_trace(Trace(_traced_dfsio()))
-        text = analysis_json(analysis)
-        assert text == analysis_json(json.loads(text))
+        text = canonical_json(analysis, indent=2)
+        assert text == canonical_json(json.loads(text), indent=2)
