@@ -29,13 +29,10 @@ Run:  python examples/explain_placement.py
 import os
 
 from repro import OctopusFileSystem, ReplicationVector
+from repro.bench.tables import format_report
 from repro.cluster import small_cluster_spec
 from repro.errors import OctopusError
-from repro.obs import (
-    ProvenanceLedger,
-    explain,
-    explain_text,
-)
+from repro.obs import ProvenanceLedger, explain
 from repro.obs.export import load
 from repro.tier import DecayHeatPolicy, TieringEngine
 from repro.util.units import MB
@@ -120,7 +117,7 @@ def main() -> None:
     for path in paths:
         result = explain(records, path)
         if result["records"]:
-            print(explain_text(result))
+            print(format_report(result), end="\n\n")
     print(
         "same query from the CLI:\n"
         f"  python -m repro explain {paths[0]} --ledger {out}"

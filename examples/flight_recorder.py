@@ -28,6 +28,7 @@ Run:  python examples/flight_recorder.py
 import os
 
 from repro import OctopusFileSystem, ReplicationVector
+from repro.bench.tables import format_report
 from repro.cluster import small_cluster_spec
 from repro.obs import (
     BurnRateRule,
@@ -37,7 +38,6 @@ from repro.obs import (
     RecorderConfig,
     SloMonitor,
     postmortem_report,
-    postmortem_text,
 )
 from repro.obs.export import load
 from repro.util.units import MB
@@ -127,7 +127,7 @@ def main() -> None:
     # ------------------------------------------------------------- render
     print("4. the rendered postmortem (what `repro postmortem` prints)")
     print()
-    for line in postmortem_text(report).splitlines():
+    for line in format_report(report).splitlines():
         print(f"   {line}")
     print()
     print(f"   also try: repro postmortem {os.path.join(OUT_DIR, 'incident-001.json.gz')} --json")

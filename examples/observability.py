@@ -24,13 +24,14 @@ Run:  python examples/observability.py
 import os
 
 from repro import OctopusFileSystem
+from repro.bench.tables import format_report
 from repro.cluster import small_cluster_spec
 from repro.obs import (
     analyze_trace,
     critical_path,
     prometheus_text,
     read_trace_file,
-    tier_utilization_rows,
+    tier_report_data,
     validate,
     write_chrome_trace,
     write_jsonl,
@@ -117,8 +118,9 @@ def main() -> None:
     print(f"   trace.jsonl ({len(fs.obs.tracer.records)} records, "
           "schema-valid), metrics.prom, metrics.json")
     print("   tier utilization:")
-    for row in tier_utilization_rows(fs):
-        print("    ", row)
+    tiers = format_report({"tiers": tier_report_data(fs)["tiers"]})
+    for line in tiers.splitlines():
+        print("    ", line)
     print("   first Prometheus lines:")
     for line in prometheus_text(fs.obs.metrics).splitlines()[:4]:
         print("    ", line)

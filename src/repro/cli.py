@@ -62,7 +62,7 @@ from typing import Sequence
 
 from repro.bench.deployments import DEPLOYMENTS, build_deployment
 from repro.bench.experiments import ALL_EXPERIMENTS, table3_namespace
-from repro.bench.tables import format_table
+from repro.bench.tables import format_report, format_table
 from repro.cluster.spec import paper_cluster_spec
 from repro.core.replication_vector import ReplicationVector
 from repro.errors import ReplicationVectorError
@@ -74,9 +74,7 @@ from repro.obs import (
     analyze_trace,
     default_read_rules,
     explain,
-    explain_text,
     postmortem_report,
-    postmortem_text,
     read_trace_file,
     tier_report_data,
     validate,
@@ -84,7 +82,7 @@ from repro.obs import (
 )
 from repro.obs.export import SCHEMAS, canonical_json, load, read_artifact
 from repro.obs.postmortem import bundle_trace_records
-from repro.util.units import format_bytes, format_rate, parse_bytes
+from repro.util.units import format_bytes, parse_bytes
 from repro.workloads.dfsio import Dfsio
 
 
@@ -317,42 +315,10 @@ def cmd_dfsio(args: argparse.Namespace) -> int:
     if read.locality_fraction is not None:
         print(f"node-local read fraction: {read.locality_fraction:.2f}")
     if slo_monitor is not None:
-        _print_watch_summary(slo_monitor)
+        print(format_report(slo_monitor.watch_summary()))
         # --obs-out implies the monitors, so a capture always has alerts.
         _write_capture(capture, args, alerts=slo_monitor.sink.timeline)
     return 0
-
-
-def _print_watch_summary(monitor: SloMonitor) -> None:
-    """The live-health one-screen summary after an --slo run."""
-    summary = monitor.watch_summary()
-    firing = summary["alerts_firing"]
-    status = f"FIRING: {', '.join(firing)}" if firing else "ok"
-    print()
-    print(
-        f"slo watch: {summary['rules']} rules, {summary['ticks']} ticks, "
-        f"{summary['alerts_emitted']} transitions — {status}"
-    )
-    rows = []
-    for entry in summary["slos"]:
-        burn = max(entry["burn_rates"].values(), default=0.0)
-        rows.append(
-            [
-                entry["slo"] + (f"/{entry['group']}" if entry["group"] else ""),
-                f"{entry['events']:.0f}",
-                f"{entry['errors']:.0f}",
-                f"{burn:.2f}",
-                _format_seconds(entry.get("p99")),
-            ]
-        )
-    if rows:
-        print(
-            format_table(
-                ["slo", "events", "errors", "burn", "p99"],
-                rows,
-                title="objectives over the trailing long window",
-            )
-        )
 
 
 def cmd_slive(args: argparse.Namespace) -> int:
@@ -374,203 +340,34 @@ def cmd_report(args: argparse.Namespace) -> int:
         # Observability is on from construction, so the metrics snapshot
         # covers anything instrumented during cluster/FS bring-up.
         fs = build_deployment(args.deployment, spec=spec)
-    if args.json:
-        # One manual sweep of a throwaway monitor, so health state is
-        # inspectable without a live monitor attached to the run.
-        monitor = HealthMonitor(fs)
-        monitor.tick()
-        sweep = monitor.last_sweep
-        data = {
-            "deployment": args.deployment,
-            **tier_report_data(fs),
-            "engine": {"events_processed": fs.engine.events_processed},
-            "metrics": fs.obs.metrics.snapshot(),
-            "watch": {
-                "healthy": not any(s["violations"] for s in sweep.values()),
-                "invariants": {
-                    check: s["violations"] for check, s in sweep.items()
-                },
+    # One manual sweep of a throwaway monitor, so health state is
+    # inspectable without a live monitor attached to the run.
+    monitor = HealthMonitor(fs)
+    monitor.tick()
+    sweep = monitor.last_sweep
+    data = {
+        "deployment": args.deployment,
+        **tier_report_data(fs),
+        "engine": {"events_processed": fs.engine.events_processed},
+        "metrics": fs.obs.metrics.snapshot(),
+        "watch": {
+            "healthy": not any(s["violations"] for s in sweep.values()),
+            "invariants": {
+                check: s["violations"] for check, s in sweep.items()
             },
-            "health": monitor.report(),
-        }
-        sys.stdout.write(canonical_json(data, indent=2))
-        return 0
-    print(f"deployment: {args.deployment}")
-    print(f"placement:  {fs.master.placement_policy!r}")
-    print(f"retrieval:  {fs.master.retrieval_policy!r}")
-    print(f"nodes:      {len(fs.cluster.nodes)} "
-          f"({len(fs.workers)} workers on {len(fs.cluster.topology.racks)} racks)")
-    rows = [
-        [
-            r.tier_name,
-            r.media_count,
-            format_bytes(r.total_capacity),
-            f"{r.remaining_percent:.1f}%",
-            format_rate(r.avg_write_throughput),
-            format_rate(r.avg_read_throughput),
-        ]
-        for r in fs.master.get_storage_tier_reports()
-    ]
-    print(
-        format_table(
-            ["tier", "media", "capacity", "remaining", "write", "read"],
-            rows,
-            title="storage tier report",
-        )
-    )
+        },
+        "health": monitor.report(),
+    }
+    _print(data, args)
     return 0
 
 
-def _format_seconds(value: float | None) -> str:
-    return "-" if value is None else f"{value:.4f}"
-
-
-def _print_analysis_text(analysis: dict, top: int) -> None:
-    summary = analysis["summary"]
-    time_range = summary["time_range"]
-    window = (
-        f"{time_range[0]:.3f}s .. {time_range[1]:.3f}s"
-        if time_range
-        else "(empty)"
-    )
-    print(
-        f"trace: {summary['records']} records "
-        f"({summary['spans']} spans, {summary['events']} events), "
-        f"{summary['requests']} requests, {summary['errors']} errored, "
-        f"window {window}"
-    )
-    for problem in summary["problems"]:
-        print(f"  problem: {problem}")
-
-    print()
-    print(f"critical paths of the {min(top, len(analysis['requests']))} "
-          "slowest requests:")
-    for request in analysis["requests"]:
-        print(
-            f"  request {request['trace_id']} {request['root']} "
-            f"[{request['status']}] {request['duration']:.4f}s "
-            f"dominated by {request['dominant']}"
-        )
-        for segment in request["segments"]:
-            tier = f" [{segment['tier']}]" if segment["tier"] else ""
-            share = (
-                segment["duration"] / request["duration"] * 100.0
-                if request["duration"]
-                else 0.0
-            )
-            print(
-                f"    {segment['duration']:9.4f}s {share:5.1f}%  "
-                f"{segment['name']}{tier}"
-            )
-
-    flame_rows = [
-        [
-            name,
-            stats["count"],
-            _format_seconds(stats["total"]),
-            _format_seconds(stats["self_total"]),
-            _format_seconds(stats["p50"]),
-            _format_seconds(stats["p99"]),
-            _format_seconds(stats["max"]),
-        ]
-        for name, stats in analysis["flame"].items()
-    ]
-    print()
-    print(
-        format_table(
-            ["span", "count", "total s", "self s", "p50", "p99", "max"],
-            flame_rows,
-            title="flame view: total vs self time by span name",
-        )
-    )
-
-    tier_rows = [
-        [
-            tier,
-            stats["count"],
-            _format_seconds(stats["p50"]),
-            _format_seconds(stats["p90"]),
-            _format_seconds(stats["p99"]),
-            _format_seconds(stats["max"]),
-        ]
-        for tier, stats in analysis["tiers"].items()
-    ]
-    if tier_rows:
-        print()
-        print(
-            format_table(
-                ["tier(s)", "count", "p50", "p90", "p99", "max"],
-                tier_rows,
-                title="per-tier span latency percentiles",
-            )
-        )
-
-    straggler_rows = [
-        [
-            s["span_id"],
-            s["name"],
-            s["tier"] or "-",
-            _format_seconds(s["duration"]),
-            s["concurrent_flows"],
-            " > ".join(s["ancestry"]),
-        ]
-        for s in analysis["stragglers"]
-    ]
-    print()
-    print(
-        format_table(
-            ["span", "name", "tier(s)", "duration", "co-flows", "ancestry"],
-            straggler_rows,
-            title=f"stragglers: slowest {len(straggler_rows)} spans",
-        )
-    )
-
-    alerts = analysis.get("alerts")
-    if alerts and alerts["count"]:
-        firing = alerts["firing_at_end"]
-        status = f"still firing: {', '.join(firing)}" if firing else "all clear"
-        print()
-        print(f"alerts: {alerts['count']} transitions — {status}")
-        timeline_rows = [
-            [
-                f"{entry['time']:.4f}",
-                entry["source"],
-                entry["alert"] + (
-                    f"/{entry['group']}" if entry["group"] else ""
-                ),
-                entry["state"],
-                entry["severity"] or "-",
-            ]
-            for entry in alerts["timeline"]
-        ]
-        print(
-            format_table(
-                ["time", "source", "alert", "state", "severity"],
-                timeline_rows,
-                title="alert timeline",
-            )
-        )
-        detection_rows = [
-            [
-                d["alert"] + (f"/{d['group']}" if d["group"] else ""),
-                d["fault"] or "-",
-                _format_seconds(d["fault_at"]),
-                _format_seconds(d["fired_at"]),
-                _format_seconds(d["detection_delay"]),
-                _format_seconds(d["time_to_clear"]),
-            ]
-            for d in alerts["detections"]
-        ]
-        if detection_rows:
-            print()
-            print(
-                format_table(
-                    ["alert", "fault", "fault at", "fired at",
-                     "detection delay", "time to clear"],
-                    detection_rows,
-                    title="fault → alert detection",
-                )
-            )
+def _print(report: dict, args: argparse.Namespace) -> None:
+    """A verb's report: canonical JSON under ``--json``, else text."""
+    if args.json:
+        sys.stdout.write(canonical_json(report, indent=2))
+    else:
+        print(format_report(report))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -581,11 +378,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ArtifactError(
             "\n".join(f"{args.trace}: {p}" for p in trace.problems)
         )
-    analysis = analyze_trace(trace, top=args.top)
-    if args.json:
-        sys.stdout.write(canonical_json(analysis, indent=2))
-    else:
-        _print_analysis_text(analysis, args.top)
+    _print(analyze_trace(trace, top=args.top), args)
     if args.chrome_out:
         write_chrome_trace(trace.records, args.chrome_out)
         if not args.json:
@@ -597,10 +390,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_postmortem(args: argparse.Namespace) -> int:
     bundle = load(args.bundle, "bundle")
     report = postmortem_report(bundle, top=args.top)
-    if args.json:
-        sys.stdout.write(canonical_json(report, indent=2))
-    else:
-        sys.stdout.write(postmortem_text(report))
+    _print(report, args)
     if args.chrome_out:
         write_chrome_trace(
             bundle_trace_records(bundle, report["timeline"]),
@@ -613,11 +403,7 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    result = explain(load(args.ledger, "ledger"), args.path)
-    if args.json:
-        sys.stdout.write(canonical_json(result, indent=2))
-    else:
-        sys.stdout.write(explain_text(result))
+    _print(explain(load(args.ledger, "ledger"), args.path), args)
     return 0
 
 

@@ -91,9 +91,5 @@ class WorkerError(OctopusError):
     """A worker-level failure (dead worker, unknown medium)."""
 
 
-class RemoteStorageError(OctopusError):
-    """The remote (network-attached / cloud) store failed or is absent."""
-
-
 class FaultInjectionError(OctopusError):
     """A fault-injection schedule or event was invalid."""

@@ -18,7 +18,6 @@ from repro.fs.blocks import Block, BlockLocation, Replica
 from repro.fs.client import Client
 from repro.fs.master import Master
 from repro.fs.namespace import FileStatus, Namespace, UserContext
-from repro.fs.remote import RemoteStore, StandaloneMount
 from repro.fs.system import OctopusFileSystem
 from repro.fs.worker import Worker
 
@@ -32,8 +31,6 @@ __all__ = [
     "Namespace",
     "FileStatus",
     "UserContext",
-    "RemoteStore",
-    "StandaloneMount",
     "OctopusFileSystem",
     "Worker",
 ]

@@ -50,7 +50,6 @@ from repro.obs.export import (
     metrics_json,
     prometheus_text,
     tier_report_data,
-    tier_utilization_rows,
     to_jsonl,
     validate,
     write_jsonl,
@@ -62,13 +61,11 @@ from repro.obs.provenance import (
     ProvenanceLedger,
     decision_summary,
     explain,
-    explain_text,
 )
 from repro.obs.postmortem import (
     blast_radius_decisions,
     build_timeline,
     postmortem_report,
-    postmortem_text,
 )
 from repro.obs.recorder import (
     FlightRecorder,
@@ -114,19 +111,16 @@ __all__ = [
     "DECISION_ACTIONS",
     "decision_summary",
     "explain",
-    "explain_text",
     "write_bundle",
     "build_timeline",
     "blast_radius_decisions",
     "postmortem_report",
-    "postmortem_text",
     "default_read_rules",
     "alert_report",
     "prometheus_text",
     "metrics_json",
     "write_metrics",
     "tier_report_data",
-    "tier_utilization_rows",
     "Trace",
     "read_trace_file",
     "analyze_trace",

@@ -28,6 +28,8 @@ byte-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterable
 
 from repro.obs.export import read_artifact, validate
@@ -295,7 +297,10 @@ def _distribution(durations: list[float]) -> dict:
     ordered = sorted(durations)
     return {
         "count": len(ordered),
-        "total": sum(ordered),
+        # A plain left fold, not ``sum``: builtin ``sum`` of floats is
+        # compensated from CPython 3.12 on, and the report's bytes must
+        # not depend on the interpreter.
+        "total": reduce(add, ordered, 0),
         "min": ordered[0] if ordered else None,
         "max": ordered[-1] if ordered else None,
         "p50": percentile(ordered, 0.50),

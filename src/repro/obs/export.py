@@ -692,20 +692,6 @@ def tier_report_data(fs: "OctopusFileSystem") -> dict:
     }
 
 
-def tier_utilization_rows(fs: "OctopusFileSystem") -> list[list]:
-    """Per-tier summary rows (tier, media, used, remaining %, connections)."""
-    return [
-        [
-            stats.tier_name,
-            stats.media_count,
-            stats.used,
-            f"{stats.remaining_percent:.1f}%",
-            stats.active_connections,
-        ]
-        for stats in fs.master.get_storage_tier_reports()
-    ]
-
-
 def _metrics_pieces(registry: "MetricsRegistry") -> Iterator[str]:
     """``metrics.json`` in pieces: what :meth:`MetricsRegistry.snapshot`
     holds under a ``schema_version``, read straight from the

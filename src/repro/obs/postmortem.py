@@ -20,8 +20,8 @@ write by hand:
   spent their time;
 * :func:`postmortem_report` — all of the above as one
   JSON-serializable document (``repro postmortem --json`` prints it as
-  ``canonical_json(report, indent=2)``), plus :func:`postmortem_text`
-  for the human rendering.
+  ``canonical_json(report, indent=2)``, and without ``--json`` as
+  :func:`repro.bench.tables.format_report` text).
 
 Everything is a pure function of the bundle, so byte-identical bundles
 yield byte-identical postmortems.
@@ -40,7 +40,6 @@ __all__ = [
     "blast_radius_decisions",
     "bundle_trace_records",
     "postmortem_report",
-    "postmortem_text",
 ]
 
 #: Tie-break rank when several timeline entries share a timestamp: the
@@ -412,81 +411,3 @@ def postmortem_report(
         "problems": validate("bundle", bundle),
     }
 
-
-def postmortem_text(report: dict) -> str:
-    """The human rendering ``repro postmortem`` prints by default."""
-    incident = report["incident"]
-    chain = report["causal_chain"]
-    radius = report["blast_radius"]
-    lines = [
-        f"incident #{incident['id']}  "
-        f"window [{incident['window'][0]:.3f}s, "
-        f"{incident['window'][1]:.3f}s]",
-        "triggers: " + "; ".join(
-            f"{t['reason']}@{t['time']:.3f}s ({t['detail']})"
-            if t.get("detail") else f"{t['reason']}@{t['time']:.3f}s"
-            for t in incident["triggers"]
-        ),
-        "",
-        "timeline:",
-    ]
-    for entry in report["timeline"]:
-        detail = f"  {entry['detail']}" if entry["detail"] else ""
-        lines.append(
-            f"  {entry['time']:9.3f}s  {entry['type']:<10s} "
-            f"{entry['label']}{detail}"
-        )
-    lines.append("")
-    lines.append(
-        "causal chain: "
-        + ("complete" if chain["complete"] else "incomplete")
-        + " ("
-        + " -> ".join(
-            f"{stage}@{time:.3f}s" if time is not None else f"{stage}@?"
-            for stage, time in chain["stages"].items()
-        )
-        + ")"
-    )
-    if chain["detection_delay"] is not None:
-        lines.append(
-            f"detection delay: {chain['detection_delay']:.3f}s"
-            + (
-                f"  time to repair: {chain['time_to_repair']:.3f}s"
-                if chain["time_to_repair"] is not None else ""
-            )
-            + (
-                f"  time to resolve: {chain['time_to_resolve']:.3f}s"
-                if chain["time_to_resolve"] is not None else ""
-            )
-        )
-    lines.append(
-        f"blast radius: {radius['affected_requests']} requests, "
-        f"tiers [{', '.join(radius['tiers'])}], "
-        f"workers [{', '.join(radius['workers'])}]"
-        + (
-            f", tenants [{', '.join(radius['tenants'])}]"
-            if radius["tenants"] else ""
-        )
-    )
-    if report.get("decisions"):
-        lines.append("")
-        lines.append("decisions in the blast radius:")
-        for entry in report["decisions"]:
-            lines.append(
-                f"  {entry['time']:9.3f}s  {entry['action']:<16s} "
-                f"{entry['path']}  {entry['summary']}"
-            )
-    if report["critical_paths"]:
-        lines.append("")
-        lines.append("degraded critical paths:")
-        for path in report["critical_paths"]:
-            lines.append(
-                f"  request {path['trace_id']} ({path['root']}, "
-                f"{path['duration']:.3f}s) dominated by {path['dominant']}"
-            )
-    if report["problems"]:
-        lines.append("")
-        lines.append("bundle problems:")
-        for problem in report["problems"]:
-            lines.append(f"  - {problem}")
-    return "\n".join(lines) + "\n"

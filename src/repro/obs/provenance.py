@@ -49,7 +49,6 @@ __all__ = [
     "DECISION_ACTIONS",
     "decision_summary",
     "explain",
-    "explain_text",
 ]
 
 #: Every decision record's ``action`` is one of these.
@@ -529,67 +528,3 @@ def explain(records: Iterable[dict], path: str) -> dict:
         "why_not": why_not,
     }
 
-
-def explain_text(result: dict) -> str:
-    """The human rendering ``repro explain`` prints by default."""
-    lines = [
-        f"{result['path']}: {result['records']} decision record(s)",
-        "",
-        "timeline:",
-    ]
-    for entry in result["timeline"]:
-        incident = (
-            f"  [incident #{entry['incident']}]"
-            if entry.get("incident") is not None
-            else ""
-        )
-        lines.append(
-            f"  {entry['time']:9.3f}s  #{entry['seq']:<5d} "
-            f"{entry['action']:<16s} {entry['summary']}{incident}"
-        )
-    lines.append("")
-    lines.append("replicas (why-here):")
-    if not result["replicas"]:
-        lines.append("  (no replica-creating decisions recorded)")
-    for replica in result["replicas"]:
-        status = (
-            f"removed at {replica['removed']['time']:.3f}s "
-            f"({replica['removed']['cause']})"
-            if replica["removed"]
-            else "present"
-        )
-        lines.append(
-            f"  {replica['medium']} ({replica['tier']}) — "
-            f"created by {replica['created_by']} at "
-            f"{replica['created_at']:.3f}s — {status}"
-        )
-        for link in replica["chain"]:
-            lines.append(
-                f"      <- #{link['seq']} {link['action']}: {link['summary']}"
-            )
-    if result["why_not"]:
-        lines.append("")
-        lines.append("why-not (chosen vs best rejected alternative):")
-        for decision in result["why_not"]:
-            lines.append(
-                f"  #{decision['seq']} {decision['action']} at "
-                f"{decision['time']:.3f}s:"
-            )
-            for entry in decision["entries"]:
-                chosen = entry["chosen"]
-                rejected = entry.get("best_rejected")
-                if rejected is None:
-                    lines.append(
-                        f"    {chosen['medium']} ({chosen['tier']}) "
-                        f"score={chosen['score']:.4f} — no alternative "
-                        "survived pruning"
-                    )
-                else:
-                    lines.append(
-                        f"    {chosen['medium']} ({chosen['tier']}) "
-                        f"score={chosen['score']:.4f} beat "
-                        f"{rejected['medium']} ({rejected['tier']}) "
-                        f"score={rejected['score']:.4f} "
-                        f"(delta {entry['delta']:+.4f})"
-                    )
-    return "\n".join(lines) + "\n"

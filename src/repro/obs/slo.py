@@ -499,7 +499,7 @@ class SloMonitor:
         )
 
     def watch_summary(self) -> dict:
-        """The live-health overview rendered by ``report --json``."""
+        """The live-health overview ``dfsio --slo`` prints after its run."""
         slos = []
         for (slo_name, group), state in sorted(self._series.items()):
             slo = self._slos[slo_name]

@@ -284,13 +284,15 @@ class TestArtefactFormatSeam:
 #: The per-kind bindings the generic path replaced: readers
 #: (``read_artifact`` / ``load``), validators (``validate(kind, ...)``),
 #: error subclasses (``ArtifactError``), report renderers
-#: (``canonical_json``), and a ledger query no caller used.
+#: (``canonical_json``; ``format_report`` for text), and a ledger query
+#: no caller used.
 DELETED_BINDINGS = (
     "read_jsonl_records", "read_bundle", "read_chrome_trace", "read_trace",
     "iter_trace_records", "validate_trace_records", "validate_alert_records",
     "validate_ledger_records", "validate_bundle", "validate_chrome_trace",
     "TraceParseError", "BundleError", "analysis_json", "postmortem_json",
-    "bundle_json", "records_for",
+    "bundle_json", "records_for", "postmortem_text", "explain_text",
+    "tier_utilization_rows",
 )
 
 

@@ -1,15 +1,16 @@
 """Tests for the command-line interface."""
 
 import contextlib
+import doctest
 import gzip
 import hashlib
 import io
 import json
-import sys
 
 import pytest
 
 from repro import OctopusFileSystem
+from repro.bench import tables
 from repro.cli import build_parser, main
 from repro.cluster import small_cluster_spec
 from repro.obs import ObsCapture, read_trace_file, validate
@@ -119,6 +120,12 @@ def dfsio_out(tmp_path_factory):
     return out, stdout.getvalue()
 
 
+def test_format_report_shape_rules():
+    """Every shape rule of the one text renderer, as its doctests show."""
+    result = doctest.testmod(tables)
+    assert result.failed == 0 and result.attempted >= 6
+
+
 class TestObsOut:
     """``--obs-out DIR``: everything on, one fixed directory layout."""
 
@@ -133,7 +140,7 @@ class TestObsOut:
 
     def test_obs_out_implies_slo(self, dfsio_out):
         out, stdout = dfsio_out
-        assert "slo watch:" in stdout
+        assert "\nslos:\n" in stdout and "burn_rates" in stdout
         alerts = read_artifact(str(out / "alerts.jsonl"))[1]
         assert validate("alerts", alerts) == []
 
@@ -163,7 +170,7 @@ class TestObsOut:
         )
         assert code == 0
         out_text = capsys.readouterr().out
-        assert "replicas (why-here):" in out_text
+        assert "\nreplicas:\n  - medium:" in out_text
         assert "placement" in out_text
 
     def test_explain_json_is_canonical(self, dfsio_out, capsys):
@@ -368,7 +375,7 @@ class TestAnalyze:
     def test_text_report(self, trace_path, capsys):
         assert main(["analyze", str(trace_path)]) == 0
         out = capsys.readouterr().out
-        assert "critical path" in out
+        assert "\nrequests:\n  - trace_id:" in out and "dominant:" in out
         assert "flow.transfer" in out
         assert "stragglers" in out
 
@@ -397,7 +404,7 @@ class TestAnalyze:
             handle.write("%% not json %%\n")
         assert main(["analyze", str(trace_path)]) == 0
         out = capsys.readouterr().out
-        assert "problem: line 18: invalid JSON" in out
+        assert "  problems: line 18: invalid JSON" in out
 
     def test_strict_fails_on_corrupt_line(self, trace_path, capsys):
         with open(trace_path, "a", encoding="utf-8") as handle:
@@ -494,17 +501,16 @@ class TestReportHealth:
 
 
 #: sha256 of what each reading verb prints over the artefact directory
-#: ``seeded_obs_out`` builds. ``analyze``'s flame totals are builtin
-#: ``sum``s of floats, which CPython compensates from 3.12 on, so its
-#: report has one pin per side of that change.
+#: ``seeded_obs_out`` builds, one pin for every interpreter: ``analyze``'s
+#: flame totals are a plain left fold, not builtin ``sum`` (compensated
+#: from CPython 3.12 on), so its report no longer depends on the version.
 PINNED_STDOUT = {
-    "analyze": (
-        "672315c17d87083f90f30f9924866aba872a0071827a5999ce58042739c1b7e9"
-        if sys.version_info < (3, 12) else
-        "c6353763a3dbdb2ad74777d7bf595489a0e29865d457bb7004ab5da0d00526a4"
-    ),
+    "analyze": "672315c17d87083f90f30f9924866aba872a0071827a5999ce58042739c1b7e9",
     "postmortem": "e330f13d5a6715a378cddb131cec1242c559bee1bf89e214ef3f25f4b89309a5",
     "validate": "4652a0fdfbd0e983fe39574579b48e98ee8af5b71663981e018d95b231c921e6",
+    "analyze text": "8af69afaa827943ee92eb00bdcb323519afeac0cd07eb14ce343ecca5f79e7bc",
+    "postmortem text": "7f4d9bd3d2fd50b3cf56cc4b341ae2e328920a067926c79274337b57bf82230b",
+    "explain text": "b91e8b32c6ebb311290363f753cbdaa843febe7dc778596518066c901e8e2d64",
 }
 
 
@@ -532,12 +538,17 @@ def seeded_obs_out(tmp_path, monkeypatch):
 def test_reading_verbs_print_pinned_bytes(seeded_obs_out, capsys):
     """``analyze --json``, ``postmortem --json`` and ``validate DIR``
     print, byte for byte, what they printed before the per-kind readers
-    and renderers were folded into the one artefact path."""
+    and renderers were folded into the one artefact path; the text views
+    are ``format_report`` of those documents."""
     out = seeded_obs_out
+    bundle = f"{out}/incidents/incident-001.json.gz"
     for verb, argv in [
         ("analyze", ["analyze", f"{out}/trace.jsonl.gz", "--json"]),
-        ("postmortem", ["postmortem", f"{out}/incidents/incident-001.json.gz", "--json"]),
+        ("postmortem", ["postmortem", bundle, "--json"]),
         ("validate", ["validate", out]),
+        ("analyze text", ["analyze", f"{out}/trace.jsonl.gz"]),
+        ("postmortem text", ["postmortem", bundle]),
+        ("explain text", ["explain", "/d/f0", "--ledger", f"{out}/ledger.jsonl.gz"]),
     ]:
         assert main(argv) == 0
         stdout = capsys.readouterr().out

@@ -1,20 +1,11 @@
-"""Tests for remote storage (§2.4): the integrated REMOTE tier and
-stand-alone mounts. Master federation (§2.1) is not reproduced; the
-file keeps its name so the remote-storage test ids stay stable."""
-
-import pytest
+"""Tests for remote storage (§2.4) as an integrated REMOTE tier, the
+one remote mode reproduced. Master federation (§2.1) and the
+stand-alone mount are not; the file keeps its name so the remote-tier
+test ids stay stable."""
 
 from repro import OctopusFileSystem, ReplicationVector
-from repro.cluster import Cluster, small_cluster_spec
-from repro.errors import RemoteStorageError
-from repro.fs import checkpoint as ckpt
-from repro.fs.editlog import replay
-from repro.fs.namespace import Namespace
-from repro.fs.remote import (
-    RemoteStore,
-    StandaloneMount,
-    remote_cluster_spec,
-)
+from repro.cluster import Cluster
+from repro.fs.remote import remote_cluster_spec
 from repro.util.units import MB
 
 
@@ -47,73 +38,3 @@ class TestIntegratedRemote:
         remote_time = fs.engine.now - t1
         assert remote_time > local_time
 
-
-class TestStandaloneRemote:
-    @pytest.fixture
-    def fs(self):
-        return OctopusFileSystem(small_cluster_spec())
-
-    @pytest.fixture
-    def store(self):
-        store = RemoteStore("warehouse", bandwidth=50.0 * MB)
-        store.put("sales/2016.csv", data=b"r1,r2" * 1000)
-        store.put("sales/2017.csv", size=8 * MB)
-        return store
-
-    def test_store_basics(self, store):
-        assert [o.key for o in store.list()] == [
-            "sales/2016.csv",
-            "sales/2017.csv",
-        ]
-        with pytest.raises(RemoteStorageError):
-            store.get("nope")
-        with pytest.raises(RemoteStorageError):
-            store.put("empty")
-
-    def test_mount_appends_namespace(self, fs, store):
-        mount = StandaloneMount(fs, store, "/warehouse")
-        names = {s.path for s in mount.list_status()}
-        assert "/warehouse/sales" in names  # directory entry appears
-        assert fs.master.namespace.exists("/warehouse/sales/2016.csv")
-
-    def test_read_through_with_caching(self, fs, store):
-        mount = StandaloneMount(fs, store, "/warehouse")
-        client = fs.client(on="worker1")
-        assert not mount.is_cached("sales/2016.csv")
-        data = mount.read("sales/2016.csv", client)
-        assert data == b"r1,r2" * 1000
-        assert mount.is_cached("sales/2016.csv")
-
-    def test_cached_read_is_faster(self, fs, store):
-        mount = StandaloneMount(fs, store, "/warehouse")
-        client = fs.client(on="worker1")
-        t0 = fs.engine.now
-        mount.read("sales/2017.csv", client)
-        cold = fs.engine.now - t0
-        t1 = fs.engine.now
-        mount.read("sales/2017.csv", client)
-        warm = fs.engine.now - t1
-        assert warm < cold
-
-    def test_write_goes_to_remote_and_view_refreshes(self, fs, store):
-        mount = StandaloneMount(fs, store, "/warehouse")
-        mount.write("sales/2018.csv", size=2 * MB)
-        assert store.get("sales/2018.csv").size == 2 * MB
-        assert fs.master.namespace.exists("/warehouse/sales/2018.csv")
-
-    def test_refresh_picks_up_external_objects(self, fs, store):
-        mount = StandaloneMount(fs, store, "/warehouse")
-        store.put("new/obj", size=MB)  # added behind OctopusFS's back
-        added = mount.refresh()
-        assert "/warehouse/new/obj" in added
-
-    def test_mount_entries_are_journaled_complete(self, fs, store):
-        """A standby, or a checkpoint plus its tail, restores every
-        remote name as a closed file, as the live tree has it."""
-        mount = StandaloneMount(fs, store, "/warehouse")
-        mount.write("sales/2018.csv", size=2 * MB)
-        replayed = Namespace(tier_order=fs.master.namespace.tier_order)
-        replay(fs.master.edit_log.records, replayed)
-        assert ckpt.write_checkpoint(replayed) == ckpt.write_checkpoint(
-            fs.master.namespace
-        )

@@ -406,12 +406,14 @@ class TestReplicaLifecycleSeam:
 #: Names of features that are not reproduced. The master federation
 #: (§2.1): a deployment has one master, addressed as ``system.master``.
 #: The HDFS-parity extensions no paper claim or workload uses: the
-#: balancer, graceful decommission, concat, trash and append.
+#: balancer, graceful decommission, concat, trash and append. §2.4's
+#: stand-alone remote mount, which the paper does not elaborate.
 UNREPRODUCED_NAMES = (
     "master_for", "FederatedFileSystem", "mount_table", "repro.fs.federation",
     "Balancer", "repro.fs.balancer", "decommission_worker", "decommissioning",
     "placeable_media", "concat", "move_to_trash", "expunge_trash",
     "append_file", "extend_block", "_extend_tail_proc",
+    "RemoteStore", "RemoteObject", "StandaloneMount", "RemoteStorageError",
 )
 
 

@@ -20,6 +20,7 @@ import gzip
 import pytest
 
 from repro import OctopusFileSystem, ReplicationVector
+from repro.bench.tables import format_report
 from repro.cluster import small_cluster_spec
 from repro.errors import ConfigurationError, OctopusError
 from repro.obs import (
@@ -27,7 +28,6 @@ from repro.obs import (
     Observability,
     ProvenanceLedger,
     explain,
-    explain_text,
     metrics_json,
     prometheus_text,
     to_jsonl,
@@ -422,10 +422,10 @@ class TestExplain:
         assert len(result["timeline"]) == 1
 
     def test_explain_text_renders(self, chaos_ledger):
-        text = explain_text(explain(chaos_ledger, "/chaos/f0"))
+        text = format_report(explain(chaos_ledger, "/chaos/f0"))
         assert "/chaos/f0" in text
-        assert "replicas (why-here):" in text
-        assert "why-not" in text
+        assert "\nreplicas:\n" in text
+        assert "\nwhy_not:\n" in text
 
     def test_explain_is_deterministic(self):
         first = _chaos_tiering_ledger(seed=42, duration=20.0)[1]
