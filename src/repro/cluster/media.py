@@ -18,6 +18,8 @@ Each medium exposes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, InsufficientStorageError
@@ -209,17 +211,18 @@ class StorageTier:
         )
 
     def avg_write_throughput(self) -> float:
-        """Per-tier average used by the throughput objective (Eq. 7)."""
+        """Per-tier average used by the throughput objective (Eq. 7): a
+        left fold, so every interpreter rounds it alike."""
         live = self.live_media
         if not live:
             return 0.0
-        return sum(m.write_throughput for m in live) / len(live)
+        return reduce(add, (m.write_throughput for m in live), 0) / len(live)
 
     def avg_read_throughput(self) -> float:
         live = self.live_media
         if not live:
             return 0.0
-        return sum(m.read_throughput for m in live) / len(live)
+        return reduce(add, (m.read_throughput for m in live), 0) / len(live)
 
     def statistics(self) -> TierStatistics:
         live = self.live_media

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.objectives import (
@@ -128,9 +130,10 @@ def solve_moop(
 ) -> "StorageMedium":
     """Algorithm 1: pick the option minimizing ``‖f − z*‖``.
 
-    Ties keep the first (deterministic) option. The stock objectives are
-    scored through :func:`~repro.core.objectives.prefix_scorer`, one
-    call for the whole option list; custom registered objectives are
+    Ties keep the first (deterministic) option. The stock objectives in
+    the paper's order are scored through
+    :func:`~repro.core.objectives.prefix_scorer`, one call for the whole
+    option list; custom registered objectives, or another order, are
     scored one ``chosen_media + [option]`` list at a time.
 
     ``rows`` are those of the snapshot :func:`place_replicas` took for
@@ -149,7 +152,7 @@ def solve_moop(
         scores = scorer(media_options)
     else:
         # Custom registered objectives are not separable into prefix +
-        # option terms.
+        # option terms; another order adds Eq. 11's terms in that order.
         scores = [
             global_criterion_score([*chosen_media, option], ctx, objectives)
             for option in media_options
@@ -251,10 +254,18 @@ def _near_nodes(
     if not request.rack_pruning:
         return None
     view = cluster.placement_view
-    racks = list(dict.fromkeys(m.node.rack for m in placed))
-    if len(racks) == 1:
-        return view.nodes - view.rack_nodes[racks[0]]
-    return view.rack_nodes[racks[0]] | view.rack_nodes[racks[1]]
+    key = first = placed[0].node.rack
+    for medium in placed:  # keyed by the first rack, or the first two, used
+        if medium.node.rack is not first:
+            key = (first, medium.node.rack)
+            break
+    near = view.steer.get(key)
+    if near is None:
+        near = view.steer[key] = (
+            view.nodes - view.rack_nodes[first] if key is first
+            else view.rack_nodes[first] | view.rack_nodes[key[1]]
+        )
+    return near
 
 
 def place_replicas(
@@ -324,8 +335,8 @@ def place_replicas(
         chosen.append(best)
         if cap is not None:
             # Stable sort: the first minimal-score pair is the chosen
-            # option (solve_moop only switches on strict improvement).
-            ranked = sorted(cap, key=lambda pair: pair[1])
+            # option (solve_moop keeps the first minimum).
+            ranked = sorted(cap, key=itemgetter(1))
             entries_detail.append(
                 {
                     "medium": best.medium_id,
@@ -373,7 +384,7 @@ def _record_decision(
     final = base + chosen
     actual = objective_vector(final, ctx, objectives)
     ideal = ideal_vector(len(final), ctx, objectives)
-    score = math.sqrt(sum((a - z) ** 2 for a, z in zip(actual, ideal)))
+    score = math.sqrt(reduce(add, ((a - z) ** 2 for a, z in zip(actual, ideal)), 0))
     decision = {
         "objectives": {name: value for name, value in zip(objectives, actual)},
         "ideal": {name: value for name, value in zip(objectives, ideal)},

@@ -19,19 +19,26 @@ its heartbeat-reported statistics.
 A placement decision reads the cluster exactly once:
 :func:`snapshot_cluster` asks the cluster's :class:`PlacementView` for
 the context, the pool of media a replica could go to, and one *row* of
-single-medium terms per medium; :func:`prefix_scorer` scores whole
-option lists from those rows. The view re-reads every live medium's
-``Rem`` and ``NrConn`` for each decision and re-forms the rows of the
-media whose pair moved since the last one.
+single-medium terms per medium; :func:`prefix_scorer` scores a whole
+option list from those rows, each option in one pass over the
+objectives. The view re-reads every live medium's ``Rem`` and ``NrConn``
+for each decision and re-forms the rows of the media whose pair moved
+since the last one.
+
+Every float sum here is a left fold from ``0``: the builtin ``sum`` is
+compensated from Python 3.12, so it would round differently on 3.11 and
+on 3.12+, and the scorer could not equal :func:`global_criterion_score`
+on both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import compress, repeat
-from operator import attrgetter, ge, truediv
+from functools import lru_cache, reduce
+from itertools import combinations, compress, repeat
+from math import sqrt
+from operator import add, attrgetter, ge, truediv
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.cluster.media import StorageMedium
@@ -98,16 +105,14 @@ def data_balancing(
     media: Sequence["StorageMedium"], ctx: ObjectiveContext
 ) -> float:
     """Eq. 1: sum of remaining-capacity fractions after the new block."""
-    return sum(
-        (m.remaining - ctx.block_size) / m.capacity for m in media
-    )
+    return reduce(add, ((m.remaining - ctx.block_size) / m.capacity for m in media), 0)
 
 
 def load_balancing(
     media: Sequence["StorageMedium"], ctx: ObjectiveContext
 ) -> float:
     """Eq. 3: sum of inverse (connections + 1)."""
-    return sum(1.0 / (m.nr_connections + 1) for m in media)
+    return reduce(add, (1.0 / (m.nr_connections + 1) for m in media), 0)
 
 
 def fault_tolerance(
@@ -121,23 +126,43 @@ def fault_tolerance(
         len({m.tier_name for m in media}),
         len({m.node for m in media}),
         len({m.node.rack for m in media}),
-        ctx,
+        ctx.total_tiers, ctx.total_nodes, ctx.total_racks,
     )
     return tier_term + node_term + rack_term
 
 
 def _fault_tolerance_terms(
-    count: int, nr_tiers: int, nr_nodes: int, nr_racks: int, ctx: ObjectiveContext
+    count: int, nr_tiers: int, nr_nodes: int, nr_racks: int,
+    total_tiers: int, total_nodes: int, total_racks: int,
 ) -> tuple[float, float, float]:
     """Eq. 5's three terms for ``count`` media on that many tiers, nodes
-    and racks."""
-    tier_term = nr_tiers / min(count, ctx.total_tiers)
-    node_term = nr_nodes / min(count, ctx.total_nodes)
-    if ctx.total_racks == 1:
+    and racks, of the cluster's totals."""
+    tier_term = nr_tiers / min(count, total_tiers)
+    node_term = nr_nodes / min(count, total_nodes)
+    if total_racks == 1:
         rack_term = 1.0
     else:
         rack_term = 1.0 / (abs(nr_racks - 2) + 1)
     return tier_term, node_term, rack_term
+
+
+@lru_cache(maxsize=64)
+def _fault_tolerance_squares(
+    count: int, nr_tiers: int, nr_nodes: int, nr_racks: int,
+    total_tiers: int, total_nodes: int, total_racks: int, ideal: float,
+) -> tuple[float, ...]:
+    """Eq. 11's fault-tolerance square for each of the eight ways one
+    more medium can join a prefix on that many tiers, nodes and racks,
+    indexed by 4·(new tier) + 2·(new node) + (new rack)."""
+    totals = total_tiers, total_nodes, total_racks
+    tier_pair, node_pair, rack_pair = zip(
+        _fault_tolerance_terms(count, nr_tiers, nr_nodes, nr_racks, *totals),
+        _fault_tolerance_terms(count, nr_tiers + 1, nr_nodes + 1, nr_racks + 1, *totals),
+    )
+    return tuple(
+        (tier + node + rack - ideal) ** 2
+        for tier in tier_pair for node in node_pair for rack in rack_pair
+    )
 
 
 def throughput_maximization(
@@ -264,9 +289,7 @@ def global_criterion_score(
     """Eq. 11: Euclidean distance ``‖f(m⃗) − z*(m⃗)‖`` (minimize)."""
     actual = objective_vector(media, ctx, objectives)
     ideal = ideal_vector(len(media), ctx, objectives)
-    return math.sqrt(
-        sum((a - z) ** 2 for a, z in zip(actual, ideal))
-    )
+    return sqrt(reduce(add, ((a - z) ** 2 for a, z in zip(actual, ideal)), 0))
 
 
 #: One medium's terms, each computed once per decision: its summands of
@@ -274,8 +297,13 @@ def global_criterion_score(
 #: that Eq. 5 counts (and whose average Eq. 7 takes).
 MediumRow = tuple[float, float, float, str, "Node", "Rack"]
 
-#: Where a separable objective's summand sits in a :data:`MediumRow`.
-_ROW_COLUMN = {DATA_BALANCING: 0, LOAD_BALANCING: 1}
+#: The objective tuples :func:`prefix_scorer` takes, every non-empty
+#: subset of the stock four in the paper's order, and which of the four
+#: each one holds.
+_PAPER_ORDERS = {
+    subset: tuple(name in subset for name in ALL_OBJECTIVES)
+    for size in range(1, 5) for subset in combinations(ALL_OBJECTIVES, size)
+}
 
 
 class DecisionSnapshot(NamedTuple):
@@ -314,8 +342,8 @@ def read_media(
         fractions.append(remaining / capacity)
         connections.append(conns)
         # A tier's media in walk order, as StorageTier.live_media lists
-        # them: ``sum`` below stays the builtin over the same operands in
-        # the same order (it is compensated from Python 3.12).
+        # them: the average below folds the same operands in the same
+        # order as StorageTier.avg_write_throughput.
         throughputs.setdefault(tier, []).append(thru)
         if remaining >= block_size:
             pool.append(medium)
@@ -326,7 +354,7 @@ def read_media(
     if not rows:
         raise PlacementError("no live storage media in the cluster")
     tier_thru = {
-        tier.name: sum(throughputs[tier.name]) / len(throughputs[tier.name])
+        tier.name: reduce(add, throughputs[tier.name], 0) / len(throughputs[tier.name])
         for tier in sorted(cluster.tiers.values(), key=lambda t: t.rank)
         if tier.name in throughputs
     }
@@ -369,6 +397,9 @@ class PlacementView:
         self.volatile_tiers = frozenset(t.name for t in cluster.tiers.values() if t.volatile)
         self.nodes = frozenset(cluster.topology.nodes.values())
         self.rack_nodes = {rack: frozenset(rack.nodes) for rack in cluster.topology.racks.values()}
+        #: The nodes rack pruning steers to, formed on first use: off one
+        #: rack (keyed by it), or on two (keyed by the pair, in order).
+        self.steer: dict["Rack | tuple[Rack, Rack]", frozenset["Node"]] = {}
         #: The key and what hangs off it: the context's fixed fields, and
         #: the capacities ``Rem`` is a fraction of.
         self._key, self._stats, self._capacities = (), None, []
@@ -435,35 +466,32 @@ def prefix_scorer(
     Algorithm 1 evaluates every candidate option against the same chosen
     prefix, so the prefix's partial sums and fault tolerance's
     tier/node/rack sets are formed once, and the returned callable
-    scores a whole option list from the media's rows: per objective, in
-    ``objectives`` order, ``prefix + row term − ideal`` squared and
-    accumulated. Fault tolerance takes one of the eight values its three
-    membership tests can produce, throughput one value per tier.
+    scores a whole option list from the media's rows in one pass:
+    ``sqrt(((DB + LB) + FT) + TM)`` per option, each term ``(prefix +
+    row term − ideal) ** 2`` and an absent objective ``0.0``. Fault
+    tolerance takes one of the eight values its three membership tests
+    can produce, throughput one value per tier.
 
     ``rows`` are those of the decision's :class:`DecisionSnapshot`; a
     list with a medium they do not hold (every list, when ``rows`` is
     ``None``) is read where it is scored, through the same
     :func:`read_media`.
 
-    The float operations are the generic path's, in its order, wherever
-    that path adds one term at a time. Where it calls the builtin
-    ``sum`` — over a set's media in Eqs. 1 and 3, over the objectives in
-    Eq. 11 — that holds before Python 3.12 only: from 3.12 on ``sum`` is
-    compensated (Neumaier) and exact for at most two summands. So the
-    scores **equal** :func:`global_criterion_score`'s on 3.11 and
-    earlier, and from 3.12 for a prefix of at most one medium under at
-    most two objectives; otherwise they may differ from it in the last
-    few places (4 ulp seen). What is exact on every interpreter is this
-    scorer against the per-option closure it replaced: the prefix sums
-    are the same builtin ``sum`` over the same operands in the same
-    order, the rest the same additions.
+    The float operations are :func:`global_criterion_score`'s, in its
+    order: its sums are left folds from ``0``, as the prefix's are, and
+    ``0.0`` added to a square is exact. So the scores **equal** it on
+    every interpreter.
 
-    Returns ``None`` when any requested objective (or its ideal) has
-    been replaced via :func:`register_objective` — custom formulas are
-    not separable, and the caller must fall back to the generic path.
+    Returns ``None`` — the caller scores through
+    :func:`global_criterion_score` — unless ``objectives`` are stock
+    objectives in the paper's order: one replaced via
+    :func:`register_objective`, or an order of Eq. 11's terms other than
+    the paper's, has no single pass.
     """
-    if not _REPLACED.isdisjoint(objectives):
+    uses = _PAPER_ORDERS.get(tuple(objectives))
+    if uses is None or not _REPLACED.isdisjoint(objectives):
         return None
+    use_db, use_lb, use_ft, use_tm = uses
 
     known = rows or {}
 
@@ -479,74 +507,42 @@ def prefix_scorer(
     log_max, tier_terms = _tier_terms(
         ctx.max_write_throughput, tuple(ctx.tier_write_throughput.items())
     )
-
-    def tm_term(row: MediumRow) -> float:
-        if row[3] in tier_terms:
-            return tier_terms[row[3]]
-        return _throughput_term(row[2], log_max)
-
     count = len(chosen) + 1
-    ideal = ideal_vector(count, ctx, objectives)
+    z_db, z_lb = ideal_data_balancing(count, ctx), ideal_load_balancing(count, ctx)
+    z_ft, z_tm = ideal_fault_tolerance(count, ctx), ideal_throughput_maximization(count, ctx)
     chosen_rows = rows_of(chosen)
-    # Accumulated exactly like the generic sums: sum() starts from int 0,
+    # Left folds like the generic sums: Eqs. 1 and 3 from int 0,
     # throughput_maximization from float 0.0.
+    db_prefix = lb_prefix = 0
     tm_prefix = 0.0
-    for row in chosen_rows:
-        tm_prefix += tm_term(row)
-    prefix = (
-        sum(row[0] for row in chosen_rows),
-        sum(row[1] for row in chosen_rows),
-    )
+    for db, lb, thru, tier, _, _ in chosen_rows:
+        db_prefix += db
+        lb_prefix += lb
+        tm_prefix += tier_terms[tier] if tier in tier_terms else _throughput_term(thru, log_max)
     tiers = {row[3] for row in chosen_rows}
     nodes = {row[4] for row in chosen_rows}
     racks = {row[5] for row in chosen_rows}
+    ft_squares, tm_squares = (), {}
+    if use_ft:
+        ft_squares = _fault_tolerance_squares(
+            count, len(tiers), len(nodes), len(racks),
+            ctx.total_tiers, ctx.total_nodes, ctx.total_racks, z_ft,
+        )
+    if use_tm:
+        tm_squares = {tier: (tm_prefix + term - z_tm) ** 2 for tier, term in tier_terms.items()}
 
     def score(options: Sequence["StorageMedium"]) -> list[float]:
-        option_rows = rows_of(options)
-        totals = [0.0] * len(option_rows)
-        for name, z in zip(objectives, ideal):
-            if name == FAULT_TOLERANCE:
-                # Indexed by 4·(new tier) + 2·(new node) + (new rack).
-                tier_pair, node_pair, rack_pair = zip(
-                    _fault_tolerance_terms(count, len(tiers), len(nodes), len(racks), ctx),
-                    _fault_tolerance_terms(
-                        count, len(tiers) + 1, len(nodes) + 1, len(racks) + 1, ctx
-                    ),
-                )
-                squares = [
-                    (tier + node + rack - z) ** 2
-                    for tier in tier_pair for node in node_pair for rack in rack_pair
-                ]
-                totals = [
-                    total + squares[
-                        4 * (row[3] not in tiers)
-                        + 2 * (row[4] not in nodes)
-                        + (row[5] not in racks)
-                    ]
-                    for total, row in zip(totals, option_rows)
-                ]
-            elif name == THROUGHPUT_MAX:
-                # Squared once per tier, like fault tolerance's shapes.
-                squares = {
-                    tier: (tm_prefix + term - z) ** 2 for tier, term in tier_terms.items()
-                }
-                try:
-                    totals = [
-                        total + squares[row[3]]
-                        for total, row in zip(totals, option_rows)
-                    ]
-                except KeyError:  # some option's tier has no average
-                    totals = [
-                        total + (tm_prefix + tm_term(row) - z) ** 2
-                        for total, row in zip(totals, option_rows)
-                    ]
-            else:
-                column = _ROW_COLUMN[name]
-                base = prefix[column]
-                totals = [
-                    total + (base + row[column] - z) ** 2
-                    for total, row in zip(totals, option_rows)
-                ]
-        return list(map(math.sqrt, totals))
+        return [
+            sqrt(
+                ((db_prefix + db - z_db) ** 2 if use_db else 0.0)
+                + ((lb_prefix + lb - z_lb) ** 2 if use_lb else 0.0)
+                + (ft_squares[4 * (tier not in tiers) + 2 * (node not in nodes)
+                              + (rack not in racks)] if use_ft else 0.0)
+                + ((tm_squares[tier] if tier in tm_squares
+                    else (tm_prefix + _throughput_term(thru, log_max) - z_tm) ** 2)
+                   if use_tm else 0.0)
+            )
+            for db, lb, thru, tier, node, rack in rows_of(options)
+        ]
 
     return score

@@ -505,7 +505,9 @@ class SloMonitor:
             slo = self._slos[slo_name]
             rules = [r for r in self.rules if r.slo.name == slo_name]
             longest = max(r.long_window for r in rules)
-            good, bad = state.counts.totals(longest)
+            # Whole events, however the SLO is fed: a latency SLO counts
+            # observations, an availability SLO sums counter increments.
+            good, bad = map(int, state.counts.totals(longest))
             entry: dict = {
                 "slo": slo_name,
                 "group": group,

@@ -43,20 +43,28 @@ class TestRecord:
         )
 
     def test_same_bytes_on_every_interpreter_and_hash_seed(self):
+        """Fig. 5's block, and 400 MOOP decisions with the ``repr`` of
+        every score behind them (``tests/moop_decisions.py``)."""
         command, _, printed = BLOCKS["fig5"].partition("\n")
         pythons = [sys.executable, sys.executable] + [
             python for python in OTHER_PYTHONS if Path(python).exists()
         ]
-        started = [
-            subprocess.Popen(
-                [python, *command.split()[2:]], cwd=TOOL.ROOT / "src", text=True,
-                stdout=subprocess.PIPE, env={**os.environ, "PYTHONHASHSEED": hash_seed},
-            )
-            for python, hash_seed in zip(pythons, ("1", "7", "random", "random"))
-        ]
-        for process in started:
-            out = process.communicate(timeout=120)[0]  # also sets returncode
-            assert (out, process.returncode) == (printed, 0), process.args
+        decisions = str(Path(__file__).with_name("moop_decisions.py"))
+        for args, expected in (
+            (command.split()[2:], printed), ([decisions], None),
+        ):
+            started = [
+                subprocess.Popen(
+                    [python, *args], cwd=TOOL.ROOT / "src", text=True,
+                    stdout=subprocess.PIPE, env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                )
+                for python, hash_seed in zip(pythons, ("1", "7", "random", "random"))
+            ]
+            for process in started:
+                out = process.communicate(timeout=120)[0]  # also sets returncode
+                expected = out if expected is None else expected
+                assert (out, process.returncode) == (expected, 0), process.args
+        assert expected.count("\n") == 400 and "full" not in expected
 
     def test_tool_diffs_a_stale_block_and_rewrites_it(self, tmp_path, monkeypatch, capsys):
         committed = TOOL.DOC.read_text()

@@ -1,9 +1,12 @@
 """Unit tests for the MOOP objective functions (paper Eqs. 1-11)."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import repro.core
 from repro.cluster import Cluster, paper_cluster_spec
 from repro.core.objectives import (
     ALL_OBJECTIVES,
@@ -217,3 +220,38 @@ class TestGlobalCriterion:
         media = media_of(cluster, ("worker1", "SSD"))
         for name in ALL_OBJECTIVES:
             objective_vector(media, ctx, objectives=(name,))
+
+
+#: The builtin ``sum`` calls ``repro.core`` keeps, each over integer
+#: counts: (module, enclosing function, the call).
+INTEGER_SUMS = {
+    ("moop.py", "_memory_rule", "sum((1 for m in placed if m.tier_name in volatile_tiers))"),
+    ("moop.py", "_record_decision", "sum((1 for m in chosen if m.tier_name == tier))"),
+    ("replication.py", "analyze_block", "sum(surplus.values())"),
+    ("replication_vector.py", "total_replicas", "sum(self._counts.values())"),
+}
+
+
+def sum_calls(tree, owner="<module>"):
+    """Every ``sum(...)`` call under ``tree``, with its innermost function."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from sum_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "sum":
+            yield owner, ast.unparse(child)
+        yield from sum_calls(child, owner)
+
+
+def test_core_sums_floats_as_left_folds():
+    """From Python 3.12 the builtin ``sum`` of floats is compensated, so
+    it rounds differently from 3.11's: every float sum in ``repro.core``
+    is a left fold from ``0`` (3.11's ``sum``, on every interpreter), and
+    ``sum`` stays only over the integer counts listed here."""
+    root = Path(repro.core.__file__).parent
+    found = {
+        (path.name, *call)
+        for path in sorted(root.glob("*.py"))
+        for call in sum_calls(ast.parse(path.read_text()))
+    }
+    assert found == INTEGER_SUMS

@@ -112,3 +112,21 @@ def test_memory_reports_what_outlives_the_workload():
     ]
     assert 1 <= len(listed) <= 3
     assert "sim_makespan_s = " in done.stdout
+
+
+def test_placement_phases_time_the_decisions_they_do_not_change():
+    """``tools/placement_phases.py`` wraps the phases of the real
+    ``place_replicas``: every phase inside the total, the same picks
+    every round, and the stock functions back afterwards."""
+    from repro.core import moop
+    from repro.util.rng import DeterministicRng
+    from tests.test_code_lines import load_tool
+
+    tool = load_tool("placement_phases")
+    stock = moop.snapshot_cluster, moop.gen_options, moop.prefix_scorer, DeterministicRng.shuffle
+    spent, total, digest = tool.one_round()
+    assert (moop.snapshot_cluster, moop.gen_options, moop.prefix_scorer,
+            DeterministicRng.shuffle) == stock
+    assert all(seconds > 0 for seconds in spent.values())
+    assert sum(spent.values()) < total
+    assert digest == tool.one_round()[2]

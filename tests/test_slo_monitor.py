@@ -240,6 +240,28 @@ class TestStateMachine:
         assert entry["burn_rates"]["avail:burn:page"] == pytest.approx(1.0)
         assert "p99" not in entry  # availability SLOs carry no sketch
 
+    def test_summary_counts_whole_events_for_every_kind_of_slo(self):
+        """An availability SLO sums counter increments (floats by
+        default), a latency SLO counts observations: both report ints."""
+        clock = FakeClock()
+        rules = [
+            BurnRateRule(AvailabilitySlo("avail", "good_total", "bad_total", target=0.9),
+                         long_window=8.0, short_window=2.0),
+            BurnRateRule(LatencySlo("lat", "read_seconds", threshold=0.1, target=0.9),
+                         long_window=8.0, short_window=2.0),
+        ]
+        monitor, obs = manual_monitor(rules, clock, interval=1.0)
+        for value in (0.05, 0.5, 0.05):
+            obs.metrics.counter("good_total").inc()
+            obs.metrics.counter("bad_total").inc()
+            obs.metrics.histogram("read_seconds").observe(value)
+        counts = [
+            (entry["slo"], entry["events"], entry["errors"])
+            for entry in monitor.watch_summary()["slos"]
+        ]
+        assert counts == [("avail", 6, 3), ("lat", 3, 1)]
+        assert {type(value) for _, *values in counts for value in values} == {int}
+
     def test_latency_summary_includes_p99(self):
         clock = FakeClock()
         slo = LatencySlo("lat", "read_seconds", threshold=0.1, target=0.9)
