@@ -101,9 +101,12 @@ def expand_vector(vector: ReplicationVector, tier_rank: dict[str, int]) -> list[
     Explicit tiers come first (fastest tier first, so the write pipeline
     head lands on the fastest requested medium, matching the paper's
     pipeline example ⟨W1,M⟩→⟨W3,H⟩→⟨W6,H⟩), then the U entries.
-    Memoized on ``(vector, tier_rank)``; both are value-hashable.
+    Memoized on ``(vector, tier_rank)``; both are value-hashable. The
+    ranks are keyed in the dict's own order, unsorted: a caller passes
+    one fixed dict (the cluster's placement view's), and an equal dict
+    in another order only takes a second slot.
     """
-    key = (vector, tuple(sorted(tier_rank.items())))
+    key = (vector, tuple(tier_rank.items()))
     cached = _EXPAND_CACHE.get(key)
     if cached is None:
         entries: list[ReplicaEntry] = []
@@ -168,13 +171,15 @@ def gen_options(
     chosen: Sequence["StorageMedium"],
     entry: ReplicaEntry,
     pool: Sequence["StorageMedium"] | None = None,
+    memory_enabled: bool | None = None,
 ) -> list["StorageMedium"]:
     """Generate the pruned option list for the next replica (§3.3).
 
     ``pool`` is the live media with room for the block, which
     Algorithm 2 reads once per placement instead of once per replica
     entry; nothing placed mid-decision changes it (allocation happens
-    after the whole vector is resolved).
+    after the whole vector is resolved). ``memory_enabled`` overrides
+    the request's flag, as a policy's own setting does.
     """
     placed = list(request.existing_replicas) + list(chosen)
     placed_ids = {m.medium_id for m in placed} | set(request.excluded_media)
@@ -191,7 +196,10 @@ def gen_options(
     if entry.required_tier is not None:
         tiers = {entry.required_tier}
     else:
-        tiers = set(cluster.tiers) - _memory_rule(placed, request, cluster)
+        tiers = set(cluster.tiers) - _memory_rule(
+            placed, request, cluster,
+            request.memory_enabled if memory_enabled is None else memory_enabled,
+        )
     # A soft heuristic narrows the list, and is skipped rather than
     # allowed to empty it. The filters commute, so narrowing the pool in
     # the same pass is narrowing the hard-constrained list.
@@ -222,12 +230,13 @@ def _memory_rule(
     placed: Sequence["StorageMedium"],
     request: PlacementRequest,
     cluster: "Cluster",
+    memory_enabled: bool,
 ) -> frozenset[str]:
     """The tiers a U entry may not use: volatile (memory) tiers are
     opt-in and capped at ⌊r/3⌋ of a block's replicas (§3.3, final
     paragraph)."""
     volatile_tiers = cluster.placement_view.volatile_tiers
-    if not volatile_tiers or not request.memory_enabled:
+    if not volatile_tiers or not memory_enabled:
         return volatile_tiers
     if not request.memory_cap:
         return frozenset()
@@ -274,6 +283,7 @@ def place_replicas(
     objectives: Sequence[str] = ALL_OBJECTIVES,
     ctx: ObjectiveContext | None = None,
     rng=None,
+    memory_enabled: bool | None = None,
 ) -> list["StorageMedium"]:
     """Algorithm 2: greedily choose media for every entry of the vector.
 
@@ -292,10 +302,11 @@ def place_replicas(
     objective ties across media (e.g. pure throughput maximization,
     where every SSD scores identically) would pile replicas onto the
     list head; shuffling turns exact ties into an even spread.
+
+    ``memory_enabled`` overrides ``request.memory_enabled``: a policy
+    passes its own setting rather than copying the request to carry it.
     """
-    entries = expand_vector(
-        request.rep_vector, {t.name: t.rank for t in cluster.tiers.values()}
-    )
+    entries = expand_vector(request.rep_vector, cluster.placement_view.tier_rank)
     if not entries:
         raise PlacementError("placement requested with an empty vector")
     snapshot = snapshot_cluster(cluster, request.block_size)
@@ -316,7 +327,7 @@ def place_replicas(
     entries_detail: list[dict] | None = [] if ledger_on else None
     for entry in entries:
         try:
-            options = gen_options(cluster, request, chosen, entry, pool=pool)
+            options = gen_options(cluster, request, chosen, entry, pool, memory_enabled)
         except InsufficientStorageError:
             if entry.required_tier is None:
                 raise
@@ -324,7 +335,7 @@ def place_replicas(
             # HDFS storage-policy creation fallbacks. The replica still
             # gets placed; the tier preference degrades gracefully.
             options = gen_options(
-                cluster, request, chosen, ReplicaEntry(None), pool=pool
+                cluster, request, chosen, ReplicaEntry(None), pool, memory_enabled
             )
         if rng is not None:
             rng.shuffle(options)
@@ -428,9 +439,7 @@ def exhaustive_place_replicas(
     """
     from itertools import combinations
 
-    entries = expand_vector(
-        request.rep_vector, {t.name: t.rank for t in cluster.tiers.values()}
-    )
+    entries = expand_vector(request.rep_vector, cluster.placement_view.tier_rank)
     snapshot = snapshot_cluster(cluster, request.block_size)
     existing = list(request.existing_replicas)
     taken = {m.medium_id for m in existing} | set(request.excluded_media)
@@ -467,7 +476,7 @@ def _satisfies_tiers(
         rest.remove(medium)
         placed.append(medium)
     for medium in rest:
-        if medium.tier_name in _memory_rule(placed, request, cluster):
+        if medium.tier_name in _memory_rule(placed, request, cluster, request.memory_enabled):
             return False
         placed.append(medium)
     return True

@@ -393,8 +393,10 @@ class PlacementView:
     def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
         #: Fixed for the cluster's life: the tiers the memory rule guards,
+        #: every tier's rank (the order a vector's entries are placed in),
         #: and the nodes, all and by rack, where rack pruning steers (§3.3).
         self.volatile_tiers = frozenset(t.name for t in cluster.tiers.values() if t.volatile)
+        self.tier_rank = {t.name: t.rank for t in cluster.tiers.values()}
         self.nodes = frozenset(cluster.topology.nodes.values())
         self.rack_nodes = {rack: frozenset(rack.nodes) for rack in cluster.topology.racks.values()}
         #: The nodes rack pruning steers to, formed on first use: off one

@@ -17,7 +17,6 @@ evaluation compares eight of them, all implemented here:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core import objectives as obj
@@ -77,8 +76,9 @@ class MoopPlacementPolicy(BlockPlacementPolicy):
     def choose_targets(
         self, cluster: "Cluster", request: PlacementRequest
     ) -> list["StorageMedium"]:
-        request = replace(request, memory_enabled=self.memory_enabled)
-        return place_replicas(cluster, request, rng=self.rng)
+        return place_replicas(
+            cluster, request, rng=self.rng, memory_enabled=self.memory_enabled
+        )
 
 
 class SingleObjectivePolicy(BlockPlacementPolicy):
@@ -103,9 +103,9 @@ class SingleObjectivePolicy(BlockPlacementPolicy):
     def choose_targets(
         self, cluster: "Cluster", request: PlacementRequest
     ) -> list["StorageMedium"]:
-        request = replace(request, memory_enabled=self.memory_enabled)
         return place_replicas(
-            cluster, request, objectives=(self.objective,), rng=self.rng
+            cluster, request, objectives=(self.objective,), rng=self.rng,
+            memory_enabled=self.memory_enabled,
         )
 
 
@@ -168,10 +168,7 @@ class RuleBasedPolicy(BlockPlacementPolicy):
         if not tier_names:
             raise InsufficientStorageError("no active storage tiers")
         racks = self._pick_racks(cluster)
-        entries = expand_vector(
-            request.rep_vector,
-            {t.name: t.rank for t in cluster.tiers.values()},
-        )
+        entries = expand_vector(request.rep_vector, cluster.placement_view.tier_rank)
         chosen: list["StorageMedium"] = []
         excluded = set(request.excluded_media)
         excluded.update(m.medium_id for m in request.existing_replicas)

@@ -39,6 +39,8 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import queue
+import threading
 from contextlib import contextmanager
 from itertools import chain
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
@@ -156,6 +158,65 @@ def _sample_array(pairs: list | tuple, inner: str, leaf: str) -> str | None:
     return None
 
 
+#: The bytes the text layer hands the deflate thread at a time.
+_DEFLATE_CHUNK = 1 << 18
+
+
+class _DeflateThread(io.RawIOBase):
+    """A raw writer that deflates on a second thread: :meth:`write`
+    queues a copy of its bytes (at most two chunks wait) and returns,
+    and one worker feeds them, in order, to ``packed``'s ``write``.
+
+    ``crc32``, ``deflate`` and the file write release the GIL, so the
+    worker compresses while the caller encodes the next chunk. The
+    worker starts on the first write; :meth:`close` joins it and raises
+    its first error. After an error the worker keeps taking chunks and
+    drops them, so a writer never waits on a queue nobody empties.
+    """
+
+    def __init__(self, packed: IO[bytes]) -> None:
+        self._packed = packed
+        self._chunks: queue.Queue[bytes | None] = queue.Queue(2)
+        self._worker: threading.Thread | None = None
+        self._error: BaseException | None = None
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        if self._worker is None:
+            self._worker = threading.Thread(
+                target=self._deflate, name="repro-deflate", daemon=True
+            )
+            self._worker.start()
+        chunk = bytes(data)  # ``data`` is the caller's buffer, reused
+        self._chunks.put(chunk)
+        return len(chunk)
+
+    def flush(self) -> None:
+        """Nothing: a flush reaching the ``GzipFile`` would append a
+        sync-flush block and change the bytes."""
+
+    def close(self) -> None:
+        if self.closed:
+            return
+        super().close()
+        if self._worker is not None:
+            self._chunks.put(None)
+            self._worker.join()
+        if self._error is not None:
+            raise self._error
+
+    def _deflate(self) -> None:
+        write = self._packed.write
+        while (chunk := self._chunks.get()) is not None:
+            if self._error is None:
+                try:
+                    write(chunk)
+                except BaseException as exc:  # noqa: BLE001 - raised by close()
+                    self._error = exc
+
+
 @contextmanager
 def open_text(path: str, mode: str = "r") -> Iterator[IO[str]]:
     """A UTF-8 text handle on ``path`` (``"r"`` or ``"w"``), through gzip
@@ -164,6 +225,16 @@ def open_text(path: str, mode: str = "r") -> Iterator[IO[str]]:
     The gzip stream is built with ``mtime=0`` and no embedded filename,
     so compressed artefacts depend only on their content — as
     byte-deterministic as the plain-text ones.
+
+    Writing, the text is deflated on a second thread
+    (:class:`_DeflateThread`), and the bytes cannot move for it. The
+    ``GzipFile`` writes its header here, before the worker starts, and
+    its trailer here, after the worker is joined; in between only the
+    worker touches it, and it compresses the chunks in the order they
+    were written, with no flush among them. Deflate's output does not
+    depend on how its input is cut into calls, so neither the chunk
+    size nor the ``GzipFile``'s own write buffer (Python 3.12 on) is
+    in the bytes.
     """
     if not path.endswith(".gz"):
         with open(path, mode, encoding="utf-8") as handle:
@@ -172,13 +243,11 @@ def open_text(path: str, mode: str = "r") -> Iterator[IO[str]]:
         with gzip.open(path, "rt", encoding="utf-8") as handle:
             yield handle
     else:
-        # The BufferedWriter batches per-line writes and keeps the text
-        # layer's closing flush() away from the GzipFile, where it would
-        # append a sync-flush block and change the bytes.
         with open(path, "wb") as raw, gzip.GzipFile(
             fileobj=raw, mode="wb", mtime=0, filename=""
         ) as packed, io.TextIOWrapper(
-            io.BufferedWriter(packed, 1 << 16), encoding="utf-8", newline="\n"
+            io.BufferedWriter(_DeflateThread(packed), _DEFLATE_CHUNK),
+            encoding="utf-8", newline="\n",
         ) as handle:
             yield handle
 

@@ -52,7 +52,10 @@ class TimerHandle:
     Returned by :meth:`SimulationEngine.call_at` / ``call_in``. Calling
     :meth:`cancel` guarantees the callback never runs; the heap entry is
     dropped lazily (on pop, or during compaction). Once the callback has
-    run, :meth:`cancel` does nothing.
+    run, :meth:`cancel` does nothing. A fired or cancelled handle holds
+    neither the callback nor its argument: a :class:`Timeout`'s
+    callback is its own ``succeed``, and the cycle through the handle
+    would otherwise be left to the garbage collector.
     """
 
     __slots__ = ("when", "fn", "arg", "cancelled", "_engine")
@@ -78,6 +81,7 @@ class TimerHandle:
         engine, self._engine = self._engine, None
         if engine is not None:
             self.cancelled = True
+            self.fn = self.arg = None
             engine._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -264,13 +268,14 @@ class SimulationEngine:
                 self._cancelled -= 1
                 continue
             handle._engine = None  # it fires: a later cancel() is a no-op
+            fn, arg = handle.fn, handle.arg
+            handle.fn = handle.arg = None  # no Timeout -> handle -> succeed cycle
             self._now = when
             self.events_processed += 1
-            arg = handle.arg
             if arg is _NO_ARG:
-                handle.fn()
+                fn()
             else:
-                handle.fn(arg)
+                fn(arg)
             return
         raise SimulationError("step() called on an empty event heap")
 

@@ -5,8 +5,11 @@ renderer bindings out of ``repro.obs``."""
 
 import ast
 import gzip
+import io
 import json
+import random
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,7 @@ from repro.obs import (
     write_jsonl,
     write_metrics,
 )
+from repro.obs import export
 from repro.obs.analyze import read_trace_file
 from repro.obs.export import (
     SCHEMA_VERSION,
@@ -35,6 +39,7 @@ from repro.obs.export import (
     metrics_json,
     open_text,
     read_artifact,
+    write_text,
 )
 from repro.util.units import MB
 
@@ -243,6 +248,85 @@ class TestSharedErrorType:
         not_gzip.write_text('{"kind": "header", "schema_version": "1.0"}\n')
         with pytest.raises(ArtifactError, match="cannot read"):
             read_artifact(str(not_gzip))
+
+
+CHUNK = export._DEFLATE_CHUNK
+
+
+def one_shot_gzip(data: bytes) -> bytes:
+    """``data`` through one ``GzipFile.write``: what a ``.gz`` artefact
+    must hold, however its text reached the deflate thread."""
+    out = io.BytesIO()
+    with gzip.GzipFile(fileobj=out, mode="wb", mtime=0, filename="") as packed:
+        packed.write(data)
+    return out.getvalue()
+
+
+def noise(size: int) -> str:
+    """``size`` characters that deflate only about halves."""
+    return random.Random(size).randbytes(size // 2 + 1).hex()[:size]
+
+
+class _FullDisk(io.BytesIO):
+    """Takes the 10-byte gzip header, then refuses every write; notes
+    the threads that tried."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.refused: set[str] = set()
+
+    def write(self, data) -> int:
+        if self.tell() >= 10:
+            self.refused.add(threading.current_thread().name)
+            raise OSError(28, "No space left on device")
+        return super().write(data)
+
+
+class TestDeflateThread:
+    """``.gz`` artefacts are deflated on a second thread: same bytes, and
+    no thread left behind."""
+
+    @pytest.mark.parametrize(
+        "size", [0, 1, CHUNK, CHUNK + 1, 5 * CHUNK + 17],
+        ids=["empty", "one-byte", "one-chunk", "chunk-and-a-byte", "several-chunks"],
+    )
+    def test_bytes_equal_one_gzip_write(self, size, tmp_path):
+        text = noise(size)
+        before = threading.active_count()
+        write_text(text, str(tmp_path / "a.gz"))
+        assert threading.active_count() == before
+        assert (tmp_path / "a.gz").read_bytes() == one_shot_gzip(text.encode())
+        # The same text as many small pieces: the same bytes.
+        write_text((text[i:i + 1000] for i in range(0, size, 1000)), str(tmp_path / "b.gz"))
+        assert (tmp_path / "b.gz").read_bytes() == (tmp_path / "a.gz").read_bytes()
+
+    def test_a_failing_file_fails_the_write_and_the_thread_ends(self, tmp_path, monkeypatch):
+        disk = _FullDisk()
+        monkeypatch.setattr(export, "open", lambda path, mode: disk, raising=False)
+        before = threading.active_count()
+        # Sixteen chunks: were the worker to stop taking them after the
+        # error, the writer would wait on a full queue forever.
+        with pytest.raises(OSError, match="No space left on device"):
+            write_text(noise(16 * CHUNK), str(tmp_path / "full.gz"))
+        assert "repro-deflate" in disk.refused
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        records = [{"kind": "event", "n": n} for n in range(1000)]
+        path = str(tmp_path / "after.jsonl.gz")
+        write_jsonl(records, path)
+        assert read_artifact(path)[1] == records
+        assert threading.active_count() == before
+
+    def test_a_failing_writer_ends_the_thread(self, tmp_path):
+        def records():
+            for n in range(100_000):
+                yield {"n": n, "pad": "x" * 40}
+            raise ValueError("the records ran dry")
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="ran dry"):
+            write_jsonl(records(), str(tmp_path / "cut.jsonl.gz"))
+        assert threading.active_count() == before
 
 
 class TestArtefactFormatSeam:

@@ -7,6 +7,7 @@ qualitative shapes hold — who wins, by roughly what factor, where the
 crossovers fall — and the result structure the harness relies on.
 """
 
+import hashlib
 import os
 import statistics
 import subprocess
@@ -65,6 +66,35 @@ class TestRecord:
                 expected = out if expected is None else expected
                 assert (out, process.returncode) == (expected, 0), process.args
         assert expected.count("\n") == 400 and "full" not in expected
+
+    def test_obs_out_holds_the_same_bytes_on_every_interpreter(self, tmp_path):
+        """Every file ``repro dfsio --obs-out`` writes, by sha256. Its
+        ``.gz`` streams also pin what the deflate thread relies on:
+        deflate's output does not depend on how its input is cut, here
+        into the text layer's chunks and, from 3.12, ``GzipFile``'s own
+        write buffer."""
+        pythons = [sys.executable, sys.executable] + [
+            python for python in OTHER_PYTHONS if Path(python).exists()
+        ]
+        started = []
+        for index, (python, hash_seed) in enumerate(zip(pythons, ("1", "7", "random", "random"))):
+            out = tmp_path / f"run-{index}"
+            command = [python, "-m", "repro", "dfsio", "--size", "256MB", "-d", "3",
+                       "--seed", "0", "--obs-out", str(out)]
+            started.append((out, subprocess.Popen(
+                command, cwd=TOOL.ROOT / "src", stdout=subprocess.DEVNULL,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            )))
+        written = set()
+        for out, process in started:
+            assert process.wait(timeout=120) == 0, process.args
+            written.add(tuple(
+                (path.relative_to(out).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest())
+                for path in sorted(out.rglob("*")) if path.is_file()
+            ))
+        assert len(written) == 1
+        names = {name for name, _ in written.pop()}
+        assert {"trace.jsonl.gz", "ledger.jsonl.gz", "metrics.json"} <= names
 
     def test_tool_diffs_a_stale_block_and_rewrites_it(self, tmp_path, monkeypatch, capsys):
         committed = TOOL.DOC.read_text()

@@ -130,3 +130,26 @@ def test_placement_phases_time_the_decisions_they_do_not_change():
     assert all(seconds > 0 for seconds in spent.values())
     assert sum(spent.values()) < total
     assert digest == tool.one_round()[2]
+
+
+def test_gc_times_collections_and_names_the_cyclic_garbage():
+    done = run_tool("meta_churn", "--scale", "tiny", "--gc", "--top", "4")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    head = lines.index(next(line for line in lines if line.startswith("garbage collections in")))
+    rows = {line.split()[0]: line.split()[1:] for line in lines[head + 2:head + 6]}
+    assert set(rows) == {"0", "1", "2", "all"}
+    assert int(rows["all"][0]) == sum(int(rows[str(g)][0]) for g in range(3)) > 0
+    garbage = next(line for line in lines if line.startswith("cyclic garbage"))
+    listed = lines[lines.index(garbage) + 1:]
+    kinds = {line.split()[1]: int(line.split()[0]) for line in listed if line.startswith("   ")}
+    # A finished flow and its completion event hold each other; a fired
+    # timeout no longer holds its handle's callback, so none is left.
+    assert kinds["repro.sim.flows.Flow"] == kinds["repro.sim.events.Event"] > 0
+    assert "repro.sim.events.Timeout" not in kinds
+    assert int(garbage.split("(")[1].split()[0]) >= sum(kinds.values())
+    assert "Ordered by" not in done.stdout
+    assert "sim_makespan_s = " in done.stdout
+    # One way to run the region at a time.
+    refused = run_tool("meta_churn", "--gc", "--memory")
+    assert refused.returncode != 0 and "pick one" in refused.stderr

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine and its events."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
@@ -301,3 +303,28 @@ class TestTimerHandles:
         engine.run()
         assert engine.now == 1.0
         assert not timeout.triggered
+
+    def test_fired_and_cancelled_timeouts_leave_no_cyclic_garbage(self):
+        # A Timeout holds its handle and the handle held the timeout's
+        # bound succeed: a cycle only the collector could free, one per
+        # timeout. With collection off, nothing may be left for it.
+        def waiter(engine):
+            for _ in range(1000):
+                yield engine.timeout(1.0)
+
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            engine = SimulationEngine()
+            engine.timeout(5.0).handle.cancel()
+            engine.run(engine.process(waiter(engine)))
+            assert engine.now == 1000.0
+            del engine
+            gc.collect()
+            garbage = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert garbage == []

@@ -10,7 +10,7 @@ under a simulator-only change.
     python tools/profile_workload.py NAME [--seed N] [--scale full|tiny]
                                           [--sort tottime|cumulative] [--top K]
                                           [--callers REGEX] [--memory] [--fills]
-                                          [--setup]
+                                          [--gc] [--setup]
 
 ``--setup`` profiles (or, with ``--memory``, traces) ``setup()`` instead
 — what ``run.py`` reports as ``setup_s`` — and runs ``run()`` unprofiled
@@ -43,6 +43,13 @@ resources idle and rated nothing; with the rates each kind of plan
 assigned and the host time spent in its round loops. It is the measure
 of ROADMAP item 8(b).
 
+``--gc`` runs the region unprofiled and prints the garbage collector's
+work in it: collections and seconds per generation, timed through
+``gc.callbacks``. It then builds the workload again and runs the region
+with collection disabled and ``gc.DEBUG_SAVEALL`` set, and prints the
+cyclic garbage the region left — objects only the collector could
+free — by type, the top ``K`` types: what the collections were for.
+
 ``cProfile`` taxes every Python call and no native one, so read the
 table for *which* functions to look at and measure the change itself
 with ``benchmarks/e2e/run.py``.
@@ -58,6 +65,7 @@ import resource
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from typing import Callable
 
@@ -192,6 +200,59 @@ def print_fills(run: Callable[[], None], region: str) -> None:
     print(f"  {'all':<14} {plans:>8} {rates:>15} {seconds * 1e3:>17.1f}")
 
 
+def print_gc(run: Callable[[], None], region: str) -> None:
+    """Run ``run`` and print the collections in it and the host seconds
+    they took, per generation."""
+    rows = [[0, 0.0] for _ in range(3)]
+    began = 0.0
+
+    def timed(phase: str, info: dict) -> None:
+        nonlocal began
+        if phase == "start":
+            began = time.perf_counter()
+        else:
+            row = rows[info["generation"]]
+            row[0] += 1
+            row[1] += time.perf_counter() - began
+
+    gc.callbacks.append(timed)
+    try:
+        started = time.perf_counter()
+        run()
+        elapsed = time.perf_counter() - started
+    finally:
+        gc.callbacks.remove(timed)
+    print(f"garbage collections in {region} ({elapsed:.3f} s host, collections included):")
+    print(f"  {'generation':<10} {'collections':>12} {'seconds':>9}")
+    for generation, (count, seconds) in enumerate(rows):
+        print(f"  {generation:<10} {count:>12} {seconds:>9.4f}")
+    print(f"  {'all':<10} {sum(r[0] for r in rows):>12} {sum(r[1] for r in rows):>9.4f}")
+
+
+def print_garbage(run: Callable[[], None], top: int, region: str) -> None:
+    """Run ``run`` with collection disabled and every unreachable object
+    kept (``gc.DEBUG_SAVEALL``); print the cyclic garbage it left, the
+    ``top`` types by count."""
+    gc.collect()  # what set-up left is freed, not counted
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        kinds = Counter(map(type, gc.garbage))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    print(f"cyclic garbage {region} left ({sum(kinds.values())} objects, "
+          f"collection disabled); top {top} types:")
+    for kind, count in kinds.most_common(top):
+        name = kind.__qualname__
+        if kind.__module__ != "builtins":
+            name = f"{kind.__module__}.{name}"
+        print(f"  {count:>9}  {name}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("name", help="a workload of BENCHMARK.json (dfsio_wide, meta_churn, tier_shift, ...)")
@@ -205,18 +266,26 @@ def main(argv: list[str] | None = None) -> int:
                         help="trace the heap with tracemalloc instead of profiling calls")
     parser.add_argument("--fills", action="store_true",
                         help="count the flow layer's plans by kind instead of profiling calls")
+    parser.add_argument("--gc", action="store_true",
+                        help="time the garbage collector's work and count the cyclic garbage "
+                        "instead of profiling calls")
     parser.add_argument("--setup", action="store_true",
                         help="profile (or trace) setup() instead of the timed region")
     args = parser.parse_args(argv)
-    if args.callers and (args.memory or args.fills):
-        parser.error("--callers reads the call profile, which --memory and --fills replace")
-    if args.memory and args.fills:
-        parser.error("--memory and --fills are two ways to run the region; pick one")
+    if args.callers and (args.memory or args.fills or args.gc):
+        parser.error("--callers reads the call profile, which --memory, --fills and --gc replace")
+    if args.memory + args.fills + args.gc > 1:
+        parser.error("--memory, --fills and --gc are ways to run the region; pick one")
 
     region = "set-up" if args.setup else "the timed region"
     if args.fills:
         sim = profile(args.name, args.seed, args.scale,
                       lambda run: print_fills(run, region), args.setup)
+    elif args.gc:
+        sim = profile(args.name, args.seed, args.scale,
+                      lambda run: print_gc(run, region), args.setup)
+        profile(args.name, args.seed, args.scale,
+                lambda run: print_garbage(run, args.top, region), args.setup)
     elif args.memory:
         print(f"ru_maxrss before set-up: {maxrss_mb():.1f} MB")
         try:
