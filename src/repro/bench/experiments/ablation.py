@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from repro.bench.tables import format_table
 from repro.cluster.cluster import Cluster
@@ -57,6 +59,11 @@ def run(scale: float = 1.0, seed: int = 0) -> AblationResult:
     result.sections.append(_rack_pruning(seed))
     result.sections.append(_memory_cap(seed))
     return result
+
+
+def _mean(values: list[float]) -> float:
+    """A left fold from ``0``, as ``repro.core`` sums floats."""
+    return reduce(add, values, 0) / len(values)
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +109,7 @@ def _greedy_vs_exhaustive(scale: float, seed: int):
         optimal_hits += math.isclose(g_score, o_score, rel_tol=1e-9)
     rows = [
         ["instances", instances],
-        ["greedy score / optimal score (mean)", sum(ratios) / len(ratios)],
+        ["greedy score / optimal score (mean)", _mean(ratios)],
         ["greedy score / optimal score (max)", max(ratios)],
         ["greedy found exact optimum", f"{optimal_hits}/{instances}"],
         [
@@ -121,8 +128,10 @@ def _greedy_vs_exhaustive(scale: float, seed: int):
 # 2. Log-scaled vs raw throughput objective
 # ----------------------------------------------------------------------
 def _raw_throughput(media, ctx):
-    return sum(
-        ctx.write_throughput_of(m) / ctx.max_write_throughput for m in media
+    return reduce(
+        add,
+        (ctx.write_throughput_of(m) / ctx.max_write_throughput for m in media),
+        0,
     )
 
 
@@ -196,7 +205,7 @@ def _rack_pruning(seed: int):
         rows.append(
             [
                 label,
-                sum(ft_scores) / len(ft_scores),
+                _mean(ft_scores),
                 min(ft_scores),
             ]
         )

@@ -14,6 +14,8 @@ node-local.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from repro.bench.deployments import build_deployment
 from repro.bench.tables import format_table
@@ -60,7 +62,7 @@ class Fig2Result:
             ),
         ]
         if self.localities:
-            avg = sum(self.localities) / len(self.localities)
+            avg = reduce(add, self.localities, 0) / len(self.localities)
             parts.append(f"mean node-local read fraction: {avg:.2f} (paper: ~1/3)")
         return "\n\n".join(parts)
 

@@ -15,6 +15,8 @@ executor caching already absorbs much of the I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from repro.bench.deployments import build_deployment
 from repro.bench.tables import format_table
@@ -40,10 +42,15 @@ class Fig6Result:
         hadoop = [row[2] for row in self.rows]
         spark = [row[3] for row in self.rows]
         summary = (
-            f"mean normalized time: hadoop={sum(hadoop)/len(hadoop):.2f} "
-            f"(paper ~0.65), spark={sum(spark)/len(spark):.2f} (paper ~0.83)"
+            f"mean normalized time: hadoop={_mean(hadoop):.2f} "
+            f"(paper ~0.65), spark={_mean(spark):.2f} (paper ~0.83)"
         )
         return table + "\n" + summary
+
+
+def _mean(values: list[float]) -> float:
+    """A left fold from ``0``, as ``repro.core`` sums floats."""
+    return reduce(add, values, 0) / len(values)
 
 
 def _scaled(workload: HiBenchWorkload, scale: float) -> HiBenchWorkload:

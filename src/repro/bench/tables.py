@@ -57,7 +57,7 @@ def format_report(data: dict) -> str:
     >>> print(format_report({"chain": {"complete": True, "delay": 0.5}}))
     chain:
       complete: True
-      delay: 0.50
+      delay: 0.500
 
     a list of flat records, or a mapping whose values are flat records
     (the key becomes the first column), is one table, and a short list
@@ -134,7 +134,19 @@ def _inline(value: object) -> str:
         return ", ".join(f"{k}={_inline(v)}" for k, v in value.items()) or "-"
     if isinstance(value, list):
         return ", ".join(map(_inline, value)) or "-"
-    return "-" if value is None else _fmt(value)
+    return "-" if value is None else _cell(value)
+
+
+def _cell(value: object) -> str:
+    """A report cell: ``_fmt``, except that a float below 1 keeps three
+    significant digits instead of rounding to ``0.00``.
+
+    >>> [_cell(v) for v in (0.0032, 0.5, 0.0, 2.5, 3381447884.8)]
+    ['0.00320', '0.500', '0.00', '2.50', '3381447884.8']
+    """
+    if isinstance(value, float) and 0 < abs(value) < 1:
+        return f"{value:#.3g}"
+    return _fmt(value)
 
 
 def format_series(

@@ -408,12 +408,10 @@ def _record_decision(
         # its attrs explicitly, so traces stay byte-identical.
         decision["entries"] = entries_detail
     obs.last_placement = decision
-    obs.metrics.counter("placement_decisions_total").inc()
     for tier in sorted({m.tier_name for m in chosen}):
         obs.metrics.counter("placement_replicas_total", tier=tier).inc(
             sum(1 for m in chosen if m.tier_name == tier)
         )
-    obs.metrics.histogram("placement_score").observe(score)
     obs.tracer.event(
         "placement.decision",
         replicas=len(chosen),

@@ -177,7 +177,6 @@ class Master:
             self.mark_dirty(record.worker.block_report())
             if obs.enabled:
                 obs.tracer.event("worker.reconciled", worker=report.node_name)
-                obs.metrics.counter("workers_reconciled_total").inc()
         if record.dead and not record.worker.node.failed:
             record.dead = False  # worker re-joined
             if obs.enabled:
@@ -232,9 +231,6 @@ class Master:
                 self.mark_dirty(record.worker.block_report())
                 if obs.enabled:
                     obs.tracer.event("worker.silent", worker=node.name)
-                    obs.metrics.counter("workers_declared_silent_total").inc()
-                if obs.ledger is not None:
-                    obs.ledger.on_liveness("silent", node.name)
         self._publish_reachable()
         return expired
 
@@ -255,9 +251,6 @@ class Master:
             self.mark_dirty(record.worker.block_report())
             if obs.enabled:
                 obs.tracer.event("worker.dead", worker=name)
-                obs.metrics.counter("workers_declared_dead_total").inc()
-            if obs.ledger is not None:
-                obs.ledger.on_liveness("dead", name)
         self._publish_reachable()
 
     def _publish_reachable(self) -> None:
@@ -435,7 +428,6 @@ class Master:
                     )
                 except Exception as exc:
                     span.end("error", error=type(exc).__name__)
-                    obs.metrics.counter("allocations_failed_total").inc()
                     raise
             span.annotate(
                 targets=[m.medium_id for m in targets],
@@ -444,7 +436,6 @@ class Master:
             if obs.last_placement is not None:
                 span.annotate(placement_score=obs.last_placement["score"])
             span.end()
-            obs.metrics.counter("allocations_total").inc()
             alloc_span = span
         else:
             targets = self.placement_policy.choose_targets(self.cluster, request)
@@ -734,7 +725,6 @@ class Master:
                 self.missing_blocks.add(block_id)
                 if self.obs.enabled:
                     self.obs.tracer.event("repair.missing", block=meta.label)
-                    self.obs.metrics.counter("blocks_missing_total").inc()
             return []
         self.missing_blocks.discard(block_id)
         actions = analyze_block(meta.inode.rep_vector, live)
@@ -787,7 +777,6 @@ class Master:
                     block=meta.label,
                     tier=tier,
                 )
-                self.obs.metrics.counter("repairs_deferred_total").inc()
             return None
         destination = targets[0]
         # Copy from the most efficient source, judged by the retrieval
@@ -857,15 +846,13 @@ class Master:
             self.attach_replica(meta, replica)
         except Exception as exc:
             self._dirty_blocks.add(meta.block.block_id)
-            if span is not None and obs.enabled:
+            if span is not None:
                 span.end("error", error=type(exc).__name__)
-                obs.metrics.counter("repairs_failed_total").inc()
             if obs.ledger is not None:
                 obs.ledger.on_repair_outcome(ledger_rec, "failed")
             return None
-        if span is not None and obs.enabled:
+        if span is not None:
             span.end()
-            obs.metrics.counter("repairs_completed_total").inc()
         if obs.ledger is not None:
             obs.ledger.on_repair_outcome(ledger_rec, "completed")
         # Re-examine: more additions may be pending, or now-excess copies.

@@ -219,21 +219,14 @@ class FSDataOutputStream:
             except Exception as exc:
                 master.abort_block(block, replicas)
                 failures += 1
-                if span is not None and obs.enabled:
+                if span is not None:
                     span.end("error", error=type(exc).__name__)
-                    obs.metrics.counter("block_writes_failed_total").inc()
                 if failures > _PIPELINE_RETRIES:
                     raise
                 continue
             master.commit_block(block, payload, replicas)
             self.bytes_written += payload
-            if span is not None and obs.enabled:
-                for replica in replicas:
-                    obs.metrics.counter(
-                        "bytes_written_total", tier=replica.tier_name
-                    ).inc(payload)
-                obs.metrics.counter("blocks_written_total").inc()
-                obs.metrics.histogram("block_write_seconds").observe(span.duration)
+            if span is not None:
                 span.end()
             return
 
@@ -322,8 +315,6 @@ class FSDataInputStream:
                     block.block_id, replica.medium.medium_id
                 )
                 last_error = exc
-                if span is not None and obs.enabled:
-                    obs.metrics.counter("read_failovers_total").inc()
                 continue
             resources = read_resources(
                 self._system.cluster.topology, replica.medium, self._client_node
@@ -342,27 +333,12 @@ class FSDataInputStream:
                 yield flow.completed
             except Exception as exc:  # worker died mid-read
                 last_error = exc
-                if span is not None and obs.enabled:
-                    obs.metrics.counter("read_failovers_total").inc()
                 continue
-            if span is not None and obs.enabled:
-                tier = replica.tier_name
-                obs.metrics.counter("bytes_read_total", tier=tier).inc(
-                    block.size
-                )
-                obs.metrics.counter("tier_read_hits_total", tier=tier).inc()
-                obs.metrics.counter("blocks_read_total").inc()
-                obs.metrics.histogram("block_read_seconds").observe(
-                    span.duration
-                )
-                obs.metrics.histogram(
-                    "tier_read_seconds", tier=tier
-                ).observe(span.duration)
-                span.end(tier=tier, attempts=attempts)
+            if span is not None:
+                span.end(tier=replica.tier_name, attempts=attempts)
             return verified
-        if span is not None and obs.enabled:
+        if span is not None:
             span.end("error", attempts=attempts)
-            obs.metrics.counter("block_reads_failed_total").inc()
         raise RetrievalError(
             f"all replicas of block {block.block_id} failed"
         ) from last_error

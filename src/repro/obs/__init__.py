@@ -16,18 +16,22 @@ Typical enablement::
 
 Observability has one off switch. While it is off, ``obs.tracer`` and
 ``obs.metrics`` are ``None``; while nothing is attached, so are
-``obs.recorder`` and ``obs.ledger``. Every instrumented call site
-checks the state it feeds at the moment it feeds::
+``obs.recorder`` and ``obs.ledger``. An instrumented call site emits
+its span or event once and names no metric: the tracer derives the
+record's counters and histograms, and its fault and liveness feeds to
+the attached observers, from one catalog (:mod:`repro.obs.catalog`).
+A site checks the state it feeds at the moment it feeds::
 
     obs = self.obs
     if obs.enabled:
-        obs.metrics.counter("bytes_written_total", tier=tier).inc(n)
+        obs.tracer.event("repair.missing", block=label)
     if obs.ledger is not None:
         obs.ledger.on_delete(path, blocks=n)
 
-A span that outlives a ``yield`` is ended under
-``span is not None and obs.enabled``: once :meth:`Observability.disable`
-has run, nothing can read the tracer that span belongs to.
+A span that outlives a ``yield`` is ended under ``span is not None``
+alone: the span holds the tracer it was opened on, and that tracer the
+registry it was enabled with, so a span ended after a ``disable()``
+(and any ``enable()``) lands beside its own trace, where nothing reads.
 
 See ``docs/OBSERVABILITY.md`` for the metric catalog and span taxonomy.
 """
@@ -166,7 +170,7 @@ class Observability:
         if not self.enabled:
             self.enabled = True
             self.metrics = MetricsRegistry(self._clock)
-            self.tracer = Tracer(self._clock)
+            self.tracer = Tracer(self._clock, self.metrics, self)
         return self
 
     def disable(self) -> "Observability":

@@ -42,7 +42,6 @@ from repro.obs.export import LEDGER_ACTION_KEYS, write_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracing import Span
-    from repro.sim.faults import FaultRecord
 
 __all__ = [
     "ProvenanceLedger",
@@ -152,26 +151,23 @@ class ProvenanceLedger:
     # ------------------------------------------------------------------
     # Context feeds (not decisions themselves; evidence for them)
     # ------------------------------------------------------------------
-    def on_fault(self, record: "FaultRecord") -> None:
-        """Fed by :meth:`repro.sim.faults.FaultInjector._record`."""
-        self._context.append(
-            {
-                "time": record.time,
-                "kind": "fault." + record.kind,
-                "target": record.target,
-                "detail": record.detail,
-            }
-        )
+    def on_fault(self, event: dict) -> None:
+        """Fed by the catalog from each ``fault.<kind>`` trace event."""
+        attrs = event["attrs"]
+        self._remember(event, attrs["target"], attrs["detail"])
 
-    def on_liveness(self, verdict: str, worker: str) -> None:
-        """Fed by :meth:`~repro.fs.master.Master.declare_dead` and
-        :meth:`~repro.fs.master.Master.check_worker_liveness`."""
+    def on_liveness(self, event: dict) -> None:
+        """Fed by the catalog from each ``worker.dead`` and
+        ``worker.silent`` trace event."""
+        self._remember(event, event["attrs"]["worker"], "")
+
+    def _remember(self, event: dict, target: str, detail: str) -> None:
         self._context.append(
             {
-                "time": self.obs.now(),
-                "kind": "worker." + verdict,
-                "target": worker,
-                "detail": "",
+                "time": event["time"],
+                "kind": event["name"],
+                "target": target,
+                "detail": detail,
             }
         )
 

@@ -54,7 +54,6 @@ from repro.obs.export import SCHEMA_VERSION, canonical_json, write_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.system import OctopusFileSystem
-    from repro.sim.faults import FaultRecord
 
 __all__ = [
     "RecorderConfig",
@@ -295,12 +294,13 @@ class FlightRecorder:
             }
         )
 
-    def on_fault(self, record: "FaultRecord") -> None:
-        """Fed by :meth:`repro.sim.faults.FaultInjector._record`: a
+    def on_fault(self, event: dict) -> None:
+        """Fed by the catalog from each ``fault.<kind>`` trace event: a
         damaging fault opens an incident. The fault itself reaches the
-        bundle through its ``fault.<kind>`` trace event."""
-        if not is_heal(record.kind, record.detail):
-            self.trigger("fault", f"{record.kind} {record.target}")
+        bundle through that event."""
+        fault = _fault(event)
+        if not is_heal(fault["kind"], fault["detail"]):
+            self.trigger("fault", f"{fault['kind']} {fault['target']}")
 
     def on_alert(self, record: dict) -> None:
         """Fed by every :class:`~repro.obs.slo.AlertSink` transition."""

@@ -219,7 +219,6 @@ class AlertSink:
                 group=group,
                 **details,
             )
-            obs.metrics.counter("alerts_total", alert=name, state=state).inc()
         return record
 
     def firing(self) -> list[str]:

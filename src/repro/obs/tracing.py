@@ -18,14 +18,24 @@ creation time.
 
 Finished spans and point events are appended to ``tracer.records`` as
 plain dicts in completion order; :mod:`repro.obs.export` serializes them
-to JSONL. There is no disabled tracer: while observability is off,
-``obs.tracer`` is ``None`` and every feed site checks ``obs.enabled``
-first.
+to JSONL. Right after the append, :func:`repro.obs.catalog.derive`
+applies what the record implies to the tracer's registry and observers,
+so a feed site emits a record and names no metric. There is no disabled
+tracer: while observability is off, ``obs.tracer`` is ``None`` and every
+feed site checks ``obs.enabled`` before it opens a span or emits an
+event; a span it holds across a ``yield`` it ends under
+``span is not None``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+from repro.obs.catalog import derive
+from repro.obs.registry import MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs import Observability
 
 
 class Span:
@@ -79,11 +89,9 @@ class Span:
         }
         if self.attrs:
             record["attrs"] = self.attrs
-        self.tracer.records.append(record)
-
-    @property
-    def duration(self) -> float:
-        return self.tracer.now() - self.start
+        tracer = self.tracer
+        tracer.records.append(record)
+        derive(tracer, record)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Span({self.name!r}, id={self.span_id}, trace={self.trace_id})"
@@ -107,13 +115,25 @@ class _SpanScope:
 
 
 class Tracer:
-    """Span factory emitting deterministic records in completion order."""
+    """Span factory emitting deterministic records in completion order.
 
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
+    ``metrics`` is the registry the records' catalog entries feed (a
+    fresh one when none is given) and ``obs`` the bundle whose attached
+    recorder and ledger they feed (none for a bare tracer).
+    """
+
+    def __init__(
+        self,
+        clock: Callable[[], float] | None = None,
+        metrics: MetricsRegistry | None = None,
+        obs: "Observability | None" = None,
+    ) -> None:
         self._clock = clock or (lambda: 0.0)
         self._next_id = 1
         self._stack: list[Span] = []
         self.records: list[dict] = []
+        self.metrics = metrics if metrics is not None else MetricsRegistry(clock)
+        self.obs = obs
 
     def now(self) -> float:
         return self._clock()
@@ -153,3 +173,4 @@ class Tracer:
         if attrs:
             record["attrs"] = attrs
         self.records.append(record)
+        derive(self, record)

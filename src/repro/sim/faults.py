@@ -231,21 +231,15 @@ class FaultInjector:
         record = FaultRecord(self.system.engine.now, kind, target, detail)
         self.trace.append(record)
         # Mirror into the observability trace stream so chaos runs can
-        # correlate injected faults with the degradation they cause.
+        # correlate injected faults with the degradation they cause; the
+        # event also feeds the flight recorder (which opens an incident
+        # on a damaging fault) and the provenance ledger (which keeps it
+        # as context for the repair decisions that follow).
         obs = self.system.cluster.obs
         if obs.enabled:
             obs.tracer.event(
                 "fault." + kind, target=target, detail=detail
             )
-            obs.metrics.counter("faults_injected_total", kind=kind).inc()
-        # The flight recorder sees every applied fault (and opens an
-        # incident on damaging ones).
-        if obs.recorder is not None:
-            obs.recorder.on_fault(record)
-        # The provenance ledger keeps it as triggering context for the
-        # repair decisions that follow.
-        if obs.ledger is not None:
-            obs.ledger.on_fault(record)
 
     def trace_lines(self) -> list[str]:
         """The applied-fault log as canonical strings (seed-stable)."""

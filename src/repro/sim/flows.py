@@ -610,7 +610,6 @@ class FlowScheduler:
             flow.finished_at = now
             if flow.span is not None:
                 flow.span.end("ok")
-                obs.metrics.counter("flows_completed_total").inc()
             flow.completed.succeed(flow)
             return flow
         self.active[flow] = None
@@ -627,9 +626,8 @@ class FlowScheduler:
         _materialize(flow, now)
         self._detach(flow)
         flow.finished_at = now
-        if flow.span is not None and self.obs.enabled:
+        if flow.span is not None:
             flow.span.end("cancelled", transferred=flow.size - flow.remaining)
-            self.obs.metrics.counter("flows_cancelled_total").inc()
         flow.completed.fail(exception)
         self._reallocate(changed=flow.resources)
 
@@ -870,10 +868,8 @@ class FlowScheduler:
             flow.remaining = 0.0
             flow.last_advanced = flow.finished_at = now
             self.total_bytes_completed += flow.size
-            if flow.span is not None and self.obs.enabled:
+            if flow.span is not None:
                 flow.span.end("ok")
-                self.obs.metrics.counter("flows_completed_total").inc()
-                self.obs.metrics.counter("flow_bytes_total").inc(flow.size)
             flow.completed.succeed(flow)
         return [r for flow in due for r in flow.resources]
 

@@ -298,14 +298,6 @@ class TieringEngine:
                     heat=round(decision.action.heat, 6),
                     outcome=decision.outcome,
                 )
-                obs.metrics.counter(
-                    "tier_actions_total",
-                    kind=decision.action.kind,
-                    outcome=decision.outcome,
-                ).inc()
-                if decision.outcome == "conflict":
-                    # Lost CAS races are attributable, not silent.
-                    obs.metrics.counter("tiering_cas_conflicts_total").inc()
                 if ledger is not None:
                     ledger.on_tiering(
                         path=decision.action.path,

@@ -16,6 +16,8 @@ Fig. 3 throughput-over-time series can be reconstructed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Generator
 
 from repro.core.replication_vector import ReplicationVector
@@ -61,7 +63,7 @@ class DfsioResult:
             for nbytes, duration in self.task_stats
             if duration > 0
         ]
-        return sum(rates) / len(rates) if rates else 0.0
+        return reduce(add, rates, 0) / len(rates) if rates else 0.0
 
     def throughput_series(self, window: float) -> list[tuple[float, float]]:
         """Windowed per-worker throughput (MB/s) from the samples."""

@@ -198,9 +198,6 @@ class SLive:
         )
         obs = self.obs
         if obs.enabled:
-            obs.metrics.counter(
-                "slive_ops_total", system=result.system, op=op
-            ).inc(len(items))
             obs.tracer.event(
                 "workload.phase", workload="slive", system=result.system,
                 phase=op, ops=len(items),

@@ -508,9 +508,9 @@ PINNED_STDOUT = {
     "analyze": "672315c17d87083f90f30f9924866aba872a0071827a5999ce58042739c1b7e9",
     "postmortem": "e330f13d5a6715a378cddb131cec1242c559bee1bf89e214ef3f25f4b89309a5",
     "validate": "4652a0fdfbd0e983fe39574579b48e98ee8af5b71663981e018d95b231c921e6",
-    "analyze text": "8af69afaa827943ee92eb00bdcb323519afeac0cd07eb14ce343ecca5f79e7bc",
-    "postmortem text": "7f4d9bd3d2fd50b3cf56cc4b341ae2e328920a067926c79274337b57bf82230b",
-    "explain text": "b91e8b32c6ebb311290363f753cbdaa843febe7dc778596518066c901e8e2d64",
+    "analyze text": "7a2d9b5b0fd46acc1f1e8e1ddd2dc3c4c71a8db002344c9321cc250811373d87",
+    "postmortem text": "559d1525ef6bbba8cfaf89a637bf8475a5032c67b137b22161c2206542d5032c",
+    "explain text": "825abf8f822c269fa19cf5387b99698e2faba34e78e024757f11368a5254cdb0",
 }
 
 
@@ -553,3 +553,19 @@ def test_reading_verbs_print_pinned_bytes(seeded_obs_out, capsys):
         assert main(argv) == 0
         stdout = capsys.readouterr().out
         assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_STDOUT[verb], verb
+
+
+def test_analyze_text_keeps_three_significant_digits(seeded_obs_out, capsys):
+    """A sub-10 ms latency reads as its ``--json`` value, not ``0.00``:
+    the text view's ``client.read_block`` p50 is the JSON p50 to three
+    significant digits."""
+    trace = f"{seeded_obs_out}/trace.jsonl.gz"
+    assert main(["analyze", trace, "--json"]) == 0
+    p50 = json.loads(capsys.readouterr().out)["flame"]["client.read_block"]["p50"]
+    assert main(["analyze", trace]) == 0
+    (row,) = [
+        line.split() for line in capsys.readouterr().out.splitlines()
+        if line.split()[:1] == ["client.read_block"]
+    ]
+    # Columns: name, count, total, min, max, p50, ...
+    assert row[5] == f"{p50:#.3g}" == "0.00320"

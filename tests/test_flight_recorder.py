@@ -160,7 +160,7 @@ class TestRings:
         span = obs.tracer.start_span("client.read", tier="memory")
         clock.now = 0.5
         span.end()
-        obs.tracer.event("placement.decision")
+        obs.tracer.event("placement.decision", score=0.5)
         bundle = cut(recorder, clock)
         assert [s["name"] for s in bundle["spans"]] == ["client.read"]
         assert [e["name"] for e in bundle["events"]] == [
@@ -288,13 +288,21 @@ class TestRings:
 # ----------------------------------------------------------------------
 # Triggers and bundles
 # ----------------------------------------------------------------------
+def fault_event(time, kind, target, detail=""):
+    """A ``fault.<kind>`` trace event as the tracer records it."""
+    return {
+        "kind": "event", "name": "fault." + kind, "time": time,
+        "trace_id": None, "parent_id": None,
+        "attrs": {"target": target, "detail": detail},
+    }
+
+
 def apply_fault(recorder, obs, record):
-    """What the fault injector does per fault: a trace event, then the
-    recorder's trigger feed."""
+    """What the fault injector does per fault: a trace event, which
+    feeds the recorder's trigger through the metric catalog."""
     obs.tracer.event(
         "fault." + record.kind, target=record.target, detail=record.detail
     )
-    recorder.on_fault(record)
 
 
 def feed_incident(recorder, obs, clock):
@@ -329,9 +337,9 @@ class TestTriggers:
     def test_damaging_fault_opens_incident_heal_does_not(self):
         _, clock, recorder = make_recorder()
         clock.now = 1.0
-        recorder.on_fault(FaultRecord(1.0, "restart", "worker1"))
+        recorder.on_fault(fault_event(1.0, "restart", "worker1"))
         assert recorder.open_incident is None
-        recorder.on_fault(FaultRecord(1.0, "crash", "worker1"))
+        recorder.on_fault(fault_event(1.0, "crash", "worker1"))
         incident = recorder.open_incident
         assert incident is not None
         assert incident["triggers"][0]["reason"] == "fault"
@@ -374,7 +382,7 @@ class TestTriggers:
     def test_extra_triggers_append_to_open_incident(self):
         obs, clock, recorder = make_recorder()
         clock.now = 1.0
-        recorder.on_fault(FaultRecord(1.0, "crash", "worker1"))
+        recorder.on_fault(fault_event(1.0, "crash", "worker1"))
         clock.now = 1.5
         AlertSink(obs).emit("slo", "r", "firing", "page")
         incident = recorder.open_incident
@@ -390,10 +398,10 @@ class TestTriggers:
         _, clock, recorder = make_recorder(RecorderConfig(post_roll=0.5))
         for i in range(MAX_INCIDENTS):
             clock.now = float(i)
-            recorder.on_fault(FaultRecord(clock.now, "crash", "worker1"))
+            recorder.on_fault(fault_event(clock.now, "crash", "worker1"))
             recorder.flush()
         assert len(recorder.bundles) == MAX_INCIDENTS
-        recorder.on_fault(FaultRecord(clock.now, "crash", "worker2"))
+        recorder.on_fault(fault_event(clock.now, "crash", "worker2"))
         assert recorder.open_incident is None
         assert recorder.dropped_triggers == 1
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.core
+import repro
 from repro.cluster import Cluster, paper_cluster_spec
 from repro.core.objectives import (
     ALL_OBJECTIVES,
@@ -222,13 +222,30 @@ class TestGlobalCriterion:
             objective_vector(media, ctx, objectives=(name,))
 
 
-#: The builtin ``sum`` calls ``repro.core`` keeps, each over integer
-#: counts: (module, enclosing function, the call).
+#: The packages whose float sums are left folds from ``0``.
+FOLDED = ("core", "cluster", "obs/analyze.py", "workloads", "bench")
+
+#: The builtin ``sum`` calls those packages keep, each over integer
+#: counts: (module under ``src/repro``, enclosing function, the call).
 INTEGER_SUMS = {
-    ("moop.py", "_memory_rule", "sum((1 for m in placed if m.tier_name in volatile_tiers))"),
-    ("moop.py", "_record_decision", "sum((1 for m in chosen if m.tier_name == tier))"),
-    ("replication.py", "analyze_block", "sum(surplus.values())"),
-    ("replication_vector.py", "total_replicas", "sum(self._counts.values())"),
+    ("bench/experiments/ablation.py", "_greedy_vs_exhaustive", "sum(options)"),
+    ("bench/experiments/ablation.py", "_log_vs_raw_throughput", "sum(counts.values())"),
+    ("bench/experiments/ablation.py", "_memory_cap", "sum((m.remaining for m in cluster.tier('MEMORY').live_media))"),
+    ("cluster/media.py", "statistics", "sum((m.capacity for m in live))"),
+    ("cluster/media.py", "statistics", "sum((m.used for m in live))"),
+    ("cluster/media.py", "statistics", "sum((m.remaining for m in live))"),
+    ("cluster/media.py", "statistics", "sum((m.nr_connections for m in live))"),
+    ("core/moop.py", "_memory_rule", "sum((1 for m in placed if m.tier_name in volatile_tiers))"),
+    ("core/moop.py", "_record_decision", "sum((1 for m in chosen if m.tier_name == tier))"),
+    ("core/replication.py", "analyze_block", "sum(surplus.values())"),
+    ("core/replication_vector.py", "total_replicas", "sum(self._counts.values())"),
+    ("obs/analyze.py", "stragglers", "sum((1 for flow in flows if flow.span_id != node.span_id and flow.start < node.end and (flow.end > node.start)))"),
+    ("obs/analyze.py", "analyze_trace", "sum((1 for s in trace.spans.values() if s.status != 'ok'))"),
+    ("workloads/mapreduce.py", "run_job_proc", "sum((t.block.size for t in tasks))"),
+    ("workloads/pegasus.py", "_output_ratio", "sum((self.system.master.get_status(p).length for p in prev_outputs))"),
+    ("workloads/shift.py", "post_shift_hit_rate", "sum((phase.reads for phase in self.post_shift))"),
+    ("workloads/shift.py", "post_shift_hit_rate", "sum((phase.memory_hits for phase in self.post_shift))"),
+    ("workloads/spark.py", "run_job_proc", "sum((split.block.size for split in partitions))"),
 }
 
 
@@ -245,13 +262,20 @@ def sum_calls(tree, owner="<module>"):
 
 def test_core_sums_floats_as_left_folds():
     """From Python 3.12 the builtin ``sum`` of floats is compensated, so
-    it rounds differently from 3.11's: every float sum in ``repro.core``
-    is a left fold from ``0`` (3.11's ``sum``, on every interpreter), and
-    ``sum`` stays only over the integer counts listed here."""
-    root = Path(repro.core.__file__).parent
+    it rounds differently from 3.11's: every float sum in ``repro.core``,
+    ``repro.cluster``, ``repro.obs.analyze``, ``repro.workloads`` and
+    ``repro.bench`` is a left fold from ``0`` (3.11's ``sum``, on every
+    interpreter), and ``sum`` stays only over the integer counts listed
+    here."""
+    root = Path(repro.__file__).parent
+    paths = [
+        path
+        for part in FOLDED
+        for path in ([root / part] if part.endswith(".py") else (root / part).rglob("*.py"))
+    ]
     found = {
-        (path.name, *call)
-        for path in sorted(root.glob("*.py"))
+        (path.relative_to(root).as_posix(), *call)
+        for path in sorted(paths)
         for call in sum_calls(ast.parse(path.read_text()))
     }
     assert found == INTEGER_SUMS

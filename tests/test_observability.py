@@ -559,6 +559,44 @@ class TestOneOffSwitch:
         recorder.detach()
         assert recorder.bundles[-1]["spans"] == []
 
+    def test_span_across_a_disable_enable_cycle_counts_beside_its_trace(self):
+        """A one-block read whose span opens before a ``disable()`` /
+        ``enable()`` cycle and ends after it: the span holds the tracer
+        it was opened on, so its metrics land in that tracer's registry
+        beside its trace record, and the new registry counts nothing of
+        a read that is in none of its traces."""
+        fs = OctopusFileSystem(small_cluster_spec(seed=6))
+        obs = fs.obs.enable()
+        client = fs.client(on="worker1")
+        client.write_file(
+            "/cycle", size=4 * MB, rep_vector=ReplicationVector.of(hdd=2)
+        )
+        tracer, metrics = obs.tracer, obs.metrics
+        reader = fs.engine.process(
+            client.open("/cycle").read_proc(collect=False)
+        )
+
+        def cycle():
+            obs.disable()
+            obs.enable()
+
+        fs.engine.call_at(fs.engine.now + 0.001, cycle)
+        fs.engine.run(reader)
+
+        assert reader.ok and obs.metrics is not metrics
+        read = [r for r in tracer.records if r["name"] == "client.read_block"]
+        assert [r["status"] for r in read] == ["ok"]
+        assert metrics.find("counter", "blocks_read_total").value == 1
+        # The write's pipeline and the read.
+        assert metrics.find("counter", "flows_completed_total").value == 2
+        assert obs.tracer.records == []
+        derived = {
+            "blocks_read_total", "bytes_read_total", "tier_read_hits_total",
+            "block_read_seconds", "tier_read_seconds",
+            "flows_completed_total", "flow_bytes_total",
+        }
+        assert not derived & {i.name for i in obs.metrics.instruments()}
+
     def test_attach_after_disable_rejected_before_taking_the_slot(self):
         """An observer built while observability was on cannot attach
         once it is off: attach raises and leaves both slots empty, and

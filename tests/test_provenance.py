@@ -108,7 +108,11 @@ class TestRecords:
     def test_context_snapshot_is_bounded_and_copied(self):
         obs, ledger = make_ledger()
         for index in range(10):
-            ledger.on_liveness("dead", f"worker{index}")
+            ledger.on_liveness(
+                {"kind": "event", "name": "worker.dead", "time": 0.0,
+                 "trace_id": None, "parent_id": None,
+                 "attrs": {"worker": f"worker{index}"}}
+            )
         context = ledger.recent_context()
         assert len(context) == 5  # _CONTEXT_DEPTH
         assert context[-1]["target"] == "worker9"
