@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.util.units import format_bytes, format_rate
+
 
 def format_table(
     headers: Sequence[str],
@@ -101,7 +103,9 @@ def _report_lines(data: dict, indent: str) -> list[str]:
             for row in rows
         ):
             columns = list(dict.fromkeys(c for row in rows for c in row))
-            cells = [[_inline(row.get(c)) for c in columns] for row in rows]
+            cells = [
+                [_column_cell(c, row.get(c)) for c in columns] for row in rows
+            ]
             if isinstance(value, dict):
                 columns = [key, *columns]
                 cells = [[name, *row] for name, row in zip(value, cells)]
@@ -118,6 +122,24 @@ def _report_lines(data: dict, indent: str) -> list[str]:
                 )
                 lines += [indent + "  - " + block[0].lstrip(), *block[1:]]
     return lines
+
+
+def _column_cell(column: str, value: object) -> str:
+    """A table cell in its column's unit: a byte column (``*capacity``,
+    ``used``, ``remaining``, ``*_bytes``) through ``format_bytes``, a
+    ``*_throughput`` column through ``format_rate``.
+
+    >>> [_column_cell(c, v) for c, v in [("used", 0), ("total_capacity",
+    ...     38654705664), ("avg_read_throughput", 3381447884.8), ("n", 2)]]
+    ['0B', '36.00GB', '3224.8MB/s', '2']
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return _inline(value)
+    if column in ("used", "remaining") or column.endswith(("capacity", "_bytes")):
+        return format_bytes(value)
+    if column.endswith("_throughput"):
+        return format_rate(value)
+    return _inline(value)
 
 
 def _one_line(value: object) -> bool:

@@ -87,7 +87,6 @@ from repro.obs.slo import (
     default_read_rules,
 )
 from repro.obs.tracing import Span, Tracer
-from repro.obs.windows import QuantileSketch, WindowedCounts, WindowedSketch
 
 __all__ = [
     "Observability",
@@ -100,9 +99,6 @@ __all__ = [
     "write_jsonl",
     "validate",
     "ArtifactError",
-    "QuantileSketch",
-    "WindowedSketch",
-    "WindowedCounts",
     "LatencySlo",
     "AvailabilitySlo",
     "BurnRateRule",

@@ -21,18 +21,21 @@ There is no disabled registry: while observability is off,
 ``obs.metrics`` is ``None``, and every feed site checks ``obs.enabled``
 before it builds a label set or touches an instrument.
 
-Live consumers (the SLO monitor in :mod:`repro.obs.slo`) subscribe to
-instrument updates through :meth:`MetricsRegistry.watch` rather than
-polling snapshots: each ``(kind, name)`` pair carries one shared
-watcher list that matching instruments hold a reference to, so the
-per-update cost with no watchers registered is a single falsy check on
-the instrument's ``watchers`` slot.
+Live consumers (the SLO monitor in :mod:`repro.obs.slo` and the flight
+recorder) subscribe to counter and histogram updates through
+:meth:`MetricsRegistry.watch` rather than polling snapshots: each
+``(kind, name)`` pair carries one shared watcher list that matching
+instruments hold a reference to, so the per-update cost with no
+watchers registered is a single falsy check on the instrument's
+``watchers`` slot. Gauges and time series have no watchers.
 """
 
 from __future__ import annotations
 
 from array import array
 from typing import Callable, Iterator
+
+from repro.errors import ConfigurationError
 
 #: Default histogram bucket upper bounds (simulated seconds / scores).
 DEFAULT_BUCKETS = (
@@ -74,31 +77,21 @@ class Gauge:
     """A value that can move in both directions."""
 
     kind = "gauge"
-    __slots__ = ("name", "labels", "value", "watchers")
+    __slots__ = ("name", "labels", "value")
 
     def __init__(self, name: str, labels: LabelKey) -> None:
         self.name = name
         self.labels = labels
         self.value = 0.0
-        self.watchers: list | None = None
 
     def set(self, value: float) -> None:
         self.value = float(value)
-        if self.watchers:
-            for watcher in self.watchers:
-                watcher(self, self.value)
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-        if self.watchers:
-            for watcher in self.watchers:
-                watcher(self, self.value)
 
     def dec(self, amount: float = 1.0) -> None:
         self.value -= amount
-        if self.watchers:
-            for watcher in self.watchers:
-                watcher(self, self.value)
 
     def data(self) -> dict:
         return {"value": self.value}
@@ -219,7 +212,7 @@ class TimeSeries:
     """
 
     kind = "timeseries"
-    __slots__ = ("name", "labels", "times", "values", "_clock", "watchers")
+    __slots__ = ("name", "labels", "times", "values", "_clock")
 
     def __init__(
         self, name: str, labels: LabelKey, clock: Callable[[], float]
@@ -229,16 +222,12 @@ class TimeSeries:
         self.times = array("d")
         self.values = array("d")
         self._clock = clock
-        self.watchers: list | None = None
 
     def sample(self, value: float, at: float | None = None) -> None:
         """Record ``value`` now — or at ``at``, for a feed site that read
         the clock once for a whole pass of samples."""
         self.times.append(self._clock() if at is None else at)
         self.values.append(value)  # the array stores float(value)
-        if self.watchers:
-            for watcher in self.watchers:
-                watcher(self, self.values[-1])
 
     @property
     def samples(self) -> list[tuple[float, float]]:
@@ -278,10 +267,11 @@ class MetricsRegistry:
         instrument = self._instruments.get(key)
         if instrument is None:
             instrument = factory(name, key[2])
-            if self._watchers:
-                # The shared list is attached by reference: watchers
-                # registered later reach this instrument for free.
-                instrument.watchers = self._watchers.get((kind, name))
+            # The shared list is attached by reference: watchers
+            # registered later reach this instrument for free.
+            watchers = self._watchers.get((kind, name))
+            if watchers is not None:
+                instrument.watchers = watchers
             self._instruments[key] = instrument
         return instrument
 
@@ -290,10 +280,15 @@ class MetricsRegistry:
 
         Fires on every update of any instrument named ``name`` of kind
         ``kind`` (all label sets), existing or future, with the
-        *observed* value — the histogram observation, counter
-        increment, gauge/timeseries value. Watchers must not mint or
-        mutate instruments from inside the callback.
+        *observed* value — the histogram observation or the counter
+        increment. Only counters and histograms can be watched; a gauge
+        or a time series is refused. Watchers must not mint or mutate
+        instruments from inside the callback.
         """
+        if kind not in ("counter", "histogram"):
+            raise ConfigurationError(
+                f"only counters and histograms can be watched, not {kind!r}"
+            )
         watchers = self._watchers.get((kind, name))
         if watchers is None:
             watchers = self._watchers[(kind, name)] = []

@@ -4,15 +4,18 @@ The offline analytics report what a run looked like after it ended;
 this module watches a run *while it happens*. An :class:`SloMonitor`
 subscribes to metric updates through
 :meth:`repro.obs.registry.MetricsRegistry.watch`, folds every
-observation into the sliding windows of :mod:`repro.obs.windows`, and
-evaluates multi-window error-budget **burn-rate** rules (the Google SRE
-workbook recipe) on a :class:`~repro.sim.periodic.PeriodicProcess`
-tick. Alert state transitions become first-class, deterministically
-timestamped records in a shared :class:`AlertSink` — exported to JSONL,
-mirrored as ``slo.alert`` tracer events (so ``repro analyze`` can pair
-them with the ``fault.*`` events that caused them and report detection
-delay), and read back live through :meth:`SloMonitor.firing` and
-:meth:`SloMonitor.watch_summary`.
+observation into one sliding window per (SLO, group) — tumbling
+sim-time buckets of good/bad counts and latencies, evicted once they
+fall behind the longest rule window — and evaluates multi-window
+error-budget **burn-rate** rules (the Google SRE workbook recipe) on a
+:class:`~repro.sim.periodic.PeriodicProcess` tick. Alert state
+transitions become first-class, deterministically timestamped records
+in a shared :class:`AlertSink` — exported to JSONL, mirrored as
+``slo.alert`` tracer events (so ``repro analyze`` can pair them with
+the ``fault.*`` events that caused them and report detection delay),
+and read back live through :meth:`SloMonitor.firing` and
+:meth:`SloMonitor.watch_summary`, whose ``p99`` is the exact rank
+statistic of the latencies in the longest window.
 
 Objectives come in two shapes:
 
@@ -39,16 +42,11 @@ run's alert timeline is reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ConfigurationError
-from repro.obs.windows import (
-    DEFAULT_ALPHA,
-    WindowedCounts,
-    WindowedSketch,
-    burn_rate,
-)
 from repro.sim.periodic import PeriodicProcess
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -232,14 +230,70 @@ class AlertSink:
         return sorted(k for k, firing in state.items() if firing)
 
 
-class _SeriesState:
-    """Per-(SLO, group) sliding-window state."""
+class _Window:
+    """One sliding window of one (SLO, group) over simulation time.
 
-    __slots__ = ("counts", "sketch")
+    Bucket ``i`` covers sim time ``[i * width, (i + 1) * width)`` and
+    holds ``[good, bad, latencies]``; a query over ``window`` reads the
+    buckets overlapping ``(now - window, now]``, so window edges are
+    quantized to ``width``. Buckets more than ``retention`` behind the
+    newest write are evicted: what is held is the events, and the
+    latencies, inside the longest rule window.
+    """
 
-    def __init__(self, counts: WindowedCounts, sketch: WindowedSketch | None):
-        self.counts = counts
-        self.sketch = sketch
+    __slots__ = ("clock", "width", "_keep", "_buckets")
+
+    def __init__(self, clock, width: float, retention: float) -> None:
+        self.clock = clock
+        self.width = width
+        self._keep = int(math.ceil(retention / width)) + 1
+        self._buckets: dict[int, list] = {}
+
+    def record(
+        self, bad: bool, count: float = 1, latency: float | None = None
+    ) -> None:
+        index = int(self.clock() // self.width)
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = self._buckets[index] = [0, 0, []]
+            floor = index - self._keep
+            for stale in [i for i in self._buckets if i < floor]:
+                del self._buckets[stale]
+        bucket[1 if bad else 0] += count
+        if latency is not None:
+            bucket[2].append(latency)
+
+    def _span(self, window: float) -> list[list]:
+        now = self.clock()
+        last = int(now // self.width)
+        first = int(max(0.0, now - window) // self.width)
+        buckets = self._buckets
+        return [buckets[i] for i in range(first, last + 1) if i in buckets]
+
+    def totals(self, window: float) -> tuple[float, float]:
+        """``(good, bad)`` events over the trailing ``window``."""
+        good = bad = 0
+        for bucket in self._span(window):
+            good += bucket[0]
+            bad += bucket[1]
+        return good, bad
+
+    def quantile(self, q: float, window: float) -> float | None:
+        """The exact rank statistic ``sorted(values)[floor(q * (n - 1))]``
+        of the latencies in the trailing ``window``; ``None`` if empty."""
+        values = sorted(v for bucket in self._span(window) for v in bucket[2])
+        return values[math.floor(q * (len(values) - 1))] if values else None
+
+
+def _burn_rate(good: float, bad: float, budget: float) -> float:
+    """How many times faster than sustainable the budget is burning.
+
+    ``budget`` is the SLO's allowed error fraction (``1 - target``); a
+    burn rate of 1.0 spends exactly the budget, ``1/budget`` means
+    every event is an error. An empty window burns nothing.
+    """
+    total = good + bad
+    return bad / total / budget if total else 0.0
 
 
 class SloMonitor:
@@ -257,8 +311,6 @@ class SloMonitor:
         system: "OctopusFileSystem | None" = None,
         rules: Iterable[BurnRateRule] = (),
         interval: float = 1.0,
-        bucket_width: float | None = None,
-        alpha: float = DEFAULT_ALPHA,
         sink: AlertSink | None = None,
         name: str = "slo-monitor",
         obs=None,
@@ -288,26 +340,21 @@ class SloMonitor:
         if len(names) != len(set(names)):
             raise ConfigurationError(f"duplicate rule names in {names}")
         self.interval = float(interval)
-        self.alpha = alpha
         self.sink = sink if sink is not None else AlertSink(obs)
         self.name = name
-        # Window bookkeeping must be finer than the smallest window it
-        # feeds, and retain the largest.
+        # Window buckets are no wider than the shortest window they
+        # feed, and are kept for the longest.
         shortest = min(
             (rule.short_window for rule in self.rules), default=1.0
         )
         longest = max((rule.long_window for rule in self.rules), default=60.0)
-        self.bucket_width = (
-            float(bucket_width) if bucket_width is not None
-            else min(self.interval, shortest)
-        )
-        if self.bucket_width > shortest:
+        self._width = min(self.interval, shortest)
+        if self._width <= 0:
             raise ConfigurationError(
-                f"bucket_width {self.bucket_width} exceeds the shortest "
-                f"rule window {shortest}"
+                f"interval {interval} and every rule window must be positive"
             )
-        self._retention = longest + self.bucket_width
-        self._series: dict[tuple[str, str], _SeriesState] = {}
+        self._retention = longest + self._width
+        self._series: dict[tuple[str, str], _Window] = {}
         self._slos: dict[str, LatencySlo | AvailabilitySlo] = {}
         self._firing: dict[tuple[str, str], bool] = {}
         self.ticks = 0
@@ -381,35 +428,27 @@ class SloMonitor:
                 return value
         return ""
 
-    def _state(self, slo, group: str) -> _SeriesState:
+    def _window(self, slo, group: str) -> _Window:
         key = (slo.name, group)
-        state = self._series.get(key)
-        if state is None:
-            clock = self.clock
-            counts = WindowedCounts(clock, self.bucket_width, self._retention)
-            sketch = (
-                WindowedSketch(
-                    clock, self.bucket_width, self._retention, self.alpha
-                )
-                if isinstance(slo, LatencySlo)
-                else None
+        window = self._series.get(key)
+        if window is None:
+            window = self._series[key] = _Window(
+                self.clock, self._width, self._retention
             )
-            state = self._series[key] = _SeriesState(counts, sketch)
-        return state
+        return window
 
     def _latency_watcher(self, slo: LatencySlo):
         def on_observe(instrument, value: float) -> None:
-            state = self._state(slo, self._group_of(slo, instrument))
-            state.counts.record(bad=value > slo.threshold)
-            state.sketch.observe(value)
+            window = self._window(slo, self._group_of(slo, instrument))
+            window.record(value > slo.threshold, latency=value)
 
         return on_observe
 
     def _count_watcher(self, slo: AvailabilitySlo, bad: bool):
         def on_inc(instrument, amount: float) -> None:
             if amount > 0:
-                state = self._state(slo, self._group_of(slo, instrument))
-                state.counts.record(bad=bad, count=amount)
+                window = self._window(slo, self._group_of(slo, instrument))
+                window.record(bad, count=amount)
 
         return on_inc
 
@@ -437,15 +476,11 @@ class SloMonitor:
         self, rule: BurnRateRule, group: str
     ) -> tuple[float, float, float]:
         """``(burn_long, burn_short, samples_long)`` for one group."""
-        state = self._series[(rule.slo.name, group)]
+        window = self._series[(rule.slo.name, group)]
         budget = rule.slo.budget
-        good, bad = state.counts.totals(rule.long_window)
-        long_rate = bad / (good + bad) if good + bad else None
-        burn_long = burn_rate(long_rate, budget)
-        burn_short = burn_rate(
-            state.counts.error_rate(rule.short_window), budget
-        )
-        return burn_long, burn_short, good + bad
+        good, bad = window.totals(rule.long_window)
+        burn_short = _burn_rate(*window.totals(rule.short_window), budget)
+        return _burn_rate(good, bad, budget), burn_short, good + bad
 
     def _evaluate(self, rule: BurnRateRule, group: str) -> None:
         burn_long, burn_short, samples = self._burns(rule, group)
@@ -500,13 +535,13 @@ class SloMonitor:
     def watch_summary(self) -> dict:
         """The live-health overview ``dfsio --slo`` prints after its run."""
         slos = []
-        for (slo_name, group), state in sorted(self._series.items()):
+        for (slo_name, group), window in sorted(self._series.items()):
             slo = self._slos[slo_name]
             rules = [r for r in self.rules if r.slo.name == slo_name]
             longest = max(r.long_window for r in rules)
             # Whole events, however the SLO is fed: a latency SLO counts
             # observations, an availability SLO sums counter increments.
-            good, bad = map(int, state.counts.totals(longest))
+            good, bad = map(int, window.totals(longest))
             entry: dict = {
                 "slo": slo_name,
                 "group": group,
@@ -517,9 +552,8 @@ class SloMonitor:
                     r.rule_name: self._burns(r, group)[0] for r in rules
                 },
             }
-            if state.sketch is not None:
-                p99 = state.sketch.quantile(0.99, longest)
-                entry["p99"] = p99
+            if isinstance(slo, LatencySlo):
+                entry["p99"] = window.quantile(0.99, longest)
                 entry["threshold"] = slo.threshold
             slos.append(entry)
         return {

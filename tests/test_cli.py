@@ -15,7 +15,7 @@ from repro.cli import build_parser, main
 from repro.cluster import small_cluster_spec
 from repro.obs import ObsCapture, read_trace_file, validate
 from repro.obs.export import read_artifact
-from repro.util.units import MB
+from repro.util.units import MB, format_bytes, format_rate
 
 GZIP_MAGIC = b"\x1f\x8b"
 
@@ -58,6 +58,26 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "OriginalHdfsPolicy" in out
         assert "MEMORY" in out and "HDD" in out
+
+    def test_report_text_prints_bytes_and_rates_in_units(self, capsys):
+        """The tiers table prints each byte column through
+        ``format_bytes`` and each throughput column through
+        ``format_rate``, from the numbers ``--json`` prints raw."""
+        assert main(["report", "--deployment", "octopus", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert main(["report", "--deployment", "octopus"]) == 0
+        text = capsys.readouterr().out
+        rows = [line.split() for line in text.splitlines()]
+        header = next(row for row in rows if "total_capacity" in row)
+        for tier in data["tiers"]:
+            (row,) = [row for row in rows if row[:1] == [tier["tier"]]]
+            cells = dict(zip(header, row))
+            for column in ("total_capacity", "used", "remaining"):
+                assert cells[column] == format_bytes(tier[column])
+            for column in ("avg_write_throughput", "avg_read_throughput"):
+                assert cells[column] == format_rate(tier[column])
+            assert cells["remaining_percent"] == "100.0"
+        assert "36.00GB" in text and "3224.8MB/s" in text
 
     def test_experiment_table2(self, capsys):
         assert main(["experiment", "table2", "--scale", "0.1"]) == 0

@@ -26,7 +26,6 @@ from repro.obs import (
     LatencySlo,
     MetricsRegistry,
     Observability,
-    QuantileSketch,
     SloMonitor,
     default_read_rules,
     metrics_json,
@@ -115,17 +114,19 @@ class TestWatchHooks:
         assert ("tier", "MEMORY") in labels
 
     def test_gauge_and_timeseries_watch(self):
+        """Only counters and histograms have watchers: watching a gauge
+        or a time series is refused, and both still record."""
         registry = MetricsRegistry(lambda: 1.0)
-        values = []
-        registry.watch("gauge", "g", lambda inst, v: values.append(v))
+        for kind in ("gauge", "timeseries"):
+            with pytest.raises(ConfigurationError):
+                registry.watch(kind, "g", lambda inst, v: None)
         gauge = registry.gauge("g")
         gauge.set(3.0)
         gauge.inc(2.0)
-        assert values == [3.0, 5.0]
-        sampled = []
-        registry.watch("timeseries", "ts", lambda inst, v: sampled.append(v))
-        registry.timeseries("ts").sample(7.0)
-        assert sampled == [7.0]
+        assert gauge.value == 5.0
+        registry.timeseries("g").sample(7.0)
+        assert registry.timeseries("g").samples == [(1.0, 7.0)]
+        assert not hasattr(gauge, "watchers")
 
     def test_unwatched_instruments_have_no_watchers(self):
         registry = MetricsRegistry()
@@ -137,14 +138,20 @@ class TestWatchHooks:
 # Empty-quantile consistency (regression audit)
 # ----------------------------------------------------------------------
 def test_empty_quantile_contract_is_uniform():
-    """Histogram and the sketch agree: empty data answers ``None`` from
-    ``quantile`` and ``{}`` from ``quantiles`` — callers need exactly
-    one None-check idiom."""
+    """Histogram and the SLO window agree: empty data answers ``None``
+    — callers need exactly one None-check idiom."""
     histogram = MetricsRegistry().histogram("h")
-    sketch = QuantileSketch()
-    for empty in (histogram, sketch):
-        assert empty.quantile(0.5) is None
-        assert empty.quantiles() == {}
+    assert histogram.quantile(0.5) is None
+    assert histogram.quantiles() == {}
+    clock = FakeClock()
+    slo = LatencySlo("lat", "read_seconds", threshold=0.1, target=0.9)
+    monitor, obs = manual_monitor(
+        [BurnRateRule(slo, long_window=8.0, short_window=2.0)], clock
+    )
+    obs.metrics.histogram("read_seconds").observe(0.05)
+    clock.now = 100.0  # the observation slid out of every window
+    (entry,) = monitor.watch_summary()["slos"]
+    assert entry["p99"] is None
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +245,7 @@ class TestStateMachine:
         assert entry["events"] == 10
         assert entry["errors"] == 1
         assert entry["burn_rates"]["avail:burn:page"] == pytest.approx(1.0)
-        assert "p99" not in entry  # availability SLOs carry no sketch
+        assert "p99" not in entry  # availability SLOs hold no latencies
 
     def test_summary_counts_whole_events_for_every_kind_of_slo(self):
         """An availability SLO sums counter increments (floats by
@@ -273,7 +280,7 @@ class TestStateMachine:
         obs.metrics.histogram("read_seconds").observe(0.05)
         summary = monitor.watch_summary()
         (entry,) = summary["slos"]
-        assert entry["p99"] == pytest.approx(0.05, rel=0.02)
+        assert entry["p99"] == 0.05
         assert entry["threshold"] == 0.1
 
 
@@ -311,12 +318,6 @@ class TestConstruction:
                 [BurnRateRule(a), BurnRateRule(b, severity="ticket")],
                 FakeClock(),
             )
-
-    def test_bucket_width_must_fit_shortest_window(self):
-        slo = LatencySlo("lat", "m", 1.0)
-        rule = BurnRateRule(slo, long_window=10.0, short_window=1.0)
-        with pytest.raises(ConfigurationError):
-            manual_monitor([rule], FakeClock(), bucket_width=2.0)
 
     def test_double_start_rejected(self):
         fs = OctopusFileSystem(small_cluster_spec(seed=0))
